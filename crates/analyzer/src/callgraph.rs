@@ -660,7 +660,7 @@ fn resolve(
 ) -> (Vec<NodeId>, bool) {
     // `run()` where `run` is a parameter or a `let`-bound local is a
     // closure call — resolving it to every fn named `run` would wire
-    // e.g. the kernel executor straight into the CLI dispatcher.
+    // e.g. a benchmark's closure straight into the CLI dispatcher.
     if !site.dotted
         && site.qualifier.is_none()
         && local_names.contains(&site.callee)

@@ -430,7 +430,7 @@ fn must_touch(s: &Stmt, toks: &[Token], name: &str) -> bool {
 /// Locates the statement list directly containing token `tok` and the
 /// index of the containing statement within it — the scope whose
 /// remaining statements an all-paths analysis must examine.
-pub fn containing_list<'a>(stmts: &'a [Stmt], tok: usize) -> Option<(&'a [Stmt], usize)> {
+pub fn containing_list(stmts: &[Stmt], tok: usize) -> Option<(&[Stmt], usize)> {
     for (i, s) in stmts.iter().enumerate() {
         if !(s.range.0 <= tok && tok <= s.range.1) {
             continue;

@@ -11,9 +11,9 @@
 //! | `panic-site`      | no panicking construct on a query path reachable from a `RangeEngine` method (PR 4's `catch_unwind` containment must never fire) |
 //! | `atomic-ordering` | every `Ordering::…` carries an `// ordering:` justification; `SeqCst` is a smell |
 //! | `lock-order`      | the guard-held-while-acquiring graph across all `Mutex`/`RwLock` fields is acyclic |
-//! | `feature-gate`    | telemetry-/parallel-gated symbols are referenced only under a matching cfg |
+//! | `feature-gate`    | feature-gated (`telemetry`) symbols are referenced only under a matching cfg |
 //! | `error-surface`   | pub fns in `olap-engine`/`olap-array` don't silently swallow fallible internals |
-//! | `budget-coverage` | every loop reachable from `range_sum*`/kernel entry points charges the `BudgetMeter` (PR 4's deadlines stay cooperative) |
+//! | `budget-coverage` | every loop reachable from the `range_sum*` entry points charges the `BudgetMeter` (PR 4's deadlines stay cooperative) |
 //! | `pin-across-blocking` | no `VersionCell` read-pin or lock guard live across `send`/`recv`/`join`/`sleep` (PR 6's installs can't stall) |
 //! | `span-discipline` | `PendingSpan`s are consumed on every path; `TraceSpan` never lives in a field (PR 8's thread-local frame stacks) |
 //! | `estimate-isolation` | no call path from `Estimate`-producing fns into `SemanticCache::insert`/`prime` or `Routed::Exact`/`ShardOutcome::Exact` (PR 9's tier separation) |

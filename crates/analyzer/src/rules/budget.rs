@@ -9,9 +9,9 @@
 //! for that path.
 //!
 //! The rule walks the [call graph](crate::callgraph) forward from the
-//! query entry points (`range_sum*` fns and the `run_indexed*` kernel
-//! executors), and for each reachable function asks the
-//! [CFG](crate::cfg) for its loops. A loop is **covered** when its body
+//! query entry points (the `range_sum*` fns), and for each reachable
+//! function asks the [CFG](crate::cfg) for its loops. A loop is
+//! **covered** when its body
 //!
 //! * charges or checks a meter directly (`meter.charge(…)`,
 //!   `self.budget.check()`, any `BudgetMeter`-resolved call), or
@@ -27,10 +27,6 @@ use crate::callgraph::CallGraph;
 use crate::cfg;
 use crate::findings::Finding;
 use crate::model::Model;
-
-/// Query-path roots: the budgeted sum entry points plus the chunked
-/// kernel executors every backend runs through.
-const ROOT_FNS: &[&str] = &["run_indexed", "run_indexed_fallible"];
 
 /// Whether a resolved call site is a direct meter charge/check.
 fn is_charge_site(g: &CallGraph, s: &crate::callgraph::ResolvedSite) -> bool {
@@ -54,12 +50,9 @@ fn is_charge_site(g: &CallGraph, s: &crate::callgraph::ResolvedSite) -> bool {
 
 /// Runs the rule over the model.
 pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
-    // Roots: `range_sum`-family entry points and the kernel executors.
+    // Roots: the `range_sum`-family entry points.
     let roots: Vec<usize> = (0..g.nodes.len())
-        .filter(|&n| {
-            let name = g.nodes[n].name.as_str();
-            name.starts_with("range_sum") || ROOT_FNS.contains(&name)
-        })
+        .filter(|&n| g.nodes[n].name.starts_with("range_sum"))
         .collect();
     if roots.is_empty() {
         return Vec::new();
@@ -76,11 +69,10 @@ pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
     let may_charge = g.callers_closure(&direct);
 
     let mut findings = Vec::new();
-    for n in 0..g.nodes.len() {
+    for (n, node) in g.nodes.iter().enumerate() {
         if !reachable[n] {
             continue;
         }
-        let node = &g.nodes[n];
         let file = &model.files[node.file];
         let f = &file.outline.fns[node.fn_id];
         let Some((a, b)) = f.body else { continue };
@@ -100,7 +92,7 @@ pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
                     lp.col,
                     format!(
                         "un-budgeted `{}` loop in `{}` (reachable from the \
-                         range_sum/kernel entry points): the body never calls \
+                         range_sum entry points): the body never calls \
                          `BudgetMeter::charge`/`check`, directly or transitively, \
                          so deadlines and access caps cannot interrupt it",
                         lp.kind,

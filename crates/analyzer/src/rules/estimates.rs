@@ -62,11 +62,10 @@ pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
     // would otherwise connect the estimate tier to every fn named `max`.
     let reach = g.reachable_trusted(&producers);
     let mut findings = Vec::new();
-    for n in 0..g.nodes.len() {
+    for (n, node) in g.nodes.iter().enumerate() {
         if !reach[n] {
             continue;
         }
-        let node = &g.nodes[n];
         let file = &model.files[node.file];
         for s in g.sites(n) {
             let cache_sink = s.narrowed

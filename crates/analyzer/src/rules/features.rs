@@ -1,12 +1,10 @@
 //! Rule `feature-gate`: gated symbols are referenced only under a
 //! matching `#[cfg(feature = "…")]`.
 //!
-//! The workspace ships four feature combinations
-//! (`±telemetry × ±parallel`) and CI builds them all — but only *some*
-//! legs run the full suite on every PR, so an ungated reference to a
-//! telemetry-only symbol can sit green for days before the no-default
-//! leg trips over it. This rule catches the mistake at `analyze` time in
-//! every configuration:
+//! The workspace ships with and without `telemetry` and CI builds both
+//! — but an ungated reference to a telemetry-only symbol only fails the
+//! no-default leg, after the default build has gone green. This rule
+//! catches the mistake at `analyze` time in every configuration:
 //!
 //! 1. **Same-crate**: a symbol defined under `#[cfg(feature = "F")]` —
 //!    directly, or by living in a `#[cfg(feature = "F")] mod m;` file —

@@ -7,8 +7,8 @@
 //! a typed interrupt". Enforcement is **cooperative** — kernels call
 //! [`BudgetMeter::charge`] as they account accesses (the same places they
 //! feed `AccessStats`) and [`BudgetMeter::check`] at chunk boundaries —
-//! so there is no preemption, no threads to kill, and the deterministic
-//! execution contract of [`crate::exec`] is preserved.
+//! so there is no preemption, no threads to kill, and an uninterrupted
+//! query computes exactly what it would without a budget.
 //!
 //! The split between [`QueryBudget`] and [`BudgetMeter`] matters:
 //!
@@ -18,8 +18,8 @@
 //! - [`BudgetMeter`] is the *runtime handle* created per query execution
 //!   by [`QueryBudget::start`]: it pins the start instant, carries the
 //!   shared spent-access counter, and optionally a [`CancellationToken`].
-//!   It is cheap to clone and safe to share across the worker threads of
-//!   one query.
+//!   It is cheap to clone and safe to share between the threads that
+//!   run and cancel one query.
 //!
 //! An unlimited budget costs one branch per check — the meter holds no
 //! allocation and no clock reads happen.
@@ -221,9 +221,9 @@ struct MeterInner {
 }
 
 /// The runtime enforcement handle for one query execution: shared spent
-/// counter, pinned start instant, optional cancellation flag. Clone it
-/// into worker threads freely — all clones charge one counter, so a
-/// parallel query's total spend is metered globally, not per worker.
+/// counter, pinned start instant, optional cancellation flag. All clones
+/// charge one counter, so a query retried across engines (router
+/// failover) is metered as a whole, not per attempt.
 ///
 /// An unarmed meter ([`BudgetMeter::unlimited`], or started from an
 /// unlimited [`QueryBudget`] without a token) makes every call a single
@@ -247,8 +247,8 @@ impl BudgetMeter {
     /// Element accesses charged so far.
     pub fn spent(&self) -> u64 {
         match &self.inner {
-            // ordering: Relaxed — per-query counter; worker charges need
-            // no mutual order, the total is only read for reporting and
+            // ordering: Relaxed — per-query counter; charges need no
+            // mutual order, the total is only read for reporting and
             // the (intentionally approximate) cap check.
             Some(m) => m.spent.load(Ordering::Relaxed),
             None => 0,
@@ -305,7 +305,7 @@ impl BudgetMeter {
             return Ok(());
         };
         // ordering: Relaxed — per-query counter; the cap contract allows
-        // overshoot by one chunk, so charges need no cross-worker order.
+        // overshoot by one chunk, so charges need no mutual order.
         m.spent.fetch_add(cells, Ordering::Relaxed);
         self.check_spent(m)
     }

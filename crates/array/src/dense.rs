@@ -1,4 +1,3 @@
-use crate::exec::{self, Parallelism};
 use crate::{ArrayError, FlatRegionIter, Range, Region, Shape};
 
 /// A dense d-dimensional array stored in row-major order — the cube `A` of
@@ -143,53 +142,6 @@ impl<T> DenseArray<T> {
         }
     }
 
-    /// [`DenseArray::scan_axis`] under an execution strategy: the same
-    /// per-slab kernel, optionally fanned out across threads.
-    ///
-    /// For axes with more than one slab, whole slabs run concurrently. For
-    /// the outermost axis (one slab spanning the array) each of the `n − 1`
-    /// scan steps is an element-wise slab addition, split into matching
-    /// sub-chunks. Either way every cell sees exactly the combine sequence
-    /// of the sequential scan, so results are bit-identical under every
-    /// [`Parallelism`].
-    pub fn scan_axis_with(
-        &mut self,
-        par: Parallelism,
-        axis: usize,
-        combine: impl Fn(&T, &T) -> T + Sync,
-    ) where
-        T: Send + Sync,
-    {
-        let n = self.shape.dim(axis);
-        let stride = self.shape.strides()[axis];
-        if n == 1 {
-            return;
-        }
-        let slab = self.shape.axis_slab_len(axis);
-        if self.data.len() > slab {
-            let slabs: Vec<&mut [T]> = self.split_axis_lines(axis).collect();
-            exec::run_indexed(par, slabs, |_, s| {
-                scan_slab(s, n, stride, &mut |a: &T, b: &T| combine(a, b));
-            });
-        } else {
-            // Single slab: wavefront over the axis, each step an
-            // element-wise combine of row k − 1 into row k.
-            for k in 1..n {
-                let (head, tail) = self.data.split_at_mut(k * stride);
-                let prev = &head[(k - 1) * stride..];
-                let cur = &mut tail[..stride];
-                let piece = stride.div_ceil(par.workers_for(stride));
-                let pairs: Vec<(&mut [T], &[T])> =
-                    cur.chunks_mut(piece).zip(prev.chunks(piece)).collect();
-                exec::run_indexed(par, pairs, |_, (dst, src)| {
-                    for (d, s) in dst.iter_mut().zip(src) {
-                        *d = combine(s, d);
-                    }
-                });
-            }
-        }
-    }
-
     /// Disjoint contiguous slabs, each containing complete lines along
     /// `axis`, in storage order. An in-place scan (or any line-local
     /// kernel) along `axis` touches each slab independently, so the slabs
@@ -200,26 +152,18 @@ impl<T> DenseArray<T> {
         self.data.chunks_mut(slab)
     }
 
-    /// Disjoint tiles of up to `tile` consecutive outermost-axis indices,
-    /// each paired with its starting axis-0 index. The tiles partition the
-    /// storage into contiguous non-overlapping stretches — the
-    /// owner-computes decomposition for applying disjoint region writes
-    /// concurrently. `tile` is clamped to at least 1.
-    pub fn disjoint_block_tiles(&mut self, tile: usize) -> impl Iterator<Item = (usize, &mut [T])> {
-        let row = self.shape.strides()[0];
-        let t = tile.max(1);
-        self.data
-            .chunks_mut(t * row)
-            .enumerate()
-            .map(move |(k, s)| (k * t, s))
-    }
-
     /// Contracts the array by block size `b` on every dimension, combining
     /// each `b × … × b` block (clipped at the edges) into one output cell
     /// with `fold` starting from `init`.
     ///
     /// This is the first phase of both the blocked prefix-sum computation
     /// (§4.3) and the level-by-level range-max tree construction (§6.2).
+    /// Every output cell folds its own block of `A` in row-major order;
+    /// `fold` receives the accumulator, the input cell and the input
+    /// cell's flat offset.
+    ///
+    /// # Errors
+    /// [`ArrayError::ZeroBlock`] when `b = 0`.
     pub fn contract_blocks<U: Clone>(
         &self,
         b: usize,
@@ -227,65 +171,18 @@ impl<T> DenseArray<T> {
         mut fold: impl FnMut(&U, &T, usize) -> U,
     ) -> Result<DenseArray<U>, ArrayError> {
         let out_shape = self.shape.contract(b)?;
-        let mut out = DenseArray::filled(out_shape.clone(), init);
-        // Walk A once in storage order, routing each cell to its block.
-        let mut idx = vec![0usize; self.shape.ndim()];
-        let mut block_idx = vec![0usize; self.shape.ndim()];
-        for flat in 0..self.data.len() {
-            self.shape.unflatten_into(flat, &mut idx);
-            for (bi, &i) in block_idx.iter_mut().zip(idx.iter()) {
-                *bi = i / b;
-            }
-            let out_flat = out_shape.flatten(&block_idx);
-            let merged = fold(&out.data[out_flat], &self.data[flat], flat);
-            out.data[out_flat] = merged;
-        }
-        Ok(out)
-    }
-
-    /// [`DenseArray::contract_blocks`] under an execution strategy.
-    ///
-    /// Phrased in gather form: every output cell folds its own (clipped)
-    /// `b × … × b` block of `A` in row-major order — the same per-cell
-    /// visit sequence as the sequential scatter walk, so the two produce
-    /// identical arrays. Output cells are independent, so they are chunked
-    /// and optionally fanned out across threads.
-    ///
-    /// # Errors
-    /// [`ArrayError::ZeroBlock`] when `b = 0`.
-    pub fn contract_blocks_with<U>(
-        &self,
-        par: Parallelism,
-        b: usize,
-        init: U,
-        fold: impl Fn(&U, &T, usize) -> U + Sync,
-    ) -> Result<DenseArray<U>, ArrayError>
-    where
-        T: Sync,
-        U: Clone + Send + Sync,
-    {
-        let out_shape = self.shape.contract(b)?;
-        let n_out = out_shape.len();
-        let piece = n_out.div_ceil(par.workers_for(n_out));
-        let chunks: Vec<std::ops::Range<usize>> = (0..n_out)
-            .step_by(piece)
-            .map(|lo| lo..(lo + piece).min(n_out))
+        let mut out_idx = vec![0usize; out_shape.ndim()];
+        let data: Vec<U> = (0..out_shape.len())
+            .map(|out_flat| {
+                out_shape.unflatten_into(out_flat, &mut out_idx);
+                let block = self.block_region(b, &out_idx);
+                let mut acc = init.clone();
+                for off in FlatRegionIter::new(&self.shape, &block) {
+                    acc = fold(&acc, &self.data[off], off);
+                }
+                acc
+            })
             .collect();
-        let parts: Vec<Vec<U>> = exec::run_indexed(par, chunks, |_, range| {
-            let mut out_idx = vec![0usize; out_shape.ndim()];
-            range
-                .map(|out_flat| {
-                    out_shape.unflatten_into(out_flat, &mut out_idx);
-                    let block = self.block_region(b, &out_idx);
-                    let mut acc = init.clone();
-                    for off in FlatRegionIter::new(&self.shape, &block) {
-                        acc = fold(&acc, &self.data[off], off);
-                    }
-                    acc
-                })
-                .collect()
-        });
-        let data: Vec<U> = parts.into_iter().flatten().collect();
         DenseArray::from_vec(out_shape, data)
     }
 
@@ -309,12 +206,9 @@ impl<T> DenseArray<T> {
     }
 }
 
-/// The per-slab scan kernel shared by [`DenseArray::scan_axis`] and
-/// [`DenseArray::scan_axis_with`]: an in-place inclusive scan of one
-/// contiguous slab holding complete lines along an axis of extent `n` and
-/// inner stride `stride`. Every execution strategy runs exactly this
-/// combine sequence per cell, which is what makes the parallel path
-/// bit-identical to the sequential one.
+/// The per-slab kernel of [`DenseArray::scan_axis`]: an in-place inclusive
+/// scan of one contiguous slab holding complete lines along an axis of
+/// extent `n` and inner stride `stride`.
 fn scan_slab<T>(slab: &mut [T], n: usize, stride: usize, combine: &mut impl FnMut(&T, &T) -> T) {
     for k in 1..n {
         let (head, tail) = slab.split_at_mut(k * stride);
@@ -455,28 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_axis_with_matches_scan_axis_every_axis() {
-        let shape = Shape::new(&[4, 3, 5]).unwrap();
-        let base = DenseArray::from_fn(shape, |idx| {
-            (idx[0] * 17 + idx[1] * 5 + idx[2] * 3) as f64 * 0.37 - 4.0
-        });
-        for axis in 0..3 {
-            let mut seq = base.clone();
-            seq.scan_axis(axis, |a, b| a + b);
-            for par in [
-                Parallelism::Sequential,
-                Parallelism::Threads(2),
-                Parallelism::Threads(7),
-            ] {
-                let mut p = base.clone();
-                p.scan_axis_with(par, axis, |a, b| a + b);
-                // Bit-identical, not just approximately equal.
-                assert_eq!(p.as_slice(), seq.as_slice(), "axis {axis} {par:?}");
-            }
-        }
-    }
-
-    #[test]
     fn split_axis_lines_are_disjoint_and_complete() {
         let shape = Shape::new(&[3, 4, 2]).unwrap();
         let mut a = DenseArray::filled(shape, 0i64);
@@ -489,37 +361,6 @@ mod tests {
         for idx in a.shape().full_region().iter_indices() {
             assert_eq!(*a.get(&idx), 1 + idx[0] as i64, "at {idx:?}");
         }
-    }
-
-    #[test]
-    fn disjoint_block_tiles_cover_rows_once() {
-        let shape = Shape::new(&[7, 3]).unwrap();
-        let mut a = DenseArray::filled(shape, 0i64);
-        let tiles: Vec<(usize, &mut [i64])> = a.disjoint_block_tiles(2).collect();
-        assert_eq!(tiles.len(), 4);
-        for (start, tile) in tiles {
-            for (j, cell) in tile.iter_mut().enumerate() {
-                *cell = (start * 3 + j) as i64;
-            }
-        }
-        let expected: Vec<i64> = (0..21).collect();
-        assert_eq!(a.as_slice(), expected.as_slice());
-    }
-
-    #[test]
-    fn contract_blocks_with_matches_scatter() {
-        let a = figure1_a();
-        let seq = a.contract_blocks(2, 0i64, |acc, &x, _| acc + x).unwrap();
-        for par in [Parallelism::Sequential, Parallelism::Threads(3)] {
-            let got = a
-                .contract_blocks_with(par, 2, 0i64, |acc, &x, _| acc + x)
-                .unwrap();
-            assert_eq!(got.as_slice(), seq.as_slice(), "{par:?}");
-            assert_eq!(got.shape(), seq.shape());
-        }
-        assert!(a
-            .contract_blocks_with(Parallelism::Sequential, 0, 0i64, |acc, &x, _| acc + x)
-            .is_err());
     }
 
     #[test]

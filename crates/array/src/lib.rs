@@ -17,16 +17,6 @@
 //!
 //! Everything is deliberately free of aggregation semantics: operators live
 //! in `olap-aggregate`, and algorithms in the crates layered above.
-//!
-//! # Execution model
-//!
-//! Hot paths are written as *chunked kernels* over disjoint slices
-//! ([`DenseArray::split_axis_lines`], [`DenseArray::disjoint_block_tiles`])
-//! and dispatched through the [`exec`] module's [`Parallelism`] strategy:
-//! sequential by default, fanned out across scoped threads when the
-//! `parallel` feature is enabled and [`Parallelism::Threads`] is selected.
-//! Both paths run the same kernels and reassemble results in a fixed
-//! order, so outputs are bit-identical regardless of strategy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +30,6 @@
 pub mod budget;
 mod dense;
 mod error;
-pub mod exec;
 mod iter;
 mod range;
 mod region;
@@ -49,7 +38,6 @@ mod shape;
 pub use budget::{BudgetMeter, CancellationToken, DegradePolicy, Interrupt, QueryBudget};
 pub use dense::DenseArray;
 pub use error::ArrayError;
-pub use exec::Parallelism;
 pub use iter::{FlatRegionIter, RegionIndexIter};
 pub use range::Range;
 pub use region::Region;

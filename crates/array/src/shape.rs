@@ -182,43 +182,6 @@ impl Shape {
         self.dims[axis] * self.strides[axis]
     }
 
-    /// The flat cell ranges of the disjoint contiguous slabs that each
-    /// contain complete lines along `axis`, in storage order.
-    ///
-    /// This is the index-space counterpart of
-    /// [`DenseArray::split_axis_lines`](crate::DenseArray::split_axis_lines):
-    /// the ranges tile `0..len` exactly, so per-slab kernels may run in any
-    /// order (or concurrently) without aliasing. For `axis = 0` there is a
-    /// single slab covering the whole array.
-    pub fn split_axis_lines(&self, axis: usize) -> impl Iterator<Item = core::ops::Range<usize>> {
-        let slab = self.axis_slab_len(axis);
-        let len = self.len;
-        (0..len)
-            .step_by(slab)
-            // analyzer: allow(panic-site, reason = "lo < len and slab <= len, both <= the construction-checked cell count, so lo+slab cannot overflow")
-            .map(move |lo| lo..(lo + slab).min(len))
-    }
-
-    /// The flat cell ranges of disjoint tiles of up to `tile` consecutive
-    /// outermost-axis indices, each paired with its starting axis-0 index.
-    ///
-    /// Tiles partition the storage into contiguous, non-overlapping
-    /// stretches — the owner-computes decomposition used to apply disjoint
-    /// region writes concurrently. `tile` is clamped to at least 1.
-    pub fn disjoint_block_tiles(
-        &self,
-        tile: usize,
-    ) -> impl Iterator<Item = (usize, core::ops::Range<usize>)> {
-        // analyzer: allow(panic-site, reason = "shapes are non-empty by construction (EmptyShape rejected), so axis 0 exists")
-        let row = self.strides[0];
-        // analyzer: allow(panic-site, reason = "shapes are non-empty by construction (EmptyShape rejected), so axis 0 exists")
-        let n0 = self.dims[0];
-        let t = tile.max(1);
-        (0..n0)
-            .step_by(t)
-            .map(move |i0| (i0, i0 * row..(i0 + t).min(n0) * row))
-    }
-
     /// Shape of the cube contracted by block size `b` on every dimension:
     /// `⌈n_1/b⌉ × … × ⌈n_d/b⌉`.
     ///
@@ -304,39 +267,6 @@ mod tests {
                 index: 6,
                 extent: 6
             })
-        );
-    }
-
-    #[test]
-    fn axis_slabs_tile_the_storage() {
-        let s = Shape::new(&[3, 4, 5]).unwrap();
-        // Axis 0: one slab covering everything.
-        let slabs: Vec<_> = s.split_axis_lines(0).collect();
-        assert_eq!(slabs, vec![0..60]);
-        // Axis 1: 3 slabs of 4·5 cells.
-        assert_eq!(s.axis_slab_len(1), 20);
-        let slabs: Vec<_> = s.split_axis_lines(1).collect();
-        assert_eq!(slabs, vec![0..20, 20..40, 40..60]);
-        // Axis 2: 12 slabs of 5 cells, exactly tiling 0..60.
-        let slabs: Vec<_> = s.split_axis_lines(2).collect();
-        assert_eq!(slabs.len(), 12);
-        assert_eq!(slabs.first().unwrap().clone(), 0..5);
-        assert_eq!(slabs.last().unwrap().clone(), 55..60);
-        let covered: usize = slabs.iter().map(|r| r.len()).sum();
-        assert_eq!(covered, 60);
-    }
-
-    #[test]
-    fn block_tiles_partition_axis_zero() {
-        let s = Shape::new(&[7, 4]).unwrap();
-        let tiles: Vec<_> = s.disjoint_block_tiles(3).collect();
-        assert_eq!(tiles, vec![(0, 0..12), (3, 12..24), (6, 24..28)]);
-        // A zero tile is clamped to 1.
-        assert_eq!(s.disjoint_block_tiles(0).count(), 7);
-        // One huge tile covers everything.
-        assert_eq!(
-            s.disjoint_block_tiles(100).collect::<Vec<_>>(),
-            vec![(0, 0..28)]
         );
     }
 

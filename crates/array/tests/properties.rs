@@ -146,20 +146,48 @@ proptest! {
         }
     }
 
+    /// `contract_blocks` against a naive per-block `fold_region`: d = 1..4,
+    /// extents not divisible by `b`, and `b` from 1 (identity) past every
+    /// extent (one block). The accumulator also hashes the `flat` offsets
+    /// `fold` is handed, in order, so a wrong offset or a wrong visit order
+    /// inside a block fails too.
     #[test]
-    fn contract_blocks_conserves_sum(
-        (shape, b, data) in arb_shape().prop_flat_map(|s| {
+    fn contract_blocks_matches_per_block_fold(
+        (shape, b, data) in (1usize..=4).prop_flat_map(|d| {
+            let max = [40usize, 20, 9, 6][d - 1];
+            prop::collection::vec(1..=max, d)
+        }).prop_flat_map(|dims| {
+            let s = Shape::new(&dims).unwrap();
+            let past_every_extent = dims.iter().max().unwrap() + 1;
+            let b = prop_oneof![Just(1usize), Just(2), Just(3), Just(16), Just(past_every_extent)];
             let len = s.len();
-            (Just(s), 1usize..5, prop::collection::vec(-50i64..50, len))
+            (Just(s), b, prop::collection::vec(-50i64..50, len))
         })
     ) {
-        let a = DenseArray::from_vec(shape, data).unwrap();
-        let c = a.contract_blocks(b, 0i64, |acc, &x, _| acc + x).unwrap();
-        let total: i64 = a.as_slice().iter().sum();
-        let contracted: i64 = c.as_slice().iter().sum();
-        prop_assert_eq!(total, contracted);
-        for (j, &n) in a.shape().dims().iter().enumerate() {
-            prop_assert_eq!(c.shape().dim(j), n.div_ceil(b));
+        let a = DenseArray::from_vec(shape.clone(), data).unwrap();
+        let step = |(sum, hash): (i64, u64), x: i64, flat: usize| {
+            (sum + x, hash.wrapping_mul(31).wrapping_add(flat as u64 + 1))
+        };
+        let c = a
+            .contract_blocks(b, (0i64, 0u64), |&acc, &x, flat| {
+                assert_eq!(a.as_slice()[flat], x, "flat is the input cell's offset");
+                step(acc, x, flat)
+            })
+            .unwrap();
+        prop_assert_eq!(c.shape(), &shape.contract(b).unwrap());
+        for block_idx in c.shape().full_region().iter_indices() {
+            let bounds: Vec<(usize, usize)> = block_idx
+                .iter()
+                .zip(shape.dims())
+                .map(|(&bi, &n)| (bi * b, ((bi + 1) * b - 1).min(n - 1)))
+                .collect();
+            let block = Region::from_bounds(&bounds).unwrap();
+            let naive = a
+                .region_offsets(&block)
+                .fold((0i64, 0u64), |acc, off| step(acc, a.as_slice()[off], off));
+            prop_assert_eq!(*c.get(&block_idx), naive);
+            prop_assert_eq!(naive.0, a.fold_region(&block, 0i64, |s, &x| s + x));
         }
+        prop_assert!(a.contract_blocks(0, 0i64, |s, &x, _| s + x).is_err());
     }
 }

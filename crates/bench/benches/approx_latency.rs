@@ -20,7 +20,7 @@
 //! tolerance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olap_array::{Parallelism, Region, Shape};
+use olap_array::{Region, Shape};
 use olap_engine::{ApproxEngine, CubeIndex, IndexConfig, PrefixChoice};
 use olap_query::RangeQuery;
 use olap_workload::{sided_regions, uniform_cube};
@@ -35,7 +35,6 @@ fn approx_latency(c: &mut Criterion) {
             max_tree_fanout: None,
             min_tree_fanout: None,
             sum_tree_fanout: None,
-            parallelism: Parallelism::Sequential,
             ..IndexConfig::default()
         },
     )

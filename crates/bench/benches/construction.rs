@@ -2,23 +2,12 @@
 //! §4.3 blocked build (N + dN/b^d), and the tree builds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olap_array::{Parallelism, Shape};
+use olap_array::Shape;
 use olap_prefix_sum::{BlockedPrefixCube, PrefixSumCube};
 use olap_range_max::NaturalMaxTree;
 use olap_tree_sum::SumTreeCube;
 use olap_workload::uniform_cube;
 use std::hint::black_box;
-
-/// The execution strategies the `threads` sweeps compare. `seq` is the
-/// deterministic default; the `tN` points exercise the same kernels fanned
-/// across scoped threads (a no-op without the `parallel` feature).
-fn thread_sweep() -> Vec<(&'static str, Parallelism)> {
-    vec![
-        ("seq", Parallelism::Sequential),
-        ("t2", Parallelism::Threads(2)),
-        ("t4", Parallelism::Threads(4)),
-    ]
-}
 
 fn builds(c: &mut Criterion) {
     let mut group = c.benchmark_group("construction");
@@ -41,28 +30,5 @@ fn builds(c: &mut Criterion) {
     group.finish();
 }
 
-/// Build-time `threads` sweep: the same three structures built through the
-/// shared chunked kernels under `Sequential`, `Threads(2)`, `Threads(4)`.
-/// Outputs are bit-identical across the sweep (asserted by the
-/// `parallel_equivalence` property suite); only wall time may differ.
-fn builds_threads_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("construction_threads");
-    group.sample_size(10);
-    let n = 256usize;
-    let a = uniform_cube(Shape::new(&[n, n]).unwrap(), 1000, 1);
-    for (label, par) in thread_sweep() {
-        group.bench_with_input(BenchmarkId::new("prefix_sum_b1", label), &a, |b, a| {
-            b.iter(|| black_box(PrefixSumCube::build_with(a, par)))
-        });
-        group.bench_with_input(BenchmarkId::new("blocked_b16", label), &a, |b, a| {
-            b.iter(|| black_box(BlockedPrefixCube::build_with(a, 16, par).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new("max_tree_b4", label), &a, |b, a| {
-            b.iter(|| black_box(NaturalMaxTree::for_values_with(a, 4, par).unwrap()))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, builds, builds_threads_sweep);
+criterion_group!(benches, builds);
 criterion_main!(benches);

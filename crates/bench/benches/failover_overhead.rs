@@ -16,7 +16,7 @@
 //! with the same 10% tolerance as the router-overhead gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olap_array::{Parallelism, Shape};
+use olap_array::Shape;
 use olap_engine::{
     AdaptiveRouter, CubeIndex, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine, PrefixChoice,
     QueryBudget, SumTreeEngine,
@@ -32,7 +32,6 @@ fn index_config(prefix: PrefixChoice) -> IndexConfig {
         max_tree_fanout: None,
         min_tree_fanout: None,
         sum_tree_fanout: None,
-        parallelism: Parallelism::Sequential,
         ..IndexConfig::default()
     }
 }

@@ -4,9 +4,8 @@
 //! trait, exactly as the adaptive router sees them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olap_array::{Parallelism, Region, Shape};
+use olap_array::{Region, Shape};
 use olap_engine::{CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, RangeEngine, SumTreeEngine};
-use olap_prefix_sum::{BlockedPrefixCube, BoundaryPolicy};
 use olap_query::RangeQuery;
 use olap_workload::{sided_regions, uniform_cube};
 use std::hint::black_box;
@@ -17,7 +16,6 @@ fn index_config(prefix: PrefixChoice) -> IndexConfig {
         max_tree_fanout: None,
         min_tree_fanout: None,
         sum_tree_fanout: None,
-        parallelism: Parallelism::Sequential,
         ..IndexConfig::default()
     }
 }
@@ -86,42 +84,5 @@ fn fig11_tree_vs_prefix(c: &mut Criterion) {
     group.finish();
 }
 
-/// Query-time `threads` sweep: the §4.3 blocked evaluation fans its ≤3^d
-/// sub-region parts across the executor. Answers and `AccessStats` are
-/// bit-identical across the sweep; only wall time may differ.
-fn blocked_query_threads_sweep(c: &mut Criterion) {
-    let a = uniform_cube(Shape::new(&[512, 512]).unwrap(), 1000, 1);
-    let bp = BlockedPrefixCube::build(&a, 16).unwrap();
-    let queries = sided_regions(a.shape(), 256, 16, 7);
-    let mut group = c.benchmark_group("range_sum_threads");
-    group.sample_size(20);
-    for (label, par) in [
-        ("seq", Parallelism::Sequential),
-        ("t2", Parallelism::Threads(2)),
-        ("t4", Parallelism::Threads(4)),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new("blocked_b16_side256", label),
-            &queries,
-            |bch, qs| {
-                bch.iter(|| {
-                    for q in qs {
-                        black_box(
-                            bp.range_sum_with_policy_par(&a, q, BoundaryPolicy::Auto, par)
-                                .unwrap(),
-                        );
-                    }
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    volume_sweep,
-    fig11_tree_vs_prefix,
-    blocked_query_threads_sweep
-);
+criterion_group!(benches, volume_sweep, fig11_tree_vs_prefix);
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! overhead is proportionally worst) and an expensive one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olap_array::{Parallelism, Shape};
+use olap_array::Shape;
 use olap_engine::{
     AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, RangeEngine, SumTreeEngine,
 };
@@ -19,7 +19,6 @@ fn index_config(prefix: PrefixChoice) -> IndexConfig {
         max_tree_fanout: None,
         min_tree_fanout: None,
         sum_tree_fanout: None,
-        parallelism: Parallelism::Sequential,
         ..IndexConfig::default()
     }
 }

@@ -307,7 +307,6 @@ pub(crate) fn prefix_engine(
         max_tree_fanout: None,
         min_tree_fanout: None,
         sum_tree_fanout: None,
-        parallelism: olap_engine::Parallelism::Sequential,
         ..olap_engine::IndexConfig::default()
     };
     olap_engine::CubeIndex::build(a.clone(), config).map_err(|e| CliError::Query(e.to_string()))

@@ -259,7 +259,14 @@ mod tests {
     use olap_array::Shape;
     use std::io::BufWriter;
 
+    /// Writes the fixture files once: tests run concurrently, and a
+    /// second writer truncating `r.psum` under a reader is a torn file.
     fn setup() -> (String, String, String) {
+        static PATHS: std::sync::OnceLock<(String, String, String)> = std::sync::OnceLock::new();
+        PATHS.get_or_init(write_fixtures).clone()
+    }
+
+    fn write_fixtures() -> (String, String, String) {
         let dir = std::env::temp_dir().join("olap-cli-repl-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let cube_path = dir.join("r.olap").to_string_lossy().into_owned();

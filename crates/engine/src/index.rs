@@ -5,7 +5,7 @@ use crate::error::EngineError;
 use crate::range_engine::{Capabilities, Derived, RangeEngine};
 use olap_aggregate::ReverseOrder;
 use olap_aggregate::{NaturalOrder, NumericValue, SumOp, TotalOrder};
-use olap_array::{BudgetMeter, DenseArray, Parallelism, QueryBudget, Region, Shape};
+use olap_array::{BudgetMeter, DenseArray, QueryBudget, Region, Shape};
 use olap_prefix_sum::batch::CellUpdate;
 use olap_prefix_sum::{batch, BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
 use olap_query::{AccessStats, EngineKind, QueryOutcome, RangeQuery};
@@ -38,13 +38,6 @@ pub struct IndexConfig {
     pub min_tree_fanout: Option<usize>,
     /// Per-dimension fanout of the §8 tree-sum baseline, if wanted.
     pub sum_tree_fanout: Option<usize>,
-    /// Execution strategy for construction, blocked query fan-out, and
-    /// batch-update region application. The default
-    /// [`Parallelism::Sequential`] runs every kernel on the calling
-    /// thread; [`Parallelism::Threads`] fans the same kernels across
-    /// threads (when the `parallel` feature is enabled) with bit-identical
-    /// results and statistics.
-    pub parallelism: Parallelism,
     /// Per-query budget (deadline and/or cell-access cap) enforced
     /// cooperatively inside the query kernels. The default
     /// [`QueryBudget::unlimited`] costs one branch per query. A query cut
@@ -60,7 +53,6 @@ impl Default for IndexConfig {
             max_tree_fanout: Some(4),
             min_tree_fanout: None,
             sum_tree_fanout: None,
-            parallelism: Parallelism::Sequential,
             budget: QueryBudget::unlimited(),
         }
     }
@@ -110,36 +102,31 @@ where
 
 impl<T> CubeIndex<T>
 where
-    T: NumericValue + PartialOrd + Send + Sync,
+    T: NumericValue + PartialOrd,
     NaturalOrder<T>: TotalOrder<Value = T>,
 {
-    /// Builds the configured structures over a cube, each under the
-    /// configured [`IndexConfig::parallelism`]. Construction fans out the
-    /// prefix-scan slabs and max-tree nodes but runs the same kernels, so
-    /// the structures are bit-identical to a `Sequential` build.
+    /// Builds the configured structures over a cube.
     ///
     /// # Errors
     /// Invalid block sizes / fanouts.
     pub fn build(a: DenseArray<T>, config: IndexConfig) -> Result<Self, EngineError> {
-        let par = config.parallelism;
         let prefix = match config.prefix {
-            PrefixChoice::Basic => Some(Arc::new(PrefixSumCube::build_with(&a, par))),
+            PrefixChoice::Basic => Some(Arc::new(PrefixSumCube::build(&a))),
             _ => None,
         };
         let blocked = match config.prefix {
-            PrefixChoice::Blocked(b) => Some(Arc::new(BlockedPrefixCube::build_with(&a, b, par)?)),
+            PrefixChoice::Blocked(b) => Some(Arc::new(BlockedPrefixCube::build(&a, b)?)),
             _ => None,
         };
         let max_tree = match config.max_tree_fanout {
-            Some(b) => Some(Arc::new(NaturalMaxTree::for_values_with(&a, b, par)?)),
+            Some(b) => Some(Arc::new(NaturalMaxTree::for_values(&a, b)?)),
             None => None,
         };
         let min_tree = match config.min_tree_fanout {
-            Some(b) => Some(Arc::new(MaxTree::build_with(
+            Some(b) => Some(Arc::new(MaxTree::build(
                 &a,
                 b,
                 ReverseOrder::new(NaturalOrder::<T>::new()),
-                par,
             )?)),
             None => None,
         };
@@ -184,7 +171,7 @@ where
     }
 
     /// [`CubeIndex::range_sum`] under an explicit [`BudgetMeter`]: the
-    /// meter is threaded into whichever kernel answers (blocked fan-out,
+    /// meter is threaded into whichever kernel answers (blocked parts,
     /// tree traversal, or naive scan), so deadlines, access caps, and
     /// cancellation interrupt the query *inside* the computation.
     ///
@@ -207,15 +194,7 @@ where
             return Ok((v, stats));
         }
         if let Some(bp) = &self.blocked {
-            // The ≤ 3^d decomposition parts fan out under the configured
-            // strategy; values and stats reduce in part order either way.
-            return Ok(bp.range_sum_with_budget(
-                &self.a,
-                region,
-                BoundaryPolicy::Auto,
-                self.config.parallelism,
-                meter,
-            )?);
+            return Ok(bp.range_sum_with_budget(&self.a, region, BoundaryPolicy::Auto, meter)?);
         }
         if let Some(st) = &self.sum_tree {
             return Ok(st.range_sum_with_stats_budget(&self.a, region, true, meter)?);
@@ -334,15 +313,14 @@ where
                 deltas.push(CellUpdate::new(idx, new_v.clone() - old));
                 running.insert(idx.clone(), new_v.clone());
             }
-            let par = self.config.parallelism;
             // `Arc::make_mut` is the copy-on-write boundary: a structure
             // shared with a live snapshot is deep-copied exactly once
             // here; an unshared one is mutated in place.
             if let Some(ps) = &mut self.prefix {
-                batch::apply_batch_par(Arc::make_mut(ps), &deltas, par)?;
+                batch::apply_batch(Arc::make_mut(ps), &deltas)?;
             }
             if let Some(bp) = &mut self.blocked {
-                batch::apply_batch_blocked_par(Arc::make_mut(bp), &deltas, par)?;
+                batch::apply_batch_blocked(Arc::make_mut(bp), &deltas)?;
             }
         }
         let pts: Vec<PointUpdate<T>> = updates

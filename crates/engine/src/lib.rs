@@ -61,9 +61,7 @@ pub use error::EngineError;
 pub use extended::ExtendedCube;
 pub use faults::{FaultPlan, FaultyEngine};
 pub use index::{CubeIndex, IndexConfig, PrefixChoice};
-pub use olap_array::{
-    BudgetMeter, CancellationToken, DegradePolicy, Interrupt, Parallelism, QueryBudget,
-};
+pub use olap_array::{BudgetMeter, CancellationToken, DegradePolicy, Interrupt, QueryBudget};
 pub use planned::PlannedIndex;
 pub use range_engine::{Capabilities, Derived, EngineOp, RangeEngine};
 pub use router::{

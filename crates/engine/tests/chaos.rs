@@ -1,13 +1,12 @@
 //! Chaos equivalence: the router's fault-tolerance answer guarantee,
 //! checked end to end. Under **any single injected engine fault** — a
 //! backend error or a panic, at any position in the query stream — the
-//! router's answers must be **bit-identical** to the fault-free run, for
-//! both `Parallelism::Sequential` and `Parallelism::Threads(n)` engines.
+//! router's answers must be **bit-identical** to the fault-free run.
 //!
 //! Every test is named `chaos_…` so `cargo test -- chaos` runs exactly
 //! this drill (the CI chaos leg).
 
-use olap_array::{DenseArray, Parallelism, Region, Shape};
+use olap_array::{DenseArray, Region, Shape};
 use olap_engine::{
     AdaptiveRouter, ApproxEngine, CubeIndex, EngineError, EngineOp, EngineStatus, FaultPlan,
     FaultyEngine, IndexConfig, NaiveEngine, QueryBudget, RangeEngine, Routed, SumTreeEngine,
@@ -41,20 +40,17 @@ fn workload() -> Vec<RangeQuery> {
 }
 
 /// A router whose first-ranked engine is a fault injector (it lies it is
-/// cheapest, so every query tries it first) over healthy engines running
-/// under `par`.
-fn chaotic_router(plan: FaultPlan, par: Parallelism) -> AdaptiveRouter<i64> {
+/// cheapest, so every query tries it first) over healthy engines.
+fn chaotic_router(plan: FaultPlan) -> AdaptiveRouter<i64> {
     let a = cube();
-    let config = IndexConfig {
-        parallelism: par,
-        ..IndexConfig::default()
-    };
     AdaptiveRouter::new()
         .with_engine(Box::new(FaultyEngine::new(
             Box::new(NaiveEngine::new(a.clone())),
             plan.lie_cheapest(),
         )))
-        .with_engine(Box::new(CubeIndex::build(a.clone(), config).unwrap()))
+        .with_engine(Box::new(
+            CubeIndex::build(a.clone(), IndexConfig::default()).unwrap(),
+        ))
         .with_engine(Box::new(SumTreeEngine::build(a, 4).unwrap()))
 }
 
@@ -67,51 +63,36 @@ fn answers(router: &mut AdaptiveRouter<i64>) -> Vec<i64> {
 
 #[test]
 fn chaos_single_error_fault_is_invisible_in_answers() {
-    for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let baseline = answers(&mut chaotic_router(FaultPlan::benign(), par));
-        // Place one backend-error fault at every position of the stream:
-        // the answers must be bit-identical to the fault-free run.
-        for k in 0..workload().len() as u64 {
-            let mut r = chaotic_router(FaultPlan::benign().fail_call(k), par);
-            assert_eq!(
-                answers(&mut r),
-                baseline,
-                "error fault at call {k} under {par:?} changed an answer"
-            );
-            assert_eq!(r.fault_stats().failovers, 1);
-        }
+    let baseline = answers(&mut chaotic_router(FaultPlan::benign()));
+    // Place one backend-error fault at every position of the stream:
+    // the answers must be bit-identical to the fault-free run.
+    for k in 0..workload().len() as u64 {
+        let mut r = chaotic_router(FaultPlan::benign().fail_call(k));
+        assert_eq!(
+            answers(&mut r),
+            baseline,
+            "error fault at call {k} changed an answer"
+        );
+        assert_eq!(r.fault_stats().failovers, 1);
     }
 }
 
 #[test]
 fn chaos_single_panic_fault_is_contained_and_invisible() {
-    for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let baseline = answers(&mut chaotic_router(FaultPlan::benign(), par));
-        for k in [0u64, 3, 9] {
-            let mut r = chaotic_router(FaultPlan::benign().panic_call(k), par);
-            assert_eq!(
-                answers(&mut r),
-                baseline,
-                "panic fault at call {k} under {par:?} changed an answer"
-            );
-            assert_eq!(r.fault_stats().panics_contained, 1);
-            assert_eq!(
-                r.health()[0].status,
-                EngineStatus::Poisoned,
-                "a panicking engine must be poisoned"
-            );
-        }
-    }
-}
-
-#[test]
-fn chaos_sequential_and_threaded_runs_are_bit_identical() {
-    // The same single fault, Sequential vs Threads(n): answers agree.
-    let plan = FaultPlan::benign().fail_call(5);
-    let seq = answers(&mut chaotic_router(plan, Parallelism::Sequential));
-    for n in [2, 4, 7] {
-        let thr = answers(&mut chaotic_router(plan, Parallelism::Threads(n)));
-        assert_eq!(seq, thr, "Threads({n}) diverged from Sequential");
+    let baseline = answers(&mut chaotic_router(FaultPlan::benign()));
+    for k in [0u64, 3, 9] {
+        let mut r = chaotic_router(FaultPlan::benign().panic_call(k));
+        assert_eq!(
+            answers(&mut r),
+            baseline,
+            "panic fault at call {k} changed an answer"
+        );
+        assert_eq!(r.fault_stats().panics_contained, 1);
+        assert_eq!(
+            r.health()[0].status,
+            EngineStatus::Poisoned,
+            "a panicking engine must be poisoned"
+        );
     }
 }
 
@@ -130,8 +111,8 @@ fn chaos_zero_deadline_kills_before_kernel_work() {
     }
     // Router level: the same budget on the router kills the routed query
     // and the injector underneath is never even dispatched.
-    let r = chaotic_router(FaultPlan::benign(), Parallelism::Sequential)
-        .with_budget(QueryBudget::with_deadline(Duration::ZERO));
+    let r =
+        chaotic_router(FaultPlan::benign()).with_budget(QueryBudget::with_deadline(Duration::ZERO));
     let err = r.range_sum(&workload()[0]).unwrap_err();
     assert!(matches!(err, EngineError::DeadlineExceeded { .. }), "{err}");
     assert_eq!(r.fault_stats().budget_kills, 1);
@@ -157,13 +138,10 @@ fn chaos_heavy_fault_mix_never_panics_or_wedges() {
     // A high-rate mixed fault plan over the whole workload, repeated: the
     // router must keep answering correctly from the healthy engines. Any
     // escaped panic fails this test by itself.
-    let baseline = answers(&mut chaotic_router(
-        FaultPlan::benign(),
-        Parallelism::Sequential,
-    ));
+    let baseline = answers(&mut chaotic_router(FaultPlan::benign()));
     for seed in 0..8 {
         let plan = FaultPlan::seeded(seed).errors(400).panics(50);
-        let mut r = chaotic_router(plan, Parallelism::Sequential);
+        let mut r = chaotic_router(plan);
         assert_eq!(
             answers(&mut r),
             baseline,
@@ -183,12 +161,8 @@ fn oracle(a: &DenseArray<i64>, q: &RangeQuery) -> i64 {
 /// able to fault on the same call, exhaustion is reachable — and under
 /// `DegradePolicy::Degrade` it must turn into a bounded estimate, never
 /// an error.
-fn fully_chaotic_router(plans: [FaultPlan; 3], par: Parallelism) -> AdaptiveRouter<i64> {
+fn fully_chaotic_router(plans: [FaultPlan; 3]) -> AdaptiveRouter<i64> {
     let a = cube();
-    let config = IndexConfig {
-        parallelism: par,
-        ..IndexConfig::default()
-    };
     let [p0, p1, p2] = plans;
     AdaptiveRouter::new()
         .with_engine(Box::new(FaultyEngine::new(
@@ -196,7 +170,7 @@ fn fully_chaotic_router(plans: [FaultPlan; 3], par: Parallelism) -> AdaptiveRout
             p0,
         )))
         .with_engine(Box::new(FaultyEngine::new(
-            Box::new(CubeIndex::build(a.clone(), config).unwrap()),
+            Box::new(CubeIndex::build(a.clone(), IndexConfig::default()).unwrap()),
             p1,
         )))
         .with_engine(Box::new(FaultyEngine::new(
@@ -223,31 +197,28 @@ fn assert_exact_or_sound(a: &DenseArray<i64>, q: &RangeQuery, routed: &Routed<i6
 #[test]
 fn chaos_degrade_under_fault_storm_never_errs_and_never_lies() {
     let a = cube();
-    for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let mut degraded = 0usize;
-        for seed in 0..6u64 {
-            let plans = [
-                FaultPlan::seeded(seed).errors(700),
-                FaultPlan::seeded(seed.wrapping_add(101)).errors(700),
-                FaultPlan::seeded(seed.wrapping_add(202)).errors(700),
-            ];
-            let r =
-                fully_chaotic_router(plans, par).with_budget(QueryBudget::unlimited().degrade());
-            for q in workload() {
-                let routed = r
-                    .answer(&q, EngineOp::Sum)
-                    .expect("Degrade policy must never surface an error for a fault storm");
-                if routed.is_degraded() {
-                    degraded += 1;
-                }
-                assert_exact_or_sound(&a, &q, &routed);
+    let mut degraded = 0usize;
+    for seed in 0..6u64 {
+        let plans = [
+            FaultPlan::seeded(seed).errors(700),
+            FaultPlan::seeded(seed.wrapping_add(101)).errors(700),
+            FaultPlan::seeded(seed.wrapping_add(202)).errors(700),
+        ];
+        let r = fully_chaotic_router(plans).with_budget(QueryBudget::unlimited().degrade());
+        for q in workload() {
+            let routed = r
+                .answer(&q, EngineOp::Sum)
+                .expect("Degrade policy must never surface an error for a fault storm");
+            if routed.is_degraded() {
+                degraded += 1;
             }
+            assert_exact_or_sound(&a, &q, &routed);
         }
-        assert!(
-            degraded > 0,
-            "a 70% per-engine fault rate never exhausted all candidates under {par:?}"
-        );
     }
+    assert!(
+        degraded > 0,
+        "a 70% per-engine fault rate never exhausted all candidates"
+    );
 }
 
 #[test]
@@ -256,32 +227,30 @@ fn chaos_degrade_survives_total_poisoning() {
     // every exact route is inadmissible (`NoCandidate`) — and every
     // subsequent query must still get a sound estimate.
     let a = cube();
-    for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let plans = [
-            FaultPlan::benign().panic_call(0).lie_cheapest(),
-            FaultPlan::benign().panic_call(0),
-            FaultPlan::benign().panic_call(0),
-        ];
-        let r = fully_chaotic_router(plans, par).with_budget(QueryBudget::unlimited().degrade());
-        let mut late_degraded = 0usize;
-        for (k, q) in workload().iter().enumerate() {
-            let routed = r.answer(q, EngineOp::Sum).expect("never an error");
-            assert_exact_or_sound(&a, q, &routed);
-            if k >= 3 {
-                // By now at most three dispatches can have happened
-                // without exhausting the set; once all three engines are
-                // poisoned every answer is degraded.
-                if routed.is_degraded() {
-                    late_degraded += 1;
-                }
+    let plans = [
+        FaultPlan::benign().panic_call(0).lie_cheapest(),
+        FaultPlan::benign().panic_call(0),
+        FaultPlan::benign().panic_call(0),
+    ];
+    let r = fully_chaotic_router(plans).with_budget(QueryBudget::unlimited().degrade());
+    let mut late_degraded = 0usize;
+    for (k, q) in workload().iter().enumerate() {
+        let routed = r.answer(q, EngineOp::Sum).expect("never an error");
+        assert_exact_or_sound(&a, q, &routed);
+        if k >= 3 {
+            // By now at most three dispatches can have happened
+            // without exhausting the set; once all three engines are
+            // poisoned every answer is degraded.
+            if routed.is_degraded() {
+                late_degraded += 1;
             }
         }
-        assert!(late_degraded > 0, "poisoning never forced degradation");
-        assert!(r
-            .health()
-            .iter()
-            .all(|h| h.status == EngineStatus::Poisoned));
     }
+    assert!(late_degraded > 0, "poisoning never forced degradation");
+    assert!(r
+        .health()
+        .iter()
+        .all(|h| h.status == EngineStatus::Poisoned));
 }
 
 #[test]
@@ -296,7 +265,7 @@ fn chaos_degrade_with_delays_and_deadline_stays_sound() {
         FaultPlan::seeded(2).delays(1000, Duration::from_millis(5)),
         FaultPlan::seeded(3).delays(1000, Duration::from_millis(5)),
     ];
-    let r = fully_chaotic_router(plans, Parallelism::Sequential)
+    let r = fully_chaotic_router(plans)
         .with_budget(QueryBudget::with_deadline(Duration::from_millis(1)).degrade());
     for q in workload() {
         let routed = r.answer(&q, EngineOp::Sum).expect("never an error");
@@ -310,14 +279,11 @@ fn chaos_zero_deadline_with_degrade_answers_everything_approximately() {
     // kills before any routing work), so under `Degrade` *every* query —
     // sums and extrema — returns an estimate with finite bounds.
     let a = cube();
-    let r = fully_chaotic_router(
-        [
-            FaultPlan::benign(),
-            FaultPlan::benign(),
-            FaultPlan::benign(),
-        ],
-        Parallelism::Sequential,
-    )
+    let r = fully_chaotic_router([
+        FaultPlan::benign(),
+        FaultPlan::benign(),
+        FaultPlan::benign(),
+    ])
     .with_budget(QueryBudget::with_deadline(Duration::ZERO).degrade());
     for q in workload() {
         for op in [EngineOp::Sum, EngineOp::Max, EngineOp::Min] {
@@ -341,7 +307,7 @@ fn chaos_zero_deadline_with_degrade_answers_everything_approximately() {
 fn chaos_updates_stay_consistent_across_failover() {
     // Updates reach every non-poisoned engine, so whichever engine a
     // later query fails over to sees the same cube.
-    let r = chaotic_router(FaultPlan::benign().panic_call(0), Parallelism::Sequential);
+    let r = chaotic_router(FaultPlan::benign().panic_call(0));
     let probe = RangeQuery::from_region(&Region::from_bounds(&[(2, 2), (3, 3)]).unwrap());
     // Poison the injector with its one panic.
     let _ = r.range_sum(&probe).unwrap();

@@ -2,10 +2,9 @@
 //! ±-assembly from containing entries, the cost-model fall-through,
 //! region-wise invalidation across snapshot installs, and the headline
 //! guarantee — cache-assembled sums bit-identical to direct execution
-//! under random interleaved update installs, for both
-//! `Parallelism::Sequential` and `Parallelism::Threads(n)` engines.
+//! under random interleaved update installs.
 
-use olap_array::{DenseArray, Parallelism, Region, Shape};
+use olap_array::{DenseArray, Region, Shape};
 use olap_engine::{
     AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, RangeEngine, SemanticCache, SumTreeEngine,
     VersionCell,
@@ -28,13 +27,11 @@ fn q(bounds: &[(usize, usize)]) -> RangeQuery {
     RangeQuery::from_region(&Region::from_bounds(bounds).unwrap())
 }
 
-fn router(a: &DenseArray<i64>, par: Parallelism) -> AdaptiveRouter<i64> {
-    let config = IndexConfig {
-        parallelism: par,
-        ..IndexConfig::default()
-    };
+fn router(a: &DenseArray<i64>) -> AdaptiveRouter<i64> {
     AdaptiveRouter::new()
-        .with_engine(Box::new(CubeIndex::build(a.clone(), config).unwrap()))
+        .with_engine(Box::new(
+            CubeIndex::build(a.clone(), IndexConfig::default()).unwrap(),
+        ))
         .with_engine(Box::new(NaiveEngine::new(a.clone())))
 }
 
@@ -54,7 +51,7 @@ fn naive_router(a: &DenseArray<i64>) -> AdaptiveRouter<i64> {
 #[test]
 fn exact_hit_answers_from_the_cache() {
     let a = cube(&[32, 16]);
-    let cache = SemanticCache::new(router(&a, Parallelism::Sequential), 64);
+    let cache = SemanticCache::new(router(&a), 64);
     let query = q(&[(4, 19), (2, 13)]);
     let expect = oracle(&a, &Region::from_bounds(&[(4, 19), (2, 13)]).unwrap());
 
@@ -101,7 +98,7 @@ fn containment_hit_assembles_by_subtraction() {
 #[test]
 fn cost_model_prefers_direct_execution_for_tiny_queries() {
     let a = cube(&[32, 16]);
-    let cache = SemanticCache::new(router(&a, Parallelism::Sequential), 64);
+    let cache = SemanticCache::new(router(&a), 64);
     cache
         .prime(&Region::from_bounds(&[(0, 31), (0, 15)]).unwrap())
         .unwrap();
@@ -124,7 +121,7 @@ fn cost_model_prefers_direct_execution_for_tiny_queries() {
 #[test]
 fn capacity_zero_is_a_pure_passthrough() {
     let a = cube(&[16, 8]);
-    let cache = SemanticCache::new(router(&a, Parallelism::Sequential), 0);
+    let cache = SemanticCache::new(router(&a), 0);
     let query = q(&[(0, 15), (0, 7)]);
     for _ in 0..3 {
         let out = cache.range_sum(&query).unwrap();
@@ -139,7 +136,7 @@ fn capacity_zero_is_a_pure_passthrough() {
 #[test]
 fn extrema_pass_through_uncached() {
     let a = cube(&[16, 8]);
-    let cache = SemanticCache::new(router(&a, Parallelism::Sequential), 16);
+    let cache = SemanticCache::new(router(&a), 16);
     let query = q(&[(0, 15), (0, 7)]);
     let max = cache.range_max(&query).unwrap();
     let min = cache.range_min(&query).unwrap();
@@ -151,7 +148,7 @@ fn extrema_pass_through_uncached() {
 #[test]
 fn updates_invalidate_region_wise_not_globally() {
     let a = cube(&[32, 16]);
-    let cache = SemanticCache::new(router(&a, Parallelism::Sequential), 64);
+    let cache = SemanticCache::new(router(&a), 64);
     // Two entries in different leading-dimension slabs.
     let low = Region::from_bounds(&[(0, 3), (0, 15)]).unwrap();
     let high = Region::from_bounds(&[(28, 31), (0, 15)]).unwrap();
@@ -201,7 +198,7 @@ fn failed_router_updates_flush_conservatively() {
     // healthy engines stay mutually consistent), so pre-batch sums may
     // no longer describe the serving snapshot — the cache must drop them.
     let a = cube(&[16, 8]);
-    let cache = SemanticCache::new(router(&a, Parallelism::Sequential), 16);
+    let cache = SemanticCache::new(router(&a), 16);
     let region = Region::from_bounds(&[(0, 7), (0, 7)]).unwrap();
     cache.prime(&region).unwrap();
     assert!(cache.apply_updates(&[(vec![99, 99], 1)]).is_err());
@@ -213,7 +210,7 @@ fn failed_router_updates_flush_conservatively() {
 #[test]
 fn lru_eviction_bounds_the_table() {
     let a = cube(&[32, 16]);
-    let cache = SemanticCache::new(router(&a, Parallelism::Sequential), 2);
+    let cache = SemanticCache::new(router(&a), 2);
     for k in 0..5usize {
         cache
             .prime(&Region::from_bounds(&[(k * 4, k * 4 + 3), (0, 15)]).unwrap())
@@ -272,43 +269,41 @@ fn concurrent_installs_never_tear_cached_answers() {
     *shadow.get_mut(&[3, 3]) = 7777;
     let post = oracle(&shadow, &probe);
 
-    for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let cache = Arc::new(SemanticCache::new(router(&a, par), 32));
-        cache.prime(&probe).unwrap();
-        // Sub-boxes assembled from the cached superset while an install
-        // lands mid-stream: every answer must match the pre- or
-        // post-update oracle exactly — never a mix of snapshots.
-        let sub = Region::from_bounds(&[(1, 14), (1, 14)]).unwrap();
-        let sub_pre = oracle(&a, &sub);
-        let sub_post = oracle(&shadow, &sub);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let sub = sub.clone();
-                let probe = probe.clone();
-                scope.spawn(move || {
-                    for _ in 0..200 {
-                        let got = *cache
-                            .range_sum(&RangeQuery::from_region(&probe))
-                            .unwrap()
-                            .value()
-                            .unwrap();
-                        assert!(got == pre || got == post, "torn full-box read: {got}");
-                        let got = *cache
-                            .range_sum(&RangeQuery::from_region(&sub))
-                            .unwrap()
-                            .value()
-                            .unwrap();
-                        assert!(
-                            got == sub_pre || got == sub_post,
-                            "torn assembled read: {got} (pre {sub_pre}, post {sub_post})"
-                        );
-                    }
-                });
-            }
-            cache.apply_updates(&[(vec![3, 3], 7777)]).unwrap();
-        });
-    }
+    let cache = Arc::new(SemanticCache::new(router(&a), 32));
+    cache.prime(&probe).unwrap();
+    // Sub-boxes assembled from the cached superset while an install
+    // lands mid-stream: every answer must match the pre- or
+    // post-update oracle exactly — never a mix of snapshots.
+    let sub = Region::from_bounds(&[(1, 14), (1, 14)]).unwrap();
+    let sub_pre = oracle(&a, &sub);
+    let sub_post = oracle(&shadow, &sub);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let cache = Arc::clone(&cache);
+            let sub = sub.clone();
+            let probe = probe.clone();
+            scope.spawn(move || {
+                for _ in 0..200 {
+                    let got = *cache
+                        .range_sum(&RangeQuery::from_region(&probe))
+                        .unwrap()
+                        .value()
+                        .unwrap();
+                    assert!(got == pre || got == post, "torn full-box read: {got}");
+                    let got = *cache
+                        .range_sum(&RangeQuery::from_region(&sub))
+                        .unwrap()
+                        .value()
+                        .unwrap();
+                    assert!(
+                        got == sub_pre || got == sub_post,
+                        "torn assembled read: {got} (pre {sub_pre}, post {sub_post})"
+                    );
+                }
+            });
+        }
+        cache.apply_updates(&[(vec![3, 3], 7777)]).unwrap();
+    });
 }
 
 /// One step of the randomised interleaving.
@@ -349,49 +344,42 @@ proptest! {
     /// The headline equivalence: across a random interleaving of queries
     /// and update installs, every answer the cache produces — exact hit,
     /// ±-assembly, or fall-through — is bit-identical to the sequential
-    /// point-wise oracle on the current snapshot, under both Sequential
-    /// and Threads(n) engine execution.
+    /// point-wise oracle on the current snapshot.
     #[test]
     fn cached_answers_match_the_oracle_under_interleaved_installs(
         ops in prop::collection::vec(arb_op(&[12, 10]), 1..40),
         cap in prop_oneof![Just(0usize), Just(4), Just(64)],
     ) {
-        for par in [Parallelism::Sequential, Parallelism::Threads(3)] {
-            let mut shadow = cube(&[12, 10]);
-            let cache = SemanticCache::new(
-                AdaptiveRouter::new()
-                    .with_engine(Box::new(
-                        CubeIndex::build(
-                            shadow.clone(),
-                            IndexConfig { parallelism: par, ..IndexConfig::default() },
-                        )
-                        .unwrap(),
-                    ))
-                    .with_engine(Box::new(SumTreeEngine::build(shadow.clone(), 4).unwrap()))
-                    .with_engine(Box::new(NaiveEngine::new(shadow.clone()))),
-                cap,
-            );
-            for op in &ops {
-                match op {
-                    Op::Query(bounds) => {
-                        let region = Region::from_bounds(bounds).unwrap();
-                        let out = cache
-                            .range_sum(&RangeQuery::from_region(&region))
-                            .unwrap();
-                        prop_assert_eq!(
-                            out.value(),
-                            Some(&oracle(&shadow, &region)),
-                            "bounds {:?} via {} (cap {})",
-                            bounds,
-                            out.answered_by,
-                            cap
-                        );
-                    }
-                    Op::Update(batch) => {
-                        cache.apply_updates(batch).unwrap();
-                        for (idx, v) in batch {
-                            *shadow.get_mut(idx) = *v;
-                        }
+        let mut shadow = cube(&[12, 10]);
+        let cache = SemanticCache::new(
+            AdaptiveRouter::new()
+                .with_engine(Box::new(
+                    CubeIndex::build(shadow.clone(), IndexConfig::default()).unwrap(),
+                ))
+                .with_engine(Box::new(SumTreeEngine::build(shadow.clone(), 4).unwrap()))
+                .with_engine(Box::new(NaiveEngine::new(shadow.clone()))),
+            cap,
+        );
+        for op in &ops {
+            match op {
+                Op::Query(bounds) => {
+                    let region = Region::from_bounds(bounds).unwrap();
+                    let out = cache
+                        .range_sum(&RangeQuery::from_region(&region))
+                        .unwrap();
+                    prop_assert_eq!(
+                        out.value(),
+                        Some(&oracle(&shadow, &region)),
+                        "bounds {:?} via {} (cap {})",
+                        bounds,
+                        out.answered_by,
+                        cap
+                    );
+                }
+                Op::Update(batch) => {
+                    cache.apply_updates(batch).unwrap();
+                    for (idx, v) in batch {
+                        *shadow.get_mut(idx) = *v;
                     }
                 }
             }

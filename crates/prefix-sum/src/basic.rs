@@ -1,7 +1,7 @@
 //! The basic range-sum algorithm (§3): full prefix-sum array + Theorem 1.
 
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
-use olap_array::{ArrayError, DenseArray, Parallelism, Region, Shape};
+use olap_array::{ArrayError, DenseArray, Region, Shape};
 use olap_query::AccessStats;
 
 /// The precomputed prefix-sum array `P` of a data cube (§3.1):
@@ -41,16 +41,6 @@ impl<T: NumericValue> PrefixSumCube<T> {
     pub fn build(cube: &DenseArray<T>) -> Self {
         PrefixSumArray::with_op(cube, SumOp::new())
     }
-
-    /// [`PrefixSumCube::build`] under an execution strategy: the same
-    /// d-phase line-kernel sweeps, optionally fanned out across threads.
-    /// Results are bit-identical to the sequential build.
-    pub fn build_with(cube: &DenseArray<T>, par: Parallelism) -> Self
-    where
-        T: Send + Sync,
-    {
-        PrefixSumArray::with_op_par(cube, SumOp::new(), par)
-    }
 }
 
 impl<G: AbelianGroup> PrefixSumArray<G> {
@@ -60,23 +50,6 @@ impl<G: AbelianGroup> PrefixSumArray<G> {
         let mut p = cube.clone();
         for axis in 0..p.shape().ndim() {
             p.scan_axis(axis, |a, b| op.combine(a, b));
-        }
-        PrefixSumArray { op, p }
-    }
-
-    /// [`PrefixSumArray::with_op`] under an execution strategy: each of
-    /// the `d` scan phases runs the same per-slab line kernel as the
-    /// sequential build, with the disjoint slabs optionally fanned out
-    /// across threads. Every cell sees the identical combine sequence, so
-    /// the resulting `P` is bit-identical under every [`Parallelism`].
-    pub fn with_op_par(cube: &DenseArray<G::Value>, op: G, par: Parallelism) -> Self
-    where
-        G: Sync,
-        G::Value: Send + Sync,
-    {
-        let mut p = cube.clone();
-        for axis in 0..p.shape().ndim() {
-            p.scan_axis_with(par, axis, |a, b| op.combine(a, b));
         }
         PrefixSumArray { op, p }
     }

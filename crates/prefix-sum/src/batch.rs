@@ -9,7 +9,7 @@
 
 use crate::{BlockedPrefixSum, PrefixSumArray};
 use olap_aggregate::AbelianGroup;
-use olap_array::{exec, ArrayError, DenseArray, FlatRegionIter, Parallelism, Range, Region, Shape};
+use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
 
 /// A queued update: `(location of an A element, value-to-add)`.
 ///
@@ -178,37 +178,9 @@ pub fn apply_batch<G: AbelianGroup>(
     Ok(plan.len())
 }
 
-/// [`apply_batch`] under an execution strategy: the planned regions are
-/// disjoint (Theorem 2), so their writes are applied tile-by-tile with an
-/// owner-computes split over the outermost axis — each worker owns a
-/// contiguous run of axis-0 slabs and applies every region clipped to it.
-/// Each cell is written by exactly one region on exactly one worker, so
-/// the resulting `P` is bit-identical to the sequential application.
-///
-/// # Errors
-/// Rejects out-of-shape update indices.
-pub fn apply_batch_par<G>(
-    ps: &mut PrefixSumArray<G>,
-    updates: &[CellUpdate<G::Value>],
-    par: Parallelism,
-) -> Result<usize, ArrayError>
-where
-    G: AbelianGroup + Sync,
-    G::Value: Send + Sync,
-{
-    let op = ps.op().clone();
-    let plan = plan_regions(ps.shape(), &op, updates)?;
-    apply_plan(ps.prefix_array_mut(), &op, &plan, par);
-    Ok(plan.len())
-}
-
-/// The shared region-application kernel: combines each planned region's
-/// delta into every covered cell of `p`. Sequential execution walks the
-/// regions directly; parallel execution splits `p` into disjoint axis-0
-/// tiles ([`DenseArray::disjoint_block_tiles`]) and lets each worker apply
-/// all regions clipped to its tile. The plan's regions are pairwise
-/// disjoint, so both orders write each cell at most once with the same
-/// value.
+/// The region-application kernel: combines each planned region's delta
+/// into every covered cell of `p`. The plan's regions are pairwise
+/// disjoint (Theorem 2), so each cell is written at most once.
 fn apply_plan_seq<G: AbelianGroup>(
     p: &mut DenseArray<G::Value>,
     op: &G,
@@ -220,55 +192,6 @@ fn apply_plan_seq<G: AbelianGroup>(
             *p.get_flat_mut(off) = op.combine(cur, delta);
         }
     }
-}
-
-/// [`apply_plan_seq`] under an execution strategy (see the determinism
-/// argument on [`apply_batch_par`]); the `Send + Sync` bounds exist only
-/// here so the sequential entry points stay bound-free.
-fn apply_plan<G>(
-    p: &mut DenseArray<G::Value>,
-    op: &G,
-    plan: &[(Region, G::Value)],
-    par: Parallelism,
-) where
-    G: AbelianGroup + Sync,
-    G::Value: Send + Sync,
-{
-    if plan.is_empty() {
-        return;
-    }
-    let shape = p.shape().clone();
-    let n0 = shape.dim(0);
-    let workers = par.workers_for(n0);
-    if workers <= 1 {
-        apply_plan_seq(p, op, plan);
-        return;
-    }
-    let row = shape.strides()[0];
-    let tile = n0.div_ceil(workers);
-    let tiles: Vec<(usize, &mut [G::Value])> = p.disjoint_block_tiles(tile).collect();
-    exec::run_indexed(par, tiles, |_, (start, slab)| {
-        let rows = slab.len() / row;
-        if rows == 0 {
-            return; // empty tail tile: `start + rows - 1` would underflow
-        }
-        for (region, delta) in plan {
-            let r0 = region.range(0);
-            let lo = r0.lo().max(start);
-            let hi = r0.hi().min(start + rows - 1);
-            if lo > hi {
-                continue;
-            }
-            let mut ranges = region.ranges().to_vec();
-            ranges[0] = Range::trusted(lo, hi);
-            let clipped = Region::trusted(ranges);
-            for off in FlatRegionIter::new(&shape, &clipped) {
-                let local = off - start * row;
-                let merged = op.combine(&slab[local], delta);
-                slab[local] = merged;
-            }
-        }
-    });
 }
 
 /// Applies one update the naive way: combines the delta into every
@@ -311,26 +234,6 @@ pub fn apply_batch_blocked<G: AbelianGroup>(
     let plan = plan_blocked(bp, updates)?;
     let op = bp.op().clone();
     apply_plan_seq(bp.packed_array_mut(), &op, &plan);
-    Ok(plan.len())
-}
-
-/// [`apply_batch_blocked`] under an execution strategy; see
-/// [`apply_batch_par`] for the owner-computes determinism argument.
-///
-/// # Errors
-/// Rejects out-of-shape update indices.
-pub fn apply_batch_blocked_par<G>(
-    bp: &mut BlockedPrefixSum<G>,
-    updates: &[CellUpdate<G::Value>],
-    par: Parallelism,
-) -> Result<usize, ArrayError>
-where
-    G: AbelianGroup + Sync,
-    G::Value: Send + Sync,
-{
-    let plan = plan_blocked(bp, updates)?;
-    let op = bp.op().clone();
-    apply_plan(bp.packed_array_mut(), &op, &plan, par);
     Ok(plan.len())
 }
 

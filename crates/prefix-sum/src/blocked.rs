@@ -2,7 +2,7 @@
 //! anchors, trading query time for a `1/b^d` space footprint.
 
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
-use olap_array::{exec, ArrayError, BudgetMeter, DenseArray, Parallelism, Range, Region, Shape};
+use olap_array::{ArrayError, BudgetMeter, DenseArray, Range, Region, Shape};
 use olap_query::AccessStats;
 
 /// How a single boundary region was (or must be) evaluated (§4.2).
@@ -116,17 +116,6 @@ impl<T: NumericValue> BlockedPrefixCube<T> {
     pub fn build(cube: &DenseArray<T>, b: usize) -> Result<Self, ArrayError> {
         BlockedPrefixSum::with_op(cube, SumOp::new(), b)
     }
-
-    /// [`BlockedPrefixCube::build`] under an execution strategy.
-    ///
-    /// # Errors
-    /// [`ArrayError::ZeroBlock`] when `b = 0`.
-    pub fn build_with(cube: &DenseArray<T>, b: usize, par: Parallelism) -> Result<Self, ArrayError>
-    where
-        T: Send + Sync,
-    {
-        BlockedPrefixSum::with_op_par(cube, SumOp::new(), b, par)
-    }
 }
 
 impl<G: AbelianGroup> BlockedPrefixSum<G> {
@@ -141,41 +130,6 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         let mut p = cube.contract_blocks(b, op.identity(), |acc, x, _| op.combine(acc, x))?;
         for axis in 0..p.shape().ndim() {
             p.scan_axis(axis, |x, y| op.combine(x, y));
-        }
-        Ok(BlockedPrefixSum {
-            op,
-            b,
-            shape: cube.shape().clone(),
-            p,
-        })
-    }
-
-    /// [`BlockedPrefixSum::with_op`] under an execution strategy: the
-    /// block contraction runs as independent per-output-cell kernels and
-    /// the `d` scan phases as per-slab line kernels, each optionally
-    /// fanned out across threads. Per-cell fold and combine sequences
-    /// match the sequential build exactly, so the packed array is
-    /// bit-identical under every [`Parallelism`].
-    ///
-    /// # Errors
-    /// [`ArrayError::ZeroBlock`] when `b = 0`.
-    pub fn with_op_par(
-        cube: &DenseArray<G::Value>,
-        op: G,
-        b: usize,
-        par: Parallelism,
-    ) -> Result<Self, ArrayError>
-    where
-        G: Sync,
-        G::Value: Send + Sync,
-    {
-        if b == 0 {
-            return Err(ArrayError::ZeroBlock);
-        }
-        let mut p =
-            cube.contract_blocks_with(par, b, op.identity(), |acc, x, _| op.combine(acc, x))?;
-        for axis in 0..p.shape().ndim() {
-            p.scan_axis_with(par, axis, |x, y| op.combine(x, y));
         }
         Ok(BlockedPrefixSum {
             op,
@@ -469,10 +423,8 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         Ok((SumBounds { lower, upper }, stats))
     }
 
-    /// The shared per-part kernel of the §4.2 query: evaluates one piece
-    /// of the `3^d` decomposition under `policy`, recording its accesses.
-    /// Both the sequential loop and the parallel fan-out run exactly this
-    /// kernel per part.
+    /// The per-part kernel of the §4.2 query: evaluates one piece of the
+    /// `3^d` decomposition under `policy`, recording its accesses.
     fn eval_part(
         &self,
         a: &DenseArray<G::Value>,
@@ -516,61 +468,25 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
 
     /// Full-control entry point: evaluates the query under a given
     /// boundary policy, reporting access counts.
+    ///
+    /// # Errors
+    /// Validates the region and the cube shape.
     pub fn range_sum_with_policy(
         &self,
         a: &DenseArray<G::Value>,
         region: &Region,
         policy: BoundaryPolicy,
     ) -> Result<(G::Value, AccessStats), ArrayError> {
-        if a.shape() != &self.shape {
-            return Err(ArrayError::DimMismatch {
-                expected: self.shape.ndim(),
-                actual: a.shape().ndim(),
-            });
-        }
-        self.shape.check_region(region)?;
-        let d = region.ndim();
-        let mut stats = AccessStats::new();
-        let mut acc = self.op.identity();
-        for part in self.decompose(region)? {
-            let v = self.eval_part(a, &part, policy, d, &mut stats);
-            acc = self.op.combine(&acc, &v);
-        }
-        Ok((acc, stats))
+        self.range_sum_with_budget(a, region, policy, &BudgetMeter::unlimited())
     }
 
-    /// [`BlockedPrefixSum::range_sum_with_policy`] under an execution
-    /// strategy: the `≤ 3^d` decomposition parts are evaluated by the
-    /// same per-part kernel, optionally fanned out across threads, then
-    /// reduced **in part order** — values combined and per-part
-    /// [`AccessStats`] merged in the fixed order `decompose` emits. The
-    /// answer and the stats are therefore identical to the sequential
-    /// evaluation under every [`Parallelism`].
-    ///
-    /// # Errors
-    /// Validates the region and the cube shape.
-    pub fn range_sum_with_policy_par(
-        &self,
-        a: &DenseArray<G::Value>,
-        region: &Region,
-        policy: BoundaryPolicy,
-        par: Parallelism,
-    ) -> Result<(G::Value, AccessStats), ArrayError>
-    where
-        G: Sync,
-        G::Value: Send + Sync,
-    {
-        self.range_sum_with_budget(a, region, policy, par, &BudgetMeter::unlimited())
-    }
-
-    /// [`BlockedPrefixSum::range_sum_with_policy_par`] under a
+    /// [`BlockedPrefixSum::range_sum_with_policy`] under a
     /// [`BudgetMeter`]: the meter is checked before any kernel work and at
     /// every part boundary, and each part's element accesses are charged
-    /// against the budget as they complete. An exhausted budget, elapsed
+    /// against the budget as it completes. An exhausted budget, elapsed
     /// deadline, or cancelled token surfaces as
     /// [`ArrayError::Interrupted`]; the answer on the `Ok` path is
-    /// bit-identical to the unbudgeted evaluation under every
-    /// [`Parallelism`].
+    /// bit-identical to the unbudgeted evaluation.
     ///
     /// # Errors
     /// Validates the region and the cube shape; propagates budget
@@ -580,39 +496,45 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         a: &DenseArray<G::Value>,
         region: &Region,
         policy: BoundaryPolicy,
-        par: Parallelism,
         meter: &BudgetMeter,
-    ) -> Result<(G::Value, AccessStats), ArrayError>
-    where
-        G: Sync,
-        G::Value: Send + Sync,
-    {
-        if a.shape() != &self.shape {
-            return Err(ArrayError::DimMismatch {
-                expected: self.shape.ndim(),
-                actual: a.shape().ndim(),
-            });
-        }
+    ) -> Result<(G::Value, AccessStats), ArrayError> {
+        check_cube_shape(&self.shape, a.shape())?;
         self.shape.check_region(region)?;
         meter.check()?;
         let d = region.ndim();
-        let parts = self.decompose(region)?;
-        let results: Vec<(G::Value, AccessStats)> =
-            exec::run_indexed_fallible(par, parts, |_, part| {
-                meter.check()?;
-                let mut part_stats = AccessStats::new();
-                let v = self.eval_part(a, &part, policy, d, &mut part_stats);
-                meter.charge(part_stats.total_accesses())?;
-                Ok::<_, ArrayError>((v, part_stats))
-            })?;
         let mut acc = self.op.identity();
         let mut stats = AccessStats::new();
-        for (v, s) in &results {
+        for part in self.decompose(region)? {
             meter.check()?;
-            acc = self.op.combine(&acc, v);
-            stats.merge(s);
+            let mut part_stats = AccessStats::new();
+            let v = self.eval_part(a, &part, policy, d, &mut part_stats);
+            meter.charge(part_stats.total_accesses())?;
+            acc = self.op.combine(&acc, &v);
+            stats.merge(&part_stats);
         }
         Ok((acc, stats))
+    }
+}
+
+/// Validates that the cube handed to a query has the shape the structure
+/// was built from: a rank difference is a [`ArrayError::DimMismatch`]; equal
+/// rank with different extents reports the first differing axis, the
+/// supplied extent (`index`) and the expected one (`extent`).
+fn check_cube_shape(expected: &Shape, actual: &Shape) -> Result<(), ArrayError> {
+    if actual.ndim() != expected.ndim() {
+        return Err(ArrayError::DimMismatch {
+            expected: expected.ndim(),
+            actual: actual.ndim(),
+        });
+    }
+    let mut dims = expected.dims().iter().zip(actual.dims()).enumerate();
+    match dims.find(|(_, (extent, index))| index != extent) {
+        Some((axis, (&extent, &index))) => Err(ArrayError::OutOfBounds {
+            axis,
+            index,
+            extent,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -727,33 +649,35 @@ mod tests {
         let bp = BlockedPrefixCube::build(&a, 8).unwrap();
         let q = Region::from_bounds(&[(3, 27), (5, 29)]).unwrap();
         let (v0, s0) = bp.range_sum_with_stats(&a, &q).unwrap();
-        // One access short: interrupted. Exactly enough: identical answer.
-        let tight = QueryBudget::unlimited()
-            .max_accesses(s0.total_accesses() - 1)
-            .start(None);
-        let err = bp
-            .range_sum_with_budget(
-                &a,
-                &q,
-                BoundaryPolicy::Auto,
-                Parallelism::Sequential,
-                &tight,
+        let budgeted = |meter: &BudgetMeter| {
+            let out = bp.range_sum_with_budget(&a, &q, BoundaryPolicy::Auto, meter);
+            (out, meter.spent())
+        };
+        let capped = |max: u64| QueryBudget::unlimited().max_accesses(max).start(None);
+        let exhausted = |out: &Result<(i64, AccessStats), ArrayError>| {
+            matches!(
+                out,
+                Err(ArrayError::Interrupted(Interrupt::BudgetExhausted { .. }))
             )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ArrayError::Interrupted(Interrupt::BudgetExhausted { .. })
-        ));
-        for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-            let enough = QueryBudget::unlimited()
-                .max_accesses(s0.total_accesses())
-                .start(None);
-            let (v, s) = bp
-                .range_sum_with_budget(&a, &q, BoundaryPolicy::Auto, par, &enough)
-                .unwrap();
-            assert_eq!(v, v0, "{par:?}");
-            assert_eq!(s.total_accesses(), s0.total_accesses(), "{par:?}");
-        }
+        };
+        // Exactly enough: the unbudgeted answer and stats. One short: cut off.
+        let (out, spent) = budgeted(&capped(s0.total_accesses()));
+        assert_eq!(out.unwrap(), (v0, s0));
+        assert_eq!(spent, s0.total_accesses());
+        assert!(exhausted(&budgeted(&capped(s0.total_accesses() - 1)).0));
+        // A zero-access cap is crossed by the first part's charge, so no
+        // later part is evaluated; a meter that is already over its cap
+        // stops before the first part and charges nothing more.
+        let mut first = AccessStats::new();
+        let parts = bp.decompose(&q).unwrap();
+        bp.eval_part(&a, &parts[0], BoundaryPolicy::Auto, 2, &mut first);
+        let zero = capped(0);
+        let (out, spent) = budgeted(&zero);
+        assert!(exhausted(&out));
+        assert_eq!(spent, first.total_accesses());
+        let (out, spent) = budgeted(&zero);
+        assert!(exhausted(&out));
+        assert_eq!(spent, first.total_accesses());
     }
 
     #[test]
@@ -766,18 +690,13 @@ mod tests {
             .deadline(std::time::Duration::ZERO)
             .start(None);
         let err = bp
-            .range_sum_with_budget(
-                &a,
-                &q,
-                BoundaryPolicy::Auto,
-                Parallelism::Sequential,
-                &meter,
-            )
+            .range_sum_with_budget(&a, &q, BoundaryPolicy::Auto, &meter)
             .unwrap_err();
         assert!(matches!(
             err,
             ArrayError::Interrupted(Interrupt::DeadlineExceeded { .. })
         ));
+        assert_eq!(meter.spent(), 0);
     }
 
     #[test]
@@ -887,7 +806,24 @@ mod tests {
         let bp = BlockedPrefixCube::build(&a, 4).unwrap();
         let other = DenseArray::filled(Shape::new(&[10]).unwrap(), 1i64);
         let q = Region::from_bounds(&[(0, 9), (0, 9)]).unwrap();
-        assert!(bp.range_sum(&other, &q).is_err());
+        assert_eq!(
+            bp.range_sum(&other, &q),
+            Err(ArrayError::DimMismatch {
+                expected: 2,
+                actual: 1
+            })
+        );
+        // Same rank, different extents: name the axis and both extents
+        // rather than "expected 2 dimensions, got 2".
+        let other = DenseArray::filled(Shape::new(&[10, 12]).unwrap(), 1i64);
+        assert_eq!(
+            bp.range_sum(&other, &q),
+            Err(ArrayError::OutOfBounds {
+                axis: 1,
+                index: 12,
+                extent: 10
+            })
+        );
     }
 
     #[test]

@@ -6,9 +6,9 @@ use std::ops::{Add, AddAssign};
 ///
 /// Counters saturate at `u64::MAX` instead of wrapping, so long-running
 /// accumulations degrade to a pinned ceiling rather than a nonsense value.
-/// Per-chunk counters produced by parallel execution reduce with
-/// [`AccessStats::merge`]; merging is commutative and associative, so the
-/// totals are independent of how work was chunked.
+/// Per-part counters reduce with [`AccessStats::merge`]; merging is
+/// commutative and associative, so the totals are independent of how work
+/// was split.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AccessStats {
     /// Cells of the original cube `A` read.
@@ -57,11 +57,10 @@ impl AccessStats {
 
     /// Folds another counter into this one (saturating per field).
     ///
-    /// This is the reduction used to combine per-chunk counters after a
-    /// parallel fan-out: start from `AccessStats::default()` and merge each
-    /// chunk's stats in chunk order. Because merge is commutative and
-    /// associative, the result equals the single-counter sequential run no
-    /// matter how the work was chunked.
+    /// This is the reduction used to combine per-part counters (a blocked
+    /// query's `3^d` parts, a server's shards): because merge is
+    /// commutative and associative, the result equals a single-counter run
+    /// no matter how the work was split.
     pub fn merge(&mut self, other: &AccessStats) {
         self.a_cells = self.a_cells.saturating_add(other.a_cells);
         self.p_cells = self.p_cells.saturating_add(other.p_cells);

@@ -2,7 +2,7 @@
 //! §6.2).
 
 use olap_aggregate::{NaturalOrder, ReverseOrder, TotalOrder};
-use olap_array::{exec, ArrayError, DenseArray, FlatRegionIter, Parallelism, Range, Region, Shape};
+use olap_array::{ArrayError, DenseArray, FlatRegionIter, Range, Region, Shape};
 use std::fmt;
 
 /// Errors from building or querying a [`MaxTree`].
@@ -89,22 +89,6 @@ where
     pub fn for_values(a: &DenseArray<T>, b: usize) -> Result<Self, MaxTreeError> {
         MaxTree::build(a, b, NaturalOrder::new())
     }
-
-    /// [`NaturalMaxTree::for_values`] under an execution strategy.
-    ///
-    /// # Errors
-    /// [`MaxTreeError::FanoutTooSmall`] when `b < 2`.
-    pub fn for_values_with(
-        a: &DenseArray<T>,
-        b: usize,
-        par: Parallelism,
-    ) -> Result<Self, MaxTreeError>
-    where
-        NaturalOrder<T>: Sync,
-        T: Sync,
-    {
-        MaxTree::build_with(a, b, NaturalOrder::new(), par)
-    }
 }
 
 /// A range-**min** tree: the §6 structure under the reversed natural
@@ -126,7 +110,9 @@ where
 
 impl<O: TotalOrder> MaxTree<O> {
     /// Builds the tree bottom-up with per-dimension fanout `b` (§6.1.1 and
-    /// its d-dimensional generalization in §6.2).
+    /// its d-dimensional generalization in §6.2): level 1 is contracted
+    /// from `A` (children are cells); level `i + 1` from level `i`
+    /// (children are nodes carrying argmax indices).
     ///
     /// # Errors
     /// [`MaxTreeError::FanoutTooSmall`] when `b < 2`.
@@ -135,64 +121,23 @@ impl<O: TotalOrder> MaxTree<O> {
             return Err(MaxTreeError::FanoutTooSmall { b });
         }
         let shape = a.shape().clone();
-        let levels = build_levels(&shape, b, |child_shape, child, parent_shape| {
-            let child_of = child.map(|l| &*l.max_index);
-            (0..parent_shape.len())
-                .map(|p| node_max(a, &order, child_shape, child_of, parent_shape, b, p))
-                .collect()
-        })?;
-        Ok(MaxTree {
-            order,
-            shape,
-            b,
-            levels,
-        })
-    }
-
-    /// [`MaxTree::build`] under an execution strategy: each level's nodes
-    /// are independent gathers over disjoint child regions, so a level is
-    /// filled by fanning contiguous runs of parent nodes across workers.
-    /// Every node runs the same first-max-wins comparison sequence as the
-    /// sequential build (its children in row-major order), so the tree is
-    /// bit-identical under every [`Parallelism`].
-    ///
-    /// # Errors
-    /// [`MaxTreeError::FanoutTooSmall`] when `b < 2`.
-    pub fn build_with(
-        a: &DenseArray<O::Value>,
-        b: usize,
-        order: O,
-        par: Parallelism,
-    ) -> Result<Self, MaxTreeError>
-    where
-        O: Sync,
-        O::Value: Sync,
-    {
-        if b < 2 {
-            return Err(MaxTreeError::FanoutTooSmall { b });
-        }
-        let shape = a.shape().clone();
-        let levels = build_levels(&shape, b, |child_shape, child, parent_shape| {
-            let child_of = child.map(|l| &*l.max_index);
-            let n_out = parent_shape.len();
-            let workers = par.workers_for(n_out);
-            if workers <= 1 {
-                return (0..n_out)
-                    .map(|p| node_max(a, &order, child_shape, child_of, parent_shape, b, p))
-                    .collect();
+        let mut levels: Vec<Level> = Vec::new();
+        loop {
+            let child = levels.last();
+            let child_shape = child.map_or(&shape, |l| &l.shape);
+            if child_shape.dims().iter().all(|&n| n == 1) {
+                break;
             }
-            let piece = n_out.div_ceil(workers);
-            let chunks: Vec<core::ops::Range<usize>> = (0..n_out)
-                .step_by(piece)
-                .map(|lo| lo..(lo + piece).min(n_out))
+            let parent_shape = child_shape.contract(b)?;
+            let child_of = child.map(|l| &*l.max_index);
+            let max_index = (0..parent_shape.len())
+                .map(|p| node_max(a, &order, child_shape, child_of, &parent_shape, b, p))
                 .collect();
-            let parts = exec::run_indexed(par, chunks, |_, nodes| {
-                nodes
-                    .map(|p| node_max(a, &order, child_shape, child_of, parent_shape, b, p))
-                    .collect::<Vec<usize>>()
+            levels.push(Level {
+                shape: parent_shape,
+                max_index,
             });
-            parts.into_iter().flatten().collect()
-        })?;
+        }
         Ok(MaxTree {
             order,
             shape,
@@ -385,40 +330,10 @@ impl<O: TotalOrder> MaxTree<O> {
     }
 }
 
-/// Runs the bottom-up level loop: level 1 is contracted from `A` (children
-/// are cells); level `i + 1` from level `i` (children are nodes carrying
-/// argmax indices). `make` fills one level's node table given
-/// `(child_shape, previous level if any, parent_shape)` — the sequential
-/// and threaded builds differ only in that callback.
-fn build_levels(
-    shape: &Shape,
-    b: usize,
-    mut make: impl FnMut(&Shape, Option<&Level>, &Shape) -> Box<[usize]>,
-) -> Result<Vec<Level>, MaxTreeError> {
-    let mut levels: Vec<Level> = Vec::new();
-    loop {
-        let child_shape = levels
-            .last()
-            .map(|l| l.shape.clone())
-            .unwrap_or_else(|| shape.clone());
-        if child_shape.dims().iter().all(|&n| n == 1) {
-            break;
-        }
-        let parent_shape = child_shape.contract(b)?;
-        let max_index = make(&child_shape, levels.last(), &parent_shape);
-        levels.push(Level {
-            shape: parent_shape,
-            max_index,
-        });
-    }
-    Ok(levels)
-}
-
-/// The per-node kernel shared by both builds: gathers the argmax (as a flat
+/// The per-node kernel of the level fill: gathers the argmax (as a flat
 /// `A` index) over one parent node's children, visiting them in row-major
-/// order of the child region with strict first-max-wins comparisons —
-/// exactly the per-parent subsequence of the original whole-level scatter
-/// walk, so both formulations pick identical indices even among ties.
+/// order of the child region with strict first-max-wins comparisons, so
+/// ties resolve to the first cell in row-major order.
 fn node_max<O: TotalOrder>(
     a: &DenseArray<O::Value>,
     order: &O,
@@ -556,30 +471,6 @@ mod tests {
         assert_eq!(t.levels[0].shape.dims(), &[8, 1]);
         assert_eq!(t.levels[3].shape.dims(), &[1, 1]);
         t.check_invariants(&a).unwrap();
-    }
-
-    #[test]
-    fn build_with_matches_build_bit_identically() {
-        // Duplicated values force argmax tie-breaks; both paths must pick
-        // the same (first-in-row-major-order) index at every node.
-        let a = DenseArray::from_fn(Shape::new(&[9, 6]).unwrap(), |i| {
-            ((i[0] * 7 + i[1] * 5) % 4) as i64
-        });
-        for b in [2usize, 3] {
-            let seq = NaturalMaxTree::for_values(&a, b).unwrap();
-            for par in [
-                Parallelism::Sequential,
-                Parallelism::Threads(2),
-                Parallelism::Threads(5),
-            ] {
-                let t = NaturalMaxTree::for_values_with(&a, b, par).unwrap();
-                assert_eq!(t.height(), seq.height());
-                for (lp, ls) in t.levels.iter().zip(&seq.levels) {
-                    assert_eq!(lp.shape, ls.shape, "b = {b}, {par:?}");
-                    assert_eq!(lp.max_index, ls.max_index, "b = {b}, {par:?}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! minimizes Gini impurity, emitting the pure-enough boxes as dense
 //! regions.
 
-use olap_array::{exec, Parallelism, Range, Region, Shape};
+use olap_array::{Range, Region, Shape};
 
 /// Tuning knobs for the region finder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +46,6 @@ pub struct DenseRegion {
 #[derive(Debug, Clone)]
 pub struct DenseRegionFinder {
     params: RegionFinderParams,
-    par: Parallelism,
 }
 
 impl Default for DenseRegionFinder {
@@ -58,20 +57,7 @@ impl Default for DenseRegionFinder {
 impl DenseRegionFinder {
     /// Creates a finder with explicit parameters.
     pub fn new(params: RegionFinderParams) -> Self {
-        DenseRegionFinder {
-            params,
-            par: Parallelism::Sequential,
-        }
-    }
-
-    /// Sets the execution strategy for the per-axis cut search. Each axis
-    /// is scored by an independent kernel; the winners reduce in axis order
-    /// under the same strict-less rule as the sequential scan, so the cut
-    /// chosen at every node — and therefore the final partition — is
-    /// identical under every [`Parallelism`].
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.par = par;
-        self
+        DenseRegionFinder { params }
     }
 
     /// Partitions the points of a cube into dense regions and outliers.
@@ -155,18 +141,12 @@ impl DenseRegionFinder {
         }
         // Greedy axis cut minimizing weighted Gini impurity; candidate
         // cuts at midpoints between consecutive distinct coordinates.
-        // Each axis is scored by an independent kernel (optionally fanned
-        // across threads); reducing the winners in axis order under the
-        // same strict-less rule keeps the chosen cut identical to the
-        // sequential scan, ties included (lowest axis, then lowest cut).
-        let d = bbox.ndim();
+        // Axes are scored in order under a strict-less rule, so ties go to
+        // the lowest axis, then the lowest cut.
         let parent_gini = Self::gini(n1, vol);
-        let per_axis = exec::run_indexed(self.par, (0..d).collect(), |_, axis| {
-            best_cut_on_axis(points, &members, &bbox, axis)
-        });
         let mut best: Option<(usize, usize, f64)> = None; // (axis, cut, score)
-        for (axis, found) in per_axis.into_iter().enumerate() {
-            if let Some((c, w)) = found {
+        for axis in 0..bbox.ndim() {
+            if let Some((c, w)) = best_cut_on_axis(points, &members, &bbox, axis) {
                 if best.is_none_or(|(_, _, s)| w < s) {
                     best = Some((axis, c, w));
                 }
@@ -343,28 +323,6 @@ mod tests {
             assert!(!regions.iter().any(|r| r.bounds.contains(&pts[o])));
         }
         assert_eq!(in_regions + outliers.len(), n);
-    }
-
-    #[test]
-    fn parallel_cut_search_matches_sequential() {
-        // Checkerboard blocks create many near-tied cuts; the partition
-        // must be identical whatever the execution strategy.
-        let mut pts = Vec::new();
-        for x in 0..30 {
-            for y in 0..30 {
-                if (x / 10 + y / 10) % 2 == 0 {
-                    pts.push(vec![x, y]);
-                }
-            }
-        }
-        let shape = Shape::new(&[40, 40]).unwrap();
-        let (seq_r, seq_o) = DenseRegionFinder::default().find(&shape, &pts);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
-            let finder = DenseRegionFinder::default().with_parallelism(par);
-            let (r, o) = finder.find(&shape, &pts);
-            assert_eq!(r, seq_r, "{par:?}");
-            assert_eq!(o, seq_o, "{par:?}");
-        }
     }
 
     #[test]

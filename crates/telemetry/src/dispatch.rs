@@ -156,8 +156,8 @@ impl Drop for ScopeGuard {
 /// context. Nestable (innermost wins); unwound correctly on panic.
 ///
 /// Worker threads spawned inside `f` do **not** inherit the scope
-/// automatically — executors that fan out must capture [`current`] and
-/// re-enter it per worker (as `olap_array::exec` does).
+/// automatically — code that spawns threads must capture [`current`] and
+/// re-enter it per worker (as `CubeServer`'s shard workers do).
 pub fn with_scope<R>(ctx: &Arc<Telemetry>, f: impl FnOnce() -> R) -> R {
     SCOPES.with(|s| s.borrow_mut().push(ctx.clone()));
     // ordering: Relaxed — counter hint only (see `enabled()`); the

@@ -40,9 +40,9 @@
 //! # Scoping and determinism
 //!
 //! [`with_scope`] installs a context for the duration of a closure on the
-//! current thread. Executors that fan work out to worker threads re-enter
-//! the captured context in each worker (see `olap-array`'s `exec`), so a
-//! scoped workload's metrics land in the scoped registry, isolated from
+//! current thread. Code that hands work to worker threads re-enters the
+//! captured context in each worker (see `olap-server`'s shard workers), so
+//! a scoped workload's metrics land in the scoped registry, isolated from
 //! every other thread — which is what makes registry contents testable
 //! under concurrency.
 

@@ -33,8 +33,8 @@
 //!   [`PendingSpan::finish_and_enter`] on the receiving thread records the
 //!   elapsed time as its own span (queue wait) and re-enters the trace
 //!   there, so worker-side spans join the same tree;
-//! - [`TraceHandle::enter`] re-enters a captured context in a fan-out
-//!   worker (as `olap_array::exec` does for the telemetry scope).
+//! - [`TraceHandle::enter`] re-enters a captured context on another
+//!   thread (as `CubeServer`'s shard workers do for the telemetry scope).
 //!
 //! Completed spans land in the sink — a bounded store (drop-counted at
 //! capacity, never reallocating past it) with a slow-query ring keeping

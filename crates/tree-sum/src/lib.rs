@@ -181,12 +181,7 @@ impl<G: AbelianGroup> SumTree<G> {
         use_complement: bool,
         meter: &BudgetMeter,
     ) -> Result<(G::Value, AccessStats), ArrayError> {
-        if a.shape() != &self.shape {
-            return Err(ArrayError::DimMismatch {
-                expected: self.shape.ndim(),
-                actual: a.shape().ndim(),
-            });
-        }
+        check_cube_shape(&self.shape, a.shape())?;
         self.shape.check_region(region)?;
         meter.check()?;
         let mut stats = AccessStats::new();
@@ -315,6 +310,28 @@ impl<G: AbelianGroup> SumTree<G> {
     }
 }
 
+/// Validates that the cube handed to a query has the shape the tree was
+/// built from: a rank difference is a [`ArrayError::DimMismatch`]; equal
+/// rank with different extents reports the first differing axis, the
+/// supplied extent (`index`) and the expected one (`extent`).
+fn check_cube_shape(expected: &Shape, actual: &Shape) -> Result<(), ArrayError> {
+    if actual.ndim() != expected.ndim() {
+        return Err(ArrayError::DimMismatch {
+            expected: expected.ndim(),
+            actual: actual.ndim(),
+        });
+    }
+    let mut dims = expected.dims().iter().zip(actual.dims()).enumerate();
+    match dims.find(|(_, (extent, index))| index != extent) {
+        Some((axis, (&extent, &index))) => Err(ArrayError::OutOfBounds {
+            axis,
+            index,
+            extent,
+        }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,10 +439,26 @@ mod tests {
             .range_sum(&a, &Region::from_bounds(&[(0, 9), (0, 8)]).unwrap())
             .is_err());
         assert!(SumTreeCube::build(&a, 1).is_err());
+        let q = Region::from_bounds(&[(0, 2), (0, 2)]).unwrap();
         let other = DenseArray::filled(Shape::new(&[3]).unwrap(), 0i64);
-        assert!(t
-            .range_sum(&other, &Region::from_bounds(&[(0, 2)]).unwrap())
-            .is_err());
+        assert_eq!(
+            t.range_sum(&other, &q),
+            Err(ArrayError::DimMismatch {
+                expected: 2,
+                actual: 1
+            })
+        );
+        // Same rank, different extents: the axis and both extents, not
+        // "expected 2 dimensions, got 2".
+        let other = DenseArray::filled(Shape::new(&[11, 9]).unwrap(), 0i64);
+        assert_eq!(
+            t.range_sum(&other, &q),
+            Err(ArrayError::OutOfBounds {
+                axis: 0,
+                index: 11,
+                extent: 9
+            })
+        );
     }
 
     #[test]

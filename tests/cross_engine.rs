@@ -5,8 +5,8 @@
 use olap_cube::aggregate::SumOp;
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::engine::{
-    CubeIndex, EngineError, ExtendedCube, IndexConfig, NaiveEngine, Parallelism, PlannedIndex,
-    PrefixChoice, RangeEngine, SparseMaxEngine, SparseSumEngine, SumTreeEngine,
+    CubeIndex, EngineError, ExtendedCube, IndexConfig, NaiveEngine, PlannedIndex, PrefixChoice,
+    RangeEngine, SparseMaxEngine, SparseSumEngine, SumTreeEngine,
 };
 use olap_cube::planner::PrefixSumChoice;
 use olap_cube::query::{CuboidId, RangeQuery};
@@ -20,7 +20,6 @@ fn config(prefix: PrefixChoice, sum_tree: Option<usize>) -> IndexConfig {
         max_tree_fanout: None,
         min_tree_fanout: None,
         sum_tree_fanout: sum_tree,
-        parallelism: Parallelism::Sequential,
         ..IndexConfig::default()
     }
 }
@@ -111,7 +110,6 @@ fn all_extremum_engines_agree() {
             max_tree_fanout: Some(b),
             min_tree_fanout: Some(b),
             sum_tree_fanout: None,
-            parallelism: Parallelism::Sequential,
             ..IndexConfig::default()
         };
         max_engines.push(Box::new(CubeIndex::build(a.clone(), cfg).unwrap()));

@@ -8,8 +8,7 @@
 
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::engine::{
-    AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, Parallelism, PrefixChoice, RangeEngine,
-    SumTreeEngine,
+    AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, RangeEngine, SumTreeEngine,
 };
 use olap_cube::query::{QueryLog, RangeQuery};
 use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions};
@@ -25,7 +24,6 @@ fn engines(a: &DenseArray<i64>) -> Vec<Box<dyn RangeEngine<i64>>> {
         max_tree_fanout: None,
         min_tree_fanout: None,
         sum_tree_fanout: sum_tree,
-        parallelism: Parallelism::Sequential,
         ..IndexConfig::default()
     };
     vec![
