@@ -144,11 +144,7 @@ impl CallGraph {
             known_types: BTreeSet::new(),
         };
         for (n, node) in nodes.iter().enumerate() {
-            index
-                .by_name
-                .entry(node.name.clone())
-                .or_default()
-                .push(n);
+            index.by_name.entry(node.name.clone()).or_default().push(n);
             if let Some(t) = &node.self_type {
                 index.known_types.insert(t.clone());
                 index
@@ -426,7 +422,10 @@ fn parse_impl_header(h: &str) -> (Option<String>, Option<String>) {
         return (None, last_ident(&segs[0]));
     }
     match segs.len() {
-        0 | 1 => (last_ident(segs.first().map(Vec::as_slice).unwrap_or(&[])), None),
+        0 | 1 => (
+            last_ident(segs.first().map(Vec::as_slice).unwrap_or(&[])),
+            None,
+        ),
         _ => (last_ident(&segs[1]), last_ident(&segs[0])),
     }
 }
@@ -661,19 +660,12 @@ fn resolve(
     // `run()` where `run` is a parameter or a `let`-bound local is a
     // closure call — resolving it to every fn named `run` would wire
     // e.g. a benchmark's closure straight into the CLI dispatcher.
-    if !site.dotted
-        && site.qualifier.is_none()
-        && local_names.contains(&site.callee)
-    {
+    if !site.dotted && site.qualifier.is_none() && local_names.contains(&site.callee) {
         return (Vec::new(), false);
     }
     let by_name = || -> (Vec<NodeId>, bool) {
         (
-            index
-                .by_name
-                .get(&site.callee)
-                .cloned()
-                .unwrap_or_default(),
+            index.by_name.get(&site.callee).cloned().unwrap_or_default(),
             false,
         )
     };
@@ -752,8 +744,12 @@ mod tests {
     fn node_by_label(g: &CallGraph, label: &str) -> NodeId {
         (0..g.nodes.len())
             .find(|&n| g.label(n) == label)
-            .unwrap_or_else(|| panic!("no node {label}; have {:?}",
-                (0..g.nodes.len()).map(|n| g.label(n)).collect::<Vec<_>>()))
+            .unwrap_or_else(|| {
+                panic!(
+                    "no node {label}; have {:?}",
+                    (0..g.nodes.len()).map(|n| g.label(n)).collect::<Vec<_>>()
+                )
+            })
     }
 
     #[test]

@@ -247,10 +247,7 @@ fn parse_if(toks: &[Token], if_kw: usize, close: usize) -> (Stmt, usize) {
     let then_b = parse_block(toks, then_open, then_close);
     let mut end = then_close;
     let mut else_b = None;
-    if toks
-        .get(then_close + 1)
-        .is_some_and(|t| t.is_ident("else"))
-    {
+    if toks.get(then_close + 1).is_some_and(|t| t.is_ident("else")) {
         if toks.get(then_close + 2).is_some_and(|t| t.is_ident("if")) {
             let (nested, next) = parse_if(toks, then_close + 2, close);
             end = nested.range.1;
@@ -421,8 +418,7 @@ fn must_touch(s: &Stmt, toks: &[Token], name: &str) -> bool {
         StmtKind::Loop { header, .. } => mentions(toks, *header, name),
         StmtKind::Match { header, arms } => {
             mentions(toks, *header, name)
-                || (!arms.is_empty()
-                    && arms.iter().all(|a| every_path_touches(a, toks, name)))
+                || (!arms.is_empty() && arms.iter().all(|a| every_path_touches(a, toks, name)))
         }
     }
 }
@@ -438,14 +434,10 @@ pub fn containing_list(stmts: &[Stmt], tok: usize) -> Option<(&[Stmt], usize)> {
         let deeper = match &s.kind {
             StmtKind::Simple => None,
             StmtKind::Block(b) => containing_list(b, tok),
-            StmtKind::If {
-                then_b, else_b, ..
-            } => containing_list(then_b, tok)
+            StmtKind::If { then_b, else_b, .. } => containing_list(then_b, tok)
                 .or_else(|| else_b.as_ref().and_then(|e| containing_list(e, tok))),
             StmtKind::Loop { body, .. } => containing_list(body, tok),
-            StmtKind::Match { arms, .. } => {
-                arms.iter().find_map(|a| containing_list(a, tok))
-            }
+            StmtKind::Match { arms, .. } => arms.iter().find_map(|a| containing_list(a, tok)),
         };
         return deeper.or(Some((stmts, i)));
     }
@@ -581,9 +573,8 @@ mod tests {
 
     #[test]
     fn loops_are_found_with_bodies_including_nested() {
-        let (toks, open, close) = body_of(
-            "fn f() {\n  for i in 0..n { while go() { step(); } }\n  loop { break; }\n}\n",
-        );
+        let (toks, open, close) =
+            body_of("fn f() {\n  for i in 0..n { while go() { step(); } }\n  loop { break; }\n}\n");
         let loops = loops_in(&toks, open, close);
         let kinds: Vec<&str> = loops.iter().map(|l| l.kind).collect();
         assert_eq!(kinds, vec!["for", "while", "loop"]);
@@ -610,7 +601,10 @@ mod tests {
         assert!(matches!(stmts[0].kind, StmtKind::Simple));
         assert!(matches!(
             &stmts[1].kind,
-            StmtKind::If { else_b: Some(_), .. }
+            StmtKind::If {
+                else_b: Some(_),
+                ..
+            }
         ));
         match &stmts[2].kind {
             StmtKind::Match { arms, .. } => assert_eq!(arms.len(), 2),
@@ -645,8 +639,7 @@ mod tests {
 
     #[test]
     fn containing_list_finds_the_binding_scope() {
-        let (toks, open, close) =
-            body_of("fn f() { if a { let p = mk(); use_(p); } tail(); }");
+        let (toks, open, close) = body_of("fn f() { if a { let p = mk(); use_(p); } tail(); }");
         let stmts = parse_block(&toks, open, close);
         let p_tok = toks.iter().position(|t| t.is_ident("p")).unwrap();
         let (list, idx) = containing_list(&stmts, p_tok).unwrap();

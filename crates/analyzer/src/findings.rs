@@ -34,7 +34,6 @@ pub const RULES: &[&str] = &[
     "panic-site",
     "atomic-ordering",
     "lock-order",
-    "feature-gate",
     "error-surface",
     "budget-coverage",
     "pin-across-blocking",

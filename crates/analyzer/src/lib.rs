@@ -1,17 +1,15 @@
 //! `olap-analyzer` — a zero-dependency static-analysis pass over the
 //! workspace's library sources.
 //!
-//! The generic tooling already in CI (clippy's `unwrap_used`, the
-//! four-feature build matrix) checks what *any* Rust project should
-//! check. This crate checks what **this** project's design demands and
-//! nothing off-the-shelf can express:
+//! The generic tooling already in CI (clippy's `unwrap_used`) checks
+//! what *any* Rust project should check. This crate checks what **this**
+//! project's design demands and nothing off-the-shelf can express:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `panic-site`      | no panicking construct on a query path reachable from a `RangeEngine` method (PR 4's `catch_unwind` containment must never fire) |
 //! | `atomic-ordering` | every `Ordering::…` carries an `// ordering:` justification; `SeqCst` is a smell |
 //! | `lock-order`      | the guard-held-while-acquiring graph across all `Mutex`/`RwLock` fields is acyclic |
-//! | `feature-gate`    | feature-gated (`telemetry`) symbols are referenced only under a matching cfg |
 //! | `error-surface`   | pub fns in `olap-engine`/`olap-array` don't silently swallow fallible internals |
 //! | `budget-coverage` | every loop reachable from the `range_sum*` entry points charges the `BudgetMeter` (PR 4's deadlines stay cooperative) |
 //! | `pin-across-blocking` | no `VersionCell` read-pin or lock guard live across `send`/`recv`/`join`/`sleep` (PR 6's installs can't stall) |
@@ -21,7 +19,7 @@
 //! The implementation is a hand-written lexer ([`lexer`]), a structural
 //! outline pass ([`outline`]), name-based reachability
 //! ([`reachability`]), a resolved cross-file call graph ([`callgraph`]),
-//! a lightweight intra-fn CFG ([`cfg`]), and token-level rule passes
+//! a lightweight intra-fn CFG ([`mod@cfg`]), and token-level rule passes
 //! ([`rules`]) — no `syn`, no `rustc` internals, nothing to install. Findings are
 //! suppressed either inline (`// analyzer: allow(rule, reason = "…")`,
 //! reason mandatory) or by the checked-in baseline
@@ -59,7 +57,6 @@ pub fn analyze_with(model: &Model, jobs: usize) -> Report {
         Box::new(|| rules::panics::check(model, &reach)),
         Box::new(|| rules::atomics::check(model)),
         Box::new(|| rules::locks::check(model)),
-        Box::new(|| rules::features::check(model)),
         Box::new(|| rules::error_surface::check(model)),
         Box::new(|| rules::budget::check(model, &graph)),
         Box::new(|| rules::pins::check(model)),
@@ -81,8 +78,10 @@ pub fn analyze_with(model: &Model, jobs: usize) -> Report {
         // Work-stealing over the pass list; results land in their slot so
         // the collection order never depends on scheduling.
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Vec<Finding>>> =
-            passes.iter().map(|_| std::sync::Mutex::new(Vec::new())).collect();
+        let slots: Vec<std::sync::Mutex<Vec<Finding>>> = passes
+            .iter()
+            .map(|_| std::sync::Mutex::new(Vec::new()))
+            .collect();
         std::thread::scope(|s| {
             for _ in 0..jobs.min(passes.len()) {
                 s.spawn(|| loop {
@@ -141,8 +140,7 @@ pub fn run_check_with(
     baseline_path: &Path,
     jobs: usize,
 ) -> Result<CheckOutcome, String> {
-    let model =
-        Model::scan_workspace_with(root, jobs).map_err(|e| format!("scan failed: {e}"))?;
+    let model = Model::scan_workspace_with(root, jobs).map_err(|e| format!("scan failed: {e}"))?;
     if model.files.is_empty() {
         return Err(format!(
             "no sources found under {} — wrong --root?",

@@ -42,9 +42,9 @@ fn usage() -> String {
      \x20                          [--time-baseline <file>]\n\
      \n\
      Scans crates/*/src and src/ for violations of the workspace rules\n\
-     (panic-site, atomic-ordering, lock-order, feature-gate,\n\
-     error-surface, budget-coverage, pin-across-blocking,\n\
-     span-discipline, estimate-isolation) and compares them against the\n\
+     (panic-site, atomic-ordering, lock-order, error-surface,\n\
+     budget-coverage, pin-across-blocking, span-discipline,\n\
+     estimate-isolation) and compares them against the\n\
      checked-in baseline. --jobs N parallelizes the per-file scan and\n\
      the rule passes (output is identical for every N). --time-baseline\n\
      gates the run's wall time at 2x the checked-in figure.\n\
@@ -124,8 +124,7 @@ fn parse_args() -> Result<Args, String> {
 
 /// Reads `analyzer_self_time_ms` out of the checked-in time baseline.
 fn read_time_baseline(path: &std::path::Path) -> Result<u64, String> {
-    let src =
-        std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let v = olap_analyzer::json::parse(&src).map_err(|e| format!("{}: {e}", path.display()))?;
     v.get("analyzer_self_time_ms")
         .and_then(olap_analyzer::json::Value::as_u64)
@@ -196,7 +195,10 @@ fn main() -> ExitCode {
             );
         }
     }
-    eprintln!("olap-analyzer: analyzer_self_time_ms: {elapsed_ms} (jobs: {})", args.jobs);
+    eprintln!(
+        "olap-analyzer: analyzer_self_time_ms: {elapsed_ms} (jobs: {})",
+        args.jobs
+    );
     let mut time_busted = false;
     if let Some(tb) = &args.time_baseline {
         match read_time_baseline(tb) {

@@ -94,7 +94,7 @@ impl Model {
         Self::scan_workspace_with(root, 1)
     }
 
-    /// [`scan_workspace`] with a thread budget: lexing and outlining are
+    /// [`Model::scan_workspace`] with a thread budget: lexing and outlining are
     /// per-file, so with `jobs > 1` the files parse on scoped std
     /// threads. The file list is discovered and sorted up front and every
     /// parse lands in its positional slot, so the resulting model is

@@ -1,7 +1,7 @@
 //! Rule `budget-coverage`: every loop on a query path charges the meter.
 //!
 //! PR 4's deadlines, access caps, and cancellation are *cooperative*:
-//! `QueryBudget` arms a shared [`BudgetMeter`] and the kernels are
+//! `QueryBudget` arms a shared `BudgetMeter` and the kernels are
 //! expected to call `charge(cells)` / `check()` as they scan. A hot loop
 //! that never touches the meter runs to completion regardless of the
 //! deadline — the budget, the §4 access bounds it enforces, and the
@@ -81,9 +81,7 @@ pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
             let (la, lb) = lp.body;
             let covered = g.sites(n).iter().any(|s| {
                 let within = la <= s.site.tok && s.site.tok <= lb;
-                within
-                    && (is_charge_site(g, s)
-                        || s.targets.iter().any(|&t| may_charge[t]))
+                within && (is_charge_site(g, s) || s.targets.iter().any(|&t| may_charge[t]))
             });
             if !covered {
                 findings.push(file.finding(
@@ -130,13 +128,11 @@ mod tests {
     fn direct_and_transitive_charges_cover_the_loop() {
         // Direct: the body touches the meter. Transitive: the body calls
         // a helper that charges.
-        let f = run(
-            "impl BudgetMeter {\n  pub fn charge(&self, n: u64) {}\n}\n\
+        let f = run("impl BudgetMeter {\n  pub fn charge(&self, n: u64) {}\n}\n\
              impl Engine {\n  pub fn range_sum(&self, meter: &BudgetMeter) {\n    \
              for i in 0..n { meter.charge(1); }\n    \
              for j in 0..n { step(meter); }\n  }\n}\n\
-             fn step(meter: &BudgetMeter) { meter.charge(1); }\n",
-        );
+             fn step(meter: &BudgetMeter) { meter.charge(1); }\n");
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -53,8 +53,9 @@ fn is_producer(model: &Model, g: &CallGraph, n: NodeId) -> bool {
 
 /// Runs the rule over the model.
 pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
-    let producers: Vec<NodeId> =
-        (0..g.nodes.len()).filter(|&n| is_producer(model, g, n)).collect();
+    let producers: Vec<NodeId> = (0..g.nodes.len())
+        .filter(|&n| is_producer(model, g, n))
+        .collect();
     if producers.is_empty() {
         return Vec::new();
     }
@@ -95,7 +96,10 @@ pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
             let what = if cache_sink {
                 format!("`SemanticCache::{}`", s.site.callee)
             } else {
-                format!("exact-response constructor `{}::Exact`", s.site.qualifier.as_deref().unwrap_or(""))
+                format!(
+                    "exact-response constructor `{}::Exact`",
+                    s.site.qualifier.as_deref().unwrap_or("")
+                )
             };
             findings.push(file.finding(
                 "estimate-isolation",
@@ -125,11 +129,9 @@ mod tests {
 
     #[test]
     fn estimate_path_into_the_cache_is_flagged_with_a_path() {
-        let f = run(
-            "impl SemanticCache {\n  pub fn insert(&self) {}\n}\n\
+        let f = run("impl SemanticCache {\n  pub fn insert(&self) {}\n}\n\
              fn degrade(cache: &SemanticCache) -> Estimate<u32> {\n  stash(cache);\n  mk()\n}\n\
-             fn stash(cache: &SemanticCache) { cache.insert(); }\n",
-        );
+             fn stash(cache: &SemanticCache) { cache.insert(); }\n");
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("SemanticCache::insert"));
         assert!(f[0].message.contains("degrade → stash"), "{}", f[0].message);
@@ -137,9 +139,8 @@ mod tests {
 
     #[test]
     fn exact_constructor_from_an_estimate_fn_is_flagged() {
-        let f = run(
-            "fn degrade(v: u32) -> Estimate<u32> {\n  let r = Routed::Exact(v);\n  mk(r)\n}\n",
-        );
+        let f =
+            run("fn degrade(v: u32) -> Estimate<u32> {\n  let r = Routed::Exact(v);\n  mk(r)\n}\n");
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("Routed::Exact"));
     }
@@ -159,10 +160,8 @@ mod tests {
     fn name_fallback_insert_is_not_trusted() {
         // `thing` has no known type: `insert` resolves by name to
         // SemanticCache::insert but un-narrowed — no finding.
-        let f = run(
-            "impl SemanticCache {\n  pub fn insert(&self) {}\n}\n\
-             fn degrade(thing: &Opaque) -> Estimate<u32> {\n  thing.insert();\n  mk()\n}\n",
-        );
+        let f = run("impl SemanticCache {\n  pub fn insert(&self) {}\n}\n\
+             fn degrade(thing: &Opaque) -> Estimate<u32> {\n  thing.insert();\n  mk()\n}\n");
         assert!(f.is_empty(), "{f:?}");
     }
 }

@@ -1,12 +1,12 @@
 //! Rule `span-discipline`: trace frames are entered or dropped on every
 //! path, and `TraceSpan` never lives in a field.
 //!
-//! PR 8's tracer is a thread-local RAII design: a [`TraceSpan`] pushes a
+//! PR 8's tracer is a thread-local RAII design: a `TraceSpan` pushes a
 //! frame onto the calling thread's stack and pops it on drop, so it is
 //! deliberately `!Send` and must never be stored — a span in a struct
 //! field outlives its stack discipline and corrupts the frame tree the
 //! moment the struct crosses a thread. The cross-thread story is
-//! [`PendingSpan`]: created where the work is *enqueued*, carried by
+//! `PendingSpan`: created where the work is *enqueued*, carried by
 //! value in the job envelope, and consumed on the worker via
 //! `finish_and_enter`. A `PendingSpan` bound to a local and then
 //! forgotten on some control-flow path produces a queue-wait frame that
@@ -89,15 +89,14 @@ pub fn check(model: &Model) -> Vec<Finding> {
                 let pending = init
                     .iter()
                     .any(|t| t.kind == TokKind::Ident && t.text == "PendingSpan");
-                let consumed = init.iter().any(|t| {
-                    t.kind == TokKind::Ident && CONSUMERS.contains(&t.text.as_str())
-                });
+                let consumed = init
+                    .iter()
+                    .any(|t| t.kind == TokKind::Ident && CONSUMERS.contains(&t.text.as_str()));
                 if pending && !consumed {
                     let name = name_tok.text.clone();
-                    let ok = cfg::containing_list(&stmts, j)
-                        .is_some_and(|(list, idx)| {
-                            cfg::every_path_touches(&list[idx + 1..], toks, &name)
-                        });
+                    let ok = cfg::containing_list(&stmts, j).is_some_and(|(list, idx)| {
+                        cfg::every_path_touches(&list[idx + 1..], toks, &name)
+                    });
                     if !ok {
                         findings.push(file.finding(
                             "span-discipline",
@@ -153,18 +152,14 @@ mod tests {
 
     #[test]
     fn unrelated_bindings_are_ignored() {
-        let f = run(
-            "fn other(cond: bool) {\n  let x = compute();\n  if cond { use_(x); }\n}\n",
-        );
+        let f = run("fn other(cond: bool) {\n  let x = compute();\n  if cond { use_(x); }\n}\n");
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn trace_span_in_a_field_is_flagged() {
-        let f = run(
-            "pub struct Job {\n  span: Option<TraceSpan>,\n}\n\
-             pub struct Ok1 {\n  trace: Option<PendingSpan>,\n}\n",
-        );
+        let f = run("pub struct Job {\n  span: Option<TraceSpan>,\n}\n\
+             pub struct Ok1 {\n  trace: Option<PendingSpan>,\n}\n");
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("Job.span"));
     }

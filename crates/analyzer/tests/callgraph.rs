@@ -8,9 +8,7 @@ use olap_analyzer::model::Model;
 /// absent or ambiguous so tests read as lookups.
 fn node(g: &CallGraph, self_type: Option<&str>, name: &str) -> usize {
     let hits: Vec<usize> = (0..g.nodes.len())
-        .filter(|&n| {
-            g.nodes[n].name == name && g.nodes[n].self_type.as_deref() == self_type
-        })
+        .filter(|&n| g.nodes[n].name == name && g.nodes[n].self_type.as_deref() == self_type)
         .collect();
     assert_eq!(hits.len(), 1, "lookup {self_type:?}::{name}: {hits:?}");
     hits[0]
@@ -43,22 +41,28 @@ fn methods_resolve_across_files_through_typed_params() {
     let g = CallGraph::build(&model);
     let drive = node(&g, None, "drive");
     let got = callees(&g, drive);
-    assert_eq!(got, vec!["BudgetMeter::charge", "BudgetMeter::reset"], "{got:?}");
+    assert_eq!(
+        got,
+        vec!["BudgetMeter::charge", "BudgetMeter::reset"],
+        "{got:?}"
+    );
     // Both resolutions are type-derived, not name fallbacks.
-    assert!(g.sites(drive).iter().all(|s| s.narrowed), "{:?}", g.sites(drive));
+    assert!(
+        g.sites(drive).iter().all(|s| s.narrowed),
+        "{:?}",
+        g.sites(drive)
+    );
 }
 
 #[test]
 fn trait_impl_edges_connect_the_caller_to_every_implementor() {
-    let model = Model::from_sources(&[
-        (
-            "crates/engine/src/lib.rs",
-            "trait RangeEngine {\n  fn range_sum(&self) -> u64;\n}\n\
+    let model = Model::from_sources(&[(
+        "crates/engine/src/lib.rs",
+        "trait RangeEngine {\n  fn range_sum(&self) -> u64;\n}\n\
              impl RangeEngine for Dense {\n  fn range_sum(&self) -> u64 { 1 }\n}\n\
              impl RangeEngine for Sparse {\n  fn range_sum(&self) -> u64 { 2 }\n}\n\
              pub fn answer(e: &Dense) -> u64 {\n  e.range_sum()\n}\n",
-        ),
-    ]);
+    )]);
     let g = CallGraph::build(&model);
     let answer = node(&g, None, "answer");
     // The typed receiver narrows to the Dense impl specifically.

@@ -124,27 +124,6 @@ fn lock_order_guard_stays_quiet() {
 }
 
 #[test]
-fn feature_gate_positive_flags_ungated_references() {
-    let r = run(
-        "crates/engine/src/fx.rs",
-        include_str!("fixtures/feature_gate_positive.rs"),
-    );
-    let f = active(&r, "feature-gate");
-    assert_eq!(f.len(), 2, "{f:#?}");
-    assert!(f.iter().any(|f| f.message.contains("fan_out")));
-    assert!(f.iter().any(|f| f.message.contains("olap_telemetry")));
-}
-
-#[test]
-fn feature_gate_guard_stays_quiet() {
-    let r = run(
-        "crates/engine/src/fx.rs",
-        include_str!("fixtures/feature_gate_guard.rs"),
-    );
-    assert!(active(&r, "feature-gate").is_empty());
-}
-
-#[test]
 fn error_surface_positive_flags_the_swallowed_result() {
     let r = run(
         "crates/engine/src/fx.rs",
@@ -182,8 +161,15 @@ fn budget_coverage_allowed_findings_are_recorded_but_inactive() {
         "crates/engine/src/fx.rs",
         include_str!("fixtures/budget_coverage_allowed.rs"),
     );
-    assert_eq!(all(&r, "budget-coverage").len(), 1, "scan still sees the loop");
-    assert!(active(&r, "budget-coverage").is_empty(), "allow silences it");
+    assert_eq!(
+        all(&r, "budget-coverage").len(),
+        1,
+        "scan still sees the loop"
+    );
+    assert!(
+        active(&r, "budget-coverage").is_empty(),
+        "allow silences it"
+    );
     assert!(active(&r, "malformed-allow").is_empty());
 }
 
@@ -249,7 +235,8 @@ fn span_discipline_positive_flags_leak_and_field() {
     assert_eq!(f.len(), 2, "{f:#?}");
     let msgs: Vec<&str> = f.iter().map(|f| f.message.as_str()).collect();
     assert!(
-        msgs.iter().any(|m| m.contains("not consumed on every path")),
+        msgs.iter()
+            .any(|m| m.contains("not consumed on every path")),
         "{msgs:?}"
     );
     assert!(msgs.iter().any(|m| m.contains("stored in")), "{msgs:?}");
@@ -290,7 +277,8 @@ fn estimate_isolation_positive_flags_cache_and_exact_sinks() {
     assert_eq!(f.len(), 2, "{f:#?}");
     let msgs: Vec<&str> = f.iter().map(|f| f.message.as_str()).collect();
     assert!(
-        msgs.iter().any(|m| m.contains("SemanticCache::insert") && m.contains("degrade → stash")),
+        msgs.iter()
+            .any(|m| m.contains("SemanticCache::insert") && m.contains("degrade → stash")),
         "{msgs:?}"
     );
     assert!(msgs.iter().any(|m| m.contains("Routed::Exact")), "{msgs:?}");

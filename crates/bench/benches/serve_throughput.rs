@@ -14,10 +14,9 @@
 //! `results/serve_throughput_baseline.json` with the same 10% tolerance
 //! as the router- and failover-overhead gates.
 //!
-//! With the `telemetry` feature two more prices join, isolating the
-//! tracing layer itself (no ambient telemetry scope, so the metrics
-//! instrumentation — priced by its own overhead benches — stays out of
-//! the delta):
+//! Two more prices isolate the tracing layer itself (no ambient
+//! telemetry scope, so the metrics instrumentation — priced by its own
+//! overhead benches — stays out of the delta):
 //!
 //! - `traced_range_sum/4`: every query traced — root span, queue-wait
 //!   spans across the shard queues, worker-side cache/exec spans, merge.
@@ -71,7 +70,6 @@ fn serve_throughput(c: &mut Criterion) {
     // settings (gated against `range_sum/4` at 1.05× by
     // bench_guard --ratio). No telemetry scope: the delta is the tracing
     // layer alone.
-    #[cfg(feature = "telemetry")]
     for (label, every) in [("traced_range_sum", 1), ("sampled_trace_range_sum", 8)] {
         use std::sync::Arc;
         let mut srv = CubeServer::build(

@@ -3,6 +3,8 @@
 
 use crate::args::{parse_dims, parse_query, parse_set, split_args, usage, CliError};
 use crate::csv::cube_from_csv;
+use crate::telemetry_cmd::{cmd_flight_record, cmd_metrics};
+use crate::trace_cmd::cmd_trace;
 use olap_prefix_sum::batch::{self, CellUpdate};
 use olap_prefix_sum::{BlockedPrefixCube, PrefixSumCube};
 use olap_range_max::{NaturalMaxTree, PointUpdate};
@@ -104,35 +106,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(usage(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
-}
-
-#[cfg(feature = "telemetry")]
-use crate::telemetry_cmd::{cmd_flight_record, cmd_metrics};
-#[cfg(feature = "telemetry")]
-use crate::trace_cmd::cmd_trace;
-
-/// Without the `telemetry` feature the instrumentation sites are compiled
-/// out, so there is nothing to dump — say so instead of printing an empty
-/// registry.
-#[cfg(not(feature = "telemetry"))]
-fn cmd_metrics(_args: &[String]) -> Result<String, CliError> {
-    Err(usage(
-        "this build has telemetry compiled out; rebuild with --features telemetry",
-    ))
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn cmd_flight_record(_args: &[String]) -> Result<String, CliError> {
-    Err(usage(
-        "this build has telemetry compiled out; rebuild with --features telemetry",
-    ))
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn cmd_trace(_args: &[String]) -> Result<String, CliError> {
-    Err(usage(
-        "this build has telemetry compiled out; rebuild with --features telemetry",
-    ))
 }
 
 pub(crate) fn open_reader(path: &str) -> Result<BufReader<File>, CliError> {
@@ -955,7 +928,6 @@ mod tests {
         assert!(err.to_string().contains("line 1"), "{err}");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn metrics_command_validates_the_cost_model() {
         let cube = tmp("t10.olap");
@@ -1001,7 +973,6 @@ mod tests {
         assert!(prefix_lines > 0, "no prefix engine got traffic:\n{out}");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn metrics_json_and_flight_record() {
         let cube = tmp("t11.olap");
@@ -1051,17 +1022,6 @@ mod tests {
         // Bad format is a usage error.
         let err = run_s(&["metrics", "--cube", &cube, "--format", "yaml"]).unwrap_err();
         assert!(err.to_string().contains("prom or json"), "{err}");
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn metrics_without_the_feature_explains_itself() {
-        let err = run_s(&["metrics", "--cube", "x"]).unwrap_err();
-        assert!(err.to_string().contains("telemetry"), "{err}");
-        let err = run_s(&["flight-record", "--cube", "x"]).unwrap_err();
-        assert!(err.to_string().contains("telemetry"), "{err}");
-        let err = run_s(&["trace", "--out", "x.json"]).unwrap_err();
-        assert!(err.to_string().contains("telemetry"), "{err}");
     }
 
     #[test]

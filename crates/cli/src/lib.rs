@@ -23,9 +23,7 @@ pub mod commands;
 pub mod csv;
 pub mod repl;
 mod serve_cmd;
-#[cfg(feature = "telemetry")]
 mod telemetry_cmd;
-#[cfg(feature = "telemetry")]
 mod trace_cmd;
 
 pub use args::{parse_dims, parse_query, parse_range_query, parse_set, CliError};

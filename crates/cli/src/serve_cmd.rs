@@ -22,15 +22,14 @@
 //! as a mismatch and fails the command, so the degrade leg is as
 //! CI-enforceable as the exact one.
 //!
-//! With the `telemetry` feature, `--metrics-addr HOST:PORT` runs the
-//! drill inside a telemetry scope and serves the live registry over
-//! HTTP (`/metrics` Prometheus text with per-shard p50/p95/p99 latency
-//! gauges, `/metrics.json`) during the drill and for
-//! `--metrics-hold-ms` afterwards — long enough for a scraper to
-//! observe a finished run. `--slo-p99-ms MS` declares a per-shard tail
-//! latency objective ([`olap_server::SloSpec`], carried through
-//! [`ServeConfig::slo`]); any shard whose p99 exceeds it fails the
-//! command with the violation report.
+//! `--metrics-addr HOST:PORT` runs the drill inside a telemetry scope
+//! and serves the live registry over HTTP (`/metrics` Prometheus text
+//! with per-shard p50/p95/p99 latency gauges, `/metrics.json`) during
+//! the drill and for `--metrics-hold-ms` afterwards — long enough for a
+//! scraper to observe a finished run. `--slo-p99-ms MS` declares a
+//! per-shard tail latency objective ([`olap_server::SloSpec`], carried
+//! through [`ServeConfig::slo`]); any shard whose p99 exceeds it fails
+//! the command with the violation report.
 
 use crate::args::{split_args, usage, CliError};
 use crate::chaos_cmd::mix;
@@ -116,19 +115,10 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let cube_path = p.require("--cube")?;
     let params = parse_params(&p)?;
     let a = storage::read_dense_i64(&mut crate::commands::open_reader(cube_path)?)?;
-    #[cfg(feature = "telemetry")]
-    {
-        let metrics_addr = p.get("--metrics-addr");
-        let hold_ms = parse_usize(&p, "--metrics-hold-ms", 0)? as u64;
-        if metrics_addr.is_some() || params.slo.is_some() {
-            return drill_observed(&a, &params, metrics_addr, hold_ms);
-        }
-    }
-    #[cfg(not(feature = "telemetry"))]
-    if p.get("--metrics-addr").is_some() || params.slo.is_some() {
-        return Err(usage(
-            "this build has telemetry compiled out; rebuild with --features telemetry",
-        ));
+    let metrics_addr = p.get("--metrics-addr");
+    let hold_ms = parse_usize(&p, "--metrics-hold-ms", 0)? as u64;
+    if metrics_addr.is_some() || params.slo.is_some() {
+        return drill_observed(&a, &params, metrics_addr, hold_ms);
     }
     drill(&a, &params)
 }
@@ -137,7 +127,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 /// over HTTP while (and for `hold_ms` after) the load runs, then
 /// evaluate the declared SLO against the recorded per-shard latency
 /// quantiles.
-#[cfg(feature = "telemetry")]
 fn drill_observed(
     a: &DenseArray<i64>,
     params: &ServeParams,
@@ -490,7 +479,6 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn metrics_endpoint_and_lax_slo_pass() {
         let path = cube_file(89);
@@ -515,7 +503,6 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn impossible_slo_fails_with_the_violation_report() {
         let path = cube_file(97);
@@ -533,21 +520,6 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("latency SLO violated"), "{text}");
         assert!(text.contains("exceeds SLO"), "{text}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn metrics_flags_without_the_feature_explain_themselves() {
-        let path = cube_file(89);
-        let err = run(&[
-            "--cube",
-            path.to_str().unwrap(),
-            "--metrics-addr",
-            "127.0.0.1:0",
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("telemetry"), "{err}");
         std::fs::remove_file(path).ok();
     }
 }

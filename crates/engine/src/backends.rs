@@ -89,7 +89,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_sum",
-            query.ndim(),
             || {
                 let region = query.to_region(self.a.shape())?;
                 let (v, stats) =
@@ -103,7 +102,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_max",
-            query.ndim(),
             || {
                 let region = query.to_region(self.a.shape())?;
                 let (at, v, stats) =
@@ -117,7 +115,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_min",
-            query.ndim(),
             || {
                 let region = query.to_region(self.a.shape())?;
                 let order = ReverseOrder::new(NaturalOrder::<T>::new());
@@ -222,7 +219,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_sum",
-            query.ndim(),
             || {
                 let region = query.to_region(self.a.shape())?;
                 let (v, stats) = self.tree.range_sum_with_stats(&self.a, &region, true)?;
@@ -334,7 +330,6 @@ impl<T: NumericValue + Send + Sync + 'static> RangeEngine<T> for SparseSumEngine
         crate::telemetry::observe_query(
             || self.label(),
             "range_sum",
-            query.ndim(),
             || {
                 let region = query.to_region(self.inner.shape())?;
                 let (v, stats) = self.inner.range_sum_with_stats(&region)?;
@@ -435,7 +430,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_max",
-            query.ndim(),
             || {
                 let region = query.to_region(self.inner.shape())?;
                 let (result, stats) = self.inner.range_max_with_stats(&region)?;

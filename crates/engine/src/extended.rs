@@ -183,7 +183,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_sum",
-            query.ndim(),
             || {
                 let (v, stats) = self.aggregate(query)?;
                 Ok(QueryOutcome::aggregate(v, stats, EngineKind::ExtendedCube))

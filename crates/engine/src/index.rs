@@ -396,7 +396,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_sum",
-            query.ndim(),
             || {
                 let region = query.to_region(self.a.shape())?;
                 let kind = if self.prefix.is_some() {
@@ -422,7 +421,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_sum",
-            query.ndim(),
             || {
                 let region = query.to_region(self.a.shape())?;
                 let kind = if self.prefix.is_some() {
@@ -444,7 +442,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_max",
-            query.ndim(),
             || {
                 let region = query.to_region(self.a.shape())?;
                 let kind = if self.max_tree.is_some() {
@@ -462,7 +459,6 @@ where
         crate::telemetry::observe_query(
             || self.label(),
             "range_min",
-            query.ndim(),
             || {
                 let region = query.to_region(self.a.shape())?;
                 let kind = if self.min_tree.is_some() {

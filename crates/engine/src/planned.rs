@@ -224,7 +224,6 @@ impl<T: NumericValue + PartialOrd + Send + Sync + 'static> RangeEngine<T> for Pl
         crate::telemetry::observe_query(
             || RangeEngine::label(self),
             "range_sum",
-            query.ndim(),
             || {
                 let kind = if self.route(query).is_some() {
                     EngineKind::PlannedCuboid

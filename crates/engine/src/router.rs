@@ -69,8 +69,8 @@
 //! re-derived — updates carry its last good snapshot forward untouched.
 //!
 //! [`AdaptiveRouter::fault_stats`] and [`AdaptiveRouter::health`] expose
-//! the resilience counters and per-engine breaker state; with the
-//! `telemetry` feature the same events reach the metric registry and the
+//! the resilience counters and per-engine breaker state; under an active
+//! telemetry context the same events reach the metric registry and the
 //! flight recorder.
 
 use crate::approx::DegradeTier;
@@ -131,8 +131,8 @@ pub struct EngineHealth {
     pub consecutive_faults: u32,
 }
 
-/// Resilience counters, maintained with or without the `telemetry`
-/// feature (the chaos harness reads them directly).
+/// Resilience counters, maintained with or without a telemetry context
+/// (the chaos harness reads them directly).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Engine faults that caused the router to try the next candidate.
@@ -372,7 +372,6 @@ impl RouterState {
                 && c.op == op
                 && c.query == *query
             {
-                #[cfg(feature = "telemetry")]
                 if let Some(ctx) = olap_telemetry::current() {
                     ctx.registry()
                         .counter("olap_router_cache_hits_total", &[])
@@ -910,7 +909,6 @@ impl<V> AdaptiveRouter<V> {
     ) -> Result<(usize, f64, QueryOutcome<V>), EngineError> {
         // Covers decision, dispatch, and failover; inert (one relaxed
         // atomic load) unless a trace scope is entered on this thread.
-        #[cfg(feature = "telemetry")]
         let _route_span = olap_telemetry::TraceSpan::start("router_dispatch");
         // Pin the snapshot first: the whole query — decision, dispatch,
         // failover — runs against this one consistent engine set even if
@@ -962,12 +960,10 @@ impl<V> AdaptiveRouter<V> {
                 }
             }
             let p = predictions[i];
-            #[cfg(feature = "telemetry")]
             let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
             // Dispatch with no router lock held: concurrent queries on
             // other threads proceed while this engine works.
             let dispatched = {
-                #[cfg(feature = "telemetry")]
                 let _kernel_span = olap_telemetry::TraceSpan::start("kernel_exec");
                 Self::dispatch(&set, i, query, op, &meter)
             };
@@ -976,7 +972,6 @@ impl<V> AdaptiveRouter<V> {
                     let mut st = self.lock_state();
                     st.note_success(i);
                     st.observe(i, p.raw, outcome.cost());
-                    #[cfg(feature = "telemetry")]
                     if let Some((ctx, start)) = observing {
                         // analyzer: allow(panic-site, reason = "ratios is kept parallel to the engine set by push(); i enumerates that set")
                         record_route(&ctx, start, &set, i, op, p, st.ratios[i], &outcome);
@@ -1097,10 +1092,8 @@ impl<V> AdaptiveRouter<V> {
             .approx
             .as_ref()
             .ok_or(EngineError::NoCandidate { op: op.name() })?;
-        #[cfg(feature = "telemetry")]
         let _degrade_span = olap_telemetry::TraceSpan::start("degrade");
         let (estimate, stats) = tier.degraded(query, op)?;
-        #[cfg(feature = "telemetry")]
         if let Some(ctx) = olap_telemetry::current() {
             ctx.registry()
                 .counter(
@@ -1113,8 +1106,6 @@ impl<V> AdaptiveRouter<V> {
                 .histogram("olap_approx_relative_bound", &[])
                 .observe(permille.clamp(0.0, u64::MAX as f64) as u64);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = reason;
         Ok((estimate, stats))
     }
 
@@ -1291,12 +1282,9 @@ impl<V> AdaptiveRouter<V> {
     }
 }
 
-/// Counts one fault-tolerance event in the telemetry registry (no-op
-/// without the `telemetry` feature; the [`FaultStats`] counters are
-/// maintained unconditionally by the caller).
-#[allow(unused_variables)]
+/// Counts one fault-tolerance event in the telemetry registry (the
+/// [`FaultStats`] counters are maintained unconditionally by the caller).
 fn record_fault_event<V>(set: &EngineSet<V>, event: &'static str, i: usize, op: EngineOp) {
-    #[cfg(feature = "telemetry")]
     if let Some(ctx) = olap_telemetry::current() {
         // analyzer: allow(panic-site, reason = "i enumerates the pinned engine set")
         let label = set.engines[i].label();
@@ -1312,7 +1300,6 @@ fn record_fault_event<V>(set: &EngineSet<V>, event: &'static str, i: usize, op: 
 /// Records one routed execution: route-choice counter, the chosen
 /// engine's post-observation EWMA ratio, the calibration drift, and a
 /// flight record.
-#[cfg(feature = "telemetry")]
 #[allow(clippy::too_many_arguments)]
 fn record_route<V>(
     ctx: &olap_telemetry::Telemetry,
@@ -1653,7 +1640,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn routed_queries_reach_registry_and_flight_recorder() {
         use std::sync::Arc;
@@ -2108,7 +2094,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn degraded_answers_reach_the_registry() {
         let ctx = Arc::new(olap_telemetry::Telemetry::new());

@@ -468,11 +468,10 @@ where
         let Some(region) = self.resolve(query) else {
             return self.backend.range_sum(query);
         };
-        #[cfg(feature = "telemetry")]
-        let started = std::time::Instant::now();
+        // Context and clock together: an idle site is one atomic load.
+        let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
         let epoch0 = self.backend.epoch();
         let plan = {
-            #[cfg(feature = "telemetry")]
             let _lookup_span = olap_telemetry::TraceSpan::start("cache_lookup");
             self.plan(&region, epoch0)
         };
@@ -483,8 +482,9 @@ where
                 stats.step(1);
                 // An exact hit never reaches the router, so it writes its
                 // own flight record (the only place that knows it happened).
-                #[cfg(feature = "telemetry")]
-                self.record_exact_hit(started);
+                if let Some((ctx, started)) = observing {
+                    self.record_exact_hit(&ctx, started);
+                }
                 Ok(QueryOutcome::aggregate(
                     sum,
                     stats,
@@ -493,11 +493,9 @@ where
             }
             Plan::Assemble { base, residual } => {
                 let assembled = {
-                    #[cfg(feature = "telemetry")]
                     let _assembly_span = olap_telemetry::TraceSpan::start("cache_assembly");
                     // Residual backend dispatches below record flight
                     // records; annotate them as assembly legs.
-                    #[cfg(feature = "telemetry")]
                     let _outcome = olap_telemetry::CacheOutcomeScope::set("assembled");
                     self.assemble(query, &region, epoch0, base, &residual)?
                 };
@@ -751,7 +749,6 @@ where
     ) -> Result<QueryOutcome<V>, EngineError> {
         // The backend dispatch records the flight record; annotate it as
         // a consulted-but-missed cache path.
-        #[cfg(feature = "telemetry")]
         let _outcome = olap_telemetry::CacheOutcomeScope::set("miss");
         let out = self.backend.range_sum(query)?;
         self.bump("olap_cache_misses_total", &self.misses, 1);
@@ -909,15 +906,10 @@ where
     }
 
     /// Bumps a local counter and mirrors it to the telemetry registry
-    /// when compiled in and a context is active.
+    /// when a context is active.
     fn bump(&self, name: &'static str, local: &AtomicU64, n: u64) {
         // ordering: Relaxed — statistics counter, no synchronisation.
         local.fetch_add(n, Ordering::Relaxed);
-        self.export_counter(name, n);
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn export_counter(&self, name: &'static str, n: u64) {
         if let Some(ctx) = olap_telemetry::current() {
             ctx.registry()
                 .counter(name, &[("cache", &self.label)])
@@ -925,34 +917,25 @@ where
         }
     }
 
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn export_counter(&self, _name: &'static str, _n: u64) {}
-
     /// Writes the flight record for an exact cache hit — the one serving
     /// outcome the router never sees.
-    #[cfg(feature = "telemetry")]
-    fn record_exact_hit(&self, started: std::time::Instant) {
-        if let Some(ctx) = olap_telemetry::current() {
-            let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            ctx.recorder().record(olap_telemetry::FlightRecord {
-                seq: 0,
-                op: "range_sum",
-                engine: self.label.clone(),
-                kind: EngineKind::SemanticCache.to_string(),
-                raw: 1.0,
-                predicted: 1.0,
-                observed: 1,
-                a_cells: 0,
-                p_cells: 0,
-                tree_nodes: 0,
-                latency_ns: nanos,
-                cache: "exact",
-            });
-        }
+    fn record_exact_hit(&self, ctx: &olap_telemetry::Telemetry, started: std::time::Instant) {
+        ctx.recorder().record(olap_telemetry::FlightRecord {
+            seq: 0,
+            op: "range_sum",
+            engine: self.label.clone(),
+            kind: EngineKind::SemanticCache.to_string(),
+            raw: 1.0,
+            predicted: 1.0,
+            observed: 1,
+            a_cells: 0,
+            p_cells: 0,
+            tree_nodes: 0,
+            latency_ns: crate::telemetry::elapsed_nanos(started),
+            cache: "exact",
+        });
     }
 
-    #[cfg(feature = "telemetry")]
     fn publish_entries(&self, len: usize) {
         if let Some(ctx) = olap_telemetry::current() {
             ctx.registry()
@@ -960,10 +943,6 @@ where
                 .set(len as f64);
         }
     }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn publish_entries(&self, _len: usize) {}
 }
 
 impl<V, B> std::fmt::Debug for SemanticCache<V, B> {

@@ -2,9 +2,8 @@
 //!
 //! Every query method of every [`crate::RangeEngine`] impl funnels through
 //! [`observe_query`], and every `apply_updates` through an
-//! [`UpdateObservation`] guard. With the `telemetry` cargo feature off the
-//! shims compile to plain passthroughs; with it on but no telemetry
-//! context active, the cost per call is the one relaxed atomic load inside
+//! [`UpdateObservation`] guard. With no telemetry context active, the
+//! cost per call is the one relaxed atomic load inside
 //! `olap_telemetry::current`.
 //!
 //! Series recorded (all labelled `engine=<label>`):
@@ -13,30 +12,24 @@
 //! - `olap_engine_accesses{engine, op}` — §8 element accesses per query
 //! - `olap_engine_latency_nanos{engine, op}` — wall time per call
 //! - `olap_engine_update_cells_total{engine}` — cells written by updates
-//! - `olap_span_nanos{span=<op>}` — via the span API, one series per op
-//!   across engines
 
 use crate::EngineError;
 use olap_query::{AccessStats, QueryOutcome};
 
-/// Runs `f` (one engine query) and records count, accesses, latency, and a
-/// span for it. `label` is only invoked when a telemetry context is
-/// active, so the disabled path allocates nothing.
-#[cfg(feature = "telemetry")]
+/// Runs `f` (one engine query) and records count, accesses and latency
+/// for it. `label` is only invoked when a telemetry context is active, so
+/// the idle path allocates nothing.
 pub(crate) fn observe_query<T>(
     label: impl Fn() -> String,
     op: &'static str,
-    dims: usize,
     f: impl FnOnce() -> Result<QueryOutcome<T>, EngineError>,
 ) -> Result<QueryOutcome<T>, EngineError> {
     let Some(ctx) = olap_telemetry::current() else {
         return f();
     };
-    let span = olap_telemetry::SpanTimer::start(op, &[("dims", dims as f64)]);
     let start = std::time::Instant::now();
     let result = f();
     let nanos = elapsed_nanos(start);
-    drop(span);
     let label = label();
     let labels: &[(&str, &str)] = &[("engine", &label), ("op", op)];
     let reg = ctx.registry();
@@ -55,23 +48,10 @@ pub(crate) fn observe_query<T>(
     result
 }
 
-/// Passthrough when telemetry is compiled out.
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-pub(crate) fn observe_query<T>(
-    _label: impl Fn() -> String,
-    _op: &'static str,
-    _dims: usize,
-    f: impl FnOnce() -> Result<QueryOutcome<T>, EngineError>,
-) -> Result<QueryOutcome<T>, EngineError> {
-    f()
-}
-
 /// Guard for instrumenting `apply_updates`, split into `start`/`finish`
 /// so the mutable borrow of the engine between the two calls doesn't
 /// collide with the label closure.
 pub(crate) struct UpdateObservation {
-    #[cfg(feature = "telemetry")]
     active: Option<(
         std::sync::Arc<olap_telemetry::Telemetry>,
         std::time::Instant,
@@ -80,56 +60,45 @@ pub(crate) struct UpdateObservation {
 
 impl UpdateObservation {
     /// Captures the active context (if any) and a start time.
-    #[cfg_attr(not(feature = "telemetry"), inline(always))]
     pub(crate) fn start() -> Self {
         UpdateObservation {
-            #[cfg(feature = "telemetry")]
             active: olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now())),
         }
     }
 
     /// Records one finished `apply_updates` call: cells written, accesses,
     /// latency, errors. `label` is only invoked when recording.
-    #[cfg_attr(not(feature = "telemetry"), inline(always))]
     pub(crate) fn finish(
         self,
         label: impl Fn() -> String,
         cells: usize,
         result: &Result<AccessStats, EngineError>,
     ) {
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (label, cells, result);
-        }
-        #[cfg(feature = "telemetry")]
-        {
-            let Some((ctx, start)) = self.active else {
-                return;
-            };
-            let nanos = elapsed_nanos(start);
-            let label = label();
-            let labels: &[(&str, &str)] = &[("engine", &label), ("op", "apply_updates")];
-            let reg = ctx.registry();
-            reg.counter("olap_engine_queries_total", labels).inc(1);
-            match result {
-                Ok(stats) => {
-                    reg.counter("olap_engine_update_cells_total", &[("engine", &label)])
-                        .inc(cells as u64);
-                    reg.histogram("olap_engine_accesses", labels)
-                        .observe(stats.total_accesses());
-                    reg.histogram("olap_engine_latency_nanos", labels)
-                        .observe(nanos);
-                }
-                Err(_) => {
-                    reg.counter("olap_engine_errors_total", labels).inc(1);
-                }
+        let Some((ctx, start)) = self.active else {
+            return;
+        };
+        let nanos = elapsed_nanos(start);
+        let label = label();
+        let labels: &[(&str, &str)] = &[("engine", &label), ("op", "apply_updates")];
+        let reg = ctx.registry();
+        reg.counter("olap_engine_queries_total", labels).inc(1);
+        match result {
+            Ok(stats) => {
+                reg.counter("olap_engine_update_cells_total", &[("engine", &label)])
+                    .inc(cells as u64);
+                reg.histogram("olap_engine_accesses", labels)
+                    .observe(stats.total_accesses());
+                reg.histogram("olap_engine_latency_nanos", labels)
+                    .observe(nanos);
+            }
+            Err(_) => {
+                reg.counter("olap_engine_errors_total", labels).inc(1);
             }
         }
     }
 }
 
 /// Saturating nanoseconds since `start`.
-#[cfg(feature = "telemetry")]
 pub(crate) fn elapsed_nanos(start: std::time::Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }

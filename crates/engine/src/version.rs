@@ -56,7 +56,6 @@ pub struct EpochStats {
 /// its engine-set snapshots under the same gauges.
 pub(crate) struct EpochTracker {
     /// Cell name, the `cell` label on the exported gauges.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     label: String,
     /// Epochs with at least one live [`EngineVersion`].
     live: Mutex<BTreeSet<u64>>,
@@ -106,10 +105,8 @@ impl EpochTracker {
     }
 
     /// Pushes the live-snapshot gauges to the telemetry registry (no-op
-    /// without the feature or an active context).
-    #[allow(unused_variables)]
+    /// without an active context).
     fn publish(&self, live: &BTreeSet<u64>) {
-        #[cfg(feature = "telemetry")]
         if let Some(ctx) = olap_telemetry::current() {
             let reg = ctx.registry();
             let labels = [("cell", self.label.as_str())];

@@ -51,7 +51,6 @@ fn stats_survive_router_dispatch() {
     );
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn stats_unchanged_with_telemetry_recording() {
     // Recording is observation only: the outcome with a telemetry context

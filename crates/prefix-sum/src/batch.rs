@@ -71,7 +71,6 @@ pub fn plan_regions<G: AbelianGroup>(
     recurse(shape.dims(), op, entries, &mut Vec::new(), &mut out);
     // Every batch path (basic and blocked) plans here, so this is the one
     // choke point for the regions-vs-Theorem-2 accounting.
-    #[cfg(feature = "telemetry")]
     if let Some(ctx) = olap_telemetry::current() {
         let reg = ctx.registry();
         reg.counter("olap_batch_plans_total", &[]).inc(1);
@@ -484,7 +483,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn planning_records_regions_vs_bound() {
         let ctx = std::sync::Arc::new(olap_telemetry::Telemetry::new());

@@ -201,7 +201,7 @@ pub fn drive_load(
         // Readers re-enter the driving thread's telemetry scope, so the
         // per-shard latency histograms the server feeds during fan-out
         // land in the caller's registry, not nowhere.
-        let telemetry = crate::server::capture_scope();
+        let telemetry = olap_telemetry::current();
         std::thread::scope(|scope| {
             for r in 0..readers {
                 let cases = &cases;

@@ -30,13 +30,11 @@
 
 mod driver;
 mod error;
-#[cfg(feature = "telemetry")]
 mod metrics_http;
 mod server;
 
 pub use driver::{drive_load, LoadReport, LoadSpec};
 pub use error::ServerError;
-#[cfg(feature = "telemetry")]
 pub use metrics_http::{
     degraded_fraction_report, publish_latency_quantiles, slo_report, DegradedFractionViolation,
     MetricsServer, SloViolation,

@@ -14,7 +14,7 @@
 //! Each shard owns one worker thread draining an mpsc queue. A fanned-out
 //! query enqueues one job per overlapping shard and collects the partial
 //! answers; the per-shard queue depth is tracked in an atomic (exported
-//! as the `olap_shard_queue_depth` gauge with the `telemetry` feature).
+//! as the `olap_shard_queue_depth` gauge under a telemetry context).
 //! Workers execute through the shard's [`AdaptiveRouter`] — cost-ranked
 //! routing, failover, circuit breakers, and budget admission all apply
 //! per shard, and every update installs an immutable snapshot, so worker
@@ -75,8 +75,7 @@ pub struct ServeConfig {
     pub cache_size: usize,
     /// Declarative latency objective the operator holds this server to.
     /// The server only carries it ([`CubeServer::slo`]); evaluation
-    /// against live quantiles is the scrape layer's job (`slo_report`
-    /// with the `telemetry` feature).
+    /// against live quantiles is the scrape layer's job (`slo_report`).
     pub slo: Option<SloSpec>,
     /// Queue-depth threshold above which a fanned-out query is shed to
     /// the shard's degradation tier instead of enqueued (the
@@ -108,8 +107,7 @@ impl Default for ServeConfig {
 
 /// A declarative per-shard latency SLO: bounds on the serve-latency
 /// quantiles (the `olap_serve_latency_ns` histogram family), each
-/// optional. Plain data — carried by [`ServeConfig`] on every build so
-/// configs stay declarative whether or not telemetry is compiled in.
+/// optional. Plain data, carried by [`ServeConfig`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SloSpec {
     /// Median bound, nanoseconds.
@@ -122,8 +120,7 @@ pub struct SloSpec {
     /// approximate tier, in permille (‰) so the spec stays `Eq`-able
     /// plain data. `Some(50)` = at most 5 % of answers may be estimates.
     /// Evaluated against the `olap_serve_answers_total` /
-    /// `olap_serve_degraded_total` counters by `degraded_fraction_report`
-    /// (the `telemetry` feature).
+    /// `olap_serve_degraded_total` counters by `degraded_fraction_report`.
     pub max_degraded_per_mille: Option<u64>,
 }
 
@@ -292,7 +289,6 @@ struct Job {
     /// Trace carrier across the queue: started on the submitting thread
     /// under the query's root span, finished by the worker — so the time
     /// a job sits on the mpsc queue is its own `queue_wait` span.
-    #[cfg(feature = "telemetry")]
     trace: Option<olap_telemetry::PendingSpan>,
 }
 
@@ -340,45 +336,20 @@ impl Shard {
     }
 }
 
-/// The telemetry scope active on the thread that builds the server,
-/// captured so worker threads can re-enter it — worker-side cache
-/// counters and queue gauges then publish to the same registry as the
-/// builder's.
-#[cfg(feature = "telemetry")]
-pub(crate) type Scope = Option<Arc<olap_telemetry::Telemetry>>;
-
-#[cfg(feature = "telemetry")]
-pub(crate) fn capture_scope() -> Scope {
-    olap_telemetry::current()
-}
-/// Stand-in scope when telemetry is compiled out: same shape for the
-/// capture/enter call sites, nothing to carry.
-#[cfg(not(feature = "telemetry"))]
-#[derive(Clone)]
-pub(crate) struct ScopeStub;
-
-#[cfg(not(feature = "telemetry"))]
-pub(crate) fn capture_scope() -> ScopeStub {
-    ScopeStub
-}
-
-#[cfg(feature = "telemetry")]
-pub(crate) fn enter_scope(scope: Scope, f: impl FnOnce()) {
+/// Runs `f` under `scope` — the telemetry context (`olap_telemetry::current()`)
+/// captured on the thread that spawned this one — so worker-side cache
+/// counters and queue gauges publish to the same registry as the
+/// spawner's.
+pub(crate) fn enter_scope(scope: Option<Arc<olap_telemetry::Telemetry>>, f: impl FnOnce()) {
     match scope {
         Some(ctx) => olap_telemetry::with_scope(&ctx, f),
         None => f(),
     }
 }
-#[cfg(not(feature = "telemetry"))]
-pub(crate) fn enter_scope(_scope: ScopeStub, f: impl FnOnce()) {
-    f()
-}
 
 /// Pushes a shard's queue depth to the metric registry (no-op without
-/// the `telemetry` feature or an active context).
-#[allow(unused_variables)]
+/// an active context).
 fn publish_depth(label: &str, depth: &AtomicI64) {
-    #[cfg(feature = "telemetry")]
     if let Some(ctx) = olap_telemetry::current() {
         ctx.registry()
             .gauge("olap_shard_queue_depth", &[("shard", label)])
@@ -424,7 +395,6 @@ fn shard_worker(
                 op,
                 query,
                 reply,
-                #[cfg(feature = "telemetry")]
                 trace,
             } = job;
             // Re-enter the query's trace, if it carried one: finishing
@@ -432,10 +402,8 @@ fn shard_worker(
             // returned scope parents the worker-side spans (shard_exec,
             // the cache's lookup/assembly, the router's dispatch) under
             // the same root.
-            #[cfg(feature = "telemetry")]
             let entered = trace.map(olap_telemetry::PendingSpan::finish_and_enter);
             let out = {
-                #[cfg(feature = "telemetry")]
                 let _exec_span = olap_telemetry::TraceSpan::start("shard_exec");
                 let exact = match op {
                     EngineOp::Sum => cache.range_sum(&query),
@@ -455,7 +423,6 @@ fn shard_worker(
             // span is then closed strictly before the submitter can
             // observe the reply and close the root, so child spans never
             // outlive their parent in the assembled tree.
-            #[cfg(feature = "telemetry")]
             drop(entered);
             // A dropped reply receiver means the query already failed on
             // another shard; nothing to do with this partial answer.
@@ -538,10 +505,8 @@ impl DegradeMerge {
 
 /// Bumps the serve-level answer counters behind the degraded-fraction
 /// SLO check (`olap_serve_answers_total` / `olap_serve_degraded_total`).
-/// No-op without the `telemetry` feature or an active context.
-#[allow(unused_variables)]
+/// No-op without an active context.
 fn record_served(degraded: bool) {
-    #[cfg(feature = "telemetry")]
     if let Some(ctx) = olap_telemetry::current() {
         ctx.registry()
             .counter("olap_serve_answers_total", &[])
@@ -643,14 +608,11 @@ pub struct CubeServer {
     /// keeps tracing fully disabled: with no root span ever opened, the
     /// per-query cost of every instrumentation point downstream is one
     /// relaxed atomic load.
-    #[cfg(feature = "telemetry")]
     tracer: Option<Arc<olap_telemetry::TraceSink>>,
     /// Head-sampling period: trace every `trace_sample`-th query (1 =
     /// every query). See [`CubeServer::enable_tracing_sampled`].
-    #[cfg(feature = "telemetry")]
     trace_sample: u64,
     /// Round-robin query counter driving the head sample.
-    #[cfg(feature = "telemetry")]
     trace_seq: std::sync::atomic::AtomicU64,
 }
 
@@ -682,11 +644,8 @@ impl CubeServer {
             writer: Mutex::new(()),
             slo: config.slo,
             queue_limit: config.queue_depth_limit,
-            #[cfg(feature = "telemetry")]
             tracer: None,
-            #[cfg(feature = "telemetry")]
             trace_sample: 1,
-            #[cfg(feature = "telemetry")]
             trace_seq: std::sync::atomic::AtomicU64::new(0),
         })
     }
@@ -706,7 +665,6 @@ impl CubeServer {
     /// span, fans `queue_wait` spans across the shard queues, and the
     /// workers' execution spans land in the same tree (see the
     /// `olap_telemetry::trace` module docs for the tree shape).
-    #[cfg(feature = "telemetry")]
     pub fn enable_tracing(&mut self, sink: Arc<olap_telemetry::TraceSink>) {
         self.tracer = Some(sink);
         self.trace_sample = 1;
@@ -725,14 +683,12 @@ impl CubeServer {
     /// Note the slow-query ring only sees sampled queries: head sampling
     /// decides before the outcome is known, which is the standard trade
     /// against the cost of tracing everything.
-    #[cfg(feature = "telemetry")]
     pub fn enable_tracing_sampled(&mut self, sink: Arc<olap_telemetry::TraceSink>, every: u64) {
         self.tracer = Some(sink);
         self.trace_sample = every.max(1);
     }
 
     /// The installed trace sink, if any.
-    #[cfg(feature = "telemetry")]
     pub fn tracer(&self) -> Option<&Arc<olap_telemetry::TraceSink>> {
         self.tracer.as_ref()
     }
@@ -740,7 +696,6 @@ impl CubeServer {
     /// Opens the per-query root span when tracing is enabled. Held by
     /// the query entry points across fan-out and merge; inert (`None`)
     /// without an installed sink.
-    #[cfg(feature = "telemetry")]
     fn root_span(&self) -> Option<olap_telemetry::TraceSpan> {
         use std::sync::atomic::Ordering;
         let sink = self.tracer.as_ref()?;
@@ -802,10 +757,8 @@ impl CubeServer {
     /// # Errors
     /// Validation failures, shard router errors, dead shards.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<ServerAnswer, ServerError> {
-        #[cfg(feature = "telemetry")]
         let _root = self.root_span();
         let parts = self.fan_out(query, EngineOp::Sum)?;
-        #[cfg(feature = "telemetry")]
         let _merge = olap_telemetry::TraceSpan::start("merge");
         let shards = parts.len();
         let mut value = 0i64;
@@ -862,10 +815,8 @@ impl CubeServer {
     }
 
     fn extremum(&self, query: &RangeQuery, op: EngineOp) -> Result<ServerAnswer, ServerError> {
-        #[cfg(feature = "telemetry")]
         let _root = self.root_span();
         let parts = self.fan_out(query, op)?;
-        #[cfg(feature = "telemetry")]
         let _merge = olap_telemetry::TraceSpan::start("merge");
         let shards = parts.len();
         let mut best: Option<(i64, Vec<usize>)> = None;
@@ -996,8 +947,8 @@ impl CubeServer {
     fn fan_out(&self, query: &RangeQuery, op: EngineOp) -> Result<Vec<ShardPart>, ServerError> {
         let region = query.to_region(&self.shape)?;
         let r0 = region.range(0);
-        #[cfg(feature = "telemetry")]
-        let started = std::time::Instant::now();
+        // Context and clock together: an idle site is one atomic load.
+        let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
         let (reply, replies) = mpsc::channel();
         let mut expected = 0usize;
         let mut parts: Vec<ShardPart> = Vec::new();
@@ -1048,7 +999,6 @@ impl CubeServer {
                 reply: reply.clone(),
                 // Inert (`None`) unless the caller holds an open root
                 // span — i.e. tracing is enabled on this server.
-                #[cfg(feature = "telemetry")]
                 trace: olap_telemetry::PendingSpan::start("queue_wait"),
             })?;
             volumes.push((i, volume));
@@ -1059,8 +1009,9 @@ impl CubeServer {
             let (shard, out) = replies
                 .recv()
                 .map_err(|_| ServerError::ShardUnavailable { shard: usize::MAX })?;
-            #[cfg(feature = "telemetry")]
-            self.observe_latency(shard, started);
+            if let Some((ctx, started)) = &observing {
+                self.observe_latency(ctx, shard, *started);
+            }
             let volume = volumes
                 .iter()
                 .find(|(i, _)| *i == shard)
@@ -1078,15 +1029,17 @@ impl CubeServer {
 
     /// Feeds one shard's reply-arrival latency (submit-to-reply, queue
     /// wait included) into the per-shard `olap_serve_latency_ns`
-    /// histogram. No-op without an active telemetry context.
-    #[cfg(feature = "telemetry")]
-    fn observe_latency(&self, shard: usize, started: std::time::Instant) {
-        if let Some(ctx) = olap_telemetry::current() {
-            if let Some(s) = self.shards.get(shard) {
-                ctx.registry()
-                    .histogram("olap_serve_latency_ns", &[("shard", &s.label)])
-                    .observe(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            }
+    /// histogram.
+    fn observe_latency(
+        &self,
+        ctx: &olap_telemetry::Telemetry,
+        shard: usize,
+        started: std::time::Instant,
+    ) {
+        if let Some(s) = self.shards.get(shard) {
+            ctx.registry()
+                .histogram("olap_serve_latency_ns", &[("shard", &s.label)])
+                .observe(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
         }
     }
 }
@@ -1171,7 +1124,7 @@ fn build_shard(
 
     let depth = Arc::new(AtomicI64::new(0));
     let (tx, rx) = mpsc::channel();
-    let scope = capture_scope();
+    let scope = olap_telemetry::current();
     let worker = std::thread::Builder::new()
         .name(format!("olap-{label}"))
         .spawn({

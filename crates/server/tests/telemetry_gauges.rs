@@ -2,8 +2,6 @@
 //! active, building a server, answering queries, and installing updates
 //! must publish per-shard snapshot and queue metrics into the registry.
 
-#![cfg(feature = "telemetry")]
-
 use olap_array::{Region, Shape};
 use olap_query::RangeQuery;
 use olap_server::{CubeServer, ServeConfig};
@@ -194,4 +192,63 @@ fn degraded_serving_publishes_approx_counters_and_slo_check() {
     assert!(text.contains("olap_serve_degraded_total"), "{text}");
     assert!(text.contains("olap_approx_answers_total"), "{text}");
     assert!(text.contains("olap_approx_relative_bound"), "{text}");
+}
+
+#[test]
+fn unscoped_server_records_nothing_beside_a_scoped_one() {
+    // One build, so "no context ⇒ nothing recorded" is a runtime property:
+    // a server built and queried outside any scope must leave no trace in
+    // a registry a concurrent scoped server is filling, nor in the global.
+    let a = uniform_cube(Shape::new(&[16, 8]).unwrap(), 300, 64);
+    let config = || ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    // Distinct single columns: no region contains or equals another, so
+    // every shard part is a cache miss and exactly one engine dispatch.
+    // Rows 6..=9 straddle the shard boundary at row 8.
+    let queries: Vec<RangeQuery> = (0..8)
+        .map(|c| {
+            let rows = if c % 2 == 0 { (6, 9) } else { (1, 5) };
+            RangeQuery::from_region(&Region::from_bounds(&[rows, (c, c)]).unwrap())
+        })
+        .collect();
+    let global_before = olap_telemetry::global().registry().len();
+    let ctx = Arc::new(Telemetry::new());
+    let scoped = olap_telemetry::with_scope(&ctx, || CubeServer::build(&a, config()).unwrap());
+    let unscoped = CubeServer::build(&a, config()).unwrap();
+
+    // Both threads issue query i together, so the two servers' workers
+    // run interleaved.
+    let barrier = std::sync::Barrier::new(2);
+    let ask = |srv: &CubeServer| -> Vec<_> {
+        queries
+            .iter()
+            .flat_map(|q| {
+                barrier.wait();
+                [srv.range_sum(q).unwrap(), srv.range_max(q).unwrap()]
+            })
+            .collect()
+    };
+    let (recorded, quiet) = std::thread::scope(|s| {
+        let recorded = s.spawn(|| olap_telemetry::with_scope(&ctx, || ask(&scoped)));
+        let quiet = s.spawn(|| ask(&unscoped));
+        (recorded.join().unwrap(), quiet.join().unwrap())
+    });
+
+    assert_eq!(quiet, recorded, "recording must not perturb answers");
+    let shard_ops: u64 = recorded.iter().map(|ans| ans.shards as u64).sum();
+    let engine_queries: u64 = ctx
+        .registry()
+        .snapshot()
+        .iter()
+        .filter(|m| m.name == "olap_engine_queries_total")
+        .filter_map(|m| match &m.value {
+            MetricValue::Counter(v) => Some(*v),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(engine_queries, shard_ops);
+    assert_eq!(ctx.recorder().recorded(), shard_ops);
+    assert_eq!(olap_telemetry::global().registry().len(), global_before);
 }

@@ -13,8 +13,6 @@
 //! └─ merge
 //! ```
 
-#![cfg(feature = "telemetry")]
-
 use olap_array::{Region, Shape};
 use olap_query::RangeQuery;
 use olap_server::{CubeServer, ServeConfig};

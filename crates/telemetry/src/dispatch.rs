@@ -1,9 +1,9 @@
 //! Global and scoped telemetry contexts, and the one-atomic-load fast
 //! path instrumented code relies on.
 //!
-//! A [`Telemetry`] context bundles a [`Registry`], a [`FlightRecorder`],
-//! and an optional [`Subscriber`]. Instrumented call sites ask
-//! [`current`] for the active context:
+//! A [`Telemetry`] context bundles a [`Registry`] and a
+//! [`FlightRecorder`]. Instrumented call sites ask [`current`] for the
+//! active context:
 //!
 //! - if **no** context is active anywhere in the process, [`current`] is a
 //!   single relaxed atomic load returning `None` — the disabled cost the
@@ -18,18 +18,15 @@
 
 use crate::flight::FlightRecorder;
 use crate::registry::Registry;
-use crate::span::Subscriber;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-/// A bundle of telemetry sinks: metric registry, flight recorder, and an
-/// optional span subscriber.
+/// A bundle of telemetry sinks: metric registry and flight recorder.
 #[derive(Default)]
 pub struct Telemetry {
     registry: Registry,
     recorder: FlightRecorder,
-    subscriber: Mutex<Option<Arc<dyn Subscriber>>>,
 }
 
 impl Telemetry {
@@ -45,7 +42,6 @@ impl Telemetry {
         Telemetry {
             registry: Registry::new(),
             recorder: FlightRecorder::with_capacity(capacity),
-            subscriber: Mutex::new(None),
         }
     }
 
@@ -57,17 +53,6 @@ impl Telemetry {
     /// The flight recorder.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
-    }
-
-    /// Installs a span subscriber (replacing any previous one).
-    pub fn set_subscriber(&self, s: Arc<dyn Subscriber>) {
-        *self.subscriber.lock().expect("subscriber lock") = Some(s);
-    }
-
-    /// The current span subscriber, if any.
-    pub fn subscriber(&self) -> Option<Arc<dyn Subscriber>> {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than silently drop the subscriber")
-        self.subscriber.lock().expect("subscriber lock").clone()
     }
 }
 
@@ -198,6 +183,7 @@ fn current_slow() -> Option<Arc<Telemetry>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     // These tests share the process-global ACTIVE counter with every
     // other test in this binary, so they only assert on *scoped* state

@@ -8,8 +8,6 @@
 //! - [`Registry`]: a thread-safe registry of named, labelled [`Counter`]s,
 //!   [`Gauge`]s, and log2-bucketed [`Histogram`]s, renderable as
 //!   Prometheus-style text or JSON,
-//! - [`span!`] / [`Subscriber`]: a lightweight span API timing named code
-//!   sections with static fields,
 //! - [`FlightRecorder`]: a fixed-capacity ring buffer of the last N query
 //!   outcomes + route decisions ([`FlightRecord`]), dumpable as JSON,
 //! - [`TraceSpan`] / [`TraceSink`]: end-to-end per-query tracing — span
@@ -52,7 +50,6 @@
 mod dispatch;
 mod flight;
 mod registry;
-mod span;
 mod trace;
 
 pub use dispatch::{
@@ -64,7 +61,6 @@ pub use flight::{
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
 };
-pub use span::{CollectingSubscriber, SpanTimer, Subscriber};
 pub use trace::{
     current_trace, tracing_active, EnteredTrace, PendingSpan, SlowTrace, SpanId, SpanRecord,
     SpanTree, TraceContext, TraceHandle, TraceId, TraceSink, TraceSpan, DEFAULT_SLOW_RING_CAPACITY,

@@ -41,8 +41,7 @@
 //! the *full tree* of any trace whose root exceeds a threshold — and are
 //! exportable as Chrome trace-event JSON via [`TraceSink::to_chrome_json`]
 //! (loadable in `chrome://tracing` or Perfetto). When a telemetry context
-//! is also active, every completed span additionally feeds the existing
-//! [`Subscriber`](crate::Subscriber) seam and the
+//! is also active, every completed span additionally feeds the
 //! `olap_span_nanos{span=NAME}` histogram, so aggregate per-stage
 //! latencies come from the same instrumentation points.
 
@@ -210,17 +209,13 @@ fn pop_scope() -> Option<ScopeEntry> {
     popped
 }
 
-/// Feeds a completed span through the existing telemetry seam: the
-/// `olap_span_nanos{span=NAME}` histogram and the context's
-/// [`Subscriber`](crate::Subscriber), when a telemetry context is active.
+/// Feeds a completed span into the `olap_span_nanos{span=NAME}`
+/// histogram, when a telemetry context is active.
 fn forward_to_telemetry(name: &'static str, nanos: u64) {
     if let Some(ctx) = crate::current() {
         ctx.registry()
             .histogram("olap_span_nanos", &[("span", name)])
             .observe(nanos);
-        if let Some(sub) = ctx.subscriber() {
-            sub.record_span(name, &[], nanos);
-        }
     }
 }
 
@@ -957,24 +952,23 @@ mod tests {
     }
 
     #[test]
-    fn spans_feed_the_subscriber_seam() {
+    fn spans_feed_the_span_histogram() {
         let ctx = Arc::new(Telemetry::new());
-        let sub = Arc::new(crate::CollectingSubscriber::new());
-        ctx.set_subscriber(sub.clone());
         let sink = Arc::new(TraceSink::new());
         with_scope(&ctx, || {
             let root = TraceSpan::root(&sink, "serve_query");
             drop(TraceSpan::start("kernel_exec"));
             drop(root);
         });
-        assert_eq!(
-            ctx.registry()
-                .histogram("olap_span_nanos", &[("span", "kernel_exec")])
-                .count(),
-            1
-        );
-        let names: Vec<&str> = sub.spans().iter().map(|s| s.0).collect();
-        assert_eq!(names, vec!["kernel_exec", "serve_query"]);
+        for name in ["kernel_exec", "serve_query"] {
+            assert_eq!(
+                ctx.registry()
+                    .histogram("olap_span_nanos", &[("span", name)])
+                    .count(),
+                1,
+                "{name}"
+            );
+        }
     }
 
     #[test]
