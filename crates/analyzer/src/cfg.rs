@@ -1,5 +1,5 @@
-//! A lightweight intra-function CFG: loop extents, a statement tree for
-//! all-paths analyses, and guard-binding liveness spans.
+//! A lightweight intra-function CFG: loop extents and guard-binding
+//! liveness spans.
 //!
 //! Like the outline, this is not a parser — it is brace/paren matching
 //! over the token stream, leaning on two Rust grammar facts: struct
@@ -8,16 +8,11 @@
 //! construct's block), and every other statement ends at a depth-0 `;`
 //! or at the end of its enclosing block (a trailing expression).
 //!
-//! Three consumers:
+//! Two consumers:
 //!
 //! * **budget-coverage** asks for the loops in a function body
 //!   ([`loops_in`]) so it can check each body for a `BudgetMeter`
 //!   charge;
-//! * **span-discipline** asks whether every control-flow path from a
-//!   binding to the end of its scope touches the bound name
-//!   ([`parse_block`] + [`every_path_touches`]) — `if` without `else`,
-//!   a non-exhaustive-looking match arm, and loop bodies (which may run
-//!   zero times) all fail the "every path" test;
 //! * **pin-across-blocking** asks for guard bindings and their live
 //!   spans ([`guard_bindings`]): `let g = x.lock()…;` is live from its
 //!   statement's end to the end of the enclosing block, truncated at an
@@ -25,7 +20,7 @@
 //!
 //! Constructs the pass cannot model (macro bodies that expand to control
 //! flow, `loop` inside a macro invocation) simply produce no loops or
-//! statements; rules degrade toward silence, never toward false
+//! bindings; rules degrade toward silence, never toward false
 //! positives.
 
 use crate::lexer::{TokKind, Token};
@@ -105,263 +100,6 @@ pub fn loops_in(toks: &[Token], a: usize, b: usize) -> Vec<LoopInfo> {
     out
 }
 
-/// One statement in the tree.
-#[derive(Debug, Clone)]
-pub struct Stmt {
-    /// Full token extent of the statement, inclusive.
-    pub range: (usize, usize),
-    /// The statement's shape.
-    pub kind: StmtKind,
-}
-
-/// Statement shapes the all-paths analysis distinguishes.
-#[derive(Debug, Clone)]
-pub enum StmtKind {
-    /// Anything without modeled control flow (lets, calls, `return e;`,
-    /// `expr;`, trailing expressions).
-    Simple,
-    /// A bare `{ … }` or `unsafe { … }` block.
-    Block(Vec<Stmt>),
-    /// `if header { then } [else { else_ }]` — an `else if` chain parses
-    /// as a one-statement else block holding the next `if`.
-    If {
-        /// Token extent of the condition (`if`/`if let` header).
-        header: (usize, usize),
-        /// Then-branch statements.
-        then_b: Vec<Stmt>,
-        /// Else-branch statements, when an `else` is present.
-        else_b: Option<Vec<Stmt>>,
-    },
-    /// `for`/`while`/`loop` — the body may execute zero times, so it
-    /// never satisfies an all-paths requirement.
-    Loop {
-        /// Token extent of the loop header (keyword through pre-brace).
-        header: (usize, usize),
-        /// Body statements.
-        body: Vec<Stmt>,
-    },
-    /// `match header { arms }` — each arm is a statement list.
-    Match {
-        /// Token extent of the scrutinee.
-        header: (usize, usize),
-        /// One statement list per arm.
-        arms: Vec<Vec<Stmt>>,
-    },
-}
-
-/// Parses the statements of the block whose braces sit at token indices
-/// `open` and `close`.
-pub fn parse_block(toks: &[Token], open: usize, close: usize) -> Vec<Stmt> {
-    let mut out = Vec::new();
-    let mut i = open + 1;
-    while i < close.min(toks.len()) {
-        let t = &toks[i];
-        if t.is_punct(";") {
-            i += 1;
-            continue;
-        }
-        if t.is_punct("{") {
-            let end = match_brace(toks, i).min(close);
-            out.push(Stmt {
-                range: (i, end),
-                kind: StmtKind::Block(parse_block(toks, i, end)),
-            });
-            i = end + 1;
-            continue;
-        }
-        if t.is_ident("unsafe") && toks.get(i + 1).is_some_and(|n| n.is_punct("{")) {
-            let end = match_brace(toks, i + 1).min(close);
-            out.push(Stmt {
-                range: (i, end),
-                kind: StmtKind::Block(parse_block(toks, i + 1, end)),
-            });
-            i = end + 1;
-            continue;
-        }
-        if t.is_ident("if") {
-            let (stmt, next) = parse_if(toks, i, close);
-            out.push(stmt);
-            i = next;
-            continue;
-        }
-        if (t.is_ident("while") || t.is_ident("loop"))
-            || (t.is_ident("for") && !toks.get(i + 1).is_some_and(|n| n.is_punct("<")))
-        {
-            if let Some(body_open) = header_block(toks, i + 1, close) {
-                let body_close = match_brace(toks, body_open).min(close);
-                out.push(Stmt {
-                    range: (i, body_close),
-                    kind: StmtKind::Loop {
-                        header: (i, body_open.saturating_sub(1)),
-                        body: parse_block(toks, body_open, body_close),
-                    },
-                });
-                i = body_close + 1;
-                continue;
-            }
-        }
-        if t.is_ident("match") {
-            if let Some(body_open) = header_block(toks, i + 1, close) {
-                let body_close = match_brace(toks, body_open).min(close);
-                out.push(Stmt {
-                    range: (i, body_close),
-                    kind: StmtKind::Match {
-                        header: (i, body_open.saturating_sub(1)),
-                        arms: parse_arms(toks, body_open, body_close),
-                    },
-                });
-                // A statement-position match can still be part of a larger
-                // expression statement (`match … {}.foo();`) — rare; the
-                // trailing tokens parse as the next Simple statement,
-                // which is fine for an any-mention analysis.
-                i = body_close + 1;
-                continue;
-            }
-        }
-        // Simple statement: to the depth-0 `;` or the end of the block.
-        let end = simple_end(toks, i, close);
-        out.push(Stmt {
-            range: (i, end),
-            kind: StmtKind::Simple,
-        });
-        i = end + 1;
-    }
-    out
-}
-
-/// Parses `if … { … } [else if … | else { … }]` starting at the `if`
-/// keyword; returns the statement and the index just past it.
-fn parse_if(toks: &[Token], if_kw: usize, close: usize) -> (Stmt, usize) {
-    let Some(then_open) = header_block(toks, if_kw + 1, close) else {
-        // Malformed / macro-mangled: degrade to a simple statement.
-        let end = simple_end(toks, if_kw, close);
-        return (
-            Stmt {
-                range: (if_kw, end),
-                kind: StmtKind::Simple,
-            },
-            end + 1,
-        );
-    };
-    let then_close = match_brace(toks, then_open).min(close);
-    let then_b = parse_block(toks, then_open, then_close);
-    let mut end = then_close;
-    let mut else_b = None;
-    if toks.get(then_close + 1).is_some_and(|t| t.is_ident("else")) {
-        if toks.get(then_close + 2).is_some_and(|t| t.is_ident("if")) {
-            let (nested, next) = parse_if(toks, then_close + 2, close);
-            end = nested.range.1;
-            else_b = Some(vec![nested]);
-            return (
-                Stmt {
-                    range: (if_kw, end),
-                    kind: StmtKind::If {
-                        header: (if_kw, then_open.saturating_sub(1)),
-                        then_b,
-                        else_b,
-                    },
-                },
-                next,
-            );
-        }
-        if toks.get(then_close + 2).is_some_and(|t| t.is_punct("{")) {
-            let else_close = match_brace(toks, then_close + 2).min(close);
-            else_b = Some(parse_block(toks, then_close + 2, else_close));
-            end = else_close;
-        }
-    }
-    (
-        Stmt {
-            range: (if_kw, end),
-            kind: StmtKind::If {
-                header: (if_kw, then_open.saturating_sub(1)),
-                then_b,
-                else_b,
-            },
-        },
-        end + 1,
-    )
-}
-
-/// Splits a match body `[open, close]` into arm statement lists. Each
-/// arm is `pattern [if guard] => expr-or-block`, separated by depth-0
-/// commas after expression arms.
-fn parse_arms(toks: &[Token], open: usize, close: usize) -> Vec<Vec<Stmt>> {
-    let mut arms = Vec::new();
-    let mut i = open + 1;
-    while i < close.min(toks.len()) {
-        // Skip the pattern: forward to the depth-0 `=>`.
-        let mut d = 0i32;
-        let mut arrow = None;
-        let mut j = i;
-        while j < close {
-            let tj = &toks[j];
-            if tj.is_punct("(") || tj.is_punct("[") || tj.is_punct("{") {
-                d += 1;
-            } else if tj.is_punct(")") || tj.is_punct("]") || tj.is_punct("}") {
-                d -= 1;
-            } else if d <= 0 && tj.is_punct("=>") {
-                arrow = Some(j);
-                break;
-            }
-            j += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        let body_start = arrow + 1;
-        if toks.get(body_start).is_some_and(|t| t.is_punct("{")) {
-            let body_close = match_brace(toks, body_start).min(close);
-            arms.push(parse_block(toks, body_start, body_close));
-            i = body_close + 1;
-            if toks.get(i).is_some_and(|t| t.is_punct(",")) {
-                i += 1;
-            }
-        } else {
-            // Expression arm: to the depth-0 `,` or the match close.
-            let mut d = 0i32;
-            let mut k = body_start;
-            while k < close {
-                let tk = &toks[k];
-                if tk.is_punct("(") || tk.is_punct("[") || tk.is_punct("{") {
-                    d += 1;
-                } else if tk.is_punct(")") || tk.is_punct("]") || tk.is_punct("}") {
-                    d -= 1;
-                } else if d <= 0 && tk.is_punct(",") {
-                    break;
-                }
-                k += 1;
-            }
-            arms.push(vec![Stmt {
-                range: (body_start, k.saturating_sub(1).max(body_start)),
-                kind: StmtKind::Simple,
-            }]);
-            i = k + 1;
-        }
-    }
-    arms
-}
-
-/// First `{` at paren/bracket depth 0 in `[from, close)` — the block a
-/// control-flow header opens. `None` when the construct has no block
-/// before the enclosing close (macro-mangled input).
-fn header_block(toks: &[Token], from: usize, close: usize) -> Option<usize> {
-    let mut d = 0i32;
-    let mut j = from;
-    while j < close.min(toks.len()) {
-        let tj = &toks[j];
-        if tj.is_punct("(") || tj.is_punct("[") {
-            d += 1;
-        } else if tj.is_punct(")") || tj.is_punct("]") {
-            d -= 1;
-        } else if d <= 0 && tj.is_punct("{") {
-            return Some(j);
-        } else if d <= 0 && tj.is_punct(";") {
-            return None;
-        }
-        j += 1;
-    }
-    None
-}
-
 /// End of the simple statement starting at `i`: its depth-0 `;`, or the
 /// token before the enclosing block's close for a trailing expression.
 pub(crate) fn simple_end(toks: &[Token], i: usize, close: usize) -> usize {
@@ -382,66 +120,6 @@ pub(crate) fn simple_end(toks: &[Token], i: usize, close: usize) -> usize {
         j += 1;
     }
     close.saturating_sub(1).max(i)
-}
-
-/// Whether identifier `name` occurs in the token range `[a, b]`.
-pub fn mentions(toks: &[Token], range: (usize, usize), name: &str) -> bool {
-    let (a, b) = range;
-    toks[a..=b.min(toks.len().saturating_sub(1))]
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && t.text == name)
-}
-
-/// Whether **every** control-flow path through `stmts` mentions `name`.
-///
-/// Loops never satisfy the requirement through their bodies (zero
-/// iterations is a path), `if` needs both branches (or a mention in the
-/// header), `match` needs every arm.
-pub fn every_path_touches(stmts: &[Stmt], toks: &[Token], name: &str) -> bool {
-    stmts.iter().any(|s| must_touch(s, toks, name))
-}
-
-fn must_touch(s: &Stmt, toks: &[Token], name: &str) -> bool {
-    match &s.kind {
-        StmtKind::Simple => mentions(toks, s.range, name),
-        StmtKind::Block(b) => every_path_touches(b, toks, name),
-        StmtKind::If {
-            header,
-            then_b,
-            else_b,
-        } => {
-            mentions(toks, *header, name)
-                || (else_b.as_ref().is_some_and(|e| {
-                    every_path_touches(then_b, toks, name) && every_path_touches(e, toks, name)
-                }))
-        }
-        StmtKind::Loop { header, .. } => mentions(toks, *header, name),
-        StmtKind::Match { header, arms } => {
-            mentions(toks, *header, name)
-                || (!arms.is_empty() && arms.iter().all(|a| every_path_touches(a, toks, name)))
-        }
-    }
-}
-
-/// Locates the statement list directly containing token `tok` and the
-/// index of the containing statement within it — the scope whose
-/// remaining statements an all-paths analysis must examine.
-pub fn containing_list(stmts: &[Stmt], tok: usize) -> Option<(&[Stmt], usize)> {
-    for (i, s) in stmts.iter().enumerate() {
-        if !(s.range.0 <= tok && tok <= s.range.1) {
-            continue;
-        }
-        let deeper = match &s.kind {
-            StmtKind::Simple => None,
-            StmtKind::Block(b) => containing_list(b, tok),
-            StmtKind::If { then_b, else_b, .. } => containing_list(then_b, tok)
-                .or_else(|| else_b.as_ref().and_then(|e| containing_list(e, tok))),
-            StmtKind::Loop { body, .. } => containing_list(body, tok),
-            StmtKind::Match { arms, .. } => arms.iter().find_map(|a| containing_list(a, tok)),
-        };
-        return deeper.or(Some((stmts, i)));
-    }
-    None
 }
 
 /// A `let`-bound guard with its live span.
@@ -589,62 +267,6 @@ mod tests {
         let loops = loops_in(&toks, open, close);
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].kind, "loop");
-    }
-
-    #[test]
-    fn statement_tree_models_if_else_and_match() {
-        let (toks, open, close) = body_of(
-            "fn f() {\n  let x = 1;\n  if a { b(); } else { c(); }\n  match v { A => d(), B => { e(); } }\n  tail()\n}\n",
-        );
-        let stmts = parse_block(&toks, open, close);
-        assert_eq!(stmts.len(), 4, "{stmts:#?}");
-        assert!(matches!(stmts[0].kind, StmtKind::Simple));
-        assert!(matches!(
-            &stmts[1].kind,
-            StmtKind::If {
-                else_b: Some(_),
-                ..
-            }
-        ));
-        match &stmts[2].kind {
-            StmtKind::Match { arms, .. } => assert_eq!(arms.len(), 2),
-            k => panic!("expected match, got {k:?}"),
-        }
-        assert!(matches!(stmts[3].kind, StmtKind::Simple));
-    }
-
-    #[test]
-    fn every_path_needs_both_if_branches() {
-        let check = |src: &str| {
-            let (toks, open, close) = body_of(src);
-            let stmts = parse_block(&toks, open, close);
-            every_path_touches(&stmts, &toks, "p")
-        };
-        // Both branches touch `p`.
-        assert!(check("fn f() { if a { p.go(); } else { drop(p); } }"));
-        // Missing else: the fall-through path never touches `p`.
-        assert!(!check("fn f() { if a { p.go(); } }"));
-        // One branch misses it.
-        assert!(!check("fn f() { if a { p.go(); } else { other(); } }"));
-        // A later unconditional statement covers all paths.
-        assert!(check("fn f() { if a { other(); }\n  p.go(); }"));
-        // Loop bodies never guarantee execution…
-        assert!(!check("fn f() { while a { p.go(); } }"));
-        // …but a mention in the loop header does.
-        assert!(check("fn f() { for x in p.iter() { use_(x); } }"));
-        // Match needs every arm.
-        assert!(check("fn f() { match a { A => p.go(), B => drop(p) } }"));
-        assert!(!check("fn f() { match a { A => p.go(), B => other() } }"));
-    }
-
-    #[test]
-    fn containing_list_finds_the_binding_scope() {
-        let (toks, open, close) = body_of("fn f() { if a { let p = mk(); use_(p); } tail(); }");
-        let stmts = parse_block(&toks, open, close);
-        let p_tok = toks.iter().position(|t| t.is_ident("p")).unwrap();
-        let (list, idx) = containing_list(&stmts, p_tok).unwrap();
-        assert_eq!(idx, 0);
-        assert_eq!(list.len(), 2, "the then-branch list, not the outer one");
     }
 
     #[test]

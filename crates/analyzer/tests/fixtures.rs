@@ -225,21 +225,14 @@ fn pin_across_blocking_guard_stays_quiet() {
 }
 
 #[test]
-fn span_discipline_positive_flags_leak_and_field() {
+fn span_discipline_positive_flags_the_stored_span() {
     let r = run(
         "crates/server/src/fx.rs",
         include_str!("fixtures/span_discipline_positive.rs"),
     );
     let f = active(&r, "span-discipline");
-    // The abandoned PendingSpan and the TraceSpan field.
-    assert_eq!(f.len(), 2, "{f:#?}");
-    let msgs: Vec<&str> = f.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("not consumed on every path")),
-        "{msgs:?}"
-    );
-    assert!(msgs.iter().any(|m| m.contains("stored in")), "{msgs:?}");
+    assert_eq!(f.len(), 1, "{f:#?}");
+    assert!(f[0].message.contains("stored in"), "{f:#?}");
 }
 
 #[test]
@@ -248,7 +241,7 @@ fn span_discipline_allowed_findings_are_recorded_but_inactive() {
         "crates/server/src/fx.rs",
         include_str!("fixtures/span_discipline_allowed.rs"),
     );
-    assert_eq!(all(&r, "span-discipline").len(), 2);
+    assert_eq!(all(&r, "span-discipline").len(), 1);
     assert!(active(&r, "span-discipline").is_empty());
     assert!(active(&r, "malformed-allow").is_empty());
 }

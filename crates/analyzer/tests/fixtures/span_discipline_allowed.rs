@@ -1,16 +1,7 @@
-//! Fixture: span-discipline allowed — both shapes carry reasoned
-//! inline allows, so the findings are recorded but inactive.
+//! Fixture: span-discipline allowed — the stored span carries a reasoned
+//! inline allow, so the finding is recorded but inactive.
 
 pub struct Worker {
     // analyzer: allow(span-discipline, reason = "inert placeholder: never records, kept for layout compatibility")
     span: TraceSpan,
-}
-
-pub fn enqueue(job: Job) -> Result<(), Full> {
-    // analyzer: allow(span-discipline, reason = "span intentionally abandoned: the queue_wait frame is reconstructed by the worker")
-    let pending = PendingSpan::start("queue_wait");
-    if job.oversized() {
-        return Err(Full);
-    }
-    push(job)
 }

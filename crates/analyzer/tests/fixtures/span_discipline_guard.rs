@@ -1,29 +1,14 @@
-//! Fixture: span-discipline false-positive guard — spans consumed on
-//! every path, explicit drops, underscore opt-outs, and field types
-//! that merely mention spans in their name must all stay quiet.
+//! Fixture: span-discipline false-positive guard — spans held on the
+//! stack and field types that merely mention spans in their name must
+//! stay quiet.
 
 pub struct Worker {
     name: SpanName,
+    trace: Option<TraceHandle>,
 }
 
-/// Consumed on every path: both branches finish or drop the span.
-pub fn enqueue(job: Job) -> Result<(), Full> {
-    let pending = PendingSpan::start("queue_wait");
-    if job.oversized() {
-        drop(pending);
-        return Err(Full);
-    }
-    let _guard = pending.finish_and_enter();
-    push(job)
-}
-
-/// Immediately consumed: no binding survives the statement.
+/// A stack-held RAII span is the intended use.
 pub fn run(job: Job) {
-    let _guard = PendingSpan::start("run").finish_and_enter();
+    let _span = TraceSpan::start("run");
     push(job);
-}
-
-/// Underscore prefix opts out of the discipline.
-pub fn fire_and_forget() {
-    let _pending = PendingSpan::start("background");
 }

@@ -1,15 +1,6 @@
-//! Fixture: span-discipline positive — a `PendingSpan` that is neither
-//! entered nor dropped on the early-return path, and a `TraceSpan`
-//! parked in a struct field.
+//! Fixture: span-discipline positive — a `TraceSpan` parked in a struct
+//! field.
 
 pub struct Worker {
     span: TraceSpan,
-}
-
-pub fn enqueue(job: Job) -> Result<(), Full> {
-    let pending = PendingSpan::start("queue_wait");
-    if job.oversized() {
-        return Err(Full);
-    }
-    push(job)
 }

@@ -2,10 +2,10 @@
 //! installs turn over? Two prices are pinned:
 //!
 //! - **fan-out**: a `range_sum` through the `CubeServer` front door —
-//!   region decomposition across shard slabs, one queue hop per
-//!   overlapping shard, partial-merge on the caller — measured at one
-//!   shard (pure dispatch overhead over a plain router) and at four
-//!   (real fan-out with partial sums in flight);
+//!   region decomposition across shard slabs, each overlapping shard's
+//!   part answered in turn on the calling thread, partials folded as they
+//!   arrive — measured at one shard (pure dispatch overhead over a plain
+//!   router) and at four (real fan-out);
 //! - **install**: a full derive+install cycle for a small single-shard
 //!   update batch — the copy-on-write successor derivation, the epoch
 //!   registration, and the pointer swap that publishes it.
@@ -18,8 +18,8 @@
 //! telemetry scope, so the metrics instrumentation — priced by its own
 //! overhead benches — stays out of the delta):
 //!
-//! - `traced_range_sum/4`: every query traced — root span, queue-wait
-//!   spans across the shard queues, worker-side cache/exec spans, merge.
+//! - `traced_range_sum/4`: every query traced — root span, one
+//!   `shard_exec` per part with its cache/router/kernel spans, merge.
 //!   Informational; the honest price of a full per-query span tree on a
 //!   microsecond-scale dispatch-bound query.
 //! - `sampled_trace_range_sum/4`: the production configuration, a 1-in-8

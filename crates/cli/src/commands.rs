@@ -41,7 +41,7 @@ commands:
   trace    --out FILE [--cube FILE | --dims N,N[,N…]] [--queries N] [--shards N]
            [--seed S] [--slow-ms MS]
            serve a traced seeded workload and export every query's span tree
-           (queue wait, cache lookup, router dispatch, kernel exec, merge) as
+           (shard exec, cache lookup, router dispatch, kernel exec, merge) as
            Chrome trace-event JSON for chrome://tracing or Perfetto;
            --slow-ms keeps full trees of over-threshold queries in a ring
   chaos    --cube FILE [--queries N] [--updates U] [--seed S] [--error-rate PM] [--panic-rate PM]

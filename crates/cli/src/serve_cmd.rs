@@ -1,7 +1,7 @@
 //! The `serve` command: boot a sharded [`CubeServer`] over a stored
 //! cube, drive the seeded concurrent load driver against it, and print a
 //! serving report — per-shard slab extents, snapshot epochs, reclamation
-//! lag, queue depths, and the oracle verdict. Every driver answer must be
+//! lag, parts in flight, and the oracle verdict. Every driver answer must be
 //! bit-identical to the pre- or post-update sequential oracle; any torn
 //! read fails the command with a non-zero exit, so it doubles as the CI
 //! smoke leg for the snapshot-isolation contract.
@@ -214,7 +214,7 @@ fn drill(a: &DenseArray<i64>, params: &ServeParams) -> Result<String, CliError> 
 
     let mut out = Vec::new();
     out.push(format!(
-        "serve: {} shard workers over a {:?} cube (seed {seed}{})",
+        "serve: {} shards over a {:?} cube (seed {seed}{})",
         server.shards(),
         a.shape().dims(),
         if error_pm > 0 {
@@ -223,10 +223,12 @@ fn drill(a: &DenseArray<i64>, params: &ServeParams) -> Result<String, CliError> 
             String::new()
         }
     ));
-    out.push(String::from("shard  rows          epoch  live  lag  queue"));
+    out.push(String::from(
+        "shard  rows          epoch  live  lag  inflight",
+    ));
     for s in server.shard_stats() {
         out.push(format!(
-            "{:>5}  {:>4}..{:<6} {:>6} {:>5} {:>4} {:>6}",
+            "{:>5}  {:>4}..{:<6} {:>6} {:>5} {:>4} {:>9}",
             s.shard,
             s.rows.0,
             s.rows.1,
@@ -325,7 +327,7 @@ mod tests {
             "9",
         ])
         .unwrap();
-        assert!(out.contains("serve: 4 shard workers"), "{out}");
+        assert!(out.contains("serve: 4 shards over"), "{out}");
         assert!(out.contains("0 mismatches"), "{out}");
         assert!(out.contains("snapshot isolation: OK"), "{out}");
         std::fs::remove_file(path).ok();

@@ -3,8 +3,8 @@
 //! Chrome trace-event JSON (loadable in `chrome://tracing` or Perfetto).
 //!
 //! Each query produces one trace rooted at `serve_query`, with the
-//! serving stages — queue wait, cache lookup/assembly, router dispatch,
-//! kernel execution, fan-out merge — as nested spans (see the
+//! serving stages — per-shard execution, cache lookup/assembly, router
+//! dispatch, kernel execution, merge — as nested spans (see the
 //! `olap_telemetry::trace` module docs for the tree shape). The first
 //! region is queried twice, so a default run also shows the semantic
 //! cache short-circuiting a repeat: the second tree has no
@@ -176,7 +176,8 @@ mod tests {
         let json = std::fs::read_to_string(&out_path).unwrap();
         assert!(json.contains("\"traceEvents\""), "{json}");
         assert!(json.contains("\"displayTimeUnit\": \"ns\""), "{json}");
-        assert!(json.contains("\"queue_wait\""), "{json}");
+        assert!(json.contains("\"shard_exec\""), "{json}");
+        assert!(!json.contains("\"queue_wait\""), "{json}");
         assert!(json.contains("\"merge\""), "{json}");
         // Braces balance — the export is at least structurally JSON.
         let opens = json.matches('{').count();

@@ -143,6 +143,17 @@ fn phase_batch(server: &CubeServer, spec: &LoadSpec, phase: usize) -> Vec<(Vec<u
     batch
 }
 
+/// Runs `f` under `scope` — the telemetry context captured on the thread
+/// that spawned this one — so a reader thread's queries record into the
+/// driving thread's registry (the server records into whatever context
+/// its *caller* has entered).
+fn enter_scope(scope: Option<std::sync::Arc<olap_telemetry::Telemetry>>, f: impl FnOnce()) {
+    match scope {
+        Some(ctx) => olap_telemetry::with_scope(&ctx, f),
+        None => f(),
+    }
+}
+
 /// Drives the seeded concurrent workload and tallies oracle agreement.
 ///
 /// `cube` must be the exact array the server was built from; the driver
@@ -198,9 +209,9 @@ pub fn drive_load(
             })
             .collect();
 
-        // Readers re-enter the driving thread's telemetry scope, so the
-        // per-shard latency histograms the server feeds during fan-out
-        // land in the caller's registry, not nowhere.
+        // Readers re-enter the driving thread's telemetry scope, so
+        // everything the server records while answering them lands in
+        // the caller's registry, not nowhere.
         let telemetry = olap_telemetry::current();
         std::thread::scope(|scope| {
             for r in 0..readers {
@@ -211,7 +222,7 @@ pub fn drive_load(
                 let first_error = &first_error;
                 let telemetry = telemetry.clone();
                 scope.spawn(move || {
-                    crate::server::enter_scope(telemetry, move || {
+                    enter_scope(telemetry, move || {
                         for (q, op, pre, after) in cases.iter().skip(r).step_by(readers) {
                             match served(server, q, *op) {
                                 Ok(got) => {

@@ -16,12 +16,6 @@ pub enum ServerError {
     /// A shard's router reported a failure (all failover candidates
     /// exhausted, a budget interrupt, or an update derive error).
     Engine(EngineError),
-    /// A shard's worker thread is gone; the server can no longer answer
-    /// for that slab.
-    ShardUnavailable {
-        /// Index of the dead shard.
-        shard: usize,
-    },
 }
 
 impl fmt::Display for ServerError {
@@ -30,9 +24,6 @@ impl fmt::Display for ServerError {
             ServerError::Config(msg) => write!(f, "server configuration: {msg}"),
             ServerError::Validation(e) => write!(f, "validation: {e}"),
             ServerError::Engine(e) => write!(f, "engine: {e}"),
-            ServerError::ShardUnavailable { shard } => {
-                write!(f, "shard {shard} worker is unavailable")
-            }
         }
     }
 }

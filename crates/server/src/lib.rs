@@ -1,20 +1,21 @@
 //! The sharded, snapshot-isolated serving layer over the engine crate.
 //!
 //! [`CubeServer`] partitions a dense cube into contiguous slabs along the
-//! leading dimension and gives each slab to a worker thread with its own
+//! leading dimension and gives each slab its own
 //! [`olap_engine::AdaptiveRouter`] — the PR-4 failover/circuit-breaker
-//! machinery, now shareable because every router method takes `&self`.
-//! Queries fan out to the shards their region overlaps and the partial
-//! answers recombine (sums add; argmax/argmin map back to global
-//! coordinates). Batched updates derive copy-on-write successor snapshots
-//! per shard and install them atomically, so in-flight queries finish on
-//! the snapshot they pinned — readers are never blocked by a writer.
+//! machinery, shareable because every router method takes `&self`. The
+//! server starts no thread: a query runs on its caller's thread, visits
+//! the shards its region overlaps in shard order, and folds the partial
+//! answers as they are produced (sums add; argmax/argmin map back to
+//! global coordinates). Batched updates derive copy-on-write successor
+//! snapshots per shard and install them atomically, so in-flight queries
+//! finish on the snapshot they pinned — readers are never blocked by a
+//! writer.
 //!
-//! Each worker answers sums through a per-shard
+//! Each shard answers sums through a per-shard
 //! [`olap_engine::SemanticCache`] (repeat regions hit, contained regions
-//! assemble by ±-combination, installs invalidate region-wise) and
-//! batch-plans its queue so overlapping queries share one super-region
-//! execution; see the `server` module docs.
+//! assemble by ±-combination, installs invalidate region-wise); see the
+//! `server` module docs.
 //!
 //! [`drive_load`] is the seeded mixed-workload driver behind
 //! `olap-cli serve`: phases of concurrent readers racing one single-shard

@@ -9,31 +9,44 @@
 //! sub-cube with the same trailing dimensions and queries translate by an
 //! offset on axis 0 only.
 //!
-//! # Threads and queues
+//! # Threads
 //!
-//! Each shard owns one worker thread draining an mpsc queue. A fanned-out
-//! query enqueues one job per overlapping shard and collects the partial
-//! answers; the per-shard queue depth is tracked in an atomic (exported
-//! as the `olap_shard_queue_depth` gauge under a telemetry context).
-//! Workers execute through the shard's [`AdaptiveRouter`] — cost-ranked
-//! routing, failover, circuit breakers, and budget admission all apply
-//! per shard, and every update installs an immutable snapshot, so worker
-//! reads are never blocked by a writer.
+//! The server starts none. A query runs start to finish on the thread
+//! that called [`CubeServer::range_sum`] / [`CubeServer::range_max`] /
+//! [`CubeServer::range_min`]: for each overlapping shard, in shard order,
+//! shed check → [`SemanticCache`] → [`AdaptiveRouter`] → kernel →
+//! degradation fallback, each partial folded into the answer as it is
+//! produced. Nothing on that path needs serialising — every engine is
+//! `Send + Sync` with `&self` queries, and every update installs an
+//! immutable snapshot, so a reader pins the version it started on and is
+//! never blocked by a writer. Cost-ranked routing, failover, circuit
+//! breakers and budget admission all apply per shard.
+//!
+//! The accepted trade-off: a query that spans several shards runs its
+//! parts one after another, not in parallel. Concurrency comes from the
+//! callers (one closed-loop client per core keeps every core busy). A
+//! cross-thread hand-off costs tens of microseconds per part and a cached
+//! part well under one, so intra-query fan-out would have to buy back
+//! more than it spends.
+//!
+//! Each shard counts the parts currently executing on it — incremented on
+//! entry to a part, decremented on every exit path, unwinding included.
+//! That in-flight count is what [`ShardStats::queue_depth`] reports, what
+//! [`ServeConfig::queue_depth_limit`] sheds on, and what the
+//! `olap_shard_queue_depth` gauge exports under a telemetry context.
+//! Telemetry records into the *calling* thread's context
+//! (`olap_telemetry::current()` at the time of the call), not the one
+//! active when the server was built.
 //!
 //! # Semantic caching
 //!
-//! Each shard worker answers sums through a per-shard
-//! [`SemanticCache`] wrapping its router: repeated regions hit exactly,
-//! contained regions assemble by ±-combination when the cost model prices
-//! the residuals below direct execution, and everything else falls
-//! through. The worker also batch-plans its queue: jobs already waiting
-//! are drained together, overlapping sum queries are grouped, and when
-//! one execution of the group's bounding super-region is estimated
-//! cheaper than the members' direct executions the super-region is
-//! primed once so members assemble from it. Updates route through the
-//! same cache, which invalidates region-wise — entries in untouched
-//! slabs survive the install. `ServeConfig::cache_size == 0` disables
-//! all of it.
+//! Each shard answers sums through a per-shard [`SemanticCache`] wrapping
+//! its router: repeated regions hit exactly, contained regions assemble
+//! by ±-combination when the cost model prices the residuals below direct
+//! execution, and everything else falls through. Updates route through
+//! the same cache, which invalidates region-wise — entries in untouched
+//! slabs survive the install. `ServeConfig::cache_size == 0` disables all
+//! of it.
 //!
 //! # Updates
 //!
@@ -47,22 +60,21 @@
 //! pre-or-post-oracle answers.
 
 use crate::ServerError;
-use olap_array::{DegradePolicy, DenseArray, QueryBudget, Region, Shape};
+use olap_array::{DegradePolicy, DenseArray, QueryBudget, Shape};
 use olap_engine::{
-    AdaptiveRouter, ApproxEngine, CacheBackend, CacheStats, CubeIndex, DegradeReason, EngineError,
-    EngineOp, EpochStats, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine, RangeEngine,
-    SemanticCache, SumTreeEngine,
+    AdaptiveRouter, ApproxEngine, CacheStats, CubeIndex, DegradeReason, EngineError, EngineOp,
+    EpochStats, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine, RangeEngine, SemanticCache,
+    SumTreeEngine,
 };
-use olap_query::algebra::{bounding_union, difference};
-use olap_query::{AccessStats, Answer, Estimate, QueryOutcome, RangeQuery};
+use olap_query::{AccessStats, Answer, DimSelection, Estimate, QueryOutcome, RangeQuery};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// How a [`CubeServer`] is assembled.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shard count; clamped to the leading dimension's extent.
+    /// Shard count; clamped to the leading dimension's extent.
     pub shards: usize,
     /// Per-query budget every shard router admits queries under.
     pub budget: QueryBudget,
@@ -77,16 +89,18 @@ pub struct ServeConfig {
     /// The server only carries it ([`CubeServer::slo`]); evaluation
     /// against live quantiles is the scrape layer's job (`slo_report`).
     pub slo: Option<SloSpec>,
-    /// Queue-depth threshold above which a fanned-out query is shed to
-    /// the shard's degradation tier instead of enqueued (the
-    /// [`DegradeReason::QueueDepth`] path). `None` never sheds.
+    /// In-flight threshold: a part arriving at a shard that already has
+    /// more than this many parts executing is shed to the shard's
+    /// degradation tier instead of joining them (the
+    /// [`DegradeReason::QueueDepth`] path). `Some(0)` never sheds a lone
+    /// caller; `None` never sheds.
     pub queue_depth_limit: Option<i64>,
 }
 
 impl ServeConfig {
     /// Whether this configuration arms the degradation tier: either the
-    /// budget policy opts into falling back on exhaustion, or a queue
-    /// depth limit asks for pre-dispatch shedding.
+    /// budget policy opts into falling back on exhaustion, or an
+    /// in-flight limit asks for pre-dispatch shedding.
     pub fn degrade_enabled(&self) -> bool {
         self.budget.on_exhaustion == DegradePolicy::Degrade || self.queue_depth_limit.is_some()
     }
@@ -257,14 +271,6 @@ impl ShardOutcome {
     }
 }
 
-/// One fanned-out partial answer: the shard, its local query volume (for
-/// exact-cell accounting in the merge), and the outcome.
-struct ShardPart {
-    shard: usize,
-    volume: u64,
-    out: ShardOutcome,
-}
-
 /// One shard's serving statistics, for operators and tests.
 #[derive(Debug, Clone)]
 pub struct ShardStats {
@@ -274,164 +280,112 @@ pub struct ShardStats {
     pub rows: (usize, usize),
     /// Snapshot-liveness bookkeeping of the shard's router.
     pub epochs: EpochStats,
-    /// Jobs currently enqueued (or in flight) on the shard's worker.
+    /// Parts of fanned-out queries currently executing on the shard,
+    /// across all calling threads.
     pub queue_depth: i64,
     /// The shard's semantic-cache counters.
     pub cache: CacheStats,
 }
 
-/// One enqueued unit of work: a shard-local query plus the reply slot.
-struct Job {
-    shard: usize,
-    op: EngineOp,
-    query: RangeQuery,
-    reply: mpsc::Sender<(usize, Result<ShardOutcome, EngineError>)>,
-    /// Trace carrier across the queue: started on the submitting thread
-    /// under the query's root span, finished by the worker — so the time
-    /// a job sits on the mpsc queue is its own `queue_wait` span.
-    trace: Option<olap_telemetry::PendingSpan>,
-}
-
-/// One slab of the cube: its row range, router, and worker queue.
-/// The cache type every shard serves through: a semantic cache in front
-/// of the shard's router.
-type ShardCache = SemanticCache<i64, Arc<AdaptiveRouter<i64>>>;
-
+/// One slab of the cube: its row range, its cache-fronted router, and the
+/// count of parts executing on it.
 struct Shard {
     /// First global row of the slab.
     lo: usize,
     /// Rows in the slab.
     len: usize,
-    router: Arc<AdaptiveRouter<i64>>,
-    /// Subsumption-aware result cache over `router`; all worker reads
+    /// Subsumption-aware result cache over the shard's router; all reads
     /// and all installs go through it so invalidation stays region-wise.
-    /// The type is spelled out (not the `ShardCache` alias) so the
-    /// analyzer's nominal lock-field pass sees `SemanticCache` and keeps
-    /// this field in the lock-order acquisition graph.
-    cache: Arc<SemanticCache<i64, Arc<AdaptiveRouter<i64>>>>,
-    /// `None` once the server is shutting down.
-    tx: Option<mpsc::Sender<Job>>,
-    depth: Arc<AtomicI64>,
+    /// The type is spelled out (not aliased) so the analyzer's nominal
+    /// lock-field pass sees `SemanticCache` and keeps this field in the
+    /// lock-order acquisition graph.
+    cache: SemanticCache<i64, Arc<AdaptiveRouter<i64>>>,
+    /// Parts in flight: see [`InFlight`].
+    depth: AtomicI64,
     label: String,
-    worker: Option<JoinHandle<()>>,
+}
+
+/// One part executing on a shard. Construction counts it into
+/// [`Shard::depth`], drop counts it out — on return, on `?` and on unwind
+/// alike, so the count cannot leak.
+struct InFlight<'a>(&'a Shard);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.count_in_flight(-1);
+    }
 }
 
 impl Shard {
-    fn submit(&self, job: Job) -> Result<(), ServerError> {
-        let shard = job.shard;
-        let tx = self
-            .tx
-            .as_ref()
-            .ok_or(ServerError::ShardUnavailable { shard })?;
-        // ordering: AcqRel — the depth counter pairs increments here with
-        // the worker's decrement so observers never see a negative depth.
-        self.depth.fetch_add(1, Ordering::AcqRel);
-        publish_depth(&self.label, &self.depth);
-        tx.send(job).map_err(|_| {
-            // ordering: AcqRel — roll back the optimistic increment when
-            // the worker is gone and the send bounced.
-            self.depth.fetch_sub(1, Ordering::AcqRel);
-            ServerError::ShardUnavailable { shard }
-        })
+    fn router(&self) -> &AdaptiveRouter<i64> {
+        self.cache.backend()
+    }
+
+    fn enter(&self) -> InFlight<'_> {
+        self.count_in_flight(1);
+        InFlight(self)
+    }
+
+    /// Moves the in-flight count by `delta` and pushes the new value to
+    /// the `olap_shard_queue_depth` gauge (no-op without an active
+    /// context).
+    fn count_in_flight(&self, delta: i64) {
+        // ordering: Relaxed — an advisory count that publishes no other
+        // memory. Each part's +1 precedes its own −1 in program order and
+        // RMWs on one atomic are totally ordered, so no observer sees a
+        // negative value.
+        let now = self.depth.fetch_add(delta, Ordering::Relaxed) + delta;
+        if let Some(ctx) = olap_telemetry::current() {
+            ctx.registry()
+                .gauge("olap_shard_queue_depth", &[("shard", self.label.as_str())])
+                .set(now as f64);
+        }
+    }
+
+    /// Answers one part of a fanned-out query on the calling thread.
+    ///
+    /// When more than `limit` parts are already executing here and the
+    /// router has a degradation tier, the part is shed: answered from the
+    /// tier ([`DegradeReason::QueueDepth`]) without joining them. A shard
+    /// without a tier runs the part normally — shedding never turns an
+    /// answerable query into an error.
+    fn answer(
+        &self,
+        query: &RangeQuery,
+        op: EngineOp,
+        limit: Option<i64>,
+    ) -> Result<ShardOutcome, EngineError> {
+        // ordering: Relaxed — an advisory load-shedding read; a racing
+        // exit only shifts which path answers, and both paths are sound.
+        if limit.is_some_and(|limit| self.depth.load(Ordering::Relaxed) > limit) {
+            let reason = DegradeReason::QueueDepth;
+            if let Ok((estimate, stats)) = self.router().degrade(query, op, reason) {
+                return Ok(ShardOutcome::Degraded {
+                    estimate,
+                    stats,
+                    reason,
+                });
+            }
+        }
+        let _in_flight = self.enter();
+        let _exec_span = olap_telemetry::TraceSpan::start("shard_exec");
+        let exact = match op {
+            EngineOp::Sum => self.cache.range_sum(query),
+            EngineOp::Max => self.cache.range_max(query),
+            EngineOp::Min => self.cache.range_min(query),
+            EngineOp::Update => Err(EngineError::unsupported("shard", op.name())),
+        };
+        match exact {
+            Ok(o) => Ok(ShardOutcome::Exact(o)),
+            Err(e) => degrade_fallback(self.router(), query, op, e),
+        }
     }
 }
-
-/// Runs `f` under `scope` — the telemetry context (`olap_telemetry::current()`)
-/// captured on the thread that spawned this one — so worker-side cache
-/// counters and queue gauges publish to the same registry as the
-/// spawner's.
-pub(crate) fn enter_scope(scope: Option<Arc<olap_telemetry::Telemetry>>, f: impl FnOnce()) {
-    match scope {
-        Some(ctx) => olap_telemetry::with_scope(&ctx, f),
-        None => f(),
-    }
-}
-
-/// Pushes a shard's queue depth to the metric registry (no-op without
-/// an active context).
-fn publish_depth(label: &str, depth: &AtomicI64) {
-    if let Some(ctx) = olap_telemetry::current() {
-        ctx.registry()
-            .gauge("olap_shard_queue_depth", &[("shard", label)])
-            // ordering: Relaxed — reporting read; queue correctness is
-            // carried by the channel, not this gauge.
-            .set(depth.load(Ordering::Relaxed) as f64);
-    }
-}
-
-/// Most queued jobs one worker iteration drains and batch-plans together.
-const BATCH_DRAIN_LIMIT: usize = 32;
 
 /// Anchor-grid block size of every shard's degradation tier.
 const DEGRADE_BLOCK: usize = 8;
 
-/// The worker loop: drain every job already queued (up to
-/// [`BATCH_DRAIN_LIMIT`]), batch-plan overlapping sums, then answer each
-/// job through the shard's semantic cache.
-fn shard_worker(
-    rx: mpsc::Receiver<Job>,
-    cache: Arc<ShardCache>,
-    depth: Arc<AtomicI64>,
-    label: String,
-) {
-    while let Ok(job) = rx.recv() {
-        let mut jobs = vec![job];
-        while jobs.len() < BATCH_DRAIN_LIMIT {
-            match rx.try_recv() {
-                Ok(next) => jobs.push(next),
-                Err(_) => break,
-            }
-        }
-        // ordering: AcqRel — pairs with `Shard::submit`'s increment; the
-        // whole drained batch is now in flight.
-        depth.fetch_sub(jobs.len() as i64, Ordering::AcqRel);
-        publish_depth(&label, &depth);
-        if jobs.len() > 1 {
-            plan_batch(&cache, &jobs);
-        }
-        for job in jobs {
-            let Job {
-                shard,
-                op,
-                query,
-                reply,
-                trace,
-            } = job;
-            // Re-enter the query's trace, if it carried one: finishing
-            // the pending span records the queue wait, and entering the
-            // returned scope parents the worker-side spans (shard_exec,
-            // the cache's lookup/assembly, the router's dispatch) under
-            // the same root.
-            let entered = trace.map(olap_telemetry::PendingSpan::finish_and_enter);
-            let out = {
-                let _exec_span = olap_telemetry::TraceSpan::start("shard_exec");
-                let exact = match op {
-                    EngineOp::Sum => cache.range_sum(&query),
-                    EngineOp::Max => cache.range_max(&query),
-                    EngineOp::Min => cache.range_min(&query),
-                    EngineOp::Update => Err(EngineError::unsupported(
-                        "shard-worker",
-                        EngineOp::Update.name(),
-                    )),
-                };
-                match exact {
-                    Ok(o) => Ok(ShardOutcome::Exact(o)),
-                    Err(e) => degrade_fallback(&cache, &query, op, e),
-                }
-            };
-            // Leave the trace scope *before* replying: every worker-side
-            // span is then closed strictly before the submitter can
-            // observe the reply and close the root, so child spans never
-            // outlive their parent in the assembled tree.
-            drop(entered);
-            // A dropped reply receiver means the query already failed on
-            // another shard; nothing to do with this partial answer.
-            let _ = reply.send((shard, out));
-        }
-    }
-}
-
-/// The worker-side degradation gate: when the shard's budget policy is
+/// The post-failure degradation gate: when the shard's budget policy is
 /// [`DegradePolicy::Degrade`] and the exact failure is an eligible
 /// exhaustion (deadline, access budget, every engine faulted), the shard
 /// router's approximate tier answers instead. Cancellation and
@@ -439,12 +393,11 @@ fn shard_worker(
 /// [`AdaptiveRouter::answer`]. A tier failure (none registered,
 /// unsupported op) reports the original exact error.
 fn degrade_fallback(
-    cache: &ShardCache,
+    router: &AdaptiveRouter<i64>,
     query: &RangeQuery,
     op: EngineOp,
     exact_err: EngineError,
 ) -> Result<ShardOutcome, EngineError> {
-    let router = cache.backend();
     if router.budget().on_exhaustion != DegradePolicy::Degrade {
         return Err(exact_err);
     }
@@ -465,7 +418,7 @@ fn degrade_fallback(
     }
 }
 
-/// Accumulates cross-shard degradation metadata while a merge folds the
+/// Accumulates cross-shard degradation metadata while a query folds its
 /// partial answers; [`DegradeMerge::finish`] yields the
 /// [`ServedEstimate`] (or `None` for a fully exact merge).
 #[derive(Default)]
@@ -519,77 +472,6 @@ fn record_served(degraded: bool) {
     }
 }
 
-/// Scans a drained job batch for overlapping sum queries and primes the
-/// cache with each group's bounding super-region, so the group executes
-/// once and its members answer by exact hit or ±-combination.
-///
-/// Priming is gated on the backend's own estimates: one super-region
-/// execution must price below the members' direct executions. Over a
-/// healthy prefix-sum backend direct costs `2^d` per member and the gate
-/// stays shut; it opens exactly when the shard is degraded to tree or
-/// naive serving, where shared work is worth real accesses.
-fn plan_batch(cache: &ShardCache, jobs: &[Job]) {
-    let shape = match cache.backend().shape() {
-        Some(s) => s,
-        None => return,
-    };
-    let sums: Vec<Region> = jobs
-        .iter()
-        .filter(|j| j.op == EngineOp::Sum)
-        .filter_map(|j| j.query.to_region(&shape).ok())
-        .collect();
-    if sums.len() < 2 {
-        return;
-    }
-    // Greedy overlap grouping: each region joins the first group whose
-    // running bounding box it overlaps, widening that box.
-    let mut groups: Vec<(Region, Vec<Region>)> = Vec::new();
-    for r in sums {
-        match groups.iter_mut().find(|(bbox, _)| bbox.overlaps(&r)) {
-            Some((bbox, members)) => {
-                if let Some(widened) = bounding_union(&[bbox.clone(), r.clone()]) {
-                    *bbox = widened;
-                }
-                members.push(r);
-            }
-            None => groups.push((r.clone(), vec![r])),
-        }
-    }
-    // The §3 combine term: 2^d corner lookups per assembled answer.
-    let combine = (1u64 << shape.ndim().min(62)) as f64;
-    for (bbox, members) in groups {
-        if members.len() < 2 {
-            continue;
-        }
-        let super_cost = cache.backend().estimate(&RangeQuery::from_region(&bbox));
-        if !super_cost.is_finite() {
-            continue;
-        }
-        // Each member's saving: direct execution versus assembling
-        // `+super − Σ residual` out of the primed entry. The member-side
-        // arbitration in the cache makes the same comparison, so a prime
-        // is worth its one super execution exactly when the summed
-        // positive savings exceed it.
-        let savings: f64 = members
-            .iter()
-            .map(|m| {
-                let direct = cache.backend().estimate(&RangeQuery::from_region(m));
-                let assemble = combine
-                    + difference(&bbox, m)
-                        .iter()
-                        .map(|r| cache.backend().estimate(&RangeQuery::from_region(r)))
-                        .sum::<f64>();
-                (direct - assemble).max(0.0)
-            })
-            .sum();
-        if super_cost < savings {
-            // Best-effort: a failed prime just means members fall back to
-            // their own direct executions.
-            let _ = cache.prime(&bbox);
-        }
-    }
-}
-
 /// A sharded, snapshot-isolated server over one dense `i64` cube.
 ///
 /// Shareable across threads (`&self` everywhere); see the module docs
@@ -602,7 +484,7 @@ pub struct CubeServer {
     writer: Mutex<()>,
     /// Latency objective carried from [`ServeConfig::slo`].
     slo: Option<SloSpec>,
-    /// Queue-depth shed threshold from [`ServeConfig::queue_depth_limit`].
+    /// In-flight shed threshold from [`ServeConfig::queue_depth_limit`].
     queue_limit: Option<i64>,
     /// Destination for end-to-end query traces. `None` (the default)
     /// keeps tracing fully disabled: with no root span ever opened, the
@@ -617,7 +499,8 @@ pub struct CubeServer {
 }
 
 impl CubeServer {
-    /// Partitions `cube` and boots one worker thread per shard.
+    /// Partitions `cube` and builds one shard stack per slab. Starts no
+    /// thread: queries run on their callers' threads.
     ///
     /// # Errors
     /// [`ServerError::Config`] when the cube or shard count is unusable.
@@ -662,9 +545,9 @@ impl CubeServer {
 
     /// Routes every subsequent query's span tree into `sink`: each
     /// `range_sum`/`range_max`/`range_min` opens a `serve_query` root
-    /// span, fans `queue_wait` spans across the shard queues, and the
-    /// workers' execution spans land in the same tree (see the
-    /// `olap_telemetry::trace` module docs for the tree shape).
+    /// span on the calling thread, and each shard part's execution spans
+    /// nest under it (see the `olap_telemetry::trace` module docs for the
+    /// tree shape).
     pub fn enable_tracing(&mut self, sink: Arc<olap_telemetry::TraceSink>) {
         self.tracer = Some(sink);
         self.trace_sample = 1;
@@ -673,12 +556,12 @@ impl CubeServer {
     /// [`CubeServer::enable_tracing`] with head sampling: only every
     /// `every`-th query (round-robin across all entry points; `0` is
     /// treated as `1`) opens a root span; the rest run the fully
-    /// disabled path. This is the production configuration — a full
-    /// per-query span tree costs a handful of timestamped records, which
-    /// on a microsecond-scale dispatch-bound query is measurable, while
-    /// a 1-in-N head sample amortises it to noise. The CI bench gate
-    /// (`serve_throughput/sampled_trace_range_sum`) pins that amortised
-    /// cost at ≤ 1.05× the untraced path.
+    /// disabled path. This is the production configuration. A span costs
+    /// two clock reads and one sink record, a traced query six or more
+    /// spans — about 1 µs, three times a cached query itself — so a
+    /// 1-in-N head sample adds about 1/N µs per query: choose N against
+    /// the query cost being served. `serve_throughput/
+    /// sampled_trace_range_sum` prices N = 8 against the untraced path.
     ///
     /// Note the slow-query ring only sees sampled queries: head sampling
     /// decides before the outcome is known, which is the standard trade
@@ -711,13 +594,13 @@ impl CubeServer {
         Some(olap_telemetry::TraceSpan::root(sink, "serve_query"))
     }
 
-    /// Number of worker shards.
+    /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
     }
 
     /// Per-shard serving statistics: slab extents, snapshot liveness,
-    /// queue depths.
+    /// parts in flight.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
@@ -725,7 +608,7 @@ impl CubeServer {
             .map(|(i, s)| ShardStats {
                 shard: i,
                 rows: (s.lo, s.lo + s.len - 1),
-                epochs: s.router.epoch_stats(),
+                epochs: s.router().epoch_stats(),
                 // ordering: Relaxed — reporting read.
                 queue_depth: s.depth.load(Ordering::Relaxed),
                 cache: s.cache.stats(),
@@ -749,33 +632,27 @@ impl CubeServer {
         total
     }
 
-    /// Range sum over the global cube: fans out to every overlapping
-    /// shard and adds the partial sums. Degraded shard answers merge by
-    /// adding their guaranteed bounds — the result interval still
-    /// contains the true global sum.
+    /// Range sum over the global cube: answers every overlapping shard's
+    /// part in shard order and adds the partial sums. Degraded shard
+    /// answers merge by adding their guaranteed bounds — the result
+    /// interval still contains the true global sum.
     ///
     /// # Errors
-    /// Validation failures, shard router errors, dead shards.
+    /// Validation failures, shard router errors.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<ServerAnswer, ServerError> {
         let _root = self.root_span();
-        let parts = self.fan_out(query, EngineOp::Sum)?;
-        let _merge = olap_telemetry::TraceSpan::start("merge");
-        let shards = parts.len();
-        let mut value = 0i64;
-        let mut lower = 0i64;
-        let mut upper = 0i64;
+        let (mut value, mut lower, mut upper) = (0i64, 0i64, 0i64);
         let mut cost = 0u64;
         let mut merge = DegradeMerge::default();
-        // analyzer: allow(budget-coverage, reason = "merge over per-shard partials: trip count = shard count; each shard charges its own meter")
-        for part in &parts {
-            cost += part.out.cost();
-            match &part.out {
+        let shards = self.fan_out(query, EngineOp::Sum, |_, volume, out| {
+            cost += out.cost();
+            match out {
                 ShardOutcome::Exact(o) => {
                     let v = o.value().copied().unwrap_or(0);
                     value += v;
                     lower += v;
                     upper += v;
-                    merge.note_exact(part.volume);
+                    merge.note_exact(volume);
                 }
                 ShardOutcome::Degraded {
                     estimate, reason, ..
@@ -783,10 +660,11 @@ impl CubeServer {
                     value += estimate.value;
                     lower += estimate.lower;
                     upper += estimate.upper;
-                    merge.note_degraded(part.volume, estimate, *reason);
+                    merge.note_degraded(volume, &estimate, reason);
                 }
             }
-        }
+        })?;
+        let _merge = olap_telemetry::TraceSpan::start("merge");
         let estimate = merge.finish(value, lower, upper);
         record_served(estimate.is_some());
         Ok(ServerAnswer {
@@ -801,7 +679,7 @@ impl CubeServer {
     /// Range max with global argmax.
     ///
     /// # Errors
-    /// Validation failures, shard router errors, dead shards.
+    /// Validation failures, shard router errors.
     pub fn range_max(&self, query: &RangeQuery) -> Result<ServerAnswer, ServerError> {
         self.extremum(query, EngineOp::Max)
     }
@@ -809,16 +687,13 @@ impl CubeServer {
     /// Range min with global argmin.
     ///
     /// # Errors
-    /// Validation failures, shard router errors, dead shards.
+    /// Validation failures, shard router errors.
     pub fn range_min(&self, query: &RangeQuery) -> Result<ServerAnswer, ServerError> {
         self.extremum(query, EngineOp::Min)
     }
 
     fn extremum(&self, query: &RangeQuery, op: EngineOp) -> Result<ServerAnswer, ServerError> {
         let _root = self.root_span();
-        let parts = self.fan_out(query, op)?;
-        let _merge = olap_telemetry::TraceSpan::start("merge");
-        let shards = parts.len();
         let mut best: Option<(i64, Vec<usize>)> = None;
         let mut cost = 0u64;
         // Folded `(value, lower, upper)` across parts: exact parts are
@@ -827,15 +702,15 @@ impl CubeServer {
         // global extremum inside `[lower, upper]`.
         let mut folded: Option<(i64, i64, i64)> = None;
         let mut merge = DegradeMerge::default();
-        for part in parts {
-            cost += part.out.cost();
-            let (v, lo, hi) = match part.out {
+        let shards = self.fan_out(query, op, |shard, volume, out| {
+            cost += out.cost();
+            let (v, lo, hi) = match out {
                 ShardOutcome::Exact(o) => {
                     let Answer::Extremum { mut at, value } = o.answer else {
-                        continue; // empty slab intersection contributes nothing
+                        return; // empty slab intersection contributes nothing
                     };
                     if let Some(first) = at.first_mut() {
-                        *first += self.shard_row(part.shard);
+                        *first += shard.lo;
                     }
                     let better = match (&best, op) {
                         (None, _) => true,
@@ -845,13 +720,13 @@ impl CubeServer {
                     if better {
                         best = Some((value, at));
                     }
-                    merge.note_exact(part.volume);
+                    merge.note_exact(volume);
                     (value, value, value)
                 }
                 ShardOutcome::Degraded {
                     estimate, reason, ..
                 } => {
-                    merge.note_degraded(part.volume, &estimate, reason);
+                    merge.note_degraded(volume, &estimate, reason);
                     (estimate.value, estimate.lower, estimate.upper)
                 }
             };
@@ -862,7 +737,8 @@ impl CubeServer {
                     _ => (fv.min(v), fl.min(lo), fh.min(hi)),
                 },
             });
-        }
+        })?;
+        let _merge = olap_telemetry::TraceSpan::start("merge");
         let (value, lower, upper) =
             folded.ok_or_else(|| ServerError::Config("no shard produced an extremum".into()))?;
         let estimate = merge.finish(value, lower, upper);
@@ -881,12 +757,6 @@ impl CubeServer {
             shards,
             estimate,
         })
-    }
-
-    /// First global row of shard `i` (0 for an unknown index — callers
-    /// only pass indices they received from a fan-out).
-    fn shard_row(&self, i: usize) -> usize {
-        self.shards.get(i).map(|s| s.lo).unwrap_or(0)
     }
 
     /// Applies one batch of absolute-value cell updates. Validates the
@@ -912,15 +782,10 @@ impl CubeServer {
             }
         }
         let mut stats = AccessStats::new();
-        for (shard, batch) in batches.iter().enumerate() {
-            if batch.is_empty() {
-                continue;
+        for (shard, batch) in self.shards.iter().zip(&batches) {
+            if !batch.is_empty() {
+                stats.merge(&shard.cache.apply_updates(batch)?);
             }
-            let s = self
-                .shards
-                .get(shard)
-                .ok_or(ServerError::ShardUnavailable { shard })?;
-            stats.merge(&s.cache.apply_updates(batch)?);
         }
         Ok(stats)
     }
@@ -935,128 +800,50 @@ impl CubeServer {
             .ok_or_else(|| ServerError::Config(format!("row {row} is outside every shard")))
     }
 
-    /// Fans `query` out to every shard whose slab the region overlaps and
-    /// collects the per-shard outcomes, ordered by shard index.
-    ///
-    /// When a shard's queue is over [`ServeConfig::queue_depth_limit`]
-    /// and its router has a degradation tier, the shard's part is shed:
-    /// answered synchronously from the tier on the calling thread
-    /// ([`DegradeReason::QueueDepth`]) instead of joining the queue. A
-    /// shard without a tier is enqueued normally — shedding never turns
-    /// an answerable query into an error.
-    fn fan_out(&self, query: &RangeQuery, op: EngineOp) -> Result<Vec<ShardPart>, ServerError> {
+    /// Answers `query`'s part on every shard whose slab the region
+    /// overlaps — in shard order, on the calling thread — handing each
+    /// outcome to `fold` with the shard and the part's cell count as soon
+    /// as it is produced. Returns how many shards took part. The first
+    /// failing part fails the query; later shards are not consulted.
+    fn fan_out(
+        &self,
+        query: &RangeQuery,
+        op: EngineOp,
+        mut fold: impl FnMut(&Shard, u64, ShardOutcome),
+    ) -> Result<usize, ServerError> {
         let region = query.to_region(&self.shape)?;
         let r0 = region.range(0);
-        // Context and clock together: an idle site is one atomic load.
-        let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
-        let (reply, replies) = mpsc::channel();
-        let mut expected = 0usize;
-        let mut parts: Vec<ShardPart> = Vec::new();
-        let mut volumes: Vec<(usize, u64)> = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
+        // Cells per leading row of the region: a part's volume is its row
+        // count times this.
+        let row_cells = (region.volume() / r0.len()) as u64;
+        let telemetry = olap_telemetry::current();
+        let mut parts = 0usize;
+        for shard in &self.shards {
             let (slab_lo, slab_hi) = (shard.lo, shard.lo + shard.len - 1);
             if r0.lo() > slab_hi || r0.hi() < slab_lo {
                 continue;
             }
-            let mut bounds: Vec<(usize, usize)> =
-                region.ranges().iter().map(|r| (r.lo(), r.hi())).collect();
-            if let Some(first) = bounds.first_mut() {
-                *first = (
-                    r0.lo().max(slab_lo) - shard.lo,
-                    r0.hi().min(slab_hi) - shard.lo,
-                );
+            // The shard-local query: the caller's, with axis 0 clamped to
+            // the slab and shifted to slab coordinates.
+            let lo = r0.lo().max(slab_lo) - shard.lo;
+            let hi = r0.hi().min(slab_hi) - shard.lo;
+            let mut sels = query.selections().to_vec();
+            if let Some(first) = sels.first_mut() {
+                *first = DimSelection::span(lo, hi)?;
             }
-            let local = Region::from_bounds(&bounds)?;
-            let volume = local.volume() as u64;
-            let local_query = RangeQuery::from_region(&local);
-            if let Some(limit) = self.queue_limit {
-                // ordering: Relaxed — an advisory load-shedding read; a
-                // racing drain only shifts which path answers, and both
-                // paths are sound.
-                if shard.depth.load(Ordering::Relaxed) > limit {
-                    if let Ok((estimate, stats)) =
-                        shard
-                            .router
-                            .degrade(&local_query, op, DegradeReason::QueueDepth)
-                    {
-                        parts.push(ShardPart {
-                            shard: i,
-                            volume,
-                            out: ShardOutcome::Degraded {
-                                estimate,
-                                stats,
-                                reason: DegradeReason::QueueDepth,
-                            },
-                        });
-                        continue;
-                    }
-                }
+            let local = RangeQuery::new(sels)?;
+            // Clock only under a context: an idle site is one atomic load.
+            let observing = telemetry.as_ref().map(|ctx| (ctx, Instant::now()));
+            let out = shard.answer(&local, op, self.queue_limit)?;
+            if let Some((ctx, started)) = observing {
+                ctx.registry()
+                    .histogram("olap_serve_latency_ns", &[("shard", shard.label.as_str())])
+                    .observe(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
             }
-            shard.submit(Job {
-                shard: i,
-                op,
-                query: local_query,
-                reply: reply.clone(),
-                // Inert (`None`) unless the caller holds an open root
-                // span — i.e. tracing is enabled on this server.
-                trace: olap_telemetry::PendingSpan::start("queue_wait"),
-            })?;
-            volumes.push((i, volume));
-            expected += 1;
+            fold(shard, (hi - lo + 1) as u64 * row_cells, out);
+            parts += 1;
         }
-        drop(reply);
-        for _ in 0..expected {
-            let (shard, out) = replies
-                .recv()
-                .map_err(|_| ServerError::ShardUnavailable { shard: usize::MAX })?;
-            if let Some((ctx, started)) = &observing {
-                self.observe_latency(ctx, shard, *started);
-            }
-            let volume = volumes
-                .iter()
-                .find(|(i, _)| *i == shard)
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
-            parts.push(ShardPart {
-                shard,
-                volume,
-                out: out?,
-            });
-        }
-        parts.sort_by_key(|p| p.shard);
         Ok(parts)
-    }
-
-    /// Feeds one shard's reply-arrival latency (submit-to-reply, queue
-    /// wait included) into the per-shard `olap_serve_latency_ns`
-    /// histogram.
-    fn observe_latency(
-        &self,
-        ctx: &olap_telemetry::Telemetry,
-        shard: usize,
-        started: std::time::Instant,
-    ) {
-        if let Some(s) = self.shards.get(shard) {
-            ctx.registry()
-                .histogram("olap_serve_latency_ns", &[("shard", &s.label)])
-                .observe(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
-    }
-}
-
-impl Drop for CubeServer {
-    fn drop(&mut self) {
-        // Closing every queue ends the worker loops; then reap them.
-        // analyzer: allow(budget-coverage, reason = "shutdown path: trip count = shard count, no query budget in scope")
-        for s in &mut self.shards {
-            s.tx = None;
-        }
-        // analyzer: allow(budget-coverage, reason = "shutdown path: joins one worker per shard")
-        for s in &mut self.shards {
-            if let Some(h) = s.worker.take() {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -1069,7 +856,7 @@ impl std::fmt::Debug for CubeServer {
     }
 }
 
-/// Builds one shard: slab sub-cube, engines, router, worker thread.
+/// Builds one shard: slab sub-cube, engines, router, cache.
 fn build_shard(
     cube: &DenseArray<i64>,
     i: usize,
@@ -1115,33 +902,12 @@ fn build_shard(
     // failover target, so chaos drills stay answerable.
     router.push(Box::new(NaiveEngine::new(sub)));
     router.set_budget(config.budget);
-    let router = Arc::new(router);
-    let cache = Arc::new(SemanticCache::with_label(
-        Arc::clone(&router),
-        config.cache_size,
-        &label,
-    ));
-
-    let depth = Arc::new(AtomicI64::new(0));
-    let (tx, rx) = mpsc::channel();
-    let scope = olap_telemetry::current();
-    let worker = std::thread::Builder::new()
-        .name(format!("olap-{label}"))
-        .spawn({
-            let cache = Arc::clone(&cache);
-            let depth = Arc::clone(&depth);
-            let label = label.clone();
-            move || enter_scope(scope, move || shard_worker(rx, cache, depth, label))
-        })
-        .map_err(|e| ServerError::Config(format!("spawning shard worker {i}: {e}")))?;
+    let cache = SemanticCache::with_label(Arc::new(router), config.cache_size, &label);
     Ok(Shard {
         lo,
         len: hi - lo,
-        router,
         cache,
-        tx: Some(tx),
-        depth,
+        depth: AtomicI64::new(0),
         label,
-        worker: Some(worker),
     })
 }

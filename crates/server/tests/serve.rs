@@ -4,7 +4,7 @@
 //! over snapshot installs, and budget admission.
 
 use olap_array::{DenseArray, QueryBudget, Region, Shape};
-use olap_engine::FaultPlan;
+use olap_engine::{DegradeReason, FaultPlan};
 use olap_query::RangeQuery;
 use olap_server::{drive_load, CubeServer, LoadSpec, ServeConfig, ServerError};
 use olap_workload::{uniform_cube, uniform_regions};
@@ -188,6 +188,39 @@ fn concurrent_load_driver_sees_only_pre_or_post_snapshots() {
 }
 
 #[test]
+fn concurrent_readers_on_one_shard_see_only_pre_or_post_snapshots_and_share_its_cache() {
+    // One shard, so every reader thread is inside the same
+    // `SemanticCache` and `AdaptiveRouter` at once, with nothing between
+    // them and the callers to serialise the traffic. Each phase races four
+    // readers over a hot Zipf pool against one single-cell (hence
+    // single-row) install; `drive_load` holds every answer to the pre- or
+    // post-batch naive oracle.
+    let a = cube(&[32, 12], 107);
+    let srv = server(&a, 1);
+    let report = drive_load(
+        &srv,
+        &a,
+        &LoadSpec {
+            phases: 12,
+            queries_per_phase: 64,
+            readers: 4,
+            batch: 1,
+            seed: 2024,
+            zipf_pool: 8,
+        },
+    )
+    .unwrap();
+    assert!(report.passed(), "{report:?}");
+    assert_eq!(report.answers, 12 * 64);
+    assert_eq!(report.updates, 12);
+    assert!(srv.cache_stats().hits > 0, "{:?}", srv.cache_stats());
+    let stats = srv.shard_stats();
+    assert_eq!(stats.len(), 1);
+    assert_eq!(stats[0].queue_depth, 0);
+    assert_eq!(stats[0].epochs.reclamation_lag, 0);
+}
+
+#[test]
 fn chaos_snapshot_installs_stay_exact_under_injected_faults() {
     // Precomputed engines error and panic at high rates; the un-faulted
     // naive fallback plus failover keeps every answer oracle-exact, and
@@ -305,7 +338,7 @@ fn zipf_load_hits_the_cache_and_stays_oracle_exact_across_installs() {
 #[test]
 fn chaos_with_caches_and_zipf_locality_stays_oracle_exact() {
     // Fault injection degrades shards to tree/naive serving — exactly
-    // where cache assembly and batch priming become economical — while
+    // where cache assembly becomes economical — while
     // installs race readers. Every answer must still match an oracle.
     let a = cube(&[24, 10], 73);
     let srv = CubeServer::build(
@@ -524,6 +557,91 @@ fn queue_depth_shedding_degrades_without_a_degrade_budget_policy() {
     let ans = relaxed.range_sum(&RangeQuery::from_region(&r)).unwrap();
     assert!(!ans.is_degraded());
     assert_eq!(ans.value, naive_sum(&a, &r));
+}
+
+#[test]
+fn in_flight_limit_zero_sheds_only_a_second_concurrent_caller() {
+    // Wall-time dependent: the first caller's part is held open by a
+    // 400 ms injected engine delay, and the second caller — released only
+    // once it has *seen* that part in flight — must run its shed check
+    // inside that window. A stall of 400 ms between the two statements
+    // would fail the test without a bug.
+    let a = cube(&[16, 16], 109);
+    let all = Region::from_bounds(&[(0, 15), (0, 15)]).unwrap();
+    let q = RangeQuery::from_region(&all);
+    let truth = naive_sum(&a, &all);
+    let config = |faults| ServeConfig {
+        shards: 1,
+        queue_depth_limit: Some(0),
+        cache_size: 0,
+        faults,
+        ..ServeConfig::default()
+    };
+
+    // A lone caller finds nothing in flight ahead of itself: never shed.
+    let lone = CubeServer::build(&a, config(None)).unwrap();
+    for _ in 0..8 {
+        let ans = lone.range_sum(&q).unwrap();
+        assert!(!ans.is_degraded(), "{ans:?}");
+        assert_eq!(ans.value, truth);
+    }
+
+    let delay = std::time::Duration::from_millis(400);
+    let plan = FaultPlan::seeded(3).delays(1000, delay);
+    let srv = CubeServer::build(&a, config(Some(plan))).unwrap();
+    std::thread::scope(|s| {
+        let slow = s.spawn(|| srv.range_sum(&q).unwrap());
+        while srv.shard_stats()[0].queue_depth == 0 {
+            assert!(!slow.is_finished(), "first caller finished unobserved");
+            std::thread::yield_now();
+        }
+        let shed = srv.range_sum(&q).unwrap();
+        let est = shed.estimate.as_ref().expect("second caller is shed");
+        assert_eq!(est.reason, DegradeReason::QueueDepth);
+        assert!(shed.contains(truth), "{shed:?}");
+        let first = slow.join().unwrap();
+        assert!(!first.is_degraded(), "{first:?}");
+        assert_eq!(first.value, truth);
+    });
+    assert_eq!(srv.shard_stats()[0].queue_depth, 0);
+}
+
+#[test]
+fn in_flight_count_returns_to_zero_after_panicking_and_failing_parts() {
+    let a = cube(&[24, 10], 113);
+    let r = Region::from_bounds(&[(1, 22), (2, 8)]).unwrap();
+    let q = RangeQuery::from_region(&r);
+    let idle = |srv: &CubeServer| srv.shard_stats().iter().all(|s| s.queue_depth == 0);
+
+    // Every precomputed engine panics on every call; the router contains
+    // the unwind and fails over to the naive scan.
+    let panicking = CubeServer::build(
+        &a,
+        ServeConfig {
+            shards: 3,
+            faults: Some(FaultPlan::seeded(7).panics(1000)),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(panicking.range_sum(&q).unwrap().value, naive_sum(&a, &r));
+    assert_eq!(panicking.range_max(&q).unwrap().value, naive_max(&a, &r));
+    assert!(idle(&panicking), "{:?}", panicking.shard_stats());
+
+    // A part that fails outright (hard budget, no degrade tier) leaves
+    // through `?`.
+    let failing = CubeServer::build(
+        &a,
+        ServeConfig {
+            shards: 3,
+            budget: QueryBudget::with_deadline(std::time::Duration::ZERO),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    assert!(matches!(failing.range_sum(&q), Err(ServerError::Engine(_))));
+    assert!(matches!(failing.range_min(&q), Err(ServerError::Engine(_))));
+    assert!(idle(&failing), "{:?}", failing.shard_stats());
 }
 
 #[test]

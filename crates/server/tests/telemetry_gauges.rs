@@ -41,9 +41,8 @@ fn serving_publishes_snapshot_and_queue_gauges() {
         })
     };
 
-    // Exact values are timing-dependent (a worker thread may still pin
-    // the superseded snapshot), so the assertions are presence plus
-    // tight ranges.
+    // The assertions are presence plus tight ranges: a superseded
+    // snapshot may or may not have been reclaimed yet.
     for shard in ["shard-0", "shard-1"] {
         let live = gauge("olap_snapshot_live", "cell", shard)
             .unwrap_or_else(|| panic!("no olap_snapshot_live for {shard}"));
@@ -73,9 +72,8 @@ fn serving_publishes_semantic_cache_counters_and_entry_gauge() {
             },
         )
         .unwrap();
-        // Same full-cube sum twice: one miss + one exact hit per shard
-        // (workers re-enter the builder's telemetry scope, so their cache
-        // counters publish here).
+        // Same full-cube sum twice: one miss + one exact hit per shard,
+        // recorded into the scope the queries are issued under.
         let q = RangeQuery::from_region(&Region::from_bounds(&[(0, 15), (0, 7)]).unwrap());
         srv.range_sum(&q).unwrap();
         srv.range_sum(&q).unwrap();
@@ -195,6 +193,52 @@ fn degraded_serving_publishes_approx_counters_and_slo_check() {
 }
 
 #[test]
+fn reads_record_into_the_callers_context_not_the_builders() {
+    // A query runs on its caller's thread, so what it records goes to the
+    // context that thread has entered when it calls — not to the one that
+    // was active when the server was built.
+    let a = uniform_cube(Shape::new(&[16, 8]).unwrap(), 300, 65);
+    let builder = Arc::new(Telemetry::new());
+    let caller = Arc::new(Telemetry::new());
+    let srv = olap_telemetry::with_scope(&builder, || {
+        CubeServer::build(
+            &a,
+            ServeConfig {
+                shards: 2,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap()
+    });
+    let q = RangeQuery::from_region(&Region::from_bounds(&[(0, 15), (0, 7)]).unwrap());
+    olap_telemetry::with_scope(&caller, || srv.range_sum(&q).unwrap());
+    let query_path = [
+        "olap_serve_answers_total",
+        "olap_serve_latency_ns",
+        "olap_shard_queue_depth",
+        "olap_cache_misses_total",
+        "olap_engine_queries_total",
+    ];
+    let names = |ctx: &Telemetry| -> Vec<String> {
+        ctx.registry()
+            .snapshot()
+            .iter()
+            .map(|m| m.name.clone())
+            .collect()
+    };
+    let (in_caller, in_builder) = (names(&caller), names(&builder));
+    for name in query_path {
+        assert!(in_caller.iter().any(|n| n == name), "{name} not recorded");
+        assert!(!in_builder.iter().any(|n| n == name), "{name} in builder");
+    }
+    // With no context entered the same server records nowhere.
+    let before = (caller.registry().snapshot(), builder.registry().snapshot());
+    srv.range_sum(&q).unwrap();
+    let after = (caller.registry().snapshot(), builder.registry().snapshot());
+    assert_eq!(format!("{before:?}"), format!("{after:?}"));
+}
+
+#[test]
 fn unscoped_server_records_nothing_beside_a_scoped_one() {
     // One build, so "no context ⇒ nothing recorded" is a runtime property:
     // a server built and queried outside any scope must leave no trace in
@@ -218,8 +262,8 @@ fn unscoped_server_records_nothing_beside_a_scoped_one() {
     let scoped = olap_telemetry::with_scope(&ctx, || CubeServer::build(&a, config()).unwrap());
     let unscoped = CubeServer::build(&a, config()).unwrap();
 
-    // Both threads issue query i together, so the two servers' workers
-    // run interleaved.
+    // Both threads issue query i together, so the two servers answer
+    // interleaved.
     let barrier = std::sync::Barrier::new(2);
     let ask = |srv: &CubeServer| -> Vec<_> {
         queries

@@ -5,13 +5,14 @@
 //!
 //! ```text
 //! serve_query
-//! ├─ queue_wait      (per shard; crosses the mpsc queue)
-//! ├─ shard_exec      (per shard; worker side)
+//! ├─ shard_exec      (per overlapping shard, in shard order)
 //! │  ├─ cache_lookup
 //! │  └─ router_dispatch
 //! │     └─ kernel_exec
 //! └─ merge
 //! ```
+//!
+//! Every span is recorded on the thread that called the server.
 
 use olap_array::{Region, Shape};
 use olap_query::RangeQuery;
@@ -34,6 +35,20 @@ fn traced_server(cube_seed: u64, shards: usize) -> (CubeServer, Arc<TraceSink>) 
     let sink = Arc::new(TraceSink::new());
     srv.enable_tracing(Arc::clone(&sink));
     (srv, sink)
+}
+
+/// Every span in the tree was recorded on thread `tid`.
+fn assert_on_thread(tree: &SpanTree, tid: u64) {
+    assert_eq!(
+        tree.record.tid,
+        tid,
+        "{}:\n{}",
+        tree.record.name,
+        tree.render()
+    );
+    for c in &tree.children {
+        assert_on_thread(c, tid);
+    }
 }
 
 /// Every span in the tree starts and ends inside its parent.
@@ -75,7 +90,6 @@ fn single_shard_trace_has_the_documented_shape_and_adds_up() {
         ("cache_lookup", "shard_exec"),
         ("kernel_exec", "router_dispatch"),
         ("merge", "serve_query"),
-        ("queue_wait", "serve_query"),
         ("router_dispatch", "shard_exec"),
         ("shard_exec", "serve_query"),
     ] {
@@ -85,9 +99,11 @@ fn single_shard_trace_has_the_documented_shape_and_adds_up() {
         );
     }
 
-    // The root's direct children are disjoint in time on a single shard
-    // (queue wait ends before the worker executes; merge follows the
-    // reply), so their durations sum to at most the end-to-end latency…
+    assert!(tree.find("queue_wait").is_none(), "{}", tree.render());
+
+    // The root's direct children are disjoint in time (parts run one
+    // after another; merge follows the last), so their durations sum to
+    // at most the end-to-end latency…
     let child_sum: u64 = tree.children.iter().map(|c| c.record.dur_ns).sum();
     assert!(
         child_sum <= tree.record.dur_ns,
@@ -96,8 +112,8 @@ fn single_shard_trace_has_the_documented_shape_and_adds_up() {
         tree.render()
     );
     // …and the unattributed remainder is only the fan-out bookkeeping
-    // between spans (region math, channel setup, sorting) — bounded by a
-    // generous scheduling slop, not by another hidden stage.
+    // between spans (validation, the shard-local query, the fold) —
+    // bounded by a generous scheduling slop, not by another hidden stage.
     let slop_ns = 100_000_000;
     assert!(
         tree.record.dur_ns - child_sum < slop_ns,
@@ -106,11 +122,8 @@ fn single_shard_trace_has_the_documented_shape_and_adds_up() {
         tree.render()
     );
 
-    // The queue crossing moved the span to the worker thread.
-    let queue_wait = tree.find("queue_wait").expect("queue_wait span");
-    let exec = tree.find("shard_exec").expect("shard_exec span");
-    assert_eq!(queue_wait.record.tid, exec.record.tid);
-    assert_ne!(tree.record.tid, exec.record.tid);
+    // The query never left the calling thread.
+    assert_on_thread(&tree, tree.record.tid);
 }
 
 #[test]
@@ -168,6 +181,7 @@ fn fan_out_traces_every_overlapping_shard_and_feeds_latency_histograms() {
         .filter(|c| c.record.name == "shard_exec")
         .count();
     assert_eq!(shard_execs, 2, "{}", max_tree.render());
+    assert_on_thread(max_tree, max_tree.record.tid);
 
     // Each shard's reply latency landed in its own histogram series.
     let observed: Vec<(String, u64)> = snap

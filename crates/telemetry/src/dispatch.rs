@@ -142,7 +142,8 @@ impl Drop for ScopeGuard {
 ///
 /// Worker threads spawned inside `f` do **not** inherit the scope
 /// automatically — code that spawns threads must capture [`current`] and
-/// re-enter it per worker (as `CubeServer`'s shard workers do).
+/// re-enter it per worker (as `olap-server`'s load driver does for its
+/// reader threads).
 pub fn with_scope<R>(ctx: &Arc<Telemetry>, f: impl FnOnce() -> R) -> R {
     SCOPES.with(|s| s.borrow_mut().push(ctx.clone()));
     // ordering: Relaxed — counter hint only (see `enabled()`); the

@@ -39,7 +39,7 @@
 //!
 //! [`with_scope`] installs a context for the duration of a closure on the
 //! current thread. Code that hands work to worker threads re-enters the
-//! captured context in each worker (see `olap-server`'s shard workers), so
+//! captured context in each worker (see `olap-server`'s load driver), so
 //! a scoped workload's metrics land in the scoped registry, isolated from
 //! every other thread — which is what makes registry contents testable
 //! under concurrency.
@@ -62,8 +62,8 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
 };
 pub use trace::{
-    current_trace, tracing_active, EnteredTrace, PendingSpan, SlowTrace, SpanId, SpanRecord,
-    SpanTree, TraceContext, TraceHandle, TraceId, TraceSink, TraceSpan, DEFAULT_SLOW_RING_CAPACITY,
+    current_trace, tracing_active, EnteredTrace, SlowTrace, SpanId, SpanRecord, SpanTree,
+    TraceContext, TraceHandle, TraceId, TraceSink, TraceSpan, DEFAULT_SLOW_RING_CAPACITY,
     DEFAULT_TRACE_CAPACITY,
 };
 

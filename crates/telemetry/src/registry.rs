@@ -467,7 +467,7 @@ impl Registry {
 fn metric_help(name: &str) -> &'static str {
     match name {
         "olap_span_nanos" => "Wall time per completed span, by span name, in nanoseconds.",
-        "olap_serve_latency_ns" => "End-to-end query latency observed at fan-out, per shard.",
+        "olap_serve_latency_ns" => "Time one shard's part of a query took on the calling thread.",
         "olap_serve_latency_p50_ns" => {
             "Per-shard p50 latency extracted from olap_serve_latency_ns."
         }
@@ -477,7 +477,9 @@ fn metric_help(name: &str) -> &'static str {
         "olap_serve_latency_p99_ns" => {
             "Per-shard p99 latency extracted from olap_serve_latency_ns."
         }
-        "olap_shard_queue_depth" => "Jobs queued to a shard worker and not yet answered.",
+        "olap_shard_queue_depth" => {
+            "Query parts currently executing on a shard, across all callers."
+        }
         "olap_snapshot_live" => "Live engine snapshot versions not yet reclaimed.",
         "olap_snapshot_epoch_lag" => "Oldest pinned epoch's distance behind the newest install.",
         "olap_cache_hits_total" => "Semantic-cache exact hits.",

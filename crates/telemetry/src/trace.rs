@@ -6,14 +6,16 @@
 //!
 //! ```text
 //! serve_query
-//! ├─ queue_wait        (submit → shard worker pickup, crosses the mpsc)
-//! ├─ shard_exec
+//! ├─ shard_exec        (one per overlapping shard, in shard order)
 //! │  ├─ cache_lookup
 //! │  ├─ cache_assembly (only when the semantic cache ±-assembles)
 //! │  └─ router_dispatch
 //! │     └─ kernel_exec
-//! └─ merge             (fan-out partial combine)
+//! └─ merge             (folded partials → the served answer)
 //! ```
+//!
+//! `CubeServer` answers a query on its caller's thread, so every span of
+//! a served query carries the root's `tid`.
 //!
 //! The design mirrors the dispatch layer's cost model: when no trace
 //! scope is entered on the current thread, [`TraceSpan::start`] is a
@@ -25,16 +27,10 @@
 //! parent themselves under it automatically *without* touching any
 //! cross-thread state: a child span borrows the sink from the enclosing
 //! frame, so the recording fast path performs no reference-count or
-//! shared-counter writes. Two explicit propagation primitives cross
-//! threads:
-//!
-//! - [`PendingSpan`] carries the context *by value* through a queue (the
-//!   `CubeServer` job envelope): started on the submitting thread, its
-//!   [`PendingSpan::finish_and_enter`] on the receiving thread records the
-//!   elapsed time as its own span (queue wait) and re-enters the trace
-//!   there, so worker-side spans join the same tree;
-//! - [`TraceHandle::enter`] re-enters a captured context on another
-//!   thread (as `CubeServer`'s shard workers do for the telemetry scope).
+//! shared-counter writes. One explicit propagation primitive crosses
+//! threads: [`TraceHandle::enter`] re-enters a captured context
+//! ([`current_trace`]) on another thread, so spans started there join the
+//! same tree.
 //!
 //! Completed spans land in the sink — a bounded store (drop-counted at
 //! capacity, never reallocating past it) with a slow-query ring keeping
@@ -86,7 +82,7 @@ pub struct SpanRecord {
     pub span: SpanId,
     /// Parent span, `None` for the trace root.
     pub parent: Option<SpanId>,
-    /// Static span name (`serve_query`, `queue_wait`, …).
+    /// Static span name (`serve_query`, `shard_exec`, …).
     pub name: &'static str,
     /// Start time in nanoseconds since the sink's creation.
     pub start_ns: u64,
@@ -118,8 +114,7 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 /// dropping a child span free of shared-memory writes other than the
 /// record itself.
 enum ScopeEntry {
-    /// An owning frame: [`TraceSpan::root`], [`TraceHandle::enter`], or
-    /// [`PendingSpan::finish_and_enter`].
+    /// An owning frame: [`TraceSpan::root`] or [`TraceHandle::enter`].
     Frame(TraceHandle),
     /// A child span started by [`TraceSpan::start`].
     Child(TraceContext),
@@ -244,15 +239,7 @@ impl TraceHandle {
     /// Nestable (innermost wins); unwound correctly on panic.
     pub fn enter(&self) -> EnteredTrace {
         push_scope(ScopeEntry::Frame(self.clone()));
-        EnteredTrace { active: true }
-    }
-
-    /// [`TraceHandle::enter`] by value — the handle moves into the scope
-    /// frame instead of being cloned, sparing a refcount round-trip on
-    /// the per-job propagation path.
-    pub fn enter_owned(self) -> EnteredTrace {
-        push_scope(ScopeEntry::Frame(self));
-        EnteredTrace { active: true }
+        EnteredTrace(())
     }
 }
 
@@ -266,15 +253,11 @@ impl fmt::Debug for TraceHandle {
 
 /// Guard for a re-entered trace scope; pops it on drop.
 #[derive(Debug)]
-pub struct EnteredTrace {
-    active: bool,
-}
+pub struct EnteredTrace(());
 
 impl Drop for EnteredTrace {
     fn drop(&mut self) {
-        if self.active {
-            let _ = pop_scope();
-        }
+        let _ = pop_scope();
     }
 }
 
@@ -285,8 +268,8 @@ impl Drop for EnteredTrace {
 ///
 /// A span is pinned to the thread that started it (`!Send`): its scope
 /// entry lives on that thread's stack, and the drop pops it there. Cross-
-/// thread propagation goes through [`PendingSpan`] or
-/// [`TraceHandle::enter`], which own their sink reference.
+/// thread propagation goes through [`TraceHandle::enter`], which owns its
+/// sink reference.
 pub struct TraceSpan {
     state: Option<SpanState>,
     /// Spans manipulate the thread-local scope stack on drop, so moving
@@ -421,73 +404,6 @@ impl Drop for TraceSpan {
         });
         if let Some(dur_ns) = finished {
             forward_to_telemetry(state.name, dur_ns);
-        }
-    }
-}
-
-/// A span in flight across a queue: started on the submitting thread,
-/// finished on the receiving one. `Send` — it carries the [`TraceContext`]
-/// by value inside a request envelope. If dropped unfinished (e.g. the
-/// send failed), it records the elapsed time as the span's duration.
-pub struct PendingSpan {
-    state: Option<PendingState>,
-}
-
-struct PendingState {
-    handle: TraceHandle,
-    name: &'static str,
-    start_ns: u64,
-}
-
-impl PendingSpan {
-    /// Starts a pending span under the current thread's trace scope;
-    /// `None` when no scope is entered (so envelopes carry nothing and
-    /// the receiver does no work).
-    pub fn start(name: &'static str) -> Option<PendingSpan> {
-        let cur = current_trace()?;
-        let start_ns = cur.sink.now_ns();
-        Some(PendingSpan {
-            state: Some(PendingState {
-                handle: cur,
-                name,
-                start_ns,
-            }),
-        })
-    }
-
-    /// Ends the pending span (its duration is the queue wait) and
-    /// re-enters the carried context on the *current* thread, so spans
-    /// started until the guard drops become siblings of the queue-wait
-    /// span under the same parent.
-    pub fn finish_and_enter(mut self) -> EnteredTrace {
-        match self.state.take() {
-            Some(state) => PendingSpan::finish(state).enter_owned(),
-            None => EnteredTrace { active: false },
-        }
-    }
-
-    fn finish(state: PendingState) -> TraceHandle {
-        let dur_ns = state.handle.sink.now_ns().saturating_sub(state.start_ns);
-        let ctx = state.handle.ctx;
-        let span = SpanId(state.handle.sink.alloc_span());
-        state.handle.sink.record(SpanRecord {
-            trace: ctx.trace,
-            span,
-            parent: Some(ctx.span),
-            name: state.name,
-            start_ns: state.start_ns,
-            dur_ns,
-            tid: thread_tid(),
-        });
-        forward_to_telemetry(state.name, dur_ns);
-        state.handle
-    }
-}
-
-impl Drop for PendingSpan {
-    fn drop(&mut self) {
-        if let Some(state) = self.state.take() {
-            let _ = PendingSpan::finish(state);
         }
     }
 }
@@ -799,7 +715,6 @@ mod tests {
         let span = TraceSpan::start("orphan");
         assert!(!span.is_recording());
         assert!(span.context().is_none());
-        assert!(PendingSpan::start("orphan").is_none());
     }
 
     #[test]
@@ -840,32 +755,6 @@ mod tests {
             }
         }
         contained(&tree);
-    }
-
-    #[test]
-    fn pending_span_crosses_a_queue() {
-        let sink = Arc::new(TraceSink::new());
-        let root = TraceSpan::root(&sink, "serve_query");
-        let trace = root.context().expect("root records").trace;
-        let (tx, rx) = std::sync::mpsc::channel();
-        tx.send(PendingSpan::start("queue_wait").expect("trace active"))
-            .expect("send");
-        let worker = std::thread::spawn(move || {
-            let pending = rx.recv().expect("recv");
-            let _entered = pending.finish_and_enter();
-            drop(TraceSpan::start("shard_exec"));
-        });
-        worker.join().expect("worker");
-        drop(root);
-        let tree = sink.trace_tree(trace).expect("tree assembles");
-        // queue_wait and shard_exec are *siblings* under the root: the
-        // context crossed the queue by value.
-        assert_eq!(
-            tree.edge_set(),
-            vec![("queue_wait", "serve_query"), ("shard_exec", "serve_query"),]
-        );
-        let qw = tree.find("queue_wait").expect("queue_wait recorded");
-        assert!(qw.record.tid != tree.record.tid, "ended on the worker");
     }
 
     #[test]
@@ -918,17 +807,6 @@ mod tests {
         let plain = Arc::new(TraceSink::new());
         drop(TraceSpan::root(&plain, "q"));
         assert!(plain.slow_traces().is_empty());
-    }
-
-    #[test]
-    fn abandoned_pending_span_still_records() {
-        let sink = Arc::new(TraceSink::new());
-        let root = TraceSpan::root(&sink, "serve_query");
-        let trace = root.context().expect("root records").trace;
-        drop(PendingSpan::start("queue_wait").expect("trace active"));
-        drop(root);
-        let tree = sink.trace_tree(trace).expect("tree assembles");
-        assert_eq!(tree.edge_set(), vec![("queue_wait", "serve_query")]);
     }
 
     #[test]
