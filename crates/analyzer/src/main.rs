@@ -7,11 +7,10 @@
 //! cargo run -p olap-analyzer -- check --jobs 8         # parallel scan + rule passes
 //! cargo run -p olap-analyzer -- check --write-baseline
 //! cargo run -p olap-analyzer -- check --root <dir> --baseline <file>
-//! cargo run -p olap-analyzer -- check --time-baseline results/analyzer_time_baseline.json
 //! ```
 //!
-//! Exit codes: `0` clean (or fully base-lined), `1` new findings, stale
-//! baseline entries, or a busted time gate, `2` usage/scan errors.
+//! Exit codes: `0` clean (or fully base-lined), `1` new findings or stale
+//! baseline entries, `2` usage/scan errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,24 +32,20 @@ struct Args {
     format: Format,
     write_baseline: bool,
     jobs: usize,
-    time_baseline: Option<PathBuf>,
 }
 
 fn usage() -> String {
     "usage: olap-analyzer check [--json | --format text|json|sarif] [--write-baseline]\n\
      \x20                          [--jobs N] [--root <dir>] [--baseline <file>]\n\
-     \x20                          [--time-baseline <file>]\n\
      \n\
      Scans crates/*/src and src/ for violations of the workspace rules\n\
      (panic-site, atomic-ordering, lock-order, error-surface,\n\
      budget-coverage, pin-across-blocking, span-discipline,\n\
      estimate-isolation) and compares them against the\n\
      checked-in baseline. --jobs N parallelizes the per-file scan and\n\
-     the rule passes (output is identical for every N). --time-baseline\n\
-     gates the run's wall time at 2x the checked-in figure.\n\
-     Exit 0: no findings beyond the baseline. Exit 1: new findings, a\n\
-     stale baseline, or a busted time gate. Exit 2: bad usage or\n\
-     unreadable sources."
+     the rule passes (output is identical for every N).\n\
+     Exit 0: no findings beyond the baseline. Exit 1: new findings or a\n\
+     stale baseline. Exit 2: bad usage or unreadable sources."
         .to_string()
 }
 
@@ -76,7 +71,6 @@ fn parse_args() -> Result<Args, String> {
         format: Format::Text,
         write_baseline: false,
         jobs: 1,
-        time_baseline: None,
     };
     let mut explicit_baseline = false;
     while let Some(a) = argv.next() {
@@ -112,28 +106,10 @@ fn parse_args() -> Result<Args, String> {
                 args.baseline = PathBuf::from(v);
                 explicit_baseline = true;
             }
-            "--time-baseline" => {
-                let v = argv.next().ok_or("--time-baseline needs a file path")?;
-                args.time_baseline = Some(PathBuf::from(v));
-            }
             other => return Err(format!("unknown flag `{other}`\n\n{}", usage())),
         }
     }
     Ok(args)
-}
-
-/// Reads `analyzer_self_time_ms` out of the checked-in time baseline.
-fn read_time_baseline(path: &std::path::Path) -> Result<u64, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let v = olap_analyzer::json::parse(&src).map_err(|e| format!("{}: {e}", path.display()))?;
-    v.get("analyzer_self_time_ms")
-        .and_then(olap_analyzer::json::Value::as_u64)
-        .ok_or_else(|| {
-            format!(
-                "{}: missing numeric `analyzer_self_time_ms`",
-                path.display()
-            )
-        })
 }
 
 fn main() -> ExitCode {
@@ -199,31 +175,7 @@ fn main() -> ExitCode {
         "olap-analyzer: analyzer_self_time_ms: {elapsed_ms} (jobs: {})",
         args.jobs
     );
-    let mut time_busted = false;
-    if let Some(tb) = &args.time_baseline {
-        match read_time_baseline(tb) {
-            Ok(budget_ms) => {
-                let cap = budget_ms.saturating_mul(2);
-                if elapsed_ms > cap {
-                    eprintln!(
-                        "olap-analyzer: self-time gate busted: {elapsed_ms}ms > 2x the {budget_ms}ms baseline in {} — \
-                         speed the analyzer up or re-baseline deliberately",
-                        tb.display()
-                    );
-                    time_busted = true;
-                } else {
-                    eprintln!(
-                        "olap-analyzer: self-time gate ok: {elapsed_ms}ms <= 2x {budget_ms}ms"
-                    );
-                }
-            }
-            Err(msg) => {
-                eprintln!("olap-analyzer: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if outcome.new_findings.is_empty() && outcome.stale.is_empty() && !time_busted {
+    if outcome.new_findings.is_empty() && outcome.stale.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

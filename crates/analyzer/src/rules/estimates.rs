@@ -13,9 +13,9 @@
 //! forward from them, and flags two sink shapes inside the reachable
 //! region:
 //!
-//! * a type-narrowed call to `SemanticCache::insert` or
-//!   `SemanticCache::prime` (narrowed only — the conservative name
-//!   fallback would flag every `insert` on a `Vec`);
+//! * a type-narrowed call to `SemanticCache::insert` (narrowed only —
+//!   the conservative name fallback would flag every `insert` on a
+//!   `Vec`);
 //! * construction of an exact response variant: `Routed::Exact(…)` or
 //!   `ShardOutcome::Exact(…)`.
 //!
@@ -70,7 +70,7 @@ pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
         let file = &model.files[node.file];
         for s in g.sites(n) {
             let cache_sink = s.narrowed
-                && matches!(s.site.callee.as_str(), "insert" | "prime")
+                && s.site.callee == "insert"
                 && s.targets
                     .iter()
                     .any(|&t| g.nodes[t].self_type.as_deref() == Some("SemanticCache"));

@@ -19,9 +19,9 @@
 //!   every entry point of the snapshot swap path enters the cell's
 //!   internal `writer`/`current` locks, so a call through the cell is an
 //!   acquisition of the cell's own identity; or `name.range_sum(` /
-//!   `name.prime(` / `name.apply_updates(` / `name.clear(` /
-//!   `name.stats(` / `name.len(` on a `SemanticCache` identity, whose
-//!   entry points enter the cache's `update_lock`/`inner` mutexes;
+//!   `name.apply_updates(` / `name.clear(` / `name.stats(` /
+//!   `name.len(` on a `SemanticCache` identity, whose entry points
+//!   enter the cache's `update_lock`/`inner` mutexes;
 //! - a guard bound with `let` is held to the end of its enclosing block,
 //!   a temporary to the end of its statement;
 //! - acquiring `b` while `a` is held adds the edge `a → b`.
@@ -195,12 +195,7 @@ fn acquisitions(toks: &[Token], a: usize, b: usize, locks: &[(String, LockKind)]
                             LockKind::Cache => {
                                 matches!(
                                     m.text.as_str(),
-                                    "range_sum"
-                                        | "prime"
-                                        | "apply_updates"
-                                        | "clear"
-                                        | "stats"
-                                        | "len"
+                                    "range_sum" | "apply_updates" | "clear" | "stats" | "len"
                                 )
                             }
                             LockKind::Sink => {

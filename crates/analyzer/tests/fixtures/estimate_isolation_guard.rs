@@ -4,13 +4,11 @@
 
 impl SemanticCache {
     pub fn insert(&self) {}
-    pub fn prime(&self) {}
 }
 
 /// Exact tier: cache writes and exact constructors are its job.
 pub fn exact_answer(cache: &SemanticCache, v: i64) -> i64 {
     cache.insert();
-    cache.prime();
     let routed = Routed::Exact(v);
     v
 }

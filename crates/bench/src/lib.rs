@@ -1,9 +1,8 @@
-//! Shared measurement helpers for the experiment harness and the
-//! Criterion benches.
+//! Shared measurement helpers for the experiment harness.
 //!
 //! The unit of measurement throughout is the paper's own proxy for
 //! response time: the **number of elements accessed** (§8). Wall-clock
-//! confirmation lives in the Criterion benches.
+//! figures live in the perf ledger (`benchmark/`), one rung per layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

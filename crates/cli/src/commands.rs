@@ -950,7 +950,7 @@ mod tests {
         // counters and entry gauge.
         assert!(out.contains("olap_cache_misses_total"), "{out}");
         assert!(out.contains("olap_cache_entries"), "{out}");
-        // The ISSUE acceptance criterion: over a 1000-query mixed
+        // The acceptance bar: over a 1000-query mixed
         // workload, each prefix-sum engine's mean observed accesses stays
         // within 2× of its mean analytic estimate.
         let mut prefix_lines = 0;

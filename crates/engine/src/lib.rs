@@ -66,7 +66,7 @@ pub use planned::PlannedIndex;
 pub use range_engine::{Capabilities, Derived, EngineOp, RangeEngine};
 pub use router::{
     AdaptiveRouter, Candidate, DegradeReason, EngineHealth, EngineStatus, Explain, FaultStats,
-    ReplayRecord, Routed, DEFAULT_ALPHA, QUARANTINE_COOLDOWN_TICKS, QUARANTINE_THRESHOLD,
+    Routed, DEFAULT_ALPHA, QUARANTINE_COOLDOWN_TICKS, QUARANTINE_THRESHOLD,
 };
 pub use semantic_cache::{CacheBackend, CacheStats, SemanticCache};
 pub use version::{EngineVersion, EpochStats, VersionCell};

@@ -78,7 +78,7 @@ use crate::range_engine::{EngineOp, RangeEngine};
 use crate::version::{EpochGuard, EpochTracker};
 use crate::{EngineError, EpochStats};
 use olap_array::{BudgetMeter, CancellationToken, DegradePolicy, QueryBudget};
-use olap_query::{AccessStats, Estimate, QueryLog, QueryOutcome, RangeQuery};
+use olap_query::{AccessStats, Estimate, QueryOutcome, RangeQuery};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, RwLock};
@@ -263,30 +263,6 @@ impl<V: fmt::Display> fmt::Display for Explain<V> {
         }
         writeln!(f, "  observed: {} accesses", self.observed())?;
         write!(f, "  answer: {}", self.outcome.answer)
-    }
-}
-
-/// One replayed query's prediction-vs-reality record, for studying how the
-/// EWMA calibration converges over a [`QueryLog`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayRecord {
-    /// Label of the engine that answered.
-    pub engine: String,
-    /// Calibrated prediction at decision time (before this query's own
-    /// observation fed back).
-    pub predicted: f64,
-    /// Observed cost, [`AccessStats::total_accesses`].
-    pub observed: u64,
-}
-
-impl ReplayRecord {
-    /// `|observed − predicted| / observed` — the relative prediction error
-    /// the calibration is meant to shrink.
-    pub fn relative_error(&self) -> f64 {
-        if self.observed == 0 {
-            return 0.0;
-        }
-        (self.observed as f64 - self.predicted).abs() / self.observed as f64
     }
 }
 
@@ -544,6 +520,20 @@ impl DegradeReason {
             DegradeReason::EngineFaults => "engine_faults",
             DegradeReason::NoCandidate => "no_candidate",
             DegradeReason::QueueDepth => "queue_depth",
+        }
+    }
+
+    /// The degrade eligibility matrix: the reason an exact failure may
+    /// be answered by the degradation tier, or `None` when it must not —
+    /// cancellation is the caller's own abort, and validation errors
+    /// fail identically on the degraded path.
+    pub fn for_failure(err: &EngineError) -> Option<DegradeReason> {
+        match err {
+            EngineError::DeadlineExceeded { .. } => Some(DegradeReason::DeadlineExceeded),
+            EngineError::BudgetExhausted { .. } => Some(DegradeReason::BudgetExhausted),
+            EngineError::NoCandidate { .. } => Some(DegradeReason::NoCandidate),
+            e if e.is_engine_fault() => Some(DegradeReason::EngineFaults),
+            _ => None,
         }
     }
 }
@@ -906,7 +896,7 @@ impl<V> AdaptiveRouter<V> {
         &self,
         query: &RangeQuery,
         op: EngineOp,
-    ) -> Result<(usize, f64, QueryOutcome<V>), EngineError> {
+    ) -> Result<(usize, QueryOutcome<V>), EngineError> {
         // Covers decision, dispatch, and failover; inert (one relaxed
         // atomic load) unless a trace scope is entered on this thread.
         let _route_span = olap_telemetry::TraceSpan::start("router_dispatch");
@@ -976,7 +966,7 @@ impl<V> AdaptiveRouter<V> {
                         // analyzer: allow(panic-site, reason = "ratios is kept parallel to the engine set by push(); i enumerates that set")
                         record_route(&ctx, start, &set, i, op, p, st.ratios[i], &outcome);
                     }
-                    return Ok((i, p.calibrated, outcome));
+                    return Ok((i, outcome));
                 }
                 Err(e) if e.is_interrupt() => {
                     // The engine obeyed its budget: healthy, no failover
@@ -1008,7 +998,7 @@ impl<V> AdaptiveRouter<V> {
     /// [`EngineError::NoCandidate`] if no engine supports sums; otherwise
     /// whatever the chosen engine reports.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(query, EngineOp::Sum).map(|(_, _, o)| o)
+        self.execute(query, EngineOp::Sum).map(|(_, o)| o)
     }
 
     /// Routes and answers a range-max query. See [`AdaptiveRouter::range_sum`].
@@ -1016,7 +1006,7 @@ impl<V> AdaptiveRouter<V> {
     /// # Errors
     /// [`EngineError::NoCandidate`] or the chosen engine's error.
     pub fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(query, EngineOp::Max).map(|(_, _, o)| o)
+        self.execute(query, EngineOp::Max).map(|(_, o)| o)
     }
 
     /// Routes and answers a range-min query. See [`AdaptiveRouter::range_sum`].
@@ -1024,7 +1014,7 @@ impl<V> AdaptiveRouter<V> {
     /// # Errors
     /// [`EngineError::NoCandidate`] or the chosen engine's error.
     pub fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(query, EngineOp::Min).map(|(_, _, o)| o)
+        self.execute(query, EngineOp::Min).map(|(_, o)| o)
     }
 
     /// Routes `query` exactly like [`AdaptiveRouter::range_sum`] /
@@ -1046,20 +1036,14 @@ impl<V> AdaptiveRouter<V> {
     /// degradation, the reason is ineligible, or no tier is registered.
     pub fn answer(&self, query: &RangeQuery, op: EngineOp) -> Result<Routed<V>, EngineError> {
         let exact_err = match self.execute(query, op) {
-            Ok((_, _, outcome)) => return Ok(Routed::Exact(outcome)),
+            Ok((_, outcome)) => return Ok(Routed::Exact(outcome)),
             Err(e) => e,
         };
         if self.lock_state().budget.on_exhaustion != DegradePolicy::Degrade {
             return Err(exact_err);
         }
-        let reason = match &exact_err {
-            EngineError::DeadlineExceeded { .. } => DegradeReason::DeadlineExceeded,
-            EngineError::BudgetExhausted { .. } => DegradeReason::BudgetExhausted,
-            EngineError::NoCandidate { .. } => DegradeReason::NoCandidate,
-            e if e.is_engine_fault() => DegradeReason::EngineFaults,
-            // Cancellation is the caller's own abort; validation errors
-            // fail identically everywhere.
-            _ => return Err(exact_err),
+        let Some(reason) = DegradeReason::for_failure(&exact_err) else {
+            return Err(exact_err);
         };
         match self.degrade(query, op, reason) {
             Ok((estimate, stats)) => Ok(Routed::Degraded {
@@ -1252,33 +1236,13 @@ impl<V> AdaptiveRouter<V> {
             };
             label_predictions(&set, &cache.predictions, &st.healths)
         };
-        let (chosen, _, outcome) = self.execute(query, op)?;
+        let (chosen, outcome) = self.execute(query, op)?;
         Ok(Explain {
             op,
             candidates,
             chosen,
             outcome,
         })
-    }
-
-    /// Replays a [`QueryLog`] through the router as range sums, recording
-    /// each decision's calibrated prediction and observed cost. The
-    /// returned records show the EWMA tightening predicted-vs-observed
-    /// error as the replay proceeds.
-    ///
-    /// # Errors
-    /// The first routing or engine error.
-    pub fn replay(&self, log: &QueryLog) -> Result<Vec<ReplayRecord>, EngineError> {
-        let mut records = Vec::with_capacity(log.len());
-        for q in log.queries() {
-            let (i, predicted, outcome) = self.execute(q, EngineOp::Sum)?;
-            records.push(ReplayRecord {
-                engine: self.engine(i).label(),
-                predicted,
-                observed: outcome.cost(),
-            });
-        }
-        Ok(records)
     }
 }
 
@@ -1677,18 +1641,14 @@ mod tests {
     }
 
     #[test]
-    fn replay_records_predictions() {
-        let a = cube();
-        let mut log = QueryLog::new(a.shape().clone());
+    fn explain_records_predictions() {
+        let r = router();
         for k in 0..10 {
             let lo = k * 3;
-            log.push(q(&[(lo, lo + 20), (0, 40)]));
+            let ex = r.explain(&q(&[(lo, lo + 20), (0, 40)])).unwrap();
+            assert!(ex.chosen_candidate().calibrated.is_finite());
+            assert!(ex.observed() > 0);
         }
-        let r = router();
-        let records = r.replay(&log).unwrap();
-        assert_eq!(records.len(), 10);
-        assert!(records.iter().all(|rec| rec.predicted.is_finite()));
-        assert!(records.iter().all(|rec| rec.observed > 0));
     }
 
     // ------------------------------------------------------------------

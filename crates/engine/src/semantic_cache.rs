@@ -525,16 +525,6 @@ where
         self.backend.range_min(query)
     }
 
-    /// Executes `region` through the cached sum path, inserting its sum —
-    /// the batch planner's warm-up call before assembling the members of
-    /// an overlapping query group from the shared super-region.
-    ///
-    /// # Errors
-    /// Whatever the backend reports.
-    pub fn prime(&self, region: &Region) -> Result<QueryOutcome<V>, EngineError> {
-        self.range_sum(&RangeQuery::from_region(region))
-    }
-
     /// Applies an update batch through the backend and invalidates
     /// region-wise: entries overlapping the batch's per-slab bounding
     /// boxes are dropped, every other current entry is re-stamped to the

@@ -77,7 +77,9 @@ fn containment_hit_assembles_by_subtraction() {
     let a = cube(&[32, 16]);
     let cache = SemanticCache::new(naive_router(&a), 64);
     let superset = Region::from_bounds(&[(0, 31), (0, 15)]).unwrap();
-    cache.prime(&superset).unwrap();
+    cache
+        .range_sum(&RangeQuery::from_region(&superset))
+        .unwrap();
 
     // A large interior box: small residual relative to direct execution
     // on the naive/indexed engines.
@@ -99,9 +101,7 @@ fn containment_hit_assembles_by_subtraction() {
 fn cost_model_prefers_direct_execution_for_tiny_queries() {
     let a = cube(&[32, 16]);
     let cache = SemanticCache::new(router(&a), 64);
-    cache
-        .prime(&Region::from_bounds(&[(0, 31), (0, 15)]).unwrap())
-        .unwrap();
+    cache.range_sum(&q(&[(0, 31), (0, 15)])).unwrap();
     // A point query: the prefix-sum direct plan costs 2^d lookups while
     // the assembly would execute huge residual slabs — must fall through.
     let out = cache.range_sum(&q(&[(5, 5), (5, 5)])).unwrap();
@@ -152,8 +152,8 @@ fn updates_invalidate_region_wise_not_globally() {
     // Two entries in different leading-dimension slabs.
     let low = Region::from_bounds(&[(0, 3), (0, 15)]).unwrap();
     let high = Region::from_bounds(&[(28, 31), (0, 15)]).unwrap();
-    cache.prime(&low).unwrap();
-    cache.prime(&high).unwrap();
+    cache.range_sum(&RangeQuery::from_region(&low)).unwrap();
+    cache.range_sum(&RangeQuery::from_region(&high)).unwrap();
     assert_eq!(cache.stats().entries, 2);
 
     // Update one cell inside `low`: only that entry may be dropped.
@@ -182,7 +182,7 @@ fn failed_cell_updates_install_nothing_and_keep_entries() {
     let cell = VersionCell::new(Box::new(NaiveEngine::new(a.clone())) as Box<dyn RangeEngine<i64>>);
     let cache = SemanticCache::new(cell, 16);
     let region = Region::from_bounds(&[(0, 7), (0, 7)]).unwrap();
-    cache.prime(&region).unwrap();
+    cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
     let epoch = cache.epoch();
     assert!(cache.apply_updates(&[(vec![99, 99], 1)]).is_err());
     assert_eq!(cache.epoch(), epoch);
@@ -200,7 +200,7 @@ fn failed_router_updates_flush_conservatively() {
     let a = cube(&[16, 8]);
     let cache = SemanticCache::new(router(&a), 16);
     let region = Region::from_bounds(&[(0, 7), (0, 7)]).unwrap();
-    cache.prime(&region).unwrap();
+    cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
     assert!(cache.apply_updates(&[(vec![99, 99], 1)]).is_err());
     assert_eq!(cache.stats().entries, 0);
     let out = cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
@@ -212,9 +212,7 @@ fn lru_eviction_bounds_the_table() {
     let a = cube(&[32, 16]);
     let cache = SemanticCache::new(router(&a), 2);
     for k in 0..5usize {
-        cache
-            .prime(&Region::from_bounds(&[(k * 4, k * 4 + 3), (0, 15)]).unwrap())
-            .unwrap();
+        cache.range_sum(&q(&[(k * 4, k * 4 + 3), (0, 15)])).unwrap();
     }
     let stats = cache.stats();
     assert!(stats.entries <= 2, "{stats:?}");
@@ -230,7 +228,7 @@ fn installs_bypassing_the_cache_never_serve_stale_sums() {
     ));
     let cache = SemanticCache::new(Arc::clone(&cell), 16);
     let region = Region::from_bounds(&[(0, 7), (0, 7)]).unwrap();
-    cache.prime(&region).unwrap();
+    cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
 
     // Out-of-band install, not routed through the cache.
     cell.update(&[(vec![0, 0], 12345)]).unwrap();
@@ -248,7 +246,7 @@ fn version_cell_backend_supports_the_full_protocol() {
     let cell = VersionCell::new(Box::new(NaiveEngine::new(a.clone())) as Box<dyn RangeEngine<i64>>);
     let cache = SemanticCache::with_label(cell, 32, "cell-cache");
     let sup = Region::from_bounds(&[(0, 23), (0, 9)]).unwrap();
-    cache.prime(&sup).unwrap();
+    cache.range_sum(&RangeQuery::from_region(&sup)).unwrap();
     let target = Region::from_bounds(&[(1, 22), (1, 8)]).unwrap();
     let out = cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
     assert_eq!(out.value(), Some(&oracle(&a, &target)));
@@ -270,7 +268,7 @@ fn concurrent_installs_never_tear_cached_answers() {
     let post = oracle(&shadow, &probe);
 
     let cache = Arc::new(SemanticCache::new(router(&a), 32));
-    cache.prime(&probe).unwrap();
+    cache.range_sum(&RangeQuery::from_region(&probe)).unwrap();
     // Sub-boxes assembled from the cached superset while an install
     // lands mid-stream: every answer must match the pre- or
     // post-update oracle exactly — never a mix of snapshots.

@@ -389,9 +389,10 @@ const DEGRADE_BLOCK: usize = 8;
 /// [`DegradePolicy::Degrade`] and the exact failure is an eligible
 /// exhaustion (deadline, access budget, every engine faulted), the shard
 /// router's approximate tier answers instead. Cancellation and
-/// validation errors pass through — same eligibility matrix as
-/// [`AdaptiveRouter::answer`]. A tier failure (none registered,
-/// unsupported op) reports the original exact error.
+/// validation errors pass through — [`DegradeReason::for_failure`] is
+/// the eligibility matrix, shared with [`AdaptiveRouter::answer`]. A
+/// tier failure (none registered, unsupported op) reports the original
+/// exact error.
 fn degrade_fallback(
     router: &AdaptiveRouter<i64>,
     query: &RangeQuery,
@@ -401,12 +402,8 @@ fn degrade_fallback(
     if router.budget().on_exhaustion != DegradePolicy::Degrade {
         return Err(exact_err);
     }
-    let reason = match &exact_err {
-        EngineError::DeadlineExceeded { .. } => DegradeReason::DeadlineExceeded,
-        EngineError::BudgetExhausted { .. } => DegradeReason::BudgetExhausted,
-        EngineError::NoCandidate { .. } => DegradeReason::NoCandidate,
-        e if e.is_engine_fault() => DegradeReason::EngineFaults,
-        _ => return Err(exact_err),
+    let Some(reason) = DegradeReason::for_failure(&exact_err) else {
+        return Err(exact_err);
     };
     match router.degrade(query, op, reason) {
         Ok((estimate, stats)) => Ok(ShardOutcome::Degraded {
@@ -560,8 +557,9 @@ impl CubeServer {
     /// two clock reads and one sink record, a traced query six or more
     /// spans — about 1 µs, three times a cached query itself — so a
     /// 1-in-N head sample adds about 1/N µs per query: choose N against
-    /// the query cost being served. `serve_throughput/
-    /// sampled_trace_range_sum` prices N = 8 against the untraced path.
+    /// the query cost being served, which the perf ledger (`benchmark/`)
+    /// reports as `server.fanout1_p50_us`; its `client.trace_overhead`
+    /// rung is the nearest ledger figure for what timing every op costs.
     ///
     /// Note the slow-query ring only sees sampled queries: head sampling
     /// decides before the outcome is known, which is the standard trade

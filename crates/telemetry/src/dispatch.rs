@@ -6,8 +6,8 @@
 //! active context:
 //!
 //! - if **no** context is active anywhere in the process, [`current`] is a
-//!   single relaxed atomic load returning `None` — the disabled cost the
-//!   acceptance bench pins,
+//!   single relaxed atomic load returning `None` — the disabled cost,
+//!   the denominator of the perf ledger's `telemetry.active_tax` rung,
 //! - a context entered with [`with_scope`] (thread-local, innermost wins)
 //!   takes precedence,
 //! - otherwise the process-wide context installed by [`enable_global`]

@@ -6,7 +6,7 @@
 //! and calibrated), what was observed (total and per access class), and
 //! how long it took. The recorder is the post-hoc debugging view the
 //! registry's aggregates can't give — "what were the last 64 decisions
-//! and were any of them mispredicted?" — and benches assert on it
+//! and were any of them mispredicted?" — and tests assert on it
 //! programmatically via [`FlightRecorder::snapshot`].
 
 use crate::json_escape;

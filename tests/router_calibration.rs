@@ -3,14 +3,15 @@
 //! 1. On a mixed workload, routing per query is never much worse than the
 //!    best *static* single-structure choice — the whole point of carrying
 //!    several structures and the §8/§9 cost model.
-//! 2. Replaying a [`QueryLog`] demonstrably tightens the EWMA calibration:
-//!    late predictions track observed access counts better than early ones.
+//! 2. Re-issuing a recurring workload demonstrably tightens the EWMA
+//!    calibration: late predictions track observed access counts better
+//!    than early ones.
 
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::engine::{
     AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, RangeEngine, SumTreeEngine,
 };
-use olap_cube::query::{QueryLog, RangeQuery};
+use olap_cube::query::RangeQuery;
 use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions};
 
 /// Router ≤ BOUND × best static engine, in total observed accesses. The
@@ -111,22 +112,24 @@ fn replay_tightens_predicted_vs_observed() {
         AdaptiveRouter::new().with_engine(Box::new(SumTreeEngine::build(a, 4).unwrap()));
 
     // An OLAP dashboard's steady state: the same handful of report
-    // queries re-issued over and over. Replaying them lets the EWMA learn
+    // queries re-issued over and over. Re-issuing them lets the EWMA learn
     // each recurring shape's true cost.
     let base = sided_regions(&shape, 40, 3, 31);
-    let mut log = QueryLog::new(shape.clone());
-    for round in 0..20 {
-        let region = &base[round % base.len()];
-        log.push(RangeQuery::from_region(region));
-    }
-    let records = router.replay(&log).unwrap();
-    assert_eq!(records.len(), 20);
+    // |observed − predicted| / observed for each query, where "predicted"
+    // is the chosen candidate's calibrated cost at decision time (before
+    // this query's own observation fed back).
+    let errs: Vec<f64> = (0..20)
+        .map(|round| {
+            let q = RangeQuery::from_region(&base[round % base.len()]);
+            let ex = router.explain(&q).unwrap();
+            let observed = ex.observed() as f64;
+            (observed - ex.chosen_candidate().calibrated).abs() / observed
+        })
+        .collect();
 
-    let mean_err = |slice: &[olap_cube::engine::ReplayRecord]| -> f64 {
-        slice.iter().map(|r| r.relative_error()).sum::<f64>() / slice.len() as f64
-    };
-    let early = mean_err(&records[..5]);
-    let late = mean_err(&records[15..]);
+    let mean_err = |slice: &[f64]| -> f64 { slice.iter().sum::<f64>() / slice.len() as f64 };
+    let early = mean_err(&errs[..5]);
+    let late = mean_err(&errs[15..]);
     assert!(
         late < early,
         "calibration did not tighten: early err {early:.4}, late err {late:.4}"
