@@ -1,4 +1,4 @@
-use crate::{ArrayError, FlatRegionIter, Range, Region, Shape};
+use crate::{ArrayError, FlatRegionIter, Region, Shape};
 
 /// A dense d-dimensional array stored in row-major order — the cube `A` of
 /// §2 and the prefix-sum array `P` of §3.
@@ -127,6 +127,20 @@ impl<T> DenseArray<T> {
         acc
     }
 
+    /// Hands `f` every contiguous innermost-axis run of `region` as a
+    /// mutable slice, in row-major order: the cells
+    /// [`DenseArray::region_offsets`] yields, a line at a time.
+    pub fn for_each_run_mut(&mut self, region: &Region, mut f: impl FnMut(&mut [T])) {
+        debug_assert!(self.shape.check_region(region).is_ok());
+        let (lo, hi) = (region.lower_corner(), region.upper_corner());
+        let mut cur = lo.clone();
+        let data = &mut self.data;
+        self.shape.for_each_run(&lo, &hi, &mut cur, |run| {
+            // analyzer: allow(panic-site, reason = "for_each_run yields offsets inside the shape for a region inside it (documented contract, debug-asserted above)")
+            f(&mut data[run])
+        });
+    }
+
     /// In-place inclusive scan along `axis`: every cell becomes
     /// `combine(previous_cell_along_axis, cell)`.
     ///
@@ -171,30 +185,30 @@ impl<T> DenseArray<T> {
         mut fold: impl FnMut(&U, &T, usize) -> U,
     ) -> Result<DenseArray<U>, ArrayError> {
         let out_shape = self.shape.contract(b)?;
-        let mut out_idx = vec![0usize; out_shape.ndim()];
-        let data: Vec<U> = (0..out_shape.len())
-            .map(|out_flat| {
-                out_shape.unflatten_into(out_flat, &mut out_idx);
-                let block = self.block_region(b, &out_idx);
-                let mut acc = init.clone();
-                for off in FlatRegionIter::new(&self.shape, &block) {
-                    acc = fold(&acc, &self.data[off], off);
+        // One set of odometer buffers for the whole contraction: the block
+        // of every output cell is walked over the same scratch.
+        let mut out_idx = vec![0usize; self.shape.ndim()];
+        let (mut lo, mut hi, mut cur) = (out_idx.clone(), out_idx.clone(), out_idx.clone());
+        let mut data: Vec<U> = Vec::with_capacity(out_shape.len());
+        for out_flat in 0..out_shape.len() {
+            out_shape.unflatten_into(out_flat, &mut out_idx);
+            // The block of `self` under this output cell, clipped at the
+            // array boundary.
+            let corners = lo.iter_mut().zip(hi.iter_mut());
+            for ((l, h), (&bi, &n)) in corners.zip(out_idx.iter().zip(self.shape.dims())) {
+                *l = bi * b;
+                *h = ((bi + 1) * b - 1).min(n - 1);
+            }
+            let mut acc = init.clone();
+            self.shape.for_each_run(&lo, &hi, &mut cur, |run| {
+                // analyzer: allow(panic-site, reason = "for_each_run yields offsets inside the shape: lo/hi were clipped to it just above")
+                for (x, off) in self.data[run.clone()].iter().zip(run) {
+                    acc = fold(&acc, x, off);
                 }
-                acc
-            })
-            .collect();
+            });
+            data.push(acc);
+        }
         DenseArray::from_vec(out_shape, data)
-    }
-
-    /// The region of this array covered by block `block_idx` under block
-    /// size `b`, clipped at the array boundary.
-    fn block_region(&self, b: usize, block_idx: &[usize]) -> Region {
-        let ranges: Vec<Range> = block_idx
-            .iter()
-            .zip(self.shape.dims())
-            .map(|(&bi, &n)| Range::trusted(bi * b, ((bi + 1) * b - 1).min(n - 1)))
-            .collect();
-        Region::trusted(ranges)
     }
 
     /// Applies `f` to every cell, producing a new array of the same shape.
@@ -338,6 +352,72 @@ mod tests {
         let a = figure1_a();
         let c = a.contract_blocks(1, 0i64, |acc, &x, _| acc + x).unwrap();
         assert_eq!(c.as_slice(), a.as_slice());
+    }
+
+    /// The allocation-per-output-cell formulation `contract_blocks` used
+    /// to have: a fresh block `Region` and `FlatRegionIter` for every
+    /// output cell. Kept as the order-and-value reference.
+    fn contract_blocks_reference(
+        a: &DenseArray<i64>,
+        b: usize,
+        mut fold: impl FnMut(&i64, &i64, usize) -> i64,
+    ) -> DenseArray<i64> {
+        let out_shape = a.shape.contract(b).unwrap();
+        let data = (0..out_shape.len())
+            .map(|out_flat| {
+                let ranges: Vec<Range> = out_shape
+                    .unflatten(out_flat)
+                    .iter()
+                    .zip(a.shape.dims())
+                    .map(|(&bi, &n)| Range::new(bi * b, ((bi + 1) * b - 1).min(n - 1)).unwrap())
+                    .collect();
+                let block = Region::new(ranges).unwrap();
+                let mut acc = 0i64;
+                for off in FlatRegionIter::new(&a.shape, &block) {
+                    acc = fold(&acc, &a.data[off], off);
+                }
+                acc
+            })
+            .collect();
+        DenseArray::from_vec(out_shape, data).unwrap()
+    }
+
+    #[test]
+    fn contract_blocks_visits_the_reference_cells_in_the_reference_order() {
+        // Extents that are not multiples of `b` (ragged last blocks), an
+        // extent below `b`, and b = 1, for d = 1..4.
+        let cases: [(&[usize], &[usize]); 4] = [
+            (&[11], &[1, 2, 3, 4, 16]),
+            (&[7, 10], &[2, 3, 4, 8]),
+            (&[5, 3, 9], &[2, 4]),
+            (&[3, 5, 2, 7], &[2, 3]),
+        ];
+        for (dims, blocks) in cases {
+            let a = DenseArray::from_fn(Shape::new(dims).unwrap(), |idx| {
+                idx.iter()
+                    .enumerate()
+                    .map(|(k, &x)| (k as i64 + 3) * x as i64)
+                    .sum::<i64>()
+                    % 17
+                    - 8
+            });
+            for &b in blocks {
+                let (mut seen, mut seen_ref) = (Vec::new(), Vec::new());
+                let got = a
+                    .contract_blocks(b, 0i64, |acc, &x, off| {
+                        seen.push(off);
+                        acc.wrapping_mul(3).wrapping_add(x)
+                    })
+                    .unwrap();
+                let want = contract_blocks_reference(&a, b, |acc, &x, off| {
+                    seen_ref.push(off);
+                    acc.wrapping_mul(3).wrapping_add(x)
+                });
+                assert_eq!(got, want, "dims {dims:?} b {b}");
+                assert_eq!(seen, seen_ref, "dims {dims:?} b {b}");
+                assert_eq!(seen.len(), a.len());
+            }
+        }
     }
 
     #[test]

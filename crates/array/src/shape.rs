@@ -182,6 +182,54 @@ impl Shape {
         self.dims[axis] * self.strides[axis]
     }
 
+    /// Walks the box `lo..=hi` as contiguous runs of flat offsets, one per
+    /// line along the innermost axis, in row-major order — the same cells
+    /// in the same order as [`crate::FlatRegionIter`], a slice at a time.
+    /// `cur` is caller-owned odometer scratch of length `ndim`, so a loop
+    /// over many boxes allocates nothing.
+    ///
+    /// # Panics
+    /// Debug-asserts that the box lies inside the shape; validate with
+    /// [`Shape::check_region`] on untrusted input.
+    pub fn for_each_run(
+        &self,
+        lo: &[usize],
+        hi: &[usize],
+        cur: &mut [usize],
+        mut f: impl FnMut(std::ops::Range<usize>),
+    ) {
+        debug_assert!(self.contains(hi) && lo.iter().zip(hi).all(|(l, h)| l <= h));
+        debug_assert_eq!(cur.len(), self.dims.len());
+        let (Some(&inner_lo), Some(&inner_hi)) = (lo.last(), hi.last()) else {
+            return;
+        };
+        let run = inner_hi - inner_lo + 1;
+        cur.copy_from_slice(lo);
+        let mut base = self.flatten(lo);
+        loop {
+            f(base..base + run);
+            // Odometer over the outer axes; the innermost one is the run.
+            let outer = cur
+                .iter_mut()
+                .zip(lo.iter().zip(hi))
+                .zip(self.strides.iter());
+            let mut advanced = false;
+            for ((c, (&l, &h)), &s) in outer.rev().skip(1) {
+                if *c < h {
+                    *c += 1;
+                    base += s;
+                    advanced = true;
+                    break;
+                }
+                base -= (*c - l) * s;
+                *c = l;
+            }
+            if !advanced {
+                return;
+            }
+        }
+    }
+
     /// Shape of the cube contracted by block size `b` on every dimension:
     /// `⌈n_1/b⌉ × … × ⌈n_d/b⌉`.
     ///

@@ -38,7 +38,7 @@
 use crate::range_engine::EngineOp;
 use crate::EngineError;
 use olap_aggregate::NumericValue;
-use olap_array::{ArrayError, DenseArray, Region, Shape};
+use olap_array::{DenseArray, Region, Shape};
 use olap_prefix_sum::BlockedPrefixCube;
 use olap_query::{AccessStats, Estimate, RangeQuery};
 use std::sync::Arc;
@@ -154,7 +154,7 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
     /// `cube` with block size `b` on every dimension.
     ///
     /// # Errors
-    /// [`ArrayError::ZeroBlock`] when `b = 0`.
+    /// [`olap_array::ArrayError::ZeroBlock`] when `b = 0`.
     pub fn build(cube: DenseArray<V>, b: usize) -> Result<Self, EngineError> {
         let anchors = BlockedPrefixCube::build(&cube, b)?;
         let mins = cube.contract_blocks(b, V::MAX_VALUE, |acc, x, _| (*acc).min(*x))?;
@@ -284,23 +284,8 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
     /// # Errors
     /// Index validation.
     pub fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<Self, EngineError> {
-        let shape = self.a.shape().clone();
         for (idx, _) in updates {
-            if idx.len() != shape.ndim() {
-                return Err(EngineError::from(ArrayError::DimMismatch {
-                    expected: shape.ndim(),
-                    actual: idx.len(),
-                }));
-            }
-            for (axis, (&i, extent)) in idx.iter().zip(shape.dims().iter().copied()).enumerate() {
-                if i >= extent {
-                    return Err(EngineError::from(ArrayError::OutOfBounds {
-                        axis,
-                        index: i,
-                        extent,
-                    }));
-                }
-            }
+            self.a.shape().check_index(idx)?;
         }
         let mut a = self.a.clone();
         for (idx, v) in updates {

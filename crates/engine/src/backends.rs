@@ -2,11 +2,11 @@
 //! the naive scans, the §8 tree-sum baseline, and the §10 sparse engines.
 //!
 //! Each wrapper owns whatever the underlying structure needs at query time
-//! (the tree-sum and naive engines keep the base cube; the sparse engines
-//! are self-contained) so the whole backend travels as one
-//! `Box<dyn RangeEngine<V>>`.
+//! (the tree-sum and naive engines hold the base cube behind an `Arc` a
+//! whole stack can share; the sparse engines are self-contained) so the
+//! whole backend travels as one `Box<dyn RangeEngine<V>>`.
 
-use crate::range_engine::{Capabilities, Derived, RangeEngine};
+use crate::range_engine::{derive_shared, BatchImage, Capabilities, Derived, RangeEngine};
 use crate::EngineError;
 use olap_aggregate::{NaturalOrder, NumericValue, ReverseOrder, SumOp, TotalOrder};
 use olap_array::{DenseArray, Region, Shape};
@@ -14,49 +14,32 @@ use olap_planner::cost;
 use olap_query::{AccessStats, EngineKind, QueryOutcome, QueryStats, RangeQuery};
 use olap_sparse::{SparseCube, SparseRangeMax, SparseRangeSum};
 use olap_tree_sum::SumTreeCube;
+use std::sync::Arc;
 
 /// The no-precomputation baseline as an engine: scans the query sub-cube
 /// for every operation. Cost = query volume `V` — the yardstick every
 /// structure is measured against.
 #[derive(Clone)]
 pub struct NaiveEngine<T> {
-    a: DenseArray<T>,
+    a: Arc<DenseArray<T>>,
 }
 
 impl<T> NaiveEngine<T> {
-    /// Wraps a cube.
-    pub fn new(a: DenseArray<T>) -> Self {
-        NaiveEngine { a }
+    /// Wraps a cube (owned, or an `Arc` shared with other engines).
+    pub fn new(a: impl Into<Arc<DenseArray<T>>>) -> Self {
+        NaiveEngine { a: a.into() }
     }
 
     /// The underlying cube.
     pub fn cube(&self) -> &DenseArray<T> {
         &self.a
     }
-}
 
-impl<T> NaiveEngine<T>
-where
-    T: NumericValue + PartialOrd,
-{
-    /// Applies absolute-value updates in place — the single-owner
-    /// primitive the copy-on-write [`RangeEngine::apply_updates`] builds
-    /// on.
-    ///
-    /// # Errors
-    /// Index validation.
-    pub fn apply_updates_in_place(
-        &mut self,
-        updates: &[(Vec<usize>, T)],
-    ) -> Result<AccessStats, EngineError> {
-        for (idx, _) in updates {
-            self.a.shape().check_index(idx)?;
-        }
+    /// Nothing is precomputed: the post-batch cube is the whole update.
+    fn adopt(&mut self, image: &BatchImage<'_, T>) -> Result<AccessStats, EngineError> {
         let mut stats = AccessStats::new();
-        for (idx, v) in updates {
-            *self.a.get_mut(idx) = v.clone();
-            stats.read_a(1);
-        }
+        stats.read_a(image.updates().len() as u64);
+        self.a = Arc::clone(image.cube());
         Ok(stats)
     }
 }
@@ -125,30 +108,36 @@ where
     }
 
     fn apply_updates(&self, updates: &[(Vec<usize>, T)]) -> Result<Derived<T>, EngineError> {
-        let obs = crate::telemetry::UpdateObservation::start();
-        let mut next = self.clone();
-        let result = NaiveEngine::apply_updates_in_place(&mut next, updates);
-        obs.finish(|| self.label(), updates.len(), &result);
-        let stats = result?;
-        Ok(Derived::new(Box::new(next), stats))
+        self.derive_onto(&BatchImage::derive(&self.a, updates)?)
+    }
+
+    fn base(&self) -> Option<&Arc<DenseArray<T>>> {
+        Some(&self.a)
+    }
+
+    fn derive_onto(&self, image: &BatchImage<'_, T>) -> Result<Derived<T>, EngineError> {
+        derive_shared(self, &self.a, image, NaiveEngine::adopt)
     }
 }
 
 /// The §8 tree-sum baseline as a standalone engine: the hierarchical tree
-/// plus the base cube its queries read boundary cells from. Updates
-/// rebuild the tree (the paper gives it no incremental algorithm).
+/// plus the base cube its queries read boundary cells from. An update
+/// adds each cell's delta to the nodes on its leaf-to-root path
+/// (`k · height` node writes; the tree is never rebuilt).
 #[derive(Clone)]
 pub struct SumTreeEngine<T: NumericValue + PartialOrd> {
-    a: DenseArray<T>,
+    a: Arc<DenseArray<T>>,
     tree: SumTreeCube<T>,
 }
 
 impl<T: NumericValue + PartialOrd> SumTreeEngine<T> {
-    /// Builds the tree with per-dimension fanout `b` over the cube.
+    /// Builds the tree with per-dimension fanout `b` over the cube
+    /// (owned, or an `Arc` shared with other engines).
     ///
     /// # Errors
     /// Rejects fanouts < 2.
-    pub fn build(a: DenseArray<T>, b: usize) -> Result<Self, EngineError> {
+    pub fn build(a: impl Into<Arc<DenseArray<T>>>, b: usize) -> Result<Self, EngineError> {
+        let a = a.into();
         let tree = SumTreeCube::build(&a, b)?;
         Ok(SumTreeEngine { a, tree })
     }
@@ -158,26 +147,17 @@ impl<T: NumericValue + PartialOrd> SumTreeEngine<T> {
         self.tree.fanout()
     }
 
-    /// Applies absolute-value updates in place, rebuilding the tree — the
-    /// single-owner primitive the copy-on-write
-    /// [`RangeEngine::apply_updates`] builds on.
-    ///
-    /// # Errors
-    /// Index validation.
-    pub fn apply_updates_in_place(
-        &mut self,
-        updates: &[(Vec<usize>, T)],
-    ) -> Result<AccessStats, EngineError> {
-        for (idx, _) in updates {
-            self.a.shape().check_index(idx)?;
-        }
+    /// Walks each delta up its leaf-to-root path, then adopts the image's
+    /// post-batch cube. Reports the nodes actually written.
+    fn adopt(&mut self, image: &BatchImage<'_, T>) -> Result<AccessStats, EngineError> {
         let mut stats = AccessStats::new();
-        for (idx, v) in updates {
-            *self.a.get_mut(idx) = v.clone();
-            stats.read_a(1);
-        }
-        self.tree = SumTreeCube::build(&self.a, self.tree.fanout())?;
-        stats.visit_nodes(self.tree.node_count() as u64);
+        stats.read_a(image.updates().len() as u64);
+        let paths = image
+            .deltas()
+            .iter()
+            .map(|u| (u.index.as_slice(), &u.delta));
+        stats.visit_nodes(self.tree.apply_deltas(paths)?);
+        self.a = Arc::clone(image.cube());
         Ok(stats)
     }
 }
@@ -228,12 +208,15 @@ where
     }
 
     fn apply_updates(&self, updates: &[(Vec<usize>, T)]) -> Result<Derived<T>, EngineError> {
-        let obs = crate::telemetry::UpdateObservation::start();
-        let mut next = self.clone();
-        let result = SumTreeEngine::apply_updates_in_place(&mut next, updates);
-        obs.finish(|| self.label(), updates.len(), &result);
-        let stats = result?;
-        Ok(Derived::new(Box::new(next), stats))
+        self.derive_onto(&BatchImage::derive(&self.a, updates)?)
+    }
+
+    fn base(&self) -> Option<&Arc<DenseArray<T>>> {
+        Some(&self.a)
+    }
+
+    fn derive_onto(&self, image: &BatchImage<'_, T>) -> Result<Derived<T>, EngineError> {
+        derive_shared(self, &self.a, image, SumTreeEngine::adopt)
     }
 }
 
@@ -461,7 +444,7 @@ mod tests {
     #[test]
     fn naive_engine_answers_all_ops() {
         let a = cube();
-        let mut e = NaiveEngine::new(a.clone());
+        let e = NaiveEngine::new(a.clone());
         let query = q(&[(1, 6), (2, 5)]);
         let region = query.to_region(a.shape()).unwrap();
         let expected = a.fold_region(&region, 0i64, |s, &x| s + x);
@@ -471,14 +454,14 @@ mod tests {
         let emin = a.fold_region(&region, i64::MAX, |m, &x| m.min(x));
         assert_eq!(e.range_min(&query).unwrap().value(), Some(&emin));
         assert_eq!(e.estimate(&query), region.volume() as f64);
-        e.apply_updates_in_place(&[(vec![3, 3], 999)]).unwrap();
+        let e = e.apply_updates(&[(vec![3, 3], 999)]).unwrap().engine;
         assert_eq!(e.range_max(&query).unwrap().value(), Some(&999));
     }
 
     #[test]
-    fn sum_tree_engine_matches_naive_and_rebuilds_on_update() {
+    fn sum_tree_engine_matches_naive_before_and_after_an_update() {
         let a = cube();
-        let mut e = SumTreeEngine::build(a.clone(), 3).unwrap();
+        let e = SumTreeEngine::build(a.clone(), 3).unwrap();
         let naive = NaiveEngine::new(a.clone());
         let query = q(&[(0, 8), (1, 5)]);
         assert_eq!(
@@ -490,8 +473,10 @@ mod tests {
             e.range_max(&query),
             Err(EngineError::Unsupported { .. })
         ));
-        e.apply_updates_in_place(&[(vec![0, 1], 40), (vec![0, 1], 50)])
-            .unwrap();
+        let e = e
+            .apply_updates(&[(vec![0, 1], 40), (vec![0, 1], 50)])
+            .unwrap()
+            .engine;
         let mut shadow = a.clone();
         *shadow.get_mut(&[0, 1]) = 50;
         let region = query.to_region(shadow.shape()).unwrap();

@@ -17,11 +17,12 @@
 //! mutually consistent or equivalence checks would compare different
 //! cubes rather than different failure handling.
 
-use crate::range_engine::Derived;
+use crate::range_engine::{BatchImage, Derived};
 use crate::{Capabilities, EngineError, RangeEngine};
-use olap_array::{BudgetMeter, Shape};
+use olap_array::{BudgetMeter, DenseArray, Shape};
 use olap_query::{QueryOutcome, RangeQuery};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What a [`FaultyEngine`] injects, and how often.
@@ -153,6 +154,22 @@ impl<V: 'static> FaultyEngine<V> {
         self.calls.load(Ordering::Relaxed)
     }
 
+    /// Wraps the inner engine's successor in the same plan, carrying the
+    /// call count forward so the fault schedule continues across installs.
+    fn rewrap(&self, derived: Derived<V>) -> Derived<V> {
+        Derived::new(
+            Box::new(FaultyEngine {
+                inner: derived.engine,
+                plan: self.plan,
+                // ordering: Relaxed — a point-in-time carry of the call
+                // counter into the successor snapshot; the schedule only
+                // needs per-call uniqueness, not cross-thread ordering.
+                calls: AtomicU64::new(self.calls.load(Ordering::Relaxed)),
+            }),
+            derived.stats,
+        )
+    }
+
     /// Decides the fate of one query call: counts it, then panics, errors,
     /// sleeps, or passes through per the plan's deterministic schedule.
     fn inject(&self, op: &str) -> Result<(), EngineError> {
@@ -240,20 +257,15 @@ impl<V: 'static> RangeEngine<V> for FaultyEngine<V> {
 
     fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<Derived<V>, EngineError> {
         // Never injected: replicas must stay consistent (module docs).
-        // The derived snapshot keeps the same plan and carries the call
-        // count forward so the fault schedule continues across installs.
-        let derived = self.inner.apply_updates(updates)?;
-        Ok(Derived::new(
-            Box::new(FaultyEngine {
-                inner: derived.engine,
-                plan: self.plan,
-                // ordering: Relaxed — a point-in-time carry of the call
-                // counter into the successor snapshot; the schedule only
-                // needs per-call uniqueness, not cross-thread ordering.
-                calls: AtomicU64::new(self.calls.load(Ordering::Relaxed)),
-            }),
-            derived.stats,
-        ))
+        Ok(self.rewrap(self.inner.apply_updates(updates)?))
+    }
+
+    fn base(&self) -> Option<&Arc<DenseArray<V>>> {
+        self.inner.base()
+    }
+
+    fn derive_onto(&self, image: &BatchImage<'_, V>) -> Result<Derived<V>, EngineError> {
+        Ok(self.rewrap(self.inner.derive_onto(image)?))
     }
 }
 

@@ -2,11 +2,10 @@
 //! one query interface.
 
 use crate::error::EngineError;
-use crate::range_engine::{Capabilities, Derived, RangeEngine};
+use crate::range_engine::{derive_shared, BatchImage, Capabilities, Derived, RangeEngine};
 use olap_aggregate::ReverseOrder;
 use olap_aggregate::{NaturalOrder, NumericValue, SumOp, TotalOrder};
 use olap_array::{BudgetMeter, DenseArray, QueryBudget, Region, Shape};
-use olap_prefix_sum::batch::CellUpdate;
 use olap_prefix_sum::{batch, BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
 use olap_query::{AccessStats, EngineKind, QueryOutcome, RangeQuery};
 use olap_range_max::{MaxTree, NaturalMaxTree, PointUpdate};
@@ -87,10 +86,10 @@ where
     NaturalOrder<T>: TotalOrder<Value = T>,
 {
     // Every structure sits behind an `Arc` so a clone of the index is a
-    // handful of reference bumps: the copy-on-write snapshot derivation in
-    // the trait-level `apply_updates` clones the index, then deep-copies
-    // (via `Arc::make_mut`) only the structures the batch actually
-    // touches.
+    // handful of reference bumps. Deriving a snapshot clones the index,
+    // copies (via `Arc::make_mut`) each maintained array the batch writes
+    // into, and swaps in the batch image's post-batch cube for `a` — the
+    // index itself never copies the cube.
     a: Arc<DenseArray<T>>,
     config: IndexConfig,
     prefix: Option<Arc<PrefixSumCube<T>>>,
@@ -109,7 +108,11 @@ where
     ///
     /// # Errors
     /// Invalid block sizes / fanouts.
-    pub fn build(a: DenseArray<T>, config: IndexConfig) -> Result<Self, EngineError> {
+    pub fn build(
+        a: impl Into<Arc<DenseArray<T>>>,
+        config: IndexConfig,
+    ) -> Result<Self, EngineError> {
+        let a = a.into();
         let prefix = match config.prefix {
             PrefixChoice::Basic => Some(Arc::new(PrefixSumCube::build(&a))),
             _ => None,
@@ -135,7 +138,7 @@ where
             None => None,
         };
         Ok(CubeIndex {
-            a: Arc::new(a),
+            a,
             config,
             prefix,
             blocked,
@@ -282,9 +285,9 @@ where
     /// the cube and every maintained structure:
     ///
     /// - prefix sums via the Theorem-2 batched region update (§5),
-    /// - the max tree via the tag protocol (§7),
-    /// - the tree-sum baseline by rebuilding (the paper gives it no
-    ///   incremental algorithm).
+    /// - the max and min trees via the tag protocol (§7),
+    /// - the tree-sum baseline by adding each cell's delta to the nodes
+    ///   on its leaf-to-root path.
     ///
     /// Later updates to the same cell win. Returns combined access
     /// statistics.
@@ -295,56 +298,45 @@ where
         &mut self,
         updates: &[(Vec<usize>, T)],
     ) -> Result<AccessStats, EngineError> {
-        for (idx, _) in updates {
-            self.a.shape().check_index(idx)?;
-        }
+        let base = Arc::clone(&self.a);
+        self.adopt(&BatchImage::derive(&base, updates)?)
+    }
+
+    /// Brings every maintained structure from `self.a` to the image's
+    /// post-batch cube, then adopts that cube. `Arc::make_mut` is the
+    /// copy-on-write boundary: an array shared with a live snapshot is
+    /// copied exactly once here; an unshared one is written in place.
+    fn adopt(&mut self, image: &BatchImage<'_, T>) -> Result<AccessStats, EngineError> {
         let mut stats = AccessStats::new();
-        // Deltas for the prefix structures (value-to-add = new ⊖ old,
-        // against the evolving cube so duplicate updates compose).
-        if self.prefix.is_some() || self.blocked.is_some() {
-            let mut running: std::collections::BTreeMap<Vec<usize>, T> =
-                std::collections::BTreeMap::new();
-            let mut deltas: Vec<CellUpdate<T>> = Vec::with_capacity(updates.len());
-            for (idx, new_v) in updates {
-                let old = running
-                    .get(idx)
-                    .cloned()
-                    .unwrap_or_else(|| self.a.get(idx).clone());
-                deltas.push(CellUpdate::new(idx, new_v.clone() - old));
-                running.insert(idx.clone(), new_v.clone());
-            }
-            // `Arc::make_mut` is the copy-on-write boundary: a structure
-            // shared with a live snapshot is deep-copied exactly once
-            // here; an unshared one is mutated in place.
-            if let Some(ps) = &mut self.prefix {
-                batch::apply_batch(Arc::make_mut(ps), &deltas)?;
-            }
-            if let Some(bp) = &mut self.blocked {
-                batch::apply_batch_blocked(Arc::make_mut(bp), &deltas)?;
-            }
+        if let Some(ps) = &mut self.prefix {
+            batch::apply_batch(Arc::make_mut(ps), image.deltas())?;
         }
-        let pts: Vec<PointUpdate<T>> = updates
-            .iter()
-            .map(|(idx, v)| PointUpdate::new(idx, v.clone()))
-            .collect();
-        // The min tree sees the pre-update cube (batch_update applies the
-        // writes itself, so only the first tree may mutate `a`).
-        if let Some(t) = &mut self.min_tree {
-            let mut shadow = self.a.as_ref().clone();
-            stats += Arc::make_mut(t).batch_update(&mut shadow, &pts)?;
+        if let Some(bp) = &mut self.blocked {
+            batch::apply_batch_blocked(Arc::make_mut(bp), image.deltas())?;
         }
-        // The max tree updates A itself; otherwise apply manually.
-        if let Some(t) = &mut self.max_tree {
-            stats += Arc::make_mut(t).batch_update(Arc::make_mut(&mut self.a), &pts)?;
-        } else {
-            let a = Arc::make_mut(&mut self.a);
-            for (idx, v) in updates {
-                *a.get_mut(idx) = v.clone();
+        if self.max_tree.is_some() || self.min_tree.is_some() {
+            // Both trees read old values from the pre-batch cube and
+            // rescan the one post-batch cube; neither writes a cube.
+            let pts: Vec<PointUpdate<T>> = image
+                .updates()
+                .iter()
+                .map(|(idx, v)| PointUpdate::new(idx, v.clone()))
+                .collect();
+            if let Some(t) = &mut self.min_tree {
+                stats += Arc::make_mut(t).batch_update_onto(&self.a, image.cube(), &pts)?;
+            }
+            if let Some(t) = &mut self.max_tree {
+                stats += Arc::make_mut(t).batch_update_onto(&self.a, image.cube(), &pts)?;
             }
         }
         if let Some(st) = &mut self.sum_tree {
-            *st = Arc::new(SumTreeCube::build(&self.a, st.fanout())?);
+            let paths = image
+                .deltas()
+                .iter()
+                .map(|u| (u.index.as_slice(), &u.delta));
+            stats.visit_nodes(Arc::make_mut(st).apply_deltas(paths)?);
         }
+        self.a = Arc::clone(image.cube());
         Ok(stats)
     }
 }
@@ -473,15 +465,15 @@ where
     }
 
     fn apply_updates(&self, updates: &[(Vec<usize>, T)]) -> Result<Derived<T>, EngineError> {
-        let obs = crate::telemetry::UpdateObservation::start();
-        // Copy-on-write derivation: the clone is a handful of `Arc`
-        // bumps, and the in-place kernel deep-copies (via
-        // `Arc::make_mut`) only the structures the batch touches.
-        let mut next = self.clone();
-        let result = CubeIndex::apply_updates_in_place(&mut next, updates);
-        obs.finish(|| RangeEngine::label(self), updates.len(), &result);
-        let stats = result?;
-        Ok(Derived::new(Box::new(next), stats))
+        self.derive_onto(&BatchImage::derive(&self.a, updates)?)
+    }
+
+    fn base(&self) -> Option<&Arc<DenseArray<T>>> {
+        Some(&self.a)
+    }
+
+    fn derive_onto(&self, image: &BatchImage<'_, T>) -> Result<Derived<T>, EngineError> {
+        derive_shared(self, &self.a, image, CubeIndex::adopt)
     }
 }
 

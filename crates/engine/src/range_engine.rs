@@ -10,9 +10,13 @@
 //! argmin.
 
 use crate::EngineError;
-use olap_array::{BudgetMeter, Shape};
+use olap_aggregate::NumericValue;
+use olap_array::{BudgetMeter, DenseArray, Shape};
+use olap_prefix_sum::batch::CellUpdate;
 use olap_query::{AccessStats, QueryOutcome, RangeQuery};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The operations an engine may support.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,6 +124,108 @@ impl<V> fmt::Debug for Derived<V> {
     }
 }
 
+/// One update batch, worked out once for a whole stack: the post-batch
+/// base cube — the batch's only whole-cube copy — and one `new ⊖ old`
+/// value-to-add per distinct cell (a cell set twice keeps its last value).
+///
+/// [`crate::AdaptiveRouter::apply_updates`] derives it from the first
+/// healthy engine's [`RangeEngine::base`] and hands it to every engine
+/// through [`RangeEngine::derive_onto`]: an engine whose base *is* the
+/// image's source cube adopts [`BatchImage::cube`] and feeds
+/// [`BatchImage::deltas`] to its own structures; any other engine derives
+/// privately from [`BatchImage::updates`].
+pub struct BatchImage<'a, V> {
+    updates: &'a [(Vec<usize>, V)],
+    pre: &'a Arc<DenseArray<V>>,
+    cube: Arc<DenseArray<V>>,
+    deltas: Vec<CellUpdate<V>>,
+}
+
+impl<'a, V: NumericValue> BatchImage<'a, V> {
+    /// Applies `updates` (absolute values, later ones winning) to a copy
+    /// of `base` and composes the per-cell deltas against `base`.
+    ///
+    /// # Errors
+    /// Index validation; nothing is copied for an invalid batch.
+    pub fn derive(
+        base: &'a Arc<DenseArray<V>>,
+        updates: &'a [(Vec<usize>, V)],
+    ) -> Result<Self, EngineError> {
+        for (idx, _) in updates {
+            base.shape().check_index(idx)?;
+        }
+        let mut cube = DenseArray::clone(base);
+        let mut touched: BTreeMap<usize, &[usize]> = BTreeMap::new();
+        for (idx, v) in updates {
+            let flat = base.shape().flatten(idx);
+            *cube.get_flat_mut(flat) = v.clone();
+            touched.insert(flat, idx);
+        }
+        let deltas = touched
+            .into_iter()
+            .map(|(flat, idx)| {
+                let delta = cube.get_flat(flat).clone() - base.get_flat(flat).clone();
+                CellUpdate::new(idx, delta)
+            })
+            .collect();
+        Ok(BatchImage {
+            updates,
+            pre: base,
+            cube: Arc::new(cube),
+            deltas,
+        })
+    }
+}
+
+impl<V> BatchImage<'_, V> {
+    /// The batch as submitted: `(index, new value)`, duplicates included.
+    pub fn updates(&self) -> &[(Vec<usize>, V)] {
+        self.updates
+    }
+
+    /// The post-batch base cube.
+    pub fn cube(&self) -> &Arc<DenseArray<V>> {
+        &self.cube
+    }
+
+    /// One `new ⊖ old` value-to-add per distinct updated cell, in
+    /// row-major cell order.
+    pub fn deltas(&self) -> &[CellUpdate<V>] {
+        &self.deltas
+    }
+
+    /// Whether `base` is the very cube (same allocation) this image was
+    /// derived from — the condition for adopting [`BatchImage::cube`].
+    pub fn is_over(&self, base: &Arc<DenseArray<V>>) -> bool {
+        Arc::ptr_eq(self.pre, base)
+    }
+}
+
+/// The derive body of the engines that hold the base cube behind an `Arc`:
+/// clone the engine (reference bumps plus its own tree levels) and let
+/// `adopt` bring the clone to the post-batch state. An engine over some
+/// other cube than the image's source — its own copy, or a batch behind —
+/// derives an image of its own, so it stays consistent with itself.
+pub(crate) fn derive_shared<V, E>(
+    engine: &E,
+    base: &Arc<DenseArray<V>>,
+    image: &BatchImage<'_, V>,
+    adopt: impl FnOnce(&mut E, &BatchImage<'_, V>) -> Result<AccessStats, EngineError>,
+) -> Result<Derived<V>, EngineError>
+where
+    V: NumericValue,
+    E: RangeEngine<V> + Clone + 'static,
+{
+    if !image.is_over(base) {
+        return engine.derive_onto(&BatchImage::derive(base, image.updates())?);
+    }
+    let obs = crate::telemetry::UpdateObservation::start();
+    let mut next = engine.clone();
+    let result = adopt(&mut next, image);
+    obs.finish(|| engine.label(), image.updates().len(), &result);
+    Ok(Derived::new(Box::new(next), result?))
+}
+
 /// A queryable cube backend: the lingua franca between structures, the
 /// adaptive router, benches, and the CLI.
 ///
@@ -132,11 +238,12 @@ impl<V> fmt::Debug for Derived<V> {
 /// Engines are **immutable snapshots**: every query takes `&self` and the
 /// trait is `Send + Sync`, so one snapshot can serve any number of
 /// threads. Updates never mutate in place — [`RangeEngine::apply_updates`]
-/// *derives* a successor engine ([`Derived`]) from copy-on-write clones of
-/// the internal structures, and version cells install the successor
-/// atomically ([`crate::VersionCell`]). Concrete types additionally keep
-/// an inherent `&mut self` `apply_updates` for single-owner callers that
-/// do not need snapshot isolation.
+/// *derives* a successor engine ([`Derived`]) that shares every `Arc`ed
+/// structure the batch leaves alone with the receiver, and version cells
+/// install the successor atomically ([`crate::VersionCell`]). Concrete
+/// types additionally keep an inherent `&mut self`
+/// `apply_updates_in_place` for single-owner callers that do not need
+/// snapshot isolation.
 pub trait RangeEngine<V>: Send + Sync {
     /// A short human-readable label naming the engine and its tuning
     /// (e.g. `cube-index(blocked b=8)`), used by `explain` output.
@@ -213,16 +320,32 @@ pub trait RangeEngine<V>: Send + Sync {
     /// untouched as a live snapshot for in-flight readers. Later updates
     /// to the same cell win.
     ///
-    /// Implementations clone `Arc`-shared internals and apply the paper's
-    /// incremental maintenance (the Theorem 2 batched region update, the
-    /// §7 tag protocol) into the clone, so only structures the batch
-    /// touches are deep-copied.
+    /// Engines over an `Arc`ed base cube go through a [`BatchImage`]: one
+    /// copy of the cube, one of each array the paper's maintenance writes
+    /// into (`P` for Theorem 2's regions, the tree levels for §7's tag
+    /// protocol and the sum tree's paths); nothing is rebuilt.
     ///
     /// # Errors
     /// Index validation, or [`EngineError::Unsupported`].
     fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<Derived<V>, EngineError> {
         let _ = updates;
         Err(EngineError::unsupported(self.label(), "apply_updates"))
+    }
+
+    /// The base cube the engine reads at query time, when it holds one
+    /// behind an `Arc` that a whole stack can share.
+    fn base(&self) -> Option<&Arc<DenseArray<V>>> {
+        None
+    }
+
+    /// [`RangeEngine::apply_updates`] for a batch whose [`BatchImage`]
+    /// exists: an engine over the image's source cube adopts the image's
+    /// cube instead of copying its own. The default applies the raw batch.
+    ///
+    /// # Errors
+    /// As [`RangeEngine::apply_updates`].
+    fn derive_onto(&self, image: &BatchImage<'_, V>) -> Result<Derived<V>, EngineError> {
+        self.apply_updates(image.updates())
     }
 }
 

@@ -74,9 +74,10 @@
 //! flight recorder.
 
 use crate::approx::DegradeTier;
-use crate::range_engine::{EngineOp, RangeEngine};
+use crate::range_engine::{BatchImage, EngineOp, RangeEngine};
 use crate::version::{EpochGuard, EpochTracker};
 use crate::{EngineError, EpochStats};
+use olap_aggregate::NumericValue;
 use olap_array::{BudgetMeter, CancellationToken, DegradePolicy, QueryBudget};
 use olap_query::{AccessStats, Estimate, QueryOutcome, RangeQuery};
 use std::fmt;
@@ -1094,23 +1095,30 @@ impl<V> AdaptiveRouter<V> {
     }
 
     /// Applies absolute-value updates to **every** engine by deriving a
-    /// copy-on-write successor of each ([`RangeEngine::apply_updates`])
-    /// and installing the whole set as one new snapshot. Concurrent
+    /// successor of each and installing the whole set as one new
+    /// snapshot. The batch is worked out once — a [`BatchImage`] from the
+    /// first healthy engine's [`RangeEngine::base`] — and every engine
+    /// derives onto it ([`RangeEngine::derive_onto`]), so engines built
+    /// over one shared base copy the cube once between them. Concurrent
     /// queries are never blocked and never see a half-updated candidate
     /// set: they finish on the snapshot they pinned, or start on the
     /// fully-installed successor.
     ///
-    /// A poisoned engine is never re-derived — its last good snapshot is
-    /// carried forward untouched. An engine whose derive fails or panics
-    /// also keeps its pre-batch snapshot (and a panic poisons it); the
-    /// first such failure is reported after the rest of the set has been
-    /// derived, so healthy engines stay mutually consistent.
+    /// A poisoned engine is never re-derived — its last good snapshot,
+    /// old base included, is carried forward untouched. An engine whose
+    /// derive fails or panics also keeps its pre-batch snapshot (and a
+    /// panic poisons it); the first such failure is reported after the
+    /// rest of the set has been derived, so healthy engines stay mutually
+    /// consistent.
     ///
     /// # Errors
     /// [`EngineError::Unsupported`] naming the first engine that cannot
-    /// take updates (checked before any engine is derived), or the first
-    /// derive failure.
-    pub fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError> {
+    /// take updates, or an index the image rejects (either way nothing is
+    /// derived or installed), or the first derive failure.
+    pub fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError>
+    where
+        V: NumericValue,
+    {
         let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let cur = self.load();
         if let Some(e) = cur
@@ -1130,6 +1138,13 @@ impl<V> AdaptiveRouter<V> {
                 })
                 .collect()
         };
+        let image = cur
+            .engines
+            .iter()
+            .zip(&poisoned)
+            .find_map(|(e, &dead)| if dead { None } else { e.base() })
+            .map(|base| BatchImage::derive(base, updates))
+            .transpose()?;
         let mut stats = AccessStats::new();
         let mut first_err: Option<EngineError> = None;
         let mut next: Vec<Arc<dyn RangeEngine<V>>> = Vec::with_capacity(cur.engines.len());
@@ -1141,7 +1156,11 @@ impl<V> AdaptiveRouter<V> {
                 next.push(Arc::clone(engine));
                 continue;
             }
-            match catch_unwind(AssertUnwindSafe(|| engine.apply_updates(updates))) {
+            let derive = || match &image {
+                Some(image) => engine.derive_onto(image),
+                None => engine.apply_updates(updates),
+            };
+            match catch_unwind(AssertUnwindSafe(derive)) {
                 Ok(Ok(derived)) => {
                     stats += derived.stats;
                     next.push(Arc::from(derived.engine));
@@ -1490,7 +1509,7 @@ mod tests {
     /// A pass-through engine that counts how often the router asks it for
     /// an estimate — the probe for the decision cache.
     struct CountingEngine {
-        inner: NaiveEngine<i64>,
+        inner: Box<dyn RangeEngine<i64>>,
         estimates: std::sync::Arc<std::sync::atomic::AtomicUsize>,
     }
 
@@ -1522,14 +1541,13 @@ mod tests {
             &self,
             updates: &[(Vec<usize>, i64)],
         ) -> Result<Derived<i64>, EngineError> {
-            let mut inner = self.inner.clone();
-            let stats = inner.apply_updates_in_place(updates)?;
+            let derived = self.inner.apply_updates(updates)?;
             Ok(Derived::new(
                 Box::new(CountingEngine {
-                    inner,
+                    inner: derived.engine,
                     estimates: self.estimates.clone(),
                 }),
-                stats,
+                derived.stats,
             ))
         }
     }
@@ -1542,7 +1560,7 @@ mod tests {
         let a = cube();
         let r = AdaptiveRouter::new()
             .with_engine(Box::new(CountingEngine {
-                inner: NaiveEngine::new(a.clone()),
+                inner: Box::new(NaiveEngine::new(a.clone())),
                 estimates: estimates.clone(),
             }))
             .with_engine(Box::new(
@@ -1692,7 +1710,7 @@ mod tests {
     /// Fails its first `fail_first` query calls with a backend error, then
     /// recovers; always claims to be the cheapest candidate.
     struct FlakyEngine {
-        inner: NaiveEngine<i64>,
+        inner: Box<dyn RangeEngine<i64>>,
         fail_first: usize,
         calls: Arc<AtomicUsize>,
     }
@@ -1721,15 +1739,14 @@ mod tests {
             &self,
             updates: &[(Vec<usize>, i64)],
         ) -> Result<Derived<i64>, EngineError> {
-            let mut inner = self.inner.clone();
-            let stats = inner.apply_updates_in_place(updates)?;
+            let derived = self.inner.apply_updates(updates)?;
             Ok(Derived::new(
                 Box::new(FlakyEngine {
-                    inner,
+                    inner: derived.engine,
                     fail_first: self.fail_first,
                     calls: self.calls.clone(),
                 }),
-                stats,
+                derived.stats,
             ))
         }
     }
@@ -1739,7 +1756,7 @@ mod tests {
         let a = cube();
         let r = AdaptiveRouter::new()
             .with_engine(Box::new(FlakyEngine {
-                inner: NaiveEngine::new(a.clone()),
+                inner: Box::new(NaiveEngine::new(a.clone())),
                 fail_first,
                 calls: calls.clone(),
             }))

@@ -101,7 +101,7 @@ pub trait CacheBackend<V>: Send + Sync {
     fn epoch(&self) -> u64;
 }
 
-impl<V> CacheBackend<V> for AdaptiveRouter<V> {
+impl<V: NumericValue> CacheBackend<V> for AdaptiveRouter<V> {
     fn shape(&self) -> Option<Shape> {
         if self.is_empty() {
             None

@@ -6,10 +6,10 @@
 
 use olap_array::{DenseArray, Region, Shape};
 use olap_engine::{
-    AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, RangeEngine, SemanticCache, SumTreeEngine,
-    VersionCell,
+    AdaptiveRouter, Capabilities, CubeIndex, Derived, EngineError, IndexConfig, NaiveEngine,
+    RangeEngine, SemanticCache, SumTreeEngine, VersionCell,
 };
-use olap_query::{EngineKind, RangeQuery};
+use olap_query::{EngineKind, QueryOutcome, RangeQuery};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -192,19 +192,67 @@ fn failed_cell_updates_install_nothing_and_keep_entries() {
     assert_eq!(out.value(), Some(&oracle(&a, &region)));
 }
 
+/// Answers like the naive scan; every derive fails.
+struct RefusesUpdates(NaiveEngine<i64>);
+
+impl RangeEngine<i64> for RefusesUpdates {
+    fn label(&self) -> String {
+        "refuses-updates".to_string()
+    }
+    fn shape(&self) -> &Shape {
+        self.0.shape()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.0.capabilities()
+    }
+    fn estimate(&self, query: &RangeQuery) -> f64 {
+        self.0.estimate(query)
+    }
+    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<i64>, EngineError> {
+        self.0.range_sum(query)
+    }
+    fn apply_updates(&self, _: &[(Vec<usize>, i64)]) -> Result<Derived<i64>, EngineError> {
+        Err(EngineError::backend(self.label(), "derive refused"))
+    }
+}
+
 #[test]
 fn failed_router_updates_flush_conservatively() {
-    // The router installs a successor set even when a derive fails (the
-    // healthy engines stay mutually consistent), so pre-batch sums may
-    // no longer describe the serving snapshot — the cache must drop them.
+    // The router installs a successor set even when one engine's derive
+    // fails (the healthy engines stay mutually consistent), so pre-batch
+    // sums may no longer describe the serving snapshot — the cache must
+    // drop them.
+    let a = cube(&[16, 8]);
+    let backend = router(&a).with_engine(Box::new(RefusesUpdates(NaiveEngine::new(a.clone()))));
+    let cache = SemanticCache::new(backend, 16);
+    let region = Region::from_bounds(&[(0, 7), (0, 7)]).unwrap();
+    cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
+    let epoch = cache.epoch();
+    assert!(cache.apply_updates(&[(vec![1, 1], 1)]).is_err());
+    assert_eq!(cache.epoch(), epoch + 1);
+    assert_eq!(cache.stats().entries, 0);
+    let out = cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
+    assert_ne!(out.answered_by, EngineKind::SemanticCache);
+}
+
+#[test]
+fn batches_the_router_rejects_install_nothing_and_keep_entries() {
+    // An out-of-bounds index is refused while the batch image is worked
+    // out, before any engine derives: no install, no epoch bump, and the
+    // cached sums still describe the serving snapshot.
     let a = cube(&[16, 8]);
     let cache = SemanticCache::new(router(&a), 16);
     let region = Region::from_bounds(&[(0, 7), (0, 7)]).unwrap();
     cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
-    assert!(cache.apply_updates(&[(vec![99, 99], 1)]).is_err());
-    assert_eq!(cache.stats().entries, 0);
+    let epoch = cache.epoch();
+    assert!(cache
+        .apply_updates(&[(vec![1, 1], 5), (vec![99, 99], 1)])
+        .is_err());
+    assert_eq!(cache.epoch(), epoch);
+    assert_eq!(cache.stats().entries, 1);
     let out = cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
-    assert_ne!(out.answered_by, EngineKind::SemanticCache);
+    assert_eq!(out.answered_by, EngineKind::SemanticCache);
+    assert_eq!(out.value(), Some(&oracle(&a, &region)));
 }
 
 #[test]

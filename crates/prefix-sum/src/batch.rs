@@ -178,18 +178,21 @@ pub fn apply_batch<G: AbelianGroup>(
 }
 
 /// The region-application kernel: combines each planned region's delta
-/// into every covered cell of `p`. The plan's regions are pairwise
-/// disjoint (Theorem 2), so each cell is written at most once.
+/// into every covered cell of `p`, one contiguous innermost-axis slice at
+/// a time (a straight-line loop over `row[lo..=hi]` the compiler can
+/// vectorise). The plan's regions are pairwise disjoint (Theorem 2), so
+/// each cell is written at most once.
 fn apply_plan_seq<G: AbelianGroup>(
     p: &mut DenseArray<G::Value>,
     op: &G,
     plan: &[(Region, G::Value)],
 ) {
     for (region, delta) in plan {
-        for off in p.region_offsets(region) {
-            let cur = p.get_flat(off);
-            *p.get_flat_mut(off) = op.combine(cur, delta);
-        }
+        p.for_each_run_mut(region, |row| {
+            for cell in row {
+                *cell = op.combine(cell, delta);
+            }
+        });
     }
 }
 

@@ -210,4 +210,37 @@ proptest! {
             prop_assert_eq!(got, expected);
         }
     }
+
+    #[test]
+    fn run_wise_apply_equals_the_offset_iterator_apply(
+        // d = 1..5; extents start at 1 so the innermost axis is sometimes
+        // a single column (every run is one cell long).
+        (a, raw_updates) in prop::collection::vec(1usize..5, 1..=5).prop_flat_map(|dims| {
+            let len: usize = dims.iter().product();
+            let upd = prop::collection::vec(
+                (dims.iter().map(|&n| 0..n).collect::<Vec<_>>(), -50i64..50),
+                0..7,
+            );
+            let cube = prop::collection::vec(-100i64..100, len).prop_map(move |data| {
+                DenseArray::from_vec(Shape::new(&dims).unwrap(), data).unwrap()
+            });
+            (cube, upd)
+        })
+    ) {
+        let updates: Vec<CellUpdate<i64>> = raw_updates
+            .iter()
+            .map(|(idx, v)| CellUpdate::new(idx, *v))
+            .collect();
+        let mut ps = PrefixSumCube::build(&a);
+        // The reference: one flat offset at a time over each planned region.
+        let mut by_offset = ps.prefix_array().clone();
+        let op = olap_aggregate::SumOp::<i64>::new();
+        for (region, delta) in batch::plan_regions(a.shape(), &op, &updates).unwrap() {
+            for off in by_offset.region_offsets(&region) {
+                *by_offset.get_flat_mut(off) += delta;
+            }
+        }
+        batch::apply_batch(&mut ps, &updates).unwrap();
+        prop_assert_eq!(ps.prefix_array().as_slice(), by_offset.as_slice());
+    }
 }

@@ -69,24 +69,62 @@ impl<O: TotalOrder> MaxTree<O> {
         a: &mut DenseArray<O::Value>,
         updates: &[PointUpdate<O::Value>],
     ) -> Result<AccessStats, MaxTreeError> {
+        let mut stats = AccessStats::new();
+        let changes = self.record_changes(a, updates, &mut stats)?;
+        for ch in &changes {
+            *a.get_flat_mut(ch.child_flat) = ch.new_val.clone();
+        }
+        self.propagate_all(a, changes, &mut stats);
+        Ok(stats)
+    }
+
+    /// [`MaxTree::batch_update`] for a cube that is shared rather than
+    /// owned: old values are read from the pre-batch cube `pre`, and the
+    /// phases (`tag = −1` rescans included) run against `post`, which the
+    /// caller has already brought to the post-batch state — `pre` with
+    /// every update applied, the last value winning for a repeated index.
+    /// Neither cube is written, so one post-batch cube can serve several
+    /// trees (a max and a min tree, say) and every other structure built
+    /// over it. The tree and the returned statistics are exactly those
+    /// of the in-place call.
+    ///
+    /// # Errors
+    /// Validates every index against the cube shape.
+    pub fn batch_update_onto(
+        &mut self,
+        pre: &DenseArray<O::Value>,
+        post: &DenseArray<O::Value>,
+        updates: &[PointUpdate<O::Value>],
+    ) -> Result<AccessStats, MaxTreeError> {
+        let mut stats = AccessStats::new();
+        let changes = self.record_changes(pre, updates, &mut stats)?;
+        self.propagate_all(post, changes, &mut stats);
+        Ok(stats)
+    }
+
+    /// Phase 0, read side: coalesces duplicate indices (last value wins)
+    /// and records old → new for every cell of `pre` whose value the
+    /// batch changes — the first tree level's update list.
+    fn record_changes(
+        &self,
+        pre: &DenseArray<O::Value>,
+        updates: &[PointUpdate<O::Value>],
+        stats: &mut AccessStats,
+    ) -> Result<Vec<Change<O::Value>>, MaxTreeError> {
         for u in updates {
             self.shape.check_index(&u.index)?;
         }
-        let mut stats = AccessStats::new();
-        // Coalesce duplicates, keeping the last value for each index.
         let mut dedup: BTreeMap<usize, O::Value> = BTreeMap::new();
         for u in updates {
             dedup.insert(self.shape.flatten(&u.index), u.value.clone());
         }
-        // Phase 0: apply to A, recording old → new for the first tree level.
         let mut changes: Vec<Change<O::Value>> = Vec::new();
         for (flat, value) in dedup {
-            let old = a.get_flat(flat).clone();
+            let old = pre.get_flat(flat).clone();
             stats.read_a(1);
             if self.order.cmp_values(&old, &value) == Ordering::Equal {
                 continue; // "we ignore an update that does not change the value"
             }
-            *a.get_flat_mut(flat) = value.clone();
             changes.push(Change {
                 child_flat: flat,
                 old_max: flat,
@@ -95,15 +133,23 @@ impl<O: TotalOrder> MaxTree<O> {
                 new_val: value,
             });
         }
-        // Phases 1..=H: propagate, terminating early when a level absorbs
-        // every change.
+        Ok(changes)
+    }
+
+    /// Phases 1..=H over the post-batch cube `a`: propagates level by
+    /// level, terminating early when a level absorbs every change.
+    fn propagate_all(
+        &mut self,
+        a: &DenseArray<O::Value>,
+        mut changes: Vec<Change<O::Value>>,
+        stats: &mut AccessStats,
+    ) {
         for parent_level in 1..=self.height() {
             if changes.is_empty() {
                 break;
             }
-            changes = self.propagate(a, parent_level, changes, &mut stats);
+            changes = self.propagate(a, parent_level, changes, stats);
         }
-        Ok(stats)
     }
 
     /// Runs one phase: applies the level-`parent_level − 1` changes to the

@@ -2,8 +2,9 @@
 //! under every option combination, and batch updates preserve every node
 //! invariant.
 
+use olap_aggregate::{NaturalOrder, ReverseOrder, TotalOrder};
 use olap_array::{DenseArray, Region, Shape};
-use olap_range_max::{NaturalMaxTree, PointUpdate, SearchOptions};
+use olap_range_max::{MaxTree, NaturalMaxTree, PointUpdate, SearchOptions};
 use proptest::prelude::*;
 
 fn arb_cube() -> impl Strategy<Value = DenseArray<i64>> {
@@ -25,6 +26,33 @@ fn arb_region(shape: &Shape) -> impl Strategy<Value = Region> {
 
 fn naive_max(a: &DenseArray<i64>, q: &Region) -> i64 {
     a.fold_region(q, i64::MIN, |m, &x| m.max(x))
+}
+
+/// `batch_update_onto` over separate pre- and post-batch cubes must
+/// leave the same tree and report the same statistics as the in-place
+/// `batch_update`, and must write neither cube.
+fn assert_split_equals_in_place<O: TotalOrder<Value = i64> + Clone>(
+    order: O,
+    pre: &DenseArray<i64>,
+    b: usize,
+    updates: &[PointUpdate<i64>],
+) {
+    let mut in_place_cube = pre.clone();
+    let mut in_place = MaxTree::build(pre, b, order.clone()).unwrap();
+    let in_place_stats = in_place.batch_update(&mut in_place_cube, updates).unwrap();
+
+    let mut post = pre.clone();
+    for u in updates {
+        *post.get_mut(&u.index) = u.value; // last value wins
+    }
+    assert_eq!(post, in_place_cube);
+    let (pre_before, post_before) = (pre.clone(), post.clone());
+    let mut split = MaxTree::build(pre, b, order).unwrap();
+    let split_stats = split.batch_update_onto(pre, &post, updates).unwrap();
+    assert_eq!(split.export_levels(), in_place.export_levels());
+    assert_eq!(split_stats, in_place_stats);
+    assert_eq!((pre, &post), (&pre_before, &post_before));
+    split.check_invariants(&post).unwrap();
 }
 
 proptest! {
@@ -167,5 +195,36 @@ proptest! {
                 prop_assert_eq!(vi, vf, "level {} node {:?}", level, coords);
             }
         }
+    }
+
+    #[test]
+    fn split_update_equals_in_place_update_for_max_and_min_trees(
+        (a, b, updates, drop_max) in arb_cube().prop_flat_map(|a| {
+            let dims = a.shape().dims().to_vec();
+            // A narrow value range makes ties, repeated indices and
+            // no-op sets (new = old) common.
+            let upd = prop::collection::vec(
+                (
+                    dims.iter().map(|&n| 0..n).collect::<Vec<_>>(),
+                    -3i64..3,
+                ),
+                0..10,
+            );
+            (Just(a), 2usize..4, upd, 0usize..2)
+        })
+    ) {
+        let mut updates: Vec<PointUpdate<i64>> = updates
+            .iter()
+            .map(|(idx, v)| PointUpdate::new(idx, *v))
+            .collect();
+        if drop_max == 1 {
+            // Decrease the current global maximum: forces tag = −1 rescans
+            // against the post-batch cube at every level.
+            let q = a.shape().full_region();
+            let (at, _) = NaturalMaxTree::for_values(&a, b).unwrap().range_max(&a, &q).unwrap();
+            updates.push(PointUpdate::new(&at, -5000));
+        }
+        assert_split_equals_in_place(NaturalOrder::<i64>::new(), &a, b, &updates);
+        assert_split_equals_in_place(ReverseOrder::new(NaturalOrder::<i64>::new()), &a, b, &updates);
     }
 }

@@ -874,11 +874,14 @@ fn build_shard(
         .as_slice()
         .get(lo * stride..hi * stride)
         .ok_or_else(|| ServerError::Config(format!("slab {lo}..{hi} out of range")))?;
-    let sub = DenseArray::from_vec(local_shape, slab.to_vec())?;
+    // One base cube for the whole stack: every exact engine holds this
+    // `Arc`, and each update batch replaces it with one post-batch copy
+    // they all adopt (`BatchImage`).
+    let sub = Arc::new(DenseArray::from_vec(local_shape, slab.to_vec())?);
 
     let precomputed: Vec<Box<dyn RangeEngine<i64>>> = vec![
-        Box::new(CubeIndex::build(sub.clone(), IndexConfig::default())?),
-        Box::new(SumTreeEngine::build(sub.clone(), 4)?),
+        Box::new(CubeIndex::build(Arc::clone(&sub), IndexConfig::default())?),
+        Box::new(SumTreeEngine::build(Arc::clone(&sub), 4)?),
     ];
     let label = format!("shard-{i}");
     let router = AdaptiveRouter::labeled(&label);
@@ -894,7 +897,8 @@ fn build_shard(
     // the anchor grid ~2^-3d of the slab while bounding every partial
     // block's interpolation to 8^d cells.
     if config.degrade_enabled() {
-        router.set_degrade_tier(Arc::new(ApproxEngine::build(sub.clone(), DEGRADE_BLOCK)?));
+        let private = DenseArray::clone(&sub);
+        router.set_degrade_tier(Arc::new(ApproxEngine::build(private, DEGRADE_BLOCK)?));
     }
     // The naive scan is never fault-wrapped: it is the shard's last-resort
     // failover target, so chaos drills stay answerable.

@@ -129,6 +129,54 @@ impl<G: AbelianGroup> SumTree<G> {
         self.levels.iter().map(|l| l.sums.len()).sum()
     }
 
+    /// The stored sum of the node with coordinates `coords` at `level`
+    /// (1-based; level 0 is the cube itself), or `None` outside the tree.
+    pub fn node_sum(&self, level: usize, coords: &[usize]) -> Option<&G::Value> {
+        let l = self.levels.get(level.checked_sub(1)?)?;
+        l.shape.check_index(coords).ok()?;
+        l.sums.get(l.shape.flatten(coords))
+    }
+
+    /// Maintains the tree under point updates of the cube: each
+    /// `(cell index, value-to-add)` is combined into the [`height`] nodes
+    /// on that cell's leaf-to-root path — one node per level, so `k`
+    /// deltas cost `k · height()` node writes however large the cube is.
+    /// The cube itself is not stored here; the caller updates it. The
+    /// result is the tree [`SumTree::with_op`] would build over the
+    /// updated cube. Returns the number of nodes written.
+    ///
+    /// # Errors
+    /// Validates every index before the first write.
+    ///
+    /// [`height`]: SumTree::height
+    pub fn apply_deltas<'a, I>(&mut self, deltas: I) -> Result<u64, ArrayError>
+    where
+        I: IntoIterator<Item = (&'a [usize], &'a G::Value)>,
+        I::IntoIter: Clone,
+        G::Value: 'a,
+    {
+        let deltas = deltas.into_iter();
+        for (index, _) in deltas.clone() {
+            self.shape.check_index(index)?;
+        }
+        let b = self.b;
+        let mut coords = vec![0usize; self.shape.ndim()];
+        let mut written = 0u64;
+        for (index, delta) in deltas {
+            coords.copy_from_slice(index);
+            for level in &mut self.levels {
+                for c in coords.iter_mut() {
+                    *c /= b;
+                }
+                let flat = level.shape.flatten(&coords);
+                // analyzer: allow(panic-site, reason = "coords = a checked cube index / b^level lies inside this level's contracted shape, and sums.len() == that shape's len by construction")
+                level.sums[flat] = self.op.combine(&level.sums[flat], delta);
+                written += 1;
+            }
+        }
+        Ok(written)
+    }
+
     /// The region of `A` covered by a node (level 0 = a cell).
     fn node_region(&self, level: usize, coords: &[usize]) -> Result<Region, ArrayError> {
         let side = self.b.pow(level as u32);

@@ -68,4 +68,50 @@ proptest! {
         let (_, stats) = t.range_sum_with_stats(&a, &q, true).unwrap();
         prop_assert!(stats.a_cells <= a.len() as u64);
     }
+
+    #[test]
+    fn apply_deltas_equals_build_on_the_updated_cube(
+        (a, b, deltas) in arb_cube().prop_flat_map(|a| {
+            let dims = a.shape().dims().to_vec();
+            // Repeated cells and zero deltas are both in range.
+            let deltas = prop::collection::vec(
+                (dims.iter().map(|&n| 0..n).collect::<Vec<_>>(), -50i64..50),
+                0..8,
+            );
+            (Just(a), 2usize..5, deltas)
+        })
+    ) {
+        let mut t = SumTreeCube::build(&a, b).unwrap();
+        let written = t
+            .apply_deltas(deltas.iter().map(|(idx, v)| (idx.as_slice(), v)))
+            .unwrap();
+        // One node per level per delta: the leaf-to-root path, nothing else.
+        prop_assert_eq!(written, (deltas.len() * t.height()) as u64);
+        let mut updated = a.clone();
+        for (idx, v) in &deltas {
+            *updated.get_mut(idx) += v;
+        }
+        let fresh = SumTreeCube::build(&updated, b).unwrap();
+        prop_assert_eq!(t.height(), fresh.height());
+        let mut level_shape = a.shape().clone();
+        for level in 1..=fresh.height() {
+            level_shape = level_shape.contract(b).unwrap();
+            for coords in level_shape.full_region().iter_indices() {
+                prop_assert_eq!(
+                    t.node_sum(level, &coords),
+                    fresh.node_sum(level, &coords),
+                    "level {} node {:?}", level, coords
+                );
+                prop_assert!(fresh.node_sum(level, &coords).is_some());
+            }
+        }
+        // An out-of-bounds delta is rejected before anything is written.
+        let mut bad = deltas.clone();
+        bad.push((a.shape().dims().to_vec(), 1));
+        prop_assert!(t.apply_deltas(bad.iter().map(|(idx, v)| (idx.as_slice(), v))).is_err());
+        let level1 = a.shape().contract(b).unwrap();
+        for coords in level1.full_region().iter_indices() {
+            prop_assert_eq!(t.node_sum(1, &coords), fresh.node_sum(1, &coords));
+        }
+    }
 }

@@ -5,12 +5,16 @@
 //! on every machine. (Wall-clock for the same layers is the perf ledger's
 //! `engine.cache.*` and `engine.router.*` rungs.)
 
+use olap_cube::aggregate::SumOp;
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::engine::{
     AdaptiveRouter, ApproxEngine, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, QueryBudget,
-    SemanticCache, SumTreeEngine,
+    RangeEngine, SemanticCache, SumTreeEngine,
 };
+use olap_cube::prefix_sum::batch::{self, CellUpdate};
+use olap_cube::prefix_sum::PrefixSumCube;
 use olap_cube::query::{Answer, RangeQuery};
+use olap_cube::tree_sum::SumTreeCube;
 use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions, zipf_regions};
 use std::time::Duration;
 
@@ -154,6 +158,92 @@ fn armed_budget_that_never_fires_changes_neither_answer_nor_cost() {
             let armed = budgeted.range_sum(&q).unwrap();
             assert_eq!(armed.answer, plain.answer);
             assert_eq!(armed.cost(), plain.cost(), "side {side}");
+        }
+    }
+}
+
+/// The cubes and batches of the two update-side contracts: d = 1..4,
+/// `k` distinct-or-not cells chosen by a fixed stride walk (so the last
+/// one repeats the first when `k` exceeds the walk's period).
+fn update_cases() -> Vec<(DenseArray<i64>, Vec<Vec<usize>>)> {
+    let shapes: [&[usize]; 4] = [&[200], &[40, 30], &[12, 10, 9], &[6, 5, 7, 4]];
+    shapes
+        .iter()
+        .enumerate()
+        .map(|(d, dims)| {
+            let a = uniform_cube(Shape::new(dims).unwrap(), 1000, 90 + d as u64);
+            let cells = (0..6usize)
+                .map(|i| a.shape().unflatten((i % 5) * 37 % a.len()))
+                .collect();
+            (a, cells)
+        })
+        .collect()
+}
+
+/// §8's tree pays for an update by the path it climbs, not by its size:
+/// a batch of `k` sets writes at most `k · height` nodes — exactly
+/// `height` per distinct cell — and the engine reports what it wrote.
+#[test]
+fn sum_tree_update_writes_one_path_per_cell() {
+    for (a, cells) in update_cases() {
+        let height = SumTreeCube::build(&a, 4).unwrap().height() as u64;
+        let engine = SumTreeEngine::build(a.clone(), 4).unwrap();
+        for k in 1..=cells.len() {
+            let updates: Vec<(Vec<usize>, i64)> = cells[..k]
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (c.clone(), 7 * i as i64 - 3))
+                .collect();
+            let mut distinct: Vec<&Vec<usize>> = cells[..k].iter().collect();
+            distinct.sort();
+            distinct.dedup();
+            let stats = engine.apply_updates(&updates).unwrap().stats;
+            assert!(stats.tree_nodes <= k as u64 * height);
+            assert_eq!(stats.tree_nodes, distinct.len() as u64 * height);
+            assert!(stats.tree_nodes < a.len() as u64, "d={}", a.shape().ndim());
+        }
+    }
+}
+
+/// Theorem 2: `k` updates touch `P` in at most `∏_{j<d}(k+j)/d!` disjoint
+/// regions, and applying the batch writes exactly the cells of those
+/// regions — each once, each by its region's combined value-to-add.
+#[test]
+fn theorem2_batch_writes_each_region_cell_exactly_once() {
+    let op = SumOp::<i64>::new();
+    for (a, cells) in update_cases() {
+        let d = a.shape().ndim();
+        for k in 1..=cells.len() {
+            // Positive deltas: every region's combined delta is non-zero,
+            // so a written cell is a changed cell.
+            let updates: Vec<CellUpdate<i64>> = cells[..k]
+                .iter()
+                .enumerate()
+                .map(|(i, c)| CellUpdate::new(c, 1 + i as i64))
+                .collect();
+            let plan = batch::plan_regions(a.shape(), &op, &updates).unwrap();
+            assert!(plan.len() as f64 <= batch::max_regions(k, d), "k={k} d={d}");
+            let mut ps = PrefixSumCube::build(&a);
+            let before = ps.prefix_array().clone();
+            assert_eq!(batch::apply_batch(&mut ps, &updates).unwrap(), plan.len());
+            let mut expected = before.clone();
+            for (region, delta) in &plan {
+                for off in before.region_offsets(region) {
+                    // Written once: the cell still holds its pre-batch
+                    // value when its (only) region reaches it.
+                    assert_eq!(expected.get_flat(off), before.get_flat(off));
+                    *expected.get_flat_mut(off) += delta;
+                }
+            }
+            assert_eq!(ps.prefix_array(), &expected);
+            let written = before
+                .as_slice()
+                .iter()
+                .zip(ps.prefix_array().as_slice())
+                .filter(|(x, y)| x != y)
+                .count();
+            let volumes: usize = plan.iter().map(|(r, _)| r.volume()).sum();
+            assert_eq!(written, volumes, "k={k} d={d}");
         }
     }
 }
