@@ -82,6 +82,7 @@ use olap_array::{BudgetMeter, CancellationToken, DegradePolicy, QueryBudget};
 use olap_query::{AccessStats, Estimate, QueryOutcome, RangeQuery};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Default EWMA smoothing factor: recent queries dominate after ~10
@@ -588,6 +589,10 @@ pub struct AdaptiveRouter<V> {
     state: Mutex<RouterState>,
     /// Liveness of engine-set snapshots, for the snapshot gauges.
     tracker: Arc<EpochTracker>,
+    /// Twice the current set's epoch, odd while `install` swaps the next
+    /// set in: [`AdaptiveRouter::epoch`] reads it like a seqlock, so
+    /// reading the epoch writes no shared memory.
+    seq: AtomicU64,
 }
 
 impl<V> AdaptiveRouter<V> {
@@ -624,6 +629,7 @@ impl<V> AdaptiveRouter<V> {
             })),
             writer: Mutex::new(()),
             tracker,
+            seq: AtomicU64::new(0),
             state: Mutex::new(RouterState {
                 ratios: Vec::new(),
                 alpha: alpha.clamp(f64::MIN_POSITIVE, 1.0),
@@ -654,7 +660,9 @@ impl<V> AdaptiveRouter<V> {
         engines: Vec<Arc<dyn RangeEngine<V>>>,
         approx: Option<Arc<dyn DegradeTier<V>>>,
     ) {
-        let epoch = self.load().epoch + 1;
+        // ordering: Relaxed — only the writer, under `writer`, stores it.
+        let seq = self.seq.load(Ordering::Relaxed);
+        let epoch = seq / 2 + 1;
         self.tracker.register(epoch);
         let next = Arc::new(EngineSet {
             epoch,
@@ -665,7 +673,21 @@ impl<V> AdaptiveRouter<V> {
                 tracker: Arc::clone(&self.tracker),
             },
         });
-        *self.engines.write().unwrap_or_else(|e| e.into_inner()) = next;
+        // ordering: Relaxed — the odd mark is ordered before the swap by
+        // the `engines` write lock: a reader that pins the new set takes
+        // the read lock after that release, so its next `epoch()` sees at
+        // least the odd mark and waits for the new epoch.
+        self.seq.store(seq + 1, Ordering::Relaxed);
+        let old = std::mem::replace(
+            &mut *self.engines.write().unwrap_or_else(|e| e.into_inner()),
+            next,
+        );
+        // ordering: Release — pairs with the Acquire load in `epoch()`: a
+        // reader that sees the new epoch pins this set or a later one.
+        self.seq.store(seq + 2, Ordering::Release);
+        // The superseded set may be the last reference to its engines;
+        // free them outside the window `epoch()` waits on.
+        drop(old);
     }
 
     /// Adds an engine to the candidate set. Installs a new snapshot, so
@@ -790,8 +812,24 @@ impl<V> AdaptiveRouter<V> {
 
     /// The current engine-set snapshot epoch: 0 at construction, +1 per
     /// engine push and per installed update batch.
+    ///
+    /// A query that pins a set after reading epoch `e` pins set `e` or a
+    /// later one, and once it has pinned a later one this returns more
+    /// than `e`. So `epoch()` unchanged across a piece of work proves all
+    /// of it ran on set `e` — the guard the semantic cache's inserts and
+    /// assemblies rely on. A caller arriving mid-swap waits it out; the
+    /// swap is one pointer store.
     pub fn epoch(&self) -> u64 {
-        self.load().epoch
+        loop {
+            // ordering: Acquire — pairs with the Release store that ends
+            // `install`, so the set this epoch names is the one a later
+            // pin sees (or a newer one).
+            let seq = self.seq.load(Ordering::Acquire);
+            if seq.is_multiple_of(2) {
+                return seq / 2;
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// Snapshot-liveness bookkeeping: current epoch, engine sets still

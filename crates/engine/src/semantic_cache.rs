@@ -52,7 +52,8 @@ use olap_array::{Region, Shape};
 use olap_planner::cost::pow2;
 use olap_query::algebra;
 use olap_query::{AccessStats, Answer, EngineKind, QueryOutcome, RangeQuery};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -265,10 +266,16 @@ struct CacheInner<V> {
     used: Vec<u64>,
     free: Vec<usize>,
     /// Bucket `b` lists the slots whose region's leading range **starts**
-    /// in slab `b` — exactly one bucket per entry. A lookup starting in
-    /// slab `q` walks buckets `0..=q`: an entry equal to or containing
+    /// in slab `b` — exactly one bucket per entry. A containment search
+    /// starting in slab `q` walks buckets `0..=q`: an entry containing
     /// the query cannot start in a later slab.
     buckets: Vec<Vec<BucketRef>>,
+    /// Region fingerprint ([`fingerprint`]) → slot of the region's newest
+    /// entry, so an exact hit is one probe and never walks the buckets —
+    /// whose lines every insert and eviction rewrites, on whichever thread
+    /// made it. A probe confirms the slot's region, so two regions that
+    /// share a fingerprint cost a hit, never a wrong answer.
+    exact: HashMap<u64, usize, BuildHasherDefault<BoundsHasher>>,
     len: usize,
     /// LRU clock, bumped per lookup.
     tick: u64,
@@ -364,6 +371,7 @@ where
                 used: Vec::new(),
                 free: Vec::new(),
                 buckets: vec![Vec::new(); n_buckets],
+                exact: HashMap::default(),
                 len: 0,
                 tick: 0,
                 synced_epoch: epoch,
@@ -441,6 +449,7 @@ where
             for bucket in &mut inner.buckets {
                 bucket.clear();
             }
+            inner.exact.clear();
             inner.len = 0;
             dropped
         };
@@ -596,19 +605,27 @@ where
     }
 
     /// Consults the entry table under the `inner` lock: an exact match
-    /// wins, else the containing entry with the smallest residual volume.
-    /// The backend is never called here. Candidates are pre-filtered on
-    /// the packed bounding-box key, so a scan over a full table of
-    /// non-containing entries costs two compares per candidate.
+    /// (one index probe) wins, else the strictly containing entry with
+    /// the smallest residual volume. The backend is never called here.
+    /// Containment candidates are pre-filtered on the packed bounding-box
+    /// key, so a scan over a full table of non-containing entries costs
+    /// two compares per candidate.
     fn plan(&self, region: &Region, epoch: u64) -> Plan<V> {
-        let qkey = bbox_key(region);
         let mut inner = self.lock_inner();
         inner.tick += 1;
         let tick = inner.tick;
+        if let Some(id) = Self::current_exact(&inner, region, fingerprint(region), epoch) {
+            if let Some(u) = inner.used.get_mut(id) {
+                *u = tick;
+            }
+            if let Some(e) = inner.slots.get(id).and_then(Option::as_ref) {
+                return Plan::Exact(e.sum.clone());
+            }
+        }
+        let qkey = bbox_key(region);
         let q_start = self.start_bucket(region, inner.buckets.len());
-        let mut exact: Option<usize> = None;
         let mut best: Option<(usize, usize)> = None; // (slot, residual volume)
-        'scan: for bucket in inner.buckets.iter().take(q_start.saturating_add(1)) {
+        for bucket in inner.buckets.iter().take(q_start.saturating_add(1)) {
             for r in bucket {
                 let r = *r;
                 if !key_contains(r.key, qkey) {
@@ -622,12 +639,12 @@ where
                     continue;
                 }
                 if self.keys_exact {
-                    // Keys are lossless here: equality and containment
-                    // are already decided, and the candidate's volume
-                    // falls out of the packed lanes.
+                    // Keys are lossless here: containment is already
+                    // decided, and the candidate's volume falls out of
+                    // the packed lanes. An equal key is the exact entry,
+                    // which the index already ruled out.
                     if r.key == qkey {
-                        exact = Some(id);
-                        break 'scan;
+                        continue;
                     }
                     let volume = key_volume(r.key);
                     if best.is_none_or(|(_, v)| volume < v) {
@@ -635,11 +652,7 @@ where
                     }
                     continue;
                 }
-                if e.region == *region {
-                    exact = Some(id);
-                    break 'scan;
-                }
-                if e.region.contains_region(region) {
+                if e.region != *region && e.region.contains_region(region) {
                     let residual = e.region.volume().saturating_sub(region.volume());
                     if best.is_none_or(|(_, v)| residual < v) {
                         best = Some((id, residual));
@@ -647,8 +660,9 @@ where
                 }
             }
         }
-        let chosen = exact.or(best.map(|(id, _)| id));
-        let Some(id) = chosen else { return Plan::Miss };
+        let Some((id, _)) = best else {
+            return Plan::Miss;
+        };
         if let Some(u) = inner.used.get_mut(id) {
             *u = tick;
         }
@@ -656,9 +670,6 @@ where
             return Plan::Miss;
         };
         let sum = e.sum.clone();
-        if exact.is_some() {
-            return Plan::Exact(sum);
-        }
         let cached_region = e.region.clone();
         drop(inner);
         // `contains_region` held under the lock, so `subsume` is Some.
@@ -764,25 +775,14 @@ where
             if inner.synced_epoch != epoch || inner.pending_install {
                 return;
             }
-            let owner = self.start_bucket(&region, inner.buckets.len());
-            // Duplicate check: a same-region entry lives in the same
-            // start bucket, and only candidates whose packed key matches
-            // exactly can hold the same region, so almost none deref.
-            if let Some(bucket) = inner.buckets.get(owner) {
-                for r in bucket {
-                    if r.key != key {
-                        continue;
-                    }
-                    if let Some(e) = inner.slots.get(r.id as usize).and_then(Option::as_ref) {
-                        if e.epoch == epoch && (self.keys_exact || e.region == region) {
-                            return; // already stored
-                        }
-                    }
-                }
+            let fp = fingerprint(&region);
+            if Self::current_exact(inner, &region, fp, epoch).is_some() {
+                return; // already stored
             }
+            let owner = self.start_bucket(&region, inner.buckets.len());
             let mut evicted = 0u64;
             if inner.len >= self.capacity {
-                if let Some(victim) = Self::lru_victim(inner) {
+                if let Some(victim) = oldest(&inner.used) {
                     Self::detach(inner, victim, self.slab_width);
                     evicted = 1;
                 }
@@ -809,6 +809,7 @@ where
             if let Some(bucket) = inner.buckets.get_mut(owner) {
                 bucket.push(BucketRef { id: id as u32, key });
             }
+            inner.exact.insert(fp, id);
             inner.len = inner.len.saturating_add(1);
             (1u64, evicted, inner.len)
         };
@@ -819,17 +820,12 @@ where
         self.publish_entries(len);
     }
 
-    /// The occupied slot with the oldest stamp in the dense `used`
-    /// array. Freed slots carry [`VACANT`], so the scan is a branch-free
-    /// walk over 8 bytes per slot.
-    fn lru_victim(inner: &CacheInner<V>) -> Option<usize> {
-        inner
-            .used
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, used)| *used)
-            .filter(|&(_, used)| *used != VACANT)
-            .map(|(id, _)| id)
+    /// The slot holding `region` (fingerprint `fp`) stamped `epoch`, when
+    /// there is one.
+    fn current_exact(inner: &CacheInner<V>, region: &Region, fp: u64, epoch: u64) -> Option<usize> {
+        let &id = inner.exact.get(&fp)?;
+        let e = inner.slots.get(id).and_then(Option::as_ref)?;
+        (e.epoch == epoch && e.region == *region).then_some(id)
     }
 
     /// Removes slot `id` from the table and the bucket index.
@@ -844,6 +840,12 @@ where
         let id32 = id as u32;
         if let Some(bucket) = inner.buckets.get_mut(owner) {
             bucket.retain(|r| r.id != id32);
+        }
+        // The index may name a newer entry for the same fingerprint: put
+        // it back.
+        let fp = fingerprint(&e.region);
+        if let Some(newer) = inner.exact.remove(&fp).filter(|&other| other != id) {
+            inner.exact.insert(fp, newer);
         }
         inner.free.push(id);
         inner.len = inner.len.saturating_sub(1);
@@ -945,6 +947,58 @@ impl<V, B> std::fmt::Debug for SemanticCache<V, B> {
             .field("synced_epoch", &inner.synced_epoch)
             .finish()
     }
+}
+
+/// A region's key in the exact index: its bounds folded by
+/// [`BoundsHasher`].
+fn fingerprint(region: &Region) -> u64 {
+    let mut h = BoundsHasher::default();
+    region.hash(&mut h);
+    h.finish()
+}
+
+/// The exact index's hasher: a multiply-rotate fold, a few nanoseconds
+/// against SipHash's tens. Regions come from queries, so they could be
+/// crafted to collide, but the index never holds more than `capacity`
+/// entries: the worst case is one probe over the whole table, no more
+/// than the bucket walk an exact hit made before the index. A product's
+/// well-mixed bits are its high ones and the table indexes by the low
+/// ones, so `finish` rotates the first onto the second.
+#[derive(Default)]
+struct BoundsHasher(u64);
+
+impl Hasher for BoundsHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// The slot with the smallest stamp in the dense `used` array, unless
+/// every slot is free. Freed slots carry [`VACANT`], so the scan is a
+/// branch-free walk over 8 bytes per slot. Kept out of line and free of
+/// the cache's type parameters: inlined into `insert`, the same loop
+/// compiled to a scan four times slower on an x86-64 build.
+#[inline(never)]
+fn oldest(used: &[u64]) -> Option<usize> {
+    used.iter()
+        .enumerate()
+        .min_by_key(|&(_, used)| *used)
+        .filter(|&(_, used)| *used != VACANT)
+        .map(|(id, _)| id)
 }
 
 /// The `used` stamp of an unoccupied slot — [`u64::MAX`], so an LRU

@@ -1,9 +1,16 @@
 //! The branch-and-bound range-max search (§6.1.2–§6.1.3, generalized to d
 //! dimensions in §6.2).
+//!
+//! A node's children form a box of at most `b` per axis, and on each axis
+//! the children that overlap the query `ℓ..=h` form one interval, as do
+//! the children the query covers on that axis. So the search walks only
+//! the overlap box, in row-major order, and classifies each child by
+//! per-axis bounds checks: an external child is never enumerated, and no
+//! child allocates.
 
 use crate::tree::{MaxTree, MaxTreeError};
 use olap_aggregate::TotalOrder;
-use olap_array::{DenseArray, Region};
+use olap_array::{DenseArray, Range, Region, Shape};
 use olap_query::AccessStats;
 
 /// Knobs for the search — the defaults are the paper's algorithm; the
@@ -42,6 +49,29 @@ pub struct ChildClasses {
     pub boundary: Vec<Vec<usize>>,
     /// Children disjoint from the region.
     pub external: Vec<Vec<usize>>,
+}
+
+/// One axis of a node's children, classified against the same axis of the
+/// query: children `first..=last` exist, `lo..=hi` overlap the query (none
+/// when `lo > hi`), and `full_lo..full_end` lie inside it on this axis.
+#[derive(Debug, Clone, Copy)]
+struct ChildAxis {
+    first: usize,
+    last: usize,
+    lo: usize,
+    hi: usize,
+    full_lo: usize,
+    full_end: usize,
+}
+
+impl ChildAxis {
+    fn overlaps(&self, k: usize) -> bool {
+        self.lo <= k && k <= self.hi
+    }
+
+    fn covered(&self, k: usize) -> bool {
+        self.full_lo <= k && k < self.full_end
+    }
 }
 
 impl<O: TotalOrder> MaxTree<O> {
@@ -93,22 +123,51 @@ impl<O: TotalOrder> MaxTree<O> {
             self.height()
         };
         let side = self.side_at(level);
-        let coords: Vec<usize> = region.lower_corner().iter().map(|&l| l / side).collect();
+        let node = region
+            .ranges()
+            .iter()
+            .zip(self.level_shape(level).strides())
+            .map(|(r, &s)| r.lo() / side * s)
+            .sum();
         stats.visit_nodes(1);
-        let stored = self.node_max_index(level, &coords);
-        let stored_idx = self.shape.unflatten(stored);
+        let stored = self.stored_max(level, node);
         // Lines (4)–(5): the covering node's max might already be inside R.
-        if region.contains(&stored_idx) {
+        if contains_flat(&self.shape, region.ranges(), stored) {
             stats.read_a(1);
-            return Ok((stored_idx, a.get_flat(stored).clone(), stats));
+            return Ok((
+                self.shape.unflatten(stored),
+                a.get_flat(stored).clone(),
+                stats,
+            ));
         }
         // Line (2): current_max_index starts at ℓ (any index inside R).
-        let mut cur = self.shape.flatten(&region.lower_corner());
-        stats.read_a(1);
-        self.get_max_index(a, level, &coords, region, &mut cur, opts, &mut stats);
-        let idx = self.shape.unflatten(cur);
-        let val = a.get_flat(cur).clone();
-        Ok((idx, val, stats))
+        let d = self.shape.ndim();
+        let mut search = Search {
+            tree: self,
+            a,
+            q: region.ranges(),
+            opts,
+            best: region
+                .ranges()
+                .iter()
+                .zip(self.shape.strides())
+                .map(|(r, &s)| r.lo() * s)
+                .sum(),
+            stats,
+            axes: Vec::with_capacity(d),
+            lo: vec![0; d],
+            hi: vec![0; d],
+            cur: vec![0; d],
+            bout: Vec::new(),
+        };
+        search.stats.read_a(1);
+        search.get_max_index(level, node);
+        let best = search.best;
+        Ok((
+            self.shape.unflatten(best),
+            a.get_flat(best).clone(),
+            search.stats,
+        ))
     }
 
     /// The smallest level `i ≥ 1` whose node containing `ℓ` also contains
@@ -129,134 +188,219 @@ impl<O: TotalOrder> MaxTree<O> {
         }
     }
 
-    /// Classifies the children of a node with respect to a region — used
-    /// by the search and exposed for the Figure-10 tests.
+    /// How the children of the node at `level` with coordinate `coord` on
+    /// `axis` meet the query range `q` on that axis. With `s = b^(level−1)`
+    /// the child `k` covers `k·s ..= min((k+1)·s − 1, n − 1)`, so it
+    /// overlaps `q` iff `⌊ℓ/s⌋ ≤ k ≤ ⌊h/s⌋`, and lies inside `q` iff
+    /// `⌈ℓ/s⌉ ≤ k` and, unless `h` is the cube's last index, `k < ⌊(h+1)/s⌋`.
+    fn child_axis(&self, level: usize, axis: usize, coord: usize, q: Range) -> ChildAxis {
+        let side = self.side_at(level - 1);
+        let first = coord * self.b;
+        let last = (first + self.b - 1).min(self.level_shape(level - 1).dim(axis) - 1);
+        let at_edge = q.hi() + 1 == self.shape.dim(axis);
+        ChildAxis {
+            first,
+            last,
+            lo: (q.lo() / side).max(first),
+            hi: (q.hi() / side).min(last),
+            full_lo: q.lo().div_ceil(side),
+            full_end: if at_edge {
+                usize::MAX
+            } else {
+                (q.hi() + 1) / side
+            },
+        }
+    }
+
+    /// Classifies the children of a node with respect to a region, by the
+    /// per-axis rule the search uses — exposed for the Figure-10 tests.
     pub fn classify_children(
         &self,
         level: usize,
         coords: &[usize],
         region: &Region,
     ) -> ChildClasses {
+        let axes: Vec<ChildAxis> = coords
+            .iter()
+            .zip(region.ranges())
+            .enumerate()
+            .map(|(axis, (&c, &r))| self.child_axis(level, axis, c, r))
+            .collect();
+        let children = Region::trusted(
+            axes.iter()
+                .map(|x| Range::trusted(x.first, x.last))
+                .collect(),
+        );
         let mut out = ChildClasses {
             internal: Vec::new(),
             boundary: Vec::new(),
             external: Vec::new(),
         };
-        self.for_each_child(level, coords, |child| {
-            let c = self.child_region(level - 1, &child);
-            match c.intersect(region) {
-                None => out.external.push(child),
-                Some(i) if i == c => out.internal.push(child),
-                Some(_) => out.boundary.push(child),
-            }
-        });
+        for child in children.iter_indices() {
+            let mut per_axis = child.iter().zip(&axes);
+            let class = if !per_axis.clone().all(|(&k, x)| x.overlaps(k)) {
+                &mut out.external
+            } else if per_axis.all(|(&k, x)| x.covered(k)) {
+                &mut out.internal
+            } else {
+                &mut out.boundary
+            };
+            class.push(child);
+        }
         out
     }
+}
 
-    /// The region covered by a node at `level` (level 0 = a single cell).
-    fn child_region(&self, level: usize, coords: &[usize]) -> Region {
-        if level == 0 {
-            Region::point(coords).expect("d ≥ 1")
-        } else {
-            self.node_region(level, coords)
+/// Whether the flat index `flat` lies inside the box `q` of `shape`: one
+/// bounds check per axis, with no unflattened index.
+fn contains_flat(shape: &Shape, q: &[Range], flat: usize) -> bool {
+    shape
+        .strides()
+        .iter()
+        .zip(shape.dims())
+        .zip(q)
+        .all(|((&s, &n), r)| r.contains(flat / s % n))
+}
+
+/// Steps the row-major odometer `cur` over the box `lo..=hi`, keeping
+/// `flat` in step under `strides`. Returns false once the box is done.
+fn advance(
+    cur: &mut [usize],
+    lo: &[usize],
+    hi: &[usize],
+    strides: &[usize],
+    flat: &mut usize,
+) -> bool {
+    // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per child")
+    for (((c, &l), &h), &s) in cur.iter_mut().zip(lo).zip(hi).zip(strides).rev() {
+        if *c < h {
+            *c += 1;
+            *flat += s;
+            return true;
         }
+        *flat -= (*c - l) * s;
+        *c = l;
     }
+    false
+}
 
-    /// Iterates the child coordinates of a node (children live at
-    /// `level − 1`; level 0 children are cube cells).
-    fn for_each_child(&self, level: usize, coords: &[usize], mut f: impl FnMut(Vec<usize>)) {
-        let child_dims: Vec<usize> = if level == 1 {
-            self.shape.dims().to_vec()
-        } else {
-            self.levels[level - 2].shape.dims().to_vec()
-        };
-        let lo: Vec<usize> = coords.iter().map(|&c| c * self.b).collect();
-        let hi: Vec<usize> = coords
-            .iter()
-            .zip(&child_dims)
-            .map(|(&c, &n)| ((c + 1) * self.b - 1).min(n - 1))
-            .collect();
-        let mut cur = lo.clone();
-        // analyzer: allow(budget-coverage, reason = "child enumeration bounded by the tree arity b^d; callers charge per node visited")
-        loop {
-            f(cur.clone());
-            let mut axis = cur.len();
-            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per child")
-            loop {
-                if axis == 0 {
-                    return;
-                }
-                axis -= 1;
-                if cur[axis] < hi[axis] {
-                    cur[axis] += 1;
-                    break;
-                }
-                cur[axis] = lo[axis];
-            }
-        }
-    }
+/// One query's search: the query box, `current_max_index`, the access
+/// count, and the scratch every node of the recursion reuses — the
+/// per-axis child classes, the overlap box and its odometer, and one stack
+/// of pending `B_out` children whose segments are the levels of the
+/// current path. A query allocates these once; no node or child does.
+struct Search<'t, O: TotalOrder> {
+    tree: &'t MaxTree<O>,
+    a: &'t DenseArray<O::Value>,
+    q: &'t [Range],
+    opts: SearchOptions,
+    /// `current_max_index` of the paper, a flat index into `A`.
+    best: usize,
+    stats: AccessStats,
+    axes: Vec<ChildAxis>,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+    cur: Vec<usize>,
+    /// `(child's flat index in its level, stored argmax)` per `B_out` child.
+    bout: Vec<(usize, usize)>,
+}
 
-    /// `get_max_index` of §6.1.3: scans internal and `B_in` children
-    /// directly, recurses into `B_out` children unless pruned.
-    #[allow(clippy::too_many_arguments)]
-    fn get_max_index(
-        &self,
-        a: &DenseArray<O::Value>,
-        level: usize,
-        coords: &[usize],
-        region: &Region,
-        cur: &mut usize,
-        opts: SearchOptions,
-        stats: &mut AccessStats,
-    ) {
+impl<O: TotalOrder> Search<'_, O> {
+    /// `get_max_index` of §6.1.3 at node `node` (a flat index into
+    /// `level`): scans internal and `B_in` children directly, recurses
+    /// into `B_out` children unless pruned.
+    fn get_max_index(&mut self, level: usize, node: usize) {
         debug_assert!(level >= 1);
-        // (candidate region ∩ child, child coords, stored max index)
-        let mut bout: Vec<(Region, Vec<usize>, usize)> = Vec::new();
-        self.for_each_child(level, coords, |child| {
-            let c = self.child_region(level - 1, &child);
-            let inter = match c.intersect(region) {
-                None => return, // external: never accessed
-                Some(i) => i,
-            };
-            if level == 1 {
-                // Children are cells of A.
-                if inter == c {
-                    let flat = self.shape.flatten(&child);
-                    stats.read_a(1);
-                    stats.step(1);
-                    if self.order.gt(a.get_flat(flat), a.get_flat(*cur)) {
-                        *cur = flat;
+        let tree = self.tree;
+        let node_shape = tree.level_shape(level);
+        let per_axis = node_shape.strides().iter().zip(node_shape.dims());
+        self.axes.clear();
+        self.axes.extend(
+            per_axis
+                .zip(self.q)
+                .enumerate()
+                .map(|(axis, ((&s, &n), &r))| tree.child_axis(level, axis, node / s % n, r)),
+        );
+        self.lo.clear();
+        self.lo.extend(self.axes.iter().map(|x| x.lo));
+        self.hi.clear();
+        self.hi.extend(self.axes.iter().map(|x| x.hi));
+        if level == 1 {
+            // Children are cells of A, and the box is C(x) ∩ R: scan it as
+            // contiguous runs, first maximum in row-major order wins.
+            let (a, order) = (self.a, &tree.order);
+            let (best, stats) = (&mut self.best, &mut self.stats);
+            tree.shape
+                .for_each_run(&self.lo, &self.hi, &mut self.cur, |run| {
+                    let base = run.start;
+                    let cells = a.as_slice().get(run).unwrap_or_default();
+                    stats.read_a(cells.len() as u64);
+                    stats.step(cells.len() as u64);
+                    let mut best_val = a.get_flat(*best);
+                    // analyzer: allow(budget-coverage, reason = "one innermost run of one leaf node's box, at most b cells; callers charge per cell read")
+                    for (at, v) in cells.iter().enumerate() {
+                        if order.gt(v, best_val) {
+                            *best = base + at;
+                            best_val = v;
+                        }
                     }
-                }
-                return;
-            }
-            let child_level = level - 1;
-            let l = &self.levels[child_level - 1];
-            let stored = l.max_index[l.shape.flatten(&child)];
-            stats.visit_nodes(1);
-            let stored_in_r = region.contains(&self.shape.unflatten(stored));
-            if inter == c || stored_in_r {
+                });
+            return;
+        }
+        let Some(children) = tree.levels.get(level - 2) else {
+            return;
+        };
+        let strides = children.shape.strides();
+        let pending = self.bout.len();
+        self.cur.copy_from_slice(&self.lo);
+        let mut flat = children.shape.flatten(&self.lo);
+        // analyzer: allow(budget-coverage, reason = "walks one node's overlap box, at most b^d children; callers charge per node visited")
+        while let Some(&stored) = children.max_index.get(flat) {
+            self.stats.visit_nodes(1);
+            let internal = self.cur.iter().zip(&self.axes).all(|(&k, x)| x.covered(k));
+            if internal || contains_flat(&tree.shape, self.q, stored) {
                 // Internal or B_in: the stored argmax is usable directly.
-                stats.step(1);
-                if self.order.gt(a.get_flat(stored), a.get_flat(*cur)) {
-                    *cur = stored;
+                self.stats.step(1);
+                if tree
+                    .order
+                    .gt(self.a.get_flat(stored), self.a.get_flat(self.best))
+                {
+                    self.best = stored;
                 }
             } else {
-                bout.push((inter, child, stored));
+                self.bout.push((flat, stored));
             }
-        });
-        if opts.sort_boundary {
-            bout.sort_by(|x, y| self.order.cmp_values(a.get_flat(y.2), a.get_flat(x.2)));
+            if !advance(&mut self.cur, &self.lo, &self.hi, strides, &mut flat) {
+                break;
+            }
         }
-        for (inter, child, stored) in bout {
-            stats.step(1);
+        let done = self.bout.len();
+        if self.opts.sort_boundary {
+            let (a, order) = (self.a, &tree.order);
+            if let Some(segment) = self.bout.get_mut(pending..) {
+                segment.sort_by(|x, y| order.cmp_values(a.get_flat(y.1), a.get_flat(x.1)));
+            }
+        }
+        // analyzer: allow(budget-coverage, reason = "one node's B_out children, at most b^d; each recursion is charged by its caller")
+        for at in pending..done {
+            let Some(&(child, stored)) = self.bout.get(at) else {
+                break;
+            };
+            self.stats.step(1);
             // Branch-and-bound (lines (4)–(6)): if the subtree's
             // precomputed max cannot beat the running max, skip it.
-            if opts.branch_and_bound && !self.order.gt(a.get_flat(stored), a.get_flat(*cur)) {
+            if self.opts.branch_and_bound
+                && !tree
+                    .order
+                    .gt(self.a.get_flat(stored), self.a.get_flat(self.best))
+            {
                 continue;
             }
-            self.get_max_index(a, level - 1, &child, &inter, cur, opts, stats);
+            // A child's cover lies inside its parent's, so the query box
+            // itself (not `C(child) ∩ R`) classifies the grandchildren.
+            self.get_max_index(level - 1, child);
         }
+        self.bout.truncate(pending);
     }
 }
 

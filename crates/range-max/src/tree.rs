@@ -2,7 +2,7 @@
 //! §6.2).
 
 use olap_aggregate::{NaturalOrder, ReverseOrder, TotalOrder};
-use olap_array::{ArrayError, DenseArray, FlatRegionIter, Range, Region, Shape};
+use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
 use std::fmt;
 
 /// Errors from building or querying a [`MaxTree`].
@@ -122,6 +122,7 @@ impl<O: TotalOrder> MaxTree<O> {
         }
         let shape = a.shape().clone();
         let mut levels: Vec<Level> = Vec::new();
+        let mut scan = ChildScan::new(b, shape.ndim());
         loop {
             let child = levels.last();
             let child_shape = child.map_or(&shape, |l| &l.shape);
@@ -131,7 +132,10 @@ impl<O: TotalOrder> MaxTree<O> {
             let parent_shape = child_shape.contract(b)?;
             let child_of = child.map(|l| &*l.max_index);
             let max_index = (0..parent_shape.len())
-                .map(|p| node_max(a, &order, child_shape, child_of, &parent_shape, b, p))
+                .map(|p| {
+                    scan.argmax(a, &order, child_shape, child_of, &parent_shape, p)
+                        .0
+                })
                 .collect();
             levels.push(Level {
                 shape: parent_shape,
@@ -178,6 +182,21 @@ impl<O: TotalOrder> MaxTree<O> {
         self.b.pow(level as u32)
     }
 
+    /// The shape of `level`; level 0 is the cube itself.
+    pub(crate) fn level_shape(&self, level: usize) -> &Shape {
+        match level.checked_sub(1).and_then(|i| self.levels.get(i)) {
+            Some(l) => &l.shape,
+            None => &self.shape,
+        }
+    }
+
+    /// The stored arg-max of the node at flat index `node` of `level ≥ 1`.
+    pub(crate) fn stored_max(&self, level: usize, node: usize) -> usize {
+        let l = &self.levels[level - 1];
+        // analyzer: allow(panic-site, reason = "node indexes the level it was derived from: a covering node of a validated region, or a child inside its parent's box")
+        l.max_index[node]
+    }
+
     /// The region of `A` covered by the node with coordinates `coords` at
     /// `level` (clipped at the cube boundary).
     pub fn node_region(&self, level: usize, coords: &[usize]) -> Region {
@@ -195,8 +214,7 @@ impl<O: TotalOrder> MaxTree<O> {
 
     /// The stored arg-max (flat index into `A`) of a node.
     pub fn node_max_index(&self, level: usize, coords: &[usize]) -> usize {
-        let l = &self.levels[level - 1];
-        l.max_index[l.shape.flatten(coords)]
+        self.stored_max(level, self.level_shape(level).flatten(coords))
     }
 
     /// Exports the per-level node tables (shape dims + stored arg-max
@@ -330,40 +348,78 @@ impl<O: TotalOrder> MaxTree<O> {
     }
 }
 
-/// The per-node kernel of the level fill: gathers the argmax (as a flat
-/// `A` index) over one parent node's children, visiting them in row-major
-/// order of the child region with strict first-max-wins comparisons, so
-/// ties resolve to the first cell in row-major order.
-fn node_max<O: TotalOrder>(
-    a: &DenseArray<O::Value>,
-    order: &O,
-    child_shape: &Shape,
-    child_of: Option<&[usize]>,
-    parent_shape: &Shape,
+/// The argmax over one parent node's children — the level fill of
+/// [`MaxTree::build`] and the `tag = −1` rescan of a batch update. It
+/// visits the children's box in row-major order, a contiguous run at a
+/// time, with strict first-max-wins comparisons, so ties resolve to the
+/// first child in row-major order. The box and its odometer live in this
+/// caller-owned scratch: a loop over many parents allocates nothing.
+pub(crate) struct ChildScan {
     b: usize,
-    pflat: usize,
-) -> usize {
-    let pidx = parent_shape.unflatten(pflat);
-    let ranges: Vec<Range> = pidx
-        .iter()
-        .zip(child_shape.dims())
-        .map(|(&c, &n)| {
-            Range::new(c * b, ((c + 1) * b - 1).min(n - 1)).expect("child region within bounds")
-        })
-        .collect();
-    let children = Region::new(ranges).expect("d ≥ 1");
-    let mut best = usize::MAX;
-    for cflat in FlatRegionIter::new(child_shape, &children) {
-        // The candidate A-index this child contributes.
-        let cand = match child_of {
-            None => cflat, // children are cells of A
-            Some(m) => m[cflat],
-        };
-        if best == usize::MAX || order.gt(a.get_flat(cand), a.get_flat(best)) {
-            best = cand;
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+    cur: Vec<usize>,
+}
+
+impl ChildScan {
+    /// Scratch for a tree of per-dimension fanout `b` over `ndim` axes.
+    pub(crate) fn new(b: usize, ndim: usize) -> Self {
+        ChildScan {
+            b,
+            lo: vec![0; ndim],
+            hi: vec![0; ndim],
+            cur: vec![0; ndim],
         }
     }
-    best
+
+    /// The argmax (a flat index into `A`) over the children of the node at
+    /// flat index `pflat` of `parent_shape`, and how many children it
+    /// compared. The children live in `child_shape`; `child_of` holds
+    /// their stored arg-maxes, or is `None` when they are cells of `A`.
+    pub(crate) fn argmax<O: TotalOrder>(
+        &mut self,
+        a: &DenseArray<O::Value>,
+        order: &O,
+        child_shape: &Shape,
+        child_of: Option<&[usize]>,
+        parent_shape: &Shape,
+        pflat: usize,
+    ) -> (usize, u64) {
+        let per_axis = parent_shape.strides().iter().zip(parent_shape.dims());
+        let bounds = per_axis.zip(child_shape.dims());
+        for ((l, h), ((&s, &pn), &cn)) in self.lo.iter_mut().zip(self.hi.iter_mut()).zip(bounds) {
+            *l = pflat / s % pn * self.b;
+            *h = (*l + self.b - 1).min(cn - 1);
+        }
+        let first = child_shape.flatten(&self.lo);
+        let mut best = child_of.map_or(first, |m| m.get(first).copied().unwrap_or(first));
+        let mut seen = 0u64;
+        child_shape.for_each_run(&self.lo, &self.hi, &mut self.cur, |run| {
+            seen += run.len() as u64;
+            let mut best_val = a.get_flat(best);
+            match child_of {
+                None => {
+                    let base = run.start;
+                    for (at, v) in a.as_slice().get(run).unwrap_or_default().iter().enumerate() {
+                        if order.gt(v, best_val) {
+                            best = base + at;
+                            best_val = v;
+                        }
+                    }
+                }
+                Some(m) => {
+                    for &cand in m.get(run).unwrap_or_default() {
+                        let v = a.get_flat(cand);
+                        if order.gt(v, best_val) {
+                            best = cand;
+                            best_val = v;
+                        }
+                    }
+                }
+            }
+        });
+        (best, seen)
+    }
 }
 
 #[cfg(test)]

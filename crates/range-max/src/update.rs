@@ -15,7 +15,7 @@
 //! "repoint" record so ancestors never hold a stale index (the paper's
 //! update list, which carries only new values, would silently skip this).
 
-use crate::tree::{MaxTree, MaxTreeError};
+use crate::tree::{ChildScan, MaxTree, MaxTreeError};
 use olap_aggregate::TotalOrder;
 use olap_array::DenseArray;
 use olap_query::AccessStats;
@@ -183,6 +183,7 @@ impl<O: TotalOrder> MaxTree<O> {
                 .push(ch);
         }
         let mut out = Vec::new();
+        let mut scan = ChildScan::new(b, child_shape.ndim());
         for (pflat, group) in groups {
             let stored = self.levels[parent_level - 1].max_index[pflat];
             stats.visit_nodes(1);
@@ -232,7 +233,17 @@ impl<O: TotalOrder> MaxTree<O> {
             }
             let (new_y, new_val) = if tag == -1 {
                 // Rescan the whole sibling set S covered by this parent.
-                self.rescan(a, parent_level, pflat, &parent_shape, &child_shape, stats)
+                let child_of = parent_level
+                    .checked_sub(2)
+                    .and_then(|i| self.levels.get(i))
+                    .map(|l| &*l.max_index);
+                let (y, seen) =
+                    scan.argmax(a, &self.order, &child_shape, child_of, &parent_shape, pflat);
+                match child_of {
+                    None => stats.read_a(seen),
+                    Some(_) => stats.visit_nodes(seen),
+                }
+                (y, a.get_flat(y).clone())
             } else {
                 (nmi, max_val)
             };
@@ -253,60 +264,6 @@ impl<O: TotalOrder> MaxTree<O> {
             }
         }
         out
-    }
-
-    /// Searches all children of a parent for the new argmax (`tag = −1`).
-    fn rescan(
-        &self,
-        a: &DenseArray<O::Value>,
-        parent_level: usize,
-        pflat: usize,
-        parent_shape: &olap_array::Shape,
-        child_shape: &olap_array::Shape,
-        stats: &mut AccessStats,
-    ) -> (usize, O::Value) {
-        let b = self.b;
-        let pcoords = parent_shape.unflatten(pflat);
-        let lo: Vec<usize> = pcoords.iter().map(|&c| c * b).collect();
-        let hi: Vec<usize> = pcoords
-            .iter()
-            .zip(child_shape.dims())
-            .map(|(&c, &n)| ((c + 1) * b - 1).min(n - 1))
-            .collect();
-        let mut best: Option<usize> = None;
-        let mut cur = lo.clone();
-        loop {
-            let child_flat = child_shape.flatten(&cur);
-            let cand = if parent_level == 1 {
-                stats.read_a(1);
-                child_flat
-            } else {
-                stats.visit_nodes(1);
-                self.levels[parent_level - 2].max_index[child_flat]
-            };
-            match best {
-                None => best = Some(cand),
-                Some(cb) => {
-                    if self.order.gt(a.get_flat(cand), a.get_flat(cb)) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            // Odometer.
-            let mut axis = cur.len();
-            loop {
-                if axis == 0 {
-                    let y = best.expect("parent has at least one child");
-                    return (y, a.get_flat(y).clone());
-                }
-                axis -= 1;
-                if cur[axis] < hi[axis] {
-                    cur[axis] += 1;
-                    break;
-                }
-                cur[axis] = lo[axis];
-            }
-        }
     }
 }
 

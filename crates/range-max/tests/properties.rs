@@ -6,11 +6,20 @@ use olap_aggregate::{NaturalOrder, ReverseOrder, TotalOrder};
 use olap_array::{DenseArray, Region, Shape};
 use olap_range_max::{MaxTree, NaturalMaxTree, PointUpdate, SearchOptions};
 use proptest::prelude::*;
+use std::ops::{Range, RangeInclusive};
 
 fn arb_cube() -> impl Strategy<Value = DenseArray<i64>> {
-    prop::collection::vec(2usize..8, 1..=3).prop_flat_map(|dims| {
+    arb_cube_in(1..=3, -1000..1000)
+}
+
+/// A cube of `ndim` axes, each 2..8 long, with values drawn from `values`.
+fn arb_cube_in(
+    ndim: RangeInclusive<usize>,
+    values: Range<i64>,
+) -> impl Strategy<Value = DenseArray<i64>> {
+    prop::collection::vec(2usize..8, ndim).prop_flat_map(move |dims| {
         let len: usize = dims.iter().product();
-        prop::collection::vec(-1000i64..1000, len)
+        prop::collection::vec(values.clone(), len)
             .prop_map(move |data| DenseArray::from_vec(Shape::new(&dims).unwrap(), data).unwrap())
     })
 }
@@ -60,7 +69,14 @@ proptest! {
 
     #[test]
     fn search_matches_naive(
-        (a, q, b) in arb_cube().prop_flat_map(|a| {
+        // Besides the default cubes: 4-d ones, and tie-heavy ones whose
+        // values 0..4 make equal maxima in most regions.
+        (a, q, b) in prop_oneof![
+            arb_cube(),
+            arb_cube_in(4..=4, -1000..1000),
+            arb_cube_in(1..=4, 0..4),
+        ]
+        .prop_flat_map(|a| {
             let q = arb_region(a.shape());
             (Just(a), q, 2usize..5)
         })

@@ -3,13 +3,14 @@
 //! [`drive_load`] runs `phases` rounds against a [`CubeServer`]. Each
 //! phase pins the pre-update cube state, launches `readers` concurrent
 //! reader threads over a seeded mix of sum/max/min range queries, and —
-//! while those readers are in flight — installs one seeded single-shard
-//! update batch through [`CubeServer::apply_updates`]. Because a
-//! single-shard batch installs globally atomically (one snapshot swap),
-//! every reader answer must be bit-identical to the **pre-** or
-//! **post-update sequential oracle** — a naive fold over a shadow copy
-//! of the cube. Any third value is a torn read and is counted as a
-//! mismatch.
+//! while those readers are in flight — installs one seeded update batch
+//! through [`CubeServer::apply_updates`]. Every batch is atomic to every
+//! reader (see the `server` module docs on consistency), so every reader
+//! answer must be bit-identical to the **pre-** or **post-update
+//! sequential oracle** — a naive fold over a shadow copy of the cube. Any
+//! third value is a torn read and is counted as a mismatch. The batch
+//! stays inside one shard's slab, a different shard each phase, so the
+//! per-shard install counts in the `olap-cli serve` table stay readable.
 //!
 //! The driver never blocks readers on the install: writers derive
 //! copy-on-write successors off the serving path, which is the property

@@ -8,9 +8,10 @@
 //! the shards its region overlaps in shard order, and folds the partial
 //! answers as they are produced (sums add; argmax/argmin map back to
 //! global coordinates). Batched updates derive copy-on-write successor
-//! snapshots per shard and install them atomically, so in-flight queries
-//! finish on the snapshot they pinned — readers are never blocked by a
-//! writer.
+//! snapshots per shard and install them, so in-flight queries finish on
+//! the snapshot they pinned — readers are never blocked by a writer — and
+//! an install sequence checked like a seqlock keeps a query that spans
+//! shards from mixing states: every batch is atomic to every reader.
 //!
 //! Each shard answers sums through a per-shard
 //! [`olap_engine::SemanticCache`] (repeat regions hit, contained regions
@@ -18,9 +19,9 @@
 //! `server` module docs.
 //!
 //! [`drive_load`] is the seeded mixed-workload driver behind
-//! `olap-cli serve`: phases of concurrent readers racing one single-shard
-//! update batch, every answer asserted bit-identical to the pre- or
-//! post-update sequential oracle.
+//! `olap-cli serve`: phases of concurrent readers racing one update
+//! batch, every answer asserted bit-identical to the pre- or post-update
+//! sequential oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

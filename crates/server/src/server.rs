@@ -52,12 +52,22 @@
 //!
 //! [`CubeServer::apply_updates`] validates the whole batch up front,
 //! splits it by owning shard, and installs each shard's successor
-//! snapshot atomically under one server-wide writer mutex. A batch is
-//! atomic *per shard*, not across shards: a concurrent fanned-out query
-//! may combine pre-batch rows from one shard with post-batch rows from
-//! another. Single-shard batches (any single-cell update is one) are
-//! globally atomic — the discipline the load driver uses to assert
-//! pre-or-post-oracle answers.
+//! snapshot under one server-wide writer mutex.
+//!
+//! # Consistency
+//!
+//! Every answer is the answer at one cube state that existed during the
+//! call: the state after some whole number of batches, never a batch
+//! half-applied and never a mix of shards from states that did not
+//! coexist. A one-part query gets this from the snapshot its part pins.
+//! A query with several parts pins each shard's snapshot only when that
+//! part starts, so the server keeps an install sequence, checked like a
+//! seqlock: under the writer mutex, a single-shard batch adds 2 after its
+//! install, and a multi-shard batch adds 1 before its installs and 1
+//! after. A multi-part read loads the sequence before its first part and
+//! after its last, and runs again if it was odd or has moved. After three
+//! tries it runs with the writer mutex held, where nothing can install.
+//! So every batch, single- or multi-shard, is atomic to every reader.
 
 use crate::ServerError;
 use olap_array::{DegradePolicy, DenseArray, QueryBudget, Shape};
@@ -67,7 +77,7 @@ use olap_engine::{
     SumTreeEngine,
 };
 use olap_query::{AccessStats, Answer, DimSelection, Estimate, QueryOutcome, RangeQuery};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -301,8 +311,52 @@ struct Shard {
     /// lock-order acquisition graph.
     cache: SemanticCache<i64, Arc<AdaptiveRouter<i64>>>,
     /// Parts in flight: see [`InFlight`].
-    depth: AtomicI64,
+    depth: InFlightCount,
     label: String,
+}
+
+/// Slots of an [`InFlightCount`]: callers beyond this many threads share.
+const IN_FLIGHT_SLOTS: usize = 8;
+
+/// One cache line of an [`InFlightCount`].
+#[repr(align(64))]
+#[derive(Default)]
+struct Slot(AtomicI64);
+
+/// A shard's count of parts in flight, striped so concurrent callers do
+/// not write one cache line: each thread counts into its own slot, and a
+/// read sums the slots. Every slot is ≥ 0 — a part's +1 and −1 land in
+/// the slot of the thread that runs it — so the sum is never negative.
+#[derive(Default)]
+struct InFlightCount {
+    slots: [Slot; IN_FLIGHT_SLOTS],
+}
+
+impl InFlightCount {
+    /// The calling thread's slot, assigned round-robin on first use.
+    fn slot(&self) -> &AtomicI64 {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            // ordering: Relaxed — hands out distinct slot numbers; no
+            // other memory hangs off the value.
+            static MINE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % IN_FLIGHT_SLOTS;
+        }
+        &self.slots[MINE.with(|i| *i)].0
+    }
+
+    fn add(&self, delta: i64) {
+        // ordering: Relaxed — an advisory count that publishes no other
+        // memory.
+        self.slot().fetch_add(delta, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> i64 {
+        self.slots
+            .iter()
+            // ordering: Relaxed — an advisory read, see `add`.
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum()
+    }
 }
 
 /// One part executing on a shard. Construction counts it into
@@ -326,19 +380,15 @@ impl Shard {
         InFlight(self)
     }
 
-    /// Moves the in-flight count by `delta` and pushes the new value to
+    /// Moves the in-flight count by `delta` and pushes the new total to
     /// the `olap_shard_queue_depth` gauge (no-op without an active
     /// context).
     fn count_in_flight(&self, delta: i64) {
-        // ordering: Relaxed — an advisory count that publishes no other
-        // memory. Each part's +1 precedes its own −1 in program order and
-        // RMWs on one atomic are totally ordered, so no observer sees a
-        // negative value.
-        let now = self.depth.fetch_add(delta, Ordering::Relaxed) + delta;
+        self.depth.add(delta);
         if let Some(ctx) = olap_telemetry::current() {
             ctx.registry()
                 .gauge("olap_shard_queue_depth", &[("shard", self.label.as_str())])
-                .set(now as f64);
+                .set(self.depth.get() as f64);
         }
     }
 
@@ -355,9 +405,9 @@ impl Shard {
         op: EngineOp,
         limit: Option<i64>,
     ) -> Result<ShardOutcome, EngineError> {
-        // ordering: Relaxed — an advisory load-shedding read; a racing
-        // exit only shifts which path answers, and both paths are sound.
-        if limit.is_some_and(|limit| self.depth.load(Ordering::Relaxed) > limit) {
+        // An advisory load-shedding read: a racing exit only shifts which
+        // path answers, and both paths are sound.
+        if limit.is_some_and(|limit| self.depth.get() > limit) {
             let reason = DegradeReason::QueueDepth;
             if let Ok((estimate, stats)) = self.router().degrade(query, op, reason) {
                 return Ok(ShardOutcome::Degraded {
@@ -381,6 +431,10 @@ impl Shard {
         }
     }
 }
+
+/// Tries a multi-part read makes against the install sequence before it
+/// runs with the writer mutex held (see the module docs on consistency).
+const CONSISTENT_TRIES: usize = 3;
 
 /// Anchor-grid block size of every shard's degradation tier.
 const DEGRADE_BLOCK: usize = 8;
@@ -453,6 +507,29 @@ impl DegradeMerge {
     }
 }
 
+/// What a range sum folds across its parts.
+#[derive(Default)]
+struct SumFold {
+    value: i64,
+    lower: i64,
+    upper: i64,
+    cost: u64,
+    merge: DegradeMerge,
+}
+
+/// What a range max or min folds across its parts: the best exact part
+/// with its global argmax, and the folded `(value, lower, upper)` — exact
+/// parts are point intervals, degraded parts contribute their guaranteed
+/// interval, and folding each component by max (resp. min) keeps the
+/// global extremum inside `[lower, upper]`.
+#[derive(Default)]
+struct ExtremumFold {
+    best: Option<(i64, Vec<usize>)>,
+    cost: u64,
+    folded: Option<(i64, i64, i64)>,
+    merge: DegradeMerge,
+}
+
 /// Bumps the serve-level answer counters behind the degraded-fraction
 /// SLO check (`olap_serve_answers_total` / `olap_serve_degraded_total`).
 /// No-op without an active context.
@@ -476,9 +553,14 @@ fn record_served(degraded: bool) {
 pub struct CubeServer {
     shape: Shape,
     shards: Vec<Shard>,
-    /// Serialises cross-shard update batches so per-shard installs from
-    /// different batches cannot interleave.
+    /// Serialises update batches so per-shard installs from different
+    /// batches cannot interleave; a multi-part read that keeps losing the
+    /// race with installs runs under it.
     writer: Mutex<()>,
+    /// The install sequence multi-part reads validate against: odd while
+    /// a multi-shard batch is installing, moved by every batch. Written
+    /// only under `writer`.
+    installs: AtomicU64,
     /// Latency objective carried from [`ServeConfig::slo`].
     slo: Option<SloSpec>,
     /// In-flight shed threshold from [`ServeConfig::queue_depth_limit`].
@@ -522,6 +604,7 @@ impl CubeServer {
             shape,
             shards,
             writer: Mutex::new(()),
+            installs: AtomicU64::new(0),
             slo: config.slo,
             queue_limit: config.queue_depth_limit,
             tracer: None,
@@ -607,8 +690,7 @@ impl CubeServer {
                 shard: i,
                 rows: (s.lo, s.lo + s.len - 1),
                 epochs: s.router().epoch_stats(),
-                // ordering: Relaxed — reporting read.
-                queue_depth: s.depth.load(Ordering::Relaxed),
+                queue_depth: s.depth.get(),
                 cache: s.cache.stats(),
             })
             .collect()
@@ -639,36 +721,34 @@ impl CubeServer {
     /// Validation failures, shard router errors.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<ServerAnswer, ServerError> {
         let _root = self.root_span();
-        let (mut value, mut lower, mut upper) = (0i64, 0i64, 0i64);
-        let mut cost = 0u64;
-        let mut merge = DegradeMerge::default();
-        let shards = self.fan_out(query, EngineOp::Sum, |_, volume, out| {
-            cost += out.cost();
-            match out {
-                ShardOutcome::Exact(o) => {
-                    let v = o.value().copied().unwrap_or(0);
-                    value += v;
-                    lower += v;
-                    upper += v;
-                    merge.note_exact(volume);
+        let (acc, shards) =
+            self.fan_out(query, EngineOp::Sum, |acc: &mut SumFold, _, volume, out| {
+                acc.cost += out.cost();
+                match out {
+                    ShardOutcome::Exact(o) => {
+                        let v = o.value().copied().unwrap_or(0);
+                        acc.value += v;
+                        acc.lower += v;
+                        acc.upper += v;
+                        acc.merge.note_exact(volume);
+                    }
+                    ShardOutcome::Degraded {
+                        estimate, reason, ..
+                    } => {
+                        acc.value += estimate.value;
+                        acc.lower += estimate.lower;
+                        acc.upper += estimate.upper;
+                        acc.merge.note_degraded(volume, &estimate, reason);
+                    }
                 }
-                ShardOutcome::Degraded {
-                    estimate, reason, ..
-                } => {
-                    value += estimate.value;
-                    lower += estimate.lower;
-                    upper += estimate.upper;
-                    merge.note_degraded(volume, &estimate, reason);
-                }
-            }
-        })?;
+            })?;
         let _merge = olap_telemetry::TraceSpan::start("merge");
-        let estimate = merge.finish(value, lower, upper);
+        let estimate = acc.merge.finish(acc.value, acc.lower, acc.upper);
         record_served(estimate.is_some());
         Ok(ServerAnswer {
-            value,
+            value: acc.value,
             at: None,
-            cost,
+            cost: acc.cost,
             shards,
             estimate,
         })
@@ -692,58 +772,58 @@ impl CubeServer {
 
     fn extremum(&self, query: &RangeQuery, op: EngineOp) -> Result<ServerAnswer, ServerError> {
         let _root = self.root_span();
-        let mut best: Option<(i64, Vec<usize>)> = None;
-        let mut cost = 0u64;
-        // Folded `(value, lower, upper)` across parts: exact parts are
-        // point intervals, degraded parts contribute their guaranteed
-        // interval — folding each component by max (resp. min) keeps the
-        // global extremum inside `[lower, upper]`.
-        let mut folded: Option<(i64, i64, i64)> = None;
-        let mut merge = DegradeMerge::default();
-        let shards = self.fan_out(query, op, |shard, volume, out| {
-            cost += out.cost();
-            let (v, lo, hi) = match out {
-                ShardOutcome::Exact(o) => {
-                    let Answer::Extremum { mut at, value } = o.answer else {
-                        return; // empty slab intersection contributes nothing
-                    };
-                    if let Some(first) = at.first_mut() {
-                        *first += shard.lo;
+        let (acc, shards) =
+            self.fan_out(query, op, |acc: &mut ExtremumFold, shard, volume, out| {
+                let ExtremumFold {
+                    best,
+                    cost,
+                    folded,
+                    merge,
+                } = acc;
+                *cost += out.cost();
+                let (v, lo, hi) = match out {
+                    ShardOutcome::Exact(o) => {
+                        let Answer::Extremum { mut at, value } = o.answer else {
+                            return; // empty slab intersection contributes nothing
+                        };
+                        if let Some(first) = at.first_mut() {
+                            *first += shard.lo;
+                        }
+                        let better = match (&*best, op) {
+                            (None, _) => true,
+                            (Some((b, _)), EngineOp::Max) => value > *b,
+                            (Some((b, _)), _) => value < *b,
+                        };
+                        if better {
+                            *best = Some((value, at));
+                        }
+                        merge.note_exact(volume);
+                        (value, value, value)
                     }
-                    let better = match (&best, op) {
-                        (None, _) => true,
-                        (Some((b, _)), EngineOp::Max) => value > *b,
-                        (Some((b, _)), _) => value < *b,
-                    };
-                    if better {
-                        best = Some((value, at));
+                    ShardOutcome::Degraded {
+                        estimate, reason, ..
+                    } => {
+                        merge.note_degraded(volume, &estimate, reason);
+                        (estimate.value, estimate.lower, estimate.upper)
                     }
-                    merge.note_exact(volume);
-                    (value, value, value)
-                }
-                ShardOutcome::Degraded {
-                    estimate, reason, ..
-                } => {
-                    merge.note_degraded(volume, &estimate, reason);
-                    (estimate.value, estimate.lower, estimate.upper)
-                }
-            };
-            folded = Some(match folded {
-                None => (v, lo, hi),
-                Some((fv, fl, fh)) => match op {
-                    EngineOp::Max => (fv.max(v), fl.max(lo), fh.max(hi)),
-                    _ => (fv.min(v), fl.min(lo), fh.min(hi)),
-                },
-            });
-        })?;
+                };
+                *folded = Some(match *folded {
+                    None => (v, lo, hi),
+                    Some((fv, fl, fh)) => match op {
+                        EngineOp::Max => (fv.max(v), fl.max(lo), fh.max(hi)),
+                        _ => (fv.min(v), fl.min(lo), fh.min(hi)),
+                    },
+                });
+            })?;
         let _merge = olap_telemetry::TraceSpan::start("merge");
-        let (value, lower, upper) =
-            folded.ok_or_else(|| ServerError::Config("no shard produced an extremum".into()))?;
-        let estimate = merge.finish(value, lower, upper);
+        let (value, lower, upper) = acc
+            .folded
+            .ok_or_else(|| ServerError::Config("no shard produced an extremum".into()))?;
+        let estimate = acc.merge.finish(value, lower, upper);
         // An interpolated extremum has no attained cell: `at` only
         // survives a fully exact merge.
         let at = if estimate.is_none() {
-            best.map(|(_, at)| at)
+            acc.best.map(|(_, at)| at)
         } else {
             None
         };
@@ -751,7 +831,7 @@ impl CubeServer {
         Ok(ServerAnswer {
             value,
             at,
-            cost,
+            cost: acc.cost,
             shards,
             estimate,
         })
@@ -759,13 +839,13 @@ impl CubeServer {
 
     /// Applies one batch of absolute-value cell updates. Validates the
     /// whole batch first, then installs each touched shard's successor
-    /// snapshot — per-shard atomic, cross-shard see the module docs.
+    /// snapshot. Readers see the batch whole or not at all (module docs).
     ///
     /// # Errors
     /// Validation failures (nothing applied), shard derive failures (the
     /// failing shard and later ones keep their current snapshot).
     pub fn apply_updates(&self, updates: &[(Vec<usize>, i64)]) -> Result<AccessStats, ServerError> {
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let _writer = self.lock_writer();
         let mut batches: Vec<Vec<(Vec<usize>, i64)>> = vec![Vec::new(); self.shards.len()];
         for (idx, v) in updates {
             self.shape.check_index(idx)?;
@@ -779,13 +859,43 @@ impl CubeServer {
                 batch.push((local, *v));
             }
         }
-        let mut stats = AccessStats::new();
-        for (shard, batch) in self.shards.iter().zip(&batches) {
-            if !batch.is_empty() {
-                stats.merge(&shard.cache.apply_updates(batch)?);
-            }
+        let touched = batches.iter().filter(|b| !b.is_empty()).count();
+        if touched == 0 {
+            return Ok(AccessStats::new());
         }
-        Ok(stats)
+        let multi = touched > 1;
+        if multi {
+            // ordering: Relaxed — the odd mark is ordered before the
+            // installs by the Release fence below.
+            self.installs.fetch_add(1, Ordering::Relaxed);
+        }
+        // ordering: Release fence — orders every earlier add to `installs`
+        // (this batch's odd mark, or the previous batch's closing add)
+        // before the snapshot stores below. A reader whose part observes
+        // one of those snapshots fences Acquire, and so loads a sequence
+        // past the one it started on.
+        fence(Ordering::Release);
+        let mut stats = AccessStats::new();
+        let installed = self
+            .shards
+            .iter()
+            .zip(&batches)
+            .filter(|(_, batch)| !batch.is_empty())
+            .try_for_each(|(shard, batch)| {
+                stats.merge(&shard.cache.apply_updates(batch)?);
+                Ok::<(), ServerError>(())
+            });
+        let closing = if multi { 1 } else { 2 };
+        // ordering: Release — pairs with a reader's opening Acquire load:
+        // a read that starts on the new, even sequence sees every
+        // snapshot this batch installed. Added on failure too, so the
+        // sequence never stays odd.
+        self.installs.fetch_add(closing, Ordering::Release);
+        installed.map(|()| stats)
+    }
+
+    fn lock_writer(&self) -> std::sync::MutexGuard<'_, ()> {
+        self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The shard owning global row `row`, with its slab offset.
@@ -799,22 +909,62 @@ impl CubeServer {
     }
 
     /// Answers `query`'s part on every shard whose slab the region
-    /// overlaps — in shard order, on the calling thread — handing each
-    /// outcome to `fold` with the shard and the part's cell count as soon
-    /// as it is produced. Returns how many shards took part. The first
-    /// failing part fails the query; later shards are not consulted.
-    fn fan_out(
+    /// overlaps and folds the outcomes into a fresh `A`, validated against
+    /// the install sequence when there is more than one part (module docs
+    /// on consistency). Returns the fold and how many shards took part.
+    /// The first failing part fails the query.
+    fn fan_out<A: Default>(
         &self,
         query: &RangeQuery,
         op: EngineOp,
-        mut fold: impl FnMut(&Shard, u64, ShardOutcome),
-    ) -> Result<usize, ServerError> {
+        mut fold: impl FnMut(&mut A, &Shard, u64, ShardOutcome),
+    ) -> Result<(A, usize), ServerError> {
         let region = query.to_region(&self.shape)?;
+        let r0 = region.range(0);
+        if self.owning_shard(r0.lo())? == self.owning_shard(r0.hi())? {
+            return self.parts(query, op, &region, &mut fold);
+        }
+        for _ in 0..CONSISTENT_TRIES {
+            // ordering: Acquire — pairs with the writer's closing Release
+            // add, so every snapshot the sequence covers is visible to
+            // the parts below.
+            let seq = self.installs.load(Ordering::Acquire);
+            if !seq.is_multiple_of(2) {
+                // A multi-shard batch is installing.
+                std::hint::spin_loop();
+                continue;
+            }
+            let answer = self.parts(query, op, &region, &mut fold)?;
+            // ordering: Acquire fence — pairs with the writer's Release
+            // fence: if a part observed a snapshot stored after it, the
+            // add before that fence is visible to the load below.
+            fence(Ordering::Acquire);
+            // ordering: Relaxed — ordered after the parts by the fence.
+            if self.installs.load(Ordering::Relaxed) == seq {
+                return Ok(answer);
+            }
+        }
+        // Installs kept landing mid-read: run once more with none able to.
+        let _writer = self.lock_writer();
+        self.parts(query, op, &region, &mut fold)
+    }
+
+    /// One pass of [`CubeServer::fan_out`]: the parts in shard order, on
+    /// the calling thread, each outcome folded as soon as it is produced
+    /// with the shard and the part's cell count.
+    fn parts<A: Default>(
+        &self,
+        query: &RangeQuery,
+        op: EngineOp,
+        region: &olap_array::Region,
+        fold: &mut impl FnMut(&mut A, &Shard, u64, ShardOutcome),
+    ) -> Result<(A, usize), ServerError> {
         let r0 = region.range(0);
         // Cells per leading row of the region: a part's volume is its row
         // count times this.
         let row_cells = (region.volume() / r0.len()) as u64;
         let telemetry = olap_telemetry::current();
+        let mut acc = A::default();
         let mut parts = 0usize;
         for shard in &self.shards {
             let (slab_lo, slab_hi) = (shard.lo, shard.lo + shard.len - 1);
@@ -838,10 +988,10 @@ impl CubeServer {
                     .histogram("olap_serve_latency_ns", &[("shard", shard.label.as_str())])
                     .observe(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
             }
-            fold(shard, (hi - lo + 1) as u64 * row_cells, out);
+            fold(&mut acc, shard, (hi - lo + 1) as u64 * row_cells, out);
             parts += 1;
         }
-        Ok(parts)
+        Ok((acc, parts))
     }
 }
 
@@ -909,7 +1059,7 @@ fn build_shard(
         lo,
         len: hi - lo,
         cache,
-        depth: AtomicI64::new(0),
+        depth: InFlightCount::default(),
         label,
     })
 }

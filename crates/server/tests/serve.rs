@@ -674,3 +674,64 @@ fn degraded_estimates_are_never_cached_as_exact() {
     assert!(!exact.is_degraded());
     assert_eq!(exact.value, naive_sum(&a, &r));
 }
+
+#[test]
+fn wall_time_two_shard_sum_sees_one_state_across_single_and_multi_shard_installs() {
+    // Wall-time dependent: a 300 ms injected engine delay holds the read's
+    // part on shard 0 open while three batches install. A stall of that
+    // long between the read reaching shard 0 and the installs would let
+    // it miss them, and pass without exercising the race.
+    let a = cube(&[16, 8], 131);
+    let rows = |lo, hi| Region::from_bounds(&[(lo, hi), (0, 7)]).unwrap();
+    let q = RangeQuery::from_region(&rows(0, 15));
+    let delay = std::time::Duration::from_millis(300);
+    let srv = CubeServer::build(
+        &a,
+        ServeConfig {
+            shards: 2,
+            cache_size: 0,
+            faults: Some(FaultPlan::seeded(5).delays(1000, delay)),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    // Shard 0 owns rows 0..=7, shard 1 rows 8..=15.
+    let batches: [Vec<(Vec<usize>, i64)>; 3] = [
+        vec![(vec![2, 3], 5_000)],
+        vec![(vec![12, 1], -7_000)],
+        vec![(vec![5, 5], 11_000), (vec![9, 6], 13_000)],
+    ];
+    let mut states = vec![a.clone()];
+    for batch in &batches {
+        let mut next = states.last().unwrap().clone();
+        for (idx, v) in batch {
+            *next.get_mut(idx) = *v;
+        }
+        states.push(next);
+    }
+    let sums: Vec<i64> = states.iter().map(|s| naive_sum(s, &rows(0, 15))).collect();
+    // What the read returns if each part pins its shard when it starts:
+    // shard 0 before every install, shard 1 after all of them.
+    let torn = naive_sum(&states[0], &rows(0, 7)) + naive_sum(&states[3], &rows(8, 15));
+    assert!(!sums.contains(&torn), "the torn mix must match no state");
+    std::thread::scope(|s| {
+        let read = s.spawn(|| srv.range_sum(&q).unwrap());
+        while srv.shard_stats()[0].queue_depth == 0 {
+            assert!(!read.is_finished(), "read finished unobserved");
+            std::thread::yield_now();
+        }
+        // Let the part pin shard 0's snapshot and enter its delay.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        for batch in &batches {
+            srv.apply_updates(batch).unwrap();
+        }
+        let ans = read.join().unwrap();
+        assert_eq!(ans.shards, 2);
+        assert!(
+            sums.contains(&ans.value),
+            "{} is no state's sum (states {sums:?}, torn {torn})",
+            ans.value
+        );
+    });
+    assert_eq!(srv.range_sum(&q).unwrap().value, sums[3]);
+}

@@ -216,13 +216,23 @@ mod tests {
 
     #[test]
     fn scope_survives_panic() {
+        // Only this thread's scope stack is asserted on: concurrently
+        // running tests move the process-global ACTIVE counter.
         let a = Arc::new(Telemetry::new());
-        let before = ACTIVE.load(Ordering::SeqCst);
+        let depth = || SCOPES.with(|s| s.borrow().len());
+        let is_a = |ctx: Option<Arc<Telemetry>>| ctx.is_some_and(|c| Arc::ptr_eq(&c, &a));
+        let before = depth();
+        let mut inside = None;
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_scope(&a, || panic!("boom"));
+            with_scope(&a, || {
+                inside = Some((depth(), is_a(current())));
+                panic!("boom")
+            });
         }));
         assert!(r.is_err());
-        assert_eq!(ACTIVE.load(Ordering::SeqCst), before, "scope not popped");
+        assert_eq!(inside, Some((before + 1, true)), "scope not entered");
+        assert_eq!(depth(), before, "scope not popped");
+        assert!(!is_a(current()), "panicked scope still current");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! on every machine. (Wall-clock for the same layers is the perf ledger's
 //! `engine.cache.*` and `engine.router.*` rungs.)
 
-use olap_cube::aggregate::SumOp;
+use olap_cube::aggregate::{SumOp, TotalOrder};
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::engine::{
     AdaptiveRouter, ApproxEngine, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, QueryBudget,
@@ -13,9 +13,12 @@ use olap_cube::engine::{
 };
 use olap_cube::prefix_sum::batch::{self, CellUpdate};
 use olap_cube::prefix_sum::PrefixSumCube;
-use olap_cube::query::{Answer, RangeQuery};
+use olap_cube::query::{AccessStats, Answer, RangeQuery};
+use olap_cube::range_max::{MaxTree, NaturalMaxTree, NaturalMinTree};
 use olap_cube::tree_sum::SumTreeCube;
-use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions, zipf_regions};
+use olap_cube::workload::{
+    sided_regions, uniform_cube, uniform_regions, zipf_regions, InsuranceCube,
+};
 use std::time::Duration;
 
 fn index_config(prefix: PrefixChoice) -> IndexConfig {
@@ -246,4 +249,47 @@ fn theorem2_batch_writes_each_region_cell_exactly_once() {
             assert_eq!(written, volumes, "k={k} d={d}");
         }
     }
+}
+
+/// Summed `(A cells, tree nodes, compare steps, Σ flat argmax)` of `tree`'s
+/// search over `regions`. The argmax sum pins which of several equal
+/// maxima the search returns.
+fn range_max_totals<O: TotalOrder<Value = i64>>(
+    tree: &MaxTree<O>,
+    a: &DenseArray<i64>,
+    regions: &[Region],
+) -> (u64, u64, u64, u64) {
+    let mut total = AccessStats::new();
+    let mut at = 0u64;
+    for region in regions {
+        let (idx, _, stats) = tree.range_max_with_stats(a, region).unwrap();
+        total.merge(&stats);
+        at += a.shape().flatten(&idx) as u64;
+    }
+    assert_eq!(total.p_cells, 0);
+    (total.a_cells, total.tree_nodes, total.combine_steps, at)
+}
+
+/// Theorem 3 prices the §6 search in elements accessed. These are the
+/// exact counts, and the tie order, of the search on the paper's 4-d
+/// insurance cube (and on a tie-heavy copy, values mod 4) over 512 uniform
+/// regions, for the max and the min tree at b = 2 and b = 4. Any change in
+/// them changes what the search visits or which equal maximum it returns.
+#[test]
+fn range_max_accesses_and_ties_on_the_insurance_cube_are_pinned() {
+    let cube = InsuranceCube::generate(5).revenue;
+    let ties = cube.map(|v| v % 4);
+    let regions = uniform_regions(cube.shape(), 512, 3);
+    let max = |a: &DenseArray<i64>, b| {
+        range_max_totals(&NaturalMaxTree::for_values(a, b).unwrap(), a, &regions)
+    };
+    let min = |a: &DenseArray<i64>, b| {
+        range_max_totals(&NaturalMinTree::for_min_values(a, b).unwrap(), a, &regions)
+    };
+    assert_eq!(max(&cube, 2), (41393, 62631, 103000, 36578643));
+    assert_eq!(max(&ties, 2), (1267, 5981, 6224, 26719941));
+    assert_eq!(min(&ties, 2), (1241, 6024, 6241, 26695579));
+    assert_eq!(max(&cube, 4), (247696, 28901, 275573, 36571193));
+    assert_eq!(max(&ties, 4), (3938, 6659, 9573, 26990235));
+    assert_eq!(min(&ties, 4), (4274, 6529, 9779, 27046490));
 }
