@@ -65,6 +65,36 @@ proptest! {
         let sum: usize = parts.iter().map(|p| p.volume()).sum();
         prop_assert_eq!(sum + hole_vol, outer.volume());
         prop_assert!(parts.len() <= 2 * shape.ndim());
+        // Exact coverage against a point-membership oracle: each point of
+        // `outer` lies in exactly one part iff it is outside the hole.
+        for pt in outer.iter_indices() {
+            let covering = parts.iter().filter(|p| p.contains(&pt)).count();
+            prop_assert_eq!(covering, usize::from(!hole.contains(&pt)), "point {:?}", pt);
+        }
+    }
+
+    /// `contains_region`, `overlaps` and `intersect` agree with a
+    /// point-membership oracle: every point of `a` classified against `b`
+    /// by `Region::contains`.
+    #[test]
+    fn predicates_match_point_membership(
+        (a, b) in arb_shape().prop_flat_map(|s| {
+            let a = arb_region_in(&s);
+            let b = arb_region_in(&s);
+            (a, b)
+        })
+    ) {
+        let in_b: Vec<bool> = a.iter_indices().map(|p| b.contains(&p)).collect();
+        prop_assert_eq!(b.contains_region(&a), in_b.iter().all(|&x| x));
+        prop_assert_eq!(a.overlaps(&b), in_b.iter().any(|&x| x));
+        let shared = in_b.iter().filter(|&&x| x).count();
+        match a.intersect(&b) {
+            Some(i) => {
+                prop_assert!(i.iter_indices().all(|p| a.contains(&p) && b.contains(&p)));
+                prop_assert_eq!(i.volume(), shared);
+            }
+            None => prop_assert_eq!(shared, 0),
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ commands:
            the router, dump the metric registry (cache counters included)
   flight-record --cube FILE [--queries N] [--seed S] [--capacity N] [--cache-size N]
            same workload, dump the last-N per-query flight records as JSON
-           (each record carries its cache outcome: exact/assembled/miss/bypass)
+           (each record carries its cache outcome: exact/miss/bypass)
   trace    --out FILE [--cube FILE | --dims N,N[,N…]] [--queries N] [--shards N]
            [--seed S] [--slow-ms MS]
            serve a traced seeded workload and export every query's span tree
@@ -279,7 +279,6 @@ pub(crate) fn prefix_engine(
         prefix,
         max_tree_fanout: None,
         min_tree_fanout: None,
-        sum_tree_fanout: None,
         ..olap_engine::IndexConfig::default()
     };
     olap_engine::CubeIndex::build(a.clone(), config).map_err(|e| CliError::Query(e.to_string()))

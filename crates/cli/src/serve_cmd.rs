@@ -9,8 +9,7 @@
 //! `--cache-size N` sizes the per-shard semantic result caches (0
 //! disables them) and `--zipf-pool N` switches the driver to the
 //! Zipf-skewed repeat-heavy workload those caches exploit; the report
-//! gains a cache line (exact hits, ±-assemblies, hit rate, region-wise
-//! invalidations).
+//! gains a cache line (exact hits, hit rate, region-wise invalidations).
 //!
 //! `--degrade` arms graceful degradation ([`olap_array::DegradePolicy`]):
 //! each shard registers an approximate answering tier, and queries that
@@ -268,10 +267,9 @@ fn drill(a: &DenseArray<i64>, params: &ServeParams) -> Result<String, CliError> 
     } else {
         let c = report.cache;
         out.push(format!(
-            "cache: {} exact hits + {} assemblies / {} sum lookups ({:.1}% hit rate), \
+            "cache: {} exact hits / {} sum lookups ({:.1}% hit rate), \
              {} invalidations, {} entries live",
             c.hits,
-            c.assemblies,
             c.lookups(),
             c.hit_rate() * 100.0,
             c.invalidations,

@@ -3,7 +3,7 @@
 //! Chrome trace-event JSON (loadable in `chrome://tracing` or Perfetto).
 //!
 //! Each query produces one trace rooted at `serve_query`, with the
-//! serving stages — per-shard execution, cache lookup/assembly, router
+//! serving stages — per-shard execution, cache lookup, router
 //! dispatch, kernel execution, merge — as nested spans (see the
 //! `olap_telemetry::trace` module docs for the tree shape). The first
 //! region is queried twice, so a default run also shows the semantic

@@ -4,20 +4,16 @@
 use crate::error::EngineError;
 use crate::range_engine::{derive_shared, BatchImage, Capabilities, Derived, RangeEngine};
 use olap_aggregate::ReverseOrder;
-use olap_aggregate::{NaturalOrder, NumericValue, SumOp, TotalOrder};
+use olap_aggregate::{NaturalOrder, NumericValue, TotalOrder};
 use olap_array::{BudgetMeter, DenseArray, QueryBudget, Region, Shape};
 use olap_prefix_sum::{batch, BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
 use olap_query::{AccessStats, EngineKind, QueryOutcome, RangeQuery};
 use olap_range_max::{MaxTree, NaturalMaxTree, PointUpdate};
-use olap_tree_sum::SumTreeCube;
 use std::sync::Arc;
 
 /// Which prefix-sum structure to maintain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefixChoice {
-    /// No prefix sums (queries fall back to the tree-sum baseline or the
-    /// naive scan).
-    None,
     /// The basic §3 array — fastest queries, same storage as the cube.
     #[default]
     Basic,
@@ -35,8 +31,6 @@ pub struct IndexConfig {
     /// Per-dimension fanout of a range-min tree (the §6 structure under
     /// the reversed order), if wanted.
     pub min_tree_fanout: Option<usize>,
-    /// Per-dimension fanout of the §8 tree-sum baseline, if wanted.
-    pub sum_tree_fanout: Option<usize>,
     /// Per-query budget (deadline and/or cell-access cap) enforced
     /// cooperatively inside the query kernels. The default
     /// [`QueryBudget::unlimited`] costs one branch per query. A query cut
@@ -51,7 +45,6 @@ impl Default for IndexConfig {
             prefix: PrefixChoice::Basic,
             max_tree_fanout: Some(4),
             min_tree_fanout: None,
-            sum_tree_fanout: None,
             budget: QueryBudget::unlimited(),
         }
     }
@@ -92,11 +85,17 @@ where
     // index itself never copies the cube.
     a: Arc<DenseArray<T>>,
     config: IndexConfig,
-    prefix: Option<Arc<PrefixSumCube<T>>>,
-    blocked: Option<Arc<BlockedPrefixCube<T>>>,
+    prefix: Prefix<T>,
     max_tree: Option<Arc<NaturalMaxTree<T>>>,
     min_tree: Option<Arc<MaxTree<ReverseOrder<NaturalOrder<T>>>>>,
-    sum_tree: Option<Arc<SumTreeCube<T>>>,
+}
+
+/// The prefix-sum structure a [`CubeIndex`] answers sums from, as
+/// [`IndexConfig::prefix`] chose it.
+#[derive(Clone)]
+enum Prefix<T: NumericValue> {
+    Basic(Arc<PrefixSumCube<T>>),
+    Blocked(Arc<BlockedPrefixCube<T>>),
 }
 
 impl<T> CubeIndex<T>
@@ -114,12 +113,8 @@ where
     ) -> Result<Self, EngineError> {
         let a = a.into();
         let prefix = match config.prefix {
-            PrefixChoice::Basic => Some(Arc::new(PrefixSumCube::build(&a))),
-            _ => None,
-        };
-        let blocked = match config.prefix {
-            PrefixChoice::Blocked(b) => Some(Arc::new(BlockedPrefixCube::build(&a, b)?)),
-            _ => None,
+            PrefixChoice::Basic => Prefix::Basic(Arc::new(PrefixSumCube::build(&a))),
+            PrefixChoice::Blocked(b) => Prefix::Blocked(Arc::new(BlockedPrefixCube::build(&a, b)?)),
         };
         let max_tree = match config.max_tree_fanout {
             Some(b) => Some(Arc::new(NaturalMaxTree::for_values(&a, b)?)),
@@ -133,18 +128,12 @@ where
             )?)),
             None => None,
         };
-        let sum_tree = match config.sum_tree_fanout {
-            Some(b) => Some(Arc::new(SumTreeCube::build(&a, b)?)),
-            None => None,
-        };
         Ok(CubeIndex {
             a,
             config,
             prefix,
-            blocked,
             max_tree,
             min_tree,
-            sum_tree,
         })
     }
 
@@ -163,9 +152,8 @@ where
         &self.config
     }
 
-    /// Answers a range-sum query with the best available structure:
-    /// basic prefix sums (constant time), then blocked, then the tree-sum
-    /// baseline, then the naive scan.
+    /// Answers a range-sum query from the configured prefix-sum
+    /// structure: basic (`2^d` lookups) or blocked.
     ///
     /// # Errors
     /// Validates the region.
@@ -174,9 +162,9 @@ where
     }
 
     /// [`CubeIndex::range_sum`] under an explicit [`BudgetMeter`]: the
-    /// meter is threaded into whichever kernel answers (blocked parts,
-    /// tree traversal, or naive scan), so deadlines, access caps, and
-    /// cancellation interrupt the query *inside* the computation.
+    /// meter is threaded into the blocked kernel's parts (and charged
+    /// after the constant-time basic lookup), so deadlines, access caps,
+    /// and cancellation interrupt the query *inside* the computation.
     ///
     /// # Errors
     /// Validates the region; budget kills surface as
@@ -188,26 +176,19 @@ where
         meter: &BudgetMeter,
     ) -> Result<(T, AccessStats), EngineError> {
         meter.check().map_err(EngineError::from)?;
-        if let Some(ps) = &self.prefix {
-            // 2^d lookups: charge after the (constant-time) kernel.
-            let (v, stats) = ps.range_sum_with_stats(region)?;
-            meter
-                .charge(stats.total_accesses())
-                .map_err(EngineError::from)?;
-            return Ok((v, stats));
+        match &self.prefix {
+            Prefix::Basic(ps) => {
+                // 2^d lookups: charge after the (constant-time) kernel.
+                let (v, stats) = ps.range_sum_with_stats(region)?;
+                meter
+                    .charge(stats.total_accesses())
+                    .map_err(EngineError::from)?;
+                Ok((v, stats))
+            }
+            Prefix::Blocked(bp) => {
+                Ok(bp.range_sum_with_budget(&self.a, region, BoundaryPolicy::Auto, meter)?)
+            }
         }
-        if let Some(bp) = &self.blocked {
-            return Ok(bp.range_sum_with_budget(&self.a, region, BoundaryPolicy::Auto, meter)?);
-        }
-        if let Some(st) = &self.sum_tree {
-            return Ok(st.range_sum_with_stats_budget(&self.a, region, true, meter)?);
-        }
-        Ok(crate::naive::range_aggregate_budgeted(
-            &self.a,
-            &SumOp::<T>::new(),
-            region,
-            meter,
-        )?)
     }
 
     /// COUNT over a region of a dense cube: its volume (§1 notes COUNT is
@@ -260,18 +241,19 @@ where
     /// Validates the region.
     pub fn explain_sum(&self, region: &Region) -> Result<String, EngineError> {
         use olap_query::QueryStats;
-        let (engine, model): (&str, f64) = if self.prefix.is_some() {
-            ("basic prefix sums (§3)", olap_planner::pow2(region.ndim()))
-        } else if let Some(bp) = &self.blocked {
-            let stats = QueryStats::of_region(region);
-            (
-                "blocked prefix sums (§4)",
-                olap_planner::cost::prefix_sum_cost(region.ndim(), stats.surface, bp.block_size()),
-            )
-        } else if self.sum_tree.is_some() {
-            ("tree-sum baseline (§8)", f64::NAN)
-        } else {
-            ("naive scan", region.volume() as f64)
+        let (engine, model): (&str, f64) = match &self.prefix {
+            Prefix::Basic(_) => ("basic prefix sums (§3)", olap_planner::pow2(region.ndim())),
+            Prefix::Blocked(bp) => {
+                let stats = QueryStats::of_region(region);
+                (
+                    "blocked prefix sums (§4)",
+                    olap_planner::cost::prefix_sum_cost(
+                        region.ndim(),
+                        stats.surface,
+                        bp.block_size(),
+                    ),
+                )
+            }
         };
         let (_, stats) = self.range_sum(region)?;
         Ok(format!(
@@ -285,9 +267,7 @@ where
     /// the cube and every maintained structure:
     ///
     /// - prefix sums via the Theorem-2 batched region update (§5),
-    /// - the max and min trees via the tag protocol (§7),
-    /// - the tree-sum baseline by adding each cell's delta to the nodes
-    ///   on its leaf-to-root path.
+    /// - the max and min trees via the tag protocol (§7).
     ///
     /// Later updates to the same cell win. Returns combined access
     /// statistics.
@@ -308,11 +288,13 @@ where
     /// copied exactly once here; an unshared one is written in place.
     fn adopt(&mut self, image: &BatchImage<'_, T>) -> Result<AccessStats, EngineError> {
         let mut stats = AccessStats::new();
-        if let Some(ps) = &mut self.prefix {
-            batch::apply_batch(Arc::make_mut(ps), image.deltas())?;
-        }
-        if let Some(bp) = &mut self.blocked {
-            batch::apply_batch_blocked(Arc::make_mut(bp), image.deltas())?;
+        match &mut self.prefix {
+            Prefix::Basic(ps) => {
+                batch::apply_batch(Arc::make_mut(ps), image.deltas())?;
+            }
+            Prefix::Blocked(bp) => {
+                batch::apply_batch_blocked(Arc::make_mut(bp), image.deltas())?;
+            }
         }
         if self.max_tree.is_some() || self.min_tree.is_some() {
             // Both trees read old values from the pre-batch cube and
@@ -329,15 +311,16 @@ where
                 stats += Arc::make_mut(t).batch_update_onto(&self.a, image.cube(), &pts)?;
             }
         }
-        if let Some(st) = &mut self.sum_tree {
-            let paths = image
-                .deltas()
-                .iter()
-                .map(|u| (u.index.as_slice(), &u.delta));
-            stats.visit_nodes(Arc::make_mut(st).apply_deltas(paths)?);
-        }
         self.a = Arc::clone(image.cube());
         Ok(stats)
+    }
+
+    /// Which structure answers this index's sums.
+    fn sum_kind(&self) -> EngineKind {
+        match self.prefix {
+            Prefix::Basic(_) => EngineKind::PrefixSum,
+            Prefix::Blocked(_) => EngineKind::BlockedPrefix,
+        }
     }
 }
 
@@ -350,10 +333,6 @@ where
         match self.config.prefix {
             PrefixChoice::Basic => "cube-index(basic-prefix)".to_string(),
             PrefixChoice::Blocked(b) => format!("cube-index(blocked b={b})"),
-            PrefixChoice::None => match &self.sum_tree {
-                Some(st) => format!("cube-index(tree-sum b={})", st.fanout()),
-                None => "cube-index(naive)".to_string(),
-            },
         }
     }
 
@@ -371,17 +350,13 @@ where
             return f64::INFINITY;
         };
         let d = region.ndim();
-        if self.prefix.is_some() {
-            return cost::pow2(d);
+        match &self.prefix {
+            Prefix::Basic(_) => cost::pow2(d),
+            Prefix::Blocked(bp) => {
+                let qs = olap_query::QueryStats::of_region(&region);
+                cost::prefix_sum_cost(d, qs.surface, bp.block_size())
+            }
         }
-        let qs = olap_query::QueryStats::of_region(&region);
-        if let Some(bp) = &self.blocked {
-            return cost::prefix_sum_cost(d, qs.surface, bp.block_size());
-        }
-        if let Some(st) = &self.sum_tree {
-            return cost::tree_cost(d, qs.surface, st.fanout(), st.height());
-        }
-        region.volume() as f64
     }
 
     fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
@@ -390,17 +365,8 @@ where
             "range_sum",
             || {
                 let region = query.to_region(self.a.shape())?;
-                let kind = if self.prefix.is_some() {
-                    EngineKind::PrefixSum
-                } else if self.blocked.is_some() {
-                    EngineKind::BlockedPrefix
-                } else if self.sum_tree.is_some() {
-                    EngineKind::TreeSum
-                } else {
-                    EngineKind::NaiveScan
-                };
                 let (v, stats) = CubeIndex::range_sum(self, &region)?;
-                Ok(QueryOutcome::aggregate(v, stats, kind))
+                Ok(QueryOutcome::aggregate(v, stats, self.sum_kind()))
             },
         )
     }
@@ -415,17 +381,8 @@ where
             "range_sum",
             || {
                 let region = query.to_region(self.a.shape())?;
-                let kind = if self.prefix.is_some() {
-                    EngineKind::PrefixSum
-                } else if self.blocked.is_some() {
-                    EngineKind::BlockedPrefix
-                } else if self.sum_tree.is_some() {
-                    EngineKind::TreeSum
-                } else {
-                    EngineKind::NaiveScan
-                };
                 let (v, stats) = self.range_sum_metered(&region, meter)?;
-                Ok(QueryOutcome::aggregate(v, stats, kind))
+                Ok(QueryOutcome::aggregate(v, stats, self.sum_kind()))
             },
         )
     }
@@ -527,31 +484,21 @@ mod tests {
         let expected = naive_sum(&a, &q);
         let configs = [
             IndexConfig {
-                prefix: PrefixChoice::None,
-                max_tree_fanout: None,
-                min_tree_fanout: None,
-                sum_tree_fanout: None,
-                ..IndexConfig::default()
-            },
-            IndexConfig {
                 prefix: PrefixChoice::Basic,
                 max_tree_fanout: None,
                 min_tree_fanout: None,
-                sum_tree_fanout: None,
                 ..IndexConfig::default()
             },
             IndexConfig {
                 prefix: PrefixChoice::Blocked(4),
                 max_tree_fanout: Some(2),
                 min_tree_fanout: Some(2),
-                sum_tree_fanout: None,
                 ..IndexConfig::default()
             },
             IndexConfig {
-                prefix: PrefixChoice::None,
+                prefix: PrefixChoice::Blocked(3),
                 max_tree_fanout: Some(3),
                 min_tree_fanout: None,
-                sum_tree_fanout: Some(3),
                 ..IndexConfig::default()
             },
         ];
@@ -570,8 +517,7 @@ mod tests {
         let cfg = IndexConfig {
             prefix: PrefixChoice::Basic,
             max_tree_fanout: Some(2),
-            min_tree_fanout: None,
-            sum_tree_fanout: Some(2),
+            min_tree_fanout: Some(2),
             ..IndexConfig::default()
         };
         let mut idx = CubeIndex::build(a, cfg).unwrap();
@@ -606,7 +552,6 @@ mod tests {
             prefix: PrefixChoice::Blocked(4),
             max_tree_fanout: None,
             min_tree_fanout: None,
-            sum_tree_fanout: None,
             ..IndexConfig::default()
         };
         let mut idx = CubeIndex::build(a, cfg).unwrap();
@@ -643,7 +588,6 @@ mod tests {
             prefix: PrefixChoice::Basic,
             max_tree_fanout: Some(2),
             min_tree_fanout: Some(2),
-            sum_tree_fanout: None,
             ..IndexConfig::default()
         };
         let mut idx = CubeIndex::build(a.clone(), cfg).unwrap();
@@ -666,10 +610,8 @@ mod tests {
     fn range_min_naive_fallback() {
         let a = cube();
         let cfg = IndexConfig {
-            prefix: PrefixChoice::None,
             max_tree_fanout: None,
             min_tree_fanout: None,
-            sum_tree_fanout: None,
             ..IndexConfig::default()
         };
         let idx = CubeIndex::build(a.clone(), cfg).unwrap();
@@ -686,19 +628,16 @@ mod tests {
         let text = idx.explain_sum(&q).unwrap();
         assert!(text.contains("basic prefix sums"), "{text}");
         assert!(text.contains("measured accesses"), "{text}");
-        let naive_idx = CubeIndex::build(
+        let blocked_idx = CubeIndex::build(
             a,
             IndexConfig {
-                prefix: PrefixChoice::None,
-                max_tree_fanout: None,
-                min_tree_fanout: None,
-                sum_tree_fanout: None,
+                prefix: PrefixChoice::Blocked(4),
                 ..IndexConfig::default()
             },
         )
         .unwrap();
-        let text = naive_idx.explain_sum(&q).unwrap();
-        assert!(text.contains("naive scan"), "{text}");
+        let text = blocked_idx.explain_sum(&q).unwrap();
+        assert!(text.contains("blocked prefix sums"), "{text}");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! model, calibrated against observed access counts:
 //!
 //! - [`CubeIndex`]: holds a dense cube plus whichever precomputed
-//!   structures an [`IndexConfig`] requests (basic prefix sum §3, blocked
-//!   prefix sum §4, range-max tree §6, tree-sum baseline §8), routes every
-//!   query to the best available structure, and keeps all structures
-//!   consistent under batched updates (§5, §7),
+//!   structures an [`IndexConfig`] requests (basic prefix sum §3 or
+//!   blocked prefix sum §4, range-max and range-min trees §6), routes
+//!   every query to the best available structure, and keeps all
+//!   structures consistent under batched updates (§5, §7),
 //! - [`PlannedIndex`]: the §9-planned set of per-cuboid structures,
 //! - [`ExtendedCube`]: the \[GBLP96\] baseline the paper starts from,
 //! - [`NaiveEngine`] / [`naive`]: the no-precomputation baselines every
@@ -19,9 +19,9 @@
 //!   tree baseline and the §10 sparse engines behind the trait,
 //! - [`AdaptiveRouter`]: cost-based routing over any set of the above,
 //!   with an [`AdaptiveRouter::explain`] view of every decision,
-//! - [`SemanticCache`]: a subsumption-aware result cache in front of a
-//!   router or version cell, answering by ±-combination of stored sums
-//!   and invalidating region-wise on snapshot installs,
+//! - [`SemanticCache`]: an exact-result cache in front of a router or
+//!   version cell, answering repeated regions from stored sums and
+//!   dropping only the entries an installed batch touches,
 //! - [`ApproxEngine`]: the anchor-only bounded-error tier the router
 //!   degrades to (policy-gated) when budgets, breakers, or queues make
 //!   exact answering impossible,

@@ -816,9 +816,9 @@ impl<V> AdaptiveRouter<V> {
     /// A query that pins a set after reading epoch `e` pins set `e` or a
     /// later one, and once it has pinned a later one this returns more
     /// than `e`. So `epoch()` unchanged across a piece of work proves all
-    /// of it ran on set `e` — the guard the semantic cache's inserts and
-    /// assemblies rely on. A caller arriving mid-swap waits it out; the
-    /// swap is one pointer store.
+    /// of it ran on set `e` — the guard the semantic cache's inserts rely
+    /// on. A caller arriving mid-swap waits it out; the swap is one
+    /// pointer store.
     pub fn epoch(&self) -> u64 {
         loop {
             // ordering: Acquire — pairs with the Release store that ends

@@ -1,23 +1,17 @@
-//! A subsumption-aware semantic result cache: [`SemanticCache`].
+//! An exact-result cache: [`SemanticCache`].
 //!
-//! The paper's §3 corner identity makes range sums **±-combinable**, and
-//! sums are taken in a *group* (subtraction exists), so a cached answer is
-//! useful far beyond an exact repeat: for a query `Q` contained in a
-//! cached region `C`,
+//! The cache stores `(region, epoch, sum)` entries in a bounded LRU. A
+//! lookup answers from an entry only when the query's region equals the
+//! entry's and the entry is stamped with the snapshot epoch the lookup
+//! pinned; every other lookup falls through to the wrapped backend and
+//! inserts the fresh answer.
 //!
-//! ```text
-//! sum(Q) = sum(C) − Σ_i sum(R_i),    {R_i} = C \ Q  (≤ 2d disjoint boxes)
-//! ```
-//!
-//! The cache stores `(region, epoch, sum)` entries in a bounded LRU
-//! indexed per leading-dimension slab. A lookup answers
-//!
-//! - **exactly** on a region match at the current snapshot epoch,
-//! - **by subtraction** on a containment hit, when the §8 cost model
-//!   (`olap_planner::cost`) prices the residual executions plus the
-//!   `2^d` combine overhead below the direct execution,
-//! - and **falls through** to the wrapped backend otherwise, inserting
-//!   the fresh answer.
+//! Why nothing more: with the basic prefix-sum array a range sum costs
+//! `2^d` accesses (Theorem 1), and §8 shows no plan that combines other
+//! sums undercuts that. Assembling a contained query as a cached superset
+//! minus its residual boxes never paid on the perf ledger's four
+//! workloads (0 assemblies per 1000 lookups on each), while pricing the
+//! residuals taxed every miss.
 //!
 //! # Consistency under snapshot installs
 //!
@@ -26,12 +20,9 @@
 //! [`crate::AdaptiveRouter`] install counter), and a lookup only consults
 //! entries stamped with the epoch it pinned. Updates applied *through*
 //! the cache ([`SemanticCache::apply_updates`]) invalidate region-wise:
-//! entries overlapping the batch's per-slab bounding boxes are dropped,
-//! everything else is re-stamped to the new epoch and survives — no
-//! global flush. An assembly that straddles a concurrent install is
-//! detected by re-reading the epoch after the residual executions and is
-//! discarded in favour of direct execution, so an assembled answer is
-//! always bit-identical to a single-snapshot answer.
+//! an install drops exactly the entries whose region contains an updated
+//! cell; everything else is re-stamped to the new epoch and survives — no
+//! global flush.
 //!
 //! Installs that bypass the cache (callers talking to the backend
 //! directly) are tolerated — stale entries are skipped (their epoch never
@@ -42,23 +33,19 @@
 //!
 //! Two locks, ordered `update_lock → inner`: `update_lock` serialises
 //! update/invalidation cycles, `inner` guards the entry table. The
-//! backend is **never** called with `inner` held — lookups plan under the
-//! lock, release it, then execute — so cached reads never wait on engine
-//! work, matching the reader/writer discipline of [`crate::VersionCell`].
+//! backend is **never** called with `inner` held — a lookup probes under
+//! the lock, releases it, then executes on a miss — so cached reads never
+//! wait on engine work, matching the reader/writer discipline of
+//! [`crate::VersionCell`].
 
-use crate::{AdaptiveRouter, EngineError, EngineOp, VersionCell};
+use crate::{AdaptiveRouter, EngineError, VersionCell};
 use olap_aggregate::NumericValue;
 use olap_array::{Region, Shape};
-use olap_planner::cost::pow2;
-use olap_query::algebra;
 use olap_query::{AccessStats, Answer, EngineKind, QueryOutcome, RangeQuery};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// How many leading-dimension slabs the entry index is bucketed into.
-const SLAB_BUCKETS: usize = 16;
 
 /// The backend a [`SemanticCache`] fronts: anything that answers range
 /// sums against an epoch-stamped snapshot. Implemented for
@@ -69,17 +56,14 @@ pub trait CacheBackend<V>: Send + Sync {
     /// empty router) puts the cache in pure passthrough mode.
     fn shape(&self) -> Option<Shape>;
 
-    /// Predicted cost of a direct execution, in the paper's §8 unit.
-    fn estimate(&self, query: &RangeQuery) -> f64;
-
     /// Direct range-sum execution.
     ///
     /// # Errors
     /// Whatever the backend reports.
     fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError>;
 
-    /// Direct range-max execution (extrema are not ±-combinable, so the
-    /// cache always passes these through).
+    /// Direct range-max execution (the cache always passes extrema
+    /// through).
     ///
     /// # Errors
     /// Whatever the backend reports.
@@ -111,14 +95,6 @@ impl<V: NumericValue> CacheBackend<V> for AdaptiveRouter<V> {
         }
     }
 
-    fn estimate(&self, query: &RangeQuery) -> f64 {
-        self.candidates(query, EngineOp::Sum)
-            .iter()
-            .filter(|c| c.eligible)
-            .map(|c| c.calibrated)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
         AdaptiveRouter::range_sum(self, query)
     }
@@ -143,10 +119,6 @@ impl<V: NumericValue> CacheBackend<V> for AdaptiveRouter<V> {
 impl<V: 'static> CacheBackend<V> for VersionCell<V> {
     fn shape(&self) -> Option<Shape> {
         Some(self.load().engine().shape().clone())
-    }
-
-    fn estimate(&self, query: &RangeQuery) -> f64 {
-        self.load().engine().estimate(query)
     }
 
     fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
@@ -175,10 +147,6 @@ impl<V, B: CacheBackend<V> + ?Sized> CacheBackend<V> for Arc<B> {
         (**self).shape()
     }
 
-    fn estimate(&self, query: &RangeQuery) -> f64 {
-        (**self).estimate(query)
-    }
-
     fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
         (**self).range_sum(query)
     }
@@ -205,12 +173,13 @@ impl<V, B: CacheBackend<V> + ?Sized> CacheBackend<V> for Arc<B> {
 pub struct CacheStats {
     /// Lookups answered exactly from a stored entry.
     pub hits: u64,
-    /// Lookups answered by ±-combination over a containing entry.
+    /// Always 0: the cache answers exact repeats only. Kept while the
+    /// perf ledger (`benchmark/`) still reads it.
     pub assemblies: u64,
     /// Lookups that fell through to the backend.
     pub misses: u64,
-    /// Entries dropped by update invalidation (region overlap, stale
-    /// epoch, or a conservative flush).
+    /// Entries dropped by update invalidation (region holds an updated
+    /// cell, stale epoch, or a conservative flush).
     pub invalidations: u64,
     /// Entries inserted.
     pub insertions: u64,
@@ -223,19 +192,16 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total lookups that went through the cached sum path.
     pub fn lookups(&self) -> u64 {
-        self.hits
-            .saturating_add(self.assemblies)
-            .saturating_add(self.misses)
+        self.hits.saturating_add(self.misses)
     }
 
-    /// Fraction of lookups answered without a direct backend execution
-    /// of the full query (exact hits + assemblies). 0 when idle.
+    /// Fraction of lookups answered from a stored entry. 0 when idle.
     pub fn hit_rate(&self) -> f64 {
         let lookups = self.lookups();
         if lookups == 0 {
             return 0.0;
         }
-        (self.hits.saturating_add(self.assemblies)) as f64 / lookups as f64
+        self.hits as f64 / lookups as f64
     }
 }
 
@@ -246,18 +212,7 @@ struct Entry<V> {
     sum: V,
 }
 
-/// A bucket index record: the slot id plus the entry's packed
-/// bounding-box fingerprint ([`bbox_key`]), so a scan rejects almost
-/// every non-containing candidate with two integer compares and never
-/// touches the slot arena for them. This is what keeps the miss path
-/// within a few percent of the uncached backend.
-#[derive(Clone, Copy)]
-struct BucketRef {
-    id: u32,
-    key: u64,
-}
-
-/// The entry table: a slot arena plus the per-slab bucket index.
+/// The entry table: a slot arena plus the exact-region index.
 struct CacheInner<V> {
     slots: Vec<Option<Entry<V>>>,
     /// LRU stamps, parallel to `slots` (valid where the slot is
@@ -265,16 +220,10 @@ struct CacheInner<V> {
     /// bytes per slot instead of dragging whole entries through cache.
     used: Vec<u64>,
     free: Vec<usize>,
-    /// Bucket `b` lists the slots whose region's leading range **starts**
-    /// in slab `b` — exactly one bucket per entry. A containment search
-    /// starting in slab `q` walks buckets `0..=q`: an entry containing
-    /// the query cannot start in a later slab.
-    buckets: Vec<Vec<BucketRef>>,
     /// Region fingerprint ([`fingerprint`]) → slot of the region's newest
-    /// entry, so an exact hit is one probe and never walks the buckets —
-    /// whose lines every insert and eviction rewrites, on whichever thread
-    /// made it. A probe confirms the slot's region, so two regions that
-    /// share a fingerprint cost a hit, never a wrong answer.
+    /// entry, so a lookup is one probe. A probe confirms the slot's
+    /// region, so two regions that share a fingerprint cost a hit, never
+    /// a wrong answer.
     exact: HashMap<u64, usize, BuildHasherDefault<BoundsHasher>>,
     len: usize,
     /// LRU clock, bumped per lookup.
@@ -283,23 +232,13 @@ struct CacheInner<V> {
     /// backend epoch only across installs that bypassed the cache.
     synced_epoch: u64,
     /// True while [`SemanticCache::apply_updates`] is between the backend
-    /// install and the region-wise invalidation sweep; lookups then skip
-    /// (rather than purge) mismatched entries so survivors reach the
-    /// re-stamp.
+    /// install and the region-wise invalidation sweep; inserts are refused
+    /// meanwhile, so every entry the sweep re-stamps was checked against
+    /// the batch.
     pending_install: bool,
 }
 
-/// What a lookup decided under the `inner` lock, executed after release.
-enum Plan<V> {
-    /// Exact entry match: the stored sum is the answer.
-    Exact(V),
-    /// Containment hit: assemble `+base − Σ residual` via the backend.
-    Assemble { base: V, residual: Vec<Region> },
-    /// No usable entry: direct execution.
-    Miss,
-}
-
-/// A bounded, snapshot-consistent semantic result cache in front of a
+/// A bounded, snapshot-consistent exact-result cache in front of a
 /// [`CacheBackend`]. See the module docs for the answering and
 /// invalidation protocol.
 ///
@@ -310,21 +249,12 @@ pub struct SemanticCache<V, B> {
     backend: B,
     shape: Option<Shape>,
     capacity: usize,
-    /// Leading-dimension width of one index slab.
-    slab_width: usize,
-    /// True when [`bbox_key`] encodes regions of this cube losslessly
-    /// (≤ 2 dimensions, every extent under the 16-bit lane limit): key
-    /// equality is then region equality and [`key_contains`] is exact
-    /// containment, so scans never touch the slot arena to rule a
-    /// candidate in or out.
-    keys_exact: bool,
     label: String,
     /// Serialises update/invalidation cycles. Ordered before `inner`.
     update_lock: Mutex<()>,
     /// The entry table. Never held across a backend call.
     inner: Mutex<CacheInner<V>>,
     hits: AtomicU64,
-    assemblies: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
     insertions: AtomicU64,
@@ -347,30 +277,16 @@ where
     pub fn with_label(backend: B, capacity: usize, label: &str) -> Self {
         let shape = backend.shape();
         let epoch = backend.epoch();
-        let (slab_width, n_buckets) = match &shape {
-            Some(s) if s.ndim() > 0 => {
-                let extent = s.dims().first().copied().unwrap_or(1).max(1);
-                let width = extent.div_ceil(SLAB_BUCKETS).max(1);
-                (width, extent.div_ceil(width))
-            }
-            _ => (1, 1),
-        };
-        let keys_exact = shape
-            .as_ref()
-            .is_some_and(|s| s.ndim() <= 2 && s.dims().iter().all(|&n| n <= 0x1_0000));
         SemanticCache {
             backend,
             shape,
             capacity,
-            slab_width,
-            keys_exact,
             label: label.to_string(),
             update_lock: Mutex::new(()),
             inner: Mutex::new(CacheInner {
                 slots: Vec::new(),
                 used: Vec::new(),
                 free: Vec::new(),
-                buckets: vec![Vec::new(); n_buckets],
                 exact: HashMap::default(),
                 len: 0,
                 tick: 0,
@@ -378,7 +294,6 @@ where
                 pending_install: false,
             }),
             hits: AtomicU64::new(0),
-            assemblies: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -424,7 +339,7 @@ where
         }
         CacheStats {
             hits: stat(&self.hits),
-            assemblies: stat(&self.assemblies),
+            assemblies: 0,
             misses: stat(&self.misses),
             invalidations: stat(&self.invalidations),
             insertions: stat(&self.insertions),
@@ -446,9 +361,6 @@ where
                 *used = VACANT;
             }
             inner.free = (0..inner.slots.len()).collect();
-            for bucket in &mut inner.buckets {
-                bucket.clear();
-            }
             inner.exact.clear();
             inner.len = 0;
             dropped
@@ -463,10 +375,9 @@ where
         self.publish_entries(0);
     }
 
-    /// Answers a range-sum query through the cache: exactly on a region
-    /// hit, by ±-combination on a containment hit the cost model prices
-    /// below direct execution, by the backend otherwise (inserting the
-    /// fresh answer). Cached and assembled answers report
+    /// Answers a range-sum query through the cache: from the stored entry
+    /// when the region repeats at the current epoch, by the backend
+    /// otherwise (inserting the fresh answer). Cached answers report
     /// [`EngineKind::SemanticCache`]; fall-throughs keep the backend's
     /// attribution.
     ///
@@ -480,45 +391,29 @@ where
         // Context and clock together: an idle site is one atomic load.
         let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
         let epoch0 = self.backend.epoch();
-        let plan = {
+        let hit = {
             let _lookup_span = olap_telemetry::TraceSpan::start("cache_lookup");
-            self.plan(&region, epoch0)
+            self.lookup(&region, epoch0)
         };
-        match plan {
-            Plan::Exact(sum) => {
-                self.bump("olap_cache_hits_total", &self.hits, 1);
-                let mut stats = AccessStats::new();
-                stats.step(1);
-                // An exact hit never reaches the router, so it writes its
-                // own flight record (the only place that knows it happened).
-                if let Some((ctx, started)) = observing {
-                    self.record_exact_hit(&ctx, started);
-                }
-                Ok(QueryOutcome::aggregate(
-                    sum,
-                    stats,
-                    EngineKind::SemanticCache,
-                ))
-            }
-            Plan::Assemble { base, residual } => {
-                let assembled = {
-                    let _assembly_span = olap_telemetry::TraceSpan::start("cache_assembly");
-                    // Residual backend dispatches below record flight
-                    // records; annotate them as assembly legs.
-                    let _outcome = olap_telemetry::CacheOutcomeScope::set("assembled");
-                    self.assemble(query, &region, epoch0, base, &residual)?
-                };
-                match assembled {
-                    Some(outcome) => Ok(outcome),
-                    None => self.miss(query, &region, epoch0),
-                }
-            }
-            Plan::Miss => self.miss(query, &region, epoch0),
+        let Some(sum) = hit else {
+            return self.miss(query, region, epoch0);
+        };
+        self.bump("olap_cache_hits_total", &self.hits, 1);
+        let mut stats = AccessStats::new();
+        stats.step(1);
+        // A hit never reaches the router, so it writes its own flight
+        // record (the only place that knows it happened).
+        if let Some((ctx, started)) = observing {
+            self.record_exact_hit(&ctx, started);
         }
+        Ok(QueryOutcome::aggregate(
+            sum,
+            stats,
+            EngineKind::SemanticCache,
+        ))
     }
 
-    /// Passes a range-max query straight to the backend (extrema form a
-    /// semilattice, not a group — no subtraction, no ±-combination).
+    /// Passes a range-max query straight to the backend.
     ///
     /// # Errors
     /// Whatever the backend reports.
@@ -535,9 +430,9 @@ where
     }
 
     /// Applies an update batch through the backend and invalidates
-    /// region-wise: entries overlapping the batch's per-slab bounding
-    /// boxes are dropped, every other current entry is re-stamped to the
-    /// new epoch and stays answerable — no global flush.
+    /// region-wise: entries whose region contains an updated cell are
+    /// dropped, every other current entry is re-stamped to the new epoch
+    /// and stays answerable — no global flush.
     ///
     /// # Errors
     /// Whatever the backend reports; on error nothing is installed and
@@ -548,7 +443,6 @@ where
         }
         let _update = self.update_lock.lock().unwrap_or_else(|e| e.into_inner());
         let epoch_before = self.backend.epoch();
-        let boxes = self.update_boxes(updates);
         self.lock_inner().pending_install = true;
         let result = self.backend.apply_updates(updates);
         let epoch_after = self.backend.epoch();
@@ -562,11 +456,8 @@ where
                 let keep = match inner.slots.get(id).and_then(Option::as_ref) {
                     None => continue,
                     Some(e) if e.epoch != epoch_before => false,
-                    Some(e) if unchanged => {
-                        let _ = e;
-                        true
-                    }
-                    Some(e) if installed => !boxes.iter().any(|b| e.region.overlaps(b)),
+                    Some(_) if unchanged => true,
+                    Some(e) if installed => !holds_an_update(&e.region, updates),
                     // Backend epoch moved unexpectedly (an install raced
                     // past the cache): conservative flush.
                     Some(_) => false,
@@ -576,7 +467,7 @@ where
                         e.epoch = epoch_after;
                     }
                 } else {
-                    Self::detach(&mut inner, id, self.slab_width);
+                    Self::detach(&mut inner, id);
                     dropped = dropped.saturating_add(1);
                 }
             }
@@ -604,148 +495,29 @@ where
         query.to_region(shape).ok()
     }
 
-    /// Consults the entry table under the `inner` lock: an exact match
-    /// (one index probe) wins, else the strictly containing entry with
-    /// the smallest residual volume. The backend is never called here.
-    /// Containment candidates are pre-filtered on the packed bounding-box
-    /// key, so a scan over a full table of non-containing entries costs
-    /// two compares per candidate.
-    fn plan(&self, region: &Region, epoch: u64) -> Plan<V> {
+    /// The stored sum for `region` at `epoch`, found by one index probe
+    /// under the `inner` lock and stamped most recently used. The backend
+    /// is never called here.
+    fn lookup(&self, region: &Region, epoch: u64) -> Option<V> {
         let mut inner = self.lock_inner();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(id) = Self::current_exact(&inner, region, fingerprint(region), epoch) {
-            if let Some(u) = inner.used.get_mut(id) {
-                *u = tick;
-            }
-            if let Some(e) = inner.slots.get(id).and_then(Option::as_ref) {
-                return Plan::Exact(e.sum.clone());
-            }
-        }
-        let qkey = bbox_key(region);
-        let q_start = self.start_bucket(region, inner.buckets.len());
-        let mut best: Option<(usize, usize)> = None; // (slot, residual volume)
-        for bucket in inner.buckets.iter().take(q_start.saturating_add(1)) {
-            for r in bucket {
-                let r = *r;
-                if !key_contains(r.key, qkey) {
-                    continue;
-                }
-                let id = r.id as usize;
-                let Some(e) = inner.slots.get(id).and_then(Option::as_ref) else {
-                    continue;
-                };
-                if e.epoch != epoch {
-                    continue;
-                }
-                if self.keys_exact {
-                    // Keys are lossless here: containment is already
-                    // decided, and the candidate's volume falls out of
-                    // the packed lanes. An equal key is the exact entry,
-                    // which the index already ruled out.
-                    if r.key == qkey {
-                        continue;
-                    }
-                    let volume = key_volume(r.key);
-                    if best.is_none_or(|(_, v)| volume < v) {
-                        best = Some((id, volume));
-                    }
-                    continue;
-                }
-                if e.region != *region && e.region.contains_region(region) {
-                    let residual = e.region.volume().saturating_sub(region.volume());
-                    if best.is_none_or(|(_, v)| residual < v) {
-                        best = Some((id, residual));
-                    }
-                }
-            }
-        }
-        let Some((id, _)) = best else {
-            return Plan::Miss;
-        };
+        let id = Self::current_exact(&inner, region, fingerprint(region), epoch)?;
         if let Some(u) = inner.used.get_mut(id) {
             *u = tick;
         }
-        let Some(e) = inner.slots.get(id).and_then(Option::as_ref) else {
-            return Plan::Miss;
-        };
-        let sum = e.sum.clone();
-        let cached_region = e.region.clone();
-        drop(inner);
-        // `contains_region` held under the lock, so `subsume` is Some.
-        match algebra::subsume(region, &cached_region) {
-            Some(plan) => Plan::Assemble {
-                base: sum,
-                residual: plan.residual().to_vec(),
-            },
-            None => Plan::Miss,
-        }
-    }
-
-    /// Prices and executes a ±-assembly. Returns `Ok(None)` when the cost
-    /// model prefers direct execution, a residual answer is unusable, or
-    /// an install raced the assembly (the caller then takes the miss
-    /// path).
-    ///
-    /// # Errors
-    /// Interrupts (budget/cancellation) from residual executions are
-    /// surfaced; engine faults fall back to direct execution instead.
-    fn assemble(
-        &self,
-        query: &RangeQuery,
-        region: &Region,
-        epoch0: u64,
-        base: V,
-        residual: &[Region],
-    ) -> Result<Option<QueryOutcome<V>>, EngineError> {
-        // §8 arbitration: residual executions plus the 2^d combine
-        // overhead of the ±-identity must beat the direct plan.
-        let direct = self.backend.estimate(query);
-        let mut priced = pow2(region.ndim());
-        for r in residual {
-            priced += self.backend.estimate(&RangeQuery::from_region(r));
-        }
-        if priced > direct {
-            return Ok(None);
-        }
-        let mut total = base;
-        let mut stats = AccessStats::new();
-        stats.step(1 + residual.len() as u64);
-        for r in residual {
-            let out = match self.backend.range_sum(&RangeQuery::from_region(r)) {
-                Ok(out) => out,
-                Err(e) if e.is_interrupt() => return Err(e),
-                Err(_) => return Ok(None),
-            };
-            stats.merge(&out.stats);
-            match out.answer {
-                Answer::Aggregate(v) => total = total - v,
-                // An empty residual contributes zero to the sum.
-                Answer::Empty => {}
-                // A backend that answers sums with extrema is not
-                // ±-combinable; bail to direct execution.
-                Answer::Extremum { .. } => return Ok(None),
-            }
-        }
-        // Torn-assembly guard: if an install landed while the residuals
-        // ran, the base and residual sums may span different snapshots.
-        if self.backend.epoch() != epoch0 {
-            return Ok(None);
-        }
-        self.bump("olap_cache_assemblies_total", &self.assemblies, 1);
-        self.insert(region.clone(), epoch0, total.clone());
-        Ok(Some(QueryOutcome::aggregate(
-            total,
-            stats,
-            EngineKind::SemanticCache,
-        )))
+        inner
+            .slots
+            .get(id)
+            .and_then(Option::as_ref)
+            .map(|e| e.sum.clone())
     }
 
     /// Direct execution with insert-on-miss.
     fn miss(
         &self,
         query: &RangeQuery,
-        region: &Region,
+        region: Region,
         epoch0: u64,
     ) -> Result<QueryOutcome<V>, EngineError> {
         // The backend dispatch records the flight record; annotate it as
@@ -754,7 +526,7 @@ where
         let out = self.backend.range_sum(query)?;
         self.bump("olap_cache_misses_total", &self.misses, 1);
         if let Answer::Aggregate(v) = &out.answer {
-            self.insert(region.clone(), epoch0, v.clone());
+            self.insert(region, epoch0, v.clone());
         }
         Ok(out)
     }
@@ -768,8 +540,7 @@ where
         if self.backend.epoch() != epoch {
             return;
         }
-        let key = bbox_key(&region);
-        let (inserted, evicted, len) = {
+        let (evicted, len) = {
             let mut guard = self.lock_inner();
             let inner = &mut *guard;
             if inner.synced_epoch != epoch || inner.pending_install {
@@ -779,11 +550,10 @@ where
             if Self::current_exact(inner, &region, fp, epoch).is_some() {
                 return; // already stored
             }
-            let owner = self.start_bucket(&region, inner.buckets.len());
             let mut evicted = 0u64;
             if inner.len >= self.capacity {
                 if let Some(victim) = oldest(&inner.used) {
-                    Self::detach(inner, victim, self.slab_width);
+                    Self::detach(inner, victim);
                     evicted = 1;
                 }
             }
@@ -806,14 +576,11 @@ where
                 // the insert rather than corrupt the table.
                 _ => return,
             }
-            if let Some(bucket) = inner.buckets.get_mut(owner) {
-                bucket.push(BucketRef { id: id as u32, key });
-            }
             inner.exact.insert(fp, id);
             inner.len = inner.len.saturating_add(1);
-            (1u64, evicted, inner.len)
+            (evicted, inner.len)
         };
-        self.bump("olap_cache_insertions_total", &self.insertions, inserted);
+        self.bump("olap_cache_insertions_total", &self.insertions, 1);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed); // ordering: Relaxed — statistics counter
         }
@@ -828,18 +595,13 @@ where
         (e.epoch == epoch && e.region == *region).then_some(id)
     }
 
-    /// Removes slot `id` from the table and the bucket index.
-    fn detach(inner: &mut CacheInner<V>, id: usize, slab_width: usize) {
+    /// Removes slot `id` from the table and the index.
+    fn detach(inner: &mut CacheInner<V>, id: usize) {
         let Some(e) = inner.slots.get_mut(id).and_then(Option::take) else {
             return;
         };
         if let Some(u) = inner.used.get_mut(id) {
             *u = VACANT;
-        }
-        let owner = start_of(&e.region, slab_width, inner.buckets.len());
-        let id32 = id as u32;
-        if let Some(bucket) = inner.buckets.get_mut(owner) {
-            bucket.retain(|r| r.id != id32);
         }
         // The index may name a newer entry for the same fingerprint: put
         // it back.
@@ -849,48 +611,6 @@ where
         }
         inner.free.push(id);
         inner.len = inner.len.saturating_sub(1);
-    }
-
-    /// The bucket the region's leading range starts in.
-    fn start_bucket(&self, region: &Region, n_buckets: usize) -> usize {
-        start_of(region, self.slab_width, n_buckets)
-    }
-
-    /// One bounding box per leading-dimension slab the batch touches —
-    /// tighter than a single whole-batch box, so entries in untouched
-    /// slabs always survive.
-    fn update_boxes(&self, updates: &[(Vec<usize>, V)]) -> Vec<Region> {
-        let Some(shape) = &self.shape else {
-            return Vec::new();
-        };
-        let ndim = shape.ndim();
-        let mut groups: BTreeMap<usize, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
-        for (idx, _) in updates {
-            if idx.len() != ndim || ndim == 0 {
-                // Malformed point: the backend will reject the batch; a
-                // whole-cube box keeps invalidation conservative anyway.
-                return shape_box(shape).into_iter().collect();
-            }
-            let slab = idx.first().map_or(0, |&x| x / self.slab_width);
-            match groups.get_mut(&slab) {
-                Some((lo, hi)) => {
-                    for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(idx) {
-                        *l = (*l).min(x);
-                        *h = (*h).max(x);
-                    }
-                }
-                None => {
-                    groups.insert(slab, (idx.clone(), idx.clone()));
-                }
-            }
-        }
-        groups
-            .into_values()
-            .filter_map(|(lo, hi)| {
-                let bounds: Vec<(usize, usize)> = lo.into_iter().zip(hi).collect();
-                Region::from_bounds(&bounds).ok()
-            })
-            .collect()
     }
 
     fn lock_inner(&self) -> std::sync::MutexGuard<'_, CacheInner<V>> {
@@ -909,8 +629,8 @@ where
         }
     }
 
-    /// Writes the flight record for an exact cache hit — the one serving
-    /// outcome the router never sees.
+    /// Writes the flight record for a cache hit — the one serving outcome
+    /// the router never sees.
     fn record_exact_hit(&self, ctx: &olap_telemetry::Telemetry, started: std::time::Instant) {
         ctx.recorder().record(olap_telemetry::FlightRecord {
             seq: 0,
@@ -949,6 +669,16 @@ impl<V, B> std::fmt::Debug for SemanticCache<V, B> {
     }
 }
 
+/// Whether an installed batch can have changed the sum over `region`:
+/// the region contains one of its cells. A point of the wrong rank (the
+/// backend refuses those) counts as inside every region, so invalidation
+/// stays conservative.
+fn holds_an_update<V>(region: &Region, updates: &[(Vec<usize>, V)]) -> bool {
+    updates
+        .iter()
+        .any(|(idx, _)| idx.len() != region.ndim() || region.contains(idx))
+}
+
 /// A region's key in the exact index: its bounds folded by
 /// [`BoundsHasher`].
 fn fingerprint(region: &Region) -> u64 {
@@ -960,10 +690,9 @@ fn fingerprint(region: &Region) -> u64 {
 /// The exact index's hasher: a multiply-rotate fold, a few nanoseconds
 /// against SipHash's tens. Regions come from queries, so they could be
 /// crafted to collide, but the index never holds more than `capacity`
-/// entries: the worst case is one probe over the whole table, no more
-/// than the bucket walk an exact hit made before the index. A product's
-/// well-mixed bits are its high ones and the table indexes by the low
-/// ones, so `finish` rotates the first onto the second.
+/// entries: the worst case is one probe over the whole table. A
+/// product's well-mixed bits are its high ones and the table indexes by
+/// the low ones, so `finish` rotates the first onto the second.
 #[derive(Default)]
 struct BoundsHasher(u64);
 
@@ -1004,78 +733,3 @@ fn oldest(used: &[u64]) -> Option<usize> {
 /// The `used` stamp of an unoccupied slot — [`u64::MAX`], so an LRU
 /// minimum scan only lands on it when every slot is free.
 const VACANT: u64 = u64::MAX;
-
-/// The volume a lossless fingerprint encodes (product of the per-axis
-/// extents; missing axes pack as `(0, 0)` and contribute a factor 1).
-/// Only meaningful when the cache's `keys_exact` flag holds.
-fn key_volume(key: u64) -> usize {
-    let d0 = ((key >> 32 & 0xFFFF) - (key >> 48 & 0xFFFF) + 1) as usize;
-    let d1 = ((key & 0xFFFF) - (key >> 16 & 0xFFFF) + 1) as usize;
-    d0 * d1
-}
-
-/// Packs a region's first two bounds into a 64-bit fingerprint:
-/// `[lo0:16][hi0:16][lo1:16][hi1:16]`, each lane saturating at
-/// `u16::MAX`. Saturation is monotone, so the lane compares in
-/// [`key_contains`] stay **conservative** on cubes wider than 65 536:
-/// a key rejection is always sound, a pass still gets the full
-/// `contains_region` check. Missing axes pack as `(0, 0)`, which every
-/// query passes.
-fn bbox_key(region: &Region) -> u64 {
-    let mut key = 0u64;
-    // analyzer: allow(budget-coverage, reason = "fixed trip count of 2: packs the first two axes into a bbox key")
-    for axis in 0..2 {
-        let (lo, hi) = if axis < region.ndim() {
-            let r = region.range(axis);
-            (r.lo().min(0xFFFF) as u64, r.hi().min(0xFFFF) as u64)
-        } else {
-            (0, 0)
-        };
-        key = key << 32 | lo << 16 | hi;
-    }
-    key
-}
-
-/// Whether the entry fingerprint *may* describe a region containing the
-/// query fingerprint's region: per axis, `entry.lo ≤ query.lo` and
-/// `entry.hi ≥ query.hi` on the packed lanes. False → the entry cannot
-/// contain (or equal) the query, so the scan skips it without touching
-/// the slot arena.
-#[inline]
-fn key_contains(entry: u64, query: u64) -> bool {
-    let lanes = |k: u64| {
-        (
-            k >> 48 & 0xFFFF,
-            k >> 32 & 0xFFFF,
-            k >> 16 & 0xFFFF,
-            k & 0xFFFF,
-        )
-    };
-    let (e_lo0, e_hi0, e_lo1, e_hi1) = lanes(entry);
-    let (q_lo0, q_hi0, q_lo1, q_hi1) = lanes(query);
-    e_lo0 <= q_lo0 && e_hi0 >= q_hi0 && e_lo1 <= q_lo1 && e_hi1 >= q_hi1
-}
-
-/// The bucket a region's leading range starts in (clamped). The clamp
-/// is monotone, so `a.lo ≤ b.lo` still implies `start_of(a) ≤
-/// start_of(b)` — the invariant the `0..=q` containment scan rests on.
-fn start_of(region: &Region, slab_width: usize, n_buckets: usize) -> usize {
-    if region.ndim() == 0 || n_buckets == 0 {
-        return 0;
-    }
-    (region.range(0).lo() / slab_width).min(n_buckets - 1)
-}
-
-/// The whole-cube region, when the shape has at least one dimension.
-fn shape_box(shape: &Shape) -> Option<Region> {
-    let bounds: Vec<(usize, usize)> = shape
-        .dims()
-        .iter()
-        .map(|&n| (0, n.saturating_sub(1)))
-        .collect();
-    if bounds.is_empty() {
-        None
-    } else {
-        Region::from_bounds(&bounds).ok()
-    }
-}

@@ -3,7 +3,10 @@
 //! planned index answers every query shape correctly.
 
 use olap_array::{DenseArray, Region, Shape};
-use olap_engine::{ApproxEngine, CubeIndex, EngineOp, IndexConfig, PlannedIndex, PrefixChoice};
+use olap_engine::{
+    ApproxEngine, CubeIndex, EngineOp, IndexConfig, PlannedIndex, PrefixChoice, RangeEngine,
+    SumTreeEngine,
+};
 use olap_planner::PrefixSumChoice;
 use olap_query::{CuboidId, DimSelection, RangeQuery};
 use proptest::prelude::*;
@@ -45,29 +48,33 @@ proptest! {
         blocked in 1usize..5,
     ) {
         let configs = [
-            IndexConfig { prefix: PrefixChoice::Basic, max_tree_fanout: Some(2), min_tree_fanout: None, sum_tree_fanout: None, ..IndexConfig::default() },
+            IndexConfig { prefix: PrefixChoice::Basic, max_tree_fanout: Some(2), min_tree_fanout: None, ..IndexConfig::default() },
             IndexConfig {
                 prefix: PrefixChoice::Blocked(blocked),
                 max_tree_fanout: Some(3),
                 min_tree_fanout: Some(2),
-                sum_tree_fanout: Some(2),
                 ..IndexConfig::default()
             },
         ];
+        let batch: Vec<(Vec<usize>, i64)> =
+            updates.iter().map(|(i, v)| (i.clone(), *v)).collect();
+        let mut shadow = a.clone();
+        for (i, v) in &batch {
+            *shadow.get_mut(i) = *v;
+        }
+        let expected = shadow.fold_region(&q, 0i64, |acc, &x| acc + x);
         for cfg in configs {
             let mut idx = CubeIndex::build(a.clone(), cfg).unwrap();
-            let mut shadow = a.clone();
-            let batch: Vec<(Vec<usize>, i64)> =
-                updates.iter().map(|(i, v)| (i.clone(), *v)).collect();
             idx.apply_updates_in_place(&batch).unwrap();
-            for (i, v) in &batch {
-                *shadow.get_mut(i) = *v;
-            }
             let (s, _) = idx.range_sum(&q).unwrap();
-            prop_assert_eq!(s, shadow.fold_region(&q, 0i64, |acc, &x| acc + x));
+            prop_assert_eq!(s, expected);
             let (_, m, _) = idx.range_max(&q).unwrap();
             prop_assert_eq!(m, shadow.fold_region(&q, i64::MIN, |acc, &x| acc.max(x)));
         }
+        // The §8 tree-sum baseline, derived through the engine trait.
+        let tree = SumTreeEngine::build(a.clone(), 2).unwrap().apply_updates(&batch).unwrap().engine;
+        let routed = tree.range_sum(&RangeQuery::from_region(&q)).unwrap();
+        prop_assert_eq!(routed.value(), Some(&expected));
     }
 
     #[test]

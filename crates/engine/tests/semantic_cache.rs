@@ -1,8 +1,8 @@
 //! Behavioural and equivalence tests for [`SemanticCache`]: exact hits,
-//! ±-assembly from containing entries, the cost-model fall-through,
-//! region-wise invalidation across snapshot installs, and the headline
-//! guarantee — cache-assembled sums bit-identical to direct execution
-//! under random interleaved update installs.
+//! fall-through for every other region, per-cell invalidation across
+//! snapshot installs, and the headline guarantee — cached sums
+//! bit-identical to direct execution under random interleaved update
+//! installs.
 
 use olap_array::{DenseArray, Region, Shape};
 use olap_engine::{
@@ -40,10 +40,7 @@ fn oracle(a: &DenseArray<i64>, region: &Region) -> i64 {
 }
 
 /// A router whose only engine is the naive scan: direct execution costs
-/// the full region volume, so ±-assembly from a cached superset is the
-/// economical plan whenever the residual frame is thin. (With a
-/// prefix-sum engine in the set, direct execution costs `2^d` and the
-/// cost model correctly refuses to assemble — covered separately below.)
+/// the full region volume.
 fn naive_router(a: &DenseArray<i64>) -> AdaptiveRouter<i64> {
     AdaptiveRouter::new().with_engine(Box::new(NaiveEngine::new(a.clone())))
 }
@@ -73,49 +70,25 @@ fn exact_hit_answers_from_the_cache() {
 }
 
 #[test]
-fn containment_hit_assembles_by_subtraction() {
+fn contained_regions_fall_through_then_repeat_as_hits() {
+    // Even over a naive-scan backend, where a thin residual frame would
+    // be cheap, a region inside a cached one is a miss: only a repeat of
+    // the same region is answered from the cache.
     let a = cube(&[32, 16]);
     let cache = SemanticCache::new(naive_router(&a), 64);
-    let superset = Region::from_bounds(&[(0, 31), (0, 15)]).unwrap();
-    cache
-        .range_sum(&RangeQuery::from_region(&superset))
-        .unwrap();
-
-    // A large interior box: small residual relative to direct execution
-    // on the naive/indexed engines.
-    let target = Region::from_bounds(&[(1, 30), (1, 14)]).unwrap();
-    let out = cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
-    assert_eq!(out.value(), Some(&oracle(&a, &target)));
-    assert_eq!(out.answered_by, EngineKind::SemanticCache);
-
-    let stats = cache.stats();
-    assert_eq!(stats.assemblies, 1);
-    assert_eq!(stats.hits, 0);
-    // The assembled answer was inserted, so a repeat is an exact hit.
-    let again = cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
-    assert_eq!(again.value(), Some(&oracle(&a, &target)));
-    assert_eq!(cache.stats().hits, 1);
-}
-
-#[test]
-fn cost_model_prefers_direct_execution_for_tiny_queries() {
-    let a = cube(&[32, 16]);
-    let cache = SemanticCache::new(router(&a), 64);
     cache.range_sum(&q(&[(0, 31), (0, 15)])).unwrap();
-    // A point query: the prefix-sum direct plan costs 2^d lookups while
-    // the assembly would execute huge residual slabs — must fall through.
-    let out = cache.range_sum(&q(&[(5, 5), (5, 5)])).unwrap();
-    assert_ne!(out.answered_by, EngineKind::SemanticCache);
-    assert_eq!(
-        out.value(),
-        Some(&oracle(
-            &a,
-            &Region::from_bounds(&[(5, 5), (5, 5)]).unwrap()
-        ))
-    );
+    for bounds in [[(1, 30), (1, 14)], [(5, 5), (5, 5)]] {
+        let target = Region::from_bounds(&bounds).unwrap();
+        let out = cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
+        assert_ne!(out.answered_by, EngineKind::SemanticCache);
+        assert_eq!(out.value(), Some(&oracle(&a, &target)));
+        let again = cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
+        assert_eq!(again.answered_by, EngineKind::SemanticCache);
+        assert_eq!(again.value(), Some(&oracle(&a, &target)));
+    }
     let stats = cache.stats();
-    assert_eq!(stats.assemblies, 0);
-    assert_eq!(stats.hits, 0);
+    assert_eq!((stats.hits, stats.assemblies, stats.misses), (2, 0, 3));
+    assert_eq!(stats.entries, 3);
 }
 
 #[test]
@@ -149,29 +122,54 @@ fn extrema_pass_through_uncached() {
 fn updates_invalidate_region_wise_not_globally() {
     let a = cube(&[32, 16]);
     let cache = SemanticCache::new(router(&a), 64);
-    // Two entries in different leading-dimension slabs.
+    // `low` holds both cells of the batch below and `high` lies far from
+    // them. `beside` lies inside the batch's bounding box (rows 0..=1,
+    // columns 1..=9) but holds neither cell: the install cannot change
+    // its sum.
     let low = Region::from_bounds(&[(0, 3), (0, 15)]).unwrap();
     let high = Region::from_bounds(&[(28, 31), (0, 15)]).unwrap();
-    cache.range_sum(&RangeQuery::from_region(&low)).unwrap();
-    cache.range_sum(&RangeQuery::from_region(&high)).unwrap();
-    assert_eq!(cache.stats().entries, 2);
+    let beside = Region::from_bounds(&[(0, 1), (3, 6)]).unwrap();
+    for r in [&low, &high, &beside] {
+        cache.range_sum(&RangeQuery::from_region(r)).unwrap();
+    }
+    assert_eq!(cache.stats().entries, 3);
 
-    // Update one cell inside `low`: only that entry may be dropped.
-    cache.apply_updates(&[(vec![1, 1], 999)]).unwrap();
+    // Only the entry holding an updated cell may be dropped.
+    let batch = [(vec![0, 1], 999), (vec![1, 9], -5)];
+    cache.apply_updates(&batch).unwrap();
     let stats = cache.stats();
     assert_eq!(stats.invalidations, 1);
-    assert_eq!(stats.entries, 1);
-
-    // The surviving entry answers exactly at the *new* epoch…
-    let out = cache.range_sum(&RangeQuery::from_region(&high)).unwrap();
-    assert_eq!(out.answered_by, EngineKind::SemanticCache);
-    assert_eq!(out.value(), Some(&oracle(&a, &high)));
-    // …and the invalidated region reflects the update on re-execution.
+    assert_eq!(stats.entries, 2);
     let mut shadow = a.clone();
-    *shadow.get_mut(&[1, 1]) = 999;
+    for (idx, v) in &batch {
+        *shadow.get_mut(idx) = *v;
+    }
+
+    // The surviving entries answer at the *new* epoch with the post-batch
+    // oracle's sums…
+    for r in [&high, &beside] {
+        let out = cache.range_sum(&RangeQuery::from_region(r)).unwrap();
+        assert_eq!(out.answered_by, EngineKind::SemanticCache, "{r}");
+        assert_eq!(out.value(), Some(&oracle(&shadow, r)), "{r}");
+    }
+    // …and the invalidated region reflects the update on re-execution.
     let out = cache.range_sum(&RangeQuery::from_region(&low)).unwrap();
     assert_ne!(out.answered_by, EngineKind::SemanticCache);
     assert_eq!(out.value(), Some(&oracle(&shadow, &low)));
+
+    // A batch with a malformed index is refused: no install, every entry
+    // kept and still answering.
+    let epoch = cache.epoch();
+    assert!(cache
+        .apply_updates(&[(vec![0, 4], 1), (vec![2], 7)])
+        .is_err());
+    assert_eq!(cache.epoch(), epoch);
+    assert_eq!(cache.stats().entries, 3);
+    for r in [&low, &high, &beside] {
+        let out = cache.range_sum(&RangeQuery::from_region(r)).unwrap();
+        assert_eq!(out.answered_by, EngineKind::SemanticCache, "{r}");
+        assert_eq!(out.value(), Some(&oracle(&shadow, r)), "{r}");
+    }
 }
 
 #[test]
@@ -293,9 +291,8 @@ fn version_cell_backend_supports_the_full_protocol() {
     let a = cube(&[24, 10]);
     let cell = VersionCell::new(Box::new(NaiveEngine::new(a.clone())) as Box<dyn RangeEngine<i64>>);
     let cache = SemanticCache::with_label(cell, 32, "cell-cache");
-    let sup = Region::from_bounds(&[(0, 23), (0, 9)]).unwrap();
-    cache.range_sum(&RangeQuery::from_region(&sup)).unwrap();
     let target = Region::from_bounds(&[(1, 22), (1, 8)]).unwrap();
+    cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
     let out = cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
     assert_eq!(out.value(), Some(&oracle(&a, &target)));
     assert_eq!(out.answered_by, EngineKind::SemanticCache);
@@ -303,6 +300,7 @@ fn version_cell_backend_supports_the_full_protocol() {
     let mut shadow = a.clone();
     *shadow.get_mut(&[2, 2]) = -7;
     let out = cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
+    assert_ne!(out.answered_by, EngineKind::SemanticCache);
     assert_eq!(out.value(), Some(&oracle(&shadow, &target)));
 }
 
@@ -317,9 +315,9 @@ fn concurrent_installs_never_tear_cached_answers() {
 
     let cache = Arc::new(SemanticCache::new(router(&a), 32));
     cache.range_sum(&RangeQuery::from_region(&probe)).unwrap();
-    // Sub-boxes assembled from the cached superset while an install
-    // lands mid-stream: every answer must match the pre- or
-    // post-update oracle exactly — never a mix of snapshots.
+    // A full box and a sub-box, each cached after its first miss, read
+    // while an install lands mid-stream: every answer must match the pre-
+    // or post-update oracle exactly — never a mix of snapshots.
     let sub = Region::from_bounds(&[(1, 14), (1, 14)]).unwrap();
     let sub_pre = oracle(&a, &sub);
     let sub_post = oracle(&shadow, &sub);
@@ -343,7 +341,7 @@ fn concurrent_installs_never_tear_cached_answers() {
                         .unwrap();
                     assert!(
                         got == sub_pre || got == sub_post,
-                        "torn assembled read: {got} (pre {sub_pre}, post {sub_post})"
+                        "torn sub-box read: {got} (pre {sub_pre}, post {sub_post})"
                     );
                 }
             });
@@ -388,9 +386,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The headline equivalence: across a random interleaving of queries
-    /// and update installs, every answer the cache produces — exact hit,
-    /// ±-assembly, or fall-through — is bit-identical to the sequential
-    /// point-wise oracle on the current snapshot.
+    /// and update installs, every answer the cache produces — exact hit or
+    /// fall-through — is bit-identical to the sequential point-wise oracle
+    /// on the current snapshot.
     #[test]
     fn cached_answers_match_the_oracle_under_interleaved_installs(
         ops in prop::collection::vec(arb_op(&[12, 10]), 1..40),

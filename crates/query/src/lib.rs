@@ -11,9 +11,6 @@
 //! This crate provides:
 //!
 //! - [`DimSelection`] / [`RangeQuery`]: the user-facing query model,
-//! - [`algebra`]: the region algebra (containment, overlap, intersection,
-//!   the ≤2d-box difference decomposition, and [`SubsumptionPlan`]) that a
-//!   subsumption-aware semantic cache plans ±-combinations with,
 //! - [`Answer`] / [`QueryOutcome`] / [`EngineKind`]: the unified answer
 //!   vocabulary every engine returns (value + access stats + which
 //!   structure answered),
@@ -30,7 +27,6 @@
 #![warn(missing_docs)]
 
 mod access;
-pub mod algebra;
 mod cuboid;
 mod estimate;
 mod log;
@@ -40,7 +36,6 @@ mod schema;
 mod stats;
 
 pub use access::AccessStats;
-pub use algebra::{Sign, SignedRegion, SubsumptionPlan};
 pub use cuboid::CuboidId;
 pub use estimate::Estimate;
 pub use log::{CuboidStats, QueryLog};

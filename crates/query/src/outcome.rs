@@ -32,7 +32,7 @@ pub enum EngineKind {
     SparseSum,
     /// The §10.3 sparse range-max engine (R-tree with cached maxima).
     SparseMax,
-    /// A semantic result cache answering by ±-combination of stored sums.
+    /// A result cache answering a repeated region from its stored sum.
     SemanticCache,
 }
 
@@ -49,7 +49,7 @@ impl fmt::Display for EngineKind {
             EngineKind::NaiveScan => "naive scan",
             EngineKind::SparseSum => "sparse range-sum (§10.2)",
             EngineKind::SparseMax => "sparse range-max (§10.3)",
-            EngineKind::SemanticCache => "semantic cache (±-combination)",
+            EngineKind::SemanticCache => "semantic cache (exact repeat)",
         };
         f.write_str(name)
     }

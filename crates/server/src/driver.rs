@@ -17,13 +17,12 @@
 //! the whole snapshot refactor exists to provide.
 //!
 //! With the per-shard semantic caches in the serving path, the same
-//! oracle pair also proves every cached and ±-assembled answer
-//! bit-identical across installs: a cache entry only survives an install
-//! when its region misses the update batch, in which case pre and post
-//! oracles agree on it. Setting [`LoadSpec::zipf_pool`] switches the
-//! query stream from uniform to Zipf-skewed repeats, the locality the
-//! cache exists to exploit; the final [`LoadReport::cache`] counters
-//! record what it did.
+//! oracle pair also proves every cached answer bit-identical across
+//! installs: a cache entry only survives an install when its region holds
+//! none of the batch's cells, in which case pre and post oracles agree on
+//! it. Setting [`LoadSpec::zipf_pool`] switches the query stream from
+//! uniform to Zipf-skewed repeats, the locality the cache exists to
+//! exploit; the final [`LoadReport::cache`] counters record what it did.
 
 use crate::{CubeServer, ServerAnswer, ServerError};
 use olap_array::{DenseArray, Region};

@@ -14,9 +14,9 @@
 //! shards from mixing states: every batch is atomic to every reader.
 //!
 //! Each shard answers sums through a per-shard
-//! [`olap_engine::SemanticCache`] (repeat regions hit, contained regions
-//! assemble by ±-combination, installs invalidate region-wise); see the
-//! `server` module docs.
+//! [`olap_engine::SemanticCache`] (repeat regions hit, installs drop only
+//! the entries whose region holds an updated cell); see the `server`
+//! module docs.
 //!
 //! [`drive_load`] is the seeded mixed-workload driver behind
 //! `olap-cli serve`: phases of concurrent readers racing one update

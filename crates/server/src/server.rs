@@ -41,12 +41,10 @@
 //! # Semantic caching
 //!
 //! Each shard answers sums through a per-shard [`SemanticCache`] wrapping
-//! its router: repeated regions hit exactly, contained regions assemble
-//! by ±-combination when the cost model prices the residuals below direct
-//! execution, and everything else falls through. Updates route through
-//! the same cache, which invalidates region-wise — entries in untouched
-//! slabs survive the install. `ServeConfig::cache_size == 0` disables all
-//! of it.
+//! its router: a repeated region hits exactly, everything else falls
+//! through. Updates route through the same cache, which invalidates
+//! region-wise — only entries whose region holds an updated cell are
+//! dropped. `ServeConfig::cache_size == 0` disables all of it.
 //!
 //! # Updates
 //!
@@ -74,7 +72,6 @@ use olap_array::{DegradePolicy, DenseArray, QueryBudget, Shape};
 use olap_engine::{
     AdaptiveRouter, ApproxEngine, CacheStats, CubeIndex, DegradeReason, EngineError, EngineOp,
     EpochStats, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine, RangeEngine, SemanticCache,
-    SumTreeEngine,
 };
 use olap_query::{AccessStats, Answer, DimSelection, Estimate, QueryOutcome, RangeQuery};
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -88,8 +85,8 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Per-query budget every shard router admits queries under.
     pub budget: QueryBudget,
-    /// Optional fault injection: wraps each shard's precomputed engines
-    /// (never the naive fallback) so chaos drills can prove failover and
+    /// Optional fault injection: wraps each shard's `CubeIndex` (never
+    /// the naive fallback) so chaos drills can prove failover and
     /// snapshot installs keep answers exact.
     pub faults: Option<FaultPlan>,
     /// Per-shard semantic-cache capacity in entries; 0 disables caching
@@ -304,8 +301,8 @@ struct Shard {
     lo: usize,
     /// Rows in the slab.
     len: usize,
-    /// Subsumption-aware result cache over the shard's router; all reads
-    /// and all installs go through it so invalidation stays region-wise.
+    /// Exact-result cache over the shard's router; all reads and all
+    /// installs go through it so invalidation stays region-wise.
     /// The type is spelled out (not aliased) so the analyzer's nominal
     /// lock-field pass sees `SemanticCache` and keeps this field in the
     /// lock-order acquisition graph.
@@ -702,7 +699,6 @@ impl CubeServer {
         for s in &self.shards {
             let st = s.cache.stats();
             total.hits += st.hits;
-            total.assemblies += st.assemblies;
             total.misses += st.misses;
             total.invalidations += st.invalidations;
             total.insertions += st.insertions;
@@ -1004,7 +1000,13 @@ impl std::fmt::Debug for CubeServer {
     }
 }
 
-/// Builds one shard: slab sub-cube, engines, router, cache.
+/// Builds one shard: slab sub-cube, router, cache. The router holds two
+/// exact engines over one shared sub-cube: a default [`CubeIndex`] (basic
+/// prefix sums at `2^d` accesses per sum by Theorem 1, plus the §6 max
+/// tree) and the [`NaiveEngine`] failover anchor. §8 prices no tree-sum
+/// plan below the index, so none is built. When degradation is on, an
+/// [`ApproxEngine`] tier sits beside them. A shard whose index is
+/// quarantined answers by naive scan until it recovers.
 fn build_shard(
     cube: &DenseArray<i64>,
     i: usize,
@@ -1029,17 +1031,13 @@ fn build_shard(
     // they all adopt (`BatchImage`).
     let sub = Arc::new(DenseArray::from_vec(local_shape, slab.to_vec())?);
 
-    let precomputed: Vec<Box<dyn RangeEngine<i64>>> = vec![
-        Box::new(CubeIndex::build(Arc::clone(&sub), IndexConfig::default())?),
-        Box::new(SumTreeEngine::build(Arc::clone(&sub), 4)?),
-    ];
+    let index: Box<dyn RangeEngine<i64>> =
+        Box::new(CubeIndex::build(Arc::clone(&sub), IndexConfig::default())?);
     let label = format!("shard-{i}");
     let router = AdaptiveRouter::labeled(&label);
-    for engine in precomputed {
-        match &config.faults {
-            Some(plan) => router.push(Box::new(FaultyEngine::new(engine, *plan))),
-            None => router.push(engine),
-        }
+    match &config.faults {
+        Some(plan) => router.push(Box::new(FaultyEngine::new(index, *plan))),
+        None => router.push(index),
     }
     // The degradation tier is built from the same slab snapshot as the
     // exact engines; router updates derive it in lockstep, so estimates

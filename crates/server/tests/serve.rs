@@ -337,9 +337,9 @@ fn zipf_load_hits_the_cache_and_stays_oracle_exact_across_installs() {
 
 #[test]
 fn chaos_with_caches_and_zipf_locality_stays_oracle_exact() {
-    // Fault injection degrades shards to tree/naive serving — exactly
-    // where cache assembly becomes economical — while
-    // installs race readers. Every answer must still match an oracle.
+    // Fault injection degrades shards to naive serving while installs
+    // race readers and the caches hit and invalidate. Every answer must
+    // still match an oracle.
     let a = cube(&[24, 10], 73);
     let srv = CubeServer::build(
         &a,

@@ -44,9 +44,8 @@ pub struct FlightRecord {
     /// Wall time of the engine call, in nanoseconds.
     pub latency_ns: u64,
     /// How the semantic cache was involved: `"exact"` (served from a
-    /// cached entry), `"assembled"` (±-assembled from a super-region),
-    /// `"miss"` (cache consulted, backend answered), or `"bypass"` (no
-    /// cache on the path). See [`CacheOutcomeScope`].
+    /// cached entry), `"miss"` (cache consulted, backend answered), or
+    /// `"bypass"` (no cache on the path). See [`CacheOutcomeScope`].
     pub cache: &'static str,
 }
 
@@ -104,7 +103,7 @@ pub struct CacheOutcomeScope {
 }
 
 impl CacheOutcomeScope {
-    /// Installs `outcome` (`"exact"`, `"assembled"`, `"miss"`, …) as the
+    /// Installs `outcome` (`"exact"`, `"miss"`, …) as the
     /// thread's annotation until the guard drops.
     pub fn set(outcome: &'static str) -> CacheOutcomeScope {
         CacheOutcomeScope {
@@ -291,8 +290,8 @@ mod tests {
             let _miss = CacheOutcomeScope::set("miss");
             assert_eq!(cache_outcome(), Some("miss"));
             {
-                let _assembled = CacheOutcomeScope::set("assembled");
-                assert_eq!(cache_outcome(), Some("assembled"));
+                let _exact = CacheOutcomeScope::set("exact");
+                assert_eq!(cache_outcome(), Some("exact"));
             }
             assert_eq!(cache_outcome(), Some("miss"));
         }

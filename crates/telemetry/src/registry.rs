@@ -484,7 +484,6 @@ fn metric_help(name: &str) -> &'static str {
         "olap_snapshot_epoch_lag" => "Oldest pinned epoch's distance behind the newest install.",
         "olap_cache_hits_total" => "Semantic-cache exact hits.",
         "olap_cache_misses_total" => "Semantic-cache misses answered by the backend.",
-        "olap_cache_assemblies_total" => "Semantic-cache answers assembled from a super-region.",
         "olap_cache_invalidations_total" => "Semantic-cache entries invalidated by updates.",
         "olap_cache_entries" => "Semantic-cache entries currently resident.",
         _ => "OLAP workspace metric.",

@@ -8,7 +8,6 @@
 //! serve_query
 //! ├─ shard_exec        (one per overlapping shard, in shard order)
 //! │  ├─ cache_lookup
-//! │  ├─ cache_assembly (only when the semantic cache ±-assembles)
 //! │  └─ router_dispatch
 //! │     └─ kernel_exec
 //! └─ merge             (folded partials → the served answer)

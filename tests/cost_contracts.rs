@@ -26,15 +26,14 @@ fn index_config(prefix: PrefixChoice) -> IndexConfig {
         prefix,
         max_tree_fanout: None,
         min_tree_fanout: None,
-        sum_tree_fanout: None,
         ..IndexConfig::default()
     }
 }
 
 /// The backend the cache is judged over deliberately has no prefix-sum
 /// structure: a healthy §3 index answers any sum in `2^d` accesses, which
-/// outprices every cache assembly. Tree + naive is the degraded-shard mix
-/// where semantic caching earns accesses back.
+/// leaves a hit almost nothing to save. Over tree + naive a hit saves a
+/// whole traversal, so what the cache earns shows in the access count.
 fn tree_router(a: &DenseArray<i64>) -> AdaptiveRouter<i64> {
     AdaptiveRouter::new()
         .with_engine(Box::new(SumTreeEngine::build(a.clone(), 4).unwrap()))

@@ -14,27 +14,23 @@ use olap_cube::workload::{skewed_cube, uniform_cube, uniform_regions};
 
 type Engines = Vec<Box<dyn RangeEngine<i64>>>;
 
-fn config(prefix: PrefixChoice, sum_tree: Option<usize>) -> IndexConfig {
+fn config(prefix: PrefixChoice) -> IndexConfig {
     IndexConfig {
         prefix,
         max_tree_fanout: None,
         min_tree_fanout: None,
-        sum_tree_fanout: sum_tree,
         ..IndexConfig::default()
     }
 }
 
 /// Every range-sum backend family over one dense cube: the naive scan,
-/// `CubeIndex` in each §3/§4/§8 configuration, the standalone tree-sum
-/// engine, the \[GBLP96\] extended cube, the §9 planned index, and the
+/// `CubeIndex` in each §3/§4 configuration, the §8 tree-sum engine, the \[GBLP96\] extended cube, the §9 planned index, and the
 /// §10.2 sparse engine.
 fn sum_engines(a: &DenseArray<i64>) -> Engines {
     let full_cuboid: Vec<usize> = (0..a.shape().ndim()).collect();
     let mut engines: Engines = vec![
         Box::new(NaiveEngine::new(a.clone())),
-        Box::new(CubeIndex::build(a.clone(), config(PrefixChoice::Basic, None)).unwrap()),
-        Box::new(CubeIndex::build(a.clone(), config(PrefixChoice::None, Some(3))).unwrap()),
-        Box::new(CubeIndex::build(a.clone(), config(PrefixChoice::None, None)).unwrap()),
+        Box::new(CubeIndex::build(a.clone(), config(PrefixChoice::Basic)).unwrap()),
         Box::new(SumTreeEngine::build(a.clone(), 3).unwrap()),
         Box::new(ExtendedCube::build(a, SumOp::new()).unwrap()),
         Box::new(
@@ -51,7 +47,7 @@ fn sum_engines(a: &DenseArray<i64>) -> Engines {
     ];
     for b in [2usize, 5, 8, 16] {
         engines.push(Box::new(
-            CubeIndex::build(a.clone(), config(PrefixChoice::Blocked(b), None)).unwrap(),
+            CubeIndex::build(a.clone(), config(PrefixChoice::Blocked(b))).unwrap(),
         ));
     }
     engines
@@ -106,10 +102,8 @@ fn all_extremum_engines_agree() {
     ];
     for b in [2usize, 3, 4] {
         let cfg = IndexConfig {
-            prefix: PrefixChoice::None,
             max_tree_fanout: Some(b),
             min_tree_fanout: Some(b),
-            sum_tree_fanout: None,
             ..IndexConfig::default()
         };
         max_engines.push(Box::new(CubeIndex::build(a.clone(), cfg).unwrap()));
@@ -195,7 +189,7 @@ fn prefix_sum_cost_is_constant_while_naive_grows() {
     let a = uniform_cube(shape, 100, 11);
     let naive: Box<dyn RangeEngine<i64>> = Box::new(NaiveEngine::new(a.clone()));
     let prefix: Box<dyn RangeEngine<i64>> =
-        Box::new(CubeIndex::build(a, config(PrefixChoice::Basic, None)).unwrap());
+        Box::new(CubeIndex::build(a, config(PrefixChoice::Basic)).unwrap());
     let mut last_naive = 0u64;
     for side in [4usize, 16, 64, 192] {
         let region = Region::from_bounds(&[(10, 9 + side), (20, 19 + side)]).unwrap();

@@ -20,17 +20,16 @@ use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions};
 const BOUND: f64 = 1.25;
 
 fn engines(a: &DenseArray<i64>) -> Vec<Box<dyn RangeEngine<i64>>> {
-    let cfg = |prefix, sum_tree| IndexConfig {
+    let cfg = |prefix| IndexConfig {
         prefix,
         max_tree_fanout: None,
         min_tree_fanout: None,
-        sum_tree_fanout: sum_tree,
         ..IndexConfig::default()
     };
     vec![
         Box::new(NaiveEngine::new(a.clone())),
-        Box::new(CubeIndex::build(a.clone(), cfg(PrefixChoice::Blocked(4), None)).unwrap()),
-        Box::new(CubeIndex::build(a.clone(), cfg(PrefixChoice::Blocked(16), None)).unwrap()),
+        Box::new(CubeIndex::build(a.clone(), cfg(PrefixChoice::Blocked(4))).unwrap()),
+        Box::new(CubeIndex::build(a.clone(), cfg(PrefixChoice::Blocked(16))).unwrap()),
         Box::new(SumTreeEngine::build(a.clone(), 4).unwrap()),
     ]
 }

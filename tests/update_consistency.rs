@@ -6,7 +6,8 @@
 //! `CubeServer`) and belong to the ThreadSanitizer CI leg.
 
 use olap_cube::array::Shape;
-use olap_cube::engine::{CubeIndex, IndexConfig, PrefixChoice};
+use olap_cube::engine::{CubeIndex, IndexConfig, PrefixChoice, RangeEngine, SumTreeEngine};
+use olap_cube::query::RangeQuery;
 use olap_cube::workload::{uniform_cube, uniform_regions};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -28,10 +29,12 @@ fn twenty_rounds_of_mixed_queries_and_updates() {
         prefix: PrefixChoice::Basic,
         max_tree_fanout: Some(3),
         min_tree_fanout: None,
-        sum_tree_fanout: Some(2),
         ..IndexConfig::default()
     };
-    let mut index = CubeIndex::build(a, cfg).unwrap();
+    let mut index = CubeIndex::build(a.clone(), cfg).unwrap();
+    // The §8 tree-sum baseline beside the index, derived through the
+    // engine trait each round.
+    let mut tree: Box<dyn RangeEngine<i64>> = Box::new(SumTreeEngine::build(a, 2).unwrap());
     let mut rng = StdRng::seed_from_u64(7);
 
     for round in 0..20u64 {
@@ -39,6 +42,8 @@ fn twenty_rounds_of_mixed_queries_and_updates() {
         for q in uniform_regions(&shape, 10, 1000 + round) {
             let (s, _) = index.range_sum(&q).unwrap();
             assert_eq!(s, naive_sum(&shadow, &q), "round {round} {q}");
+            let routed = tree.range_sum(&RangeQuery::from_region(&q)).unwrap();
+            assert_eq!(routed.value(), Some(&s), "tree-sum round {round} {q}");
             let (at, m, _) = index.range_max(&q).unwrap();
             assert_eq!(m, naive_max(&shadow, &q), "round {round} {q}");
             assert!(q.contains(&at));
@@ -62,13 +67,15 @@ fn twenty_rounds_of_mixed_queries_and_updates() {
             batch.push((first, rng.random_range(-500i64..500)));
         }
         index.apply_updates_in_place(&batch).unwrap();
+        tree = tree.apply_updates(&batch).unwrap().engine;
         for (idx, v) in &batch {
             *shadow.get_mut(idx) = *v;
         }
     }
 
-    // Final deep check: the index's cube equals the shadow exactly.
+    // Final deep check: both cubes equal the shadow exactly.
     assert_eq!(index.cube().as_slice(), shadow.as_slice());
+    assert_eq!(tree.base().unwrap().as_slice(), shadow.as_slice());
 }
 
 #[test]
@@ -80,7 +87,6 @@ fn blocked_index_update_cycle() {
         prefix: PrefixChoice::Blocked(7),
         max_tree_fanout: None,
         min_tree_fanout: None,
-        sum_tree_fanout: None,
         ..IndexConfig::default()
     };
     let mut index = CubeIndex::build(a, cfg).unwrap();

@@ -1,19 +1,25 @@
-//! Differential test of the update path over the stack a server shard
-//! assembles (`olap_server`'s `build_shard`): `CubeIndex` (default
-//! config) + `SumTreeEngine` (fanout 4) + `NaiveEngine`, all holding one
-//! shared base cube, behind an `AdaptiveRouter`.
+//! Differential test of the update path over the engine set the perf
+//! ledger's `lib_tax_2d` workload serves (`shard_engines()` in
+//! `benchmark/src/workload.rs`): `CubeIndex` (default config) +
+//! `SumTreeEngine` (fanout 4) + `NaiveEngine` behind an `AdaptiveRouter`,
+//! all holding one shared base cube the way a server shard's engines do.
+//! A server shard (`olap_server`'s `build_shard`) registers only the
+//! index and the naive scan; the sum tree stays here so its path-walk
+//! derive is checked too.
 //!
 //! After every `router.apply_updates` each engine must answer exactly like
 //! a stack freshly built over the post-batch cube, every engine must hold
 //! the *same* post-batch cube (`Arc::ptr_eq`: the batch copied the cube
 //! once, not once per engine), a reader that pinned the pre-batch engines
 //! must keep getting pre-batch answers, and a batch with an invalid index
-//! must change nothing.
+//! must change nothing. One more pass sends the same batches through a
+//! `SemanticCache` in front of the stack, over regions that repeat, and
+//! checks every answer — hits included — against a fresh build.
 
 use olap_cube::array::{DenseArray, Shape};
 use olap_cube::engine::{
     AdaptiveRouter, CubeIndex, EngineStatus, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine,
-    RangeEngine, SumTreeEngine,
+    RangeEngine, SemanticCache, SumTreeEngine,
 };
 use olap_cube::query::RangeQuery;
 use olap_cube::workload::{uniform_cube, uniform_regions};
@@ -24,8 +30,9 @@ use std::sync::Arc;
 type Engine = Arc<dyn RangeEngine<i64>>;
 type Batch = Vec<(Vec<usize>, i64)>;
 
-/// The `build_shard` stack over one shared base. `plans[i]` fault-wraps
-/// precomputed engine `i`; the naive failover anchor is never wrapped.
+/// The ledger's library shard stack over one shared base. `plans[i]`
+/// fault-wraps precomputed engine `i`; the naive failover anchor is never
+/// wrapped.
 fn shard_stack(base: &Arc<DenseArray<i64>>, plans: [Option<FaultPlan>; 2]) -> AdaptiveRouter<i64> {
     let precomputed: [Box<dyn RangeEngine<i64>>; 2] = [
         Box::new(CubeIndex::build(Arc::clone(base), IndexConfig::default()).unwrap()),
@@ -173,6 +180,51 @@ fn shard_stack_updates_equal_a_fresh_build_and_share_one_cube() {
         let cube = cube_of(dims, 40 + d as u64);
         let router = shard_stack(&Arc::new(cube.clone()), [None, None]);
         drive(&router, &cube, 4, 7 + d as u64);
+    }
+}
+
+#[test]
+fn cached_stack_answers_equal_a_fresh_build_and_hit() {
+    for (d, dims) in SHAPES.iter().enumerate() {
+        let cube = cube_of(dims, 40 + d as u64);
+        let shape = cube.shape().clone();
+        let cache = SemanticCache::new(shard_stack(&Arc::new(cube.clone()), [None, None]), 64);
+        let queries: Vec<RangeQuery> = uniform_regions(&shape, 8, 90 + d as u64)
+            .iter()
+            .map(RangeQuery::from_region)
+            .collect();
+        let mut shadow = cube.clone();
+        // The seed and draw order of `drive` in the shard-stack test above,
+        // so these are the same batches.
+        let mut rng = StdRng::seed_from_u64(7 + d as u64);
+        for round in 0..4 {
+            let fresh = shard_stack(&Arc::new(shadow.clone()), [None, None]);
+            // Twice over: the first pass re-inserts what the last install
+            // dropped, the second hits every region.
+            for q in queries.iter().chain(&queries) {
+                let got = cache.range_sum(q).unwrap();
+                let want = fresh.range_sum(q).unwrap();
+                assert_eq!(
+                    got.value(),
+                    want.value(),
+                    "{q:?} via {} d={} round {round}",
+                    got.answered_by,
+                    shape.ndim()
+                );
+            }
+            let mut invalid = hostile_batch(&shadow, &mut rng);
+            invalid.push((shape.dims().to_vec(), 1));
+            assert!(cache.apply_updates(&invalid).is_err());
+            let batch = hostile_batch(&shadow, &mut rng);
+            cache.apply_updates(&batch).unwrap();
+            apply_to(&mut shadow, &batch);
+        }
+        assert!(
+            cache.stats().hits > 0,
+            "d={} {:?}",
+            shape.ndim(),
+            cache.stats()
+        );
     }
 }
 
