@@ -119,12 +119,12 @@ fn run_workload(
 fn cost_model_report(ctx: &Telemetry) -> String {
     let mut by_engine: BTreeMap<String, (u64, f64, u64)> = BTreeMap::new();
     for r in ctx.recorder().snapshot() {
-        if r.op != "range_sum" || !r.raw.is_finite() {
+        if r.op != "range_sum" || !r.predicted.is_finite() {
             continue;
         }
         let e = by_engine.entry(r.engine).or_insert((0, 0.0, 0));
         e.0 += 1;
-        e.1 += r.raw;
+        e.1 += r.predicted;
         e.2 += r.observed;
     }
     let mut out = String::from(

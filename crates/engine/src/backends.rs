@@ -298,8 +298,8 @@ impl<T: NumericValue + Send + Sync + 'static> RangeEngine<T> for SparseSumEngine
     fn estimate(&self, query: &RangeQuery) -> f64 {
         // §10.2 proxy: each intersecting dense region answers with a
         // 2^d-corner prefix lookup; outliers contribute individually in
-        // proportion to the queried share of the cube. Deliberately crude
-        // — the router's EWMA calibration absorbs the constant factors.
+        // proportion to the queried share of the cube. Crude: the router
+        // compares it as is, and reports its drift from observed accesses.
         let shape = self.inner.shape();
         let Ok(region) = query.to_region(shape) else {
             return f64::INFINITY;
@@ -388,8 +388,8 @@ where
 
     fn estimate(&self, query: &RangeQuery) -> f64 {
         // R-tree proxy: a root-to-leaf descent of the fanout-8 tree plus
-        // the expected points inside the query. Crude by design — the
-        // router's calibration absorbs the constants.
+        // the expected points inside the query. Crude: the router
+        // compares it as is, and reports its drift from observed accesses.
         let shape = self.inner.shape();
         let Ok(region) = query.to_region(shape) else {
             return f64::INFINITY;

@@ -4,7 +4,8 @@
 //! backend implements the [`RangeEngine`] trait — the lingua franca of
 //! [`olap_query::RangeQuery`] in, [`olap_query::QueryOutcome`] out — and
 //! the [`AdaptiveRouter`] picks among them with the paper's §8/§9 cost
-//! model, calibrated against observed access counts:
+//! model as written, reporting how far observed access counts drift from
+//! it:
 //!
 //! - [`CubeIndex`]: holds a dense cube plus whichever precomputed
 //!   structures an [`IndexConfig`] requests (basic prefix sum §3 or
@@ -66,7 +67,7 @@ pub use planned::PlannedIndex;
 pub use range_engine::{BatchImage, Capabilities, Derived, EngineOp, RangeEngine};
 pub use router::{
     AdaptiveRouter, Candidate, DegradeReason, EngineHealth, EngineStatus, Explain, FaultStats,
-    Routed, DEFAULT_ALPHA, QUARANTINE_COOLDOWN_TICKS, QUARANTINE_THRESHOLD,
+    Routed, QUARANTINE_COOLDOWN_TICKS, QUARANTINE_THRESHOLD,
 };
 pub use semantic_cache::{CacheBackend, CacheStats, SemanticCache};
 pub use version::{EngineVersion, EpochStats, VersionCell};

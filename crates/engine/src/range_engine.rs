@@ -258,9 +258,10 @@ pub trait RangeEngine<V>: Send + Sync {
     /// Predicted cost of answering `query`, in the paper's unit (elements
     /// accessed), from the §8/§9 analytic model (`olap_planner::cost`).
     ///
-    /// Estimates are *raw model output*: systematic model error is
-    /// corrected by the router's EWMA calibration, not here. An engine
-    /// that cannot resolve the query returns `+∞` (never routed to).
+    /// The router compares these values as they are — nothing rescales
+    /// them — so an estimate is only as good as the model it computes;
+    /// the router reports the drift of observed accesses from it. An
+    /// engine that cannot resolve the query returns `+∞` (ranked last).
     fn estimate(&self, query: &RangeQuery) -> f64;
 
     /// Answers a range-sum query.

@@ -1,18 +1,18 @@
-//! The cost-calibrated adaptive router: §8/§9's "choose the structure by
-//! its analytic cost" made operational.
+//! The adaptive router: §8/§9's "choose the structure by its analytic
+//! cost" made operational.
 //!
 //! [`AdaptiveRouter`] holds several [`RangeEngine`]s, predicts each one's
 //! cost for an incoming [`RangeQuery`] from the paper's analytic model
-//! ([`RangeEngine::estimate`]), and routes to the argmin. Because the
-//! analytic model has systematic error (it ignores constants, tree-node
-//! overheads, and a structure's real boundary handling), the router keeps
-//! one EWMA correction ratio per engine — observed cost (from
-//! [`AccessStats::total_accesses`]) over predicted — and multiplies it
-//! into future predictions, so routing decisions tighten as queries flow.
+//! ([`RangeEngine::estimate`]), and routes to the first strict argmin.
+//! The prediction is used as written: nothing learned from past queries
+//! moves it, so a decision depends only on the query, the op and the
+//! pinned engine set. How far observed accesses drift from the model is
+//! reported (the `olap_router_drift_permille` histogram and the flight
+//! recorder), not fed back.
 //!
 //! [`AdaptiveRouter::explain`] exposes the whole decision: every
-//! candidate's raw and calibrated prediction, the chosen route, and the
-//! observed cost after execution.
+//! candidate's predicted cost, the chosen route, and the observed cost
+//! after execution.
 //!
 //! # Shareability and snapshot isolation
 //!
@@ -30,14 +30,9 @@
 //!   path, then install the whole set in one pointer swap — a concurrent
 //!   query always sees an all-pre-batch or all-post-batch candidate set,
 //!   never a mix,
-//! - mutable routing state (EWMA ratios, the decision cache, breaker
-//!   state, fault counters, the budget) sits in one internal mutex held
-//!   only for bookkeeping, never across a dispatched query.
-//!
-//! The decision cache is keyed on the **snapshot epoch** plus a
-//! calibration generation: installing a new engine set bumps the epoch,
-//! so stale decisions die with the snapshot they were computed against,
-//! and a moved EWMA ratio bumps the generation.
+//! - mutable routing state (breaker state, fault counters, the budget)
+//!   sits in one internal mutex held only for bookkeeping, never across
+//!   the estimate sweep or a dispatched query.
 //!
 //! Lock order is `writer` → `engines` → `state`; no path acquires them
 //! in any other order.
@@ -84,10 +79,6 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// Default EWMA smoothing factor: recent queries dominate after ~10
-/// observations, but a single outlier cannot swing the ratio.
-pub const DEFAULT_ALPHA: f64 = 0.3;
 
 /// Consecutive engine faults that open the circuit breaker.
 pub const QUARANTINE_THRESHOLD: u32 = 3;
@@ -200,12 +191,9 @@ pub struct Candidate {
     pub index: usize,
     /// The engine's [`RangeEngine::label`].
     pub label: String,
-    /// Raw analytic estimate (paper units, elements accessed).
-    pub raw: f64,
-    /// The engine's current EWMA observed/predicted ratio.
-    pub ratio: f64,
-    /// `raw × ratio` — what the router actually compares.
-    pub calibrated: f64,
+    /// [`RangeEngine::estimate`] (paper units, elements accessed) — what
+    /// the router compares; `+∞` when the engine is not eligible.
+    pub predicted: f64,
     /// Whether the engine's [`crate::Capabilities`] admit the operation.
     pub eligible: bool,
     /// The engine's circuit-breaker standing at decision time.
@@ -242,57 +230,18 @@ impl<V> Explain<V> {
 impl<V: fmt::Display> fmt::Display for Explain<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{} via {}", self.op, self.outcome.answered_by)?;
-        writeln!(
-            f,
-            "  {:<28} {:>12} {:>8} {:>12}",
-            "candidate", "raw", "ratio", "calibrated"
-        )?;
+        writeln!(f, "  {:<28} {:>12}", "candidate", "predicted")?;
         for c in &self.candidates {
             let mark = if c.index == self.chosen { "*" } else { " " };
             if c.eligible {
-                writeln!(
-                    f,
-                    "{mark} {:<28} {:>12.1} {:>8.3} {:>12.1}",
-                    c.label, c.raw, c.ratio, c.calibrated
-                )?;
+                writeln!(f, "{mark} {:<28} {:>12.1}", c.label, c.predicted)?;
             } else {
-                writeln!(
-                    f,
-                    "{mark} {:<28} {:>12} {:>8} {:>12}",
-                    c.label, "-", "-", "-"
-                )?;
+                writeln!(f, "{mark} {:<28} {:>12}", c.label, "-")?;
             }
         }
         writeln!(f, "  observed: {} accesses", self.observed())?;
         write!(f, "  answer: {}", self.outcome.answer)
     }
-}
-
-/// One engine's numbers in a routing decision — [`Candidate`] without the
-/// label, so the routing hot path never formats engine labels or touches
-/// the allocator beyond one small `Vec` per cache miss.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Prediction {
-    raw: f64,
-    ratio: f64,
-    calibrated: f64,
-    eligible: bool,
-}
-
-/// One memoised routing decision. Valid as long as the engine-set epoch
-/// and the calibration generation both stand — i.e. no update installed
-/// a new snapshot and no EWMA ratio moved — so consecutive identical
-/// queries (and the candidates-then-execute pair inside one `explain`)
-/// cost a single [`RangeEngine::estimate`] pass.
-struct CachedDecision {
-    query: RangeQuery,
-    op: EngineOp,
-    /// `EngineSet::epoch` the decision was computed against.
-    epoch: u64,
-    /// `RouterState::calibration_gen` at decision time.
-    calibration_gen: u64,
-    predictions: Vec<Prediction>,
-    chosen: Option<usize>,
 }
 
 /// An immutable, epoch-stamped snapshot of the candidate engine set.
@@ -310,20 +259,11 @@ struct EngineSet<V> {
 }
 
 /// The router's mutable bookkeeping, guarded by one mutex held only for
-/// short decision/feedback sections — never across a dispatched query.
+/// short bookkeeping sections — never across the estimate sweep or a
+/// dispatched query.
 struct RouterState {
-    /// Per-engine EWMA of observed/predicted; starts at 1.0 (trust the
-    /// analytic model until evidence arrives).
-    ratios: Vec<f64>,
-    /// EWMA smoothing factor.
-    alpha: f64,
-    /// Bumped whenever an EWMA ratio actually moves; half of the
-    /// decision cache's key (the other half is the engine-set epoch).
-    calibration_gen: u64,
-    cache: Option<CachedDecision>,
-    /// Per-engine circuit breakers, parallel to the engine set. Breaker
-    /// state does not affect prediction caching — it filters candidates
-    /// at dispatch time.
+    /// Per-engine circuit breakers, parallel to the engine set. They
+    /// filter candidates at dispatch time, never the predictions.
     healths: Vec<Health>,
     /// Routing decisions taken; the breaker cooldown clock.
     ticks: u64,
@@ -335,61 +275,6 @@ struct RouterState {
 }
 
 impl RouterState {
-    /// Ensures the cache holds the decision for `query`/`op` against
-    /// `set` (one estimate sweep on a miss, none on a hit) and returns
-    /// the chosen engine index. The predictions stay in `self.cache`.
-    fn ensure_decision<V>(
-        &mut self,
-        set: &EngineSet<V>,
-        query: &RangeQuery,
-        op: EngineOp,
-    ) -> Option<usize> {
-        if let Some(c) = &self.cache {
-            if c.epoch == set.epoch
-                && c.calibration_gen == self.calibration_gen
-                && c.op == op
-                && c.query == *query
-            {
-                if let Some(ctx) = olap_telemetry::current() {
-                    ctx.registry()
-                        .counter("olap_router_cache_hits_total", &[])
-                        .inc(1);
-                }
-                return c.chosen;
-            }
-        }
-        let predictions = predictions(set, &self.ratios, query, op);
-        let chosen = choose(&predictions);
-        self.cache = Some(CachedDecision {
-            query: query.clone(),
-            op,
-            epoch: set.epoch,
-            calibration_gen: self.calibration_gen,
-            predictions,
-            chosen,
-        });
-        chosen
-    }
-
-    /// Feeds one observation into engine `i`'s EWMA ratio. Skipped when the
-    /// raw prediction is non-finite or non-positive (nothing to scale), or
-    /// when the sample equals the current ratio — the EWMA's fixed point,
-    /// where applying the update would only add rounding drift.
-    fn observe(&mut self, i: usize, raw: f64, observed: u64) {
-        if !raw.is_finite() || raw <= 0.0 {
-            return;
-        }
-        let sample = observed as f64 / raw;
-        if sample.to_bits() == self.ratios[i].to_bits() {
-            return;
-        }
-        let next = (1.0 - self.alpha) * self.ratios[i] + self.alpha * sample;
-        if next.to_bits() != self.ratios[i].to_bits() {
-            self.ratios[i] = next;
-            self.calibration_gen = self.calibration_gen.wrapping_add(1);
-        }
-    }
-
     /// Success closes the breaker and clears the fault streak.
     fn note_success(&mut self, i: usize) {
         self.healths[i].status = Status::Closed;
@@ -418,76 +303,50 @@ impl RouterState {
     }
 }
 
-/// The label-free estimate sweep against one engine-set snapshot: raw
-/// estimate, current ratio, calibrated prediction, and eligibility per
-/// engine.
-fn predictions<V>(
-    set: &EngineSet<V>,
-    ratios: &[f64],
-    query: &RangeQuery,
-    op: EngineOp,
-) -> Vec<Prediction> {
+/// The estimate sweep against one engine-set snapshot: each engine's
+/// [`RangeEngine::estimate`], or `None` when its capabilities exclude
+/// `op`.
+fn sweep<V>(set: &EngineSet<V>, query: &RangeQuery, op: EngineOp) -> Vec<Option<f64>> {
     set.engines
         .iter()
-        .enumerate()
-        .map(|(index, e)| {
-            let eligible = e.capabilities().supports(op);
-            let raw = if eligible {
-                e.estimate(query)
-            } else {
-                f64::INFINITY
-            };
-            // analyzer: allow(panic-site, reason = "index comes from enumerating the engine set; ratios is kept parallel by push()")
-            let ratio = ratios[index];
-            Prediction {
-                raw,
-                ratio,
-                calibrated: raw * ratio,
-                eligible,
-            }
-        })
+        .map(|e| e.capabilities().supports(op).then(|| e.estimate(query)))
         .collect()
 }
 
-/// Argmin of the calibrated predictions among eligible candidates.
-/// Strict `<` keeps the first index on ties, so routing is
-/// deterministic for a fixed engine order, and rejects NaN, so a
-/// poisoned estimate can never displace an incumbent.
-fn choose(predictions: &[Prediction]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, p) in predictions.iter().enumerate() {
-        if !p.eligible {
-            continue;
-        }
-        let better = match best {
-            None => true,
-            Some((_, b)) => p.calibrated < b,
-        };
-        if better {
-            best = Some((i, p.calibrated));
-        }
-    }
-    best.map(|(i, _)| i)
+/// The engine to try after `prev` in predicted-cost order, or the first
+/// one when `prev` is `None`. The order is ascending estimate, ties to
+/// the lower index, so the first is the first strict argmin and routing
+/// is deterministic for a fixed engine order. A NaN estimate ranks as
+/// `+∞`, so it can never jump the queue. Ineligible engines are never
+/// ranked.
+fn next_ranked(predictions: &[Option<f64>], prev: Option<usize>) -> Option<usize> {
+    let key = |i: usize, p: f64| (if p.is_nan() { f64::INFINITY } else { p }, i);
+    let floor = prev.and_then(|i| predictions.get(i).copied().flatten().map(|p| key(i, p)));
+    predictions
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| p.map(|p| key(i, p)))
+        .filter(|k| floor.is_none_or(|f| f < *k))
+        .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(_, i)| i)
 }
 
 /// Attaches engine labels and breaker status to a prediction sweep,
 /// turning it into the public [`Candidate`] table.
 fn label_predictions<V>(
     set: &EngineSet<V>,
-    predictions: &[Prediction],
+    predictions: &[Option<f64>],
     healths: &[Health],
 ) -> Vec<Candidate> {
-    predictions
+    set.engines
         .iter()
+        .zip(predictions)
         .enumerate()
-        .map(|(index, p)| Candidate {
+        .map(|(index, (engine, p))| Candidate {
             index,
-            // analyzer: allow(panic-site, reason = "index comes from enumerating the predictions of this very set")
-            label: set.engines[index].label(),
-            raw: p.raw,
-            ratio: p.ratio,
-            calibrated: p.calibrated,
-            eligible: p.eligible,
+            label: engine.label(),
+            predicted: p.unwrap_or(f64::INFINITY),
+            eligible: p.is_some(),
             status: healths
                 .get(index)
                 .map(Health::public_status)
@@ -573,8 +432,8 @@ impl<V> Routed<V> {
     }
 }
 
-/// Routes each query to the cheapest capable engine under the calibrated
-/// §8/§9 cost model. Shareable across threads: see the module docs for
+/// Routes each query to the cheapest capable engine under the §8/§9 cost
+/// model. Shareable across threads: see the module docs for
 /// the snapshot-isolation and locking discipline.
 pub struct AdaptiveRouter<V> {
     /// The current engine-set snapshot. Readers hold the read side only
@@ -596,25 +455,15 @@ pub struct AdaptiveRouter<V> {
 }
 
 impl<V> AdaptiveRouter<V> {
-    /// An empty router with the default smoothing factor.
+    /// An empty router.
     pub fn new() -> Self {
-        AdaptiveRouter::with_alpha(DEFAULT_ALPHA)
+        AdaptiveRouter::labeled("router")
     }
 
     /// An empty router named `label` in the exported snapshot gauges
     /// (`olap_snapshot_live{cell="…"}` — e.g. `shard-3` in a sharded
     /// server).
     pub fn labeled(label: &str) -> Self {
-        AdaptiveRouter::with_alpha_labeled(DEFAULT_ALPHA, label)
-    }
-
-    /// An empty router with smoothing factor `alpha` in `(0, 1]`; higher
-    /// values chase recent observations harder.
-    pub fn with_alpha(alpha: f64) -> Self {
-        AdaptiveRouter::with_alpha_labeled(alpha, "router")
-    }
-
-    fn with_alpha_labeled(alpha: f64, label: &str) -> Self {
         let tracker = Arc::new(EpochTracker::new(label.to_string()));
         tracker.register(0);
         AdaptiveRouter {
@@ -631,10 +480,6 @@ impl<V> AdaptiveRouter<V> {
             tracker,
             seq: AtomicU64::new(0),
             state: Mutex::new(RouterState {
-                ratios: Vec::new(),
-                alpha: alpha.clamp(f64::MIN_POSITIVE, 1.0),
-                calibration_gen: 0,
-                cache: None,
                 healths: Vec::new(),
                 ticks: 0,
                 budget: QueryBudget::unlimited(),
@@ -699,9 +544,7 @@ impl<V> AdaptiveRouter<V> {
             cur.engines.iter().map(Arc::clone).collect();
         engines.push(Arc::from(engine));
         self.install(engines, cur.approx.clone());
-        let mut st = self.lock_state();
-        st.ratios.push(1.0);
-        st.healths.push(Health::default());
+        self.lock_state().healths.push(Health::default());
     }
 
     /// Registers the degradation tier — the cheapest serving tier, e.g.
@@ -839,12 +682,6 @@ impl<V> AdaptiveRouter<V> {
         self.tracker.stats()
     }
 
-    /// The current EWMA observed/predicted ratios, parallel to
-    /// [`AdaptiveRouter::labels`].
-    pub fn calibration(&self) -> Vec<f64> {
-        self.lock_state().ratios.clone()
-    }
-
     /// A pinned handle to engine `i` in the current snapshot.
     ///
     /// # Panics
@@ -853,16 +690,6 @@ impl<V> AdaptiveRouter<V> {
     pub fn engine(&self, i: usize) -> Arc<dyn RangeEngine<V>> {
         // analyzer: allow(panic-site, reason = "pub accessor indexed by a caller-supplied engine id; out of range is a call-site programming error, documented under # Panics")
         Arc::clone(&self.load().engines[i])
-    }
-
-    /// The full candidate table for `query`/`op`: raw estimate, current
-    /// ratio, calibrated prediction, and eligibility per engine. A fresh
-    /// estimate sweep — routing itself goes through the decision cache.
-    pub fn candidates(&self, query: &RangeQuery, op: EngineOp) -> Vec<Candidate> {
-        let set = self.load();
-        let st = self.lock_state();
-        let preds = predictions(&set, &st.ratios, query, op);
-        label_predictions(&set, &preds, &st.healths)
     }
 
     /// Dispatches one attempt to engine `i` of the pinned set with the
@@ -908,33 +735,17 @@ impl<V> AdaptiveRouter<V> {
         })
     }
 
-    /// The cost-ranked dispatch order: the cache's argmin first, then the
-    /// remaining eligible candidates by ascending calibrated cost (stable
-    /// on ties, so routing order stays deterministic for a fixed engine
-    /// set). Breaker state is *not* applied here — admissibility is
+    /// Routes one read: a single estimate sweep, then dispatch in
+    /// predicted-cost order ([`next_ranked`]) until an engine answers.
+    /// Breaker state is *not* part of the order — admissibility is
     /// checked per attempt, so a quarantined argmin falls through to the
-    /// next-best automatically.
-    fn ranked_candidates(predictions: &[Prediction], first: usize) -> Vec<usize> {
-        let mut rest: Vec<usize> = (0..predictions.len())
-            .filter(|&i| i != first && predictions[i].eligible)
-            .collect();
-        rest.sort_by(|&a, &b| {
-            predictions[a]
-                .calibrated
-                .partial_cmp(&predictions[b].calibrated)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut order = Vec::with_capacity(rest.len() + 1);
-        order.push(first);
-        order.extend(rest);
-        order
-    }
-
+    /// next-best automatically. When `table` is given, the sweep is also
+    /// written there as the [`Candidate`] table `explain` reports.
     fn execute(
         &self,
         query: &RangeQuery,
         op: EngineOp,
+        table: Option<&mut Vec<Candidate>>,
     ) -> Result<(usize, QueryOutcome<V>), EngineError> {
         // Covers decision, dispatch, and failover; inert (one relaxed
         // atomic load) unless a trace scope is entered on this thread.
@@ -943,10 +754,9 @@ impl<V> AdaptiveRouter<V> {
         // failover — runs against this one consistent engine set even if
         // an update installs a successor mid-flight.
         let set = self.load();
-        let (tick, meter, predictions, order) = {
+        let (tick, meter) = {
             let mut st = self.lock_state();
             st.ticks += 1;
-            let tick = st.ticks;
             // One meter for the whole query: the deadline spans failover
             // attempts, so retries never extend the time allowance. An
             // already-expired budget (a zero deadline, a fired
@@ -958,20 +768,17 @@ impl<V> AdaptiveRouter<V> {
                 st.faults.budget_kills += 1;
                 return Err(interrupt.into());
             }
-            let chosen = st.ensure_decision(&set, query, op);
-            let first = chosen.ok_or(EngineError::NoCandidate { op: op.name() })?;
-            // `ensure_decision` just populated the cache; a missing table
-            // is a routing bug, reported as the typed no-candidate error
-            // rather than a panic.
-            let predictions = match st.cache.as_ref() {
-                Some(cache) => cache.predictions.clone(),
-                None => return Err(EngineError::NoCandidate { op: op.name() }),
-            };
-            let order = Self::ranked_candidates(&predictions, first);
-            (tick, meter, predictions, order)
+            (st.ticks, meter)
         };
+        // The one estimate sweep of this query, with no router lock held.
+        let predictions = sweep(&set, query, op);
+        if let Some(table) = table {
+            *table = label_predictions(&set, &predictions, &self.lock_state().healths);
+        }
+        let mut next = next_ranked(&predictions, None);
         let mut last_fault: Option<EngineError> = None;
-        for &i in &order {
+        while let Some(i) = next {
+            next = next_ranked(&predictions, Some(i));
             {
                 let mut st = self.lock_state();
                 // analyzer: allow(panic-site, reason = "healths is kept parallel to the engine set by push(); i enumerates that set")
@@ -988,7 +795,6 @@ impl<V> AdaptiveRouter<V> {
                     record_fault_event(&set, "failover", i, op);
                 }
             }
-            let p = predictions[i];
             let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
             // Dispatch with no router lock held: concurrent queries on
             // other threads proceed while this engine works.
@@ -998,12 +804,14 @@ impl<V> AdaptiveRouter<V> {
             };
             match dispatched {
                 Ok(outcome) => {
-                    let mut st = self.lock_state();
-                    st.note_success(i);
-                    st.observe(i, p.raw, outcome.cost());
+                    self.lock_state().note_success(i);
                     if let Some((ctx, start)) = observing {
-                        // analyzer: allow(panic-site, reason = "ratios is kept parallel to the engine set by push(); i enumerates that set")
-                        record_route(&ctx, start, &set, i, op, p, st.ratios[i], &outcome);
+                        let predicted = predictions
+                            .get(i)
+                            .copied()
+                            .flatten()
+                            .unwrap_or(f64::INFINITY);
+                        record_route(&ctx, start, &set, i, op, predicted, &outcome);
                     }
                     return Ok((i, outcome));
                 }
@@ -1030,14 +838,13 @@ impl<V> AdaptiveRouter<V> {
         Err(last_fault.unwrap_or(EngineError::NoCandidate { op: op.name() }))
     }
 
-    /// Routes and answers a range-sum query, feeding the observed cost back
-    /// into the chosen engine's calibration.
+    /// Routes and answers a range-sum query.
     ///
     /// # Errors
     /// [`EngineError::NoCandidate`] if no engine supports sums; otherwise
     /// whatever the chosen engine reports.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(query, EngineOp::Sum).map(|(_, o)| o)
+        self.execute(query, EngineOp::Sum, None).map(|(_, o)| o)
     }
 
     /// Routes and answers a range-max query. See [`AdaptiveRouter::range_sum`].
@@ -1045,7 +852,7 @@ impl<V> AdaptiveRouter<V> {
     /// # Errors
     /// [`EngineError::NoCandidate`] or the chosen engine's error.
     pub fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(query, EngineOp::Max).map(|(_, o)| o)
+        self.execute(query, EngineOp::Max, None).map(|(_, o)| o)
     }
 
     /// Routes and answers a range-min query. See [`AdaptiveRouter::range_sum`].
@@ -1053,7 +860,7 @@ impl<V> AdaptiveRouter<V> {
     /// # Errors
     /// [`EngineError::NoCandidate`] or the chosen engine's error.
     pub fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(query, EngineOp::Min).map(|(_, o)| o)
+        self.execute(query, EngineOp::Min, None).map(|(_, o)| o)
     }
 
     /// Routes `query` exactly like [`AdaptiveRouter::range_sum`] /
@@ -1074,7 +881,7 @@ impl<V> AdaptiveRouter<V> {
     /// Whatever exact routing reported, when the policy forbids
     /// degradation, the reason is ineligible, or no tier is registered.
     pub fn answer(&self, query: &RangeQuery, op: EngineOp) -> Result<Routed<V>, EngineError> {
-        let exact_err = match self.execute(query, op) {
+        let exact_err = match self.execute(query, op, None) {
             Ok((_, outcome)) => return Ok(Routed::Exact(outcome)),
             Err(e) => e,
         };
@@ -1240,9 +1047,8 @@ impl<V> AdaptiveRouter<V> {
                 }
             }
         });
-        // One atomic install; the epoch bump retires cached decisions
-        // computed against the pre-batch snapshot (estimates may depend
-        // on engine contents, e.g. the sparse engines' region counts).
+        // One atomic install: queries pinned before it finish on the
+        // pre-batch set, later ones estimate against the derived engines.
         self.install(next, next_approx);
         let mut st = self.lock_state();
         for i in newly_poisoned {
@@ -1262,7 +1068,8 @@ impl<V> AdaptiveRouter<V> {
 
     /// Routes, executes, and reports the whole decision for a range-sum
     /// query: every candidate's predicted cost, the chosen route, and the
-    /// observed cost. Feeds calibration like [`AdaptiveRouter::range_sum`].
+    /// observed cost. Routes exactly like [`AdaptiveRouter::range_sum`],
+    /// from the same single estimate sweep.
     ///
     /// # Errors
     /// [`EngineError::NoCandidate`] or the chosen engine's error.
@@ -1281,19 +1088,8 @@ impl<V> AdaptiveRouter<V> {
                 op: "explain(update)",
             });
         }
-        let set = self.load();
-        // `ensure_decision` memoises, so this candidate table and the
-        // routing pass inside `execute` share one estimate() sweep; the
-        // labels only get formatted here, never on the plain query path.
-        let candidates = {
-            let mut st = self.lock_state();
-            st.ensure_decision(&set, query, op);
-            let Some(cache) = st.cache.as_ref() else {
-                return Err(EngineError::NoCandidate { op: op.name() });
-            };
-            label_predictions(&set, &cache.predictions, &st.healths)
-        };
-        let (chosen, outcome) = self.execute(query, op)?;
+        let mut candidates = Vec::new();
+        let (chosen, outcome) = self.execute(query, op, Some(&mut candidates))?;
         Ok(Explain {
             op,
             candidates,
@@ -1318,18 +1114,15 @@ fn record_fault_event<V>(set: &EngineSet<V>, event: &'static str, i: usize, op: 
     }
 }
 
-/// Records one routed execution: route-choice counter, the chosen
-/// engine's post-observation EWMA ratio, the calibration drift, and a
-/// flight record.
-#[allow(clippy::too_many_arguments)]
+/// Records one routed execution: route-choice counter, the drift of the
+/// observed cost from the §8 prediction, and a flight record.
 fn record_route<V>(
     ctx: &olap_telemetry::Telemetry,
     start: std::time::Instant,
     set: &EngineSet<V>,
     i: usize,
     op: EngineOp,
-    p: Prediction,
-    ratio_after: f64,
+    predicted: f64,
     outcome: &QueryOutcome<V>,
 ) {
     let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -1342,10 +1135,8 @@ fn record_route<V>(
         &[("engine", &label), ("op", op.name())],
     )
     .inc(1);
-    reg.gauge("olap_router_ratio", &[("engine", &label)])
-        .set(ratio_after);
-    if p.calibrated.is_finite() && p.calibrated > 0.0 {
-        let drift = ((observed as f64 / p.calibrated) - 1.0).abs() * 1000.0;
+    if predicted.is_finite() && predicted > 0.0 {
+        let drift = ((observed as f64 / predicted) - 1.0).abs() * 1000.0;
         reg.histogram("olap_router_drift_permille", &[("engine", &label)])
             .observe(drift.min(u64::MAX as f64) as u64);
     }
@@ -1354,8 +1145,7 @@ fn record_route<V>(
         op: op.name(),
         engine: label,
         kind: outcome.answered_by.to_string(),
-        raw: p.raw,
-        predicted: p.calibrated,
+        predicted,
         observed,
         a_cells: outcome.stats.a_cells,
         p_cells: outcome.stats.p_cells,
@@ -1390,15 +1180,12 @@ impl<V> Default for AdaptiveRouter<V> {
 impl<V> fmt::Debug for AdaptiveRouter<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let set = self.load();
-        let st = self.lock_state();
         f.debug_struct("AdaptiveRouter")
             .field("epoch", &set.epoch)
             .field(
                 "engines",
                 &set.engines.iter().map(|e| e.label()).collect::<Vec<_>>(),
             )
-            .field("ratios", &st.ratios)
-            .field("alpha", &st.alpha)
             .finish()
     }
 }
@@ -1445,17 +1232,16 @@ mod tests {
         // Large query: prefix sum (2^d = 4) must beat naive (volume) and
         // the tree.
         let big = q(&[(0, 60), (0, 60)]);
-        let out = r.range_sum(&big).unwrap();
+        let ex = r.explain(&big).unwrap();
         let region = big.to_region(a.shape()).unwrap();
         let expected = a.fold_region(&region, 0i64, |s, &x| s + x);
-        assert_eq!(out.value(), Some(&expected));
-        let cands = r.candidates(&big, EngineOp::Sum);
-        let chosen = cands
-            .iter()
-            .filter(|c| c.eligible)
-            .min_by(|x, y| x.calibrated.partial_cmp(&y.calibrated).unwrap())
-            .unwrap();
+        assert_eq!(ex.outcome.value(), Some(&expected));
+        let chosen = ex.chosen_candidate();
         assert!(chosen.label.contains("prefix"), "{chosen:?}");
+        assert!(ex
+            .candidates
+            .iter()
+            .all(|c| chosen.predicted <= c.predicted));
     }
 
     #[test]
@@ -1467,26 +1253,6 @@ mod tests {
         assert_eq!(e.chosen_candidate().label, "naive-scan");
         assert_eq!(e.candidates.len(), 3);
         assert!(e.observed() >= 1);
-    }
-
-    #[test]
-    fn calibration_moves_toward_observed() {
-        let r = router();
-        assert!(r.calibration().iter().all(|&x| x == 1.0));
-        let query = q(&[(0, 63), (0, 31)]);
-        let out = r.range_sum(&query).unwrap();
-        let cands = r.candidates(&query, EngineOp::Sum);
-        let calibration = r.calibration();
-        let chosen: Vec<_> = calibration
-            .iter()
-            .enumerate()
-            .filter(|&(_, &x)| x != 1.0)
-            .collect();
-        assert_eq!(chosen.len(), 1, "exactly one engine observed");
-        let (i, &ratio) = chosen[0];
-        let expected =
-            (1.0 - DEFAULT_ALPHA) + DEFAULT_ALPHA * out.cost() as f64 / cands[i].raw * 1.0;
-        assert!((ratio - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -1545,7 +1311,7 @@ mod tests {
     }
 
     /// A pass-through engine that counts how often the router asks it for
-    /// an estimate — the probe for the decision cache.
+    /// an estimate — the probe for how many sweeps a query costs.
     struct CountingEngine {
         inner: Box<dyn RangeEngine<i64>>,
         estimates: std::sync::Arc<std::sync::atomic::AtomicUsize>,
@@ -1608,56 +1374,34 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_explains_reuse_one_estimate_pass() {
+    fn one_explain_and_each_routed_query_run_one_estimate_sweep() {
         let (r, estimates) = counting_router();
-        // A 1-cell query routes to naive with observed == predicted == 1,
-        // the EWMA fixed point, so nothing a decision depends on moves.
+        let sweeps = || estimates.load(Ordering::Relaxed);
         let tiny = q(&[(5, 5), (9, 9)]);
         let e1 = r.explain(&tiny).unwrap();
-        let after_first = estimates.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(
-            after_first, 1,
-            "candidates + route inside one explain must share one estimate sweep"
-        );
+        assert_eq!(sweeps(), 1, "the table and the route share one sweep");
         let e2 = r.explain(&tiny).unwrap();
-        assert_eq!(
-            estimates.load(std::sync::atomic::Ordering::Relaxed),
-            after_first,
-            "a repeat explain with no state change must hit the decision cache"
-        );
+        assert_eq!(sweeps(), 2, "nothing is remembered between queries");
         assert_eq!(e1.candidates, e2.candidates, "tables must be identical");
         assert_eq!(e1.chosen, e2.chosen);
+        let big = q(&[(0, 60), (0, 60)]);
+        for (k, query) in [&big, &big, &tiny].into_iter().enumerate() {
+            r.range_sum(query).unwrap();
+            assert_eq!(sweeps(), 3 + k);
+        }
     }
 
     #[test]
-    fn cache_invalidated_by_calibration_and_snapshot_epoch() {
-        let (r, estimates) = counting_router();
-        let ord = std::sync::atomic::Ordering::Relaxed;
-        // A big query moves the chosen engine's EWMA ratio, so the next
-        // decision must re-estimate.
-        let big = q(&[(0, 60), (0, 60)]);
-        r.range_sum(&big).unwrap();
-        let n1 = estimates.load(ord);
-        r.range_sum(&big).unwrap();
-        let n2 = estimates.load(ord);
-        assert!(n2 > n1, "ratio moved, decision must be recomputed");
-        // Once calibration settles (sample == ratio is skipped as the EWMA
-        // fixed point may never hit exactly), a *tiny* query at its fixed
-        // point caches; an update — which installs a new snapshot epoch —
-        // then invalidates it.
-        let tiny = q(&[(5, 5), (9, 9)]);
-        r.range_sum(&tiny).unwrap();
-        let n3 = estimates.load(ord);
-        r.range_sum(&tiny).unwrap();
-        assert_eq!(estimates.load(ord), n3, "fixed-point query must cache");
-        let epoch_before = r.epoch();
-        r.apply_updates(&[(vec![0, 0], 5)]).unwrap();
-        assert_eq!(r.epoch(), epoch_before + 1);
-        r.range_sum(&tiny).unwrap();
-        assert!(
-            estimates.load(ord) > n3,
-            "a new snapshot epoch must invalidate the cache"
-        );
+    fn ranking_is_ascending_estimate_with_ties_to_the_lower_index() {
+        let predictions = [Some(4.0), None, Some(f64::NAN), Some(1.0), Some(4.0)];
+        let mut order = Vec::new();
+        let mut next = next_ranked(&predictions, None);
+        while let Some(i) = next {
+            order.push(i);
+            next = next_ranked(&predictions, Some(i));
+        }
+        // The ineligible engine is never ranked; NaN ranks as +∞.
+        assert_eq!(order, [3, 0, 4, 2]);
     }
 
     #[test]
@@ -1693,7 +1437,7 @@ mod tests {
         // The prefix-sum route's prediction is the paper's 2^d = 4.
         let big = &flights[0];
         assert!(big.engine.contains("prefix"), "{big:?}");
-        assert_eq!(big.raw, 4.0);
+        assert_eq!(big.predicted, 4.0);
     }
 
     #[test]
@@ -1702,7 +1446,7 @@ mod tests {
         for k in 0..10 {
             let lo = k * 3;
             let ex = r.explain(&q(&[(lo, lo + 20), (0, 40)])).unwrap();
-            assert!(ex.chosen_candidate().calibrated.is_finite());
+            assert!(ex.chosen_candidate().predicted.is_finite());
             assert!(ex.observed() > 0);
         }
     }
@@ -1820,12 +1564,12 @@ mod tests {
         assert_eq!(h.consecutive_faults, QUARANTINE_THRESHOLD);
         assert_eq!(r.fault_stats().quarantines, 1);
         assert_eq!(r.fault_stats().failovers, threshold as u64);
-        // The quarantine is visible in the candidate table.
-        let cands = r.candidates(&query, EngineOp::Sum);
-        assert_eq!(cands[0].status, EngineStatus::Quarantined);
         // During cooldown the engine is never re-entered (and skipping it
-        // is not a failover — nothing failed).
-        for _ in 0..(QUARANTINE_COOLDOWN_TICKS - 1) {
+        // is not a failover — nothing failed). The quarantine is visible
+        // in the candidate table of the first cooldown query.
+        let ex = r.explain(&query).unwrap();
+        assert_eq!(ex.candidates[0].status, EngineStatus::Quarantined);
+        for _ in 0..(QUARANTINE_COOLDOWN_TICKS - 2) {
             r.range_sum(&query).unwrap();
         }
         assert_eq!(calls.load(Ordering::Relaxed), threshold, "not re-entered");

@@ -637,7 +637,6 @@ where
             op: "range_sum",
             engine: self.label.clone(),
             kind: EngineKind::SemanticCache.to_string(),
-            raw: 1.0,
             predicted: 1.0,
             observed: 1,
             a_cells: 0,

@@ -47,7 +47,7 @@ fn stats_survive_router_dispatch() {
     let outcome = router.range_sum(&q).unwrap();
     assert_eq!(
         outcome.stats, direct_stats,
-        "routing must not perturb the observed stats it calibrates on"
+        "routing must not perturb the observed stats its drift report reads"
     );
 }
 

@@ -2,9 +2,8 @@
 //! query outcomes and route decisions.
 //!
 //! Each [`FlightRecord`] captures one routed query end to end: which
-//! operation, which engine answered, what the cost model predicted (raw
-//! and calibrated), what was observed (total and per access class), and
-//! how long it took. The recorder is the post-hoc debugging view the
+//! operation, which engine answered, what the §8 cost model predicted,
+//! what was observed (total and per access class), and how long it took. The recorder is the post-hoc debugging view the
 //! registry's aggregates can't give — "what were the last 64 decisions
 //! and were any of them mispredicted?" — and tests assert on it
 //! programmatically via [`FlightRecorder::snapshot`].
@@ -29,9 +28,8 @@ pub struct FlightRecord {
     pub engine: String,
     /// The structure that answered (`EngineKind` display form).
     pub kind: String,
-    /// Raw analytic estimate at decision time (paper units).
-    pub raw: f64,
-    /// Calibrated prediction (`raw × EWMA ratio`) the router compared.
+    /// The analytic estimate the router compared at decision time
+    /// (paper units, elements accessed).
     pub predicted: f64,
     /// Observed total accesses (the §8 cost).
     pub observed: u64,
@@ -50,8 +48,8 @@ pub struct FlightRecord {
 }
 
 impl FlightRecord {
-    /// `observed / predicted` — the misprediction factor (1.0 is a
-    /// perfect calibrated prediction). `None` when the prediction was
+    /// `observed / predicted` — the §8 model's misprediction factor (1.0
+    /// is a perfect prediction). `None` when the prediction was
     /// non-positive or non-finite.
     pub fn misprediction(&self) -> Option<f64> {
         (self.predicted.is_finite() && self.predicted > 0.0)
@@ -62,14 +60,13 @@ impl FlightRecord {
         format!(
             "{{\"seq\": {}, \"op\": \"{}\", \"engine\": \"{}\", \"kind\": \"{}\", \
              \"cache\": \"{}\", \
-             \"raw\": {}, \"predicted\": {}, \"observed\": {}, \
+             \"predicted\": {}, \"observed\": {}, \
              \"a_cells\": {}, \"p_cells\": {}, \"tree_nodes\": {}, \"latency_ns\": {}}}",
             self.seq,
             json_escape(self.op),
             json_escape(&self.engine),
             json_escape(&self.kind),
             json_escape(self.cache),
-            json_number(self.raw),
             json_number(self.predicted),
             self.observed,
             self.a_cells,
@@ -229,7 +226,6 @@ mod tests {
             op: "range_sum",
             engine: engine.to_string(),
             kind: "basic prefix sum (§3)".to_string(),
-            raw: 4.0,
             predicted: 4.2,
             observed: 4,
             a_cells: 0,
@@ -270,13 +266,13 @@ mod tests {
         let rec = FlightRecorder::with_capacity(4);
         rec.record(record("naive-scan"));
         rec.record(FlightRecord {
-            raw: f64::INFINITY,
+            predicted: f64::INFINITY,
             ..record("cube-index(blocked b=8)")
         });
         let json = rec.to_json();
         assert!(json.starts_with("[\n"), "{json}");
         assert!(json.contains("\"engine\": \"naive-scan\""), "{json}");
-        assert!(json.contains("\"raw\": null"), "{json}");
+        assert!(json.contains("\"predicted\": null"), "{json}");
         assert!(json.contains("\"observed\": 4"), "{json}");
         assert!(json.contains("\"seq\": 1"), "{json}");
         assert!(json.contains("\"cache\": \"bypass\""), "{json}");

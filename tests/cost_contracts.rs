@@ -8,8 +8,8 @@
 use olap_cube::aggregate::{SumOp, TotalOrder};
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::engine::{
-    AdaptiveRouter, ApproxEngine, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, QueryBudget,
-    RangeEngine, SemanticCache, SumTreeEngine,
+    AdaptiveRouter, ApproxEngine, CubeIndex, EngineOp, IndexConfig, NaiveEngine, PrefixChoice,
+    QueryBudget, RangeEngine, SemanticCache, SumTreeEngine,
 };
 use olap_cube::prefix_sum::batch::{self, CellUpdate};
 use olap_cube::prefix_sum::PrefixSumCube;
@@ -162,6 +162,100 @@ fn armed_budget_that_never_fires_changes_neither_answer_nor_cost() {
             assert_eq!(armed.cost(), plain.cost(), "side {side}");
         }
     }
+}
+
+/// The perf ledger's `[Sum, Sum, Sum, Max]` read stream, 2 048 reads
+/// long: the n-th sum reads the n-th region of `sums`, the n-th max the
+/// n-th of `maxes`, each pool wrapping.
+fn ledger_mix(sums: &[Region], maxes: &[Region]) -> Vec<(EngineOp, RangeQuery)> {
+    let (mut sums, mut maxes) = (sums.iter().cycle(), maxes.iter().cycle());
+    (0..2048)
+        .map(|i| match i % 4 {
+            3 => (EngineOp::Max, maxes.next().unwrap()),
+            _ => (EngineOp::Sum, sums.next().unwrap()),
+        })
+        .map(|(op, r)| (op, RangeQuery::from_region(r)))
+        .collect()
+}
+
+/// Routes `stream` through `router()` and asserts the routed accesses stay
+/// within 1 % of the per-query minimum across its registered engines.
+/// Then replays the stream's sums, which must route as on a fresh router:
+/// what the router answered before never moves a decision.
+fn assert_routes_near_best(
+    router: impl Fn() -> AdaptiveRouter<i64>,
+    stream: &[(EngineOp, RangeQuery)],
+) {
+    let warm = router();
+    let (mut routed, mut best) = (0u64, 0u64);
+    for (op, q) in stream {
+        let run = |e: &dyn RangeEngine<i64>| match op {
+            EngineOp::Max => e.range_max(q),
+            _ => e.range_sum(q),
+        };
+        best += (0..warm.len())
+            .map(|i| run(&*warm.engine(i)).unwrap().cost())
+            .min()
+            .unwrap();
+        routed += match op {
+            EngineOp::Max => warm.range_max(q),
+            _ => warm.range_sum(q),
+        }
+        .unwrap()
+        .cost();
+    }
+    let ratio = routed as f64 / best as f64;
+    assert!(ratio <= 1.01, "routed {routed} = {ratio:.4} × best {best}");
+    let fresh = router();
+    for (_, q) in stream.iter().filter(|(op, _)| *op == EngineOp::Sum) {
+        let (w, f) = (warm.explain(q).unwrap(), fresh.explain(q).unwrap());
+        assert_eq!(w.chosen, f.chosen, "{q:?}");
+    }
+}
+
+/// §8 prices each structure in elements accessed, and the router routes
+/// on that price as written: per query, the routed cost stays within 1 %
+/// of the cheapest registered engine's. The index prices a range-max at
+/// `2^d` though its tree visits far more, so a router that rescaled the
+/// model by what it observed would learn from the maxes to send the
+/// insurance cube's small sums to the scan (4–10 % over the minimum).
+#[test]
+fn routed_insurance_stream_costs_within_a_percent_of_the_best_engine() {
+    // The ledger's `served_rw_4d` stream: one 512-region pool for both.
+    let cube = InsuranceCube::generate(3).revenue;
+    let pool = uniform_regions(cube.shape(), 512, 11);
+    assert_routes_near_best(
+        || {
+            AdaptiveRouter::new()
+                .with_engine(Box::new(
+                    CubeIndex::build(cube.clone(), IndexConfig::default()).unwrap(),
+                ))
+                .with_engine(Box::new(NaiveEngine::new(cube.clone())))
+        },
+        &ledger_mix(&pool, &pool),
+    );
+}
+
+/// The same contract on a blocked (`b = 16`) 2-d stack: the ledger's
+/// `lib_kernel_2d` at half its side, with quarter-side sums and uniform
+/// maxes.
+#[test]
+fn routed_blocked_stream_costs_within_a_percent_of_the_best_engine() {
+    let cube = uniform_cube(Shape::new(&[512, 512]).unwrap(), 1000, 5);
+    let sums = sided_regions(cube.shape(), 128, 1536, 6);
+    let maxes = uniform_regions(cube.shape(), 512, 7);
+    let blocked = IndexConfig {
+        prefix: PrefixChoice::Blocked(16),
+        ..IndexConfig::default()
+    };
+    assert_routes_near_best(
+        || {
+            AdaptiveRouter::new()
+                .with_engine(Box::new(CubeIndex::build(cube.clone(), blocked).unwrap()))
+                .with_engine(Box::new(NaiveEngine::new(cube.clone())))
+        },
+        &ledger_mix(&sums, &maxes),
+    );
 }
 
 /// The cubes and batches of the two update-side contracts: d = 1..4,
