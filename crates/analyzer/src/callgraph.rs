@@ -21,6 +21,12 @@
 //!   over-approximation [`crate::reachability`] uses, which can only add
 //!   edges, never hide a real one.
 //!
+//! Every resolution then drops the candidates that take more arguments
+//! than the site can pass: `lock.read()` passes none, so it never
+//! reaches a `read(&self, region, op, meter)`. The site's count is an
+//! upper bound (a closure's `|a, b|` or a trailing comma only raise it),
+//! so the filter cannot drop a real target either.
+//!
 //! Free-function calls resolve by name. Test fns contribute no nodes.
 
 use crate::lexer::{TokKind, Token};
@@ -45,6 +51,10 @@ pub struct FnNode {
     /// Trait implemented by the enclosing impl, if it is a trait impl
     /// (or the trait's own name for default methods in `trait … { }`).
     pub trait_name: Option<String>,
+    /// Parameters other than the `self` receiver.
+    pub params: usize,
+    /// Whether the first parameter is a `self` receiver.
+    pub has_self: bool,
 }
 
 /// One syntactic call site inside a function body.
@@ -61,6 +71,8 @@ pub struct CallSite {
     /// Whether this is a method call (`….m(…)`) — true even when the
     /// receiver is a chained expression with no ident to record.
     pub dotted: bool,
+    /// An upper bound on the arguments passed (receiver excluded).
+    pub args: usize,
     /// Token index of the callee ident.
     pub tok: usize,
     /// 1-based position of the callee ident.
@@ -123,12 +135,15 @@ impl CallGraph {
                     .as_deref()
                     .map(parse_impl_header)
                     .unwrap_or((None, None));
+                let (params, has_self) = signature_params(&file.lexed.tokens, f.sig);
                 nodes.push(FnNode {
                     file: fi,
                     fn_id: gi,
                     name: f.name.clone(),
                     self_type,
                     trait_name,
+                    params,
+                    has_self,
                 });
             }
         }
@@ -188,7 +203,13 @@ impl CallGraph {
             let mut node_sites = Vec::new();
             let mut node_edges = BTreeSet::new();
             for site in call_sites(toks, a, b) {
-                let (targets, narrowed) = resolve(&site, node, &locals, &local_names, &index);
+                let (mut targets, narrowed) = resolve(&site, node, &locals, &local_names, &index);
+                // A fn needing more arguments than the site passes is not
+                // its target; `Type::m(recv, …)` passes the receiver too.
+                targets.retain(|&t| {
+                    let callee = &nodes[t];
+                    callee.params + usize::from(callee.has_self && !site.dotted) <= site.args
+                });
                 for &t in &targets {
                     node_edges.insert(t);
                 }
@@ -494,19 +515,16 @@ pub fn call_sites(toks: &[Token], a: usize, b: usize) -> Vec<CallSite> {
         if t.kind != TokKind::Ident || is_expr_keyword(&t.text) {
             continue;
         }
-        let called = match toks.get(i + 1) {
-            Some(n) if n.is_punct("(") => true,
-            Some(n) if n.is_punct("::") => {
-                // Turbofish `name::<T>(` only; `Type::name` is handled
-                // when the cursor reaches `name` itself.
-                toks.get(i + 2).is_some_and(|t| t.is_punct("<"))
-                    && toks
-                        .get(skip_angles(toks, i + 2))
-                        .is_some_and(|t| t.is_punct("("))
+        let open = match toks.get(i + 1) {
+            Some(n) if n.is_punct("(") => i + 1,
+            // Turbofish `name::<T>(` only; `Type::name` is handled when
+            // the cursor reaches `name` itself.
+            Some(n) if n.is_punct("::") && toks.get(i + 2).is_some_and(|t| t.is_punct("<")) => {
+                skip_angles(toks, i + 2)
             }
-            _ => false,
+            _ => continue,
         };
-        if !called {
+        if !toks.get(open).is_some_and(|t| t.is_punct("(")) {
             continue;
         }
         let mut receiver = None;
@@ -531,12 +549,77 @@ pub fn call_sites(toks: &[Token], a: usize, b: usize) -> Vec<CallSite> {
             receiver,
             qualifier,
             dotted,
+            args: count_args(toks, open),
             tok: i,
             line: t.line,
             col: t.col,
         });
     }
     out
+}
+
+/// An upper bound on the comma-separated items of the list opening at
+/// `toks[open]`: 0 for `()`, else one more than its depth-0 commas. Angle
+/// brackets are not tracked, so a turbofish's commas only raise it.
+fn count_args(toks: &[Token], open: usize) -> usize {
+    if toks.get(open + 1).is_some_and(|t| t.is_punct(")")) {
+        return 0;
+    }
+    let mut depth = 0i32;
+    let mut commas = 0usize;
+    for t in toks.iter().skip(open + 1) {
+        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
+            depth += 1;
+        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
+            if depth == 0 {
+                break;
+            }
+            depth -= 1;
+        } else if depth == 0 && t.is_punct(",") {
+            commas += 1;
+        }
+    }
+    commas + 1
+}
+
+/// `(parameters other than self, has a self receiver)` of the signature
+/// in token range `sig` (`fn name<…>(…) -> …`).
+fn signature_params(toks: &[Token], sig: (usize, usize)) -> (usize, bool) {
+    let end = sig.1.min(toks.len());
+    let mut i = sig.0 + 2; // past `fn name`
+    if toks.get(i).is_some_and(|t| t.is_punct("<")) {
+        i = skip_angles(toks, i);
+    }
+    if i >= end || !toks[i].is_punct("(") {
+        return (0, false);
+    }
+    let mut depth = 0i32;
+    let mut params = 0usize;
+    let mut has_self = false;
+    let mut in_param = false;
+    for t in &toks[i + 1..end] {
+        if t.is_punct("(") || t.is_punct("[") || t.is_punct("<") {
+            depth += 1;
+        } else if t.is_punct(">>") {
+            depth -= 2;
+        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct(">") {
+            if depth == 0 {
+                break;
+            }
+            depth -= 1;
+        } else if depth == 0 && t.is_punct(",") {
+            in_param = false;
+            continue;
+        }
+        if !in_param {
+            in_param = true;
+            params += 1;
+        }
+        if params == 1 && depth == 0 && t.is_ident("self") {
+            has_self = true;
+        }
+    }
+    (params - usize::from(has_self), has_self)
 }
 
 /// Local name → candidate type names, from parameters (`x: Type`) and
@@ -843,6 +926,24 @@ mod tests {
         assert_eq!(g.callees(node_by_label(&g, "with_let")), &[meter, new_fn]);
         let with_field = node_by_label(&g, "Shard::with_field");
         assert_eq!(g.callees(with_field), &[meter]);
+    }
+
+    #[test]
+    fn calls_never_reach_fns_that_need_more_arguments() {
+        // `engines.read()` on a lock passes nothing, so it is not a call
+        // to the engine's `read(&self, region, op)`, though the field
+        // types name both; `Vec::new()` is not `Cube::new(shape, pts)`.
+        let (_, g) = graph(&[(
+            "crates/engine/src/a.rs",
+            "pub struct Router { engines: RwLock<Vec<Engine>> }\n\
+             impl Engine {\n  fn read(&self, region: &Region, op: Op) {}\n}\n\
+             impl Cube {\n  fn new(shape: Shape, pts: Vec<u8>) -> Cube { Cube }\n}\n\
+             impl Router {\n  fn load(&self) { let v = Vec::new(); self.engines.read(); }\n  \
+             fn dispatch(&self, e: &Engine) { e.read(&r, Op::Sum); Engine::read(e, &r, op); }\n}\n",
+        )]);
+        assert!(g.callees(node_by_label(&g, "Router::load")).is_empty());
+        let read = node_by_label(&g, "Engine::read");
+        assert_eq!(g.callees(node_by_label(&g, "Router::dispatch")), &[read]);
     }
 
     #[test]

@@ -27,10 +27,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// The trait's method names; used both for root detection and to fold in
 /// same-named inherent entry points.
 pub const ENGINE_METHODS: &[&str] = &[
+    "read",
+    "cost",
     "range_sum",
     "range_max",
     "range_min",
-    "range_sum_budgeted",
     "apply_updates",
     "estimate",
     "capabilities",

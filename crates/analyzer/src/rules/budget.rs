@@ -9,8 +9,9 @@
 //! for that path.
 //!
 //! The rule walks the [call graph](crate::callgraph) forward from the
-//! query entry points (the `range_sum*` fns), and for each reachable
-//! function asks the [CFG](crate::cfg) for its loops. A loop is
+//! query entry points (every engine's one `read`, and the `range_sum*`
+//! entries and kernels), and for each reachable function asks the
+//! [CFG](crate::cfg) for its loops. A loop is
 //! **covered** when its body
 //!
 //! * charges or checks a meter directly (`meter.charge(…)`,
@@ -48,11 +49,17 @@ fn is_charge_site(g: &CallGraph, s: &crate::callgraph::ResolvedSite) -> bool {
         .is_some_and(|r| r.contains("meter") || r.contains("budget"))
 }
 
+/// Whether a fn named `name` is a query entry point: `read` (the one
+/// metered read of every engine) or a `range_sum*` entry or kernel.
+fn is_root(name: &str) -> bool {
+    name == "read" || name.starts_with("range_sum")
+}
+
 /// Runs the rule over the model.
 pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
-    // Roots: the `range_sum`-family entry points.
+    // Roots: the engines' one read and the `range_sum`-family entries.
     let roots: Vec<usize> = (0..g.nodes.len())
-        .filter(|&n| g.nodes[n].name.starts_with("range_sum"))
+        .filter(|&n| is_root(&g.nodes[n].name))
         .collect();
     if roots.is_empty() {
         return Vec::new();
@@ -90,7 +97,7 @@ pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
                     lp.col,
                     format!(
                         "un-budgeted `{}` loop in `{}` (reachable from the \
-                         range_sum entry points): the body never calls \
+                         read and range_sum entry points): the body never calls \
                          `BudgetMeter::charge`/`check`, directly or transitively, \
                          so deadlines and access caps cannot interrupt it",
                         lp.kind,
@@ -134,6 +141,17 @@ mod tests {
              for j in 0..n { step(meter); }\n  }\n}\n\
              fn step(meter: &BudgetMeter) { meter.charge(1); }\n");
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn an_engine_read_is_a_root_and_a_lock_read_is_not_a_call_into_it() {
+        // `read` is a query entry point; the zero-argument `lock.read()`
+        // cannot resolve to it, so `stats` stays off the query path.
+        let f = run("impl RangeEngine for Engine {\n  fn read(&self, region: &Region, op: Op, meter: &BudgetMeter) {\n    \
+             for i in 0..n { acc += v(i); }\n  }\n}\n\
+             fn stats(lock: &RwLock) { let g = lock.read(); for i in 0..n { acc += g(i); } }\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("Engine::read"), "{f:?}");
     }
 
     #[test]

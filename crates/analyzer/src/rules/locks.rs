@@ -19,9 +19,9 @@
 //!   every entry point of the snapshot swap path enters the cell's
 //!   internal `writer`/`current` locks, so a call through the cell is an
 //!   acquisition of the cell's own identity; or `name.range_sum(` /
-//!   `name.apply_updates(` / `name.clear(` / `name.stats(` /
-//!   `name.len(` on a `SemanticCache` identity, whose entry points
-//!   enter the cache's `update_lock`/`inner` mutexes;
+//!   `name.read(` / `name.apply_updates(` / `name.clear(` /
+//!   `name.stats(` / `name.len(` on a `SemanticCache` identity, whose
+//!   entry points enter the cache's `update_lock`/`inner` mutexes;
 //! - a guard bound with `let` is held to the end of its enclosing block,
 //!   a temporary to the end of its statement;
 //! - acquiring `b` while `a` is held adds the edge `a → b`.
@@ -195,7 +195,12 @@ fn acquisitions(toks: &[Token], a: usize, b: usize, locks: &[(String, LockKind)]
                             LockKind::Cache => {
                                 matches!(
                                     m.text.as_str(),
-                                    "range_sum" | "apply_updates" | "clear" | "stats" | "len"
+                                    "range_sum"
+                                        | "read"
+                                        | "apply_updates"
+                                        | "clear"
+                                        | "stats"
+                                        | "len"
                                 )
                             }
                             LockKind::Sink => {
@@ -398,6 +403,18 @@ mod tests {
         let src = "struct S { m: Mutex<u8>, cache: Arc<SemanticCache<i64, R>> }\n\
                    fn f(s: &S) {\n  let g = s.m.lock();\n  s.cache.apply_updates(&[]);\n}\n\
                    fn g(s: &S) {\n  let v = s.cache.range_sum(&q);\n  s.m.lock().unwrap();\n}\n";
+        let f = check(&Model::from_sources(&[("crates/x/src/c.rs", src)]));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("cache"), "{f:?}");
+    }
+
+    #[test]
+    fn a_region_read_through_the_cache_is_an_acquisition() {
+        // A server shard reads a resolved region through the cache: that
+        // lookup holds the cache's locks like `range_sum` does.
+        let src = "struct S { m: Mutex<u8>, cache: Arc<SemanticCache<i64, R>> }\n\
+                   fn f(s: &S) {\n  let g = s.m.lock();\n  s.cache.apply_updates(&[]);\n}\n\
+                   fn g(s: &S) {\n  let v = s.cache.read(&region, op);\n  s.m.lock().unwrap();\n}\n";
         let f = check(&Model::from_sources(&[("crates/x/src/c.rs", src)]));
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("cache"), "{f:?}");

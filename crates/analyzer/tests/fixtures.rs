@@ -156,6 +156,21 @@ fn budget_coverage_positive_flags_direct_and_transitive_loops() {
 }
 
 #[test]
+fn budget_coverage_positive_flags_loops_under_an_engine_read() {
+    let r = run(
+        "crates/engine/src/fx.rs",
+        include_str!("fixtures/budget_coverage_read_positive.rs"),
+    );
+    let f = active(&r, "budget-coverage");
+    // The `for` in `read` and the `while` in the helper it reaches; the
+    // loop behind the lock's `read()` is off the query path.
+    assert_eq!(f.len(), 2, "{f:#?}");
+    assert!(f.iter().all(|f| f.message.contains("un-budgeted")));
+    assert!(f.iter().any(|f| f.message.contains("Scan::read")), "{f:#?}");
+    assert!(f.iter().all(|f| !f.message.contains("report")), "{f:#?}");
+}
+
+#[test]
 fn budget_coverage_allowed_findings_are_recorded_but_inactive() {
     let r = run(
         "crates/engine/src/fx.rs",

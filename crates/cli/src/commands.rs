@@ -279,7 +279,6 @@ pub(crate) fn prefix_engine(
         prefix,
         max_tree_fanout: None,
         min_tree_fanout: None,
-        ..olap_engine::IndexConfig::default()
     };
     olap_engine::CubeIndex::build(a.clone(), config).map_err(|e| CliError::Query(e.to_string()))
 }
@@ -344,11 +343,10 @@ fn cmd_estimate(args: &[String]) -> Result<String, CliError> {
     }
     let a = storage::read_dense_i64(&mut open_reader(cube_path)?)?;
     let region = parse_query(query, a.shape().dims())?;
-    let q = olap_query::RangeQuery::from_region(&region);
     let engine = ApproxEngine::build(a, block).map_err(|e| CliError::Query(e.to_string()))?;
     let (est, stats) = match op {
-        EngineOp::Sum => engine.estimate_sum(&q),
-        _ => engine.estimate_extremum(&q, op),
+        EngineOp::Sum => engine.estimate_sum(&region),
+        _ => engine.estimate_extremum(&region, op),
     }
     .map_err(|e| CliError::Query(e.to_string()))?;
     let op_word = match op {

@@ -40,7 +40,7 @@ use crate::EngineError;
 use olap_aggregate::NumericValue;
 use olap_array::{DenseArray, Region, Shape};
 use olap_prefix_sum::BlockedPrefixCube;
-use olap_query::{AccessStats, Estimate, RangeQuery};
+use olap_query::{AccessStats, Estimate};
 use std::sync::Arc;
 
 /// Values the anchor-only estimator can interpolate: group arithmetic
@@ -103,26 +103,26 @@ pub trait DegradeTier<V>: Send + Sync {
     /// Whether the tier can estimate answers for `op`.
     fn supports(&self, op: EngineOp) -> bool;
 
-    /// Honest predicted cost of estimating `query`, in the paper's
+    /// Honest predicted cost of estimating over `region`, in the paper's
     /// element-access unit — anchors and cached extrema only, so this is
     /// the cheapest tier's model, not a lie.
-    fn estimate_cost(&self, query: &RangeQuery) -> f64;
+    fn estimate_cost(&self, region: &Region) -> f64;
 
     /// The interval half-width of `est` relative to its point value —
     /// the quantity the `olap_approx_relative_bound` histogram observes
     /// (in per-mille).
     fn relative_bound(&self, est: &Estimate<V>) -> f64;
 
-    /// Answers `query` approximately with a guaranteed enclosing
-    /// interval.
+    /// Answers `op` over `region` approximately with a guaranteed
+    /// enclosing interval.
     ///
     /// # Errors
-    /// Query validation, or [`EngineError::Unsupported`] for an
+    /// Region validation, or [`EngineError::Unsupported`] for an
     /// unsupported `op`. Never a budget interrupt: the whole point of
     /// this tier is that it answers when budgets cannot.
     fn degraded(
         &self,
-        query: &RangeQuery,
+        region: &Region,
         op: EngineOp,
     ) -> Result<(Estimate<V>, AccessStats), EngineError>;
 
@@ -183,18 +183,15 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
     /// min/max-tightened bounds on boundary superblocks.
     ///
     /// # Errors
-    /// Query validation against the engine's shape.
-    pub fn estimate_sum(
-        &self,
-        query: &RangeQuery,
-    ) -> Result<(Estimate<V>, AccessStats), EngineError> {
-        let region = query.to_region(self.a.shape())?;
+    /// Region validation against the engine's shape.
+    pub fn estimate_sum(&self, region: &Region) -> Result<(Estimate<V>, AccessStats), EngineError> {
+        self.a.shape().check_region(region)?;
         let mut stats = AccessStats::new();
         let mut value = V::zero();
         let mut lower = V::zero();
         let mut upper = V::zero();
         let mut exact_cells: u64 = 0;
-        for part in self.anchors.decompose(&region)? {
+        for part in self.anchors.decompose(region)? {
             let vol = part.region.volume() as u64;
             if part.internal || part.region == part.superblock {
                 // Aligned: Theorem 1 over the blocked P, exact from 2^d
@@ -226,10 +223,10 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
     /// as is the one probed corner cell). Symmetric for `min`.
     ///
     /// # Errors
-    /// Query validation against the engine's shape.
+    /// Region validation against the engine's shape.
     pub fn estimate_extremum(
         &self,
-        query: &RangeQuery,
+        region: &Region,
         op: EngineOp,
     ) -> Result<(Estimate<V>, AccessStats), EngineError> {
         let is_max = match op {
@@ -237,10 +234,10 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
             EngineOp::Min => false,
             _ => return Err(EngineError::unsupported(self.label_text(), op.name())),
         };
-        let region = query.to_region(self.a.shape())?;
+        self.a.shape().check_region(region)?;
         let mut stats = AccessStats::new();
-        let cover = self.cover_blocks(&region)?;
-        let interior = self.interior_blocks(&region)?;
+        let cover = self.cover_blocks(region)?;
+        let interior = self.interior_blocks(region)?;
         // The loose side: no cell in any covering block exceeds its
         // cached block max (resp. falls below its block min).
         let grid = if is_max { &self.maxs } else { &self.mins };
@@ -264,7 +261,7 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
             });
             stats.read_p(int.volume() as u64);
             attained = tight;
-            exact_cells = self.interior_cell_count(&region);
+            exact_cells = self.interior_cell_count(region);
         }
         let loose = loose.unwrap_or(attained);
         let (lower, upper) = if is_max {
@@ -395,12 +392,9 @@ impl<V: ApproxValue + 'static> DegradeTier<V> for ApproxEngine<V> {
         est.error_bound.to_f64() / est.value.to_f64().abs().max(1.0)
     }
 
-    fn estimate_cost(&self, query: &RangeQuery) -> f64 {
-        let Ok(region) = query.to_region(self.a.shape()) else {
-            return f64::INFINITY;
-        };
+    fn estimate_cost(&self, region: &Region) -> f64 {
         let corner = (1u64 << region.ndim().min(63)) as f64;
-        match self.anchors.decompose(&region) {
+        match self.anchors.decompose(region) {
             Ok(parts) => parts
                 .iter()
                 .map(|p| {
@@ -422,12 +416,12 @@ impl<V: ApproxValue + 'static> DegradeTier<V> for ApproxEngine<V> {
 
     fn degraded(
         &self,
-        query: &RangeQuery,
+        region: &Region,
         op: EngineOp,
     ) -> Result<(Estimate<V>, AccessStats), EngineError> {
         match op {
-            EngineOp::Sum => self.estimate_sum(query),
-            EngineOp::Max | EngineOp::Min => self.estimate_extremum(query, op),
+            EngineOp::Sum => self.estimate_sum(region),
+            EngineOp::Max | EngineOp::Min => self.estimate_extremum(region, op),
             EngineOp::Update => Err(EngineError::unsupported(self.label_text(), op.name())),
         }
     }
@@ -451,8 +445,8 @@ mod tests {
         })
     }
 
-    fn q(bounds: &[(usize, usize)]) -> RangeQuery {
-        RangeQuery::from_region(&Region::from_bounds(bounds).unwrap())
+    fn q(bounds: &[(usize, usize)]) -> Region {
+        Region::from_bounds(bounds).unwrap()
     }
 
     fn oracle_sum(a: &DenseArray<i64>, bounds: &[(usize, usize)]) -> i64 {

@@ -6,12 +6,14 @@
 //! whole stack can share; the sparse engines are self-contained) so the
 //! whole backend travels as one `Box<dyn RangeEngine<V>>`.
 
-use crate::range_engine::{derive_shared, BatchImage, Capabilities, Derived, RangeEngine};
+use crate::range_engine::{
+    derive_shared, metered_read, BatchImage, Capabilities, Derived, EngineOp, RangeEngine,
+};
 use crate::EngineError;
 use olap_aggregate::{NaturalOrder, NumericValue, ReverseOrder, SumOp, TotalOrder};
-use olap_array::{DenseArray, Region, Shape};
+use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_planner::cost;
-use olap_query::{AccessStats, EngineKind, QueryOutcome, QueryStats, RangeQuery};
+use olap_query::{AccessStats, EngineKind, QueryOutcome, QueryStats};
 use olap_sparse::{SparseCube, SparseRangeMax, SparseRangeSum};
 use olap_tree_sum::SumTreeCube;
 use std::sync::Arc;
@@ -61,48 +63,37 @@ where
         Capabilities::full()
     }
 
-    fn estimate(&self, query: &RangeQuery) -> f64 {
-        match query.to_region(self.a.shape()) {
-            Ok(region) => region.volume() as f64,
-            Err(_) => f64::INFINITY,
-        }
+    fn cost(&self, region: &Region) -> f64 {
+        region.volume() as f64
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
+    fn read(
+        &self,
+        region: &Region,
+        op: EngineOp,
+        meter: &BudgetMeter,
+    ) -> Result<QueryOutcome<T>, EngineError> {
+        metered_read(
             || self.label(),
-            "range_sum",
-            || {
-                let region = query.to_region(self.a.shape())?;
-                let (v, stats) =
-                    crate::naive::range_aggregate(&self.a, &SumOp::<T>::new(), &region)?;
-                Ok(QueryOutcome::aggregate(v, stats, EngineKind::NaiveScan))
-            },
-        )
-    }
-
-    fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
-            || self.label(),
-            "range_max",
-            || {
-                let region = query.to_region(self.a.shape())?;
-                let (at, v, stats) =
-                    crate::naive::range_max(&self.a, &NaturalOrder::<T>::new(), &region)?;
-                Ok(QueryOutcome::extremum(at, v, stats, EngineKind::NaiveScan))
-            },
-        )
-    }
-
-    fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
-            || self.label(),
-            "range_min",
-            || {
-                let region = query.to_region(self.a.shape())?;
-                let order = ReverseOrder::new(NaturalOrder::<T>::new());
-                let (at, v, stats) = crate::naive::range_max(&self.a, &order, &region)?;
-                Ok(QueryOutcome::extremum(at, v, stats, EngineKind::NaiveScan))
+            op,
+            meter,
+            || match op {
+                EngineOp::Sum => {
+                    let sum = SumOp::<T>::new();
+                    let (v, stats) = crate::naive::range_aggregate(&self.a, &sum, region)?;
+                    Ok(QueryOutcome::aggregate(v, stats, EngineKind::NaiveScan))
+                }
+                EngineOp::Max => {
+                    let order = NaturalOrder::<T>::new();
+                    let (at, v, stats) = crate::naive::range_max(&self.a, &order, region)?;
+                    Ok(QueryOutcome::extremum(at, v, stats, EngineKind::NaiveScan))
+                }
+                EngineOp::Min => {
+                    let order = ReverseOrder::new(NaturalOrder::<T>::new());
+                    let (at, v, stats) = crate::naive::range_max(&self.a, &order, region)?;
+                    Ok(QueryOutcome::extremum(at, v, stats, EngineKind::NaiveScan))
+                }
+                EngineOp::Update => Err(EngineError::unsupported(self.label(), op.name())),
             },
         )
     }
@@ -182,11 +173,8 @@ where
         }
     }
 
-    fn estimate(&self, query: &RangeQuery) -> f64 {
-        let Ok(region) = query.to_region(self.a.shape()) else {
-            return f64::INFINITY;
-        };
-        let qs = QueryStats::of_region(&region);
+    fn cost(&self, region: &Region) -> f64 {
+        let qs = QueryStats::of_region(region);
         cost::tree_cost(
             region.ndim(),
             qs.surface,
@@ -195,13 +183,21 @@ where
         )
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
+    fn read(
+        &self,
+        region: &Region,
+        op: EngineOp,
+        meter: &BudgetMeter,
+    ) -> Result<QueryOutcome<T>, EngineError> {
+        metered_read(
             || self.label(),
-            "range_sum",
+            op,
+            meter,
             || {
-                let region = query.to_region(self.a.shape())?;
-                let (v, stats) = self.tree.range_sum_with_stats(&self.a, &region, true)?;
+                if op != EngineOp::Sum {
+                    return Err(EngineError::unsupported(self.label(), op.name()));
+                }
+                let (v, stats) = self.tree.range_sum_with_stats(&self.a, region, true)?;
                 Ok(QueryOutcome::aggregate(v, stats, EngineKind::TreeSum))
             },
         )
@@ -295,27 +291,32 @@ impl<T: NumericValue + Send + Sync + 'static> RangeEngine<T> for SparseSumEngine
         }
     }
 
-    fn estimate(&self, query: &RangeQuery) -> f64 {
+    fn cost(&self, region: &Region) -> f64 {
         // §10.2 proxy: each intersecting dense region answers with a
         // 2^d-corner prefix lookup; outliers contribute individually in
         // proportion to the queried share of the cube. Crude: the router
         // compares it as is, and reports its drift from observed accesses.
         let shape = self.inner.shape();
-        let Ok(region) = query.to_region(shape) else {
-            return f64::INFINITY;
-        };
-        let d = shape.ndim();
         let frac = region.volume() as f64 / shape.len().max(1) as f64;
-        self.inner.region_count() as f64 * cost::pow2(d) + self.inner.outlier_count() as f64 * frac
+        self.inner.region_count() as f64 * cost::pow2(shape.ndim())
+            + self.inner.outlier_count() as f64 * frac
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
+    fn read(
+        &self,
+        region: &Region,
+        op: EngineOp,
+        meter: &BudgetMeter,
+    ) -> Result<QueryOutcome<T>, EngineError> {
+        metered_read(
             || self.label(),
-            "range_sum",
+            op,
+            meter,
             || {
-                let region = query.to_region(self.inner.shape())?;
-                let (v, stats) = self.inner.range_sum_with_stats(&region)?;
+                if op != EngineOp::Sum {
+                    return Err(EngineError::unsupported(self.label(), op.name()));
+                }
+                let (v, stats) = self.inner.range_sum_with_stats(region)?;
                 Ok(QueryOutcome::aggregate(v, stats, EngineKind::SparseSum))
             },
         )
@@ -386,36 +387,35 @@ where
         }
     }
 
-    fn estimate(&self, query: &RangeQuery) -> f64 {
+    fn cost(&self, region: &Region) -> f64 {
         // R-tree proxy: a root-to-leaf descent of the fanout-8 tree plus
         // the expected points inside the query. Crude: the router
         // compares it as is, and reports its drift from observed accesses.
-        let shape = self.inner.shape();
-        let Ok(region) = query.to_region(shape) else {
-            return f64::INFINITY;
-        };
         let mut depth = 1usize;
         let mut cover = 8usize;
         while cover < self.points.max(1) {
             cover = cover.saturating_mul(8);
             depth += 1;
         }
-        let density = self.points as f64 / shape.len().max(1) as f64;
+        let density = self.points as f64 / self.inner.shape().len().max(1) as f64;
         8.0 * depth as f64 + region.volume() as f64 * density
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        let _ = query;
-        Err(EngineError::unsupported(self.label(), "range_sum"))
-    }
-
-    fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
+    fn read(
+        &self,
+        region: &Region,
+        op: EngineOp,
+        meter: &BudgetMeter,
+    ) -> Result<QueryOutcome<T>, EngineError> {
+        metered_read(
             || self.label(),
-            "range_max",
+            op,
+            meter,
             || {
-                let region = query.to_region(self.inner.shape())?;
-                let (result, stats) = self.inner.range_max_with_stats(&region)?;
+                if op != EngineOp::Max {
+                    return Err(EngineError::unsupported(self.label(), op.name()));
+                }
+                let (result, stats) = self.inner.range_max_with_stats(region)?;
                 Ok(match result {
                     Some((at, v)) => QueryOutcome::extremum(at, v, stats, EngineKind::SparseMax),
                     None => QueryOutcome::empty(stats, EngineKind::SparseMax),
@@ -429,7 +429,7 @@ where
 mod tests {
     use super::*;
     use olap_array::Shape;
-    use olap_query::Answer;
+    use olap_query::{Answer, RangeQuery};
 
     fn cube() -> DenseArray<i64> {
         DenseArray::from_fn(Shape::new(&[9, 7]).unwrap(), |i| {

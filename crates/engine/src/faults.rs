@@ -10,7 +10,7 @@
 //! - **typed errors** ([`EngineError::Backend`]) → router failover,
 //! - **panics** → `catch_unwind` containment and engine poisoning,
 //! - **latency** → deadline enforcement through the [`BudgetMeter`],
-//! - **cost-model lies** (`estimate() == 0`) → the liar is always ranked
+//! - **cost-model lies** (`cost() == 0`) → the liar is always ranked
 //!   first, so every one of its faults exercises a failover.
 //!
 //! Updates are deliberately **never** injected: replicas must stay
@@ -18,9 +18,9 @@
 //! cubes rather than different failure handling.
 
 use crate::range_engine::{BatchImage, Derived};
-use crate::{Capabilities, EngineError, RangeEngine};
-use olap_array::{BudgetMeter, DenseArray, Shape};
-use olap_query::{QueryOutcome, RangeQuery};
+use crate::{Capabilities, EngineError, EngineOp, RangeEngine};
+use olap_array::{BudgetMeter, DenseArray, Region, Shape};
+use olap_query::QueryOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,7 +50,7 @@ pub struct FaultPlan {
     /// Force exactly this query call (0-based) to panic, independent of
     /// the random bands.
     pub panic_call: Option<u64>,
-    /// Report `estimate() == 0.0` so the router always ranks this engine
+    /// Report `cost() == 0.0` so the router always ranks this engine
     /// first and every injected fault exercises a failover.
     pub lie_cheapest: bool,
 }
@@ -170,9 +170,9 @@ impl<V: 'static> FaultyEngine<V> {
         )
     }
 
-    /// Decides the fate of one query call: counts it, then panics, errors,
+    /// Decides the fate of one read: counts it, then panics, errors,
     /// sleeps, or passes through per the plan's deterministic schedule.
-    fn inject(&self, op: &str) -> Result<(), EngineError> {
+    fn inject(&self, op: EngineOp) -> Result<(), EngineError> {
         // ordering: Relaxed — the RMW already makes each call see a
         // unique n (the only property the deterministic schedule needs);
         // callers never publish data through this counter.
@@ -221,38 +221,24 @@ impl<V: 'static> RangeEngine<V> for FaultyEngine<V> {
         self.inner.capabilities()
     }
 
-    fn estimate(&self, query: &RangeQuery) -> f64 {
+    fn cost(&self, region: &Region) -> f64 {
         if self.plan.lie_cheapest {
             0.0
         } else {
-            self.inner.estimate(query)
+            self.inner.cost(region)
         }
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.inject("range_sum")?;
-        self.inner.range_sum(query)
-    }
-
-    fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.inject("range_max")?;
-        self.inner.range_max(query)
-    }
-
-    fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.inject("range_min")?;
-        self.inner.range_min(query)
-    }
-
-    fn range_sum_budgeted(
+    /// Every sum, max and min reaches the engine as this one read, so
+    /// each counts exactly one call of the fault schedule.
+    fn read(
         &self,
-        query: &RangeQuery,
+        region: &Region,
+        op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<V>, EngineError> {
-        // Inject here rather than via the default method (which would call
-        // our own `range_sum` and count the call twice).
-        self.inject("range_sum")?;
-        self.inner.range_sum_budgeted(query, meter)
+        self.inject(op)?;
+        self.inner.read(region, op, meter)
     }
 
     fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<Derived<V>, EngineError> {
@@ -284,7 +270,8 @@ impl<V> std::fmt::Debug for FaultyEngine<V> {
 mod tests {
     use super::*;
     use crate::NaiveEngine;
-    use olap_array::{DenseArray, Region};
+    use olap_array::DenseArray;
+    use olap_query::RangeQuery;
 
     fn cube() -> DenseArray<i64> {
         DenseArray::from_fn(Shape::new(&[4, 4]).unwrap(), |i| (i[0] * 4 + i[1]) as i64)
@@ -338,17 +325,45 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_path_counts_one_call_and_injects() {
-        let e = FaultyEngine::new(
-            Box::new(NaiveEngine::new(cube())),
-            FaultPlan::seeded(5).fail_call(0),
-        );
-        let meter = BudgetMeter::unlimited();
-        assert!(e.range_sum_budgeted(&query(), &meter).is_err());
-        assert_eq!(e.calls(), 1);
-        let out = e.range_sum_budgeted(&query(), &meter).unwrap();
-        assert_eq!(e.calls(), 2);
-        let direct = NaiveEngine::new(cube()).range_sum(&query()).unwrap();
-        assert_eq!(out.answer, direct.answer);
+    fn every_read_counts_one_call() {
+        let e = FaultyEngine::new(Box::new(NaiveEngine::new(cube())), FaultPlan::benign());
+        e.range_sum(&query()).unwrap();
+        e.range_max(&query()).unwrap();
+        e.range_min(&query()).unwrap();
+        assert_eq!(e.calls(), 3);
+        let region = query().to_region(e.shape()).unwrap();
+        e.read(&region, EngineOp::Sum, &BudgetMeter::unlimited())
+            .unwrap();
+        assert_eq!(e.calls(), 4);
+    }
+
+    #[test]
+    fn fail_call_hits_the_nth_routed_read_of_a_mixed_stream() {
+        // The liar is ranked first, so every routed read reaches it once:
+        // the read `fail_call(n)` names is the one that fails over to the
+        // clean engine, whatever mix of ops came before it.
+        let stream = [
+            EngineOp::Sum,
+            EngineOp::Max,
+            EngineOp::Min,
+            EngineOp::Sum,
+            EngineOp::Min,
+            EngineOp::Max,
+        ];
+        for n in 0..stream.len() {
+            let plan = FaultPlan::seeded(9).fail_call(n as u64).lie_cheapest();
+            let r = crate::AdaptiveRouter::new()
+                .with_engine(Box::new(FaultyEngine::new(
+                    Box::new(NaiveEngine::new(cube())),
+                    plan,
+                )))
+                .with_engine(Box::new(NaiveEngine::new(cube())));
+            for (k, &op) in stream.iter().enumerate() {
+                let before = r.fault_stats().failovers;
+                r.answer(&query(), op).unwrap();
+                let failed_over = r.fault_stats().failovers > before;
+                assert_eq!(failed_over, k == n, "read {k} ({op}) under fail_call({n})");
+            }
+        }
     }
 }

@@ -2,12 +2,14 @@
 //! one query interface.
 
 use crate::error::EngineError;
-use crate::range_engine::{derive_shared, BatchImage, Capabilities, Derived, RangeEngine};
+use crate::range_engine::{
+    derive_shared, metered_read, BatchImage, Capabilities, Derived, EngineOp, RangeEngine,
+};
 use olap_aggregate::ReverseOrder;
 use olap_aggregate::{NaturalOrder, NumericValue, TotalOrder};
-use olap_array::{BudgetMeter, DenseArray, QueryBudget, Region, Shape};
+use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_prefix_sum::{batch, BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
-use olap_query::{AccessStats, EngineKind, QueryOutcome, RangeQuery};
+use olap_query::{AccessStats, EngineKind, QueryOutcome};
 use olap_range_max::{MaxTree, NaturalMaxTree, PointUpdate};
 use std::sync::Arc;
 
@@ -31,12 +33,6 @@ pub struct IndexConfig {
     /// Per-dimension fanout of a range-min tree (the §6 structure under
     /// the reversed order), if wanted.
     pub min_tree_fanout: Option<usize>,
-    /// Per-query budget (deadline and/or cell-access cap) enforced
-    /// cooperatively inside the query kernels. The default
-    /// [`QueryBudget::unlimited`] costs one branch per query. A query cut
-    /// off by the budget returns [`EngineError::DeadlineExceeded`],
-    /// [`EngineError::BudgetExhausted`], or [`EngineError::Cancelled`].
-    pub budget: QueryBudget,
 }
 
 impl Default for IndexConfig {
@@ -45,7 +41,6 @@ impl Default for IndexConfig {
             prefix: PrefixChoice::Basic,
             max_tree_fanout: Some(4),
             min_tree_fanout: None,
-            budget: QueryBudget::unlimited(),
         }
     }
 }
@@ -153,36 +148,24 @@ where
     }
 
     /// Answers a range-sum query from the configured prefix-sum
-    /// structure: basic (`2^d` lookups) or blocked.
+    /// structure: basic (`2^d` lookups) or blocked. Runs unmetered; a
+    /// budget reaches the kernels through [`RangeEngine::read`].
     ///
     /// # Errors
     /// Validates the region.
     pub fn range_sum(&self, region: &Region) -> Result<(T, AccessStats), EngineError> {
-        self.range_sum_metered(region, &self.config.budget.start(None))
+        self.sum(region, &BudgetMeter::unlimited())
     }
 
-    /// [`CubeIndex::range_sum`] under an explicit [`BudgetMeter`]: the
-    /// meter is threaded into the blocked kernel's parts (and charged
-    /// after the constant-time basic lookup), so deadlines, access caps,
-    /// and cancellation interrupt the query *inside* the computation.
-    ///
-    /// # Errors
-    /// Validates the region; budget kills surface as
-    /// [`EngineError::DeadlineExceeded`], [`EngineError::BudgetExhausted`],
-    /// or [`EngineError::Cancelled`].
-    pub fn range_sum_metered(
-        &self,
-        region: &Region,
-        meter: &BudgetMeter,
-    ) -> Result<(T, AccessStats), EngineError> {
-        meter.check().map_err(EngineError::from)?;
+    /// The sum under `meter`: threaded into the blocked kernel's parts
+    /// (so deadlines, access caps and cancellation interrupt *inside* the
+    /// computation), and charged after the constant-time basic lookup.
+    fn sum(&self, region: &Region, meter: &BudgetMeter) -> Result<(T, AccessStats), EngineError> {
+        meter.check()?;
         match &self.prefix {
             Prefix::Basic(ps) => {
-                // 2^d lookups: charge after the (constant-time) kernel.
                 let (v, stats) = ps.range_sum_with_stats(region)?;
-                meter
-                    .charge(stats.total_accesses())
-                    .map_err(EngineError::from)?;
+                meter.charge(stats.total_accesses())?;
                 Ok((v, stats))
             }
             Prefix::Blocked(bp) => {
@@ -344,81 +327,50 @@ where
         Capabilities::full()
     }
 
-    fn estimate(&self, query: &RangeQuery) -> f64 {
+    fn cost(&self, region: &Region) -> f64 {
         use olap_planner::cost;
-        let Ok(region) = query.to_region(self.a.shape()) else {
-            return f64::INFINITY;
-        };
         let d = region.ndim();
         match &self.prefix {
             Prefix::Basic(_) => cost::pow2(d),
             Prefix::Blocked(bp) => {
-                let qs = olap_query::QueryStats::of_region(&region);
+                let qs = olap_query::QueryStats::of_region(region);
                 cost::prefix_sum_cost(d, qs.surface, bp.block_size())
             }
         }
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
-            || self.label(),
-            "range_sum",
-            || {
-                let region = query.to_region(self.a.shape())?;
-                let (v, stats) = CubeIndex::range_sum(self, &region)?;
-                Ok(QueryOutcome::aggregate(v, stats, self.sum_kind()))
-            },
-        )
-    }
-
-    fn range_sum_budgeted(
+    fn read(
         &self,
-        query: &RangeQuery,
+        region: &Region,
+        op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
-            || self.label(),
-            "range_sum",
-            || {
-                let region = query.to_region(self.a.shape())?;
-                let (v, stats) = self.range_sum_metered(&region, meter)?;
+        let label = || self.label();
+        match op {
+            EngineOp::Sum => crate::telemetry::observe_query(label, op, || {
+                let (v, stats) = self.sum(region, meter)?;
                 Ok(QueryOutcome::aggregate(v, stats, self.sum_kind()))
-            },
-        )
-    }
-
-    fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
-            || self.label(),
-            "range_max",
-            || {
-                let region = query.to_region(self.a.shape())?;
+            }),
+            EngineOp::Max => metered_read(label, op, meter, || {
+                let (at, v, stats) = CubeIndex::range_max(self, region)?;
                 let kind = if self.max_tree.is_some() {
                     EngineKind::MaxTree
                 } else {
                     EngineKind::NaiveScan
                 };
-                let (at, v, stats) = CubeIndex::range_max(self, &region)?;
                 Ok(QueryOutcome::extremum(at, v, stats, kind))
-            },
-        )
-    }
-
-    fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
-            || self.label(),
-            "range_min",
-            || {
-                let region = query.to_region(self.a.shape())?;
+            }),
+            EngineOp::Min => metered_read(label, op, meter, || {
+                let (at, v, stats) = CubeIndex::range_min(self, region)?;
                 let kind = if self.min_tree.is_some() {
                     EngineKind::MinTree
                 } else {
                     EngineKind::NaiveScan
                 };
-                let (at, v, stats) = CubeIndex::range_min(self, &region)?;
                 Ok(QueryOutcome::extremum(at, v, stats, kind))
-            },
-        )
+            }),
+            EngineOp::Update => Err(EngineError::unsupported(self.label(), op.name())),
+        }
     }
 
     fn apply_updates(&self, updates: &[(Vec<usize>, T)]) -> Result<Derived<T>, EngineError> {
@@ -487,19 +439,16 @@ mod tests {
                 prefix: PrefixChoice::Basic,
                 max_tree_fanout: None,
                 min_tree_fanout: None,
-                ..IndexConfig::default()
             },
             IndexConfig {
                 prefix: PrefixChoice::Blocked(4),
                 max_tree_fanout: Some(2),
                 min_tree_fanout: Some(2),
-                ..IndexConfig::default()
             },
             IndexConfig {
                 prefix: PrefixChoice::Blocked(3),
                 max_tree_fanout: Some(3),
                 min_tree_fanout: None,
-                ..IndexConfig::default()
             },
         ];
         for cfg in configs {
@@ -518,7 +467,6 @@ mod tests {
             prefix: PrefixChoice::Basic,
             max_tree_fanout: Some(2),
             min_tree_fanout: Some(2),
-            ..IndexConfig::default()
         };
         let mut idx = CubeIndex::build(a, cfg).unwrap();
         idx.apply_updates_in_place(&[
@@ -552,7 +500,6 @@ mod tests {
             prefix: PrefixChoice::Blocked(4),
             max_tree_fanout: None,
             min_tree_fanout: None,
-            ..IndexConfig::default()
         };
         let mut idx = CubeIndex::build(a, cfg).unwrap();
         idx.apply_updates_in_place(&[(vec![3, 3], 77), (vec![8, 1], -4)])
@@ -588,7 +535,6 @@ mod tests {
             prefix: PrefixChoice::Basic,
             max_tree_fanout: Some(2),
             min_tree_fanout: Some(2),
-            ..IndexConfig::default()
         };
         let mut idx = CubeIndex::build(a.clone(), cfg).unwrap();
         let q = Region::from_bounds(&[(2, 9), (1, 8)]).unwrap();

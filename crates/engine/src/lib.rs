@@ -2,10 +2,13 @@
 //!
 //! This crate is the "product" layer a downstream user talks to. Every
 //! backend implements the [`RangeEngine`] trait — the lingua franca of
-//! [`olap_query::RangeQuery`] in, [`olap_query::QueryOutcome`] out — and
-//! the [`AdaptiveRouter`] picks among them with the paper's §8/§9 cost
-//! model as written, reporting how far observed access counts drift from
-//! it:
+//! [`olap_query::RangeQuery`] in, [`olap_query::QueryOutcome`] out. A
+//! query is resolved into an [`olap_array::Region`] once, at whichever
+//! entry point it arrives through; below it each engine prices that
+//! region with one [`RangeEngine::cost`] and answers it with one budgeted
+//! [`RangeEngine::read`]. The [`AdaptiveRouter`] picks among engines with
+//! the paper's §8/§9 cost model as written, reporting how far observed
+//! access counts drift from it:
 //!
 //! - [`CubeIndex`]: holds a dense cube plus whichever precomputed
 //!   structures an [`IndexConfig`] requests (basic prefix sum §3 or

@@ -3,10 +3,10 @@
 //! structure — the end-to-end version of the paper's physical design.
 
 use crate::cuboid::materialize_cuboid;
-use crate::range_engine::{Capabilities, RangeEngine};
+use crate::range_engine::{metered_read, Capabilities, EngineOp, RangeEngine};
 use crate::EngineError;
 use olap_aggregate::{NumericValue, SumOp};
-use olap_array::{DenseArray, Range, Region, Shape};
+use olap_array::{BudgetMeter, DenseArray, Range, Region, Shape};
 use olap_planner::PrefixSumChoice;
 use olap_prefix_sum::BlockedPrefixCube;
 use olap_query::{AccessStats, CuboidId, EngineKind, QueryOutcome, QueryStats, RangeQuery};
@@ -98,66 +98,51 @@ impl<T: NumericValue + PartialOrd> PlannedIndex<T> {
     /// The structure (by choice) each query cuboid would route to, if any
     /// — exposed for tests and explain-style output.
     pub fn route(&self, query: &RangeQuery) -> Option<PrefixSumChoice> {
-        let q_cuboid = query.cuboid(self.a.shape());
-        self.pick(query, q_cuboid)
-            .map(|i| self.structures[i].choice)
+        let region = query.to_region(self.a.shape()).ok()?;
+        self.pick(&region).map(|s| s.choice)
     }
 
-    /// Chooses the cheapest applicable structure by the Equation-3 model.
-    fn pick(&self, query: &RangeQuery, q_cuboid: CuboidId) -> Option<usize> {
-        let region = query.to_region(self.a.shape()).ok()?;
-        let mut best: Option<(usize, f64)> = None;
-        for (i, s) in self.structures.iter().enumerate() {
+    /// The cuboid a validated region is assigned to: the dimensions its
+    /// ranges do not span whole (§9, as [`RangeQuery::cuboid`]).
+    fn cuboid_of(&self, region: &Region) -> CuboidId {
+        region
+            .ranges()
+            .iter()
+            .zip(self.a.shape().dims())
+            .enumerate()
+            .filter(|(_, (r, &n))| r.len() != n)
+            .fold(CuboidId::empty(), |id, (axis, _)| id.with_dim(axis))
+    }
+
+    /// The Equation-3 cost of answering a validated region from structure
+    /// `s`.
+    fn structure_cost(s: &Structure<T>, region: &Region) -> f64 {
+        let sides: Vec<f64> = s
+            .choice
+            .cuboid
+            .dims()
+            .iter()
+            .map(|&j| region.range(j).len() as f64)
+            .collect();
+        let stats = QueryStats::from_sides(&sides);
+        olap_planner::cost::prefix_sum_cost(s.choice.cuboid.ndim(), stats.surface, s.choice.block)
+    }
+
+    /// Chooses the cheapest structure applicable to a validated region by
+    /// the Equation-3 model; the first of equals wins.
+    fn pick(&self, region: &Region) -> Option<&Structure<T>> {
+        let q_cuboid = self.cuboid_of(region);
+        let mut best: Option<(&Structure<T>, f64)> = None;
+        for s in &self.structures {
             if !s.choice.cuboid.is_ancestor_of(&q_cuboid) {
                 continue;
             }
-            let sides: Vec<f64> = s
-                .choice
-                .cuboid
-                .dims()
-                .iter()
-                .map(|&j| region.range(j).len() as f64)
-                .collect();
-            let stats = QueryStats::from_sides(&sides);
-            let cost = olap_planner::cost::prefix_sum_cost(
-                s.choice.cuboid.ndim(),
-                stats.surface,
-                s.choice.block,
-            );
+            let cost = Self::structure_cost(s, region);
             if best.is_none_or(|(_, c)| cost < c) {
-                best = Some((i, cost));
+                best = Some((s, cost));
             }
         }
-        best.map(|(i, _)| i)
-    }
-
-    /// The Equation-3 cost of the structure [`PlannedIndex::route`] would
-    /// pick, or the naive-scan volume when nothing covers the query —
-    /// the model behind the [`crate::RangeEngine::estimate`] impl.
-    pub fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        let Ok(region) = query.to_region(self.a.shape()) else {
-            return f64::INFINITY;
-        };
-        let q_cuboid = query.cuboid(self.a.shape());
-        match self.pick(query, q_cuboid) {
-            None => region.volume() as f64,
-            Some(i) => {
-                let s = &self.structures[i];
-                let sides: Vec<f64> = s
-                    .choice
-                    .cuboid
-                    .dims()
-                    .iter()
-                    .map(|&j| region.range(j).len() as f64)
-                    .collect();
-                let stats = QueryStats::from_sides(&sides);
-                olap_planner::cost::prefix_sum_cost(
-                    s.choice.cuboid.ndim(),
-                    stats.surface,
-                    s.choice.block,
-                )
-            }
-        }
+        best.map(|(s, _)| s)
     }
 
     /// Answers a range-sum query: routed to the cheapest applicable
@@ -168,33 +153,34 @@ impl<T: NumericValue + PartialOrd> PlannedIndex<T> {
     /// Validates the query against the cube shape.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<(T, AccessStats), EngineError> {
         let region = query.to_region(self.a.shape())?;
-        let q_cuboid = query.cuboid(self.a.shape());
-        match self.pick(query, q_cuboid) {
-            None => Ok(crate::naive::range_aggregate(
-                &self.a,
-                &SumOp::<T>::new(),
-                &region,
-            )?),
-            Some(i) => {
-                let s = &self.structures[i];
-                // Project the query onto the structure's dimensions (the
-                // others are `all` and were aggregated into the slice).
-                let ranges: Vec<Range> = s
-                    .choice
-                    .cuboid
-                    .dims()
-                    .iter()
-                    .map(|&j| region.range(j))
-                    .collect();
-                let ranges = if ranges.is_empty() {
-                    vec![Range::singleton(0)] // the grand-total slice
-                } else {
-                    ranges
-                };
-                let sub = Region::new(ranges)?;
-                Ok(s.prefix.range_sum_with_stats(&s.slice, &sub)?)
-            }
-        }
+        let (v, stats, _) = self.sum(&region)?;
+        Ok((v, stats))
+    }
+
+    /// The sum over a region, with the structure that answered it.
+    fn sum(&self, region: &Region) -> Result<(T, AccessStats, EngineKind), EngineError> {
+        self.a.shape().check_region(region)?;
+        let Some(s) = self.pick(region) else {
+            let (v, stats) = crate::naive::range_aggregate(&self.a, &SumOp::<T>::new(), region)?;
+            return Ok((v, stats, EngineKind::NaiveScan));
+        };
+        // Project the query onto the structure's dimensions (the others
+        // are `all` and were aggregated into the slice).
+        let ranges: Vec<Range> = s
+            .choice
+            .cuboid
+            .dims()
+            .iter()
+            .map(|&j| region.range(j))
+            .collect();
+        let ranges = if ranges.is_empty() {
+            vec![Range::singleton(0)] // the grand-total slice
+        } else {
+            ranges
+        };
+        let sub = Region::new(ranges)?;
+        let (v, stats) = s.prefix.range_sum_with_stats(&s.slice, &sub)?;
+        Ok((v, stats, EngineKind::PlannedCuboid))
     }
 
     /// The shape of the underlying cube.
@@ -216,21 +202,31 @@ impl<T: NumericValue + PartialOrd + Send + Sync + 'static> RangeEngine<T> for Pl
         Capabilities::sum_only()
     }
 
-    fn estimate(&self, query: &RangeQuery) -> f64 {
-        self.estimated_cost(query)
+    fn cost(&self, region: &Region) -> f64 {
+        if self.a.shape().check_region(region).is_err() {
+            return f64::INFINITY;
+        }
+        match self.pick(region) {
+            None => region.volume() as f64,
+            Some(s) => Self::structure_cost(s, region),
+        }
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<T>, EngineError> {
-        crate::telemetry::observe_query(
-            || RangeEngine::label(self),
-            "range_sum",
+    fn read(
+        &self,
+        region: &Region,
+        op: EngineOp,
+        meter: &BudgetMeter,
+    ) -> Result<QueryOutcome<T>, EngineError> {
+        metered_read(
+            || self.label(),
+            op,
+            meter,
             || {
-                let kind = if self.route(query).is_some() {
-                    EngineKind::PlannedCuboid
-                } else {
-                    EngineKind::NaiveScan
-                };
-                let (v, stats) = PlannedIndex::range_sum(self, query)?;
+                if op != EngineOp::Sum {
+                    return Err(EngineError::unsupported(self.label(), op.name()));
+                }
+                let (v, stats, kind) = self.sum(region)?;
                 Ok(QueryOutcome::aggregate(v, stats, kind))
             },
         )

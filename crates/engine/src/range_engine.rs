@@ -3,7 +3,13 @@
 //! The paper's §8/§9 argument is a *cost model choosing among structures*;
 //! for the model to arbitrate at query time, every structure must answer
 //! the same [`RangeQuery`] with the same [`QueryOutcome`] and advertise an
-//! analytic [`RangeEngine::estimate`] in the paper's element-access unit.
+//! analytic [`RangeEngine::cost`] in the paper's element-access unit.
+//!
+//! A query is resolved into a [`Region`] once, at whichever entry point it
+//! arrives through. Below that point every layer passes the `&Region`:
+//! an engine answers it with one [`RangeEngine::read`] per op, under the
+//! [`BudgetMeter`] of the query, and prices it with one
+//! [`RangeEngine::cost`].
 //! `CubeIndex`, `PlannedIndex`, `ExtendedCube`, the naive baselines, the
 //! tree-sum baseline, and the sparse engines all implement this trait, so
 //! [`crate::AdaptiveRouter`] can hold them as trait objects and pick the
@@ -11,7 +17,7 @@
 
 use crate::EngineError;
 use olap_aggregate::NumericValue;
-use olap_array::{BudgetMeter, DenseArray, Shape};
+use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_prefix_sum::batch::CellUpdate;
 use olap_query::{AccessStats, QueryOutcome, RangeQuery};
 use std::collections::BTreeMap;
@@ -226,12 +232,50 @@ where
     Ok(Derived::new(Box::new(next), result?))
 }
 
+/// The read of an engine whose kernel takes no [`BudgetMeter`]: one
+/// check before the kernel and one charge of its accesses after, observed
+/// as one engine query. A kernel that runs past its deadline still
+/// returns its exact answer; an access cap it crossed fails the read.
+pub(crate) fn metered_read<V>(
+    label: impl Fn() -> String,
+    op: EngineOp,
+    meter: &BudgetMeter,
+    kernel: impl FnOnce() -> Result<QueryOutcome<V>, EngineError>,
+) -> Result<QueryOutcome<V>, EngineError> {
+    crate::telemetry::observe_query(label, op, || {
+        meter.check()?;
+        let outcome = kernel()?;
+        meter.charge(outcome.cost())?;
+        Ok(outcome)
+    })
+}
+
+/// What every provided `&RangeQuery` method does: refuse an op outside
+/// the engine's [`Capabilities`], resolve the query against the engine's
+/// shape, and answer it with one unmetered [`RangeEngine::read`].
+fn read_query<V, E: RangeEngine<V> + ?Sized>(
+    engine: &E,
+    query: &RangeQuery,
+    op: EngineOp,
+) -> Result<QueryOutcome<V>, EngineError> {
+    if !engine.capabilities().supports(op) {
+        return Err(EngineError::unsupported(engine.label(), op.name()));
+    }
+    let region = query.to_region(engine.shape())?;
+    engine.read(&region, op, &BudgetMeter::unlimited())
+}
+
 /// A queryable cube backend: the lingua franca between structures, the
 /// adaptive router, benches, and the CLI.
 ///
-/// The trait is object safe; routers hold `Box<dyn RangeEngine<V>>`.
-/// Operations outside an engine's [`Capabilities`] default to
-/// [`EngineError::Unsupported`].
+/// The trait is object safe; routers hold `Box<dyn RangeEngine<V>>`. An
+/// engine implements two query methods over a resolved [`Region`]: one
+/// [`RangeEngine::cost`] and one [`RangeEngine::read`] for every op. The
+/// `&RangeQuery` methods ([`RangeEngine::estimate`],
+/// [`RangeEngine::range_sum`], [`RangeEngine::range_max`],
+/// [`RangeEngine::range_min`]) are provided: they resolve the query once
+/// and forward it. Operations outside an engine's [`Capabilities`] fail
+/// with [`EngineError::Unsupported`].
 ///
 /// # Snapshot semantics
 ///
@@ -255,65 +299,62 @@ pub trait RangeEngine<V>: Send + Sync {
     /// Which operations the engine supports.
     fn capabilities(&self) -> Capabilities;
 
-    /// Predicted cost of answering `query`, in the paper's unit (elements
-    /// accessed), from the §8/§9 analytic model (`olap_planner::cost`).
+    /// Predicted cost of a read over `region`, in the paper's unit
+    /// (elements accessed), from the §8/§9 analytic model
+    /// (`olap_planner::cost`).
     ///
     /// The router compares these values as they are — nothing rescales
-    /// them — so an estimate is only as good as the model it computes;
-    /// the router reports the drift of observed accesses from it. An
-    /// engine that cannot resolve the query returns `+∞` (ranked last).
-    fn estimate(&self, query: &RangeQuery) -> f64;
+    /// them — so a cost is only as good as the model it computes; the
+    /// router reports the drift of observed accesses from it.
+    fn cost(&self, region: &Region) -> f64;
+
+    /// The engine's one read: answers `op` over `region`, checking and
+    /// charging `meter` as it goes. An engine whose kernels take the
+    /// meter interrupts *inside* the computation; every other engine
+    /// checks before its kernel and charges the accesses after it.
+    ///
+    /// # Errors
+    /// Region validation, [`EngineError::Unsupported`] for an op outside
+    /// [`RangeEngine::capabilities`], or a budget interrupt
+    /// ([`EngineError::DeadlineExceeded`], [`EngineError::BudgetExhausted`],
+    /// [`EngineError::Cancelled`]).
+    fn read(
+        &self,
+        region: &Region,
+        op: EngineOp,
+        meter: &BudgetMeter,
+    ) -> Result<QueryOutcome<V>, EngineError>;
+
+    /// [`RangeEngine::cost`] of the query's region, or `+∞` (ranked last)
+    /// when the query does not resolve against [`RangeEngine::shape`].
+    fn estimate(&self, query: &RangeQuery) -> f64 {
+        query
+            .to_region(self.shape())
+            .map_or(f64::INFINITY, |region| self.cost(&region))
+    }
 
     /// Answers a range-sum query.
     ///
     /// # Errors
-    /// Query validation, or [`EngineError::Unsupported`].
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError>;
+    /// [`EngineError::Unsupported`], or query validation.
+    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
+        read_query(self, query, EngineOp::Sum)
+    }
 
     /// Answers a range-max query (argmax + value).
     ///
     /// # Errors
-    /// Query validation, or [`EngineError::Unsupported`].
+    /// [`EngineError::Unsupported`], or query validation.
     fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        let _ = query;
-        Err(EngineError::unsupported(self.label(), "range_max"))
+        read_query(self, query, EngineOp::Max)
     }
 
     /// Answers a range-min query (argmin + value).
     ///
     /// # Errors
-    /// Query validation, or [`EngineError::Unsupported`].
+    /// [`EngineError::Unsupported`], or query validation.
     fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        let _ = query;
-        Err(EngineError::unsupported(self.label(), "range_min"))
-    }
-
-    /// Answers a range-sum query under a [`BudgetMeter`]: the engine
-    /// checks the meter before kernel work and charges element accesses
-    /// as it goes, returning [`EngineError::DeadlineExceeded`],
-    /// [`EngineError::BudgetExhausted`], or [`EngineError::Cancelled`]
-    /// when cut off.
-    ///
-    /// The default implementation enforces the budget only **around** the
-    /// kernel — one check before dispatch and one charge/check after —
-    /// which is correct but coarse: a deep kernel may overrun its
-    /// deadline by one whole query. Engines with cooperative kernels
-    /// (`CubeIndex` and the naive scan here) override this to interrupt
-    /// *inside* the computation.
-    ///
-    /// # Errors
-    /// Query validation, [`EngineError::Unsupported`], or a budget
-    /// interrupt.
-    fn range_sum_budgeted(
-        &self,
-        query: &RangeQuery,
-        meter: &BudgetMeter,
-    ) -> Result<QueryOutcome<V>, EngineError> {
-        meter.check()?;
-        let outcome = self.range_sum(query)?;
-        meter.charge(outcome.stats.total_accesses())?;
-        meter.check()?;
-        Ok(outcome)
+        read_query(self, query, EngineOp::Min)
     }
 
     /// Derives a successor engine with a batch of **absolute-value**

@@ -1,9 +1,10 @@
 //! The adaptive router: §8/§9's "choose the structure by its analytic
 //! cost" made operational.
 //!
-//! [`AdaptiveRouter`] holds several [`RangeEngine`]s, predicts each one's
-//! cost for an incoming [`RangeQuery`] from the paper's analytic model
-//! ([`RangeEngine::estimate`]), and routes to the first strict argmin.
+//! [`AdaptiveRouter`] holds several [`RangeEngine`]s, resolves an incoming
+//! [`RangeQuery`] once against them, predicts each one's cost of the
+//! resolved region from the paper's analytic model
+//! ([`RangeEngine::cost`]), and reads the first strict argmin.
 //! The prediction is used as written: nothing learned from past queries
 //! moves it, so a decision depends only on the query, the op and the
 //! pinned engine set. How far observed accesses drift from the model is
@@ -73,7 +74,7 @@ use crate::range_engine::{BatchImage, EngineOp, RangeEngine};
 use crate::version::{EpochGuard, EpochTracker};
 use crate::{EngineError, EpochStats};
 use olap_aggregate::NumericValue;
-use olap_array::{BudgetMeter, CancellationToken, DegradePolicy, QueryBudget};
+use olap_array::{BudgetMeter, CancellationToken, DegradePolicy, QueryBudget, Region};
 use olap_query::{AccessStats, Estimate, QueryOutcome, RangeQuery};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -191,8 +192,10 @@ pub struct Candidate {
     pub index: usize,
     /// The engine's [`RangeEngine::label`].
     pub label: String,
-    /// [`RangeEngine::estimate`] (paper units, elements accessed) — what
-    /// the router compares; `+∞` when the engine is not eligible.
+    /// [`RangeEngine::cost`] of the query's region (paper units, elements
+    /// accessed) — what the router compares, and what
+    /// [`RangeEngine::estimate`] reports for the query; `+∞` when the
+    /// engine is not eligible.
     pub predicted: f64,
     /// Whether the engine's [`crate::Capabilities`] admit the operation.
     pub eligible: bool,
@@ -304,13 +307,27 @@ impl RouterState {
 }
 
 /// The estimate sweep against one engine-set snapshot: each engine's
-/// [`RangeEngine::estimate`], or `None` when its capabilities exclude
-/// `op`.
-fn sweep<V>(set: &EngineSet<V>, query: &RangeQuery, op: EngineOp) -> Vec<Option<f64>> {
+/// [`RangeEngine::cost`] of `region`, or `None` when its capabilities
+/// exclude `op` (an update is never a read). A query that did not
+/// resolve prices every eligible engine at `+∞`.
+fn sweep<V>(set: &EngineSet<V>, region: Option<&Region>, op: EngineOp) -> Vec<Option<f64>> {
     set.engines
         .iter()
-        .map(|e| e.capabilities().supports(op).then(|| e.estimate(query)))
+        .map(|e| {
+            let eligible = op != EngineOp::Update && e.capabilities().supports(op);
+            eligible.then(|| region.map_or(f64::INFINITY, |r| e.cost(r)))
+        })
         .collect()
+}
+
+/// `query` resolved against a pinned set: every engine of a set serves
+/// one shape, so the first engine's is the set's.
+fn resolve<V>(set: &EngineSet<V>, query: &RangeQuery, op: EngineOp) -> Result<Region, EngineError> {
+    let engine = set
+        .engines
+        .first()
+        .ok_or(EngineError::NoCandidate { op: op.name() })?;
+    Ok(query.to_region(engine.shape())?)
 }
 
 /// The engine to try after `prev` in predicted-cost order, or the first
@@ -578,13 +595,6 @@ impl<V> AdaptiveRouter<V> {
         self.load().approx.as_ref().map(|t| t.label())
     }
 
-    /// The degradation tier's honest predicted cost for `query`, in the
-    /// paper's element-access unit — the cheapest tier's row in any
-    /// explain view. `None` when no tier is registered.
-    pub fn degrade_cost(&self, query: &RangeQuery) -> Option<f64> {
-        self.load().approx.as_ref().map(|t| t.estimate_cost(query))
-    }
-
     /// Sets the per-query [`QueryBudget`] every routed query runs under.
     /// The deadline spans failover attempts: retries never extend a
     /// query's time allowance.
@@ -704,29 +714,13 @@ impl<V> AdaptiveRouter<V> {
     fn dispatch(
         set: &EngineSet<V>,
         i: usize,
-        query: &RangeQuery,
+        region: &Region,
         op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<V>, EngineError> {
         // analyzer: allow(panic-site, reason = "i is a ranked-candidate index derived from enumerating this pinned set")
         let engine = &set.engines[i];
-        let result = catch_unwind(AssertUnwindSafe(|| match op {
-            EngineOp::Sum => engine.range_sum_budgeted(query, meter),
-            EngineOp::Max => {
-                meter.check()?;
-                let o = engine.range_max(query)?;
-                meter.charge(o.cost())?;
-                Ok(o)
-            }
-            EngineOp::Min => {
-                meter.check()?;
-                let o = engine.range_min(query)?;
-                meter.charge(o.cost())?;
-                Ok(o)
-            }
-            // analyzer: allow(panic-site, reason = "dispatch is only called with Sum/Max/Min; updates route through apply_updates, and the catch_unwind above contains a violation")
-            EngineOp::Update => unreachable!("updates go through apply_updates"),
-        }));
+        let result = catch_unwind(AssertUnwindSafe(|| engine.read(region, op, meter)));
         result.unwrap_or_else(|payload| {
             Err(EngineError::EnginePanicked {
                 engine: engine.label(),
@@ -735,25 +729,40 @@ impl<V> AdaptiveRouter<V> {
         })
     }
 
-    /// Routes one read: a single estimate sweep, then dispatch in
-    /// predicted-cost order ([`next_ranked`]) until an engine answers.
-    /// Breaker state is *not* part of the order — admissibility is
-    /// checked per attempt, so a quarantined argmin falls through to the
-    /// next-best automatically. When `table` is given, the sweep is also
-    /// written there as the [`Candidate`] table `explain` reports.
-    fn execute(
+    /// Pins the current set, resolves `query` against it once, and routes
+    /// the read.
+    fn route(
         &self,
         query: &RangeQuery,
         op: EngineOp,
         table: Option<&mut Vec<Candidate>>,
     ) -> Result<(usize, QueryOutcome<V>), EngineError> {
+        let set = self.load();
+        let region = resolve(&set, query, op);
+        self.execute(&set, region.as_ref(), op, table)
+    }
+
+    /// Routes one read over the pinned `set`: a single estimate sweep,
+    /// then dispatch in predicted-cost order ([`next_ranked`]) until an
+    /// engine answers. Breaker state is *not* part of the order —
+    /// admissibility is checked per attempt, so a quarantined argmin falls
+    /// through to the next-best automatically. When `table` is given, the
+    /// sweep is also written there as the [`Candidate`] table `explain`
+    /// reports. A `region` that did not resolve fails where the first
+    /// admissible engine would have run: after an expired budget, and
+    /// only if some engine serves `op`.
+    fn execute(
+        &self,
+        set: &EngineSet<V>,
+        region: Result<&Region, &EngineError>,
+        op: EngineOp,
+        table: Option<&mut Vec<Candidate>>,
+    ) -> Result<(usize, QueryOutcome<V>), EngineError> {
         // Covers decision, dispatch, and failover; inert (one relaxed
         // atomic load) unless a trace scope is entered on this thread.
+        // The whole query runs against the one set the caller pinned,
+        // even if an update installs a successor mid-flight.
         let _route_span = olap_telemetry::TraceSpan::start("router_dispatch");
-        // Pin the snapshot first: the whole query — decision, dispatch,
-        // failover — runs against this one consistent engine set even if
-        // an update installs a successor mid-flight.
-        let set = self.load();
         let (tick, meter) = {
             let mut st = self.lock_state();
             st.ticks += 1;
@@ -771,9 +780,9 @@ impl<V> AdaptiveRouter<V> {
             (st.ticks, meter)
         };
         // The one estimate sweep of this query, with no router lock held.
-        let predictions = sweep(&set, query, op);
+        let predictions = sweep(set, region.ok(), op);
         if let Some(table) = table {
-            *table = label_predictions(&set, &predictions, &self.lock_state().healths);
+            *table = label_predictions(set, &predictions, &self.lock_state().healths);
         }
         let mut next = next_ranked(&predictions, None);
         let mut last_fault: Option<EngineError> = None;
@@ -788,19 +797,22 @@ impl<V> AdaptiveRouter<V> {
                 // analyzer: allow(panic-site, reason = "healths is kept parallel to the engine set by push(); i enumerates that set")
                 if st.healths[i].is_probe() {
                     st.faults.probes += 1;
-                    record_fault_event(&set, "probe", i, op);
+                    record_fault_event(set, "probe", i, op);
                 }
                 if last_fault.is_some() {
                     st.faults.failovers += 1;
-                    record_fault_event(&set, "failover", i, op);
+                    record_fault_event(set, "failover", i, op);
                 }
             }
+            // A validation error would fail identically on every engine:
+            // return it without failover and without breaker counting.
+            let region = region.map_err(Clone::clone)?;
             let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
             // Dispatch with no router lock held: concurrent queries on
             // other threads proceed while this engine works.
             let dispatched = {
                 let _kernel_span = olap_telemetry::TraceSpan::start("kernel_exec");
-                Self::dispatch(&set, i, query, op, &meter)
+                Self::dispatch(set, i, region, op, &meter)
             };
             match dispatched {
                 Ok(outcome) => {
@@ -811,7 +823,7 @@ impl<V> AdaptiveRouter<V> {
                             .copied()
                             .flatten()
                             .unwrap_or(f64::INFINITY);
-                        record_route(&ctx, start, &set, i, op, predicted, &outcome);
+                        record_route(&ctx, start, set, i, op, predicted, &outcome);
                     }
                     return Ok((i, outcome));
                 }
@@ -821,13 +833,13 @@ impl<V> AdaptiveRouter<V> {
                     let mut st = self.lock_state();
                     st.note_success(i);
                     st.faults.budget_kills += 1;
-                    record_fault_event(&set, "budget_kill", i, op);
+                    record_fault_event(set, "budget_kill", i, op);
                     return Err(e);
                 }
                 Err(e) if e.is_engine_fault() => {
                     let panicked = matches!(e, EngineError::EnginePanicked { .. });
                     self.lock_state().note_fault(i, tick, panicked);
-                    record_fault_event(&set, if panicked { "panic" } else { "fault" }, i, op);
+                    record_fault_event(set, if panicked { "panic" } else { "fault" }, i, op);
                     last_fault = Some(e);
                 }
                 // Validation errors fail identically everywhere: return
@@ -844,7 +856,7 @@ impl<V> AdaptiveRouter<V> {
     /// [`EngineError::NoCandidate`] if no engine supports sums; otherwise
     /// whatever the chosen engine reports.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(query, EngineOp::Sum, None).map(|(_, o)| o)
+        self.route(query, EngineOp::Sum, None).map(|(_, o)| o)
     }
 
     /// Routes and answers a range-max query. See [`AdaptiveRouter::range_sum`].
@@ -852,7 +864,7 @@ impl<V> AdaptiveRouter<V> {
     /// # Errors
     /// [`EngineError::NoCandidate`] or the chosen engine's error.
     pub fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(query, EngineOp::Max, None).map(|(_, o)| o)
+        self.route(query, EngineOp::Max, None).map(|(_, o)| o)
     }
 
     /// Routes and answers a range-min query. See [`AdaptiveRouter::range_sum`].
@@ -860,7 +872,18 @@ impl<V> AdaptiveRouter<V> {
     /// # Errors
     /// [`EngineError::NoCandidate`] or the chosen engine's error.
     pub fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(query, EngineOp::Min, None).map(|(_, o)| o)
+        self.route(query, EngineOp::Min, None).map(|(_, o)| o)
+    }
+
+    /// Routes and answers `op` over a region already resolved against
+    /// the router's shape — the entry a layer above that resolved the
+    /// query itself (the semantic cache, a server shard) calls.
+    ///
+    /// # Errors
+    /// [`EngineError::NoCandidate`] or the chosen engine's error.
+    pub fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
+        self.execute(&self.load(), Ok(region), op, None)
+            .map(|(_, o)| o)
     }
 
     /// Routes `query` exactly like [`AdaptiveRouter::range_sum`] /
@@ -881,17 +904,19 @@ impl<V> AdaptiveRouter<V> {
     /// Whatever exact routing reported, when the policy forbids
     /// degradation, the reason is ineligible, or no tier is registered.
     pub fn answer(&self, query: &RangeQuery, op: EngineOp) -> Result<Routed<V>, EngineError> {
-        let exact_err = match self.execute(query, op, None) {
+        let set = self.load();
+        let region = resolve(&set, query, op);
+        let exact_err = match self.execute(&set, region.as_ref(), op, None) {
             Ok((_, outcome)) => return Ok(Routed::Exact(outcome)),
             Err(e) => e,
         };
         if self.lock_state().budget.on_exhaustion != DegradePolicy::Degrade {
             return Err(exact_err);
         }
-        let Some(reason) = DegradeReason::for_failure(&exact_err) else {
+        let (Some(reason), Ok(region)) = (DegradeReason::for_failure(&exact_err), region) else {
             return Err(exact_err);
         };
-        match self.degrade(query, op, reason) {
+        match self.degrade(&region, op, reason) {
             Ok((estimate, stats)) => Ok(Routed::Degraded {
                 estimate,
                 stats,
@@ -913,7 +938,7 @@ impl<V> AdaptiveRouter<V> {
     /// otherwise the tier's validation error.
     pub fn degrade(
         &self,
-        query: &RangeQuery,
+        region: &Region,
         op: EngineOp,
         reason: DegradeReason,
     ) -> Result<(Estimate<V>, AccessStats), EngineError> {
@@ -923,7 +948,7 @@ impl<V> AdaptiveRouter<V> {
             .as_ref()
             .ok_or(EngineError::NoCandidate { op: op.name() })?;
         let _degrade_span = olap_telemetry::TraceSpan::start("degrade");
-        let (estimate, stats) = tier.degraded(query, op)?;
+        let (estimate, stats) = tier.degraded(region, op)?;
         if let Some(ctx) = olap_telemetry::current() {
             ctx.registry()
                 .counter(
@@ -1089,7 +1114,7 @@ impl<V> AdaptiveRouter<V> {
             });
         }
         let mut candidates = Vec::new();
-        let (chosen, outcome) = self.execute(query, op, Some(&mut candidates))?;
+        let (chosen, outcome) = self.route(query, op, Some(&mut candidates))?;
         Ok(Explain {
             op,
             candidates,
@@ -1310,87 +1335,6 @@ mod tests {
         assert!(text.contains("observed:"));
     }
 
-    /// A pass-through engine that counts how often the router asks it for
-    /// an estimate — the probe for how many sweeps a query costs.
-    struct CountingEngine {
-        inner: Box<dyn RangeEngine<i64>>,
-        estimates: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl RangeEngine<i64> for CountingEngine {
-        fn label(&self) -> String {
-            "counting-naive".to_string()
-        }
-        fn shape(&self) -> &Shape {
-            self.inner.shape()
-        }
-        fn capabilities(&self) -> crate::Capabilities {
-            self.inner.capabilities()
-        }
-        fn estimate(&self, query: &RangeQuery) -> f64 {
-            self.estimates
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.estimate(query)
-        }
-        fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<i64>, EngineError> {
-            self.inner.range_sum(query)
-        }
-        fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<i64>, EngineError> {
-            self.inner.range_max(query)
-        }
-        fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<i64>, EngineError> {
-            self.inner.range_min(query)
-        }
-        fn apply_updates(
-            &self,
-            updates: &[(Vec<usize>, i64)],
-        ) -> Result<Derived<i64>, EngineError> {
-            let derived = self.inner.apply_updates(updates)?;
-            Ok(Derived::new(
-                Box::new(CountingEngine {
-                    inner: derived.engine,
-                    estimates: self.estimates.clone(),
-                }),
-                derived.stats,
-            ))
-        }
-    }
-
-    fn counting_router() -> (
-        AdaptiveRouter<i64>,
-        std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    ) {
-        let estimates = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let a = cube();
-        let r = AdaptiveRouter::new()
-            .with_engine(Box::new(CountingEngine {
-                inner: Box::new(NaiveEngine::new(a.clone())),
-                estimates: estimates.clone(),
-            }))
-            .with_engine(Box::new(
-                CubeIndex::build(a, IndexConfig::default()).unwrap(),
-            ));
-        (r, estimates)
-    }
-
-    #[test]
-    fn one_explain_and_each_routed_query_run_one_estimate_sweep() {
-        let (r, estimates) = counting_router();
-        let sweeps = || estimates.load(Ordering::Relaxed);
-        let tiny = q(&[(5, 5), (9, 9)]);
-        let e1 = r.explain(&tiny).unwrap();
-        assert_eq!(sweeps(), 1, "the table and the route share one sweep");
-        let e2 = r.explain(&tiny).unwrap();
-        assert_eq!(sweeps(), 2, "nothing is remembered between queries");
-        assert_eq!(e1.candidates, e2.candidates, "tables must be identical");
-        assert_eq!(e1.chosen, e2.chosen);
-        let big = q(&[(0, 60), (0, 60)]);
-        for (k, query) in [&big, &big, &tiny].into_iter().enumerate() {
-            r.range_sum(query).unwrap();
-            assert_eq!(sweeps(), 3 + k);
-        }
-    }
-
     #[test]
     fn ranking_is_ascending_estimate_with_ties_to_the_lower_index() {
         let predictions = [Some(4.0), None, Some(f64::NAN), Some(1.0), Some(4.0)];
@@ -1507,15 +1451,20 @@ mod tests {
         fn capabilities(&self) -> crate::Capabilities {
             self.inner.capabilities()
         }
-        fn estimate(&self, _query: &RangeQuery) -> f64 {
+        fn cost(&self, _region: &Region) -> f64 {
             0.0
         }
-        fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<i64>, EngineError> {
+        fn read(
+            &self,
+            region: &Region,
+            op: EngineOp,
+            meter: &BudgetMeter,
+        ) -> Result<QueryOutcome<i64>, EngineError> {
             let n = self.calls.fetch_add(1, Ordering::Relaxed);
             if n < self.fail_first {
                 return Err(EngineError::backend("flaky", format!("down for call {n}")));
             }
-            self.inner.range_sum(query)
+            self.inner.read(region, op, meter)
         }
         fn apply_updates(
             &self,
@@ -1816,18 +1765,19 @@ mod tests {
     #[test]
     fn explicit_degrade_and_honest_cost_model() {
         let r = degrading_router(QueryBudget::unlimited());
-        let query = q(&[(1, 62), (1, 62)]);
+        let region = Region::from_bounds(&[(1, 62), (1, 62)]).unwrap();
         // Pre-dispatch shedding path: the serving layer's queue-depth cut.
         let (estimate, _) = r
-            .degrade(&query, EngineOp::Sum, DegradeReason::QueueDepth)
+            .degrade(&region, EngineOp::Sum, DegradeReason::QueueDepth)
             .unwrap();
         let a = cube();
-        let region = query.to_region(a.shape()).unwrap();
         let truth = a.fold_region(&region, 0i64, |s, &x| s + x);
         assert!(estimate.contains(truth));
         // The tier's honest model: a handful of anchor/extrema reads,
         // orders of magnitude under naive's volume estimate.
-        let cost = r.degrade_cost(&query).unwrap();
+        let cost = ApproxEngine::build(cube(), 8)
+            .unwrap()
+            .estimate_cost(&region);
         assert!(cost.is_finite() && cost < region.volume() as f64 / 10.0);
         assert!(r.degrade_tier_label().unwrap().contains("approx"));
     }

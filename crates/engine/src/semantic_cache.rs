@@ -38,42 +38,31 @@
 //! wait on engine work, matching the reader/writer discipline of
 //! [`crate::VersionCell`].
 
-use crate::{AdaptiveRouter, EngineError, VersionCell};
+use crate::{AdaptiveRouter, EngineError, EngineOp, VersionCell};
 use olap_aggregate::NumericValue;
-use olap_array::{Region, Shape};
+use olap_array::{BudgetMeter, Region, Shape};
 use olap_query::{AccessStats, Answer, EngineKind, QueryOutcome, RangeQuery};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The backend a [`SemanticCache`] fronts: anything that answers range
-/// sums against an epoch-stamped snapshot. Implemented for
-/// [`AdaptiveRouter`] and [`VersionCell`] (and `Arc`s of either), which
-/// covers any [`crate::RangeEngine`] by wrapping it in a cell.
+/// The backend a [`SemanticCache`] fronts: anything that answers reads
+/// over a resolved region against an epoch-stamped snapshot. Implemented
+/// for [`AdaptiveRouter`] and [`VersionCell`] (and `Arc`s of either),
+/// which covers any [`crate::RangeEngine`] by wrapping it in a cell.
 pub trait CacheBackend<V>: Send + Sync {
     /// The shape of the cube served, when one is known. `None` (e.g. an
     /// empty router) puts the cache in pure passthrough mode.
     fn shape(&self) -> Option<Shape>;
 
-    /// Direct range-sum execution.
+    /// Answers `op` over a region resolved against
+    /// [`CacheBackend::shape`].
     ///
     /// # Errors
     /// Whatever the backend reports.
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError>;
-
-    /// Direct range-max execution (the cache always passes extrema
-    /// through).
-    ///
-    /// # Errors
-    /// Whatever the backend reports.
-    fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError>;
-
-    /// Direct range-min execution.
-    ///
-    /// # Errors
-    /// Whatever the backend reports.
-    fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError>;
+    fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError>;
 
     /// Applies a batch of absolute-value updates, installing a successor
     /// snapshot (bumping [`CacheBackend::epoch`] by one on success).
@@ -95,16 +84,8 @@ impl<V: NumericValue> CacheBackend<V> for AdaptiveRouter<V> {
         }
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        AdaptiveRouter::range_sum(self, query)
-    }
-
-    fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        AdaptiveRouter::range_max(self, query)
-    }
-
-    fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        AdaptiveRouter::range_min(self, query)
+    fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
+        AdaptiveRouter::read(self, region, op)
     }
 
     fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError> {
@@ -121,16 +102,10 @@ impl<V: 'static> CacheBackend<V> for VersionCell<V> {
         Some(self.load().engine().shape().clone())
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.load().engine().range_sum(query)
-    }
-
-    fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.load().engine().range_max(query)
-    }
-
-    fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.load().engine().range_min(query)
+    fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
+        self.load()
+            .engine()
+            .read(region, op, &BudgetMeter::unlimited())
     }
 
     fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError> {
@@ -147,16 +122,8 @@ impl<V, B: CacheBackend<V> + ?Sized> CacheBackend<V> for Arc<B> {
         (**self).shape()
     }
 
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        (**self).range_sum(query)
-    }
-
-    fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        (**self).range_max(query)
-    }
-
-    fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        (**self).range_min(query)
+    fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
+        (**self).read(region, op)
     }
 
     fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError> {
@@ -382,12 +349,50 @@ where
     /// attribution.
     ///
     /// # Errors
-    /// Whatever the backend reports; the cache itself never fails a
-    /// query.
+    /// Query validation, or whatever the backend reports; the cache
+    /// itself never fails a query.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        let Some(region) = self.resolve(query) else {
-            return self.backend.range_sum(query);
-        };
+        let region = self.resolve(query, EngineOp::Sum)?;
+        self.sum(Cow::Owned(region))
+    }
+
+    /// Passes a range-max query straight to the backend.
+    ///
+    /// # Errors
+    /// Query validation, or whatever the backend reports.
+    pub fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
+        self.backend
+            .read(&self.resolve(query, EngineOp::Max)?, EngineOp::Max)
+    }
+
+    /// Passes a range-min query straight to the backend.
+    ///
+    /// # Errors
+    /// Query validation, or whatever the backend reports.
+    pub fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
+        self.backend
+            .read(&self.resolve(query, EngineOp::Min)?, EngineOp::Min)
+    }
+
+    /// Answers `op` over an already resolved region: a sum through the
+    /// cache as [`SemanticCache::range_sum`] does, an extremum straight
+    /// from the backend.
+    ///
+    /// # Errors
+    /// Whatever the backend reports.
+    pub fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
+        match op {
+            EngineOp::Sum => self.sum(Cow::Borrowed(region)),
+            _ => self.backend.read(region, op),
+        }
+    }
+
+    /// The sum over `region`: a table hit, or a backend read inserted on
+    /// the way back. A disabled cache passes straight through.
+    fn sum(&self, region: Cow<'_, Region>) -> Result<QueryOutcome<V>, EngineError> {
+        if self.capacity == 0 || self.shape.is_none() {
+            return self.backend.read(&region, EngineOp::Sum);
+        }
         // Context and clock together: an idle site is one atomic load.
         let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
         let epoch0 = self.backend.epoch();
@@ -396,7 +401,7 @@ where
             self.lookup(&region, epoch0)
         };
         let Some(sum) = hit else {
-            return self.miss(query, region, epoch0);
+            return self.miss(region, epoch0);
         };
         self.bump("olap_cache_hits_total", &self.hits, 1);
         let mut stats = AccessStats::new();
@@ -411,22 +416,6 @@ where
             stats,
             EngineKind::SemanticCache,
         ))
-    }
-
-    /// Passes a range-max query straight to the backend.
-    ///
-    /// # Errors
-    /// Whatever the backend reports.
-    pub fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.backend.range_max(query)
-    }
-
-    /// Passes a range-min query straight to the backend.
-    ///
-    /// # Errors
-    /// Whatever the backend reports.
-    pub fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.backend.range_min(query)
     }
 
     /// Applies an update batch through the backend and invalidates
@@ -485,14 +474,16 @@ where
         result
     }
 
-    /// The query's region, when the cache is enabled and the query
-    /// resolves against the backend's shape. `None` → passthrough.
-    fn resolve(&self, query: &RangeQuery) -> Option<Region> {
-        if self.capacity == 0 {
-            return None;
+    /// Resolves `query` once, against the backend's shape — asked again
+    /// if the backend served no cube when the cache was built.
+    fn resolve(&self, query: &RangeQuery, op: EngineOp) -> Result<Region, EngineError> {
+        match &self.shape {
+            Some(shape) => Ok(query.to_region(shape)?),
+            None => match self.backend.shape() {
+                Some(shape) => Ok(query.to_region(&shape)?),
+                None => Err(EngineError::NoCandidate { op: op.name() }),
+            },
         }
-        let shape = self.shape.as_ref()?;
-        query.to_region(shape).ok()
     }
 
     /// The stored sum for `region` at `epoch`, found by one index probe
@@ -514,16 +505,11 @@ where
     }
 
     /// Direct execution with insert-on-miss.
-    fn miss(
-        &self,
-        query: &RangeQuery,
-        region: Region,
-        epoch0: u64,
-    ) -> Result<QueryOutcome<V>, EngineError> {
+    fn miss(&self, region: Cow<'_, Region>, epoch0: u64) -> Result<QueryOutcome<V>, EngineError> {
         // The backend dispatch records the flight record; annotate it as
         // a consulted-but-missed cache path.
         let _outcome = olap_telemetry::CacheOutcomeScope::set("miss");
-        let out = self.backend.range_sum(query)?;
+        let out = self.backend.read(&region, EngineOp::Sum)?;
         self.bump("olap_cache_misses_total", &self.misses, 1);
         if let Answer::Aggregate(v) = &out.answer {
             self.insert(region, epoch0, v.clone());
@@ -533,8 +519,9 @@ where
 
     /// Inserts `(region, epoch, sum)` unless an install raced the
     /// computation (the sum would describe a superseded snapshot), the
-    /// table already holds the region, or the cache is reconciling.
-    fn insert(&self, region: Region, epoch: u64, sum: V) {
+    /// table already holds the region, or the cache is reconciling. A
+    /// borrowed region is copied only once the entry is going in.
+    fn insert(&self, region: Cow<'_, Region>, epoch: u64, sum: V) {
         // Epoch check *before* taking `inner` — the backend is never
         // called under the table lock.
         if self.backend.epoch() != epoch {
@@ -558,7 +545,11 @@ where
                 }
             }
             let tick = inner.tick;
-            let entry = Entry { region, epoch, sum };
+            let entry = Entry {
+                region: region.into_owned(),
+                epoch,
+                sum,
+            };
             let id = match inner.free.pop() {
                 Some(id) => id,
                 None => {

@@ -1,7 +1,7 @@
 //! Instrumentation shims for the engine layer.
 //!
-//! Every query method of every [`crate::RangeEngine`] impl funnels through
-//! [`observe_query`], and every `apply_updates` through an
+//! Every [`crate::RangeEngine::read`] impl wraps its one body in
+//! [`observe_query`], and every `apply_updates` goes through an
 //! [`UpdateObservation`] guard. With no telemetry context active, the
 //! cost per call is the one relaxed atomic load inside
 //! `olap_telemetry::current`.
@@ -13,15 +13,15 @@
 //! - `olap_engine_latency_nanos{engine, op}` — wall time per call
 //! - `olap_engine_update_cells_total{engine}` — cells written by updates
 
-use crate::EngineError;
+use crate::{EngineError, EngineOp};
 use olap_query::{AccessStats, QueryOutcome};
 
-/// Runs `f` (one engine query) and records count, accesses and latency
+/// Runs `f` (one engine read) and records count, accesses and latency
 /// for it. `label` is only invoked when a telemetry context is active, so
 /// the idle path allocates nothing.
 pub(crate) fn observe_query<T>(
     label: impl Fn() -> String,
-    op: &'static str,
+    op: EngineOp,
     f: impl FnOnce() -> Result<QueryOutcome<T>, EngineError>,
 ) -> Result<QueryOutcome<T>, EngineError> {
     let Some(ctx) = olap_telemetry::current() else {
@@ -31,7 +31,7 @@ pub(crate) fn observe_query<T>(
     let result = f();
     let nanos = elapsed_nanos(start);
     let label = label();
-    let labels: &[(&str, &str)] = &[("engine", &label), ("op", op)];
+    let labels: &[(&str, &str)] = &[("engine", &label), ("op", op.name())];
     let reg = ctx.registry();
     reg.counter("olap_engine_queries_total", labels).inc(1);
     match &result {

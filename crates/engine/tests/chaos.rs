@@ -98,16 +98,16 @@ fn chaos_single_panic_fault_is_contained_and_invisible() {
 
 #[test]
 fn chaos_zero_deadline_kills_before_kernel_work() {
-    // Engine level: a CubeIndex carrying a zero-allowance budget refuses
-    // every query with the typed interrupt before touching a kernel.
-    let config = IndexConfig {
-        budget: QueryBudget::with_deadline(Duration::ZERO),
-        ..IndexConfig::default()
-    };
-    let index = CubeIndex::build(cube(), config).unwrap();
+    // Engine level: a read under a zero-allowance meter is refused with
+    // the typed interrupt before the kernel is touched, for every op.
+    let index = CubeIndex::build(cube(), IndexConfig::default()).unwrap();
+    let meter = QueryBudget::with_deadline(Duration::ZERO).start(None);
     for q in workload() {
-        let err = RangeEngine::range_sum(&index, &q).unwrap_err();
-        assert!(matches!(err, EngineError::DeadlineExceeded { .. }), "{err}");
+        let region = q.to_region(index.shape()).unwrap();
+        for op in [EngineOp::Sum, EngineOp::Max, EngineOp::Min] {
+            let err = index.read(&region, op, &meter).unwrap_err();
+            assert!(matches!(err, EngineError::DeadlineExceeded { .. }), "{err}");
+        }
     }
     // Router level: the same budget on the router kills the routed query
     // and the injector underneath is never even dispatched.

@@ -48,12 +48,11 @@ proptest! {
         blocked in 1usize..5,
     ) {
         let configs = [
-            IndexConfig { prefix: PrefixChoice::Basic, max_tree_fanout: Some(2), min_tree_fanout: None, ..IndexConfig::default() },
+            IndexConfig { prefix: PrefixChoice::Basic, max_tree_fanout: Some(2), min_tree_fanout: None },
             IndexConfig {
                 prefix: PrefixChoice::Blocked(blocked),
                 max_tree_fanout: Some(3),
                 min_tree_fanout: Some(2),
-                ..IndexConfig::default()
             },
         ];
         let batch: Vec<(Vec<usize>, i64)> =
@@ -131,9 +130,8 @@ proptest! {
         b in 1usize..5,
     ) {
         let e = ApproxEngine::build(a.clone(), b).unwrap();
-        let query = RangeQuery::from_region(&q);
         let truth = a.fold_region(&q, 0i64, |s, &x| s + x);
-        let (est, stats) = e.estimate_sum(&query).unwrap();
+        let (est, stats) = e.estimate_sum(&q).unwrap();
         prop_assert!(est.contains(truth), "{} outside {}", truth, est);
         prop_assert!(est.lower <= est.value && est.value <= est.upper);
         prop_assert_eq!(stats.a_cells, 0, "sums answer from anchors alone");
@@ -144,8 +142,8 @@ proptest! {
         }
         let t_max = a.fold_region(&q, i64::MIN, |s, &x| s.max(x));
         let t_min = a.fold_region(&q, i64::MAX, |s, &x| s.min(x));
-        let (emax, _) = e.estimate_extremum(&query, EngineOp::Max).unwrap();
-        let (emin, _) = e.estimate_extremum(&query, EngineOp::Min).unwrap();
+        let (emax, _) = e.estimate_extremum(&q, EngineOp::Max).unwrap();
+        let (emin, _) = e.estimate_extremum(&q, EngineOp::Min).unwrap();
         prop_assert!(emax.contains(t_max), "max {} outside {}", t_max, emax);
         prop_assert!(emin.contains(t_min), "min {} outside {}", t_min, emin);
         if b == 1 {
@@ -175,7 +173,7 @@ proptest! {
             .collect();
         let aligned = Region::from_bounds(&bounds).unwrap();
         let e = ApproxEngine::build(a.clone(), b).unwrap();
-        let (est, _) = e.estimate_sum(&RangeQuery::from_region(&aligned)).unwrap();
+        let (est, _) = e.estimate_sum(&aligned).unwrap();
         prop_assert_eq!(est.error_bound, 0);
         prop_assert!(est.is_exact());
         prop_assert_eq!(est.fraction_exact, 1.0);

@@ -4,10 +4,10 @@
 //! bit-identical to direct execution under random interleaved update
 //! installs.
 
-use olap_array::{DenseArray, Region, Shape};
+use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_engine::{
-    AdaptiveRouter, Capabilities, CubeIndex, Derived, EngineError, IndexConfig, NaiveEngine,
-    RangeEngine, SemanticCache, SumTreeEngine, VersionCell,
+    AdaptiveRouter, Capabilities, CubeIndex, Derived, EngineError, EngineOp, IndexConfig,
+    NaiveEngine, RangeEngine, SemanticCache, SumTreeEngine, VersionCell,
 };
 use olap_query::{EngineKind, QueryOutcome, RangeQuery};
 use proptest::prelude::*;
@@ -203,11 +203,16 @@ impl RangeEngine<i64> for RefusesUpdates {
     fn capabilities(&self) -> Capabilities {
         self.0.capabilities()
     }
-    fn estimate(&self, query: &RangeQuery) -> f64 {
-        self.0.estimate(query)
+    fn cost(&self, region: &Region) -> f64 {
+        self.0.cost(region)
     }
-    fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<i64>, EngineError> {
-        self.0.range_sum(query)
+    fn read(
+        &self,
+        region: &Region,
+        op: EngineOp,
+        meter: &BudgetMeter,
+    ) -> Result<QueryOutcome<i64>, EngineError> {
+        self.0.read(region, op, meter)
     }
     fn apply_updates(&self, _: &[(Vec<usize>, i64)]) -> Result<Derived<i64>, EngineError> {
         Err(EngineError::backend(self.label(), "derive refused"))

@@ -68,12 +68,12 @@
 //! So every batch, single- or multi-shard, is atomic to every reader.
 
 use crate::ServerError;
-use olap_array::{DegradePolicy, DenseArray, QueryBudget, Shape};
+use olap_array::{DegradePolicy, DenseArray, QueryBudget, Range, Region, Shape};
 use olap_engine::{
     AdaptiveRouter, ApproxEngine, CacheStats, CubeIndex, DegradeReason, EngineError, EngineOp,
     EpochStats, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine, RangeEngine, SemanticCache,
 };
-use olap_query::{AccessStats, Answer, DimSelection, Estimate, QueryOutcome, RangeQuery};
+use olap_query::{AccessStats, Answer, Estimate, QueryOutcome, RangeQuery};
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -398,7 +398,7 @@ impl Shard {
     /// answerable query into an error.
     fn answer(
         &self,
-        query: &RangeQuery,
+        region: &Region,
         op: EngineOp,
         limit: Option<i64>,
     ) -> Result<ShardOutcome, EngineError> {
@@ -406,7 +406,7 @@ impl Shard {
         // path answers, and both paths are sound.
         if limit.is_some_and(|limit| self.depth.get() > limit) {
             let reason = DegradeReason::QueueDepth;
-            if let Ok((estimate, stats)) = self.router().degrade(query, op, reason) {
+            if let Ok((estimate, stats)) = self.router().degrade(region, op, reason) {
                 return Ok(ShardOutcome::Degraded {
                     estimate,
                     stats,
@@ -416,15 +416,9 @@ impl Shard {
         }
         let _in_flight = self.enter();
         let _exec_span = olap_telemetry::TraceSpan::start("shard_exec");
-        let exact = match op {
-            EngineOp::Sum => self.cache.range_sum(query),
-            EngineOp::Max => self.cache.range_max(query),
-            EngineOp::Min => self.cache.range_min(query),
-            EngineOp::Update => Err(EngineError::unsupported("shard", op.name())),
-        };
-        match exact {
+        match self.cache.read(region, op) {
             Ok(o) => Ok(ShardOutcome::Exact(o)),
-            Err(e) => degrade_fallback(self.router(), query, op, e),
+            Err(e) => degrade_fallback(self.router(), region, op, e),
         }
     }
 }
@@ -446,7 +440,7 @@ const DEGRADE_BLOCK: usize = 8;
 /// exact error.
 fn degrade_fallback(
     router: &AdaptiveRouter<i64>,
-    query: &RangeQuery,
+    region: &Region,
     op: EngineOp,
     exact_err: EngineError,
 ) -> Result<ShardOutcome, EngineError> {
@@ -456,7 +450,7 @@ fn degrade_fallback(
     let Some(reason) = DegradeReason::for_failure(&exact_err) else {
         return Err(exact_err);
     };
-    match router.degrade(query, op, reason) {
+    match router.degrade(region, op, reason) {
         Ok((estimate, stats)) => Ok(ShardOutcome::Degraded {
             estimate,
             stats,
@@ -918,7 +912,7 @@ impl CubeServer {
         let region = query.to_region(&self.shape)?;
         let r0 = region.range(0);
         if self.owning_shard(r0.lo())? == self.owning_shard(r0.hi())? {
-            return self.parts(query, op, &region, &mut fold);
+            return self.parts(op, &region, &mut fold);
         }
         for _ in 0..CONSISTENT_TRIES {
             // ordering: Acquire — pairs with the writer's closing Release
@@ -930,7 +924,7 @@ impl CubeServer {
                 std::hint::spin_loop();
                 continue;
             }
-            let answer = self.parts(query, op, &region, &mut fold)?;
+            let answer = self.parts(op, &region, &mut fold)?;
             // ordering: Acquire fence — pairs with the writer's Release
             // fence: if a part observed a snapshot stored after it, the
             // add before that fence is visible to the load below.
@@ -942,7 +936,7 @@ impl CubeServer {
         }
         // Installs kept landing mid-read: run once more with none able to.
         let _writer = self.lock_writer();
-        self.parts(query, op, &region, &mut fold)
+        self.parts(op, &region, &mut fold)
     }
 
     /// One pass of [`CubeServer::fan_out`]: the parts in shard order, on
@@ -950,9 +944,8 @@ impl CubeServer {
     /// with the shard and the part's cell count.
     fn parts<A: Default>(
         &self,
-        query: &RangeQuery,
         op: EngineOp,
-        region: &olap_array::Region,
+        region: &Region,
         fold: &mut impl FnMut(&mut A, &Shard, u64, ShardOutcome),
     ) -> Result<(A, usize), ServerError> {
         let r0 = region.range(0);
@@ -967,15 +960,15 @@ impl CubeServer {
             if r0.lo() > slab_hi || r0.hi() < slab_lo {
                 continue;
             }
-            // The shard-local query: the caller's, with axis 0 clamped to
-            // the slab and shifted to slab coordinates.
+            // The shard-local region: the caller's, with axis 0 clamped
+            // to the slab and shifted to slab coordinates.
             let lo = r0.lo().max(slab_lo) - shard.lo;
             let hi = r0.hi().min(slab_hi) - shard.lo;
-            let mut sels = query.selections().to_vec();
-            if let Some(first) = sels.first_mut() {
-                *first = DimSelection::span(lo, hi)?;
+            let mut ranges = region.ranges().to_vec();
+            if let Some(first) = ranges.first_mut() {
+                *first = Range::new(lo, hi)?;
             }
-            let local = RangeQuery::new(sels)?;
+            let local = Region::new(ranges)?;
             // Clock only under a context: an idle site is one atomic load.
             let observing = telemetry.as_ref().map(|ctx| (ctx, Instant::now()));
             let out = shard.answer(&local, op, self.queue_limit)?;

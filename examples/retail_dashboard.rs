@@ -55,7 +55,6 @@ fn main() {
             prefix: PrefixChoice::Basic,
             max_tree_fanout: Some(4),
             min_tree_fanout: Some(4),
-            ..IndexConfig::default()
         },
     )
     .expect("valid config");

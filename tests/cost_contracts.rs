@@ -26,7 +26,6 @@ fn index_config(prefix: PrefixChoice) -> IndexConfig {
         prefix,
         max_tree_fanout: None,
         min_tree_fanout: None,
-        ..IndexConfig::default()
     }
 }
 
@@ -79,9 +78,7 @@ fn approx_tier_costs_a_tenth_of_exact_and_brackets_the_oracle() {
             let (sum, stats) = exact.range_sum(&region).unwrap();
             assert_eq!(sum, oracle);
             exact_cost += stats.total_accesses();
-            let (est, stats) = approx
-                .estimate_sum(&RangeQuery::from_region(&region))
-                .unwrap();
+            let (est, stats) = approx.estimate_sum(&region).unwrap();
             assert!(
                 est.lower <= oracle && oracle <= est.upper,
                 "side {side}: [{}, {}] excludes {oracle}",

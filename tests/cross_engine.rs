@@ -19,7 +19,6 @@ fn config(prefix: PrefixChoice) -> IndexConfig {
         prefix,
         max_tree_fanout: None,
         min_tree_fanout: None,
-        ..IndexConfig::default()
     }
 }
 

@@ -150,7 +150,6 @@ fn many_duplicate_updates_last_wins() {
             prefix: PrefixChoice::Basic,
             max_tree_fanout: Some(2),
             min_tree_fanout: None,
-            ..IndexConfig::default()
         },
     )
     .unwrap();

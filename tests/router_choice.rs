@@ -6,13 +6,19 @@
 //! 2. Its choice is the first strict argmin of the engines' own
 //!    [`RangeEngine::estimate`], whatever queries came before: nothing it
 //!    observes moves a later decision.
+//!
+//! And the contract that makes the choice cheap: a query is resolved
+//! once, and each engine is priced once and read at most once, over that
+//! one region.
 
-use olap_cube::array::{DenseArray, Region, Shape};
+use olap_cube::array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_cube::engine::{
-    AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, RangeEngine, SumTreeEngine,
+    AdaptiveRouter, Capabilities, CubeIndex, EngineError, EngineOp, IndexConfig, NaiveEngine,
+    PrefixChoice, RangeEngine, SemanticCache, SumTreeEngine,
 };
-use olap_cube::query::RangeQuery;
+use olap_cube::query::{QueryOutcome, RangeQuery};
 use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions};
+use std::sync::{Arc, Mutex};
 
 /// Router ≤ BOUND × best static engine, in total observed accesses: the
 /// measured ratio on this workload (6 158 / 6 158 = 1.000). Routing on
@@ -24,7 +30,6 @@ fn engines(a: &DenseArray<i64>) -> Vec<Box<dyn RangeEngine<i64>>> {
         prefix,
         max_tree_fanout: None,
         min_tree_fanout: None,
-        ..IndexConfig::default()
     };
     vec![
         Box::new(NaiveEngine::new(a.clone())),
@@ -130,4 +135,116 @@ fn explain_candidates_match_direct_estimates() {
         router.range_sum(&q).unwrap();
     }
     check(&router, "warmed");
+}
+
+/// The regions an engine was priced over and read over, in call order.
+#[derive(Default)]
+struct Calls {
+    costs: Vec<Region>,
+    reads: Vec<Region>,
+}
+
+/// A pass-through engine that records every region the stack above it
+/// hands to `cost` and `read`.
+struct Recording {
+    inner: Box<dyn RangeEngine<i64>>,
+    calls: Arc<Mutex<Calls>>,
+}
+
+impl RangeEngine<i64> for Recording {
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+    fn shape(&self) -> &Shape {
+        self.inner.shape()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
+    }
+    fn cost(&self, region: &Region) -> f64 {
+        self.calls.lock().unwrap().costs.push(region.clone());
+        self.inner.cost(region)
+    }
+    fn read(
+        &self,
+        region: &Region,
+        op: EngineOp,
+        meter: &BudgetMeter,
+    ) -> Result<QueryOutcome<i64>, EngineError> {
+        self.calls.lock().unwrap().reads.push(region.clone());
+        self.inner.read(region, op, meter)
+    }
+}
+
+/// The resolve-once contract, through every layer that takes a query:
+/// one `explain` and each routed query run one estimate sweep (a `cost`
+/// per engine), the chosen engine is read once, and every region any
+/// engine sees equals `query.to_region(shape)`. A cache hit asks the
+/// engines nothing.
+#[test]
+fn one_explain_and_each_routed_query_run_one_estimate_sweep() {
+    let shape = Shape::new(&[64, 64]).unwrap();
+    let a = uniform_cube(shape.clone(), 100, 7);
+    let logs: Vec<Arc<Mutex<Calls>>> = (0..2).map(|_| Arc::default()).collect();
+    let inners: [Box<dyn RangeEngine<i64>>; 2] = [
+        Box::new(NaiveEngine::new(a.clone())),
+        Box::new(CubeIndex::build(a, IndexConfig::default()).unwrap()),
+    ];
+    let router = Arc::new(inners.into_iter().zip(&logs).fold(
+        AdaptiveRouter::new(),
+        |r, (inner, calls)| {
+            r.with_engine(Box::new(Recording {
+                inner,
+                calls: Arc::clone(calls),
+            }))
+        },
+    ));
+    let cache = SemanticCache::new(Arc::clone(&router), 16);
+    // Per engine: (regions priced, regions read) since the last drain.
+    let drain = || -> Vec<(Vec<Region>, Vec<Region>)> {
+        logs.iter()
+            .map(|l| {
+                let mut calls = l.lock().unwrap();
+                (
+                    std::mem::take(&mut calls.costs),
+                    std::mem::take(&mut calls.reads),
+                )
+            })
+            .collect()
+    };
+    let q = |b: [(usize, usize); 2]| RangeQuery::from_region(&Region::from_bounds(&b).unwrap());
+    let (tiny, big) = (q([(5, 5), (9, 9)]), q([(0, 60), (0, 60)]));
+    let (tiny_region, big_region) = (
+        tiny.to_region(&shape).unwrap(),
+        big.to_region(&shape).unwrap(),
+    );
+
+    // The table and the route share one sweep; the naive scan (1 cell
+    // against 2^d = 4) answers.
+    let once = vec![tiny_region];
+    let tiny_calls = [(once.clone(), once.clone()), (once, vec![])];
+    let e1 = router.explain(&tiny).unwrap();
+    assert_eq!(drain(), tiny_calls);
+    let e2 = router.explain(&tiny).unwrap();
+    assert_eq!(drain(), tiny_calls, "nothing is remembered between queries");
+    assert_eq!(e1.candidates, e2.candidates, "tables must be identical");
+    assert_eq!(e1.chosen, e2.chosen);
+
+    // A routed sum through the cache: resolved once by the cache, priced
+    // once per engine and read once on the index, all over one region.
+    let miss = cache.range_sum(&big).unwrap();
+    let once = vec![big_region.clone()];
+    assert_eq!(drain(), [(once.clone(), vec![]), (once.clone(), once)]);
+    // The repeat is a hit: no engine is asked anything.
+    let hit = cache.range_sum(&big).unwrap();
+    assert_eq!(hit.value(), miss.value());
+    assert_eq!(drain(), [(vec![], vec![]), (vec![], vec![])]);
+    // Straight to the router: one sweep per routed query, each engine
+    // priced once whichever answers.
+    for query in [&big, &big, &tiny] {
+        router.range_sum(query).unwrap();
+        assert!(drain()
+            .iter()
+            .all(|(costs, reads)| costs.len() == 1 && reads.len() <= 1));
+    }
 }

@@ -29,7 +29,6 @@ fn twenty_rounds_of_mixed_queries_and_updates() {
         prefix: PrefixChoice::Basic,
         max_tree_fanout: Some(3),
         min_tree_fanout: None,
-        ..IndexConfig::default()
     };
     let mut index = CubeIndex::build(a.clone(), cfg).unwrap();
     // The §8 tree-sum baseline beside the index, derived through the
@@ -87,7 +86,6 @@ fn blocked_index_update_cycle() {
         prefix: PrefixChoice::Blocked(7),
         max_tree_fanout: None,
         min_tree_fanout: None,
-        ..IndexConfig::default()
     };
     let mut index = CubeIndex::build(a, cfg).unwrap();
     let mut rng = StdRng::seed_from_u64(8);
