@@ -12,7 +12,7 @@ use olap_cube::engine::{
     QueryBudget, RangeEngine, SemanticCache, SumTreeEngine,
 };
 use olap_cube::prefix_sum::batch::{self, CellUpdate};
-use olap_cube::prefix_sum::PrefixSumCube;
+use olap_cube::prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
 use olap_cube::query::{AccessStats, Answer, RangeQuery};
 use olap_cube::range_max::{MaxTree, NaturalMaxTree, NaturalMinTree};
 use olap_cube::tree_sum::SumTreeCube;
@@ -382,4 +382,70 @@ fn range_max_accesses_and_ties_on_the_insurance_cube_are_pinned() {
     assert_eq!(max(&cube, 4), (247696, 28901, 275573, 36571193));
     assert_eq!(max(&ties, 4), (3938, 6659, 9573, 26990235));
     assert_eq!(min(&ties, 4), (4274, 6529, 9779, 27046490));
+}
+
+/// Summed `(A cells, P cells, combine steps, Σ answer)` of the §4.2
+/// blocked kernel over `regions` under `policy`.
+fn blocked_totals(
+    a: &DenseArray<i64>,
+    b: usize,
+    policy: BoundaryPolicy,
+    regions: &[Region],
+) -> (u64, u64, u64, i64) {
+    let bp = BlockedPrefixCube::build(a, b).unwrap();
+    let mut total = AccessStats::new();
+    let mut sum = 0i64;
+    for region in regions {
+        let (v, stats) = bp.range_sum_with_policy(a, region, policy).unwrap();
+        total.merge(&stats);
+        sum = sum.wrapping_add(v);
+    }
+    assert_eq!(total.tree_nodes, 0);
+    (total.a_cells, total.p_cells, total.combine_steps, sum)
+}
+
+/// §8 prices the blocked algorithm in elements accessed. These are the
+/// exact counts, and the answers, of the §4.2 kernel on a ragged 2-d cube
+/// (extents `b` does not divide, 512 regions of side 96) and on the
+/// paper's 4-d insurance cube (512 uniform regions), at b = 4 and b = 16,
+/// under each boundary policy. Any change in them changes which cells a
+/// part reads or how the parts are split.
+#[test]
+fn blocked_sum_accesses_and_answers_are_pinned() {
+    use BoundaryPolicy::{AlwaysComplement as Complement, AlwaysDirect as Direct, Auto};
+    let flat = uniform_cube(Shape::new(&[203, 317]).unwrap(), 1000, 11);
+    let sided = sided_regions(flat.shape(), 96, 512, 12);
+    let insurance = InsuranceCube::generate(5).revenue;
+    let uniform = uniform_regions(insurance.shape(), 512, 13);
+    let pinned = [
+        (4, Auto, (196980, 5714, 206575), (1883052, 2044, 1889525)),
+        (4, Direct, (385024, 2034, 390939), (2479596, 0, 2484025)),
+        (
+            4,
+            Complement,
+            (299380, 15350, 318611),
+            (5091396, 25910, 5121735),
+        ),
+        (16, Auto, (753920, 7036, 765400), (2389458, 91, 2391168)),
+        (16, Direct, (1441792, 2034, 1448270), (2479596, 0, 2481215)),
+        (
+            16,
+            Complement,
+            (1567902, 17156, 1589502),
+            (19545204, 5006, 19551829),
+        ),
+    ];
+    for (b, policy, (fa, fp, fc), (ia, ip, ic)) in pinned {
+        let at = format!("b = {b}, {policy:?}");
+        assert_eq!(
+            blocked_totals(&flat, b, policy, &sided),
+            (fa, fp, fc, 2357761456),
+            "2-d, {at}"
+        );
+        assert_eq!(
+            blocked_totals(&insurance, b, policy, &uniform),
+            (ia, ip, ic, 625125685),
+            "insurance, {at}"
+        );
+    }
 }
