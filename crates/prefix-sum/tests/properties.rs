@@ -2,9 +2,13 @@
 //! blocked algorithm agree with a naive scan on arbitrary cubes, and the
 //! Theorem-2 batch update is equivalent to rebuilding from scratch.
 
-use olap_array::{DenseArray, Region, Shape};
+use olap_aggregate::AbelianGroup;
+use olap_array::{ArrayError, BudgetMeter, DenseArray, Interrupt, QueryBudget, Region, Shape};
 use olap_prefix_sum::batch::{self, CellUpdate};
-use olap_prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
+use olap_prefix_sum::{
+    BlockedPrefixCube, BlockedPrefixSum, BoundaryMethod, BoundaryPolicy, PrefixSumCube,
+};
+use olap_query::AccessStats;
 use proptest::prelude::*;
 
 /// A random cube of 1–4 dimensions with small extents, plus its contents.
@@ -28,6 +32,113 @@ fn arb_region(shape: &Shape) -> impl Strategy<Value = Region> {
 
 fn naive(a: &DenseArray<i64>, q: &Region) -> i64 {
     a.fold_region(q, 0i64, |s, &x| s + x)
+}
+
+/// Cell values whose sums depend on the order they are added in: `1e16`
+/// absorbs a following `1.0`, so any reassociation of a fold shows in
+/// the answer's bits.
+const REASSOCIATING: [f64; 6] = [1e16, -1e16, 1.0, 0.25, 3.0, -7.5];
+
+/// A block size from {1, 2, 3, 5, 16} and a cube of 1–4 dimensions whose
+/// extents that block size does not divide (unless it is 1), with each
+/// cell an index into [`REASSOCIATING`].
+fn arb_ragged_cube() -> impl Strategy<Value = (usize, Shape, Vec<usize>)> {
+    (1usize..=4, 0usize..5).prop_flat_map(|(d, pick)| {
+        let b = [1, 2, 3, 5, 16][pick];
+        let max = [0, 60, 40, 12, 7][d];
+        prop::collection::vec(2usize..max, d).prop_flat_map(move |dims| {
+            let dims: Vec<usize> = dims
+                .into_iter()
+                .map(|n| if b > 1 && n % b == 0 { n + 1 } else { n })
+                .collect();
+            let shape = Shape::new(&dims).unwrap();
+            let cells = prop::collection::vec(0usize..REASSOCIATING.len(), shape.len());
+            (Just(b), Just(shape), cells)
+        })
+    })
+}
+
+/// Theorem 1 over the packed anchors of `bp` for a block-aligned region,
+/// one `anchor_prefix` read per corner.
+fn anchor_sum<G: AbelianGroup>(
+    bp: &BlockedPrefixSum<G>,
+    r: &Region,
+    stats: &mut AccessStats,
+) -> G::Value {
+    let (op, b) = (bp.op(), bp.block_size());
+    let mut acc = op.identity();
+    'corners: for mask in 0u64..(1 << r.ndim()) {
+        let mut corner = Vec::new();
+        for (j, range) in r.ranges().iter().enumerate() {
+            if (mask >> j) & 1 == 1 {
+                if range.lo() == 0 {
+                    continue 'corners;
+                }
+                corner.push(range.lo() / b - 1);
+            } else {
+                corner.push(range.hi() / b);
+            }
+        }
+        stats.read_p(1);
+        stats.step(1);
+        let term = bp.anchor_prefix(&corner);
+        acc = if mask.count_ones() % 2 == 0 {
+            op.combine(&acc, term)
+        } else {
+            op.uncombine(&acc, term)
+        };
+    }
+    acc
+}
+
+/// The §4.2 query the blocked kernel must reproduce: the parts of
+/// `decompose` in order, each read from anchors and `fold_region` (a
+/// Complement part subtracts `RegionPart::complement`'s holes in order),
+/// with the meter checked before each part and charged after it. Pushes
+/// each completed part's accesses onto `part_accesses`.
+fn reference<G: AbelianGroup>(
+    bp: &BlockedPrefixSum<G>,
+    a: &DenseArray<G::Value>,
+    q: &Region,
+    policy: BoundaryPolicy,
+    meter: &BudgetMeter,
+    part_accesses: &mut Vec<u64>,
+) -> Result<(G::Value, AccessStats), ArrayError> {
+    let op = bp.op();
+    let fold = |r: &Region, stats: &mut AccessStats| {
+        stats.read_a(r.volume() as u64);
+        stats.step(r.volume() as u64);
+        a.fold_region(r, op.identity(), |s, x| op.combine(&s, x))
+    };
+    meter.check()?;
+    let mut acc = op.identity();
+    let mut stats = AccessStats::new();
+    for part in bp.decompose(q)? {
+        meter.check()?;
+        let mut part_stats = AccessStats::new();
+        let method = match policy {
+            BoundaryPolicy::Auto => part.preferred_method(q.ndim()),
+            BoundaryPolicy::AlwaysDirect => BoundaryMethod::Direct,
+            BoundaryPolicy::AlwaysComplement => BoundaryMethod::Complement,
+        };
+        let v = match (part.internal, method) {
+            (true, _) => anchor_sum(bp, &part.region, &mut part_stats),
+            (false, BoundaryMethod::Direct) => fold(&part.region, &mut part_stats),
+            (false, BoundaryMethod::Complement) => {
+                let mut v = anchor_sum(bp, &part.superblock, &mut part_stats);
+                for hole in part.complement() {
+                    v = op.uncombine(&v, &fold(&hole, &mut part_stats));
+                }
+                v
+            }
+        };
+        part_stats.step(1);
+        meter.charge(part_stats.total_accesses())?;
+        part_accesses.push(part_stats.total_accesses());
+        acc = op.combine(&acc, &v);
+        stats.merge(&part_stats);
+    }
+    Ok((acc, stats))
 }
 
 proptest! {
@@ -60,6 +171,58 @@ proptest! {
         ] {
             let (v, _) = bp.range_sum_with_policy(&a, &q, policy).unwrap();
             prop_assert_eq!(v, expected, "b={} policy={:?}", b, policy);
+        }
+    }
+
+    #[test]
+    fn blocked_kernel_matches_the_decompose_reference(
+        ((b, shape, cells), q) in arb_ragged_cube().prop_flat_map(|(b, shape, cells)| {
+            let q = arb_region(&shape);
+            (Just((b, shape, cells)), q)
+        })
+    ) {
+        let ints = cells.iter().map(|&c| c as i64 * 37 - 50).collect();
+        let ints = DenseArray::from_vec(shape.clone(), ints).unwrap();
+        let floats = cells.iter().map(|&c| REASSOCIATING[c]).collect();
+        let floats = DenseArray::from_vec(shape, floats).unwrap();
+        let bp = BlockedPrefixCube::build(&ints, b).unwrap();
+        let fp = BlockedPrefixCube::build(&floats, b).unwrap();
+        let unlimited = BudgetMeter::unlimited();
+        for policy in [
+            BoundaryPolicy::Auto,
+            BoundaryPolicy::AlwaysDirect,
+            BoundaryPolicy::AlwaysComplement,
+        ] {
+            let at = format!("b={b} {q} {policy:?}");
+            let mut parts = Vec::new();
+            let want = reference(&bp, &ints, &q, policy, &unlimited, &mut parts).unwrap();
+            prop_assert_eq!(bp.range_sum_with_policy(&ints, &q, policy).unwrap(), want, "{}", &at);
+            let (v, stats) = fp.range_sum_with_policy(&floats, &q, policy).unwrap();
+            let (want_v, want_stats) =
+                reference(&fp, &floats, &q, policy, &unlimited, &mut Vec::new()).unwrap();
+            prop_assert_eq!(v.to_bits(), want_v.to_bits(), "{}: {} vs {}", &at, v, want_v);
+            prop_assert_eq!(stats, want_stats, "{}", &at);
+            // A cap at each part's cumulative total, and one below it,
+            // cuts both off at the same part with the same spend.
+            let mut cumulative = 0;
+            for accesses in parts {
+                cumulative += accesses;
+                for cap in [cumulative - 1, cumulative] {
+                    let capped = || QueryBudget::unlimited().max_accesses(cap).start(None);
+                    let (got_meter, want_meter) = (capped(), capped());
+                    let got = bp.range_sum_with_budget(&ints, &q, policy, &got_meter);
+                    let want = reference(&bp, &ints, &q, policy, &want_meter, &mut Vec::new());
+                    let exhausted = |r: &Result<_, ArrayError>| {
+                        matches!(r, Err(ArrayError::Interrupted(Interrupt::BudgetExhausted { .. })))
+                    };
+                    prop_assert_eq!(got.is_ok(), want.is_ok(), "{} cap {}", &at, cap);
+                    prop_assert_eq!(exhausted(&got), exhausted(&want), "{} cap {}", &at, cap);
+                    prop_assert_eq!(got_meter.spent(), want_meter.spent(), "{} cap {}", &at, cap);
+                    if let (Ok(got), Ok(want)) = (got, want) {
+                        prop_assert_eq!(got, want, "{} cap {}", &at, cap);
+                    }
+                }
+            }
         }
     }
 

@@ -122,7 +122,6 @@ impl<O: TotalOrder> MaxTree<O> {
         }
         let shape = a.shape().clone();
         let mut levels: Vec<Level> = Vec::new();
-        let mut scan = ChildScan::new(b, shape.ndim());
         loop {
             let child = levels.last();
             let child_shape = child.map_or(&shape, |l| &l.shape);
@@ -131,12 +130,7 @@ impl<O: TotalOrder> MaxTree<O> {
             }
             let parent_shape = child_shape.contract(b)?;
             let child_of = child.map(|l| &*l.max_index);
-            let max_index = (0..parent_shape.len())
-                .map(|p| {
-                    scan.argmax(a, &order, child_shape, child_of, &parent_shape, p)
-                        .0
-                })
-                .collect();
+            let max_index = fill_level(a, &order, b, child_shape, child_of, &parent_shape);
             levels.push(Level {
                 shape: parent_shape,
                 max_index,
@@ -348,12 +342,128 @@ impl<O: TotalOrder> MaxTree<O> {
     }
 }
 
-/// The argmax over one parent node's children — the level fill of
-/// [`MaxTree::build`] and the `tag = −1` rescan of a batch update. It
-/// visits the children's box in row-major order, a contiguous run at a
-/// time, with strict first-max-wins comparisons, so ties resolve to the
-/// first child in row-major order. The box and its odometer live in this
-/// caller-owned scratch: a loop over many parents allocates nothing.
+/// One level of [`MaxTree::build`]: the argmax of every node of
+/// `parent_shape`, filled in one storage-order pass over its children in
+/// `child_shape`. Each innermost line of children splits into runs of `b`
+/// under consecutive parents; the first line under a parent seeds its
+/// running maximum and later lines fold into it through [`argmax_run`].
+/// A parent's children are thus compared in row-major order with strict
+/// first-max-wins comparisons, exactly as [`ChildScan::argmax`] compares
+/// them, so build and §7 rescans agree on every tie.
+fn fill_level<O: TotalOrder>(
+    a: &DenseArray<O::Value>,
+    order: &O,
+    b: usize,
+    child_shape: &Shape,
+    child_of: Option<&[usize]>,
+    parent_shape: &Shape,
+) -> Box<[usize]> {
+    // Trailing axes no longer than `b` lie under one parent coordinate,
+    // so a parent's children are contiguous across them: fold them into
+    // the line, whose runs grow by the same factor.
+    let dims = child_shape.dims();
+    let folded = dims.iter().rev().take_while(|&&n| n <= b).count();
+    let (lines, tail) = dims.split_at(dims.len() - folded);
+    let tail: usize = tail.iter().product();
+    let (outer_dims, inner) = lines.split_at(lines.len().saturating_sub(1));
+    let n = inner.first().copied().unwrap_or(1) * tail;
+    let run_len = b * tail;
+    let parent_strides = parent_shape.strides();
+    let parent_line = n.div_ceil(run_len);
+    let mut best = vec![0usize; parent_shape.len()];
+    // Per outer axis, the current line's child coordinate as its parent
+    // coordinate and its offset under that parent; `base` is the flat
+    // offset of the parents' line. Kept incrementally: no division per line.
+    let mut outer = vec![(0usize, 0usize); outer_dims.len()];
+    let mut base = 0;
+    let mut line = 0;
+    loop {
+        let first_line = outer.iter().all(|&(_, within)| within == 0);
+        let parents = best.get_mut(base..base + parent_line).unwrap_or_default();
+        for (slot, from) in parents.iter_mut().zip((line..line + n).step_by(run_len)) {
+            // analyzer: allow(panic-site, reason = "from is an offset into the child level and run_len is at most b times its length; a level that fits in memory keeps their sum far from usize::MAX")
+            let run = from..(from + run_len).min(line + n);
+            let seed = if first_line {
+                child_max(child_of, from)
+            } else {
+                *slot
+            };
+            *slot = argmax_run(a, order, child_of, run, seed);
+        }
+        line += n;
+        // Odometer over the outer axes, the last one fastest.
+        let mut advanced = false;
+        let axes = outer.iter_mut().zip(outer_dims.iter().zip(parent_strides));
+        for ((parent, within), (&extent, &stride)) in axes.rev() {
+            if *parent * b + *within + 1 < extent {
+                *within += 1;
+                if *within == b {
+                    (*parent, *within) = (*parent + 1, 0);
+                    // analyzer: allow(panic-site, reason = "base stays the flat offset of a parent line inside the parent level")
+                    base += stride;
+                }
+                advanced = true;
+                break;
+            }
+            // analyzer: allow(panic-site, reason = "undoes the parent * stride this axis added to base, which stays inside the parent level")
+            base -= *parent * stride;
+            (*parent, *within) = (0, 0);
+        }
+        if !advanced {
+            return best.into();
+        }
+    }
+}
+
+/// The stored arg-max of the child at flat offset `child` of its level:
+/// the child itself when the children are cells of `A`.
+fn child_max(child_of: Option<&[usize]>, child: usize) -> usize {
+    child_of.map_or(child, |m| m.get(child).copied().unwrap_or(child))
+}
+
+/// Folds one contiguous run of children (flat offsets into the child
+/// level) into the running argmax `best`: a child replaces it only when
+/// strictly greater, so the first of equal maxima wins. `child_of` holds
+/// the children's stored arg-maxes, or is `None` when they are cells of
+/// `A`. The per-run body of both [`fill_level`] and
+/// [`ChildScan::argmax`].
+fn argmax_run<O: TotalOrder>(
+    a: &DenseArray<O::Value>,
+    order: &O,
+    child_of: Option<&[usize]>,
+    run: std::ops::Range<usize>,
+    mut best: usize,
+) -> usize {
+    let mut best_val = a.get_flat(best);
+    match child_of {
+        None => {
+            let base = run.start;
+            for (at, v) in a.as_slice().get(run).unwrap_or_default().iter().enumerate() {
+                if order.gt(v, best_val) {
+                    best = base + at;
+                    best_val = v;
+                }
+            }
+        }
+        Some(m) => {
+            for &cand in m.get(run).unwrap_or_default() {
+                let v = a.get_flat(cand);
+                if order.gt(v, best_val) {
+                    best = cand;
+                    best_val = v;
+                }
+            }
+        }
+    }
+    best
+}
+
+/// The argmax over one parent node's children — the `tag = −1` rescan of
+/// a batch update. It visits the children's box in row-major order, a
+/// contiguous run at a time, through [`argmax_run`] (the body of the
+/// level build's pass), so ties resolve to the first child in row-major
+/// order. The box and its odometer live in this caller-owned scratch: a
+/// loop over many parents allocates nothing.
 pub(crate) struct ChildScan {
     b: usize,
     lo: Vec<usize>,
@@ -391,32 +501,11 @@ impl ChildScan {
             *l = pflat / s % pn * self.b;
             *h = (*l + self.b - 1).min(cn - 1);
         }
-        let first = child_shape.flatten(&self.lo);
-        let mut best = child_of.map_or(first, |m| m.get(first).copied().unwrap_or(first));
+        let mut best = child_max(child_of, child_shape.flatten(&self.lo));
         let mut seen = 0u64;
         child_shape.for_each_run(&self.lo, &self.hi, &mut self.cur, |run| {
             seen += run.len() as u64;
-            let mut best_val = a.get_flat(best);
-            match child_of {
-                None => {
-                    let base = run.start;
-                    for (at, v) in a.as_slice().get(run).unwrap_or_default().iter().enumerate() {
-                        if order.gt(v, best_val) {
-                            best = base + at;
-                            best_val = v;
-                        }
-                    }
-                }
-                Some(m) => {
-                    for &cand in m.get(run).unwrap_or_default() {
-                        let v = a.get_flat(cand);
-                        if order.gt(v, best_val) {
-                            best = cand;
-                            best_val = v;
-                        }
-                    }
-                }
-            }
+            best = argmax_run(a, order, child_of, run, best);
         });
         (best, seen)
     }
@@ -527,6 +616,35 @@ mod tests {
         assert_eq!(t.levels[0].shape.dims(), &[8, 1]);
         assert_eq!(t.levels[3].shape.dims(), &[1, 1]);
         t.check_invariants(&a).unwrap();
+    }
+
+    /// Every level of `t` equals a per-node [`ChildScan::argmax`] over the
+    /// level below, the scan §7's rescans use.
+    fn assert_levels_match_child_scan<O: TotalOrder>(t: &MaxTree<O>, a: &DenseArray<O::Value>) {
+        let mut scan = ChildScan::new(t.b, a.shape().ndim());
+        for (li, level) in t.levels.iter().enumerate() {
+            let child_of = li.checked_sub(1).map(|i| &*t.levels[i].max_index);
+            for p in 0..level.shape.len() {
+                let (want, _) =
+                    scan.argmax(a, &t.order, t.level_shape(li), child_of, &level.shape, p);
+                assert_eq!(level.max_index[p], want, "level {} node {p}", li + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_levels_match_child_scan_on_ties() {
+        // Values 0..4 tie in nearly every node; no extent is a multiple
+        // of every fanout, so edge nodes have fewer children.
+        for dims in [&[13][..], &[7, 9], &[5, 4, 7], &[3, 5, 4, 3]] {
+            let a = DenseArray::from_fn(Shape::new(dims).unwrap(), |i| {
+                (i.iter().fold(7, |h, &x| h * 31 + x) % 4) as i64
+            });
+            for b in 2..=5 {
+                assert_levels_match_child_scan(&NaturalMaxTree::for_values(&a, b).unwrap(), &a);
+                assert_levels_match_child_scan(&NaturalMinTree::for_min_values(&a, b).unwrap(), &a);
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use olap_aggregate::{NaturalOrder, ReverseOrder, TotalOrder};
 use olap_array::{DenseArray, Region, Shape};
-use olap_range_max::{MaxTree, NaturalMaxTree, PointUpdate, SearchOptions};
+use olap_range_max::{MaxTree, NaturalMaxTree, NaturalMinTree, PointUpdate, SearchOptions};
 use proptest::prelude::*;
 use std::ops::{Range, RangeInclusive};
 
@@ -64,8 +64,119 @@ fn assert_split_equals_in_place<O: TotalOrder<Value = i64> + Clone>(
     split.check_invariants(&post).unwrap();
 }
 
+/// A tie-heavy cube (values 0..4) of 1–4 axes whose extents the fanout,
+/// drawn from 2..=5, does not divide.
+fn arb_tie_heavy() -> impl Strategy<Value = (DenseArray<i64>, usize)> {
+    (prop::collection::vec(2usize..8, 1..=4), 2usize..6).prop_flat_map(|(dims, b)| {
+        let dims: Vec<usize> = dims
+            .into_iter()
+            .map(|n| if n % b == 0 { n + 1 } else { n })
+            .collect();
+        let len: usize = dims.iter().product();
+        let cube = prop::collection::vec(0i64..4, len)
+            .prop_map(move |data| DenseArray::from_vec(Shape::new(&dims).unwrap(), data).unwrap());
+        (cube, Just(b))
+    })
+}
+
+/// The shape of `level` of a tree over `shape` with fanout `b`.
+fn level_shape(shape: &Shape, b: usize, level: usize) -> Shape {
+    let side = b.pow(level as u32);
+    let dims: Vec<usize> = shape.dims().iter().map(|&n| n.div_ceil(side)).collect();
+    Shape::new(&dims).unwrap()
+}
+
+/// Asserts that every node of `t` holds the per-node argmax of its
+/// children: their stored arg-maxes (cells of `A` at level 1) compared
+/// in row-major order, a child replacing the best only when strictly
+/// greater under the tree's order.
+fn assert_levels_are_per_node_argmax<O: TotalOrder<Value = i64>>(
+    t: &MaxTree<O>,
+    a: &DenseArray<i64>,
+) {
+    let (shape, b) = (a.shape(), t.fanout());
+    for level in 1..=t.height() {
+        let child_shape = level_shape(shape, b, level - 1);
+        let child_max = |c: &[usize]| match level {
+            1 => shape.flatten(c),
+            _ => t.node_max_index(level - 1, c),
+        };
+        for node in level_shape(shape, b, level).full_region().iter_indices() {
+            let children = node
+                .iter()
+                .zip(child_shape.dims())
+                .map(|(&p, &n)| (p * b, (p * b + b - 1).min(n - 1)));
+            let children = Region::from_bounds(&children.collect::<Vec<_>>()).unwrap();
+            let mut best = None;
+            for c in children.iter_indices() {
+                let cand = child_max(&c);
+                if best.is_none_or(|at| t.order().gt(a.get_flat(cand), a.get_flat(at))) {
+                    best = Some(cand);
+                }
+            }
+            assert_eq!(
+                Some(t.node_max_index(level, &node)),
+                best,
+                "level {level} node {node:?} of {:?}, b = {b}",
+                shape.dims()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
+
+    #[test]
+    fn one_pass_level_build_equals_a_per_node_argmax_build((a, b) in arb_tie_heavy()) {
+        assert_levels_are_per_node_argmax(&NaturalMaxTree::for_values(&a, b).unwrap(), &a);
+        assert_levels_are_per_node_argmax(&NaturalMinTree::for_min_values(&a, b).unwrap(), &a);
+    }
+
+    #[test]
+    fn section7_updates_agree_with_a_fresh_build_on_tie_heavy_cubes(
+        ((a, b), updates, min) in arb_tie_heavy().prop_flat_map(|(a, b)| {
+            let dims = a.shape().dims().to_vec();
+            let upd = prop::collection::vec(
+                (dims.iter().map(|&n| 0..n).collect::<Vec<_>>(), 0i64..4),
+                1..10,
+            );
+            (Just((a, b)), upd, 0usize..2)
+        })
+    ) {
+        // §7 keeps a stored maximum that an equal value joins, where a
+        // fresh build takes the first of equal maxima; so the two agree
+        // on every node's value, and both satisfy every node invariant.
+        let updates: Vec<PointUpdate<i64>> = updates
+            .iter()
+            .map(|(idx, v)| PointUpdate::new(idx, *v))
+            .collect();
+        let mut post = a.clone();
+        let (updated, fresh) = if min == 1 {
+            let mut t = NaturalMinTree::for_min_values(&a, b).unwrap();
+            t.batch_update(&mut post, &updates).unwrap();
+            t.check_invariants(&post).unwrap();
+            (t.export_levels(), NaturalMinTree::for_min_values(&post, b).unwrap().export_levels())
+        } else {
+            let mut t = NaturalMaxTree::for_values(&a, b).unwrap();
+            t.batch_update(&mut post, &updates).unwrap();
+            t.check_invariants(&post).unwrap();
+            (t.export_levels(), NaturalMaxTree::for_values(&post, b).unwrap().export_levels())
+        };
+        prop_assert_eq!(updated.len(), fresh.len());
+        for (level, ((dims, got), (_, want))) in updated.iter().zip(&fresh).enumerate() {
+            for (node, (&g, &w)) in got.iter().zip(want).enumerate() {
+                prop_assert_eq!(
+                    post.get_flat(g),
+                    post.get_flat(w),
+                    "level {} {:?} node {}",
+                    level + 1,
+                    dims,
+                    node
+                );
+            }
+        }
+    }
 
     #[test]
     fn search_matches_naive(
