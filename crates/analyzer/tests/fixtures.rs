@@ -202,6 +202,32 @@ fn budget_coverage_guard_stays_quiet() {
 }
 
 #[test]
+fn budget_coverage_counts_a_query_ctx_charge_as_covering() {
+    let r = run(
+        "crates/prefix-sum/src/fx.rs",
+        include_str!("fixtures/budget_coverage_ctx_guard.rs"),
+    );
+    assert!(
+        active(&r, "budget-coverage").is_empty(),
+        "{:#?}",
+        all(&r, "budget-coverage")
+    );
+}
+
+#[test]
+fn budget_coverage_flags_a_read_that_only_counts_into_its_ctx() {
+    let r = run(
+        "crates/prefix-sum/src/fx.rs",
+        include_str!("fixtures/budget_coverage_ctx_positive.rs"),
+    );
+    let f = active(&r, "budget-coverage");
+    // The `for` and the `while` in `read`: each records accesses, and the
+    // one charge after them covers neither loop.
+    assert_eq!(f.len(), 2, "{f:#?}");
+    assert!(f.iter().all(|f| f.message.contains("Scan::read")), "{f:#?}");
+}
+
+#[test]
 fn pin_across_blocking_positive_flags_pin_and_lock_guard() {
     let r = run(
         "crates/server/src/fx.rs",

@@ -235,7 +235,7 @@ pub struct BudgetMeter {
 
 impl BudgetMeter {
     /// A meter that never interrupts; all checks are one branch.
-    pub fn unlimited() -> Self {
+    pub const fn unlimited() -> Self {
         BudgetMeter { inner: None }
     }
 
@@ -270,6 +270,7 @@ impl BudgetMeter {
     ///
     /// # Errors
     /// The first [`Interrupt`] that applies.
+    #[inline]
     pub fn check(&self) -> Result<(), Interrupt> {
         let Some(m) = &self.inner else {
             return Ok(());
@@ -300,6 +301,7 @@ impl BudgetMeter {
     /// [`Interrupt::BudgetExhausted`] once the cap is crossed (the charge
     /// that crosses it is still recorded, so `spent` may exceed the limit
     /// by up to one chunk).
+    #[inline]
     pub fn charge(&self, cells: u64) -> Result<(), Interrupt> {
         let Some(m) = &self.inner else {
             return Ok(());

@@ -125,7 +125,7 @@ impl Shape {
     pub fn unflatten_into(&self, mut flat: usize, out: &mut [usize]) {
         debug_assert!(flat < self.len);
         debug_assert_eq!(out.len(), self.dims.len());
-        // analyzer: allow(budget-coverage, reason = "index arithmetic over ndim strides; callers charge per cell visited")
+        // analyzer: allow(budget-coverage, reason = "index arithmetic over ndim strides: trip count = ndim, not data volume")
         for (axis, &s) in self.strides.iter().enumerate() {
             // analyzer: allow(panic-site, reason = "out.len() == ndim is this fn's documented contract (debug-asserted above)")
             out[axis] = flat / s;
@@ -148,6 +148,29 @@ impl Shape {
                 .map(|&n| Range::trusted(0, n - 1))
                 .collect::<Vec<_>>(),
         )
+    }
+
+    /// Validates that `actual`, the shape of a cube handed to a structure
+    /// built over this shape, is this shape: a rank difference is a
+    /// [`ArrayError::DimMismatch`]; equal rank with different extents
+    /// reports the first differing axis, the supplied extent (`index`) and
+    /// the expected one (`extent`).
+    pub fn check_same(&self, actual: &Shape) -> Result<(), ArrayError> {
+        if actual.ndim() != self.ndim() {
+            return Err(ArrayError::DimMismatch {
+                expected: self.ndim(),
+                actual: actual.ndim(),
+            });
+        }
+        let mut dims = self.dims.iter().zip(actual.dims()).enumerate();
+        match dims.find(|(_, (extent, index))| index != extent) {
+            Some((axis, (&extent, &index))) => Err(ArrayError::OutOfBounds {
+                axis,
+                index,
+                extent,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Validates that a region lies entirely inside this shape.
@@ -214,7 +237,7 @@ impl Shape {
                 .zip(lo.iter().zip(hi))
                 .zip(self.strides.iter());
             let mut advanced = false;
-            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per run; callers charge per run")
+            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per run; each caller charges the runs at its own checkpoint (a blocked part, a max-tree node)")
             for ((c, (&l, &h)), &s) in outer.rev().skip(1) {
                 if *c < h {
                     *c += 1;

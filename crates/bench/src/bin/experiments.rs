@@ -19,7 +19,7 @@ use olap_engine::naive;
 use olap_planner as planner;
 use olap_prefix_sum::batch::{self, CellUpdate};
 use olap_prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
-use olap_query::{DimSelection, QueryLog, RangeQuery};
+use olap_query::{DimSelection, QueryCtx, QueryLog, RangeQuery};
 use olap_range_max::{NaturalMaxTree, SearchOptions};
 use olap_sparse::{SparseCube, SparseRangeMax, SparseRangeSum};
 use olap_tree_sum::SumTreeCube;
@@ -111,9 +111,9 @@ fn intro() {
     ])
     .expect("4 dims");
     let (v1, s1) = extended.aggregate(&singleton).expect("valid");
-    let (v2, s2) = ps
-        .range_sum_with_stats(&singleton.to_region(a.shape()).expect("in domain"))
-        .expect("valid");
+    let (v2, s2) =
+        QueryCtx::measure(|ctx| ps.read(&singleton.to_region(a.shape()).expect("in domain"), ctx))
+            .expect("valid");
     assert_eq!(v1, v2);
     println!(
         "(all, 1995, all, auto):       extended cube {} access, prefix sums {} accesses",
@@ -134,9 +134,9 @@ fn intro() {
     ])
     .expect("4 dims");
     let (v1, s1) = extended.aggregate(&range_q).expect("valid");
-    let (v2, s2) = ps
-        .range_sum_with_stats(&range_q.to_region(a.shape()).expect("in domain"))
-        .expect("valid");
+    let (v2, s2) =
+        QueryCtx::measure(|ctx| ps.read(&range_q.to_region(a.shape()).expect("in domain"), ctx))
+            .expect("valid");
     assert_eq!(v1, v2);
     println!(
         "(37:52, 1988:1996, all, auto): extended cube {} accesses (paper: 16·9 = 144), prefix sums {} accesses",
@@ -316,7 +316,8 @@ fn thm3() {
         let mut worst = 0u64;
         let queries = uniform_regions(a.shape(), 2000, b as u64 * 7 + 1);
         for q in &queries {
-            let (_, _, s) = t.range_max_with_stats(&a, q).expect("valid");
+            let (_, s) = QueryCtx::measure(|ctx| t.read(&a, q, SearchOptions::default(), ctx))
+                .expect("valid");
             total += s.total_accesses();
             worst = worst.max(s.total_accesses());
         }
@@ -435,11 +436,11 @@ fn sparse() {
     let mut sum_nodes = 0u64;
     let mut max_nodes = 0u64;
     for q in &queries {
-        let (v, s) = sum_engine.range_sum_with_stats(q).expect("valid");
+        let (v, s) = QueryCtx::measure(|ctx| sum_engine.read(q, ctx)).expect("valid");
         let expected: i64 = cube.points_in(q).map(|(_, v)| *v).sum();
         assert_eq!(v, expected);
         sum_nodes += s.total_accesses();
-        let (_, s) = max_engine.range_max_with_stats(q).expect("valid");
+        let (_, s) = QueryCtx::measure(|ctx| max_engine.read(q, ctx)).expect("valid");
         max_nodes += s.total_accesses();
     }
     println!(
@@ -540,7 +541,7 @@ fn partial_dims() {
         let pp = PartialPrefixCube::build(&a, &dims).expect("valid dims");
         let mut total = 0u64;
         for q in &queries {
-            let (_, s) = pp.range_sum_with_stats(q).expect("valid query");
+            let (_, s) = QueryCtx::measure(|ctx| pp.read(q, ctx)).expect("valid query");
             total += s.total_accesses();
         }
         println!(
@@ -575,7 +576,8 @@ fn max_aspect() {
             let y0 = ((i * 53) as usize) % (512 - rmax + 1);
             let q = Region::from_bounds(&[(x0, x0 + rmin - 1), (y0, y0 + rmax - 1)])
                 .expect("in bounds");
-            let (_, _, s) = t.range_max_with_stats(&a, &q).expect("valid");
+            let (_, s) = QueryCtx::measure(|ctx| t.read(&a, &q, SearchOptions::default(), ctx))
+                .expect("valid");
             total += s.total_accesses();
         }
         println!(
@@ -606,7 +608,8 @@ fn progressive() {
         let mut counted = 0usize;
         for q in &queries {
             let (bounds, s1) = bp.range_sum_bounds(q).expect("valid");
-            let (exact, s2) = bp.range_sum_with_stats(&a, q).expect("valid");
+            let (exact, s2) =
+                QueryCtx::measure(|ctx| bp.read(&a, q, BoundaryPolicy::Auto, ctx)).expect("valid");
             assert!(bounds.lower <= exact && exact <= bounds.upper);
             if exact > 0 {
                 gap += (bounds.upper - bounds.lower) as f64 / exact as f64;
@@ -659,7 +662,7 @@ fn ablation_bb() {
     for (name, opts) in variants {
         let mut total = 0u64;
         for q in &queries {
-            let (_, _, s) = t.range_max_with_options(&a, q, opts).expect("valid");
+            let (_, s) = QueryCtx::measure(|ctx| t.read(&a, q, opts, ctx)).expect("valid");
             total += s.total_accesses();
         }
         println!(
@@ -669,8 +672,8 @@ fn ablation_bb() {
     }
     let mut total = 0u64;
     for q in &queries {
-        let (_, _, s) =
-            naive::range_max(&a, &olap_aggregate::NaturalOrder::<i64>::new(), q).expect("valid");
+        let order = olap_aggregate::NaturalOrder::<i64>::new();
+        let (_, s) = QueryCtx::measure(|ctx| naive::range_max(&a, &order, q, ctx)).expect("valid");
         total += s.total_accesses();
     }
     println!(
@@ -717,7 +720,7 @@ fn ablation_start() {
     ] {
         let mut total = 0u64;
         for q in &queries {
-            let (_, _, s) = t.range_max_with_options(&a, q, opts).expect("valid");
+            let (_, s) = QueryCtx::measure(|ctx| t.read(&a, q, opts, ctx)).expect("valid");
             total += s.total_accesses();
         }
         println!(

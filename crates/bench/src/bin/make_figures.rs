@@ -15,7 +15,8 @@ use olap_array::Shape;
 use olap_bench::{blocked_cost, naive_cost, prefix_cost, standard_cube, tree_sum_cost};
 use olap_planner as planner;
 use olap_prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
-use olap_range_max::NaturalMaxTree;
+use olap_query::QueryCtx;
+use olap_range_max::{NaturalMaxTree, SearchOptions};
 use olap_tree_sum::SumTreeCube;
 use olap_workload::{sided_regions, uniform_cube, uniform_regions};
 use std::fs;
@@ -116,9 +117,9 @@ fn thm3(outdir: &Path) {
         let total: u64 = queries
             .iter()
             .map(|q| {
-                t.range_max_with_stats(&a, q)
+                QueryCtx::measure(|ctx| t.read(&a, q, SearchOptions::default(), ctx))
                     .expect("valid")
-                    .2
+                    .1
                     .total_accesses()
             })
             .sum();

@@ -11,26 +11,31 @@ use olap_aggregate::SumOp;
 use olap_array::{DenseArray, Region, Shape};
 use olap_engine::naive;
 use olap_prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
+use olap_query::QueryCtx;
 use olap_tree_sum::SumTreeCube;
 
-/// Mean accesses per query for the naive scan.
-pub fn naive_cost(a: &DenseArray<i64>, queries: &[Region]) -> f64 {
+/// Mean accesses per query of one metered read, run unmetered.
+fn mean_accesses<T, E: std::fmt::Debug>(
+    queries: &[Region],
+    mut read: impl FnMut(&Region, &mut QueryCtx<'_>) -> Result<T, E>,
+) -> f64 {
     let mut total = 0u64;
     for q in queries {
-        let (_, s) = naive::range_aggregate(a, &SumOp::<i64>::new(), q).expect("valid query");
+        let (_, s) = QueryCtx::measure(|ctx| read(q, ctx)).expect("valid query");
         total += s.total_accesses();
     }
     total as f64 / queries.len() as f64
 }
 
+/// Mean accesses per query for the naive scan.
+pub fn naive_cost(a: &DenseArray<i64>, queries: &[Region]) -> f64 {
+    let sum = SumOp::<i64>::new();
+    mean_accesses(queries, |q, ctx| naive::range_aggregate(a, &sum, q, ctx))
+}
+
 /// Mean accesses per query for the basic prefix-sum algorithm (§3).
 pub fn prefix_cost(ps: &PrefixSumCube<i64>, queries: &[Region]) -> f64 {
-    let mut total = 0u64;
-    for q in queries {
-        let (_, s) = ps.range_sum_with_stats(q).expect("valid query");
-        total += s.total_accesses();
-    }
-    total as f64 / queries.len() as f64
+    mean_accesses(queries, |q, ctx| ps.read(q, ctx))
 }
 
 /// Mean accesses per query for the blocked algorithm (§4) under a policy.
@@ -40,12 +45,7 @@ pub fn blocked_cost(
     queries: &[Region],
     policy: BoundaryPolicy,
 ) -> f64 {
-    let mut total = 0u64;
-    for q in queries {
-        let (_, s) = bp.range_sum_with_policy(a, q, policy).expect("valid query");
-        total += s.total_accesses();
-    }
-    total as f64 / queries.len() as f64
+    mean_accesses(queries, |q, ctx| bp.read(a, q, policy, ctx))
 }
 
 /// Mean accesses per query for the tree-sum baseline (§8).
@@ -55,14 +55,7 @@ pub fn tree_sum_cost(
     queries: &[Region],
     complement: bool,
 ) -> f64 {
-    let mut total = 0u64;
-    for q in queries {
-        let (_, s) = st
-            .range_sum_with_stats(a, q, complement)
-            .expect("valid query");
-        total += s.total_accesses();
-    }
-    total as f64 / queries.len() as f64
+    mean_accesses(queries, |q, ctx| st.read(a, q, complement, ctx))
 }
 
 /// Formats one table row of `f64` cells with a label.

@@ -6,8 +6,9 @@ use crate::csv::cube_from_csv;
 use crate::telemetry_cmd::{cmd_flight_record, cmd_metrics};
 use crate::trace_cmd::cmd_trace;
 use olap_prefix_sum::batch::{self, CellUpdate};
-use olap_prefix_sum::{BlockedPrefixCube, PrefixSumCube};
-use olap_range_max::{NaturalMaxTree, PointUpdate};
+use olap_prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
+use olap_query::QueryCtx;
+use olap_range_max::{NaturalMaxTree, PointUpdate, SearchOptions};
 use olap_storage as storage;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read};
@@ -225,8 +226,7 @@ fn cmd_sum(args: &[String]) -> Result<String, CliError> {
     // Peek at the kind by trying each reader.
     if let Ok(ps) = storage::read_prefix_sum(&mut open_reader(index_path)?) {
         let region = parse_query(query, ps.shape().dims())?;
-        let (v, stats) = ps
-            .range_sum_with_stats(&region)
+        let (v, stats) = QueryCtx::measure(|ctx| ps.read(&region, ctx))
             .map_err(|e| CliError::Query(e.to_string()))?;
         let mut out = format!("sum = {v}");
         if p.has("--stats") {
@@ -254,8 +254,7 @@ fn cmd_sum(args: &[String]) -> Result<String, CliError> {
         .require("--cube")
         .map_err(|_| usage("a blocked index needs --cube for boundary cells"))?;
     let a = storage::read_dense_i64(&mut open_reader(cube_path)?)?;
-    let (v, stats) = bp
-        .range_sum_with_stats(&a, &region)
+    let (v, stats) = QueryCtx::measure(|ctx| bp.read(&a, &region, BoundaryPolicy::Auto, ctx))
         .map_err(|e| CliError::Query(e.to_string()))?;
     let mut out = format!("sum = {v}");
     if p.has("--stats") {
@@ -424,9 +423,9 @@ fn cmd_max(args: &[String]) -> Result<String, CliError> {
     let a = storage::read_dense_i64(&mut open_reader(cube_path)?)?;
     let t = storage::read_max_tree(&mut open_reader(index_path)?)?;
     let region = parse_query(query, a.shape().dims())?;
-    let (idx, v, stats) = t
-        .range_max_with_stats(&a, &region)
-        .map_err(|e| CliError::Query(e.to_string()))?;
+    let ((idx, v), stats) =
+        QueryCtx::measure(|ctx| t.read(&a, &region, SearchOptions::default(), ctx))
+            .map_err(|e| CliError::Query(e.to_string()))?;
     let mut out = format!("max = {v} at {idx:?}");
     if p.has("--stats") {
         out.push_str(&format!(
@@ -447,9 +446,9 @@ fn cmd_min(args: &[String]) -> Result<String, CliError> {
     let a = storage::read_dense_i64(&mut open_reader(cube_path)?)?;
     let t = storage::read_min_tree(&mut open_reader(index_path)?)?;
     let region = parse_query(query, a.shape().dims())?;
-    let (idx, v, stats) = t
-        .range_max_with_stats(&a, &region)
-        .map_err(|e| CliError::Query(e.to_string()))?;
+    let ((idx, v), stats) =
+        QueryCtx::measure(|ctx| t.read(&a, &region, SearchOptions::default(), ctx))
+            .map_err(|e| CliError::Query(e.to_string()))?;
     let mut out = format!("min = {v} at {idx:?}");
     if p.has("--stats") {
         out.push_str(&format!(

@@ -20,8 +20,9 @@
 use crate::args::{parse_query, split_args, usage, CliError};
 use olap_array::DenseArray;
 use olap_prefix_sum::batch::{self, CellUpdate};
-use olap_prefix_sum::{BlockedPrefixCube, PrefixSumCube};
-use olap_range_max::{NaturalMaxTree, PointUpdate};
+use olap_prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
+use olap_query::QueryCtx;
+use olap_range_max::{NaturalMaxTree, PointUpdate, SearchOptions};
 use olap_storage as storage;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
@@ -38,20 +39,17 @@ struct Session {
 impl Session {
     fn sum(&self, query: &str) -> Result<String, CliError> {
         let region = parse_query(query, self.cube.shape().dims())?;
-        let (v, s) = if let Some(ps) = &self.prefix {
-            ps.range_sum_with_stats(&region)
-                .map_err(|e| CliError::Query(e.to_string()))?
-        } else if let Some(bp) = &self.blocked {
-            bp.range_sum_with_stats(&self.cube, &region)
-                .map_err(|e| CliError::Query(e.to_string()))?
-        } else {
-            olap_engine::naive::range_aggregate(
-                &self.cube,
-                &olap_aggregate::SumOp::<i64>::new(),
-                &region,
-            )
-            .map_err(|e| CliError::Query(e.to_string()))?
-        };
+        let (v, s) = QueryCtx::measure(|ctx| {
+            if let Some(ps) = &self.prefix {
+                ps.read(&region, ctx)
+            } else if let Some(bp) = &self.blocked {
+                bp.read(&self.cube, &region, BoundaryPolicy::Auto, ctx)
+            } else {
+                let sum = olap_aggregate::SumOp::<i64>::new();
+                olap_engine::naive::range_aggregate(&self.cube, &sum, &region, ctx)
+            }
+        })
+        .map_err(|e| CliError::Query(e.to_string()))?;
         Ok(if self.stats {
             format!(
                 "sum = {v}   [{} accesses, volume {}]",
@@ -65,17 +63,17 @@ impl Session {
 
     fn max(&self, query: &str) -> Result<String, CliError> {
         let region = parse_query(query, self.cube.shape().dims())?;
-        let (idx, v, s) = if let Some(t) = &self.max_tree {
-            t.range_max_with_stats(&self.cube, &region)
-                .map_err(|e| CliError::Query(e.to_string()))?
-        } else {
-            olap_engine::naive::range_max(
-                &self.cube,
-                &olap_aggregate::NaturalOrder::<i64>::new(),
-                &region,
-            )
-            .map_err(|e| CliError::Query(e.to_string()))?
-        };
+        let ((idx, v), s) = QueryCtx::measure(|ctx| match &self.max_tree {
+            Some(t) => t
+                .read(&self.cube, &region, SearchOptions::default(), ctx)
+                .map_err(|e| e.to_string()),
+            None => {
+                let order = olap_aggregate::NaturalOrder::<i64>::new();
+                olap_engine::naive::range_max(&self.cube, &order, &region, ctx)
+                    .map_err(|e| e.to_string())
+            }
+        })
+        .map_err(CliError::Query)?;
         Ok(if self.stats {
             format!("max = {v} at {idx:?}   [{} accesses]", s.total_accesses())
         } else {

@@ -7,13 +7,13 @@
 //! whole backend travels as one `Box<dyn RangeEngine<V>>`.
 
 use crate::range_engine::{
-    derive_shared, metered_read, BatchImage, Capabilities, Derived, EngineOp, RangeEngine,
+    derive_shared, BatchImage, Capabilities, Derived, EngineOp, RangeEngine,
 };
 use crate::EngineError;
 use olap_aggregate::{NaturalOrder, NumericValue, ReverseOrder, SumOp, TotalOrder};
 use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_planner::cost;
-use olap_query::{AccessStats, EngineKind, QueryOutcome, QueryStats};
+use olap_query::{AccessStats, EngineKind, QueryCtx, QueryOutcome, QueryStats};
 use olap_sparse::{SparseCube, SparseRangeMax, SparseRangeSum};
 use olap_tree_sum::SumTreeCube;
 use std::sync::Arc;
@@ -73,25 +73,26 @@ where
         op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<T>, EngineError> {
-        metered_read(
+        let naive = EngineKind::NaiveScan;
+        crate::telemetry::observe_query(
             || self.label(),
             op,
             meter,
-            || match op {
+            |ctx| match op {
                 EngineOp::Sum => {
-                    let sum = SumOp::<T>::new();
-                    let (v, stats) = crate::naive::range_aggregate(&self.a, &sum, region)?;
-                    Ok(QueryOutcome::aggregate(v, stats, EngineKind::NaiveScan))
+                    let v =
+                        crate::naive::range_aggregate(&self.a, &SumOp::<T>::new(), region, ctx)?;
+                    Ok(QueryOutcome::aggregate(v, ctx.stats, naive))
                 }
                 EngineOp::Max => {
                     let order = NaturalOrder::<T>::new();
-                    let (at, v, stats) = crate::naive::range_max(&self.a, &order, region)?;
-                    Ok(QueryOutcome::extremum(at, v, stats, EngineKind::NaiveScan))
+                    let (at, v) = crate::naive::range_max(&self.a, &order, region, ctx)?;
+                    Ok(QueryOutcome::extremum(at, v, ctx.stats, naive))
                 }
                 EngineOp::Min => {
                     let order = ReverseOrder::new(NaturalOrder::<T>::new());
-                    let (at, v, stats) = crate::naive::range_max(&self.a, &order, region)?;
-                    Ok(QueryOutcome::extremum(at, v, stats, EngineKind::NaiveScan))
+                    let (at, v) = crate::naive::range_max(&self.a, &order, region, ctx)?;
+                    Ok(QueryOutcome::extremum(at, v, ctx.stats, naive))
                 }
                 EngineOp::Update => Err(EngineError::unsupported(self.label(), op.name())),
             },
@@ -189,16 +190,16 @@ where
         op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<T>, EngineError> {
-        metered_read(
+        crate::telemetry::observe_query(
             || self.label(),
             op,
             meter,
-            || {
+            |ctx| {
                 if op != EngineOp::Sum {
                     return Err(EngineError::unsupported(self.label(), op.name()));
                 }
-                let (v, stats) = self.tree.range_sum_with_stats(&self.a, region, true)?;
-                Ok(QueryOutcome::aggregate(v, stats, EngineKind::TreeSum))
+                let v = self.tree.read(&self.a, region, true, ctx)?;
+                Ok(QueryOutcome::aggregate(v, ctx.stats, EngineKind::TreeSum))
             },
         )
     }
@@ -264,7 +265,7 @@ impl<T: NumericValue> SparseSumEngine<T> {
         let mut stats = AccessStats::new();
         for (idx, new_v) in updates {
             let point = Region::point(idx)?;
-            let (old, s) = self.inner.range_sum_with_stats(&point)?;
+            let (old, s) = QueryCtx::measure(|ctx| self.inner.read(&point, ctx))?;
             stats += s;
             self.inner
                 .apply_updates(&[(idx.clone(), new_v.clone() - old)])?;
@@ -308,16 +309,16 @@ impl<T: NumericValue + Send + Sync + 'static> RangeEngine<T> for SparseSumEngine
         op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<T>, EngineError> {
-        metered_read(
+        crate::telemetry::observe_query(
             || self.label(),
             op,
             meter,
-            || {
+            |ctx| {
                 if op != EngineOp::Sum {
                     return Err(EngineError::unsupported(self.label(), op.name()));
                 }
-                let (v, stats) = self.inner.range_sum_with_stats(region)?;
-                Ok(QueryOutcome::aggregate(v, stats, EngineKind::SparseSum))
+                let v = self.inner.read(region, ctx)?;
+                Ok(QueryOutcome::aggregate(v, ctx.stats, EngineKind::SparseSum))
             },
         )
     }
@@ -407,15 +408,16 @@ where
         op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<T>, EngineError> {
-        metered_read(
+        crate::telemetry::observe_query(
             || self.label(),
             op,
             meter,
-            || {
+            |ctx| {
                 if op != EngineOp::Max {
                     return Err(EngineError::unsupported(self.label(), op.name()));
                 }
-                let (result, stats) = self.inner.range_max_with_stats(region)?;
+                let result = self.inner.read(region, ctx)?;
+                let stats = ctx.stats;
                 Ok(match result {
                     Some((at, v)) => QueryOutcome::extremum(at, v, stats, EngineKind::SparseMax),
                     None => QueryOutcome::empty(stats, EngineKind::SparseMax),

@@ -215,7 +215,12 @@ impl From<Interrupt> for EngineError {
 
 impl From<MaxTreeError> for EngineError {
     fn from(e: MaxTreeError) -> Self {
-        EngineError::MaxTree(e)
+        match e {
+            // As for `ArrayError`: a budget interrupt from the §6 walk is
+            // the engine's typed interrupt.
+            MaxTreeError::Array(ArrayError::Interrupted(i)) => i.into(),
+            other => EngineError::MaxTree(other),
+        }
     }
 }
 
@@ -258,6 +263,8 @@ mod tests {
     #[test]
     fn interrupts_convert_to_typed_variants() {
         let e: EngineError = ArrayError::Interrupted(Interrupt::Cancelled).into();
+        assert_eq!(e, EngineError::Cancelled);
+        let e: EngineError = MaxTreeError::from(Interrupt::Cancelled).into();
         assert_eq!(e, EngineError::Cancelled);
         let e: EngineError = Interrupt::BudgetExhausted { spent: 9, limit: 8 }.into();
         assert!(matches!(

@@ -10,11 +10,12 @@
 //! example (16 ages × 9 years) costs `16·9·1·1 = 144` accesses, which is
 //! exactly the gap Theorem 1's `2^d` closes.
 
-use crate::range_engine::{metered_read, Capabilities, EngineOp, RangeEngine};
+use crate::naive::CHECK_EVERY;
+use crate::range_engine::{Capabilities, EngineOp, RangeEngine};
 use crate::EngineError;
 use olap_aggregate::AbelianGroup;
 use olap_array::{BudgetMeter, DenseArray, Region, Shape};
-use olap_query::{AccessStats, EngineKind, QueryOutcome, RangeQuery};
+use olap_query::{AccessStats, EngineKind, QueryCtx, QueryOutcome, RangeQuery};
 
 /// The extended cube: the original cells plus `all` margins on every
 /// dimension (the last index of each dimension is its `all` slot).
@@ -102,14 +103,15 @@ impl<G: AbelianGroup> ExtendedCube<G> {
     /// # Errors
     /// Validates the query against the base shape.
     pub fn aggregate(&self, query: &RangeQuery) -> Result<(G::Value, AccessStats), EngineError> {
-        self.sum_over(&query.to_region(&self.base_shape)?)
+        QueryCtx::measure(|ctx| self.sum_over(&query.to_region(&self.base_shape)?, ctx))
     }
 
-    /// Aggregates a validated region: an axis spanning its whole domain
-    /// reads its `all` slot; any other axis (a singleton or a genuine
-    /// range) enumerates its values.
-    fn sum_over(&self, region: &Region) -> Result<(G::Value, AccessStats), EngineError> {
-        let mut stats = AccessStats::new();
+    /// Aggregates a region under `ctx`: an axis spanning its whole domain
+    /// reads its `all` slot; any other axis enumerates its values. `ctx`
+    /// is charged and checked every `CHECK_EVERY` cells and at the end.
+    fn sum_over(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<G::Value, EngineError> {
+        ctx.check()?;
+        self.base_shape.check_region(region)?;
         let mut iter_dims: Vec<(usize, usize, usize)> = Vec::new(); // (axis, lo, hi)
         let mut idx: Vec<usize> = Vec::with_capacity(region.ndim());
         for (axis, (r, &n)) in region
@@ -129,16 +131,20 @@ impl<G: AbelianGroup> ExtendedCube<G> {
         }
         // Odometer over the enumerated dimensions.
         let mut acc = self.op.identity();
-        // analyzer: allow(budget-coverage, reason = "the engine read checks the meter before this walk and charges its accesses after; the [GBLP96] walk takes no meter")
         loop {
             acc = self.op.combine(&acc, self.cells.get(&idx));
-            stats.read_a(1);
-            stats.step(1);
+            ctx.stats.read_a(1);
+            ctx.stats.step(1);
+            if ctx.stats.a_cells.is_multiple_of(CHECK_EVERY as u64) {
+                ctx.charge()?;
+                ctx.check()?;
+            }
             let mut level = iter_dims.len();
-            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per cell; stats-only API")
+            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per cell")
             loop {
                 if level == 0 {
-                    return Ok((acc, stats));
+                    ctx.charge()?;
+                    return Ok(acc);
                 }
                 level -= 1;
                 let (axis, lo, hi) = iter_dims[level];
@@ -187,17 +193,20 @@ where
         op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<G::Value>, EngineError> {
-        metered_read(
+        crate::telemetry::observe_query(
             || self.label(),
             op,
             meter,
-            || {
+            |ctx| {
                 if op != EngineOp::Sum {
                     return Err(EngineError::unsupported(self.label(), op.name()));
                 }
-                self.base_shape.check_region(region)?;
-                let (v, stats) = self.sum_over(region)?;
-                Ok(QueryOutcome::aggregate(v, stats, EngineKind::ExtendedCube))
+                let v = self.sum_over(region, ctx)?;
+                Ok(QueryOutcome::aggregate(
+                    v,
+                    ctx.stats,
+                    EngineKind::ExtendedCube,
+                ))
             },
         )
     }

@@ -3,14 +3,14 @@
 
 use crate::error::EngineError;
 use crate::range_engine::{
-    derive_shared, metered_read, BatchImage, Capabilities, Derived, EngineOp, RangeEngine,
+    derive_shared, BatchImage, Capabilities, Derived, EngineOp, RangeEngine,
 };
 use olap_aggregate::ReverseOrder;
 use olap_aggregate::{NaturalOrder, NumericValue, TotalOrder};
 use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_prefix_sum::{batch, BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
-use olap_query::{AccessStats, EngineKind, QueryOutcome};
-use olap_range_max::{MaxTree, NaturalMaxTree, PointUpdate};
+use olap_query::{AccessStats, EngineKind, QueryCtx, QueryOutcome};
+use olap_range_max::{MaxTree, NaturalMaxTree, PointUpdate, SearchOptions};
 use std::sync::Arc;
 
 /// Which prefix-sum structure to maintain.
@@ -154,24 +154,17 @@ where
     /// # Errors
     /// Validates the region.
     pub fn range_sum(&self, region: &Region) -> Result<(T, AccessStats), EngineError> {
-        self.sum(region, &BudgetMeter::unlimited())
+        QueryCtx::measure(|ctx| self.sum(region, ctx))
     }
 
-    /// The sum under `meter`: threaded into the blocked kernel's parts
-    /// (so deadlines, access caps and cancellation interrupt *inside* the
-    /// computation), and charged after the constant-time basic lookup.
-    fn sum(&self, region: &Region, meter: &BudgetMeter) -> Result<(T, AccessStats), EngineError> {
-        meter.check()?;
-        match &self.prefix {
-            Prefix::Basic(ps) => {
-                let (v, stats) = ps.range_sum_with_stats(region)?;
-                meter.charge(stats.total_accesses())?;
-                Ok((v, stats))
-            }
-            Prefix::Blocked(bp) => {
-                Ok(bp.range_sum_with_budget(&self.a, region, BoundaryPolicy::Auto, meter)?)
-            }
-        }
+    /// The sum under `ctx`, read from the configured prefix structure:
+    /// the blocked kernel checks and charges it part by part, the basic
+    /// one around its constant-time gather.
+    fn sum(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<T, EngineError> {
+        Ok(match &self.prefix {
+            Prefix::Basic(ps) => ps.read(region, ctx)?,
+            Prefix::Blocked(bp) => bp.read(&self.a, region, BoundaryPolicy::Auto, ctx)?,
+        })
     }
 
     /// COUNT over a region of a dense cube: its volume (§1 notes COUNT is
@@ -190,14 +183,8 @@ where
     /// # Errors
     /// Validates the region.
     pub fn range_max(&self, region: &Region) -> Result<(Vec<usize>, T, AccessStats), EngineError> {
-        if let Some(t) = &self.max_tree {
-            return Ok(t.range_max_with_stats(&self.a, region)?);
-        }
-        Ok(crate::naive::range_max(
-            &self.a,
-            &NaturalOrder::<T>::new(),
-            region,
-        )?)
+        let ((at, v), stats) = QueryCtx::measure(|ctx| self.max(region, ctx))?;
+        Ok((at, v, stats))
     }
 
     /// Answers a range-**min** query: the §6 structure under the reversed
@@ -206,14 +193,28 @@ where
     /// # Errors
     /// Validates the region.
     pub fn range_min(&self, region: &Region) -> Result<(Vec<usize>, T, AccessStats), EngineError> {
-        if let Some(t) = &self.min_tree {
-            return Ok(t.range_max_with_stats(&self.a, region)?);
-        }
-        Ok(crate::naive::range_max(
-            &self.a,
-            &ReverseOrder::new(NaturalOrder::<T>::new()),
-            region,
-        )?)
+        let ((at, v), stats) = QueryCtx::measure(|ctx| self.min(region, ctx))?;
+        Ok((at, v, stats))
+    }
+
+    /// The max under `ctx`: the §6 walk when a max tree is kept, else the
+    /// naive scan.
+    fn max(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<(Vec<usize>, T), EngineError> {
+        let opts = SearchOptions::default();
+        Ok(match &self.max_tree {
+            Some(t) => t.read(&self.a, region, opts, ctx)?,
+            None => crate::naive::range_max(&self.a, &NaturalOrder::<T>::new(), region, ctx)?,
+        })
+    }
+
+    /// The min under `ctx`: the reversed-order tree, else the naive scan.
+    fn min(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<(Vec<usize>, T), EngineError> {
+        let opts = SearchOptions::default();
+        let order = ReverseOrder::new(NaturalOrder::<T>::new());
+        Ok(match &self.min_tree {
+            Some(t) => t.read(&self.a, region, opts, ctx)?,
+            None => crate::naive::range_max(&self.a, &order, region, ctx)?,
+        })
     }
 
     /// Explains how a range-sum query would be (and was) answered: the
@@ -347,27 +348,27 @@ where
     ) -> Result<QueryOutcome<T>, EngineError> {
         let label = || self.label();
         match op {
-            EngineOp::Sum => crate::telemetry::observe_query(label, op, || {
-                let (v, stats) = self.sum(region, meter)?;
-                Ok(QueryOutcome::aggregate(v, stats, self.sum_kind()))
+            EngineOp::Sum => crate::telemetry::observe_query(label, op, meter, |ctx| {
+                let v = self.sum(region, ctx)?;
+                Ok(QueryOutcome::aggregate(v, ctx.stats, self.sum_kind()))
             }),
-            EngineOp::Max => metered_read(label, op, meter, || {
-                let (at, v, stats) = CubeIndex::range_max(self, region)?;
+            EngineOp::Max => crate::telemetry::observe_query(label, op, meter, |ctx| {
+                let (at, v) = self.max(region, ctx)?;
                 let kind = if self.max_tree.is_some() {
                     EngineKind::MaxTree
                 } else {
                     EngineKind::NaiveScan
                 };
-                Ok(QueryOutcome::extremum(at, v, stats, kind))
+                Ok(QueryOutcome::extremum(at, v, ctx.stats, kind))
             }),
-            EngineOp::Min => metered_read(label, op, meter, || {
-                let (at, v, stats) = CubeIndex::range_min(self, region)?;
+            EngineOp::Min => crate::telemetry::observe_query(label, op, meter, |ctx| {
+                let (at, v) = self.min(region, ctx)?;
                 let kind = if self.min_tree.is_some() {
                     EngineKind::MinTree
                 } else {
                     EngineKind::NaiveScan
                 };
-                Ok(QueryOutcome::extremum(at, v, stats, kind))
+                Ok(QueryOutcome::extremum(at, v, ctx.stats, kind))
             }),
             EngineOp::Update => Err(EngineError::unsupported(self.label(), op.name())),
         }

@@ -4,90 +4,79 @@
 //! cost equal to the query volume `V`.
 
 use olap_aggregate::{Monoid, TotalOrder};
-use olap_array::{ArrayError, BudgetMeter, DenseArray, Region};
-use olap_query::AccessStats;
+use olap_array::{ArrayError, DenseArray, Region};
+use olap_query::QueryCtx;
 
 /// Cells scanned between budget checkpoints: the charge is an atomic add
 /// per batch and the deadline/cancellation check a clock read per batch,
 /// so a runaway scan is cut off within `CHECK_EVERY` cells.
-const CHECK_EVERY: u64 = 4096;
+pub(crate) const CHECK_EVERY: usize = 4096;
 
-/// Range aggregation by scanning the region (cost `V`).
+/// The scan both baselines share: checks `ctx`, validates `region`, then
+/// hands `visit` the flat offset of each of its cells in row-major order,
+/// recording one access and one step per cell and charging and checking
+/// `ctx` every `CHECK_EVERY` cells and once more at the end.
+fn scan<V>(
+    a: &DenseArray<V>,
+    region: &Region,
+    ctx: &mut QueryCtx<'_>,
+    mut visit: impl FnMut(usize),
+) -> Result<(), ArrayError> {
+    ctx.check()?;
+    a.shape().check_region(region)?;
+    for (n, off) in (1usize..).zip(a.region_offsets(region)) {
+        ctx.stats.read_a(1);
+        ctx.stats.step(1);
+        visit(off);
+        if n.is_multiple_of(CHECK_EVERY) {
+            ctx.charge()?;
+            ctx.check()?;
+        }
+    }
+    ctx.charge()?;
+    Ok(())
+}
+
+/// Range aggregation by scanning the region (cost `V`), under `ctx`: a
+/// query over a huge region is interrupted mid-scan, within
+/// `CHECK_EVERY` (4096) cells, rather than after it.
 ///
 /// # Errors
-/// Validates the region.
+/// Validates the region; propagates budget interrupts.
 pub fn range_aggregate<M: Monoid>(
     a: &DenseArray<M::Value>,
     op: &M,
     region: &Region,
-) -> Result<(M::Value, AccessStats), ArrayError> {
-    range_aggregate_budgeted(a, op, region, &BudgetMeter::unlimited())
+    ctx: &mut QueryCtx<'_>,
+) -> Result<M::Value, ArrayError> {
+    let mut acc = op.identity();
+    scan(a, region, ctx, |off| {
+        acc = op.combine(&acc, a.get_flat(off))
+    })?;
+    Ok(acc)
 }
 
-/// [`range_aggregate`] under a [`BudgetMeter`]: the scan charges the
-/// budget and re-checks the deadline every `CHECK_EVERY` (4096) cells, so a
-/// query over a huge region is interrupted mid-scan rather than after it.
+/// Range-max by scanning the region (cost `V`) under `ctx`, returning
+/// the first argmax in row-major order.
 ///
 /// # Errors
 /// Validates the region; propagates budget interrupts.
-pub fn range_aggregate_budgeted<M: Monoid>(
-    a: &DenseArray<M::Value>,
-    op: &M,
-    region: &Region,
-    meter: &BudgetMeter,
-) -> Result<(M::Value, AccessStats), ArrayError> {
-    a.shape().check_region(region)?;
-    meter.check()?;
-    let mut stats = AccessStats::new();
-    let mut acc = op.identity();
-    let mut pending = 0u64;
-    for off in a.region_offsets(region) {
-        stats.read_a(1);
-        stats.step(1);
-        acc = op.combine(&acc, a.get_flat(off));
-        pending += 1;
-        if pending == CHECK_EVERY {
-            meter.charge(pending)?;
-            meter.check()?;
-            pending = 0;
-        }
-    }
-    if pending > 0 {
-        meter.charge(pending)?;
-    }
-    Ok((acc, stats))
-}
-
-/// Range-max by scanning the region (cost `V`), returning one argmax.
-///
-/// # Errors
-/// Validates the region.
 pub fn range_max<O: TotalOrder>(
     a: &DenseArray<O::Value>,
     order: &O,
     region: &Region,
-) -> Result<(Vec<usize>, O::Value, AccessStats), ArrayError> {
-    a.shape().check_region(region)?;
-    let mut stats = AccessStats::new();
+    ctx: &mut QueryCtx<'_>,
+) -> Result<(Vec<usize>, O::Value), ArrayError> {
     let mut best: Option<usize> = None;
-    // analyzer: allow(budget-coverage, reason = "naive reference kernel used as a correctness oracle, not a served path")
-    for off in a.region_offsets(region) {
-        stats.read_a(1);
-        stats.step(1);
-        match best {
-            None => best = Some(off),
-            Some(b) => {
-                if order.gt(a.get_flat(off), a.get_flat(b)) {
-                    best = Some(off);
-                }
-            }
-        }
-    }
+    scan(a, region, ctx, |off| match best {
+        Some(b) if !order.gt(a.get_flat(off), a.get_flat(b)) => {}
+        _ => best = Some(off),
+    })?;
     // Regions are non-empty by construction (inclusive bounds), so a
     // validated scan always sees at least one cell; report the
     // impossible case as a typed error rather than panicking.
     let flat = best.ok_or(ArrayError::EmptyShape)?;
-    Ok((a.shape().unflatten(flat), a.get_flat(flat).clone(), stats))
+    Ok((a.shape().unflatten(flat), a.get_flat(flat).clone()))
 }
 
 #[cfg(test)]
@@ -100,7 +89,8 @@ mod tests {
     fn naive_sum_cost_equals_volume() {
         let a = DenseArray::from_fn(Shape::new(&[6, 6]).unwrap(), |i| (i[0] + i[1]) as i64);
         let q = Region::from_bounds(&[(1, 4), (2, 3)]).unwrap();
-        let (v, stats) = range_aggregate(&a, &SumOp::new(), &q).unwrap();
+        let (v, stats) =
+            QueryCtx::measure(|ctx| range_aggregate(&a, &SumOp::new(), &q, ctx)).unwrap();
         assert_eq!(stats.a_cells, q.volume() as u64);
         let expected: i64 = q.iter_indices().map(|i| (i[0] + i[1]) as i64).sum();
         assert_eq!(v, expected);
@@ -113,16 +103,43 @@ mod tests {
         let q = a.shape().full_region();
         // 10 000 cells but only 4 096 allowed: the batched charge fires.
         let meter = QueryBudget::unlimited().max_accesses(4096).start(None);
-        let err = range_aggregate_budgeted(&a, &SumOp::<i64>::new(), &q, &meter).unwrap_err();
+        let mut ctx = QueryCtx::new(&meter);
+        let err = range_aggregate(&a, &SumOp::<i64>::new(), &q, &mut ctx).unwrap_err();
         assert!(matches!(
             err,
             ArrayError::Interrupted(Interrupt::BudgetExhausted { .. })
         ));
         // An exact budget completes with the unbudgeted answer.
         let meter = QueryBudget::unlimited().max_accesses(10_000).start(None);
-        let (v, _) = range_aggregate_budgeted(&a, &SumOp::<i64>::new(), &q, &meter).unwrap();
-        let (v0, _) = range_aggregate(&a, &SumOp::<i64>::new(), &q).unwrap();
+        let mut ctx = QueryCtx::new(&meter);
+        let v = range_aggregate(&a, &SumOp::<i64>::new(), &q, &mut ctx).unwrap();
+        let (v0, _) =
+            QueryCtx::measure(|ctx| range_aggregate(&a, &SumOp::<i64>::new(), &q, ctx)).unwrap();
         assert_eq!(v, v0);
+    }
+
+    #[test]
+    fn naive_max_scan_respects_access_budget() {
+        use olap_array::{Interrupt, QueryBudget};
+        let a = DenseArray::from_fn(Shape::new(&[100, 100]).unwrap(), |i| (i[0] * i[1]) as i64);
+        let q = a.shape().full_region();
+        let order = NaturalOrder::<i64>::new();
+        let meter = QueryBudget::unlimited().max_accesses(10).start(None);
+        let err = range_max(&a, &order, &q, &mut QueryCtx::new(&meter)).unwrap_err();
+        assert!(matches!(
+            err,
+            ArrayError::Interrupted(Interrupt::BudgetExhausted { .. })
+        ));
+        assert_eq!(
+            meter.spent(),
+            CHECK_EVERY as u64,
+            "cut off at the first checkpoint"
+        );
+        let meter = QueryBudget::unlimited().max_accesses(10_000).start(None);
+        let mut ctx = QueryCtx::new(&meter);
+        let (at, v) = range_max(&a, &order, &q, &mut ctx).unwrap();
+        assert_eq!((at, v), (vec![99, 99], 99 * 99));
+        assert_eq!(meter.spent(), ctx.stats.total_accesses());
     }
 
     #[test]
@@ -130,7 +147,8 @@ mod tests {
         let a =
             DenseArray::from_vec(Shape::new(&[2, 3]).unwrap(), vec![1i64, 9, 2, 5, 9, 0]).unwrap();
         let q = Region::from_bounds(&[(0, 1), (0, 2)]).unwrap();
-        let (idx, v, stats) = range_max(&a, &NaturalOrder::<i64>::new(), &q).unwrap();
+        let ((idx, v), stats) =
+            QueryCtx::measure(|ctx| range_max(&a, &NaturalOrder::<i64>::new(), &q, ctx)).unwrap();
         assert_eq!(v, 9);
         assert!(idx == vec![0, 1] || idx == vec![1, 1]);
         assert_eq!(stats.a_cells, 6);

@@ -3,13 +3,15 @@
 //! structure — the end-to-end version of the paper's physical design.
 
 use crate::cuboid::materialize_cuboid;
-use crate::range_engine::{metered_read, Capabilities, EngineOp, RangeEngine};
+use crate::range_engine::{Capabilities, EngineOp, RangeEngine};
 use crate::EngineError;
 use olap_aggregate::{NumericValue, SumOp};
 use olap_array::{BudgetMeter, DenseArray, Range, Region, Shape};
 use olap_planner::PrefixSumChoice;
-use olap_prefix_sum::BlockedPrefixCube;
-use olap_query::{AccessStats, CuboidId, EngineKind, QueryOutcome, QueryStats, RangeQuery};
+use olap_prefix_sum::{BlockedPrefixCube, BoundaryPolicy};
+use olap_query::{
+    AccessStats, CuboidId, EngineKind, QueryCtx, QueryOutcome, QueryStats, RangeQuery,
+};
 
 /// One materialized structure: a cuboid slice plus its blocked prefix sum
 /// (block size 1 degenerates to the basic algorithm).
@@ -153,16 +155,18 @@ impl<T: NumericValue + PartialOrd> PlannedIndex<T> {
     /// Validates the query against the cube shape.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<(T, AccessStats), EngineError> {
         let region = query.to_region(self.a.shape())?;
-        let (v, stats, _) = self.sum(&region)?;
+        let ((v, _), stats) = QueryCtx::measure(|ctx| self.sum(&region, ctx))?;
         Ok((v, stats))
     }
 
-    /// The sum over a region, with the structure that answered it.
-    fn sum(&self, region: &Region) -> Result<(T, AccessStats, EngineKind), EngineError> {
+    /// The sum over a region under `ctx`, with the structure that
+    /// answered it.
+    fn sum(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<(T, EngineKind), EngineError> {
+        ctx.check()?;
         self.a.shape().check_region(region)?;
         let Some(s) = self.pick(region) else {
-            let (v, stats) = crate::naive::range_aggregate(&self.a, &SumOp::<T>::new(), region)?;
-            return Ok((v, stats, EngineKind::NaiveScan));
+            let v = crate::naive::range_aggregate(&self.a, &SumOp::<T>::new(), region, ctx)?;
+            return Ok((v, EngineKind::NaiveScan));
         };
         // Project the query onto the structure's dimensions (the others
         // are `all` and were aggregated into the slice).
@@ -179,8 +183,8 @@ impl<T: NumericValue + PartialOrd> PlannedIndex<T> {
             ranges
         };
         let sub = Region::new(ranges)?;
-        let (v, stats) = s.prefix.range_sum_with_stats(&s.slice, &sub)?;
-        Ok((v, stats, EngineKind::PlannedCuboid))
+        let v = s.prefix.read(&s.slice, &sub, BoundaryPolicy::Auto, ctx)?;
+        Ok((v, EngineKind::PlannedCuboid))
     }
 
     /// The shape of the underlying cube.
@@ -218,16 +222,16 @@ impl<T: NumericValue + PartialOrd + Send + Sync + 'static> RangeEngine<T> for Pl
         op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<T>, EngineError> {
-        metered_read(
+        crate::telemetry::observe_query(
             || self.label(),
             op,
             meter,
-            || {
+            |ctx| {
                 if op != EngineOp::Sum {
                     return Err(EngineError::unsupported(self.label(), op.name()));
                 }
-                let (v, stats, kind) = self.sum(region)?;
-                Ok(QueryOutcome::aggregate(v, stats, kind))
+                let (v, kind) = self.sum(region, ctx)?;
+                Ok(QueryOutcome::aggregate(v, ctx.stats, kind))
             },
         )
     }

@@ -232,24 +232,6 @@ where
     Ok(Derived::new(Box::new(next), result?))
 }
 
-/// The read of an engine whose kernel takes no [`BudgetMeter`]: one
-/// check before the kernel and one charge of its accesses after, observed
-/// as one engine query. A kernel that runs past its deadline still
-/// returns its exact answer; an access cap it crossed fails the read.
-pub(crate) fn metered_read<V>(
-    label: impl Fn() -> String,
-    op: EngineOp,
-    meter: &BudgetMeter,
-    kernel: impl FnOnce() -> Result<QueryOutcome<V>, EngineError>,
-) -> Result<QueryOutcome<V>, EngineError> {
-    crate::telemetry::observe_query(label, op, || {
-        meter.check()?;
-        let outcome = kernel()?;
-        meter.charge(outcome.cost())?;
-        Ok(outcome)
-    })
-}
-
 /// What every provided `&RangeQuery` method does: refuse an op outside
 /// the engine's [`Capabilities`], resolve the query against the engine's
 /// shape, and answer it with one unmetered [`RangeEngine::read`].
@@ -308,10 +290,12 @@ pub trait RangeEngine<V>: Send + Sync {
     /// router reports the drift of observed accesses from it.
     fn cost(&self, region: &Region) -> f64;
 
-    /// The engine's one read: answers `op` over `region`, checking and
-    /// charging `meter` as it goes. An engine whose kernels take the
-    /// meter interrupts *inside* the computation; every other engine
-    /// checks before its kernel and charges the accesses after it.
+    /// The engine's one read: answers `op` over `region` with its
+    /// kernel's metered read, under one [`olap_query::QueryCtx`] over
+    /// `meter`. The kernel checks and charges the meter at its own
+    /// checkpoints as it walks, so an interrupt lands *inside* the
+    /// computation; on an `Ok` read the meter has been charged exactly
+    /// the outcome's [`QueryOutcome::cost`].
     ///
     /// # Errors
     /// Region validation, [`EngineError::Unsupported`] for an op outside

@@ -9,7 +9,7 @@ use crate::EngineError;
 use olap_aggregate::AbelianGroup;
 use olap_array::{Range, Region};
 use olap_prefix_sum::PrefixSumArray;
-use olap_query::AccessStats;
+use olap_query::{AccessStats, QueryCtx};
 
 /// Computes the rolling aggregate of width `window` along `axis`, with the
 /// other dimensions fixed to `base`'s ranges. Returns one value per window
@@ -39,16 +39,14 @@ pub fn rolling_aggregate<G: AbelianGroup>(
         });
     }
     let mut out = Vec::with_capacity(r.len() - window + 1);
-    let mut stats = AccessStats::new();
+    let mut ctx = QueryCtx::unlimited();
     for start in r.lo()..=(r.hi() - window + 1) {
         let mut ranges = base.ranges().to_vec();
         ranges[axis] = Range::new(start, start + window - 1)?;
         let region = Region::new(ranges)?;
-        let (v, s) = ps.range_sum_with_stats(&region)?;
-        stats += s;
-        out.push(v);
+        out.push(ps.read(&region, &mut ctx)?);
     }
-    Ok((out, stats))
+    Ok((out, ctx.stats))
 }
 
 #[cfg(test)]

@@ -396,12 +396,23 @@ where
         // Context and clock together: an idle site is one atomic load.
         let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
         let epoch0 = self.backend.epoch();
+        // Hashed once: a miss inserts under the same fingerprint.
+        let fp = fingerprint(&region);
         let hit = {
             let _lookup_span = olap_telemetry::TraceSpan::start("cache_lookup");
-            self.lookup(&region, epoch0)
+            self.lookup(&region, fp, epoch0)
         };
         let Some(sum) = hit else {
-            return self.miss(region, epoch0);
+            // Direct execution with insert-on-miss. The backend dispatch
+            // records the flight record; annotate it as a consulted-but-
+            // missed cache path.
+            let _outcome = olap_telemetry::CacheOutcomeScope::set("miss");
+            let out = self.backend.read(&region, EngineOp::Sum)?;
+            self.bump("olap_cache_misses_total", &self.misses, 1);
+            if let Answer::Aggregate(v) = &out.answer {
+                self.insert(region, fp, epoch0, v.clone());
+            }
+            return Ok(out);
         };
         self.bump("olap_cache_hits_total", &self.hits, 1);
         let mut stats = AccessStats::new();
@@ -486,14 +497,14 @@ where
         }
     }
 
-    /// The stored sum for `region` at `epoch`, found by one index probe
-    /// under the `inner` lock and stamped most recently used. The backend
-    /// is never called here.
-    fn lookup(&self, region: &Region, epoch: u64) -> Option<V> {
+    /// The stored sum for `region` (fingerprint `fp`) at `epoch`, found by
+    /// one index probe under the `inner` lock and stamped most recently
+    /// used. The backend is never called here.
+    fn lookup(&self, region: &Region, fp: u64, epoch: u64) -> Option<V> {
         let mut inner = self.lock_inner();
         inner.tick += 1;
         let tick = inner.tick;
-        let id = Self::current_exact(&inner, region, fingerprint(region), epoch)?;
+        let id = Self::current_exact(&inner, region, fp, epoch)?;
         if let Some(u) = inner.used.get_mut(id) {
             *u = tick;
         }
@@ -504,24 +515,12 @@ where
             .map(|e| e.sum.clone())
     }
 
-    /// Direct execution with insert-on-miss.
-    fn miss(&self, region: Cow<'_, Region>, epoch0: u64) -> Result<QueryOutcome<V>, EngineError> {
-        // The backend dispatch records the flight record; annotate it as
-        // a consulted-but-missed cache path.
-        let _outcome = olap_telemetry::CacheOutcomeScope::set("miss");
-        let out = self.backend.read(&region, EngineOp::Sum)?;
-        self.bump("olap_cache_misses_total", &self.misses, 1);
-        if let Answer::Aggregate(v) = &out.answer {
-            self.insert(region, epoch0, v.clone());
-        }
-        Ok(out)
-    }
-
-    /// Inserts `(region, epoch, sum)` unless an install raced the
-    /// computation (the sum would describe a superseded snapshot), the
-    /// table already holds the region, or the cache is reconciling. A
-    /// borrowed region is copied only once the entry is going in.
-    fn insert(&self, region: Cow<'_, Region>, epoch: u64, sum: V) {
+    /// Inserts `(region, epoch, sum)` under the region's fingerprint `fp`
+    /// unless an install raced the computation (the sum would describe a
+    /// superseded snapshot), the table already holds the region, or the
+    /// cache is reconciling. A borrowed region is copied only once the
+    /// entry is going in.
+    fn insert(&self, region: Cow<'_, Region>, fp: u64, epoch: u64, sum: V) {
         // Epoch check *before* taking `inner` — the backend is never
         // called under the table lock.
         if self.backend.epoch() != epoch {
@@ -533,7 +532,6 @@ where
             if inner.synced_epoch != epoch || inner.pending_install {
                 return;
             }
-            let fp = fingerprint(&region);
             if Self::current_exact(inner, &region, fp, epoch).is_some() {
                 return; // already stored
             }

@@ -1,8 +1,8 @@
 //! Instrumentation shims for the engine layer.
 //!
-//! Every [`crate::RangeEngine::read`] impl wraps its one body in
-//! [`observe_query`], and every `apply_updates` goes through an
-//! [`UpdateObservation`] guard. With no telemetry context active, the
+//! Every [`crate::RangeEngine::read`] impl runs its one body through
+//! [`observe_query`], which hands it the read's [`QueryCtx`], and every
+//! `apply_updates` goes through an [`UpdateObservation`] guard. With no telemetry context active, the
 //! cost per call is the one relaxed atomic load inside
 //! `olap_telemetry::current`.
 //!
@@ -14,16 +14,20 @@
 //! - `olap_engine_update_cells_total{engine}` — cells written by updates
 
 use crate::{EngineError, EngineOp};
-use olap_query::{AccessStats, QueryOutcome};
+use olap_array::BudgetMeter;
+use olap_query::{AccessStats, QueryCtx, QueryOutcome};
 
-/// Runs `f` (one engine read) and records count, accesses and latency
-/// for it. `label` is only invoked when a telemetry context is active, so
-/// the idle path allocates nothing.
+/// Runs `read` (one engine read) under a [`QueryCtx`] charging `meter`,
+/// and records count, accesses and latency for it. `label` is only
+/// invoked when a telemetry context is active, so the idle path
+/// allocates nothing.
 pub(crate) fn observe_query<T>(
     label: impl Fn() -> String,
     op: EngineOp,
-    f: impl FnOnce() -> Result<QueryOutcome<T>, EngineError>,
+    meter: &BudgetMeter,
+    read: impl FnOnce(&mut QueryCtx<'_>) -> Result<QueryOutcome<T>, EngineError>,
 ) -> Result<QueryOutcome<T>, EngineError> {
+    let f = || read(&mut QueryCtx::new(meter));
     let Some(ctx) = olap_telemetry::current() else {
         return f();
     };

@@ -2,7 +2,7 @@
 
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
 use olap_array::{ArrayError, DenseArray, Region, Shape};
-use olap_query::AccessStats;
+use olap_query::QueryCtx;
 
 /// The precomputed prefix-sum array `P` of a data cube (§3.1):
 /// `P[x_1,…,x_d] = Sum(0:x_1, …, 0:x_d)`, same shape as the cube.
@@ -90,30 +90,23 @@ impl<G: AbelianGroup> PrefixSumArray<G> {
     /// # Errors
     /// Propagates region-validation errors.
     pub fn range_sum(&self, region: &Region) -> Result<G::Value, ArrayError> {
-        self.p.shape().check_region(region)?;
-        let mut stats = AccessStats::new();
-        Ok(self.range_sum_unchecked(region, &mut stats))
+        self.read(region, &mut QueryCtx::unlimited())
     }
 
-    /// Like [`PrefixSumArray::range_sum`], also reporting access counts.
-    pub fn range_sum_with_stats(
-        &self,
-        region: &Region,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
+    /// The metered Theorem-1 read: checks `ctx` before the gather and
+    /// charges it after. `ctx` counts each *real* `P` access (corners with
+    /// some `ℓ_j − 1 = −1` contribute the identity without touching
+    /// memory, which is why the paper says "up to" `2^d`).
+    ///
+    /// # Errors
+    /// Region validation, or a budget interrupt.
+    pub fn read(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<G::Value, ArrayError> {
+        ctx.check()?;
         self.p.shape().check_region(region)?;
-        let mut stats = AccessStats::new();
-        let v = self.range_sum_unchecked(region, &mut stats);
-        Ok((v, stats))
-    }
-
-    /// Theorem 1 without validation. `stats` counts each *real* `P` access
-    /// (corners with some `ℓ_j − 1 = −1` contribute the identity without
-    /// touching memory, which is why the paper says "up to" `2^d`).
-    pub(crate) fn range_sum_unchecked(&self, region: &Region, stats: &mut AccessStats) -> G::Value {
         let d = region.ndim();
         let mut corner = vec![0usize; d];
         let mut acc = self.op.identity();
-        // analyzer: allow(budget-coverage, reason = "Theorem 1 corner gather: at most 2^d probes, charged by the budgeted wrappers")
+        // analyzer: allow(budget-coverage, reason = "Theorem 1 corner gather: at most 2^d probes, charged after the gather")
         'corners: for mask in 0u64..(1u64 << d) {
             // Bit j set ⇒ pick x_j = ℓ_j − 1 (sign −1); clear ⇒ x_j = h_j.
             // analyzer: allow(budget-coverage, reason = "corner coordinate selection: trip count = ndim per corner")
@@ -130,15 +123,16 @@ impl<G: AbelianGroup> PrefixSumArray<G> {
                 }
             }
             let term = self.p.get(&corner);
-            stats.read_p(1);
-            stats.step(1);
+            ctx.stats.read_p(1);
+            ctx.stats.step(1);
             if mask.count_ones() % 2 == 0 {
                 acc = self.op.combine(&acc, term);
             } else {
                 acc = self.op.uncombine(&acc, term);
             }
         }
-        acc
+        ctx.charge()?;
+        Ok(acc)
     }
 
     /// Reconstructs the original cell `A[index]` from `P` alone (§3.4:
@@ -146,9 +140,7 @@ impl<G: AbelianGroup> PrefixSumArray<G> {
     /// range-sum `Sum(x_1:x_1, …, x_d:x_d)`).
     pub fn cell(&self, index: &[usize]) -> Result<G::Value, ArrayError> {
         self.p.shape().check_index(index)?;
-        let region = Region::point(index)?;
-        let mut stats = AccessStats::new();
-        Ok(self.range_sum_unchecked(&region, &mut stats))
+        self.range_sum(&Region::point(index)?)
     }
 }
 
@@ -195,7 +187,7 @@ mod tests {
         // our [row, col] layout the query is rows 1:2 × cols 2:3.
         let ps = PrefixSumCube::build(&figure1());
         let q = Region::from_bounds(&[(1, 2), (2, 3)]).unwrap();
-        let (v, stats) = ps.range_sum_with_stats(&q).unwrap();
+        let (v, stats) = QueryCtx::measure(|ctx| ps.read(&q, ctx)).unwrap();
         assert_eq!(v, 13);
         assert_eq!(stats.p_cells, 4); // all 2^d corners are real here
     }
@@ -205,7 +197,7 @@ mod tests {
         let ps = PrefixSumCube::build(&figure1());
         // ℓ = 0 on both dims: only the P[h1,h2] corner is a real access.
         let q = Region::from_bounds(&[(0, 1), (0, 2)]).unwrap();
-        let (v, stats) = ps.range_sum_with_stats(&q).unwrap();
+        let (v, stats) = QueryCtx::measure(|ctx| ps.read(&q, ctx)).unwrap();
         assert_eq!(v, 3 + 5 + 1 + 7 + 3 + 2);
         assert_eq!(stats.p_cells, 1);
     }
@@ -246,7 +238,7 @@ mod tests {
         let a = DenseArray::from_fn(shape, |idx| (idx[0] + idx[1] + idx[2]) as i64);
         let ps = PrefixSumCube::build(&a);
         let q = Region::from_bounds(&[(1, 2), (1, 2), (1, 2)]).unwrap();
-        let (v, stats) = ps.range_sum_with_stats(&q).unwrap();
+        let (v, stats) = QueryCtx::measure(|ctx| ps.read(&q, ctx)).unwrap();
         let naive = a.fold_region(&q, 0i64, |acc, &x| acc + x);
         assert_eq!(v, naive);
         assert_eq!(stats.p_cells, 8);

@@ -2,8 +2,8 @@
 //! anchors, trading query time for a `1/b^d` space footprint.
 
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
-use olap_array::{ArrayError, BudgetMeter, DenseArray, Range, Region, Shape};
-use olap_query::AccessStats;
+use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
+use olap_query::{AccessStats, QueryCtx};
 
 /// How a single boundary region was (or must be) evaluated (§4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -403,7 +403,7 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         let b = self.b;
         let strides = self.p.shape().strides();
         let mut acc = self.op.identity();
-        // analyzer: allow(budget-coverage, reason = "Theorem 1 corner gather over superblock P: at most 2^d probes, charged per part by range_sum_with_budget")
+        // analyzer: allow(budget-coverage, reason = "Theorem 1 corner gather over superblock P: at most 2^d probes, charged per part by read")
         'corners: for mask in 0u64..(1u64 << lo.len()) {
             let mut flat = 0;
             let axes = lo.iter().zip(hi).zip(self.shape.dims()).zip(strides);
@@ -491,17 +491,7 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         a: &DenseArray<G::Value>,
         region: &Region,
     ) -> Result<G::Value, ArrayError> {
-        self.range_sum_with_policy(a, region, BoundaryPolicy::Auto)
-            .map(|(v, _)| v)
-    }
-
-    /// Like [`BlockedPrefixSum::range_sum`], also reporting access counts.
-    pub fn range_sum_with_stats(
-        &self,
-        a: &DenseArray<G::Value>,
-        region: &Region,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
-        self.range_sum_with_policy(a, region, BoundaryPolicy::Auto)
+        self.read(a, region, BoundaryPolicy::Auto, &mut QueryCtx::unlimited())
     }
 
     /// The §11 progressive-answer primitive: lower and upper bounds on a
@@ -620,7 +610,7 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         stats.step(vol);
         let mut acc = self.op.identity();
         self.shape.for_each_run(lo, hi, run, |cells| {
-            // analyzer: allow(budget-coverage, reason = "one run of a boundary box; the meter is charged with the whole part's accesses by range_sum_with_budget")
+            // analyzer: allow(budget-coverage, reason = "one run of a boundary box; read charges the whole part's accesses when the part completes")
             for x in a.get(cells).unwrap_or_default() {
                 acc = self.op.combine(&acc, x);
             }
@@ -628,54 +618,35 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         acc
     }
 
-    /// Full-control entry point: evaluates the query under a given
-    /// boundary policy, reporting access counts.
-    ///
-    /// # Errors
-    /// Validates the region and the cube shape.
-    pub fn range_sum_with_policy(
-        &self,
-        a: &DenseArray<G::Value>,
-        region: &Region,
-        policy: BoundaryPolicy,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
-        self.range_sum_with_budget(a, region, policy, &BudgetMeter::unlimited())
-    }
-
-    /// [`BlockedPrefixSum::range_sum_with_policy`] under a
-    /// [`BudgetMeter`]: the meter is checked before any kernel work and at
-    /// every part boundary, and each part's element accesses are charged
-    /// against the budget as it completes. An exhausted budget, elapsed
-    /// deadline, or cancelled token surfaces as
-    /// [`ArrayError::Interrupted`]; the answer on the `Ok` path is
-    /// bit-identical to the unbudgeted evaluation.
+    /// The metered §4.2 read under a boundary policy: `ctx` is checked
+    /// before any kernel work and before each part, and charged with each
+    /// part's accesses as it completes, so a deadline, access cap or
+    /// cancellation cuts the query off between parts. The answer on the
+    /// `Ok` path does not depend on the meter.
     ///
     /// # Errors
     /// Validates the region and the cube shape; propagates budget
-    /// interrupts.
-    pub fn range_sum_with_budget(
+    /// interrupts as [`ArrayError::Interrupted`].
+    pub fn read(
         &self,
         a: &DenseArray<G::Value>,
         region: &Region,
         policy: BoundaryPolicy,
-        meter: &BudgetMeter,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
-        check_cube_shape(&self.shape, a.shape())?;
+        ctx: &mut QueryCtx<'_>,
+    ) -> Result<G::Value, ArrayError> {
+        ctx.check()?;
+        self.shape.check_same(a.shape())?;
         self.shape.check_region(region)?;
-        meter.check()?;
         let split = Split::new(self.b, &self.shape, region);
         let mut acc = self.op.identity();
-        let mut stats = AccessStats::new();
         split.for_each_part(|p, internal| {
-            meter.check()?;
-            let mut part_stats = AccessStats::new();
-            let v = self.eval_part(a.as_slice(), p, internal, policy, &mut part_stats);
-            meter.charge(part_stats.total_accesses())?;
+            ctx.check()?;
+            let v = self.eval_part(a.as_slice(), p, internal, policy, &mut ctx.stats);
+            ctx.charge()?;
             acc = self.op.combine(&acc, &v);
-            stats.merge(&part_stats);
             Ok::<_, ArrayError>(())
         })?;
-        Ok((acc, stats))
+        Ok(acc)
     }
 }
 
@@ -683,28 +654,6 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
 fn set_bound(bound: &mut [usize], axis: usize, value: usize) {
     if let Some(slot) = bound.get_mut(axis) {
         *slot = value;
-    }
-}
-
-/// Validates that the cube handed to a query has the shape the structure
-/// was built from: a rank difference is a [`ArrayError::DimMismatch`]; equal
-/// rank with different extents reports the first differing axis, the
-/// supplied extent (`index`) and the expected one (`extent`).
-fn check_cube_shape(expected: &Shape, actual: &Shape) -> Result<(), ArrayError> {
-    if actual.ndim() != expected.ndim() {
-        return Err(ArrayError::DimMismatch {
-            expected: expected.ndim(),
-            actual: actual.ndim(),
-        });
-    }
-    let mut dims = expected.dims().iter().zip(actual.dims()).enumerate();
-    match dims.find(|(_, (extent, index))| index != extent) {
-        Some((axis, (&extent, &index))) => Err(ArrayError::OutOfBounds {
-            axis,
-            index,
-            extent,
-        }),
-        None => Ok(()),
     }
 }
 
@@ -814,14 +763,15 @@ mod tests {
 
     #[test]
     fn budget_cuts_off_blocked_query() {
-        use olap_array::{Interrupt, QueryBudget};
+        use olap_array::{BudgetMeter, Interrupt, QueryBudget};
         let a = DenseArray::from_fn(Shape::new(&[30, 30]).unwrap(), |i| (i[0] + i[1]) as i64);
         let bp = BlockedPrefixCube::build(&a, 8).unwrap();
         let q = Region::from_bounds(&[(3, 27), (5, 29)]).unwrap();
-        let (v0, s0) = bp.range_sum_with_stats(&a, &q).unwrap();
+        let (v0, s0) = QueryCtx::measure(|ctx| bp.read(&a, &q, BoundaryPolicy::Auto, ctx)).unwrap();
         let budgeted = |meter: &BudgetMeter| {
-            let out = bp.range_sum_with_budget(&a, &q, BoundaryPolicy::Auto, meter);
-            (out, meter.spent())
+            let mut ctx = QueryCtx::new(meter);
+            let out = bp.read(&a, &q, BoundaryPolicy::Auto, &mut ctx);
+            (out.map(|v| (v, ctx.stats)), meter.spent())
         };
         let capped = |max: u64| QueryBudget::unlimited().max_accesses(max).start(None);
         let exhausted = |out: &Result<(i64, AccessStats), ArrayError>| {
@@ -865,7 +815,7 @@ mod tests {
             .deadline(std::time::Duration::ZERO)
             .start(None);
         let err = bp
-            .range_sum_with_budget(&a, &q, BoundaryPolicy::Auto, &meter)
+            .read(&a, &q, BoundaryPolicy::Auto, &mut QueryCtx::new(&meter))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -937,7 +887,7 @@ mod tests {
             BoundaryPolicy::AlwaysDirect,
             BoundaryPolicy::AlwaysComplement,
         ] {
-            let (v, _) = bp.range_sum_with_policy(&a, &q, policy).unwrap();
+            let (v, _) = QueryCtx::measure(|ctx| bp.read(&a, &q, policy, ctx)).unwrap();
             assert_eq!(v, naive, "{policy:?}");
         }
     }
@@ -947,15 +897,13 @@ mod tests {
         let a = DenseArray::from_fn(Shape::new(&[50, 50]).unwrap(), |i| (i[0] + i[1]) as i64);
         let bp = BlockedPrefixCube::build(&a, 10).unwrap();
         let q = Region::from_bounds(&[(2, 48), (11, 39)]).unwrap();
-        let (_, auto) = bp
-            .range_sum_with_policy(&a, &q, BoundaryPolicy::Auto)
-            .unwrap();
-        let (_, direct) = bp
-            .range_sum_with_policy(&a, &q, BoundaryPolicy::AlwaysDirect)
-            .unwrap();
-        let (_, comp) = bp
-            .range_sum_with_policy(&a, &q, BoundaryPolicy::AlwaysComplement)
-            .unwrap();
+        let (_, auto) =
+            QueryCtx::measure(|ctx| bp.read(&a, &q, BoundaryPolicy::Auto, ctx)).unwrap();
+        let (_, direct) =
+            QueryCtx::measure(|ctx| bp.read(&a, &q, BoundaryPolicy::AlwaysDirect, ctx)).unwrap();
+        let (_, comp) =
+            QueryCtx::measure(|ctx| bp.read(&a, &q, BoundaryPolicy::AlwaysComplement, ctx))
+                .unwrap();
         assert!(auto.a_cells <= direct.a_cells);
         assert!(auto.total_accesses() <= direct.total_accesses().max(comp.total_accesses()));
     }
@@ -966,7 +914,8 @@ mod tests {
         let a = DenseArray::from_fn(Shape::new(&[40, 40]).unwrap(), |i| (i[0] * i[1]) as i64);
         let bp = BlockedPrefixCube::build(&a, 10).unwrap();
         let q = Region::from_bounds(&[(10, 29), (20, 39)]).unwrap();
-        let (v, stats) = bp.range_sum_with_stats(&a, &q).unwrap();
+        let (v, stats) =
+            QueryCtx::measure(|ctx| bp.read(&a, &q, BoundaryPolicy::Auto, ctx)).unwrap();
         assert_eq!(v, a.fold_region(&q, 0i64, |s, &x| s + x));
         // Block-aligned boundary parts have empty complements, so the Auto
         // policy answers every part from P alone: zero A-cells, and at most

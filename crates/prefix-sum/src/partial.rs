@@ -13,7 +13,7 @@
 use crate::batch::CellUpdate;
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
 use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
-use olap_query::AccessStats;
+use olap_query::QueryCtx;
 
 /// A prefix-sum array computed only along the chosen dimensions `X′`.
 #[derive(Debug, Clone)]
@@ -94,20 +94,18 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
     /// # Errors
     /// Validates the region.
     pub fn range_sum(&self, region: &Region) -> Result<G::Value, ArrayError> {
-        self.range_sum_with_stats(region).map(|(v, _)| v)
+        self.read(region, &mut QueryCtx::unlimited())
     }
 
-    /// Like [`PartialPrefixSum::range_sum`] with access counts.
+    /// The metered [`PartialPrefixSum::range_sum`]: checks `ctx` first,
+    /// then charges and checks it after each passive cell's gather.
     ///
     /// # Errors
-    /// Validates the region.
-    pub fn range_sum_with_stats(
-        &self,
-        region: &Region,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
+    /// Region validation, or a budget interrupt.
+    pub fn read(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<G::Value, ArrayError> {
+        ctx.check()?;
         self.p.shape().check_region(region)?;
         let d = region.ndim();
-        let mut stats = AccessStats::new();
         let passive: Vec<usize> = (0..d).filter(|&j| !self.chosen[j]).collect();
         let k = self.dims.len();
         let mut acc = self.op.identity();
@@ -118,11 +116,11 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
             // Inclusion–exclusion over the chosen dims with the passive
             // coordinates pinned.
             'corners: for mask in 0u64..(1u64 << k) {
-                // analyzer: allow(budget-coverage, reason = "pins passive coordinates: trip count = ndim; stats-only API, budget enforced by the budgeted wrappers")
+                // analyzer: allow(budget-coverage, reason = "pins passive coordinates: trip count = ndim")
                 for (pi, &j) in passive.iter().enumerate() {
                     corner[j] = passive_coord[pi];
                 }
-                // analyzer: allow(budget-coverage, reason = "corner selection over chosen dims: trip count = ndim; stats-only API, budget enforced by the budgeted wrappers")
+                // analyzer: allow(budget-coverage, reason = "corner selection over chosen dims: trip count = ndim")
                 for (ci, &j) in self.dims.iter().enumerate() {
                     let r = region.range(j);
                     if (mask >> ci) & 1 == 1 {
@@ -135,17 +133,19 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
                     }
                 }
                 let term = self.p.get(&corner);
-                stats.read_p(1);
-                stats.step(1);
+                ctx.stats.read_p(1);
+                ctx.stats.step(1);
                 if mask.count_ones() % 2 == 0 {
                     acc = self.op.combine(&acc, term);
                 } else {
                     acc = self.op.uncombine(&acc, term);
                 }
             }
+            ctx.charge()?;
+            ctx.check()?;
             // Advance the passive odometer.
             let mut axis = passive.len();
-            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per passive cell; stats-only API, budget enforced by the budgeted wrappers")
+            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per passive cell")
             loop {
                 if axis == 0 {
                     break 'outer;
@@ -159,7 +159,7 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
                 passive_coord[axis] = r.lo();
             }
         }
-        Ok((acc, stats))
+        Ok(acc)
     }
 }
 
@@ -276,7 +276,7 @@ mod tests {
         let a = cube();
         let pp = PartialPrefixCube::build(&a, &[0, 2]).unwrap();
         let q = Region::from_bounds(&[(1, 4), (1, 3), (1, 2)]).unwrap();
-        let (_, stats) = pp.range_sum_with_stats(&q).unwrap();
+        let (_, stats) = QueryCtx::measure(|ctx| pp.read(&q, ctx)).unwrap();
         // Passive dim 1 has r = 3; chosen dims contribute 2 each.
         assert_eq!(stats.p_cells, (3 * 2 * 2) as u64);
     }
@@ -287,8 +287,8 @@ mod tests {
         let pp = PartialPrefixCube::build(&a, &[0, 1, 2]).unwrap();
         let basic = crate::PrefixSumCube::build(&a);
         let q = Region::from_bounds(&[(1, 4), (0, 3), (2, 3)]).unwrap();
-        let (v1, s1) = pp.range_sum_with_stats(&q).unwrap();
-        let (v2, s2) = basic.range_sum_with_stats(&q).unwrap();
+        let (v1, s1) = QueryCtx::measure(|ctx| pp.read(&q, ctx)).unwrap();
+        let (v2, s2) = QueryCtx::measure(|ctx| basic.read(&q, ctx)).unwrap();
         assert_eq!(v1, v2);
         assert_eq!(s1.p_cells, s2.p_cells);
     }
@@ -298,7 +298,7 @@ mod tests {
         let a = cube();
         let pp = PartialPrefixCube::build(&a, &[]).unwrap();
         let q = Region::from_bounds(&[(1, 2), (1, 2), (1, 2)]).unwrap();
-        let (v, stats) = pp.range_sum_with_stats(&q).unwrap();
+        let (v, stats) = QueryCtx::measure(|ctx| pp.read(&q, ctx)).unwrap();
         assert_eq!(v, naive(&a, &q));
         assert_eq!(stats.p_cells, q.volume() as u64);
     }

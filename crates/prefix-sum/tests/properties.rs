@@ -8,7 +8,7 @@ use olap_prefix_sum::batch::{self, CellUpdate};
 use olap_prefix_sum::{
     BlockedPrefixCube, BlockedPrefixSum, BoundaryMethod, BoundaryPolicy, PrefixSumCube,
 };
-use olap_query::AccessStats;
+use olap_query::{AccessStats, QueryCtx};
 use proptest::prelude::*;
 
 /// A random cube of 1–4 dimensions with small extents, plus its contents.
@@ -91,11 +91,11 @@ fn anchor_sum<G: AbelianGroup>(
     acc
 }
 
-/// The §4.2 query the blocked kernel must reproduce: the parts of
-/// `decompose` in order, each read from anchors and `fold_region` (a
-/// Complement part subtracts `RegionPart::complement`'s holes in order),
-/// with the meter checked before each part and charged after it. Pushes
-/// each completed part's accesses onto `part_accesses`.
+/// The §4.2 query the blocked kernel's metered `read` must reproduce: the
+/// parts of `decompose` in order, each read from anchors and `fold_region`
+/// (a Complement part subtracts `RegionPart::complement`'s holes in
+/// order), with the meter checked before each part and charged after it.
+/// Pushes each completed part's accesses onto `part_accesses`.
 fn reference<G: AbelianGroup>(
     bp: &BlockedPrefixSum<G>,
     a: &DenseArray<G::Value>,
@@ -169,7 +169,7 @@ proptest! {
             BoundaryPolicy::AlwaysDirect,
             BoundaryPolicy::AlwaysComplement,
         ] {
-            let (v, _) = bp.range_sum_with_policy(&a, &q, policy).unwrap();
+            let (v, _) = QueryCtx::measure(|ctx| bp.read(&a, &q, policy, ctx)).unwrap();
             prop_assert_eq!(v, expected, "b={} policy={:?}", b, policy);
         }
     }
@@ -196,8 +196,9 @@ proptest! {
             let at = format!("b={b} {q} {policy:?}");
             let mut parts = Vec::new();
             let want = reference(&bp, &ints, &q, policy, &unlimited, &mut parts).unwrap();
-            prop_assert_eq!(bp.range_sum_with_policy(&ints, &q, policy).unwrap(), want, "{}", &at);
-            let (v, stats) = fp.range_sum_with_policy(&floats, &q, policy).unwrap();
+            let got = QueryCtx::measure(|ctx| bp.read(&ints, &q, policy, ctx)).unwrap();
+            prop_assert_eq!(got, want, "{}", &at);
+            let (v, stats) = QueryCtx::measure(|ctx| fp.read(&floats, &q, policy, ctx)).unwrap();
             let (want_v, want_stats) =
                 reference(&fp, &floats, &q, policy, &unlimited, &mut Vec::new()).unwrap();
             prop_assert_eq!(v.to_bits(), want_v.to_bits(), "{}: {} vs {}", &at, v, want_v);
@@ -210,7 +211,8 @@ proptest! {
                 for cap in [cumulative - 1, cumulative] {
                     let capped = || QueryBudget::unlimited().max_accesses(cap).start(None);
                     let (got_meter, want_meter) = (capped(), capped());
-                    let got = bp.range_sum_with_budget(&ints, &q, policy, &got_meter);
+                    let mut ctx = QueryCtx::new(&got_meter);
+                    let got = bp.read(&ints, &q, policy, &mut ctx).map(|v| (v, ctx.stats));
                     let want = reference(&bp, &ints, &q, policy, &want_meter, &mut Vec::new());
                     let exhausted = |r: &Result<_, ArrayError>| {
                         matches!(r, Err(ArrayError::Interrupted(Interrupt::BudgetExhausted { .. })))

@@ -1,3 +1,4 @@
+use olap_array::{BudgetMeter, Interrupt};
 use std::ops::{Add, AddAssign};
 
 /// Counts of the cells and nodes an algorithm touched while answering a
@@ -82,6 +83,81 @@ impl Add for AccessStats {
 impl AddAssign for AccessStats {
     fn add_assign(&mut self, rhs: AccessStats) {
         *self = *self + rhs;
+    }
+}
+
+/// The meter every unmetered read runs under.
+static UNLIMITED: BudgetMeter = BudgetMeter::unlimited();
+
+/// One query's accounting: the [`BudgetMeter`] it runs under and the
+/// [`AccessStats`] its kernel records.
+///
+/// A kernel's metered `read` records accesses into [`QueryCtx::stats`] as
+/// it walks, calls [`QueryCtx::charge`] at its checkpoints to charge the
+/// meter with what it recorded since the last charge, and
+/// [`QueryCtx::check`] where the deadline, cancellation and access cap
+/// should be looked at. The meter is charged from the very counter the
+/// stats report, so after an `Ok` read on a fresh meter `meter.spent()`
+/// equals [`AccessStats::total_accesses`]. A ctx holds no allocation.
+#[derive(Debug)]
+pub struct QueryCtx<'m> {
+    meter: &'m BudgetMeter,
+    /// The accesses recorded so far.
+    pub stats: AccessStats,
+    /// Accesses of `stats` already charged to `meter`.
+    charged: u64,
+}
+
+impl<'m> QueryCtx<'m> {
+    /// A ctx charging `meter`, with zeroed stats.
+    pub fn new(meter: &'m BudgetMeter) -> Self {
+        QueryCtx {
+            meter,
+            stats: AccessStats::new(),
+            charged: 0,
+        }
+    }
+
+    /// A ctx over a meter that never interrupts: the one the value-only
+    /// reads run under.
+    pub fn unlimited() -> QueryCtx<'static> {
+        QueryCtx::new(&UNLIMITED)
+    }
+
+    /// Runs one read under an unlimited meter and returns its value with
+    /// the accesses it recorded.
+    ///
+    /// # Errors
+    /// Whatever `read` returns.
+    pub fn measure<T, E>(
+        read: impl FnOnce(&mut QueryCtx<'static>) -> Result<T, E>,
+    ) -> Result<(T, AccessStats), E> {
+        let mut ctx = QueryCtx::unlimited();
+        let value = read(&mut ctx)?;
+        Ok((value, ctx.stats))
+    }
+
+    /// Charges the meter with the accesses recorded since the last
+    /// charge. Reads no clock.
+    ///
+    /// # Errors
+    /// [`Interrupt::BudgetExhausted`] once the access cap is crossed.
+    #[inline]
+    pub fn charge(&mut self) -> Result<(), Interrupt> {
+        let total = self.stats.total_accesses();
+        let due = total.saturating_sub(self.charged);
+        self.charged = total;
+        self.meter.charge(due)
+    }
+
+    /// Checks the meter's cancellation token, deadline and access cap;
+    /// reads the clock when a deadline is armed.
+    ///
+    /// # Errors
+    /// The first [`Interrupt`] that applies.
+    #[inline]
+    pub fn check(&self) -> Result<(), Interrupt> {
+        self.meter.check()
     }
 }
 
@@ -207,5 +283,45 @@ mod tests {
                 combine_steps: 44
             }
         );
+    }
+
+    #[test]
+    fn ctx_charges_what_it_recorded_since_the_last_charge() {
+        use olap_array::QueryBudget;
+        let meter = QueryBudget::with_max_accesses(10).start(None);
+        let mut ctx = QueryCtx::new(&meter);
+        ctx.stats.read_a(3);
+        ctx.stats.step(50);
+        ctx.charge().unwrap();
+        ctx.charge().unwrap();
+        assert_eq!(
+            meter.spent(),
+            3,
+            "steps are not accesses; nothing is charged twice"
+        );
+        ctx.stats.read_p(4);
+        ctx.stats.visit_nodes(4);
+        let err = ctx.charge().unwrap_err();
+        assert_eq!(
+            err,
+            Interrupt::BudgetExhausted {
+                spent: 11,
+                limit: 10
+            }
+        );
+        assert!(ctx.check().is_err());
+        assert_eq!(ctx.stats.total_accesses(), meter.spent());
+    }
+
+    #[test]
+    fn measure_returns_the_value_with_its_stats() {
+        let (v, stats) = QueryCtx::measure(|ctx| {
+            ctx.stats.read_a(2);
+            ctx.charge()?;
+            ctx.check()?;
+            Ok::<_, Interrupt>(7)
+        })
+        .unwrap();
+        assert_eq!((v, stats.a_cells), (7, 2));
     }
 }

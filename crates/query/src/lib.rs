@@ -11,6 +11,8 @@
 //! This crate provides:
 //!
 //! - [`DimSelection`] / [`RangeQuery`]: the user-facing query model,
+//! - [`AccessStats`] / [`QueryCtx`]: the §8 access counts, and one
+//!   query's accounting that charges its budget from them,
 //! - [`Answer`] / [`QueryOutcome`] / [`EngineKind`]: the unified answer
 //!   vocabulary every engine returns (value + access stats + which
 //!   structure answered),
@@ -35,7 +37,7 @@ mod query;
 mod schema;
 mod stats;
 
-pub use access::AccessStats;
+pub use access::{AccessStats, QueryCtx};
 pub use cuboid::CuboidId;
 pub use estimate::Estimate;
 pub use log::{CuboidStats, QueryLog};

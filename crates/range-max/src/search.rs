@@ -10,8 +10,8 @@
 
 use crate::tree::{MaxTree, MaxTreeError};
 use olap_aggregate::TotalOrder;
-use olap_array::{DenseArray, Range, Region, Shape};
-use olap_query::AccessStats;
+use olap_array::{DenseArray, Interrupt, Range, Region, Shape};
+use olap_query::QueryCtx;
 
 /// Knobs for the search — the defaults are the paper's algorithm; the
 /// alternatives exist for the ablation benches.
@@ -85,36 +85,38 @@ impl<O: TotalOrder> MaxTree<O> {
         a: &DenseArray<O::Value>,
         region: &Region,
     ) -> Result<(Vec<usize>, O::Value), MaxTreeError> {
-        self.range_max_with_options(a, region, SearchOptions::default())
-            .map(|(idx, v, _)| (idx, v))
+        self.read(
+            a,
+            region,
+            SearchOptions::default(),
+            &mut QueryCtx::unlimited(),
+        )
     }
 
-    /// Like [`MaxTree::range_max`], also reporting access statistics.
-    pub fn range_max_with_stats(
-        &self,
-        a: &DenseArray<O::Value>,
-        region: &Region,
-    ) -> Result<(Vec<usize>, O::Value, AccessStats), MaxTreeError> {
-        self.range_max_with_options(a, region, SearchOptions::default())
-    }
-
-    /// Full-control entry point (used by the ablation benches).
+    /// The metered §6 search under `opts` (the defaults are the paper's
+    /// algorithm; the alternatives are the ablations). `ctx` is checked
+    /// before the search and charged and checked at every node the walk
+    /// expands, so an interrupt lands within one node's `b^d` children.
     ///
     /// # Errors
-    /// Validates the region against the cube shape.
-    pub fn range_max_with_options(
+    /// Validates the region against the cube shape; propagates budget
+    /// interrupts as [`ArrayError::Interrupted`](olap_array::ArrayError).
+    pub fn read(
         &self,
         a: &DenseArray<O::Value>,
         region: &Region,
         opts: SearchOptions,
-    ) -> Result<(Vec<usize>, O::Value, AccessStats), MaxTreeError> {
+        ctx: &mut QueryCtx<'_>,
+    ) -> Result<(Vec<usize>, O::Value), MaxTreeError> {
+        ctx.check()?;
         self.shape.check_region(region)?;
-        let mut stats = AccessStats::new();
         // A singleton region is the cell itself.
         if region.volume() == 1 {
             let idx = region.lower_corner();
-            stats.read_a(1);
-            return Ok((idx.clone(), a.get(&idx).clone(), stats));
+            ctx.stats.read_a(1);
+            ctx.charge()?;
+            let v = a.get(&idx).clone();
+            return Ok((idx, v));
         }
         // Line (3) of Max_index: the lowest-level node x with R ⊆ C(x).
         let level = if opts.lowest_covering_start {
@@ -129,45 +131,39 @@ impl<O: TotalOrder> MaxTree<O> {
             .zip(self.level_shape(level).strides())
             .map(|(r, &s)| r.lo() / side * s)
             .sum();
-        stats.visit_nodes(1);
+        ctx.stats.visit_nodes(1);
         let stored = self.stored_max(level, node);
         // Lines (4)–(5): the covering node's max might already be inside R.
-        if contains_flat(&self.shape, region.ranges(), stored) {
-            stats.read_a(1);
-            return Ok((
-                self.shape.unflatten(stored),
-                a.get_flat(stored).clone(),
-                stats,
-            ));
-        }
-        // Line (2): current_max_index starts at ℓ (any index inside R).
-        let d = self.shape.ndim();
-        let mut search = Search {
-            tree: self,
-            a,
-            q: region.ranges(),
-            opts,
-            best: region
-                .ranges()
-                .iter()
-                .zip(self.shape.strides())
-                .map(|(r, &s)| r.lo() * s)
-                .sum(),
-            stats,
-            axes: Vec::with_capacity(d),
-            lo: vec![0; d],
-            hi: vec![0; d],
-            cur: vec![0; d],
-            bout: Vec::new(),
+        let best = if contains_flat(&self.shape, region.ranges(), stored) {
+            ctx.stats.read_a(1);
+            stored
+        } else {
+            // Line (2): current_max_index starts at ℓ (any index inside R).
+            let d = self.shape.ndim();
+            let mut search = Search {
+                tree: self,
+                a,
+                q: region.ranges(),
+                opts,
+                best: region
+                    .ranges()
+                    .iter()
+                    .zip(self.shape.strides())
+                    .map(|(r, &s)| r.lo() * s)
+                    .sum(),
+                ctx: &mut *ctx,
+                axes: Vec::with_capacity(d),
+                lo: vec![0; d],
+                hi: vec![0; d],
+                cur: vec![0; d],
+                bout: Vec::new(),
+            };
+            search.ctx.stats.read_a(1);
+            search.get_max_index(level, node)?;
+            search.best
         };
-        search.stats.read_a(1);
-        search.get_max_index(level, node);
-        let best = search.best;
-        Ok((
-            self.shape.unflatten(best),
-            a.get_flat(best).clone(),
-            search.stats,
-        ))
+        ctx.charge()?;
+        Ok((self.shape.unflatten(best), a.get_flat(best).clone()))
     }
 
     /// The smallest level `i ≥ 1` whose node containing `ℓ` also contains
@@ -284,19 +280,19 @@ fn advance(
     false
 }
 
-/// One query's search: the query box, `current_max_index`, the access
-/// count, and the scratch every node of the recursion reuses — the
+/// One query's search: the query box, `current_max_index`, the query's
+/// ctx, and the scratch every node of the recursion reuses — the
 /// per-axis child classes, the overlap box and its odometer, and one stack
 /// of pending `B_out` children whose segments are the levels of the
 /// current path. A query allocates these once; no node or child does.
-struct Search<'t, O: TotalOrder> {
+struct Search<'t, 'c, 'm, O: TotalOrder> {
     tree: &'t MaxTree<O>,
     a: &'t DenseArray<O::Value>,
     q: &'t [Range],
     opts: SearchOptions,
     /// `current_max_index` of the paper, a flat index into `A`.
     best: usize,
-    stats: AccessStats,
+    ctx: &'c mut QueryCtx<'m>,
     axes: Vec<ChildAxis>,
     lo: Vec<usize>,
     hi: Vec<usize>,
@@ -305,12 +301,15 @@ struct Search<'t, O: TotalOrder> {
     bout: Vec<(usize, usize)>,
 }
 
-impl<O: TotalOrder> Search<'_, O> {
+impl<O: TotalOrder> Search<'_, '_, '_, O> {
     /// `get_max_index` of §6.1.3 at node `node` (a flat index into
-    /// `level`): scans internal and `B_in` children directly, recurses
-    /// into `B_out` children unless pruned.
-    fn get_max_index(&mut self, level: usize, node: usize) {
+    /// `level`): charges and checks the ctx, then scans internal and
+    /// `B_in` children directly and recurses into `B_out` children unless
+    /// pruned.
+    fn get_max_index(&mut self, level: usize, node: usize) -> Result<(), Interrupt> {
         debug_assert!(level >= 1);
+        self.ctx.charge()?;
+        self.ctx.check()?;
         let tree = self.tree;
         let node_shape = tree.level_shape(level);
         let per_axis = node_shape.strides().iter().zip(node_shape.dims());
@@ -329,15 +328,15 @@ impl<O: TotalOrder> Search<'_, O> {
             // Children are cells of A, and the box is C(x) ∩ R: scan it as
             // contiguous runs, first maximum in row-major order wins.
             let (a, order) = (self.a, &tree.order);
-            let (best, stats) = (&mut self.best, &mut self.stats);
+            let (best, ctx) = (&mut self.best, &mut *self.ctx);
             tree.shape
                 .for_each_run(&self.lo, &self.hi, &mut self.cur, |run| {
                     let base = run.start;
                     let cells = a.as_slice().get(run).unwrap_or_default();
-                    stats.read_a(cells.len() as u64);
-                    stats.step(cells.len() as u64);
+                    ctx.stats.read_a(cells.len() as u64);
+                    ctx.stats.step(cells.len() as u64);
                     let mut best_val = a.get_flat(*best);
-                    // analyzer: allow(budget-coverage, reason = "one innermost run of one leaf node's box, at most b cells; callers charge per cell read")
+                    // analyzer: allow(budget-coverage, reason = "one innermost run of one leaf node's box, at most b cells; the next node expanded, or the end of the read, charges them")
                     for (at, v) in cells.iter().enumerate() {
                         if order.gt(v, best_val) {
                             *best = base + at;
@@ -345,22 +344,22 @@ impl<O: TotalOrder> Search<'_, O> {
                         }
                     }
                 });
-            return;
+            return Ok(());
         }
         let Some(children) = tree.levels.get(level - 2) else {
-            return;
+            return Ok(());
         };
         let strides = children.shape.strides();
         let pending = self.bout.len();
         self.cur.copy_from_slice(&self.lo);
         let mut flat = children.shape.flatten(&self.lo);
-        // analyzer: allow(budget-coverage, reason = "walks one node's overlap box, at most b^d children; callers charge per node visited")
+        // analyzer: allow(budget-coverage, reason = "walks one node's overlap box, at most b^d children; the next node expanded, or the end of the read, charges them")
         while let Some(&stored) = children.max_index.get(flat) {
-            self.stats.visit_nodes(1);
+            self.ctx.stats.visit_nodes(1);
             let internal = self.cur.iter().zip(&self.axes).all(|(&k, x)| x.covered(k));
             if internal || contains_flat(&tree.shape, self.q, stored) {
                 // Internal or B_in: the stored argmax is usable directly.
-                self.stats.step(1);
+                self.ctx.stats.step(1);
                 if tree
                     .order
                     .gt(self.a.get_flat(stored), self.a.get_flat(self.best))
@@ -381,12 +380,11 @@ impl<O: TotalOrder> Search<'_, O> {
                 segment.sort_by(|x, y| order.cmp_values(a.get_flat(y.1), a.get_flat(x.1)));
             }
         }
-        // analyzer: allow(budget-coverage, reason = "one node's B_out children, at most b^d; each recursion is charged by its caller")
         for at in pending..done {
             let Some(&(child, stored)) = self.bout.get(at) else {
                 break;
             };
-            self.stats.step(1);
+            self.ctx.stats.step(1);
             // Branch-and-bound (lines (4)–(6)): if the subtree's
             // precomputed max cannot beat the running max, skip it.
             if self.opts.branch_and_bound
@@ -398,9 +396,10 @@ impl<O: TotalOrder> Search<'_, O> {
             }
             // A child's cover lies inside its parent's, so the query box
             // itself (not `C(child) ∩ R`) classifies the grandchildren.
-            self.get_max_index(level - 1, child);
+            self.get_max_index(level - 1, child)?;
         }
         self.bout.truncate(pending);
+        Ok(())
     }
 }
 
@@ -409,6 +408,7 @@ mod tests {
     use super::*;
     use crate::NaturalMaxTree;
     use olap_array::Shape;
+    use olap_query::QueryCtx;
 
     fn arr14() -> DenseArray<i64> {
         DenseArray::from_vec(
@@ -515,7 +515,8 @@ mod tests {
                             branch_and_bound: bb,
                             sort_boundary: sort,
                         };
-                        let (_, v, _) = t.range_max_with_options(&a, &q, opts).unwrap();
+                        let ((_, v), _) =
+                            QueryCtx::measure(|ctx| t.read(&a, &q, opts, ctx)).unwrap();
                         assert_eq!(v, expected, "{q} {opts:?}");
                     }
                 }
@@ -534,19 +535,13 @@ mod tests {
         let mut without = 0u64;
         for l in (0..70).step_by(7) {
             let q = Region::from_bounds(&[(l, l + 10)]).unwrap();
-            let (_, _, s1) = t
-                .range_max_with_options(&a, &q, SearchOptions::default())
-                .unwrap();
-            let (_, _, s2) = t
-                .range_max_with_options(
-                    &a,
-                    &q,
-                    SearchOptions {
-                        branch_and_bound: false,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
+            let (_, s1) =
+                QueryCtx::measure(|ctx| t.read(&a, &q, SearchOptions::default(), ctx)).unwrap();
+            let plain = SearchOptions {
+                branch_and_bound: false,
+                ..Default::default()
+            };
+            let (_, s2) = QueryCtx::measure(|ctx| t.read(&a, &q, plain, ctx)).unwrap();
             with_bb += s1.total_accesses();
             without += s2.total_accesses();
         }
@@ -566,7 +561,8 @@ mod tests {
         let a = DenseArray::from_vec(Shape::new(&[27]).unwrap(), data).unwrap();
         let t = NaturalMaxTree::for_values(&a, 3).unwrap();
         let q = Region::from_bounds(&[(1, 25)]).unwrap();
-        let (_, v, stats) = t.range_max_with_stats(&a, &q).unwrap();
+        let ((_, v), stats) =
+            QueryCtx::measure(|ctx| t.read(&a, &q, SearchOptions::default(), ctx)).unwrap();
         assert_eq!(v, 9);
         // Worst case is O(b log_b r) ≈ 3·3 node groups, far below volume 25.
         assert!(stats.total_accesses() < 25);
@@ -580,7 +576,8 @@ mod tests {
         let t = NaturalMaxTree::for_values(&a, 3).unwrap();
         // Query 3:5 — node x5 covers exactly 3:5 and its max (index 4) ∈ R.
         let q = Region::from_bounds(&[(3, 5)]).unwrap();
-        let (idx, v, stats) = t.range_max_with_stats(&a, &q).unwrap();
+        let ((idx, v), stats) =
+            QueryCtx::measure(|ctx| t.read(&a, &q, SearchOptions::default(), ctx)).unwrap();
         assert_eq!((idx.as_slice(), v), (&[4usize][..], 9));
         assert_eq!(stats.tree_nodes, 1);
     }
@@ -590,7 +587,8 @@ mod tests {
         let a = arr14();
         let t = NaturalMaxTree::for_values(&a, 3).unwrap();
         let q = Region::from_bounds(&[(7, 7)]).unwrap();
-        let (idx, v, stats) = t.range_max_with_stats(&a, &q).unwrap();
+        let ((idx, v), stats) =
+            QueryCtx::measure(|ctx| t.read(&a, &q, SearchOptions::default(), ctx)).unwrap();
         assert_eq!((idx.as_slice(), v), (&[7usize][..], 5));
         assert_eq!(stats.total_accesses(), 1);
     }

@@ -2,7 +2,7 @@
 //! §6.2).
 
 use olap_aggregate::{NaturalOrder, ReverseOrder, TotalOrder};
-use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
+use olap_array::{ArrayError, DenseArray, Interrupt, Range, Region, Shape};
 use std::fmt;
 
 /// Errors from building or querying a [`MaxTree`].
@@ -33,6 +33,12 @@ impl std::error::Error for MaxTreeError {}
 impl From<ArrayError> for MaxTreeError {
     fn from(e: ArrayError) -> Self {
         MaxTreeError::Array(e)
+    }
+}
+
+impl From<Interrupt> for MaxTreeError {
+    fn from(i: Interrupt) -> Self {
+        MaxTreeError::Array(ArrayError::Interrupted(i))
     }
 }
 

@@ -4,6 +4,7 @@
 
 use olap_aggregate::{NaturalOrder, ReverseOrder, TotalOrder};
 use olap_array::{DenseArray, Region, Shape};
+use olap_query::QueryCtx;
 use olap_range_max::{MaxTree, NaturalMaxTree, NaturalMinTree, PointUpdate, SearchOptions};
 use proptest::prelude::*;
 use std::ops::{Range, RangeInclusive};
@@ -202,7 +203,7 @@ proptest! {
                         branch_and_bound: bb,
                         sort_boundary: sort,
                     };
-                    let (idx, v, _) = t.range_max_with_options(&a, &q, opts).unwrap();
+                    let ((idx, v), _) = QueryCtx::measure(|ctx| t.read(&a, &q, opts, ctx)).unwrap();
                     prop_assert_eq!(v, expected);
                     prop_assert!(q.contains(&idx));
                     prop_assert_eq!(*a.get(&idx), expected);
@@ -221,7 +222,7 @@ proptest! {
         // Sanity on the cost model: the search touches at most a constant
         // factor of the query volume plus the path down the tree.
         let t = NaturalMaxTree::for_values(&a, b).unwrap();
-        let (_, _, stats) = t.range_max_with_stats(&a, &q).unwrap();
+        let (_, stats) = QueryCtx::measure(|ctx| t.read(&a, &q, SearchOptions::default(), ctx)).unwrap();
         let budget = (q.volume() as u64 + 2) * 4 + 8 * (t.height() as u64 + 1);
         prop_assert!(
             stats.total_accesses() <= budget,
@@ -245,7 +246,7 @@ proptest! {
             let r = 2usize + ((seed * 31 + k * 97) as usize % (n / 2));
             let lo = ((seed * 13 + k * 41) as usize) % (n - r);
             let q = Region::from_bounds(&[(lo, lo + r - 1)]).unwrap();
-            let (_, _, stats) = t.range_max_with_stats(&a, &q).unwrap();
+            let (_, stats) = QueryCtx::measure(|ctx| t.read(&a, &q, SearchOptions::default(), ctx)).unwrap();
             let budget = 3.0 * b as f64 * ((r as f64).log(b as f64) + 2.0);
             prop_assert!(
                 (stats.total_accesses() as f64) <= budget,

@@ -8,8 +8,8 @@
 //! reinsertion of the 30% most-distant entries on the first overflow of
 //! each level per insertion.
 
-use olap_array::Region;
-use olap_query::AccessStats;
+use olap_array::{Interrupt, Region};
+use olap_query::QueryCtx;
 
 /// Fraction of entries evicted on a forced reinsert (the R* paper's 30%).
 const REINSERT_FRACTION: f64 = 0.3;
@@ -130,32 +130,40 @@ impl<T> RStarTree<T> {
     /// Collects all leaf entries whose rectangle intersects `query`.
     pub fn search(&self, query: &Region) -> Vec<(&Region, &T)> {
         let mut out = Vec::new();
-        let mut stats = AccessStats::new();
-        self.search_with_stats(query, &mut out, &mut stats);
+        // An unlimited ctx never interrupts.
+        let _ = self.search_into(query, &mut out, &mut QueryCtx::unlimited());
         out
     }
 
-    /// Like [`RStarTree::search`], counting visited nodes.
-    pub fn search_with_stats<'a>(
+    /// [`RStarTree::search`] into `out` under `ctx`: records one access
+    /// per visited node and charges and checks `ctx` at each, so an
+    /// interrupt lands within one node's entries.
+    ///
+    /// # Errors
+    /// A budget interrupt; `out` then holds the hits found so far.
+    pub fn search_into<'a>(
         &'a self,
         query: &Region,
         out: &mut Vec<(&'a Region, &'a T)>,
-        stats: &mut AccessStats,
-    ) {
-        Self::search_rec(&self.root, query, out, stats);
+        ctx: &mut QueryCtx<'_>,
+    ) -> Result<(), Interrupt> {
+        Self::search_rec(&self.root, query, out, ctx)
     }
 
     fn search_rec<'a>(
         node: &'a Node<T>,
         query: &Region,
         out: &mut Vec<(&'a Region, &'a T)>,
-        stats: &mut AccessStats,
-    ) {
-        stats.visit_nodes(1);
+        ctx: &mut QueryCtx<'_>,
+    ) -> Result<(), Interrupt> {
+        ctx.stats.visit_nodes(1);
+        ctx.charge()?;
+        ctx.check()?;
         match node {
             Node::Leaf(entries) => {
+                // analyzer: allow(budget-coverage, reason = "one leaf's entries, at most max_entries; only the leaf's visit is an access, charged above")
                 for (r, v) in entries {
-                    stats.step(1);
+                    ctx.stats.step(1);
                     if r.overlaps(query) {
                         out.push((r, v));
                     }
@@ -163,13 +171,14 @@ impl<T> RStarTree<T> {
             }
             Node::Internal(children) => {
                 for (mbr, child) in children {
-                    stats.step(1);
+                    ctx.stats.step(1);
                     if mbr.overlaps(query) {
-                        Self::search_rec(child, query, out, stats);
+                        Self::search_rec(child, query, out, ctx)?;
                     }
                 }
             }
         }
+        Ok(())
     }
 
     /// Visits every leaf entry (no spatial filter).
@@ -599,9 +608,8 @@ mod tests {
             t.insert(pt(&[x]), x);
         }
         let mut out = Vec::new();
-        let mut stats = AccessStats::new();
         let q = Region::from_bounds(&[(10, 12)]).unwrap();
-        t.search_with_stats(&q, &mut out, &mut stats);
+        let (_, stats) = QueryCtx::measure(|ctx| t.search_into(&q, &mut out, ctx)).unwrap();
         assert_eq!(out.len(), 3);
         // A small window must not scan the whole tree.
         assert!(stats.tree_nodes < 30, "visited {}", stats.tree_nodes);
@@ -626,9 +634,8 @@ mod tests {
         t.check_invariants().unwrap();
         // Querying one cluster visits few nodes.
         let mut out = Vec::new();
-        let mut stats = AccessStats::new();
         let q = Region::from_bounds(&[(100, 111), (100, 111)]).unwrap();
-        t.search_with_stats(&q, &mut out, &mut stats);
+        let (_, stats) = QueryCtx::measure(|ctx| t.search_into(&q, &mut out, ctx)).unwrap();
         assert_eq!(out.len(), 144);
         assert!(stats.tree_nodes < 80);
     }

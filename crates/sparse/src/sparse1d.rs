@@ -9,7 +9,7 @@
 use crate::btree::BPlusTree;
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
 use olap_array::{ArrayError, Range};
-use olap_query::AccessStats;
+use olap_query::QueryCtx;
 
 /// Sparse one-dimensional prefix sums over a B+-tree.
 ///
@@ -99,15 +99,17 @@ impl<G: AbelianGroup> Sparse1dPrefixSum<G> {
     /// # Errors
     /// [`ArrayError::OutOfBounds`] when `h ≥ n`.
     pub fn range_sum(&self, range: Range) -> Result<G::Value, ArrayError> {
-        self.range_sum_with_stats(range).map(|(v, _)| v)
+        self.read(range, &mut QueryCtx::unlimited())
     }
 
-    /// Like [`Sparse1dPrefixSum::range_sum`] with access counts (each
-    /// B+-tree lookup costs its node path).
-    pub fn range_sum_with_stats(
-        &self,
-        range: Range,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
+    /// The metered [`Sparse1dPrefixSum::range_sum`] (each B+-tree lookup
+    /// costs its node path): checks `ctx` first and charges it after the
+    /// two lookups.
+    ///
+    /// # Errors
+    /// [`ArrayError::OutOfBounds`] when `h ≥ n`, or a budget interrupt.
+    pub fn read(&self, range: Range, ctx: &mut QueryCtx<'_>) -> Result<G::Value, ArrayError> {
+        ctx.check()?;
         if range.hi() >= self.n {
             return Err(ArrayError::OutOfBounds {
                 axis: 0,
@@ -115,19 +117,19 @@ impl<G: AbelianGroup> Sparse1dPrefixSum<G> {
                 extent: self.n,
             });
         }
-        let mut stats = AccessStats::new();
         let depth = self.prefixes.depth() as u64;
-        let hi = self.floor_prefix(range.hi(), &mut stats, depth);
+        let hi = self.floor_prefix(range.hi(), ctx, depth);
         let lo = if range.lo() == 0 {
             self.op.identity()
         } else {
-            self.floor_prefix(range.lo() - 1, &mut stats, depth)
+            self.floor_prefix(range.lo() - 1, ctx, depth)
         };
-        Ok((self.op.uncombine(&hi, &lo), stats))
+        ctx.charge()?;
+        Ok(self.op.uncombine(&hi, &lo))
     }
 
-    fn floor_prefix(&self, index: usize, stats: &mut AccessStats, depth: u64) -> G::Value {
-        stats.visit_nodes(depth);
+    fn floor_prefix(&self, index: usize, ctx: &mut QueryCtx<'_>, depth: u64) -> G::Value {
+        ctx.stats.visit_nodes(depth);
         match self.prefixes.floor(index) {
             Some((_, v)) => v.clone(),
             None => self.op.identity(),
@@ -232,17 +234,16 @@ impl<G: AbelianGroup> Sparse1dBlocked<G> {
     /// # Errors
     /// [`ArrayError::OutOfBounds`] when `h ≥ n`.
     pub fn range_sum(&self, range: Range) -> Result<G::Value, ArrayError> {
-        self.range_sum_with_stats(range).map(|(v, _)| v)
+        self.read(range, &mut QueryCtx::unlimited())
     }
 
-    /// Like [`Sparse1dBlocked::range_sum`] with access counts.
+    /// The metered [`Sparse1dBlocked::range_sum`]: checks `ctx` first and
+    /// charges it once the anchors and edges are read.
     ///
     /// # Errors
-    /// [`ArrayError::OutOfBounds`] when `h ≥ n`.
-    pub fn range_sum_with_stats(
-        &self,
-        range: Range,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
+    /// [`ArrayError::OutOfBounds`] when `h ≥ n`, or a budget interrupt.
+    pub fn read(&self, range: Range, ctx: &mut QueryCtx<'_>) -> Result<G::Value, ArrayError> {
+        ctx.check()?;
         let (l, h) = (range.lo(), range.hi());
         if h >= self.n {
             return Err(ArrayError::OutOfBounds {
@@ -252,16 +253,17 @@ impl<G: AbelianGroup> Sparse1dBlocked<G> {
             });
         }
         let b = self.b;
-        let mut stats = AccessStats::new();
         let l_aligned = l.div_ceil(b) * b; // ℓ′
         let h_aligned = (h + 1) / b * b; // first index after the last full block
         if l_aligned >= h_aligned {
             // No full block inside: scan the points in [l, h].
-            return Ok((self.scan_points(l, h, &mut stats), stats));
+            let v = self.scan_points(l, h, ctx);
+            ctx.charge()?;
+            return Ok(v);
         }
         let depth = self.anchors.depth() as u64;
         // Aligned middle: cumulative(h_aligned/b − 1) ⊖ cumulative(l′/b − 1).
-        stats.visit_nodes(depth);
+        ctx.stats.visit_nodes(depth);
         let hi = self
             .anchors
             .floor(h_aligned / b - 1)
@@ -270,7 +272,7 @@ impl<G: AbelianGroup> Sparse1dBlocked<G> {
         let lo = if l_aligned == 0 {
             self.op.identity()
         } else {
-            stats.visit_nodes(depth);
+            ctx.stats.visit_nodes(depth);
             self.anchors
                 .floor(l_aligned / b - 1)
                 .map(|(_, v)| v.clone())
@@ -279,26 +281,27 @@ impl<G: AbelianGroup> Sparse1dBlocked<G> {
         let mut acc = self.op.uncombine(&hi, &lo);
         // Unaligned edges from the point list.
         if l < l_aligned {
-            let edge = self.scan_points(l, l_aligned - 1, &mut stats);
+            let edge = self.scan_points(l, l_aligned - 1, ctx);
             acc = self.op.combine(&acc, &edge);
         }
         if h_aligned <= h {
-            let edge = self.scan_points(h_aligned, h, &mut stats);
+            let edge = self.scan_points(h_aligned, h, ctx);
             acc = self.op.combine(&acc, &edge);
         }
-        Ok((acc, stats))
+        ctx.charge()?;
+        Ok(acc)
     }
 
     /// Sums the stored points with indices in `[l, h]`.
-    fn scan_points(&self, l: usize, h: usize, stats: &mut AccessStats) -> G::Value {
+    fn scan_points(&self, l: usize, h: usize, ctx: &mut QueryCtx<'_>) -> G::Value {
         let start = self.points.partition_point(|(i, _)| *i < l);
         let mut acc = self.op.identity();
-        // analyzer: allow(budget-coverage, reason = "scan of stored points in range; the budgeted entry charges read_a totals after the scan")
+        // analyzer: allow(budget-coverage, reason = "points of a span that holds no full block, so fewer than 2b of them; read charges them after the scan")
         for (i, v) in &self.points[start..] {
             if *i > h {
                 break;
             }
-            stats.read_a(1);
+            ctx.stats.read_a(1);
             acc = self.op.combine(&acc, v);
         }
         acc
@@ -352,7 +355,7 @@ mod tests {
         let n = 100_000;
         let points: Vec<(usize, i64)> = (0..5000).map(|i| (i * 20, 1i64)).collect();
         let s = Sparse1dPrefixSum::build(n, &points).unwrap();
-        let (v, stats) = s.range_sum_with_stats(range(0, n - 1)).unwrap();
+        let (v, stats) = QueryCtx::measure(|ctx| s.read(range(0, n - 1), ctx)).unwrap();
         assert_eq!(v, 5000);
         // Two floor lookups of B+-tree depth each.
         assert!(stats.tree_nodes <= 2 * 10, "visited {}", stats.tree_nodes);
@@ -406,7 +409,7 @@ mod tests {
     fn blocked_small_range_scans_points_only() {
         let points: Vec<(usize, i64)> = (0..50).map(|i| (i * 2, 1i64)).collect();
         let s = Sparse1dBlocked::build(100, &points, 25).unwrap();
-        let (v, stats) = s.range_sum_with_stats(range(10, 20)).unwrap();
+        let (v, stats) = QueryCtx::measure(|ctx| s.read(range(10, 20), ctx)).unwrap();
         assert_eq!(v, 6);
         // Entirely inside one block: no anchor lookups, only point reads.
         assert_eq!(stats.tree_nodes, 0);

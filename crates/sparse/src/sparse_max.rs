@@ -11,8 +11,8 @@
 
 use crate::cube::SparseCube;
 use olap_aggregate::{NaturalOrder, TotalOrder};
-use olap_array::{ArrayError, Region, Shape};
-use olap_query::AccessStats;
+use olap_array::{ArrayError, Interrupt, Region, Shape};
+use olap_query::QueryCtx;
 
 const FANOUT: usize = 8;
 
@@ -167,24 +167,29 @@ impl<O: TotalOrder> SparseRangeMax<O> {
     /// # Errors
     /// Validates the region.
     pub fn range_max(&self, region: &Region) -> Result<MaxResult<O::Value>, ArrayError> {
-        self.range_max_with_stats(region).map(|(r, _)| r)
+        self.read(region, &mut QueryCtx::unlimited())
     }
 
-    /// Like [`SparseRangeMax::range_max`], counting node visits.
+    /// The metered [`SparseRangeMax::range_max`], counting node visits:
+    /// `ctx` is checked first, then charged at every node the search
+    /// visits and checked at every node it expands.
     ///
     /// # Errors
-    /// Validates the region.
-    pub fn range_max_with_stats(
+    /// Validates the region; propagates budget interrupts as
+    /// [`ArrayError::Interrupted`].
+    pub fn read(
         &self,
         region: &Region,
-    ) -> Result<(MaxResult<O::Value>, AccessStats), ArrayError> {
+        ctx: &mut QueryCtx<'_>,
+    ) -> Result<MaxResult<O::Value>, ArrayError> {
+        ctx.check()?;
         self.shape.check_region(region)?;
-        let mut stats = AccessStats::new();
         let mut best: Option<(Vec<usize>, O::Value)> = None;
         if let Some(root) = &self.root {
-            self.search(root, region, &mut best, &mut stats);
+            self.search(root, region, &mut best, ctx)?;
         }
-        Ok((best, stats))
+        ctx.charge()?;
+        Ok(best)
     }
 
     fn search(
@@ -192,22 +197,25 @@ impl<O: TotalOrder> SparseRangeMax<O> {
         child: &Child<O::Value>,
         region: &Region,
         best: &mut Option<(Vec<usize>, O::Value)>,
-        stats: &mut AccessStats,
-    ) {
-        stats.visit_nodes(1);
+        ctx: &mut QueryCtx<'_>,
+    ) -> Result<(), Interrupt> {
+        ctx.stats.visit_nodes(1);
+        ctx.charge()?;
         if !child.mbr.overlaps(region) {
-            return;
+            return Ok(());
         }
         // Branch-and-bound: the cached max cannot beat the running best.
         if let Some((_, bv)) = best {
             if !self.order.gt(&child.max, bv) {
-                return;
+                return Ok(());
             }
         }
+        ctx.check()?;
         match &child.node {
             MNode::Leaf(points) => {
+                // analyzer: allow(budget-coverage, reason = "one leaf's points, at most FANOUT; only the leaf's visit is an access, charged on entry")
                 for (p, v) in points {
-                    stats.step(1);
+                    ctx.stats.step(1);
                     if region.contains(p) {
                         let better = match best {
                             None => true,
@@ -221,14 +229,14 @@ impl<O: TotalOrder> SparseRangeMax<O> {
             }
             MNode::Internal(children) => {
                 // Visit promising children first: decreasing cached max.
-                let mut order_idx: Vec<usize> = (0..children.len()).collect();
-                order_idx
-                    .sort_by(|&i, &j| self.order.cmp_values(&children[j].max, &children[i].max));
-                for i in order_idx {
-                    self.search(&children[i], region, best, stats);
+                let mut by_max: Vec<&Child<O::Value>> = children.iter().collect();
+                by_max.sort_by(|x, y| self.order.cmp_values(&y.max, &x.max));
+                for c in by_max {
+                    self.search(c, region, best, ctx)?;
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -285,7 +293,7 @@ mod tests {
         let c = cube();
         let engine = SparseRangeMax::build(&c);
         let q = c.shape().full_region();
-        let (got, stats) = engine.range_max_with_stats(&q).unwrap();
+        let (got, stats) = QueryCtx::measure(|ctx| engine.read(&q, ctx)).unwrap();
         let want = naive(&c, &q).unwrap();
         assert_eq!(got.unwrap().1, want.1);
         // Branch-and-bound: nowhere near one visit per point.

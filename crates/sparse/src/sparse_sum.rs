@@ -13,7 +13,7 @@ use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
 use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
 use olap_prefix_sum::batch::{self, CellUpdate};
 use olap_prefix_sum::PrefixSumArray;
-use olap_query::AccessStats;
+use olap_query::QueryCtx;
 
 /// What an R*-tree entry points at.
 #[derive(Debug, Clone)]
@@ -215,24 +215,27 @@ impl<G: AbelianGroup> SparseRangeSum<G> {
     /// # Errors
     /// Validates the region.
     pub fn range_sum(&self, region: &Region) -> Result<G::Value, ArrayError> {
-        self.range_sum_with_stats(region).map(|(v, _)| v)
+        self.read(region, &mut QueryCtx::unlimited())
     }
 
-    /// Like [`SparseRangeSum::range_sum`], counting R*-tree node visits
-    /// and prefix-sum cell reads.
-    pub fn range_sum_with_stats(
-        &self,
-        region: &Region,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
+    /// The metered §10.2 read, counting R*-tree node visits and
+    /// prefix-sum cell reads: `ctx` is checked first, then charged and
+    /// checked at each R*-tree node the search visits and by each dense
+    /// region's prefix-sum read.
+    ///
+    /// # Errors
+    /// Validates the region; propagates budget interrupts as
+    /// [`ArrayError::Interrupted`].
+    pub fn read(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<G::Value, ArrayError> {
+        ctx.check()?;
         self.shape.check_region(region)?;
-        let mut stats = AccessStats::new();
         let mut hits = Vec::new();
-        self.index.search_with_stats(region, &mut hits, &mut stats);
+        self.index.search_into(region, &mut hits, ctx)?;
         let mut acc = self.op.identity();
         for (_, payload) in hits {
             match payload {
                 Payload::Point(v) => {
-                    stats.read_a(1);
+                    ctx.stats.read_a(1);
                     acc = self.op.combine(&acc, v);
                 }
                 Payload::Region(i) => {
@@ -252,18 +255,14 @@ impl<G: AbelianGroup> SparseRangeSum<G> {
                             })
                             .collect(),
                     )?;
-                    let mut sub_stats = AccessStats::new();
-                    let v = rd.prefix.range_sum_with_stats(&local).map(|(v, s)| {
-                        sub_stats = s;
-                        v
-                    })?;
-                    stats += sub_stats;
+                    let v = rd.prefix.read(&local, ctx)?;
                     acc = self.op.combine(&acc, &v);
                 }
             }
-            stats.step(1);
+            ctx.stats.step(1);
         }
-        Ok((acc, stats))
+        ctx.charge()?;
+        Ok(acc)
     }
 }
 
@@ -341,7 +340,7 @@ mod tests {
         let cube = clustered_cube();
         let engine = SparseRangeSum::build(&cube).unwrap();
         let q = Region::from_bounds(&[(11, 20), (31, 40)]).unwrap();
-        let (v, stats) = engine.range_sum_with_stats(&q).unwrap();
+        let (v, stats) = QueryCtx::measure(|ctx| engine.read(&q, ctx)).unwrap();
         assert_eq!(v, naive(&cube, &q));
         // 2^d = 4 prefix cells for the region, plus tree traversal.
         assert!(stats.p_cells <= 8, "{} P cells", stats.p_cells);

@@ -22,8 +22,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
-use olap_array::{ArrayError, BudgetMeter, DenseArray, Range, Region, Shape};
-use olap_query::AccessStats;
+use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
+use olap_query::QueryCtx;
 
 /// One level of the sum tree: a contracted array whose cells hold the sum
 /// over the covered block.
@@ -197,42 +197,27 @@ impl<G: AbelianGroup> SumTree<G> {
         a: &DenseArray<G::Value>,
         region: &Region,
     ) -> Result<G::Value, ArrayError> {
-        self.range_sum_with_stats(a, region, true).map(|(v, _)| v)
+        self.read(a, region, true, &mut QueryCtx::unlimited())
     }
 
-    /// Full entry point: `use_complement` enables the subtraction trick
-    /// the paper grants the tree for a fair comparison.
+    /// The metered traversal: `use_complement` enables the subtraction
+    /// trick the paper grants the tree for a fair comparison. `ctx` is
+    /// checked before the traversal and at every internal node, and
+    /// charged one access per node visit or cube-cell read as it happens.
     ///
     /// # Errors
-    /// Validates the region and cube shape.
-    pub fn range_sum_with_stats(
-        &self,
-        a: &DenseArray<G::Value>,
-        region: &Region,
-        use_complement: bool,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
-        self.range_sum_with_stats_budget(a, region, use_complement, &BudgetMeter::unlimited())
-    }
-
-    /// [`SumTree::range_sum_with_stats`] under a [`BudgetMeter`]: the
-    /// meter is checked before the traversal starts and at every internal
-    /// node, and each node visit or cube-cell read is charged one access.
-    /// An exhausted budget, elapsed deadline, or cancelled token surfaces
+    /// Validates the region and cube shape; propagates budget interrupts
     /// as [`ArrayError::Interrupted`].
-    ///
-    /// # Errors
-    /// Validates the region and cube shape; propagates budget interrupts.
-    pub fn range_sum_with_stats_budget(
+    pub fn read(
         &self,
         a: &DenseArray<G::Value>,
         region: &Region,
         use_complement: bool,
-        meter: &BudgetMeter,
-    ) -> Result<(G::Value, AccessStats), ArrayError> {
-        check_cube_shape(&self.shape, a.shape())?;
+        ctx: &mut QueryCtx<'_>,
+    ) -> Result<G::Value, ArrayError> {
+        ctx.check()?;
+        self.shape.check_same(a.shape())?;
         self.shape.check_region(region)?;
-        meter.check()?;
-        let mut stats = AccessStats::new();
         // Start at the lowest node covering the query (same addressing as
         // the max tree).
         let mut level = 1;
@@ -249,18 +234,16 @@ impl<G: AbelianGroup> SumTree<G> {
         }
         if self.height() == 0 {
             // Single-cell cube.
-            meter.charge(1)?;
-            stats.read_a(1);
-            return Ok((a.get_flat(0).clone(), stats));
+            ctx.stats.read_a(1);
+            ctx.charge()?;
+            return Ok(a.get_flat(0).clone());
         }
         let side = self.b.pow(level as u32);
         let coords: Vec<usize> = region.lower_corner().iter().map(|&l| l / side).collect();
-        let v = self.sum_in(a, level, &coords, region, use_complement, &mut stats, meter)?;
-        Ok((v, stats))
+        self.sum_in(a, level, &coords, region, use_complement, ctx)
     }
 
     /// Sum over `region`, which must be a non-empty box inside `C(node)`.
-    #[allow(clippy::too_many_arguments)]
     fn sum_in(
         &self,
         a: &DenseArray<G::Value>,
@@ -268,19 +251,18 @@ impl<G: AbelianGroup> SumTree<G> {
         coords: &[usize],
         region: &Region,
         use_complement: bool,
-        stats: &mut AccessStats,
-        meter: &BudgetMeter,
+        ctx: &mut QueryCtx<'_>,
     ) -> Result<G::Value, ArrayError> {
         let covered = self.node_region(level, coords)?;
         debug_assert!(covered.contains_region(region));
         if &covered == region {
             if level == 0 {
-                meter.charge(1)?;
-                stats.read_a(1);
+                ctx.stats.read_a(1);
+                ctx.charge()?;
                 return Ok(a.get(coords).clone());
             }
-            meter.charge(1)?;
-            stats.visit_nodes(1);
+            ctx.stats.visit_nodes(1);
+            ctx.charge()?;
             let l = &self.levels[level - 1];
             return Ok(l.sums[l.shape.flatten(coords)].clone());
         }
@@ -289,23 +271,22 @@ impl<G: AbelianGroup> SumTree<G> {
         let comp_vol = covered.volume() - vol;
         if use_complement && comp_vol < vol {
             // Node total minus the holes.
-            meter.charge(1)?;
-            stats.visit_nodes(1);
+            ctx.stats.visit_nodes(1);
+            ctx.charge()?;
             let l = &self.levels[level - 1];
             let mut acc = l.sums[l.shape.flatten(coords)].clone();
             for hole in covered.subtract(region) {
-                let h = self.sum_children(a, level, coords, &hole, use_complement, stats, meter)?;
+                let h = self.sum_children(a, level, coords, &hole, use_complement, ctx)?;
                 acc = self.op.uncombine(&acc, &h);
             }
             Ok(acc)
         } else {
-            self.sum_children(a, level, coords, region, use_complement, stats, meter)
+            self.sum_children(a, level, coords, region, use_complement, ctx)
         }
     }
 
     /// Sums `box_region` (⊆ `C(node)`) by recursing into the node's
     /// children that intersect it.
-    #[allow(clippy::too_many_arguments)]
     fn sum_children(
         &self,
         a: &DenseArray<G::Value>,
@@ -313,10 +294,9 @@ impl<G: AbelianGroup> SumTree<G> {
         coords: &[usize],
         box_region: &Region,
         use_complement: bool,
-        stats: &mut AccessStats,
-        meter: &BudgetMeter,
+        ctx: &mut QueryCtx<'_>,
     ) -> Result<G::Value, ArrayError> {
-        meter.check()?;
+        ctx.check()?;
         let child_dims: Vec<usize> = if level == 1 {
             self.shape.dims().to_vec()
         } else {
@@ -337,9 +317,9 @@ impl<G: AbelianGroup> SumTree<G> {
                 self.node_region(level - 1, &cur)?
             };
             if let Some(inter) = child_covered.intersect(box_region) {
-                let v = self.sum_in(a, level - 1, &cur, &inter, use_complement, stats, meter)?;
+                let v = self.sum_in(a, level - 1, &cur, &inter, use_complement, ctx)?;
                 acc = self.op.combine(&acc, &v);
-                stats.step(1);
+                ctx.stats.step(1);
             }
             let mut axis = cur.len();
             // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per child; sum_in charges the meter per node")
@@ -355,28 +335,6 @@ impl<G: AbelianGroup> SumTree<G> {
                 cur[axis] = lo[axis];
             }
         }
-    }
-}
-
-/// Validates that the cube handed to a query has the shape the tree was
-/// built from: a rank difference is a [`ArrayError::DimMismatch`]; equal
-/// rank with different extents reports the first differing axis, the
-/// supplied extent (`index`) and the expected one (`extent`).
-fn check_cube_shape(expected: &Shape, actual: &Shape) -> Result<(), ArrayError> {
-    if actual.ndim() != expected.ndim() {
-        return Err(ArrayError::DimMismatch {
-            expected: expected.ndim(),
-            actual: actual.ndim(),
-        });
-    }
-    let mut dims = expected.dims().iter().zip(actual.dims()).enumerate();
-    match dims.find(|(_, (extent, index))| index != extent) {
-        Some((axis, (&extent, &index))) => Err(ArrayError::OutOfBounds {
-            axis,
-            index,
-            extent,
-        }),
-        None => Ok(()),
     }
 }
 
@@ -399,7 +357,7 @@ mod tests {
                 let q = Region::from_bounds(&[(l, h)]).unwrap();
                 let naive = a.fold_region(&q, 0i64, |s, &x| s + x);
                 for comp in [true, false] {
-                    let (v, _) = t.range_sum_with_stats(&a, &q, comp).unwrap();
+                    let (v, _) = QueryCtx::measure(|ctx| t.read(&a, &q, comp, ctx)).unwrap();
                     assert_eq!(v, naive, "{q} complement={comp}");
                 }
             }
@@ -439,7 +397,7 @@ mod tests {
         let a = DenseArray::filled(Shape::new(&[16]).unwrap(), 2i64);
         let t = SumTreeCube::build(&a, 2).unwrap();
         let q = Region::from_bounds(&[(8, 15)]).unwrap();
-        let (v, stats) = t.range_sum_with_stats(&a, &q, true).unwrap();
+        let (v, stats) = QueryCtx::measure(|ctx| t.read(&a, &q, true, ctx)).unwrap();
         assert_eq!(v, 16);
         assert_eq!(stats.total_accesses(), 1);
     }
@@ -450,8 +408,8 @@ mod tests {
         let t = SumTreeCube::build(&a, 3).unwrap();
         let q = Region::from_bounds(&[(1, 79)]).unwrap();
         let naive = a.fold_region(&q, 0i64, |s, &x| s + x);
-        let (v1, with) = t.range_sum_with_stats(&a, &q, true).unwrap();
-        let (v2, without) = t.range_sum_with_stats(&a, &q, false).unwrap();
+        let (v1, with) = QueryCtx::measure(|ctx| t.read(&a, &q, true, ctx)).unwrap();
+        let (v2, without) = QueryCtx::measure(|ctx| t.read(&a, &q, false, ctx)).unwrap();
         assert_eq!(v1, naive);
         assert_eq!(v2, naive);
         assert!(with.total_accesses() <= without.total_accesses());
@@ -473,7 +431,7 @@ mod tests {
             let q = Region::from_bounds(&qb).unwrap();
             let naive = a.fold_region(&q, 0i64, |s, &x| s + x);
             for comp in [true, false] {
-                let (v, _) = t.range_sum_with_stats(&a, &q, comp).unwrap();
+                let (v, _) = QueryCtx::measure(|ctx| t.read(&a, &q, comp, ctx)).unwrap();
                 assert_eq!(v, naive, "{q}");
             }
         }
@@ -515,14 +473,14 @@ mod tests {
         let a = cube2d();
         let t = SumTreeCube::build(&a, 3).unwrap();
         let q = Region::from_bounds(&[(1, 7), (2, 8)]).unwrap();
-        let (_, stats) = t.range_sum_with_stats(&a, &q, true).unwrap();
+        let (_, stats) = QueryCtx::measure(|ctx| t.read(&a, &q, true, ctx)).unwrap();
         let needed = stats.a_cells + stats.tree_nodes;
         // One access short of what the traversal needs: must be cut off.
         let meter = QueryBudget::unlimited()
             .max_accesses(needed.saturating_sub(1))
             .start(None);
         let err = t
-            .range_sum_with_stats_budget(&a, &q, true, &meter)
+            .read(&a, &q, true, &mut QueryCtx::new(&meter))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -530,8 +488,9 @@ mod tests {
         ));
         // A sufficient budget answers identically to the unbudgeted path.
         let meter = QueryBudget::unlimited().max_accesses(needed).start(None);
-        let (v, s) = t.range_sum_with_stats_budget(&a, &q, true, &meter).unwrap();
-        let (v0, s0) = t.range_sum_with_stats(&a, &q, true).unwrap();
+        let mut ctx = QueryCtx::new(&meter);
+        let (v, s) = (t.read(&a, &q, true, &mut ctx).unwrap(), ctx.stats);
+        let (v0, s0) = QueryCtx::measure(|ctx| t.read(&a, &q, true, ctx)).unwrap();
         assert_eq!(v, v0);
         assert_eq!(s.total_accesses(), s0.total_accesses());
     }
@@ -546,7 +505,7 @@ mod tests {
             .deadline(std::time::Duration::ZERO)
             .start(None);
         let err = t
-            .range_sum_with_stats_budget(&a, &q, true, &meter)
+            .read(&a, &q, true, &mut QueryCtx::new(&meter))
             .unwrap_err();
         assert!(matches!(
             err,

@@ -4,6 +4,7 @@
 //! the tree-walk overhead.
 
 use olap_array::{DenseArray, Region, Shape};
+use olap_query::QueryCtx;
 use olap_tree_sum::SumTreeCube;
 use proptest::prelude::*;
 
@@ -37,7 +38,7 @@ proptest! {
         let t = SumTreeCube::build(&a, b).unwrap();
         let expected = a.fold_region(&q, 0i64, |s, &x| s + x);
         for complement in [true, false] {
-            let (v, _) = t.range_sum_with_stats(&a, &q, complement).unwrap();
+            let (v, _) = QueryCtx::measure(|ctx| t.read(&a, &q, complement, ctx)).unwrap();
             prop_assert_eq!(v, expected, "b={} complement={}", b, complement);
         }
     }
@@ -52,7 +53,7 @@ proptest! {
         // The direct tree walk never reads more leaves than the query
         // volume, and node overhead is bounded by the tree size.
         let t = SumTreeCube::build(&a, b).unwrap();
-        let (_, stats) = t.range_sum_with_stats(&a, &q, false).unwrap();
+        let (_, stats) = QueryCtx::measure(|ctx| t.read(&a, &q, false, ctx)).unwrap();
         prop_assert!(stats.a_cells <= q.volume() as u64);
         prop_assert!(stats.tree_nodes <= (t.node_count() + 1) as u64);
     }
@@ -65,7 +66,7 @@ proptest! {
         })
     ) {
         let t = SumTreeCube::build(&a, b).unwrap();
-        let (_, stats) = t.range_sum_with_stats(&a, &q, true).unwrap();
+        let (_, stats) = QueryCtx::measure(|ctx| t.read(&a, &q, true, ctx)).unwrap();
         prop_assert!(stats.a_cells <= a.len() as u64);
     }
 

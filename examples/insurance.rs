@@ -12,8 +12,8 @@
 
 use olap_aggregate::SumOp;
 use olap_cube::engine::naive;
-use olap_cube::prefix_sum::{BlockedPrefixCube, PrefixSumCube};
-use olap_cube::query::{DimSelection, RangeQuery};
+use olap_cube::prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
+use olap_cube::query::{DimSelection, QueryCtx, RangeQuery};
 use olap_cube::workload::InsuranceCube;
 
 fn main() {
@@ -43,8 +43,10 @@ fn main() {
     println!("query: {region} (volume {})", region.volume());
 
     // Naive: scan every selected cell.
+    let sum = SumOp::<i64>::new();
     let (naive_sum, naive_stats) =
-        naive::range_aggregate(a, &SumOp::<i64>::new(), &region).expect("valid region");
+        QueryCtx::measure(|ctx| naive::range_aggregate(a, &sum, &region, ctx))
+            .expect("valid region");
     println!(
         "naive scan:        revenue = {naive_sum:>12}   cells accessed = {}",
         naive_stats.total_accesses()
@@ -52,7 +54,7 @@ fn main() {
 
     // Basic prefix sums (§3): at most 2^d = 16 accesses, any query size.
     let ps = PrefixSumCube::build(a);
-    let (ps_sum, ps_stats) = ps.range_sum_with_stats(&region).expect("valid region");
+    let (ps_sum, ps_stats) = QueryCtx::measure(|ctx| ps.read(&region, ctx)).expect("valid region");
     println!(
         "prefix sum (§3):   revenue = {ps_sum:>12}   cells accessed = {}",
         ps_stats.total_accesses()
@@ -62,7 +64,9 @@ fn main() {
     // Blocked prefix sums (§4) with b = 10: 1/10^4 of the space… but the
     // cube has small dimensions, so storage is ⌈n_j/b⌉ per dimension.
     let bp = BlockedPrefixCube::build(a, 10).expect("valid block");
-    let (bp_sum, bp_stats) = bp.range_sum_with_stats(a, &region).expect("valid region");
+    let (bp_sum, bp_stats) =
+        QueryCtx::measure(|ctx| bp.read(a, &region, BoundaryPolicy::Auto, ctx))
+            .expect("valid region");
     println!(
         "blocked b=10 (§4): revenue = {bp_sum:>12}   cells accessed = {}   (P storage: {} cells vs {} basic)",
         bp_stats.total_accesses(),
@@ -86,7 +90,7 @@ fn main() {
     ])
     .expect("4 selections");
     let sregion = singleton.to_region(a.shape()).expect("in domain");
-    let (srev, sstats) = ps.range_sum_with_stats(&sregion).expect("valid region");
+    let (srev, sstats) = QueryCtx::measure(|ctx| ps.read(&sregion, ctx)).expect("valid region");
     println!(
         "(all, 1995, all, auto): revenue = {srev}   prefix accesses = {}",
         sstats.total_accesses()

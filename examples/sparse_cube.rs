@@ -7,6 +7,7 @@
 
 use olap_array::Range;
 use olap_cube::array::{Region, Shape};
+use olap_cube::query::QueryCtx;
 use olap_cube::sparse::{Sparse1dPrefixSum, SparseCube, SparseRangeMax, SparseRangeSum};
 use olap_cube::workload::clustered_sparse_cube;
 
@@ -39,7 +40,7 @@ fn main() {
         Region::from_bounds(&[(0, 49), (450, 499)]).expect("in bounds"),
     ];
     for q in &queries {
-        let (sum, stats) = sum_engine.range_sum_with_stats(q).expect("valid query");
+        let (sum, stats) = QueryCtx::measure(|ctx| sum_engine.read(q, ctx)).expect("valid query");
         let naive: i64 = cube.points_in(q).map(|(_, v)| *v).sum();
         assert_eq!(sum, naive);
         println!(
@@ -51,7 +52,8 @@ fn main() {
     // §10.3: range-max via a max-annotated R-tree with branch-and-bound.
     let max_engine = SparseRangeMax::build(&cube);
     for q in &queries {
-        let (result, stats) = max_engine.range_max_with_stats(q).expect("valid query");
+        let (result, stats) =
+            QueryCtx::measure(|ctx| max_engine.read(q, ctx)).expect("valid query");
         match result {
             Some((at, v)) => println!(
                 "Max{q} = {v} at {at:?}  ({} nodes visited)",
@@ -65,9 +67,9 @@ fn main() {
     let n = 1_000_000;
     let pts: Vec<(usize, i64)> = (0..2000).map(|i| (i * 499, (i % 97) as i64)).collect();
     let one_d = Sparse1dPrefixSum::build(n, &pts).expect("valid points");
-    let (v, stats) = one_d
-        .range_sum_with_stats(Range::new(250_000, 750_000).expect("ordered"))
-        .expect("in domain");
+    let (v, stats) =
+        QueryCtx::measure(|ctx| one_d.read(Range::new(250_000, 750_000).expect("ordered"), ctx))
+            .expect("in domain");
     println!(
         "1-d sparse: Sum(250000:750000) = {v} with {} B+-tree node visits over {} stored prefixes",
         stats.tree_nodes,

@@ -12,6 +12,7 @@
 use olap_cube::array::Shape;
 use olap_cube::prefix_sum::batch::{self, CellUpdate};
 use olap_cube::prefix_sum::PrefixSumCube;
+use olap_cube::query::QueryCtx;
 use olap_cube::range_max::{NaturalMaxTree, PointUpdate};
 use olap_cube::workload::{uniform_cube, uniform_regions};
 
@@ -27,7 +28,7 @@ fn main() {
         let queries = uniform_regions(&shape, 50, day);
         let mut total_accesses = 0u64;
         for q in &queries {
-            let (_, s) = ps.range_sum_with_stats(q).expect("valid query");
+            let (_, s) = QueryCtx::measure(|ctx| ps.read(q, ctx)).expect("valid query");
             total_accesses += s.total_accesses();
         }
         println!(

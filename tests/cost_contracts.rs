@@ -13,8 +13,8 @@ use olap_cube::engine::{
 };
 use olap_cube::prefix_sum::batch::{self, CellUpdate};
 use olap_cube::prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
-use olap_cube::query::{AccessStats, Answer, RangeQuery};
-use olap_cube::range_max::{MaxTree, NaturalMaxTree, NaturalMinTree};
+use olap_cube::query::{AccessStats, Answer, QueryCtx, RangeQuery};
+use olap_cube::range_max::{MaxTree, NaturalMaxTree, NaturalMinTree, SearchOptions};
 use olap_cube::tree_sum::SumTreeCube;
 use olap_cube::workload::{
     sided_regions, uniform_cube, uniform_regions, zipf_regions, InsuranceCube,
@@ -352,7 +352,8 @@ fn range_max_totals<O: TotalOrder<Value = i64>>(
     let mut total = AccessStats::new();
     let mut at = 0u64;
     for region in regions {
-        let (idx, _, stats) = tree.range_max_with_stats(a, region).unwrap();
+        let ((idx, _), stats) =
+            QueryCtx::measure(|ctx| tree.read(a, region, SearchOptions::default(), ctx)).unwrap();
         total.merge(&stats);
         at += a.shape().flatten(&idx) as u64;
     }
@@ -396,7 +397,7 @@ fn blocked_totals(
     let mut total = AccessStats::new();
     let mut sum = 0i64;
     for region in regions {
-        let (v, stats) = bp.range_sum_with_policy(a, region, policy).unwrap();
+        let (v, stats) = QueryCtx::measure(|ctx| bp.read(a, region, policy, ctx)).unwrap();
         total.merge(&stats);
         sum = sum.wrapping_add(v);
     }

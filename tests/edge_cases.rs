@@ -5,6 +5,7 @@ use olap_cube::aggregate::NaturalOrder;
 use olap_cube::array::{ArrayError, DenseArray, Region, Shape};
 use olap_cube::engine::{CubeIndex, IndexConfig, PrefixChoice};
 use olap_cube::prefix_sum::{batch, BlockedPrefixCube, PrefixSumCube};
+use olap_cube::query::QueryCtx;
 use olap_cube::range_max::{MaxTree, NaturalMaxTree};
 use olap_cube::sparse::{SparseCube, SparseRangeSum};
 use olap_cube::tree_sum::SumTreeCube;
@@ -170,7 +171,7 @@ fn high_dimensional_small_cube() {
     });
     let ps = PrefixSumCube::build(&a);
     let q = Region::from_bounds(&[(1, 1); 6]).unwrap();
-    let (v, stats) = ps.range_sum_with_stats(&q).unwrap();
+    let (v, stats) = QueryCtx::measure(|ctx| ps.read(&q, ctx)).unwrap();
     assert_eq!(v, 6);
     assert_eq!(stats.p_cells, 64);
     let full = a.shape().full_region();

@@ -5,11 +5,11 @@
 //! the query once; resolving it there must not reorder the errors.
 
 use olap_cube::aggregate::SumOp;
-use olap_cube::array::{ArrayError, DenseArray, QueryBudget, Shape};
+use olap_cube::array::{ArrayError, BudgetMeter, DenseArray, QueryBudget, Region, Shape};
 use olap_cube::engine::{
-    AdaptiveRouter, CubeIndex, EngineError, ExtendedCube, FaultPlan, FaultyEngine, IndexConfig,
-    NaiveEngine, PlannedIndex, RangeEngine, SemanticCache, SparseMaxEngine, SparseSumEngine,
-    SumTreeEngine,
+    AdaptiveRouter, CubeIndex, EngineError, EngineOp, ExtendedCube, FaultPlan, FaultyEngine,
+    IndexConfig, NaiveEngine, PlannedIndex, RangeEngine, SemanticCache, SparseMaxEngine,
+    SparseSumEngine, SumTreeEngine,
 };
 use olap_cube::planner::PrefixSumChoice;
 use olap_cube::query::{CuboidId, DimSelection, RangeQuery};
@@ -59,9 +59,9 @@ fn router(a: &DenseArray<i64>) -> AdaptiveRouter<i64> {
         .with_engine(Box::new(NaiveEngine::new(a.clone())))
 }
 
-#[test]
-fn every_engine_refuses_a_bad_query_with_the_same_variant() {
-    let a = cube();
+/// One engine of every kind over `a`, each with the variants a
+/// wrong-rank and an out-of-domain query get.
+fn engines(a: &DenseArray<i64>) -> Vec<(Box<dyn RangeEngine<i64>>, Expected)> {
     let planned = PlannedIndex::build(
         a.clone(),
         &[PrefixSumChoice {
@@ -71,7 +71,7 @@ fn every_engine_refuses_a_bad_query_with_the_same_variant() {
     )
     .unwrap();
     let validated: Expected = ["dim-mismatch", "out-of-bounds"];
-    let engines: Vec<(Box<dyn RangeEngine<i64>>, Expected)> = vec![
+    vec![
         (
             Box::new(CubeIndex::build(a.clone(), IndexConfig::default()).unwrap()),
             validated,
@@ -81,12 +81,9 @@ fn every_engine_refuses_a_bad_query_with_the_same_variant() {
             Box::new(SumTreeEngine::build(a.clone(), 2).unwrap()),
             validated,
         ),
+        (Box::new(SparseSumEngine::from_dense(a).unwrap()), validated),
         (
-            Box::new(SparseSumEngine::from_dense(&a).unwrap()),
-            validated,
-        ),
-        (
-            Box::new(ExtendedCube::build(&a, SumOp::<i64>::new()).unwrap()),
+            Box::new(ExtendedCube::build(a, SumOp::<i64>::new()).unwrap()),
             validated,
         ),
         (Box::new(planned), validated),
@@ -99,11 +96,16 @@ fn every_engine_refuses_a_bad_query_with_the_same_variant() {
         ),
         // Sums are outside its capabilities, whatever the query.
         (
-            Box::new(SparseMaxEngine::from_dense(&a)),
+            Box::new(SparseMaxEngine::from_dense(a)),
             ["unsupported", "unsupported"],
         ),
-    ];
-    for (engine, expected) in &engines {
+    ]
+}
+
+#[test]
+fn every_engine_refuses_a_bad_query_with_the_same_variant() {
+    let a = cube();
+    for (engine, expected) in &engines(&a) {
         let got = [wrong_rank(), out_of_domain()].map(|q| kind(&engine.range_sum(&q).unwrap_err()));
         assert_eq!(got, *expected, "{}", engine.label());
     }
@@ -166,5 +168,79 @@ fn an_expired_router_budget_wins_over_validation_and_no_candidate() {
             kind(&empty.range_sum(&query).unwrap_err()),
             "deadline-exceeded"
         );
+    }
+}
+
+/// The most a read may overshoot an access cap: the accesses between two
+/// of its kernel's checkpoints. The naive scans (and the extended cube's
+/// walk) charge every 4096 cells; the §6 walk per expanded node, so at
+/// most one node's `b^d` children (`b = 4` for the index's max tree); the
+/// sum tree and the sparse trees per node visited; the sparse sum also
+/// per dense region's `2^d`-corner read; the blocked kernel per part.
+fn checkpoint(label: &str, op: EngineOp) -> u64 {
+    if label.contains("naive") || label.contains("extended") || op == EngineOp::Min {
+        4096
+    } else if label.starts_with("cube-index") && op == EngineOp::Max {
+        4 * 4
+    } else {
+        4
+    }
+}
+
+/// A read under an access cap stops within one kernel checkpoint of the
+/// cap, and an `Ok` read charges its meter exactly the accesses its
+/// outcome reports: every kernel charges the meter from the counter it
+/// fills, as it walks, not once it has finished.
+#[test]
+fn a_capped_read_stops_within_one_checkpoint_and_an_ok_read_charges_what_it_counts() {
+    const CAP: u64 = 10;
+    let a = DenseArray::from_fn(Shape::new(&[256, 256]).unwrap(), |i| {
+        (i[0] * 7 + i[1] * 3) as i64 % 11
+    });
+    let full = a.shape().full_region();
+    let regions = [
+        full.clone(),
+        Region::from_bounds(&[(3, 200), (17, 90)]).unwrap(),
+        Region::from_bounds(&[(100, 100), (0, 255)]).unwrap(),
+    ];
+    for (engine, _) in &engines(&a) {
+        let label = engine.label();
+        for op in [EngineOp::Sum, EngineOp::Max, EngineOp::Min] {
+            if !engine.capabilities().supports(op) {
+                continue;
+            }
+            for region in &regions {
+                let armed = QueryBudget::with_deadline(Duration::from_secs(3600)).start(None);
+                let out = engine.read(region, op, &armed).unwrap();
+                assert_eq!(armed.spent(), out.cost(), "{label} {op} {region}");
+            }
+            let cost = engine
+                .read(&full, op, &BudgetMeter::unlimited())
+                .unwrap()
+                .cost();
+            let capped = QueryBudget::with_max_accesses(CAP).start(None);
+            match engine.read(&full, op, &capped) {
+                Ok(out) => {
+                    assert!(
+                        cost <= CAP,
+                        "{label} {op}: answered at {cost} accesses under a cap of {CAP}"
+                    );
+                    assert_eq!(capped.spent(), out.cost(), "{label} {op}");
+                }
+                Err(err) => {
+                    assert!(cost > CAP, "{label} {op}: {err}");
+                    assert!(
+                        matches!(err, EngineError::BudgetExhausted { .. }),
+                        "{label} {op}: {err}"
+                    );
+                    let bound = CAP + checkpoint(&label, op);
+                    let spent = capped.spent();
+                    assert!(
+                        spent <= bound,
+                        "{label} {op}: charged {spent} of a {CAP} cap"
+                    );
+                }
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 use olap_cube::aggregate::SumOp;
 use olap_cube::engine::{CubeIndex, ExtendedCube, IndexConfig};
 use olap_cube::prefix_sum::PrefixSumCube;
-use olap_cube::query::{CubeSchema, DimSelection, RangeQuery};
+use olap_cube::query::{CubeSchema, DimSelection, QueryCtx, RangeQuery};
 use olap_cube::workload::{InsuranceCube, INSURANCE_TYPES, STATES};
 
 fn schema() -> CubeSchema {
@@ -68,8 +68,8 @@ fn paper_costs_reproduce_exactly() {
     let ps = PrefixSumCube::build(a);
     let r1 = singleton.to_region(a.shape()).unwrap();
     let r2 = range_q.to_region(a.shape()).unwrap();
-    let (p1, s1) = ps.range_sum_with_stats(&r1).unwrap();
-    let (p2, s2) = ps.range_sum_with_stats(&r2).unwrap();
+    let (p1, s1) = QueryCtx::measure(|ctx| ps.read(&r1, ctx)).unwrap();
+    let (p2, s2) = QueryCtx::measure(|ctx| ps.read(&r2, ctx)).unwrap();
     assert_eq!(p1, v_ext);
     assert_eq!(p2, v_range);
     assert!(s1.total_accesses() <= 16);

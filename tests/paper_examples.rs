@@ -3,8 +3,9 @@
 
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::planner;
-use olap_cube::prefix_sum::{BlockedPrefixCube, PrefixSumCube};
-use olap_cube::range_max::NaturalMaxTree;
+use olap_cube::prefix_sum::{BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
+use olap_cube::query::QueryCtx;
+use olap_cube::range_max::{NaturalMaxTree, SearchOptions};
 use olap_cube::tree_sum::SumTreeCube;
 use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions};
 
@@ -35,7 +36,8 @@ fn theorem3_average_case_bound() {
         let mut total = 0u64;
         let mut count = 0u64;
         for q in uniform_regions(a.shape(), 400, 17 + b as u64) {
-            let (_, _, stats) = t.range_max_with_stats(&a, &q).unwrap();
+            let (_, stats) =
+                QueryCtx::measure(|ctx| t.read(&a, &q, SearchOptions::default(), ctx)).unwrap();
             total += stats.total_accesses();
             count += 1;
         }
@@ -66,8 +68,9 @@ fn figure11_tree_loses_to_prefix_measured() {
         let mut prefix_total = 0u64;
         let mut tree_total = 0u64;
         for q in sided_regions(&shape, side, 30, alpha as u64) {
-            let (v1, s1) = bp.range_sum_with_stats(&a, &q).unwrap();
-            let (v2, s2) = st.range_sum_with_stats(&a, &q, true).unwrap();
+            let (v1, s1) =
+                QueryCtx::measure(|ctx| bp.read(&a, &q, BoundaryPolicy::Auto, ctx)).unwrap();
+            let (v2, s2) = QueryCtx::measure(|ctx| st.read(&a, &q, true, ctx)).unwrap();
             assert_eq!(v1, v2);
             prefix_total += s1.total_accesses();
             tree_total += s2.total_accesses();
@@ -137,7 +140,8 @@ fn figure14_block_size_optimum_is_real() {
         let bp = BlockedPrefixCube::build(&a, b).unwrap();
         let mut cost = 0u64;
         for q in &queries {
-            let (_, s) = bp.range_sum_with_stats(&a, q).unwrap();
+            let (_, s) =
+                QueryCtx::measure(|ctx| bp.read(&a, q, BoundaryPolicy::Auto, ctx)).unwrap();
             cost += s.total_accesses();
         }
         let naive_cost: u64 = queries.iter().map(|q| q.volume() as u64).sum();

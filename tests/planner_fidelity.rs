@@ -51,7 +51,8 @@ fn planned_cost_tracks_measured_accesses() {
 
 #[test]
 fn equation3_describes_the_blocked_implementation() {
-    use olap_cube::prefix_sum::BlockedPrefixCube;
+    use olap_cube::prefix_sum::{BlockedPrefixCube, BoundaryPolicy};
+    use olap_cube::query::QueryCtx;
     use olap_cube::workload::sided_regions;
     // Fixed-side queries so Table-1 statistics are exact, not averaged.
     let shape = Shape::new(&[400, 400]).unwrap();
@@ -61,7 +62,8 @@ fn equation3_describes_the_blocked_implementation() {
         let queries = sided_regions(&shape, side, 40, (b + side) as u64);
         let mut total = 0u64;
         for q in &queries {
-            let (_, s) = bp.range_sum_with_stats(&a, q).unwrap();
+            let (_, s) =
+                QueryCtx::measure(|ctx| bp.read(&a, q, BoundaryPolicy::Auto, ctx)).unwrap();
             total += s.total_accesses();
         }
         let measured = total as f64 / queries.len() as f64;
