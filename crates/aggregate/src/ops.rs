@@ -7,9 +7,12 @@ use std::marker::PhantomData;
 /// The SUM operator — the paper's primary example of an invertible ⊕.
 ///
 /// Works for every numeric value type (signed/unsigned integers, floats).
-/// Note that unsigned subtraction can underflow if `uncombine` is called on
-/// values that were never combined; the range-query algorithms only ever
-/// subtract genuine partial sums, which is safe for non-negative data.
+/// Unsigned subtraction can underflow even on non-negative data: for
+/// d ≥ 2 the Theorem 1 gather subtracts corners 1 and 2 before it adds
+/// corner 3, so a partial result goes below zero. On a 4×4 cube of ones,
+/// `SumOp::<u64>` and `range_sum([3..=3, 3..=3])` panic with overflow
+/// checks on and wrap back to the right answer with them off. ROADMAP
+/// item 2 tracks the fix.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SumOp<T>(PhantomData<T>);
 
