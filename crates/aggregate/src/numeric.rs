@@ -23,14 +23,18 @@ pub trait Bounded {
 
 /// The closed set of cell-value capabilities the SUM operator needs:
 /// addition, subtraction, and a zero.
+///
+/// SUM combines through [`NumericValue::wrapping_add`] and
+/// [`NumericValue::wrapping_sub`]: on integers they wrap, so sums live in
+/// the group `Z/2^n` and Theorem 1's ⊖ corners may leave the value range
+/// mid-gather without a panic; on floats they are plain `+` and `−`.
 pub trait NumericValue:
     Clone + Zero + std::ops::Add<Output = Self> + std::ops::Sub<Output = Self>
 {
-}
-
-impl<T> NumericValue for T where
-    T: Clone + Zero + std::ops::Add<Output = T> + std::ops::Sub<Output = T>
-{
+    /// `self + rhs`, wrapping at the type's bounds for integers.
+    fn wrapping_add(self, rhs: Self) -> Self;
+    /// `self − rhs`, wrapping at the type's bounds for integers.
+    fn wrapping_sub(self, rhs: Self) -> Self;
 }
 
 macro_rules! impl_int {
@@ -44,6 +48,10 @@ macro_rules! impl_int {
         impl Bounded for $t {
             fn min_value() -> Self { <$t>::MIN }
             fn max_value() -> Self { <$t>::MAX }
+        }
+        impl NumericValue for $t {
+            fn wrapping_add(self, rhs: Self) -> Self { <$t>::wrapping_add(self, rhs) }
+            fn wrapping_sub(self, rhs: Self) -> Self { <$t>::wrapping_sub(self, rhs) }
         }
     )*};
 }
@@ -62,6 +70,10 @@ macro_rules! impl_float {
             // For MAX/MIN identities the infinities are the true bounds.
             fn min_value() -> Self { <$t>::NEG_INFINITY }
             fn max_value() -> Self { <$t>::INFINITY }
+        }
+        impl NumericValue for $t {
+            fn wrapping_add(self, rhs: Self) -> Self { self + rhs }
+            fn wrapping_sub(self, rhs: Self) -> Self { self - rhs }
         }
     )*};
 }

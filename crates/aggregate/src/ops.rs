@@ -7,12 +7,13 @@ use std::marker::PhantomData;
 /// The SUM operator — the paper's primary example of an invertible ⊕.
 ///
 /// Works for every numeric value type (signed/unsigned integers, floats).
-/// Unsigned subtraction can underflow even on non-negative data: for
-/// d ≥ 2 the Theorem 1 gather subtracts corners 1 and 2 before it adds
-/// corner 3, so a partial result goes below zero. On a 4×4 cube of ones,
-/// `SumOp::<u64>` and `range_sum([3..=3, 3..=3])` panic with overflow
-/// checks on and wrap back to the right answer with them off. ROADMAP
-/// item 2 tracks the fix.
+/// Integers combine with [`NumericValue::wrapping_add`] and
+/// [`NumericValue::wrapping_sub`], so the sum is taken in `Z/2^n` under
+/// every build profile. That makes ⊖ a true inverse: for d ≥ 2 the
+/// Theorem 1 gather subtracts corners 1 and 2 before it adds corner 3,
+/// and an unsigned partial result that dips below zero wraps back to the
+/// exact answer. A sum whose true value leaves the type's range wraps
+/// too; widen the value type when that can happen.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SumOp<T>(PhantomData<T>);
 
@@ -31,13 +32,13 @@ impl<T: NumericValue> Monoid for SumOp<T> {
     }
 
     fn combine(&self, a: &T, b: &T) -> T {
-        a.clone() + b.clone()
+        a.clone().wrapping_add(b.clone())
     }
 }
 
 impl<T: NumericValue> AbelianGroup for SumOp<T> {
     fn uncombine(&self, a: &T, b: &T) -> T {
-        a.clone() - b.clone()
+        a.clone().wrapping_sub(b.clone())
     }
 }
 
@@ -166,8 +167,8 @@ impl<T: NumericValue> Monoid for AvgOp<T> {
 
     fn combine(&self, a: &AvgPair<T>, b: &AvgPair<T>) -> AvgPair<T> {
         AvgPair {
-            sum: a.sum.clone() + b.sum.clone(),
-            count: a.count + b.count,
+            sum: a.sum.clone().wrapping_add(b.sum.clone()),
+            count: a.count.wrapping_add(b.count),
         }
     }
 }
@@ -175,8 +176,8 @@ impl<T: NumericValue> Monoid for AvgOp<T> {
 impl<T: NumericValue> AbelianGroup for AvgOp<T> {
     fn uncombine(&self, a: &AvgPair<T>, b: &AvgPair<T>) -> AvgPair<T> {
         AvgPair {
-            sum: a.sum.clone() - b.sum.clone(),
-            count: a.count - b.count,
+            sum: a.sum.clone().wrapping_sub(b.sum.clone()),
+            count: a.count.wrapping_sub(b.count),
         }
     }
 }

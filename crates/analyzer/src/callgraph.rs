@@ -1,12 +1,10 @@
 //! A cross-file call graph resolved through the outline, with
 //! receiver-type heuristics for method calls.
 //!
-//! [`crate::reachability`] answers one question ("is this fn on a query
-//! path?") with pure name resolution. The protocol rules added on top of
-//! it (budget-coverage, estimate-isolation) need more: *which* definition
-//! a call site resolves to, per-site positions for diagnostics, and a
-//! graph that supports both forward reachability and backward closure
-//! ("which fns may transitively charge the meter?").
+//! The protocol rules (budget-coverage, estimate-isolation) need to know
+//! *which* definition a call site resolves to, per-site positions for
+//! diagnostics, and a graph that supports both forward reachability and
+//! backward closure ("which fns may transitively charge the meter?").
 //!
 //! Resolution is still heuristic — no type inference, no trait solving —
 //! but method calls narrow by receiver type where the outline can tell:
@@ -17,9 +15,10 @@
 //! * `x.m(…)` where `x` is a parameter, a `let x = Type::…`/`let x: Type`
 //!   local, or a struct field whose declared type the outline recorded,
 //!   resolves through those candidate types;
-//! * anything else falls back to every fn named `m` — the same
-//!   over-approximation [`crate::reachability`] uses, which can only add
-//!   edges, never hide a real one.
+//! * anything else falls back to every fn named `m` outside the
+//!   front-end crates ([`FRONT_ENDS`]) — an over-approximation that can
+//!   only add edges, never hide a real one, since no query path calls
+//!   into a front end.
 //!
 //! Every resolution then drops the candidates that take more arguments
 //! than the site can pass: `lock.read()` passes none, so it never
@@ -32,6 +31,12 @@
 use crate::lexer::{TokKind, Token};
 use crate::model::Model;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// Crates that drive the library from outside (benchmarks, the CLI, the
+/// load generators, this analyzer). The name fallback never resolves to
+/// their fns: a `pub fn all()` in `olap-bench` must not turn every
+/// `Iterator::all` on a query path into an edge out of the library.
+pub const FRONT_ENDS: &[&str] = &["analyzer", "bench", "cli", "workload"];
 
 /// Index into [`CallGraph::nodes`].
 pub type NodeId = usize;
@@ -104,8 +109,6 @@ pub struct CallGraph {
     sites: Vec<Vec<ResolvedSite>>,
     /// Per-node deduped outgoing edges.
     edges: Vec<Vec<NodeId>>,
-    /// (file, fn_id) → node.
-    by_ref: BTreeMap<(usize, usize), NodeId>,
 }
 
 /// Per-model resolution tables shared across nodes.
@@ -147,11 +150,6 @@ impl CallGraph {
                 });
             }
         }
-        let by_ref: BTreeMap<(usize, usize), NodeId> = nodes
-            .iter()
-            .enumerate()
-            .map(|(n, f)| ((f.file, f.fn_id), n))
-            .collect();
         let mut index = Index {
             by_name: BTreeMap::new(),
             by_type: BTreeMap::new(),
@@ -159,7 +157,9 @@ impl CallGraph {
             known_types: BTreeSet::new(),
         };
         for (n, node) in nodes.iter().enumerate() {
-            index.by_name.entry(node.name.clone()).or_default().push(n);
+            if !FRONT_ENDS.contains(&model.files[node.file].crate_name.as_str()) {
+                index.by_name.entry(node.name.clone()).or_default().push(n);
+            }
             if let Some(t) = &node.self_type {
                 index.known_types.insert(t.clone());
                 index
@@ -226,13 +226,7 @@ impl CallGraph {
             nodes,
             sites,
             edges,
-            by_ref,
         }
-    }
-
-    /// The node for `(file, fn_id)`, if the fn is in the graph.
-    pub fn node_of(&self, file: usize, fn_id: usize) -> Option<NodeId> {
-        self.by_ref.get(&(file, fn_id)).copied()
     }
 
     /// Resolved outgoing edges of a node (sorted, deduped).
@@ -243,28 +237,6 @@ impl CallGraph {
     /// Call sites of a node with their resolutions, in source order.
     pub fn sites(&self, n: NodeId) -> &[ResolvedSite] {
         &self.sites[n]
-    }
-
-    /// Forward reachability from `roots` (cycle-safe BFS); `out[n]` is
-    /// true when `n` is a root or transitively called from one.
-    pub fn reachable_from(&self, roots: &[NodeId]) -> Vec<bool> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue: VecDeque<NodeId> = VecDeque::new();
-        for &r in roots {
-            if !seen[r] {
-                seen[r] = true;
-                queue.push_back(r);
-            }
-        }
-        while let Some(n) = queue.pop_front() {
-            for &c in self.callees(n) {
-                if !seen[c] {
-                    seen[c] = true;
-                    queue.push_back(c);
-                }
-            }
-        }
-        seen
     }
 
     /// Forward reachability following only **trusted** edges: sites whose
@@ -359,36 +331,6 @@ impl CallGraph {
             }
         }
         out
-    }
-
-    /// A shortest call path from `from` to any node satisfying `hit`,
-    /// as node ids including both endpoints (BFS; None if unreachable).
-    pub fn path_to(&self, from: NodeId, hit: impl Fn(NodeId) -> bool) -> Option<Vec<NodeId>> {
-        let mut prev: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue = VecDeque::new();
-        seen[from] = true;
-        queue.push_back(from);
-        while let Some(n) = queue.pop_front() {
-            if hit(n) {
-                let mut path = vec![n];
-                let mut cur = n;
-                while let Some(p) = prev[cur] {
-                    path.push(p);
-                    cur = p;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for &c in self.callees(n) {
-                if !seen[c] {
-                    seen[c] = true;
-                    prev[c] = Some(n);
-                    queue.push_back(c);
-                }
-            }
-        }
-        None
     }
 
     /// Renders a node as `Type::name` / `name` for diagnostics.
@@ -732,7 +674,7 @@ fn local_types(
 
 /// Resolves one call site to `(targets, narrowed)` — `narrowed` is true
 /// when the answer came from type information rather than the
-/// all-fns-of-this-name fallback.
+/// every-library-fn-of-this-name fallback.
 fn resolve(
     site: &CallSite,
     caller: &FnNode,
@@ -954,13 +896,13 @@ mod tests {
         )]);
         let a = node_by_label(&g, "a");
         let sink = node_by_label(&g, "sink");
-        let reach = g.reachable_from(&[a]);
+        let reach = g.reachable_trusted(&[a]);
         assert!(reach[a] && reach[sink]);
         let mut seeds = vec![false; g.nodes.len()];
         seeds[sink] = true;
         let closure = g.callers_closure(&seeds);
         assert!(closure[a], "cycle members reach the seed");
-        let path = g.path_to(a, |n| n == sink).unwrap();
+        let path = g.path_to_trusted(a, |n| n == sink).unwrap();
         assert_eq!(path.first(), Some(&a));
         assert_eq!(path.last(), Some(&sink));
     }

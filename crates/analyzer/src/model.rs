@@ -9,12 +9,12 @@ use std::path::{Path, PathBuf};
 pub struct FileModel {
     /// Absolute path.
     pub path: PathBuf,
-    /// Workspace-relative path with `/` separators (finding/baseline key).
+    /// Workspace-relative path with `/` separators.
     pub rel: String,
     /// The crate the file belongs to (`array`, `engine`, …; `root` for
     /// the facade crate's `src/`).
     pub crate_name: String,
-    /// Source lines (for finding context).
+    /// Source lines.
     pub lines: Vec<String>,
     /// Token and comment streams.
     pub lexed: Lexed,
@@ -54,14 +54,6 @@ impl FileModel {
         }
     }
 
-    /// The trimmed text of a 1-based line (finding context).
-    pub fn line_text(&self, line: u32) -> String {
-        self.lines
-            .get((line as usize).saturating_sub(1))
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
-    }
-
     /// Creates a finding anchored at a token position in this file.
     pub fn finding(&self, rule: &'static str, line: u32, col: u32, message: String) -> Finding {
         Finding {
@@ -70,7 +62,6 @@ impl FileModel {
             line,
             col,
             message,
-            context: self.line_text(line),
             allowed: None,
         }
     }
@@ -91,19 +82,7 @@ impl Model {
     /// # Errors
     /// I/O errors reading the tree.
     pub fn scan_workspace(root: &Path) -> std::io::Result<Model> {
-        Self::scan_workspace_with(root, 1)
-    }
-
-    /// [`Model::scan_workspace`] with a thread budget: lexing and outlining are
-    /// per-file, so with `jobs > 1` the files parse on scoped std
-    /// threads. The file list is discovered and sorted up front and every
-    /// parse lands in its positional slot, so the resulting model is
-    /// byte-identical for every `jobs`.
-    ///
-    /// # Errors
-    /// I/O errors reading the tree.
-    pub fn scan_workspace_with(root: &Path, jobs: usize) -> std::io::Result<Model> {
-        let mut specs = Vec::new();
+        let mut files = Vec::new();
         let crates_dir = root.join("crates");
         if crates_dir.is_dir() {
             let mut crates: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
@@ -123,43 +102,11 @@ impl Model {
                 if name == "analyzer" {
                     continue;
                 }
-                collect_rs_paths(&c.join("src"), root, &name, &mut specs)?;
+                collect_rs_files(&c.join("src"), root, &name, &mut files)?;
             }
         }
-        collect_rs_paths(&root.join("src"), root, "root", &mut specs)?;
-        specs.sort_by(|a, b| a.rel.cmp(&b.rel));
-        let jobs = jobs.max(1).min(specs.len().max(1));
-        let files = if jobs <= 1 {
-            let mut files = Vec::with_capacity(specs.len());
-            for s in &specs {
-                files.push(s.parse()?);
-            }
-            files
-        } else {
-            // Work-stealing over the sorted file list; each parse lands
-            // in its positional slot so ordering never depends on
-            // scheduling.
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<std::io::Result<FileModel>>>> =
-                specs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            std::thread::scope(|sc| {
-                for _ in 0..jobs {
-                    sc.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(spec) = specs.get(i) else { break };
-                        *slots[i].lock().unwrap() = Some(spec.parse());
-                    });
-                }
-            });
-            let mut files = Vec::with_capacity(specs.len());
-            for slot in slots {
-                match slot.into_inner().unwrap() {
-                    Some(r) => files.push(r?),
-                    None => unreachable!("every slot is filled before scope exit"),
-                }
-            }
-            files
-        };
+        collect_rs_files(&root.join("src"), root, "root", &mut files)?;
+        files.sort_by(|a, b| a.rel.cmp(&b.rel));
         Ok(Model { files })
     }
 
@@ -182,31 +129,12 @@ impl Model {
     }
 }
 
-/// One discovered source file, not yet read or parsed.
-struct FileSpec {
-    path: PathBuf,
-    rel: String,
-    crate_name: String,
-}
-
-impl FileSpec {
-    /// Reads and parses the file into its model.
-    fn parse(&self) -> std::io::Result<FileModel> {
-        let src = std::fs::read_to_string(&self.path)?;
-        Ok(FileModel::from_source(
-            self.path.clone(),
-            self.rel.clone(),
-            self.crate_name.clone(),
-            &src,
-        ))
-    }
-}
-
-fn collect_rs_paths(
+/// Reads and models every `.rs` file under `dir`.
+fn collect_rs_files(
     dir: &Path,
     root: &Path,
     crate_name: &str,
-    out: &mut Vec<FileSpec>,
+    out: &mut Vec<FileModel>,
 ) -> std::io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
@@ -218,18 +146,15 @@ fn collect_rs_paths(
     entries.sort();
     for p in entries {
         if p.is_dir() {
-            collect_rs_paths(&p, root, crate_name, out)?;
+            collect_rs_files(&p, root, crate_name, out)?;
         } else if p.extension().is_some_and(|e| e == "rs") {
             let rel = p
                 .strip_prefix(root)
                 .unwrap_or(&p)
                 .to_string_lossy()
                 .replace('\\', "/");
-            out.push(FileSpec {
-                path: p,
-                rel,
-                crate_name: crate_name.to_string(),
-            });
+            let src = std::fs::read_to_string(&p)?;
+            out.push(FileModel::from_source(p, rel, crate_name.to_string(), &src));
         }
     }
     Ok(())

@@ -114,15 +114,6 @@ pub struct Outline {
 }
 
 impl Outline {
-    /// The function whose body contains token index `i`, if any
-    /// (innermost wins — nested functions are rare but legal).
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnInfo> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(a, b)| a <= i && i <= b))
-            .max_by_key(|f| f.body.map(|(a, _)| a))
-    }
-
     /// Whether token index `i` lies in test-only code.
     pub fn in_test(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(a, b)| a <= i && i <= b)

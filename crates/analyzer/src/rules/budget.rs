@@ -21,7 +21,7 @@
 //!
 //! Anything else on a query path is flagged. Loops with genuinely
 //! bounded trip counts (the 2^d corner gather, per-dimension setup of a
-//! fixed arity) are the expected allow/baseline population — the point
+//! fixed arity) are the expected inline-allow population — the point
 //! is that *new* unbudgeted loops can't land silently.
 
 use crate::callgraph::CallGraph;

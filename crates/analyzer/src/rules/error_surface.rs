@@ -18,7 +18,7 @@
 //!   (`.ok()`, `.err()`, `.is_ok()`, `.unwrap_or…`, `.map_err(…)`, …);
 //! - the call is followed by `?` (the compiler then enforces the
 //!   enclosing signature) or by `.unwrap()`/`.expect(…)` (a deliberate
-//!   panic — the panic-site rule owns that decision).
+//!   panic — clippy's `unwrap_used`/`expect_used` own that decision).
 
 use crate::findings::Finding;
 use crate::lexer::{TokKind, Token};

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Calls that park the current thread (or couple it to another thread's
 /// progress). Queue pushes on the std mpsc flavors are `send`; bounded
 /// variants and join handles cover the rest. Deliberately short — a
-/// miss is a baseline entry, a false positive is noise in every PR.
+/// miss is a silent gap, a false positive is noise in every PR.
 const BLOCKING: &[&str] = &[
     "send",
     "recv",

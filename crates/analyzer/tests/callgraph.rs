@@ -94,3 +94,33 @@ fn recursive_cycles_terminate_and_stay_reachable() {
     let labels: Vec<String> = path.iter().map(|&x| g.label(x)).collect();
     assert_eq!(labels, vec!["range_sum", "descend", "ascend"], "{labels:?}");
 }
+
+#[test]
+fn name_fallback_never_resolves_into_a_front_end_crate() {
+    let engine = "pub fn range_sum(cells: &[u64]) -> bool {\n  cells.iter().all(|&c| c > 0) && all(cells)\n}\n";
+    let helper = "pub fn all(cells: &[u64]) -> bool {\n  let mut n = 0;\n  while n < cells.len() {\n    n += 1;\n  }\n  n > 0\n}\n";
+    let budget = |helper_rel: &str| -> Vec<String> {
+        let model =
+            Model::from_sources(&[("crates/engine/src/scan.rs", engine), (helper_rel, helper)]);
+        olap_analyzer::analyze(&model)
+            .active()
+            .filter(|f| f.rule == "budget-coverage")
+            .map(|f| f.file.clone())
+            .collect()
+    };
+    // `olap-bench`'s `all` is a front end's: neither `.all(…)` nor the
+    // bare `all(…)` call resolves to it, so its loop is off the query path.
+    assert!(budget("crates/bench/src/paper.rs").is_empty());
+    let model = Model::from_sources(&[
+        ("crates/engine/src/scan.rs", engine),
+        ("crates/bench/src/paper.rs", helper),
+    ]);
+    let g = CallGraph::build(&model);
+    assert!(callees(&g, node(&g, None, "range_sum")).is_empty());
+    // The same fn inside a library crate is a real candidate, and its
+    // un-budgeted loop is reported.
+    assert_eq!(
+        budget("crates/engine/src/paper.rs"),
+        vec!["crates/engine/src/paper.rs"]
+    );
+}

@@ -75,11 +75,19 @@ impl<T> DenseArray<T> {
     }
 
     /// Cell at a multi-index.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a multi-index or flat offset inside the shape is inside the row-major storage; callers validate with check_index/check_region first, like slice indexing"
+    )]
     pub fn get(&self, index: &[usize]) -> &T {
         &self.data[self.shape.flatten(index)]
     }
 
     /// Mutable cell at a multi-index.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a multi-index or flat offset inside the shape is inside the row-major storage; callers validate with check_index/check_region first, like slice indexing"
+    )]
     pub fn get_mut(&mut self, index: &[usize]) -> &mut T {
         let flat = self.shape.flatten(index);
         &mut self.data[flat]
@@ -88,23 +96,30 @@ impl<T> DenseArray<T> {
     /// Checked cell access.
     pub fn try_get(&self, index: &[usize]) -> Result<&T, ArrayError> {
         self.shape.check_index(index)?;
-        Ok(&self.data[self.shape.flatten(index)])
+        Ok(self.get(index))
     }
 
     /// Cell at a flat (row-major) offset.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a multi-index or flat offset inside the shape is inside the row-major storage; callers validate with check_index/check_region first, like slice indexing"
+    )]
     pub fn get_flat(&self, flat: usize) -> &T {
         &self.data[flat]
     }
 
     /// Mutable cell at a flat (row-major) offset.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a multi-index or flat offset inside the shape is inside the row-major storage; callers validate with check_index/check_region first, like slice indexing"
+    )]
     pub fn get_flat_mut(&mut self, flat: usize) -> &mut T {
         &mut self.data[flat]
     }
 
     /// Replaces the cell at `index`, returning the previous value.
     pub fn replace(&mut self, index: &[usize], value: T) -> T {
-        let flat = self.shape.flatten(index);
-        std::mem::replace(&mut self.data[flat], value)
+        std::mem::replace(self.get_mut(index), value)
     }
 
     /// Iterates flat offsets of a region (row-major).
@@ -113,6 +128,10 @@ impl<T> DenseArray<T> {
     }
 
     /// Folds `f` over all cells of `region` in row-major order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "region offsets of a region inside the shape are inside the storage"
+    )]
     pub fn fold_region<Acc>(
         &self,
         region: &Region,
@@ -130,15 +149,17 @@ impl<T> DenseArray<T> {
     /// Hands `f` every contiguous innermost-axis run of `region` as a
     /// mutable slice, in row-major order: the cells
     /// [`DenseArray::region_offsets`] yields, a line at a time.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "for_each_run yields offsets inside the shape for a region inside it (debug-asserted)"
+    )]
     pub fn for_each_run_mut(&mut self, region: &Region, mut f: impl FnMut(&mut [T])) {
         debug_assert!(self.shape.check_region(region).is_ok());
         let (lo, hi) = (region.lower_corner(), region.upper_corner());
         let mut cur = lo.clone();
         let data = &mut self.data;
-        self.shape.for_each_run(&lo, &hi, &mut cur, |run| {
-            // analyzer: allow(panic-site, reason = "for_each_run yields offsets inside the shape for a region inside it (documented contract, debug-asserted above)")
-            f(&mut data[run])
-        });
+        self.shape
+            .for_each_run(&lo, &hi, &mut cur, |run| f(&mut data[run]));
     }
 
     /// In-place inclusive scan along `axis`: every cell becomes
@@ -148,6 +169,10 @@ impl<T> DenseArray<T> {
     /// computation of §3.3. Cells are visited in storage order (the paper's
     /// paging recommendation): for each slab along `axis`, the inner loop
     /// walks contiguous memory.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "axis < ndim is the caller's contract, like slice indexing"
+    )]
     pub fn scan_axis(&mut self, axis: usize, mut combine: impl FnMut(&T, &T) -> T) {
         let n = self.shape.dim(axis);
         let stride = self.shape.strides()[axis];
@@ -178,6 +203,10 @@ impl<T> DenseArray<T> {
     ///
     /// # Errors
     /// [`ArrayError::ZeroBlock`] when `b = 0`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "for_each_run yields offsets inside the shape: lo/hi are clipped to it"
+    )]
     pub fn contract_blocks<U: Clone>(
         &self,
         b: usize,
@@ -201,7 +230,6 @@ impl<T> DenseArray<T> {
             }
             let mut acc = init.clone();
             self.shape.for_each_run(&lo, &hi, &mut cur, |run| {
-                // analyzer: allow(panic-site, reason = "for_each_run yields offsets inside the shape: lo/hi were clipped to it just above")
                 for (x, off) in self.data[run.clone()].iter().zip(run) {
                     acc = fold(&acc, x, off);
                 }
@@ -223,6 +251,10 @@ impl<T> DenseArray<T> {
 /// The per-slab kernel of [`DenseArray::scan_axis`]: an in-place inclusive
 /// scan of one contiguous slab holding complete lines along an axis of
 /// extent `n` and inner stride `stride`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the slab holds n complete lines of stride cells, so k*stride <= len and each split has stride cells"
+)]
 fn scan_slab<T>(slab: &mut [T], n: usize, stride: usize, combine: &mut impl FnMut(&T, &T) -> T) {
     for k in 1..n {
         let (head, tail) = slab.split_at_mut(k * stride);

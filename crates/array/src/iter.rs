@@ -28,6 +28,10 @@ impl RegionIndexIter {
 impl Iterator for RegionIndexIter {
     type Item = Vec<usize>;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "axis < cur.len() after the decrement; lo/hi/strides share cur's length by construction"
+    )]
     fn next(&mut self) -> Option<Vec<usize>> {
         if self.done {
             return None;
@@ -41,18 +45,19 @@ impl Iterator for RegionIndexIter {
                 break;
             }
             axis -= 1;
-            // analyzer: allow(panic-site, reason = "axis < cur.len() after the decrement; lo/hi share cur's length by construction")
             if self.cur[axis] < self.hi[axis] {
-                // analyzer: allow(panic-site, reason = "axis < cur.len() after the decrement")
                 self.cur[axis] += 1;
                 break;
             }
-            // analyzer: allow(panic-site, reason = "axis < cur.len() after the decrement; lo shares cur's length by construction")
             self.cur[axis] = self.lo[axis];
         }
         Some(out)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "axis < cur.len() after the decrement; lo/hi/strides share cur's length by construction"
+    )]
     fn size_hint(&self) -> (usize, Option<usize>) {
         if self.done {
             return (0, Some(0));
@@ -111,6 +116,10 @@ impl FlatRegionIter {
 impl Iterator for FlatRegionIter {
     type Item = usize;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "axis < cur.len() after the decrement; lo/hi/strides share cur's length by construction"
+    )]
     fn next(&mut self) -> Option<usize> {
         if self.done {
             return None;
@@ -123,18 +132,13 @@ impl Iterator for FlatRegionIter {
                 break;
             }
             axis -= 1;
-            // analyzer: allow(panic-site, reason = "axis < cur.len() after the decrement; lo/hi/strides share cur's length by construction")
             if self.cur[axis] < self.hi[axis] {
-                // analyzer: allow(panic-site, reason = "axis < cur.len() after the decrement")
                 self.cur[axis] += 1;
-                // analyzer: allow(panic-site, reason = "axis < strides.len(); flat stays within the array because cur stays within hi")
                 self.flat += self.strides[axis];
                 break;
             }
             // Roll this axis back to its lower bound.
-            // analyzer: allow(panic-site, reason = "axis in range; cur >= lo on this branch so the subtraction cannot underflow")
             self.flat -= (self.cur[axis] - self.lo[axis]) * self.strides[axis];
-            // analyzer: allow(panic-site, reason = "axis < cur.len() after the decrement; lo shares cur's length by construction")
             self.cur[axis] = self.lo[axis];
         }
         Some(out)

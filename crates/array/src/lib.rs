@@ -20,12 +20,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Library code reports failures as typed errors; panicking escape
-// hatches are denied outside test builds (tests and benches may unwrap).
-// Clippy catches unwrap/expect; `olap-analyzer`'s panic-site rule covers
-// what it can't — indexing, slicing, panic-family macros, and unchecked
-// index arithmetic on query paths (see crates/analyzer).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Library code reports failures as typed errors, so clippy denies every
+// panicking escape hatch outside test builds. A site whose bound is an
+// invariant carries `#[expect(clippy::…, reason = "…")]` on the narrowest
+// item that holds it.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod budget;
 mod dense;

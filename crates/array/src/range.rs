@@ -102,9 +102,10 @@ impl fmt::Display for Range {
 
 impl From<std::ops::RangeInclusive<usize>> for Range {
     /// Converts `a..=b`; panics if the range is empty or inverted.
-    // The panic is this conversion's documented contract; fallible callers
-    // use `Range::new`.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the panic is this conversion's documented contract; fallible callers use Range::new"
+    )]
     fn from(r: std::ops::RangeInclusive<usize>) -> Self {
         Range::new(*r.start(), *r.end()).expect("inverted RangeInclusive")
     }

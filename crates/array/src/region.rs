@@ -64,6 +64,10 @@ impl Region {
     }
 
     /// The range along one dimension.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "axis < ndim is the caller's contract, like slice indexing"
+    )]
     pub fn range(&self, axis: usize) -> Range {
         self.ranges[axis]
     }
@@ -110,6 +114,7 @@ impl Region {
             return None;
         }
         let mut out = Vec::with_capacity(self.ndim());
+        // analyzer: allow(budget-coverage, reason = "per-axis intersection: trip count = ndim")
         for (a, b) in self.ranges.iter().zip(other.ranges.iter()) {
             out.push(a.intersect(b)?);
         }
@@ -168,6 +173,10 @@ impl Region {
     /// §4.2 defines, for every boundary region, a *complement region*
     /// (`superblock − boundary`); this decomposition lets the blocked
     /// algorithm enumerate exactly the complement's cells.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "axis < ndim, and core, every slab and the intersection all have ndim ranges"
+    )]
     pub fn subtract(&self, other: &Region) -> Vec<Region> {
         let inter = match self.intersect(other) {
             Some(i) => i,

@@ -15,6 +15,10 @@ use olap_query::CuboidId;
 ///
 /// # Errors
 /// Rejects cuboids referencing dimensions the cube does not have.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "dims were checked to be distinct axes below d, and idx has d slots"
+)]
 pub fn materialize_cuboid<G: AbelianGroup>(
     a: &DenseArray<G::Value>,
     op: &G,
@@ -41,7 +45,7 @@ pub fn materialize_cuboid<G: AbelianGroup>(
     for flat in 0..a.len() {
         a.shape().unflatten_into(flat, &mut idx);
         if dims.is_empty() {
-            out_idx[0] = 0;
+            out_idx.fill(0);
         } else {
             for (o, &j) in out_idx.iter_mut().zip(&dims) {
                 *o = idx[j];

@@ -35,6 +35,10 @@ impl<G: AbelianGroup> ExtendedCube<G> {
     ///
     /// # Errors
     /// Propagates shape validation.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "axis < d, the rank of every intermediate and grown shape"
+    )]
     pub fn build(a: &DenseArray<G::Value>, op: G) -> Result<Self, EngineError> {
         let base_shape = a.shape().clone();
         let d = base_shape.ndim();
@@ -109,11 +113,16 @@ impl<G: AbelianGroup> ExtendedCube<G> {
     /// Aggregates a region under `ctx`: an axis spanning its whole domain
     /// reads its `all` slot; any other axis enumerates its values. `ctx`
     /// is charged and checked every `CHECK_EVERY` cells and at the end.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "iter_dims holds at most d entries, each an axis below d that idx has a slot for"
+    )]
     fn sum_over(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<G::Value, EngineError> {
         ctx.check()?;
         self.base_shape.check_region(region)?;
         let mut iter_dims: Vec<(usize, usize, usize)> = Vec::new(); // (axis, lo, hi)
         let mut idx: Vec<usize> = Vec::with_capacity(region.ndim());
+        // analyzer: allow(budget-coverage, reason = "per-axis setup: trip count = ndim")
         for (axis, (r, &n)) in region
             .ranges()
             .iter()

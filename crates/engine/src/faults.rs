@@ -172,13 +172,16 @@ impl<V: 'static> FaultyEngine<V> {
 
     /// Decides the fate of one read: counts it, then panics, errors,
     /// sleeps, or passes through per the plan's deterministic schedule.
+    #[expect(
+        clippy::panic,
+        reason = "fault injection: the chaos drills need a real panic to prove containment and poisoning"
+    )]
     fn inject(&self, op: EngineOp) -> Result<(), EngineError> {
         // ordering: Relaxed — the RMW already makes each call see a
         // unique n (the only property the deterministic schedule needs);
         // callers never publish data through this counter.
         let n = self.calls.fetch_add(1, Ordering::Relaxed);
         if self.plan.panic_call == Some(n) {
-            // analyzer: allow(panic-site, reason = "fault injection: panicking on schedule is this wrapper's documented purpose")
             panic!("injected panic on call {n} ({op})");
         }
         if self.plan.fail_call == Some(n) {
@@ -192,7 +195,6 @@ impl<V: 'static> FaultyEngine<V> {
         let error_band = panic_band + u64::from(self.plan.error_per_mille);
         let delay_band = error_band + u64::from(self.plan.delay_per_mille);
         if roll < panic_band {
-            // analyzer: allow(panic-site, reason = "fault injection: panicking on schedule is this wrapper's documented purpose")
             panic!("injected panic on call {n} ({op})");
         }
         if roll < error_band {

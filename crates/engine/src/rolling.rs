@@ -42,7 +42,9 @@ pub fn rolling_aggregate<G: AbelianGroup>(
     let mut ctx = QueryCtx::unlimited();
     for start in r.lo()..=(r.hi() - window + 1) {
         let mut ranges = base.ranges().to_vec();
-        ranges[axis] = Range::new(start, start + window - 1)?;
+        if let Some(slot) = ranges.get_mut(axis) {
+            *slot = Range::new(start, start + window - 1)?;
+        }
         let region = Region::new(ranges)?;
         out.push(ps.read(&region, &mut ctx)?);
     }

@@ -219,6 +219,10 @@ pub struct Explain<V> {
 
 impl<V> Explain<V> {
     /// The chosen candidate row.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "chosen is set from a position in candidates"
+    )]
     pub fn chosen_candidate(&self) -> &Candidate {
         &self.candidates[self.chosen]
     }
@@ -279,6 +283,10 @@ struct RouterState {
 
 impl RouterState {
     /// Success closes the breaker and clears the fault streak.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i is an engine position, and the router keeps one health slot per engine of its set"
+    )]
     fn note_success(&mut self, i: usize) {
         self.healths[i].status = Status::Closed;
         self.healths[i].consecutive_faults = 0;
@@ -287,6 +295,10 @@ impl RouterState {
     /// An engine fault: bump the streak; a panic poisons permanently, a
     /// failed probe re-opens immediately, and a streak reaching
     /// [`QUARANTINE_THRESHOLD`] opens the breaker.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i is an engine position, and the router keeps one health slot per engine of its set"
+    )]
     fn note_fault(&mut self, i: usize, tick: u64, panicked: bool) {
         let h = &mut self.healths[i];
         h.consecutive_faults = h.consecutive_faults.saturating_add(1);
@@ -697,8 +709,11 @@ impl<V> AdaptiveRouter<V> {
     /// # Panics
     /// When `i` is not a registered engine index (see
     /// [`AdaptiveRouter::len`]).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < the engine count is the caller's contract, like slice indexing"
+    )]
     pub fn engine(&self, i: usize) -> Arc<dyn RangeEngine<V>> {
-        // analyzer: allow(panic-site, reason = "pub accessor indexed by a caller-supplied engine id; out of range is a call-site programming error, documented under # Panics")
         Arc::clone(&self.load().engines[i])
     }
 
@@ -711,6 +726,10 @@ impl<V> AdaptiveRouter<V> {
     /// the pinned snapshot's engine and the meter: the caller poisons the
     /// engine on panic, so any state it tore mid-unwind is never
     /// observed again.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i is an engine position, and the router keeps one health slot per engine of its set"
+    )]
     fn dispatch(
         set: &EngineSet<V>,
         i: usize,
@@ -718,7 +737,6 @@ impl<V> AdaptiveRouter<V> {
         op: EngineOp,
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<V>, EngineError> {
-        // analyzer: allow(panic-site, reason = "i is a ranked-candidate index derived from enumerating this pinned set")
         let engine = &set.engines[i];
         let result = catch_unwind(AssertUnwindSafe(|| engine.read(region, op, meter)));
         result.unwrap_or_else(|payload| {
@@ -751,6 +769,10 @@ impl<V> AdaptiveRouter<V> {
     /// reports. A `region` that did not resolve fails where the first
     /// admissible engine would have run: after an expired budget, and
     /// only if some engine serves `op`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i is an engine position, and the router keeps one health slot per engine of its set"
+    )]
     fn execute(
         &self,
         set: &EngineSet<V>,
@@ -790,11 +812,9 @@ impl<V> AdaptiveRouter<V> {
             next = next_ranked(&predictions, Some(i));
             {
                 let mut st = self.lock_state();
-                // analyzer: allow(panic-site, reason = "healths is kept parallel to the engine set by push(); i enumerates that set")
                 if !st.healths[i].admissible(tick) {
                     continue;
                 }
-                // analyzer: allow(panic-site, reason = "healths is kept parallel to the engine set by push(); i enumerates that set")
                 if st.healths[i].is_probe() {
                     st.faults.probes += 1;
                     record_fault_event(set, "probe", i, op);
@@ -985,6 +1005,10 @@ impl<V> AdaptiveRouter<V> {
     /// [`EngineError::Unsupported`] naming the first engine that cannot
     /// take updates, or an index the image rejects (either way nothing is
     /// derived or installed), or the first derive failure.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i is an engine position, and the router keeps one health slot per engine of its set; poisoned has one flag per engine too"
+    )]
     pub fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError>
     where
         V: NumericValue,
@@ -1021,7 +1045,6 @@ impl<V> AdaptiveRouter<V> {
         let mut newly_poisoned: Vec<usize> = Vec::new();
         for (i, engine) in cur.engines.iter().enumerate() {
             // A poisoned engine is never re-entered, not even to derive.
-            // analyzer: allow(panic-site, reason = "poisoned was built by mapping 0..engines.len() just above")
             if poisoned[i] {
                 next.push(Arc::clone(engine));
                 continue;
@@ -1078,9 +1101,7 @@ impl<V> AdaptiveRouter<V> {
         let mut st = self.lock_state();
         for i in newly_poisoned {
             st.faults.panics_contained += 1;
-            // analyzer: allow(panic-site, reason = "newly_poisoned holds indices enumerated from the engine set; healths is kept parallel by push()")
             if st.healths[i].status != Status::Poisoned {
-                // analyzer: allow(panic-site, reason = "same parallel-array invariant as the check above")
                 st.healths[i].status = Status::Poisoned;
                 st.faults.quarantines += 1;
             }
@@ -1126,9 +1147,12 @@ impl<V> AdaptiveRouter<V> {
 
 /// Counts one fault-tolerance event in the telemetry registry (the
 /// [`FaultStats`] counters are maintained unconditionally by the caller).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i is an engine position, and the router keeps one health slot per engine of its set"
+)]
 fn record_fault_event<V>(set: &EngineSet<V>, event: &'static str, i: usize, op: EngineOp) {
     if let Some(ctx) = olap_telemetry::current() {
-        // analyzer: allow(panic-site, reason = "i enumerates the pinned engine set")
         let label = set.engines[i].label();
         ctx.registry()
             .counter(
@@ -1141,6 +1165,10 @@ fn record_fault_event<V>(set: &EngineSet<V>, event: &'static str, i: usize, op: 
 
 /// Records one routed execution: route-choice counter, the drift of the
 /// observed cost from the §8 prediction, and a flight record.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i is an engine position, and the router keeps one health slot per engine of its set"
+)]
 fn record_route<V>(
     ctx: &olap_telemetry::Telemetry,
     start: std::time::Instant,
@@ -1151,7 +1179,6 @@ fn record_route<V>(
     outcome: &QueryOutcome<V>,
 ) {
     let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    // analyzer: allow(panic-site, reason = "i enumerates the pinned engine set")
     let label = set.engines[i].label();
     let observed = outcome.cost();
     let reg = ctx.registry();

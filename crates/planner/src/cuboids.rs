@@ -211,7 +211,7 @@ impl GreedyPlanner {
         remaining: f64,
     ) -> Option<(usize, f64)> {
         let base = self.total_cost(current);
-        let old = current[pos];
+        let old = *current.get(pos)?;
         let old_space = old.space(&self.shape);
         let mut best: Option<(usize, f64)> = None;
         for &b in self.candidate_blocks.iter().filter(|&&b| b < old.block) {
@@ -224,7 +224,9 @@ impl GreedyPlanner {
                 continue;
             }
             let mut with = current.to_vec();
-            with[pos] = choice;
+            if let Some(slot) = with.get_mut(pos) {
+                *slot = choice;
+            }
             let benefit = base - self.total_cost(&with);
             if benefit <= 0.0 {
                 continue;
@@ -271,7 +273,11 @@ impl GreedyPlanner {
                 Some((Move::Add(cuboid, block), _)) => {
                     choices.push(PrefixSumChoice { cuboid, block })
                 }
-                Some((Move::Upgrade(pos, block), _)) => choices[pos].block = block,
+                Some((Move::Upgrade(pos, block), _)) => {
+                    if let Some(c) = choices.get_mut(pos) {
+                        c.block = block;
+                    }
+                }
                 None => break,
             }
         }

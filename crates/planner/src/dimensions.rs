@@ -13,20 +13,12 @@ use olap_query::QueryLog;
 /// summed over the log.
 pub fn selection_cost(log: &QueryLog, dims: &[usize]) -> f64 {
     let lengths = log.heuristic_lengths();
-    let d = log.shape().ndim();
-    let chosen: Vec<bool> = {
-        let mut v = vec![false; d];
-        for &j in dims {
-            v[j] = true;
-        }
-        v
-    };
     lengths
         .iter()
         .map(|row| {
             row.iter()
                 .enumerate()
-                .map(|(j, &r)| if chosen[j] { 2.0 } else { r as f64 })
+                .map(|(j, &r)| if dims.contains(&j) { 2.0 } else { r as f64 })
                 .product::<f64>()
         })
         .sum()
@@ -40,11 +32,13 @@ pub fn choose_dimensions_heuristic(log: &QueryLog) -> Vec<usize> {
     let m = log.len();
     let mut r = vec![0usize; d];
     for row in &lengths {
-        for (j, &x) in row.iter().enumerate() {
-            r[j] += x;
+        for (rj, &x) in r.iter_mut().zip(row) {
+            *rj += x;
         }
     }
-    (0..d).filter(|&j| r[j] >= 2 * m).collect()
+    (0..d)
+        .filter(|&j| r.get(j).is_some_and(|&rj| rj >= 2 * m))
+        .collect()
 }
 
 /// The exact `O(m·2^d)` algorithm of §9.1: walks the `2^d` subsets in
@@ -54,6 +48,10 @@ pub fn choose_dimensions_heuristic(log: &QueryLog) -> Vec<usize> {
 /// # Panics
 /// Panics when `d > 24` (the subset walk would be prohibitive; use the
 /// heuristic there — the paper notes real cubes have 5–10 dimensions).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the Gray-code bit is below d, and every log row holds one side length per dimension"
+)]
 pub fn choose_dimensions_exact(log: &QueryLog) -> Vec<usize> {
     let d = log.shape().ndim();
     assert!(
@@ -61,7 +59,6 @@ pub fn choose_dimensions_exact(log: &QueryLog) -> Vec<usize> {
         "exact dimension selection is O(m·2^d); d = {d} is too large"
     );
     let lengths = log.heuristic_lengths();
-    let m = lengths.len();
     // terms[i] = current product for query i; start with X′ = ∅.
     let mut terms: Vec<f64> = lengths
         .iter()
@@ -76,15 +73,15 @@ pub fn choose_dimensions_exact(log: &QueryLog) -> Vec<usize> {
         let bit = k.trailing_zeros() as usize;
         let adding = (mask >> bit) & 1 == 0;
         mask ^= 1 << bit;
-        for i in 0..m {
-            let r = lengths[i][bit] as f64;
-            cost -= terms[i];
+        for (term, row) in terms.iter_mut().zip(&lengths) {
+            let r = row[bit] as f64;
+            cost -= *term;
             if adding {
-                terms[i] = terms[i] / r * 2.0;
+                *term = *term / r * 2.0;
             } else {
-                terms[i] = terms[i] / 2.0 * r;
+                *term = *term / 2.0 * r;
             }
-            cost += terms[i];
+            cost += *term;
         }
         if cost < best_cost {
             best_cost = cost;

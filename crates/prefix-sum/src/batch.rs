@@ -42,7 +42,6 @@ pub fn max_regions(k: usize, d: usize) -> f64 {
         // Add in f64: `k + j` in usize overflows (and panics under
         // `overflow-checks`) for k near usize::MAX, while the bound
         // itself is only ever consumed as a float.
-        // analyzer: allow(panic-site, reason = "operands are f64 here, not indices; float addition cannot overflow")
         v *= k as f64 + j as f64;
         v /= (j + 1) as f64;
     }
@@ -95,6 +94,10 @@ pub fn plan_regions<G: AbelianGroup>(
 /// Recursion of §5.1: `dims` are the extents of the remaining dimensions,
 /// `entries` the updates projected onto them (first coordinate =
 /// `dims[0]`'s axis), `prefix` the ranges fixed by enclosing levels.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "dims and every entry's index share the remaining rank >= 1; group_starts holds positions of entries"
+)]
 fn recurse<G: AbelianGroup>(
     dims: &[usize],
     op: &G,

@@ -7,8 +7,9 @@
 //! twice for each phase."
 //!
 //! This module simulates both traversal orders against an LRU page cache
-//! and counts the page faults, so the claim can be *measured*
-//! (`experiments -- paging`).
+//! and counts the page faults, so the claim can be *measured*: the
+//! `olap_bench::paper::paging` table, which the argument-free
+//! `experiments` binary prints and checks in.
 
 use olap_array::Shape;
 use std::collections::HashMap;
@@ -62,7 +63,8 @@ impl LruPages {
 
 /// Simulates the d-phase prefix-sum computation over `shape`, returning
 /// the total page faults under an LRU cache of `cache_pages` pages of
-/// `page_size` cells each.
+/// `page_size` cells each (a `page_size` of 0 counts as 1 and a
+/// `cache_pages` below 2 as 2).
 ///
 /// Only the access *pattern* is simulated (each combine reads the
 /// predecessor cell along the phase's axis and reads+writes the current
@@ -73,13 +75,11 @@ pub fn simulate_build_faults(
     page_size: usize,
     cache_pages: usize,
 ) -> u64 {
-    assert!(page_size >= 1 && cache_pages >= 2);
+    // The simulation needs a non-empty page and room for two of them.
+    let (page_size, cache_pages) = (page_size.max(1), cache_pages.max(2));
     let mut cache = LruPages::new(cache_pages);
     let mut touch = |flat: usize| cache.touch(flat / page_size);
-    let d = shape.ndim();
-    for axis in 0..d {
-        let n = shape.dim(axis);
-        let stride = shape.strides()[axis];
+    for (&n, &stride) in shape.dims().iter().zip(shape.strides()) {
         let slab = n * stride;
         match order {
             ScanOrder::Storage => {

@@ -44,6 +44,10 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
     ///
     /// # Errors
     /// Rejects out-of-range or duplicate dimensions.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "j < d is checked before chosen[j] is touched"
+    )]
     pub fn with_op(cube: &DenseArray<G::Value>, op: G, dims: &[usize]) -> Result<Self, ArrayError> {
         let d = cube.shape().ndim();
         let mut chosen = vec![false; d];
@@ -102,6 +106,10 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
     ///
     /// # Errors
     /// Region validation, or a budget interrupt.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the region was checked against the shape, so every dimension j < d indexes chosen and corner; passive_coord has one slot per passive dim"
+    )]
     pub fn read(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<G::Value, ArrayError> {
         ctx.check()?;
         self.p.shape().check_region(region)?;
@@ -115,6 +123,7 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
         'outer: loop {
             // Inclusion–exclusion over the chosen dims with the passive
             // coordinates pinned.
+            // analyzer: allow(budget-coverage, reason = "Theorem 1 corners over the chosen dims: 2^|X'| gathers, charged once per passive cell below")
             'corners: for mask in 0u64..(1u64 << k) {
                 // analyzer: allow(budget-coverage, reason = "pins passive coordinates: trip count = ndim")
                 for (pi, &j) in passive.iter().enumerate() {
@@ -174,6 +183,10 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
     ///
     /// # Errors
     /// Rejects out-of-shape update indices.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "update indices were checked against the shape, so every j < d indexes u.index and chosen; pi counts passive dims and ci chosen ones"
+    )]
     pub fn apply_batch(&mut self, updates: &[CellUpdate<G::Value>]) -> Result<usize, ArrayError> {
         for u in updates {
             self.p.shape().check_index(&u.index)?;

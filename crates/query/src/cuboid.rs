@@ -13,10 +13,9 @@ impl CuboidId {
     }
 
     /// The cuboid containing every one of `d` dimensions — the cube itself.
+    /// A `d` above 64 saturates to all 64 representable dimensions.
     pub fn full(d: usize) -> Self {
-        // analyzer: allow(panic-site, reason = "documented constructor precondition: CuboidId packs dimensions into a u64 bitmask")
-        assert!(d <= 64, "at most 64 dimensions supported");
-        if d == 64 {
+        if d >= 64 {
             CuboidId(u64::MAX)
         } else {
             CuboidId((1u64 << d) - 1)
@@ -42,17 +41,15 @@ impl CuboidId {
         self.0
     }
 
-    /// Adds a dimension.
+    /// Adds a dimension. A `dim` of 64 or more is not representable and
+    /// leaves the cuboid unchanged, matching [`CuboidId::contains_dim`].
     pub fn with_dim(self, dim: usize) -> Self {
-        // analyzer: allow(panic-site, reason = "documented constructor precondition: CuboidId packs dimensions into a u64 bitmask")
-        assert!(dim < 64, "at most 64 dimensions supported");
-        CuboidId(self.0 | (1u64 << dim))
+        CuboidId(self.0 | bit(dim))
     }
 
-    /// Removes a dimension.
+    /// Removes a dimension (a `dim` of 64 or more is never contained).
     pub fn without_dim(self, dim: usize) -> Self {
-        assert!(dim < 64);
-        CuboidId(self.0 & !(1u64 << dim))
+        CuboidId(self.0 & !bit(dim))
     }
 
     /// Whether the cuboid contains a dimension.
@@ -91,10 +88,16 @@ impl CuboidId {
     /// All cuboids over `d` dimensions (the full lattice, `2^d` entries
     /// including the empty cuboid).
     pub fn lattice(d: usize) -> impl Iterator<Item = CuboidId> {
-        // analyzer: allow(panic-site, reason = "documented precondition: the lattice has 2^d entries and d >= 64 cannot be enumerated")
-        assert!(d < 64, "lattice enumeration limited to < 64 dimensions");
-        (0..(1u64 << d)).map(CuboidId)
+        (0..=CuboidId::full(d).0).map(CuboidId)
     }
+}
+
+/// The mask bit of dimension `dim`, or no bit when `dim ≥ 64`.
+fn bit(dim: usize) -> u64 {
+    u32::try_from(dim)
+        .ok()
+        .and_then(|d| 1u64.checked_shl(d))
+        .unwrap_or(0)
 }
 
 impl fmt::Display for CuboidId {

@@ -71,6 +71,10 @@ impl QueryLog {
     /// dimension**, in ascending dimension order; `all` dimensions do not
     /// contribute (the query runs on the cuboid slice, where they have been
     /// aggregated away).
+    #[expect(
+        clippy::expect_used,
+        reason = "every logged query was validated against the shape on insertion"
+    )]
     pub fn cuboid_stats(&self) -> BTreeMap<CuboidId, CuboidStats> {
         let mut acc: BTreeMap<CuboidId, (usize, Vec<f64>)> = BTreeMap::new();
         for q in &self.queries {

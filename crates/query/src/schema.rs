@@ -200,9 +200,12 @@ impl CubeSchema {
     }
 
     /// Rank of an integer attribute value.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dim_of returns an index of attrs, and lookups and every builder's sels hold one slot per attribute"
+    )]
     pub fn rank_int(&self, name: &str, value: i64) -> Result<usize, SchemaError> {
         let dim = self.dim_of(name)?;
-        // analyzer: allow(panic-site, reason = "dim_of returns a position within attrs by construction")
         match self.attrs[dim].domain {
             AttrDomain::Integer { min, max } => {
                 if value < min || value > max {
@@ -219,6 +222,10 @@ impl CubeSchema {
     }
 
     /// Rank of a categorical attribute value (hash-table lookup).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dim_of returns an index of attrs, and lookups and every builder's sels hold one slot per attribute"
+    )]
     pub fn rank_category(&self, name: &str, value: &str) -> Result<usize, SchemaError> {
         let dim = self.dim_of(name)?;
         match &self.lookups[dim] {
@@ -250,6 +257,10 @@ pub struct QueryBuilder<'s> {
     sels: Vec<DimSelection>,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "dim_of returns an index of attrs, and lookups and every builder's sels hold one slot per attribute"
+)]
 impl QueryBuilder<'_> {
     /// Range predicate on an integer attribute: `lo ≤ attr ≤ hi`.
     ///
@@ -262,7 +273,6 @@ impl QueryBuilder<'_> {
         let dim = self.schema.dim_of(attr)?;
         let rl = self.schema.rank_int(attr, lo)?;
         let rh = self.schema.rank_int(attr, hi)?;
-        // analyzer: allow(panic-site, reason = "dim_of returns a position within attrs, and sels is sized to attrs.len() at construction")
         self.sels[dim] = DimSelection::span(rl, rh)?;
         Ok(self)
     }
@@ -295,7 +305,6 @@ impl QueryBuilder<'_> {
     /// Unknown attribute.
     pub fn all(mut self, attr: &str) -> Result<Self, SchemaError> {
         let dim = self.schema.dim_of(attr)?;
-        // analyzer: allow(panic-site, reason = "dim_of returns a position within attrs, and sels is sized to attrs.len() at construction")
         self.sels[dim] = DimSelection::All;
         Ok(self)
     }

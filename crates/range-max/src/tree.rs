@@ -191,9 +191,12 @@ impl<O: TotalOrder> MaxTree<O> {
     }
 
     /// The stored arg-max of the node at flat index `node` of `level ≥ 1`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the §6 walk passes 1 <= level <= height and a node index inside that level's shape"
+    )]
     pub(crate) fn stored_max(&self, level: usize, node: usize) -> usize {
         let l = &self.levels[level - 1];
-        // analyzer: allow(panic-site, reason = "node indexes the level it was derived from: a covering node of a validated region, or a child inside its parent's box")
         l.max_index[node]
     }
 
@@ -204,12 +207,9 @@ impl<O: TotalOrder> MaxTree<O> {
         let ranges: Vec<Range> = coords
             .iter()
             .zip(self.shape.dims())
-            .map(|(&c, &n)| {
-                Range::new(c * side, ((c + 1) * side - 1).min(n - 1))
-                    .expect("node region within bounds")
-            })
+            .map(|(&c, &n)| Range::trusted(c * side, ((c + 1) * side - 1).min(n - 1)))
             .collect();
-        Region::new(ranges).expect("d ≥ 1")
+        Region::trusted(ranges)
     }
 
     /// The stored arg-max (flat index into `A`) of a node.
@@ -305,13 +305,13 @@ impl<O: TotalOrder> MaxTree<O> {
                     lambda += 1;
                 }
                 let stars = level.min(lambda);
-                let mut digits = vec![b'*'; lambda];
+                let mut digits = vec!['*'; lambda];
                 let mut rest = c;
-                for slot in (0..lambda - stars).rev() {
-                    digits[slot] = b'0' + (rest % self.b) as u8;
+                for slot in digits.iter_mut().take(lambda - stars).rev() {
+                    *slot = char::from(b'0' + (rest % self.b) as u8);
                     rest /= self.b;
                 }
-                String::from_utf8(digits).expect("ASCII digits")
+                digits.into_iter().collect::<String>()
             })
             .collect()
     }
@@ -326,7 +326,9 @@ impl<O: TotalOrder> MaxTree<O> {
         for (li, level) in self.levels.iter().enumerate() {
             let lvl = li + 1;
             for coords in level.shape.full_region().iter_indices() {
-                let stored = level.max_index[level.shape.flatten(&coords)];
+                let Some(&stored) = level.max_index.get(level.shape.flatten(&coords)) else {
+                    return Err(format!("level {lvl} node {coords:?}: no stored index"));
+                };
                 let region = self.node_region(lvl, &coords);
                 let stored_idx = self.shape.unflatten(stored);
                 if !region.contains(&stored_idx) {
@@ -387,7 +389,6 @@ fn fill_level<O: TotalOrder>(
         let first_line = outer.iter().all(|&(_, within)| within == 0);
         let parents = best.get_mut(base..base + parent_line).unwrap_or_default();
         for (slot, from) in parents.iter_mut().zip((line..line + n).step_by(run_len)) {
-            // analyzer: allow(panic-site, reason = "from is an offset into the child level and run_len is at most b times its length; a level that fits in memory keeps their sum far from usize::MAX")
             let run = from..(from + run_len).min(line + n);
             let seed = if first_line {
                 child_max(child_of, from)
@@ -405,13 +406,11 @@ fn fill_level<O: TotalOrder>(
                 *within += 1;
                 if *within == b {
                     (*parent, *within) = (*parent + 1, 0);
-                    // analyzer: allow(panic-site, reason = "base stays the flat offset of a parent line inside the parent level")
                     base += stride;
                 }
                 advanced = true;
                 break;
             }
-            // analyzer: allow(panic-site, reason = "undoes the parent * stride this axis added to base, which stays inside the parent level")
             base -= *parent * stride;
             (*parent, *within) = (0, 0);
         }

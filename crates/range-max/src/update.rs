@@ -154,6 +154,10 @@ impl<O: TotalOrder> MaxTree<O> {
 
     /// Runs one phase: applies the level-`parent_level − 1` changes to the
     /// `parent_level` nodes and returns the changes to report upward.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "1 <= parent_level <= height, and pflat is a node of the parent level's shape"
+    )]
     fn propagate(
         &mut self,
         a: &DenseArray<O::Value>,

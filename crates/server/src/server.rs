@@ -331,6 +331,10 @@ struct InFlightCount {
 
 impl InFlightCount {
     /// The calling thread's slot, assigned round-robin on first use.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "MINE is reduced modulo IN_FLIGHT_SLOTS, the length of slots"
+    )]
     fn slot(&self) -> &AtomicI64 {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         thread_local! {

@@ -26,7 +26,7 @@ impl<T: Clone> SparseCube<T> {
         points.sort_by_key(|(idx, _)| shape.flatten(idx));
         // analyzer: allow(budget-coverage, reason = "construction-time duplicate check, not a query path; no meter exists yet")
         for w in points.windows(2) {
-            if w[0].0 == w[1].0 {
+            if w.first().map(|p| &p.0) == w.last().map(|p| &p.0) {
                 return Err(ArrayError::StorageMismatch {
                     expected: points.len(),
                     actual: points.len() - 1,

@@ -79,26 +79,16 @@ impl DenseRegionFinder {
     }
 
     fn bounding_box(points: &[Vec<usize>], members: &[usize]) -> Option<Region> {
-        let first = *members.first()?;
-        let d = points[first].len();
-        let mut lo = points[first].clone();
-        let mut hi = points[first].clone();
-        for &i in members {
-            let p = &points[i];
-            for j in 0..d {
-                lo[j] = lo[j].min(p[j]);
-                hi[j] = hi[j].max(p[j]);
+        let mut lo = points.get(*members.first()?)?.clone();
+        let mut hi = lo.clone();
+        for p in members.iter().filter_map(|&i| points.get(i)) {
+            for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(p) {
+                *l = (*l).min(x);
+                *h = (*h).max(x);
             }
         }
-        Some(
-            Region::new(
-                lo.iter()
-                    .zip(&hi)
-                    .map(|(&l, &h)| Range::new(l, h).expect("l ≤ h"))
-                    .collect(),
-            )
-            .expect("d ≥ 1"),
-        )
+        let ranges = lo.iter().zip(&hi).map(|(&l, &h)| Range::new(l, h));
+        Region::new(ranges.collect::<Result<_, _>>().ok()?).ok()
     }
 
     /// Gini impurity of a box holding `n1` points: with
@@ -110,6 +100,10 @@ impl DenseRegionFinder {
         1.0 - p0 * p0 - p1 * p1
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "members index points, and every point has the bounding box's rank, so axis < ndim indexes each"
+    )]
     fn recurse(
         &self,
         points: &[Vec<usize>],
@@ -163,12 +157,10 @@ impl DenseRegionFinder {
                     }
                 }
                 for part in [left, right] {
-                    if part.is_empty() {
-                        continue;
+                    // Shrink a non-empty part to its own bounding box.
+                    if let Some(sub) = Self::bounding_box(points, &part) {
+                        self.recurse(points, part, sub, depth + 1, regions, outliers);
                     }
-                    // Shrink to the part's own bounding box.
-                    let sub = Self::bounding_box(points, &part).expect("non-empty part");
-                    self.recurse(points, part, sub, depth + 1, regions, outliers);
                 }
             }
             _ => outliers.extend(members),
@@ -181,6 +173,10 @@ impl DenseRegionFinder {
 /// Gini impurity and returns the best `(cut, score)`, or `None` when the
 /// axis is too thin to cut. Strict-less replacement keeps the lowest
 /// winning cut, matching the original single-threaded scan order.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "members index points, and every point has the bounding box's rank, so axis < ndim indexes each"
+)]
 fn best_cut_on_axis(
     points: &[Vec<usize>],
     members: &[usize],

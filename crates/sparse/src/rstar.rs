@@ -58,11 +58,10 @@ enum Outcome<T> {
 }
 
 impl<T> RStarTree<T> {
-    /// Creates an empty tree with node capacity `max_entries` (≥ 4);
-    /// minimum fill is 40%.
+    /// Creates an empty tree with node capacity `max_entries` (a capacity
+    /// below 4 is raised to 4); minimum fill is 40%.
     pub fn new(max_entries: usize) -> Self {
-        // analyzer: allow(panic-site, reason = "documented constructor precondition on the node capacity; not reachable from query execution")
-        assert!(max_entries >= 4, "R*-tree capacity must be ≥ 4");
+        let max_entries = max_entries.max(4);
         RStarTree {
             max_entries,
             min_entries: (max_entries * 2 / 5).max(1),
@@ -88,6 +87,10 @@ impl<T> RStarTree<T> {
     }
 
     /// Inserts a rectangle with its payload.
+    #[expect(
+        clippy::expect_used,
+        reason = "a root that has just split holds at least min >= 1 entries, so it has an MBR"
+    )]
     pub fn insert(&mut self, region: Region, value: T) {
         self.len += 1;
         let mut queue: Vec<Pending<T>> = vec![Pending::Data(region, value)];
@@ -245,7 +248,8 @@ impl<T> RStarTree<T> {
                             Some(m) => m.bounding_union(&child_mbr),
                         });
                     }
-                    Ok((mbr, depth.unwrap() + 1))
+                    let depth = depth.ok_or_else(|| "underfull internal node".to_string())?;
+                    Ok((mbr, depth + 1))
                 }
             }
         }
@@ -286,6 +290,10 @@ impl<T> RStarTree<T> {
 
     /// R* ChooseSubtree: least overlap enlargement when children are
     /// leaves, least area enlargement otherwise (ties by area).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an internal node always holds at least one child"
+    )]
     fn choose_child(children: &[(Region, Node<T>)], mbr: &Region) -> usize {
         let leaves_below = matches!(children[0].1, Node::Leaf(_));
         let mut best = 0;
@@ -324,6 +332,11 @@ impl<T> RStarTree<T> {
 
     /// R* split over generic `(Region, E)` entries: margin-minimal axis,
     /// then overlap-minimal (area tie-break) distribution.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "an overfull node holds max + 1 >= 5 entries and min <= max / 2, so every candidate split leaves both groups non-empty"
+    )]
     fn split_entries<E>(entries: &mut Vec<(Region, E)>, min: usize) -> Vec<(Region, E)> {
         let d = entries[0].0.ndim();
         let total = entries.len();
@@ -378,6 +391,10 @@ impl<T> RStarTree<T> {
 
     /// Picks the `p` entries farthest (by MBR center distance) from the
     /// node center for forced reinsertion.
+    #[expect(
+        clippy::expect_used,
+        reason = "an overfull node holds max + 1 >= 5 entries, so it has an MBR"
+    )]
     fn pick_reinsert<E>(entries: &mut Vec<(Region, E)>, p: usize) -> Vec<(Region, E)> {
         let node_mbr = entries
             .iter()
@@ -400,15 +417,17 @@ impl<T> RStarTree<T> {
                 .sum()
         };
         // Sort ascending by distance; the tail is evicted.
-        entries.sort_by(|a, b| {
-            dist(&a.0)
-                .partial_cmp(&dist(&b.0))
-                .expect("finite distances")
-        });
+        entries.sort_by(|a, b| dist(&a.0).total_cmp(&dist(&b.0)));
         entries.split_off(entries.len() - p)
     }
 
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        reason = "level bookkeeping: a node above the target level is internal and has children; choose_child returns a position among them"
+    )]
     fn insert_rec(
         node: &mut Node<T>,
         node_level: usize,
@@ -431,7 +450,6 @@ impl<T> RStarTree<T> {
                     children.push((r, sub));
                     children.len() > max
                 }
-                // analyzer: allow(panic-site, reason = "R*-tree structural invariant: a non-leaf node always has at least one child entry")
                 _ => unreachable!("level/type mismatch in R*-tree insertion"),
             };
             if !overflow {
@@ -479,7 +497,6 @@ impl<T> RStarTree<T> {
         // Descend.
         let children = match node {
             Node::Internal(children) => children,
-            // analyzer: allow(panic-site, reason = "R*-tree structural invariant: a non-leaf node always has at least one child entry")
             Node::Leaf(_) => unreachable!("target level below a leaf"),
         };
         let i = Self::choose_child(children, &item_mbr);

@@ -70,8 +70,7 @@ impl<G: AbelianGroup> Sparse1dPrefixSum<G> {
         while let Some((i, v)) = iter.next() {
             acc = op.combine(&acc, &v);
             // Combine duplicates before storing the prefix at i.
-            while iter.peek().is_some_and(|(j, _)| *j == i) {
-                let (_, v2) = iter.next().expect("peeked");
+            while let Some((_, v2)) = iter.next_if(|(j, _)| *j == i) {
                 acc = op.combine(&acc, &v2);
             }
             prefixes.insert(i, acc.clone());
@@ -297,7 +296,7 @@ impl<G: AbelianGroup> Sparse1dBlocked<G> {
         let start = self.points.partition_point(|(i, _)| *i < l);
         let mut acc = self.op.identity();
         // analyzer: allow(budget-coverage, reason = "points of a span that holds no full block, so fewer than 2b of them; read charges them after the scan")
-        for (i, v) in &self.points[start..] {
+        for (i, v) in self.points.iter().skip(start) {
             if *i > h {
                 break;
             }

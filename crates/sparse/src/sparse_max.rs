@@ -69,6 +69,11 @@ impl<O: TotalOrder> SparseRangeMax<O> {
 
     /// Recursive sort-tile bulk load: split the point set along its widest
     /// axis into up to `FANOUT` equal chunks until chunks fit in a leaf.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "bulk_load only runs on a non-empty point set whose points share a rank d >= 1"
+    )]
     fn bulk_load(points: Vec<(Vec<usize>, O::Value)>, order: &O) -> Child<O::Value> {
         let mbr = points
             .iter()

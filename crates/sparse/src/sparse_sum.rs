@@ -107,8 +107,7 @@ impl<G: AbelianGroup> SparseRangeSum<G> {
                 prefix,
             });
         }
-        for &oid in &outlier_ids {
-            let (idx, v) = &cube.points()[oid];
+        for (idx, v) in outlier_ids.iter().filter_map(|&oid| cube.points().get(oid)) {
             index.insert(Region::point(idx)?, Payload::Point(v.clone()));
         }
         Ok(SparseRangeSum {
@@ -157,23 +156,23 @@ impl<G: AbelianGroup> SparseRangeSum<G> {
         // Group updates by the dense region containing them.
         let mut per_region: Vec<Vec<CellUpdate<G::Value>>> = vec![Vec::new(); self.regions.len()];
         let mut outliers: Vec<(Vec<usize>, G::Value)> = Vec::new();
-        'updates: for (idx, delta) in updates {
-            for (ri, rd) in self.regions.iter().enumerate() {
-                if rd.bounds.contains(idx) {
+        for (idx, delta) in updates {
+            let mut slots = self.regions.iter().zip(per_region.iter_mut());
+            match slots.find(|(rd, _)| rd.bounds.contains(idx)) {
+                Some((rd, pending)) => {
                     let local: Vec<usize> = idx
                         .iter()
                         .zip(rd.bounds.ranges())
                         .map(|(&x, r)| x - r.lo())
                         .collect();
-                    per_region[ri].push(CellUpdate::new(&local, delta.clone()));
-                    continue 'updates;
+                    pending.push(CellUpdate::new(&local, delta.clone()));
                 }
+                None => outliers.push((idx.clone(), delta.clone())),
             }
-            outliers.push((idx.clone(), delta.clone()));
         }
-        for (ri, batch_updates) in per_region.into_iter().enumerate() {
+        for (rd, batch_updates) in self.regions.iter_mut().zip(per_region) {
             if !batch_updates.is_empty() {
-                batch::apply_batch(&mut self.regions[ri].prefix, &batch_updates)?;
+                batch::apply_batch(&mut rd.prefix, &batch_updates)?;
             }
         }
         for (idx, delta) in outliers {
@@ -192,7 +191,7 @@ impl<G: AbelianGroup> SparseRangeSum<G> {
             if self.shape.check_region(&a.bounds).is_err() {
                 return Err(format!("region {i} outside the cube"));
             }
-            for b in &self.regions[i + 1..] {
+            for b in self.regions.iter().skip(i + 1) {
                 if a.bounds.overlaps(&b.bounds) {
                     return Err(format!("region {i} overlaps another region"));
                 }
@@ -226,6 +225,10 @@ impl<G: AbelianGroup> SparseRangeSum<G> {
     /// # Errors
     /// Validates the region; propagates budget interrupts as
     /// [`ArrayError::Interrupted`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Payload::Region(i) is only ever built from a position in regions"
+    )]
     pub fn read(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<G::Value, ArrayError> {
         ctx.check()?;
         self.shape.check_region(region)?;
@@ -240,20 +243,18 @@ impl<G: AbelianGroup> SparseRangeSum<G> {
                 }
                 Payload::Region(i) => {
                     let rd = &self.regions[*i];
-                    let inter = rd
-                        .bounds
-                        .intersect(region)
-                        .expect("R*-tree returned an intersecting entry");
+                    // The R*-tree returns intersecting entries only; a region
+                    // the query misses would contribute nothing.
+                    let Some(inter) = rd.bounds.intersect(region) else {
+                        continue;
+                    };
                     let local = Region::new(
                         inter
                             .ranges()
                             .iter()
                             .zip(rd.bounds.ranges())
-                            .map(|(q, b)| {
-                                Range::new(q.lo() - b.lo(), q.hi() - b.lo())
-                                    .expect("intersection within bounds")
-                            })
-                            .collect(),
+                            .map(|(q, b)| Range::new(q.lo() - b.lo(), q.hi() - b.lo()))
+                            .collect::<Result<_, _>>()?,
                     )?;
                     let v = rd.prefix.read(&local, ctx)?;
                     acc = self.op.combine(&acc, &v);

@@ -158,8 +158,11 @@ impl FlightRecorder {
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than report a torn ring buffer")
-        self.inner.lock().expect("flight lock").records.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .records
+            .len()
     }
 
     /// Whether no record has been kept.
@@ -169,14 +172,16 @@ impl FlightRecorder {
 
     /// Total records ever recorded (including evicted ones).
     pub fn recorded(&self) -> u64 {
-        self.inner.lock().expect("flight lock").next_seq
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .next_seq
     }
 
     /// Appends a record, evicting the oldest at capacity. The record's
     /// `seq` is overwritten with the recorder's next sequence number.
     pub fn record(&self, mut record: FlightRecord) {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than report a torn ring buffer")
-        let mut inner = self.inner.lock().expect("flight lock");
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         record.seq = inner.next_seq;
         inner.next_seq += 1;
         if inner.records.len() == self.capacity {
@@ -189,8 +194,7 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> Vec<FlightRecord> {
         self.inner
             .lock()
-            // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than report a torn ring buffer")
-            .expect("flight lock")
+            .unwrap_or_else(|e| e.into_inner())
             .records
             .iter()
             .cloned()
@@ -199,8 +203,11 @@ impl FlightRecorder {
 
     /// Drops every retained record (sequence numbers keep counting).
     pub fn clear(&self) {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than report a torn ring buffer")
-        self.inner.lock().expect("flight lock").records.clear();
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .records
+            .clear();
     }
 
     /// The retained records as a JSON array, oldest first.

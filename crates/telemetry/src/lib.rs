@@ -46,6 +46,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code reports failures as typed errors, so clippy denies every
+// panicking escape hatch outside test builds. A site whose bound is an
+// invariant carries `#[expect(clippy::…, reason = "…")]` on the narrowest
+// item that holds it.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod dispatch;
 mod flight;

@@ -84,6 +84,10 @@ fn bucket_index(v: u64) -> usize {
 
 impl Histogram {
     /// Records one sample.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bucket_index returns at most 64 and there are BUCKETS = 65 buckets"
+    )]
     pub fn observe(&self, v: u64) {
         // ordering: Relaxed — bucket/count/sum are statistical cells; a
         // snapshot racing an observe may see the sample in one cell and
@@ -268,15 +272,17 @@ impl Registry {
     ///
     /// # Panics
     /// If the same name + labels were registered as a different type.
+    #[expect(
+        clippy::panic,
+        reason = "registering one name and label set as two metric types is a caller bug, documented under # Panics"
+    )]
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than silently drop metrics")
-        let mut map = self.metrics.lock().expect("registry lock");
+        let mut map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         let entry = map
             .entry(key(name, labels))
             .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))));
         match entry {
             Metric::Counter(c) => c.clone(),
-            // analyzer: allow(panic-site, reason = "metric type mismatch is a programming error in the instrumentation itself; documented under # Panics")
             other => panic!("{name} already registered as {other:?}, not a counter"),
         }
     }
@@ -286,15 +292,17 @@ impl Registry {
     ///
     /// # Panics
     /// If the same name + labels were registered as a different type.
+    #[expect(
+        clippy::panic,
+        reason = "registering one name and label set as two metric types is a caller bug, documented under # Panics"
+    )]
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than silently drop metrics")
-        let mut map = self.metrics.lock().expect("registry lock");
+        let mut map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         let entry = map
             .entry(key(name, labels))
             .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))));
         match entry {
             Metric::Gauge(g) => g.clone(),
-            // analyzer: allow(panic-site, reason = "metric type mismatch is a programming error in the instrumentation itself; documented under # Panics")
             other => panic!("{name} already registered as {other:?}, not a gauge"),
         }
     }
@@ -304,9 +312,12 @@ impl Registry {
     ///
     /// # Panics
     /// If the same name + labels were registered as a different type.
+    #[expect(
+        clippy::panic,
+        reason = "registering one name and label set as two metric types is a caller bug, documented under # Panics"
+    )]
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than silently drop metrics")
-        let mut map = self.metrics.lock().expect("registry lock");
+        let mut map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         let entry = map.entry(key(name, labels)).or_insert_with(|| {
             Metric::Histogram(Histogram(Arc::new(HistogramCore {
                 buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -316,15 +327,13 @@ impl Registry {
         });
         match entry {
             Metric::Histogram(h) => h.clone(),
-            // analyzer: allow(panic-site, reason = "metric type mismatch is a programming error in the instrumentation itself; documented under # Panics")
             other => panic!("{name} already registered as {other:?}, not a histogram"),
         }
     }
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than silently drop metrics")
-        self.metrics.lock().expect("registry lock").len()
+        self.metrics.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Whether no metric has been registered.
@@ -335,8 +344,7 @@ impl Registry {
     /// A point-in-time snapshot of every metric, in deterministic
     /// (name, labels) order.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than silently drop metrics")
-        let map = self.metrics.lock().expect("registry lock");
+        let map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         map.iter()
             .map(|(k, m)| MetricSnapshot {
                 name: k.name.clone(),

@@ -497,8 +497,7 @@ impl TraceSink {
     }
 
     fn record(&self, rec: SpanRecord) {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than silently lose spans")
-        let mut store = self.store.lock().expect("trace store lock");
+        let mut store = self.store.lock().unwrap_or_else(|e| e.into_inner());
         if store.records.len() >= self.capacity {
             store.dropped = store.dropped.saturating_add(1);
         } else {
@@ -512,8 +511,7 @@ impl TraceSink {
         if root_dur_ns < self.slow_threshold_ns {
             return;
         }
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than silently lose spans")
-        let mut store = self.store.lock().expect("trace store lock");
+        let mut store = self.store.lock().unwrap_or_else(|e| e.into_inner());
         let spans: Vec<SpanRecord> = store
             .records
             .iter()
@@ -532,26 +530,30 @@ impl TraceSink {
 
     /// Number of spans currently stored.
     pub fn span_count(&self) -> usize {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than report a torn store")
-        self.store.lock().expect("trace store lock").records.len()
+        self.store
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .records
+            .len()
     }
 
     /// Spans discarded because the store was full.
     pub fn dropped(&self) -> u64 {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than report a torn store")
-        self.store.lock().expect("trace store lock").dropped
+        self.store.lock().unwrap_or_else(|e| e.into_inner()).dropped
     }
 
     /// All stored spans, in completion order.
     pub fn records(&self) -> Vec<SpanRecord> {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than report a torn store")
-        self.store.lock().expect("trace store lock").records.clone()
+        self.store
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .records
+            .clone()
     }
 
     /// The retained slow traces, oldest first.
     pub fn slow_traces(&self) -> Vec<SlowTrace> {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than report a torn store")
-        let store = self.store.lock().expect("trace store lock");
+        let store = self.store.lock().unwrap_or_else(|e| e.into_inner());
         store.slow.iter().cloned().collect()
     }
 

@@ -17,9 +17,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Library code reports failures as typed errors; panicking escape
-// hatches are denied outside test builds (tests and benches may unwrap).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Library code reports failures as typed errors, so clippy denies every
+// panicking escape hatch outside test builds. A site whose bound is an
+// invariant carries `#[expect(clippy::…, reason = "…")]` on the narrowest
+// item that holds it.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
 use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
@@ -149,6 +162,10 @@ impl<G: AbelianGroup> SumTree<G> {
     /// Validates every index before the first write.
     ///
     /// [`height`]: SumTree::height
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indices were checked against the cube, so each contracted coordinate lies inside its level's shape"
+    )]
     pub fn apply_deltas<'a, I>(&mut self, deltas: I) -> Result<u64, ArrayError>
     where
         I: IntoIterator<Item = (&'a [usize], &'a G::Value)>,
@@ -169,7 +186,6 @@ impl<G: AbelianGroup> SumTree<G> {
                     *c /= b;
                 }
                 let flat = level.shape.flatten(&coords);
-                // analyzer: allow(panic-site, reason = "coords = a checked cube index / b^level lies inside this level's contracted shape, and sums.len() == that shape's len by construction")
                 level.sums[flat] = self.op.combine(&level.sums[flat], delta);
                 written += 1;
             }
@@ -221,6 +237,7 @@ impl<G: AbelianGroup> SumTree<G> {
         // Start at the lowest node covering the query (same addressing as
         // the max tree).
         let mut level = 1;
+        // analyzer: allow(budget-coverage, reason = "climbs at most the tree height")
         while level < self.height() {
             let side = self.b.pow(level as u32);
             if region
@@ -244,6 +261,10 @@ impl<G: AbelianGroup> SumTree<G> {
     }
 
     /// Sum over `region`, which must be a non-empty box inside `C(node)`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the §6 walk passes 1 <= level <= height and coordinates inside that level's shape"
+    )]
     fn sum_in(
         &self,
         a: &DenseArray<G::Value>,
@@ -287,6 +308,10 @@ impl<G: AbelianGroup> SumTree<G> {
 
     /// Sums `box_region` (⊆ `C(node)`) by recursing into the node's
     /// children that intersect it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "2 <= level <= height here, and the odometer's lo/hi/cur share the rank"
+    )]
     fn sum_children(
         &self,
         a: &DenseArray<G::Value>,

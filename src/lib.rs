@@ -40,6 +40,23 @@
 //! assert_eq!(ps.range_sum(&q).unwrap(), 13);
 //! ```
 
+// Library code reports failures as typed errors, so clippy denies every
+// panicking escape hatch outside test builds. A site whose bound is an
+// invariant carries `#[expect(clippy::…, reason = "…")]` on the narrowest
+// item that holds it.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub use olap_aggregate as aggregate;
 pub use olap_array as array;
 pub use olap_engine as engine;

@@ -73,6 +73,28 @@ fn extreme_values_do_not_wrap_in_practice() {
 }
 
 #[test]
+fn unsigned_count_wraps_back_through_the_subtracting_corners() {
+    // §1's COUNT over a 4×4 cube of ones: Theorem 1 subtracts corners 1
+    // and 2 of Sum(3:3, 3:3) before it adds corner 3, so the `u64`
+    // partial result dips below zero and must wrap back to 1.
+    let a = DenseArray::filled(Shape::new(&[4, 4]).unwrap(), 1u64);
+    let q = Region::from_bounds(&[(3, 3), (3, 3)]).unwrap();
+    assert_eq!(PrefixSumCube::build(&a).range_sum(&q).unwrap(), 1);
+    let bp = BlockedPrefixCube::build(&a, 2).unwrap();
+    assert_eq!(bp.range_sum(&a, &q).unwrap(), 1);
+    let t = SumTreeCube::build(&a, 2).unwrap();
+    assert_eq!(t.range_sum(&a, &q).unwrap(), 1);
+}
+
+#[test]
+fn prefix_sums_past_i64_max_still_answer_exactly() {
+    // P[1] = 5 + i64::MAX wraps; Sum(1:1) = P[1] − P[0] wraps back.
+    let a = DenseArray::from_vec(Shape::new(&[2]).unwrap(), vec![5i64, i64::MAX]).unwrap();
+    let q = Region::from_bounds(&[(1, 1)]).unwrap();
+    assert_eq!(PrefixSumCube::build(&a).range_sum(&q).unwrap(), i64::MAX);
+}
+
+#[test]
 fn nan_and_infinity_in_max_trees() {
     // total_cmp puts NaN above +inf; the tree must stay consistent.
     let a = DenseArray::from_vec(
