@@ -11,8 +11,11 @@
 //!
 //! The `reason` is **mandatory**: an allow without a non-empty reason is
 //! itself a violation (`malformed-allow`), as is an allow naming an
-//! unknown rule. This keeps the escape hatch auditable — `grep
-//! 'analyzer: allow'` reads as a list of justified exceptions.
+//! unknown rule, and an allow that suppresses no finding is one too
+//! (`stale-allow`): once its code is gone it would silently cover the
+//! next finding to land on that line. This keeps the escape hatch
+//! auditable — `grep 'analyzer: allow'` reads as a list of justified
+//! exceptions, each still in use.
 
 /// Rule identifiers, in the order they are documented.
 pub const RULES: &[&str] = &[
@@ -24,6 +27,7 @@ pub const RULES: &[&str] = &[
     "span-discipline",
     "estimate-isolation",
     "malformed-allow",
+    "stale-allow",
 ];
 
 /// One diagnostic.
@@ -62,6 +66,8 @@ pub struct Allow {
     pub reason: Option<String>,
     /// The line the directive *applies to* (the code line).
     pub target_line: u32,
+    /// The directive's own 1-based line and column.
+    pub at: (u32, u32),
 }
 
 /// Parses allow directives out of a file's comments. `code_lines` maps a
@@ -122,6 +128,7 @@ pub fn parse_allows(
                         rule,
                         reason: Some(r),
                         target_line,
+                        at: (c.line, c.col),
                     }),
                     _ => malformed.push(Finding {
                         rule: "malformed-allow",
@@ -181,19 +188,39 @@ fn parse_allow_args(args: &str) -> Result<(String, Option<String>), String> {
     Ok((rule, reason))
 }
 
-/// Applies allow directives to raw findings: marks matches as allowed.
-pub fn apply_allows(findings: &mut [Finding], allows: &[Allow]) {
+/// Applies `file`'s allow directives to the findings in `file`: marks
+/// matches as allowed, and returns one `stale-allow` finding for every
+/// directive that matched none.
+pub fn apply_allows(findings: &mut [Finding], file: &str, allows: &[Allow]) -> Vec<Finding> {
+    let mut used = vec![false; allows.len()];
     for f in findings.iter_mut() {
-        if f.allowed.is_some() {
+        if f.file != file || f.allowed.is_some() {
             continue;
         }
-        for a in allows {
-            if a.rule == f.rule && a.target_line == f.line {
-                f.allowed = a.reason.clone();
-                break;
-            }
+        let hit = allows
+            .iter()
+            .position(|a| a.rule == f.rule && a.target_line == f.line);
+        if let Some(i) = hit {
+            f.allowed = allows[i].reason.clone();
+            used[i] = true;
         }
     }
+    allows
+        .iter()
+        .zip(used)
+        .filter(|(_, used)| !used)
+        .map(|(a, _)| Finding {
+            rule: "stale-allow",
+            file: file.to_string(),
+            line: a.at.0,
+            col: a.at.1,
+            message: format!(
+                "allow({}) suppresses no finding on line {} — delete it",
+                a.rule, a.target_line
+            ),
+            allowed: None,
+        })
+        .collect()
 }
 
 /// The report: every finding, allowed ones included.
@@ -281,13 +308,20 @@ mod tests {
             finding("budget-coverage", "a.rs", 4),
             finding("atomic-ordering", "a.rs", 4),
         ];
-        let allows = vec![Allow {
-            rule: "budget-coverage".to_string(),
+        let allow = |rule: &str, target_line: u32| Allow {
+            rule: rule.to_string(),
             reason: Some("ok".to_string()),
-            target_line: 4,
-        }];
-        apply_allows(&mut fs, &allows);
+            target_line,
+            at: (target_line - 1, 1),
+        };
+        let stale = apply_allows(&mut fs, "a.rs", &[allow("budget-coverage", 4)]);
         assert!(fs[0].allowed.is_some());
         assert!(fs[1].allowed.is_none());
+        assert!(stale.is_empty());
+        // Another file's allow covers nothing here.
+        let stale = apply_allows(&mut fs, "b.rs", &[allow("atomic-ordering", 4)]);
+        assert!(fs[1].allowed.is_none());
+        assert_eq!(stale.len(), 1);
+        assert_eq!((stale[0].rule, stale[0].line), ("stale-allow", 3));
     }
 }

@@ -23,7 +23,8 @@
 //! token-level rule passes ([`rules`]) — no `syn`, no `rustc` internals,
 //! nothing to install. A finding is suppressed inline with
 //! `// analyzer: allow(rule, reason = "…")` (reason mandatory); any other
-//! finding fails `check`. See `README.md` § "Static analysis".
+//! finding — an allow that suppresses nothing included — fails `check`.
+//! See `README.md` § "Static analysis".
 
 pub mod callgraph;
 pub mod cfg;
@@ -53,13 +54,11 @@ pub fn analyze(model: &Model) -> Report {
     findings.extend(rules::pins::check(model));
     findings.extend(rules::spans::check(model));
     findings.extend(rules::estimates::check(model, &graph));
-    let by_rel: std::collections::BTreeMap<&str, &model::FileModel> =
-        model.files.iter().map(|f| (f.rel.as_str(), f)).collect();
-    for f in findings.iter_mut() {
-        if let Some(fm) = by_rel.get(f.file.as_str()) {
-            apply_allows(std::slice::from_mut(f), &fm.allows);
-        }
+    let mut stale = Vec::new();
+    for fm in &model.files {
+        stale.extend(apply_allows(&mut findings, &fm.rel, &fm.allows));
     }
+    findings.extend(stale);
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Report { findings }

@@ -16,7 +16,8 @@ fn usage() -> String {
      Scans crates/*/src and src/ for violations of the workspace rules\n\
      (atomic-ordering, lock-order, error-surface, budget-coverage,\n\
      pin-across-blocking, span-discipline, estimate-isolation).\n\
-     Exit 0: every finding is allowed inline. Exit 1: findings.\n\
+     Exit 0: every finding is allowed inline and every allow is in use.\n\
+     Exit 1: findings.\n\
      Exit 2: bad usage or unreadable sources."
         .to_string()
 }

@@ -6,9 +6,8 @@
 //! field outlives its stack discipline and corrupts the frame tree the
 //! moment the struct crosses a thread. Any struct field or static whose
 //! declared type mentions `TraceSpan` is flagged at the declaration.
-//! Work handed to another thread captures
-//! `olap_telemetry::current_trace()` and re-enters it there
-//! (`TraceHandle::enter`) instead.
+//! A trace never continues on another thread: spans start where the
+//! work runs.
 
 use crate::findings::Finding;
 use crate::model::Model;
@@ -25,9 +24,8 @@ pub fn check(model: &Model) -> Vec<Finding> {
                     1,
                     format!(
                         "`TraceSpan` stored in `{}.{}` — spans are thread-local RAII \
-                         frames and must live on the stack; to continue a trace on \
-                         another thread, capture `current_trace()` and `enter` the \
-                         handle there",
+                         frames and must live on the stack of the thread that \
+                         started them; start the span where the work runs",
                         fd.holder, fd.field,
                     ),
                 ));
@@ -50,7 +48,7 @@ mod tests {
     #[test]
     fn trace_span_in_a_field_is_flagged() {
         let f = run("pub struct Job {\n  span: Option<TraceSpan>,\n}\n\
-             pub struct Ok1 {\n  trace: Option<TraceHandle>,\n}\n");
+             pub struct Ok1 {\n  trace: Option<TraceContext>,\n}\n");
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("Job.span"));
     }

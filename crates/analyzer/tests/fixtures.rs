@@ -222,6 +222,34 @@ fn pin_across_blocking_guard_stays_quiet() {
 }
 
 #[test]
+fn pin_across_blocking_sees_the_snapshot_cell() {
+    let r = run(
+        "crates/engine/src/fx.rs",
+        include_str!("fixtures/pin_across_blocking_snapshot_cell.rs"),
+    );
+    let f = active(&r, "pin-across-blocking");
+    assert_eq!(f.len(), 1, "{f:#?}");
+    assert!(f[0].message.contains("snapshot read-pin"), "{f:#?}");
+    assert!(f[0].message.contains("snapshots.load()"), "{f:#?}");
+}
+
+#[test]
+fn stale_allow_positive_fails_the_allow_that_suppresses_nothing() {
+    let r = run(
+        "crates/array/src/fx.rs",
+        include_str!("fixtures/stale_allow_positive.rs"),
+    );
+    // The live allow covers its finding; the stale one is a finding of
+    // its own, reported at the directive.
+    assert_eq!(all(&r, "atomic-ordering").len(), 1);
+    assert!(active(&r, "atomic-ordering").is_empty());
+    let f = active(&r, "stale-allow");
+    assert_eq!(f.len(), 1, "{f:#?}");
+    assert_eq!(f[0].line, 14, "{f:#?}");
+    assert!(f[0].message.contains("allow(atomic-ordering)"), "{f:#?}");
+}
+
+#[test]
 fn span_discipline_positive_flags_the_stored_span() {
     let r = run(
         "crates/server/src/fx.rs",

@@ -4,7 +4,7 @@
 
 pub struct Worker {
     name: SpanName,
-    trace: Option<TraceHandle>,
+    trace: Option<TraceContext>,
 }
 
 /// A stack-held RAII span is the intended use.

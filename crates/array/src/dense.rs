@@ -139,7 +139,6 @@ impl<T> DenseArray<T> {
         mut f: impl FnMut(Acc, &T) -> Acc,
     ) -> Acc {
         let mut acc = init;
-        // analyzer: allow(budget-coverage, reason = "reference fold primitive; budgeted engines wrap this in charged kernels")
         for off in self.region_offsets(region) {
             acc = f(acc, &self.data[off]);
         }

@@ -91,7 +91,6 @@ impl Shape {
                 actual: index.len(),
             });
         }
-        // analyzer: allow(budget-coverage, reason = "per-axis bounds check: trip count = ndim, not data volume")
         for (axis, (&i, &n)) in index.iter().zip(self.dims.iter()).enumerate() {
             if i >= n {
                 return Err(ArrayError::OutOfBounds {

@@ -35,10 +35,10 @@
 //! from exact [`olap_query::QueryOutcome`]s, so degraded values can never
 //! be mistaken for — or cached as — exact ones.
 
-use crate::range_engine::EngineOp;
+use crate::range_engine::{BatchImage, EngineOp};
 use crate::EngineError;
 use olap_aggregate::NumericValue;
-use olap_array::{DenseArray, Region, Shape};
+use olap_array::{DenseArray, Region};
 use olap_prefix_sum::BlockedPrefixCube;
 use olap_query::{AccessStats, Estimate};
 use std::sync::Arc;
@@ -126,14 +126,20 @@ pub trait DegradeTier<V>: Send + Sync {
         op: EngineOp,
     ) -> Result<(Estimate<V>, AccessStats), EngineError>;
 
-    /// Derives a successor tier with a batch of absolute-value updates
-    /// applied, copy-on-write like [`crate::RangeEngine::apply_updates`].
+    /// The base cube the tier estimates over — in a stack, the same `Arc`
+    /// its exact engines read ([`crate::RangeEngine::base`]).
+    fn base(&self) -> &Arc<DenseArray<V>>;
+
+    /// Derives the successor tier for one update batch, copy-on-write like
+    /// [`crate::RangeEngine::derive_onto`]: a tier over the image's source
+    /// cube adopts the image's post-batch cube; any other derives an
+    /// image of its own.
     ///
     /// # Errors
     /// Index validation.
-    fn derive_updated(
+    fn derive_onto(
         &self,
-        updates: &[(Vec<usize>, V)],
+        image: &BatchImage<'_, V>,
     ) -> Result<Arc<dyn DegradeTier<V>>, EngineError>;
 }
 
@@ -142,7 +148,7 @@ pub trait DegradeTier<V>: Send + Sync {
 /// bounds. See the module docs for the estimator math.
 #[derive(Debug, Clone)]
 pub struct ApproxEngine<V: NumericValue> {
-    a: DenseArray<V>,
+    a: Arc<DenseArray<V>>,
     anchors: BlockedPrefixCube<V>,
     mins: DenseArray<V>,
     maxs: DenseArray<V>,
@@ -151,11 +157,14 @@ pub struct ApproxEngine<V: NumericValue> {
 
 impl<V: ApproxValue + 'static> ApproxEngine<V> {
     /// Builds the anchor grid and the cached per-block extrema from
-    /// `cube` with block size `b` on every dimension.
+    /// `cube` with block size `b` on every dimension. The engine holds
+    /// `cube` itself, so a stack shares one base between its exact
+    /// engines and this tier.
     ///
     /// # Errors
     /// [`olap_array::ArrayError::ZeroBlock`] when `b = 0`.
-    pub fn build(cube: DenseArray<V>, b: usize) -> Result<Self, EngineError> {
+    pub fn build(cube: impl Into<Arc<DenseArray<V>>>, b: usize) -> Result<Self, EngineError> {
+        let cube = cube.into();
         let anchors = BlockedPrefixCube::build(&cube, b)?;
         let mins = cube.contract_blocks(b, V::MAX_VALUE, |acc, x, _| (*acc).min(*x))?;
         let maxs = cube.contract_blocks(b, V::MIN_VALUE, |acc, x, _| (*acc).max(*x))?;
@@ -166,16 +175,6 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
             maxs,
             b,
         })
-    }
-
-    /// The block size the anchor grid was built with.
-    pub fn block_size(&self) -> usize {
-        self.b
-    }
-
-    /// The shape of the cube the engine answers over.
-    pub fn shape(&self) -> &Shape {
-        self.a.shape()
     }
 
     /// Anchor-only range-sum estimate with a guaranteed interval: exact
@@ -261,7 +260,14 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
             });
             stats.read_p(int.volume() as u64);
             attained = tight;
-            exact_cells = self.interior_cell_count(region);
+            // The base cells of the interior blocks; the last block on an
+            // axis may be clipped by the cube's edge.
+            exact_cells = int
+                .ranges()
+                .iter()
+                .zip(self.a.shape().dims())
+                .map(|(r, &n)| (((r.hi() + 1) * self.b).min(n) - r.lo() * self.b) as u64)
+                .product();
         }
         let loose = loose.unwrap_or(attained);
         let (lower, upper) = if is_max {
@@ -272,23 +278,6 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
         let value = if is_max { upper } else { lower };
         let fraction = exact_cells as f64 / region.volume().max(1) as f64;
         Ok((Estimate::new(value, lower, upper, fraction), stats))
-    }
-
-    /// Derives a successor engine with absolute-value updates applied.
-    /// The anchor and extrema grids are rebuilt from the updated cube —
-    /// one pass over `A`, the same order as construction.
-    ///
-    /// # Errors
-    /// Index validation.
-    pub fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<Self, EngineError> {
-        for (idx, _) in updates {
-            self.a.shape().check_index(idx)?;
-        }
-        let mut a = self.a.clone();
-        for (idx, v) in updates {
-            *a.get_mut(idx) = *v;
-        }
-        ApproxEngine::build(a, self.b)
     }
 
     fn label_text(&self) -> String {
@@ -302,12 +291,7 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
         superblock: &Region,
         stats: &mut AccessStats,
     ) -> Result<(V, V), EngineError> {
-        let bounds: Vec<(usize, usize)> = superblock
-            .ranges()
-            .iter()
-            .map(|r| (r.lo() / self.b, r.hi() / self.b))
-            .collect();
-        let creg = Region::from_bounds(&bounds)?;
+        let creg = self.cover_blocks(superblock)?;
         let mn = self
             .mins
             .fold_region(&creg, V::MAX_VALUE, |acc, x| acc.min(*x));
@@ -349,33 +333,6 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
             bounds.push((lo, hi));
         }
         Ok(Some(Region::from_bounds(&bounds)?))
-    }
-
-    /// Number of base cells inside fully covered blocks of `region`.
-    fn interior_cell_count(&self, region: &Region) -> u64 {
-        let mut cells: u64 = 1;
-        for (axis, r) in region.ranges().iter().enumerate() {
-            let n = self.a.shape().dim(axis);
-            let lo = r.lo().div_ceil(self.b);
-            let hi = if r.hi() == n - 1 {
-                (n - 1) / self.b
-            } else {
-                match ((r.hi() + 1) / self.b).checked_sub(1) {
-                    Some(h) => h,
-                    None => return 0,
-                }
-            };
-            if lo > hi {
-                return 0;
-            }
-            let span = hi
-                .saturating_add(1)
-                .saturating_mul(self.b)
-                .min(n)
-                .saturating_sub(lo.saturating_mul(self.b));
-            cells = cells.saturating_mul(span as u64);
-        }
-        cells
     }
 }
 
@@ -426,11 +383,22 @@ impl<V: ApproxValue + 'static> DegradeTier<V> for ApproxEngine<V> {
         }
     }
 
-    fn derive_updated(
+    fn base(&self) -> &Arc<DenseArray<V>> {
+        &self.a
+    }
+
+    /// The anchor and extrema grids are rebuilt from the post-batch cube —
+    /// one pass over `A`, the same order as construction.
+    fn derive_onto(
         &self,
-        updates: &[(Vec<usize>, V)],
+        image: &BatchImage<'_, V>,
     ) -> Result<Arc<dyn DegradeTier<V>>, EngineError> {
-        Ok(Arc::new(self.apply_updates(updates)?))
+        let cube = if image.is_over(&self.a) {
+            Arc::clone(image.cube())
+        } else {
+            Arc::clone(BatchImage::derive(&self.a, image.updates())?.cube())
+        };
+        Ok(Arc::new(ApproxEngine::build(cube, self.b)?))
     }
 }
 
@@ -529,18 +497,20 @@ mod tests {
 
     #[test]
     fn updates_rebuild_anchors_and_extrema() {
-        let a = cube();
-        let e = ApproxEngine::build(a.clone(), 4).unwrap();
-        let e2 = e
-            .apply_updates(&[(vec![3, 4], 5000), (vec![12, 8], -5000)])
-            .unwrap();
-        let mut shadow = a.clone();
+        let a = Arc::new(cube());
+        let e = ApproxEngine::build(Arc::clone(&a), 4).unwrap();
+        let batch = [(vec![3, 4], 5000), (vec![12, 8], -5000)];
+        let image = BatchImage::derive(&a, &batch).unwrap();
+        let e2 = e.derive_onto(&image).unwrap();
+        // Over the image's source, the tier adopts the post-batch cube.
+        assert!(Arc::ptr_eq(e2.base(), image.cube()));
+        let mut shadow = cube();
         *shadow.get_mut(&[3, 4]) = 5000;
         *shadow.get_mut(&[12, 8]) = -5000;
         for bounds in [[(0, 12), (0, 8)], [(2, 5), (3, 6)], [(10, 12), (6, 8)]] {
             let r = Region::from_bounds(&bounds).unwrap();
             let truth = shadow.fold_region(&r, 0i64, |s, &x| s + x);
-            let (est, _) = e2.estimate_sum(&q(&bounds)).unwrap();
+            let (est, _) = e2.degraded(&q(&bounds), EngineOp::Sum).unwrap();
             assert!(est.contains(truth), "{bounds:?}: {truth} outside {est}");
         }
         // The original is an untouched snapshot: its interval still
@@ -548,9 +518,14 @@ mod tests {
         let (old, _) = e.estimate_sum(&q(&[(3, 3), (4, 4)])).unwrap();
         assert!(old.contains(*a.get(&[3, 4])));
         assert!(!old.contains(5000));
+        // A tier over another copy derives an image of its own.
+        let own = ApproxEngine::build(cube(), 4).unwrap();
+        let e3 = own.derive_onto(&image).unwrap();
+        assert!(!Arc::ptr_eq(e3.base(), image.cube()));
+        assert_eq!(e3.base().as_slice(), image.cube().as_slice());
         // Bad indices are typed errors, not panics.
-        assert!(e.apply_updates(&[(vec![99, 0], 1)]).is_err());
-        assert!(e.apply_updates(&[(vec![0], 1)]).is_err());
+        assert!(BatchImage::derive(&a, &[(vec![99, 0], 1)]).is_err());
+        assert!(BatchImage::derive(&a, &[(vec![0], 1)]).is_err());
     }
 
     #[test]

@@ -149,7 +149,6 @@ impl<G: AbelianGroup> ExtendedCube<G> {
                 ctx.check()?;
             }
             let mut level = iter_dims.len();
-            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per cell")
             loop {
                 if level == 0 {
                     ctx.charge()?;

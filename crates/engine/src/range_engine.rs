@@ -136,10 +136,11 @@ impl<V> fmt::Debug for Derived<V> {
 ///
 /// [`crate::AdaptiveRouter::apply_updates`] derives it from the first
 /// healthy engine's [`RangeEngine::base`] and hands it to every engine
-/// through [`RangeEngine::derive_onto`]: an engine whose base *is* the
-/// image's source cube adopts [`BatchImage::cube`] and feeds
-/// [`BatchImage::deltas`] to its own structures; any other engine derives
-/// privately from [`BatchImage::updates`].
+/// through [`RangeEngine::derive_onto`] and to the degradation tier
+/// through [`crate::DegradeTier::derive_onto`]: an engine or tier whose
+/// base *is* the image's source cube adopts [`BatchImage::cube`] (an
+/// engine also feeds [`BatchImage::deltas`] to its own structures); any
+/// other derives privately from [`BatchImage::updates`].
 pub struct BatchImage<'a, V> {
     updates: &'a [(Vec<usize>, V)],
     pre: &'a Arc<DenseArray<V>>,
@@ -170,7 +171,12 @@ impl<'a, V: NumericValue> BatchImage<'a, V> {
         let deltas = touched
             .into_iter()
             .map(|(flat, idx)| {
-                let delta = cube.get_flat(flat).clone() - base.get_flat(flat).clone();
+                // Wrapping: Z/2^w is the paper's group, so a delta that
+                // overflows still moves every sum by the true difference.
+                let delta = cube
+                    .get_flat(flat)
+                    .clone()
+                    .wrapping_sub(base.get_flat(flat).clone());
                 CellUpdate::new(idx, delta)
             })
             .collect();

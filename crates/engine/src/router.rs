@@ -19,24 +19,21 @@
 //!
 //! The router is `Send + Sync`: every method takes `&self`, so one
 //! router can serve queries from many threads at once. The engine set
-//! lives in an epoch-stamped immutable snapshot (`EngineSet` behind
-//! `RwLock<Arc<_>>`, the same discipline as [`crate::VersionCell`]):
+//! and the degradation tier live in one epoch-stamped immutable snapshot
+//! (`EngineSet`), in the snapshot slot [`crate::VersionCell`] uses too:
 //!
-//! - **readers** pin the current snapshot with one brief read-lock clone
-//!   and execute against it; an update installing a successor mid-query
-//!   never tears or blocks them,
-//! - **updates** ([`AdaptiveRouter::apply_updates`]) serialise on a
-//!   writer mutex, derive a copy-on-write successor of *every* engine
-//!   via [`RangeEngine::apply_updates`] with no lock held on the read
-//!   path, then install the whole set in one pointer swap — a concurrent
-//!   query always sees an all-pre-batch or all-post-batch candidate set,
-//!   never a mix,
+//! - **readers** pin the current set with one brief read-lock clone; an
+//!   install mid-query never tears or blocks them,
+//! - **updates** ([`AdaptiveRouter::apply_updates`]) serialise on the
+//!   slot's writer, derive *every* engine and the tier from one
+//!   [`BatchImage`], then install the whole set in one pointer swap — a
+//!   query sees an all-pre-batch or all-post-batch set, never a mix,
 //! - mutable routing state (breaker state, fault counters, the budget)
 //!   sits in one internal mutex held only for bookkeeping, never across
 //!   the estimate sweep or a dispatched query.
 //!
-//! Lock order is `writer` → `engines` → `state`; no path acquires them
-//! in any other order.
+//! Lock order is the slot's writer → the slot → `state`; no path
+//! acquires them in any other order.
 //!
 //! # Fault tolerance
 //!
@@ -71,15 +68,14 @@
 
 use crate::approx::DegradeTier;
 use crate::range_engine::{BatchImage, EngineOp, RangeEngine};
-use crate::version::{EpochGuard, EpochTracker};
+use crate::version::{EpochGuard, SnapshotCell};
 use crate::{EngineError, EpochStats};
 use olap_aggregate::NumericValue;
-use olap_array::{BudgetMeter, CancellationToken, DegradePolicy, QueryBudget, Region};
+use olap_array::{CancellationToken, DegradePolicy, QueryBudget, Region};
 use olap_query::{AccessStats, Estimate, QueryOutcome, RangeQuery};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// Consecutive engine faults that open the circuit breaker.
 pub const QUARANTINE_THRESHOLD: u32 = 3;
@@ -254,15 +250,27 @@ impl<V: fmt::Display> fmt::Display for Explain<V> {
 /// An immutable, epoch-stamped snapshot of the candidate engine set.
 /// Queries pin one and run against it; updates install a successor.
 struct EngineSet<V> {
-    epoch: u64,
     engines: Vec<Arc<dyn RangeEngine<V>>>,
-    /// The degradation tier, snapshot-consistent with the exact engines:
-    /// an update batch derives it together with them, so a degraded
-    /// answer never mixes pre- and post-batch data.
+    /// The degradation tier, derived with the exact engines from each
+    /// batch, so a degraded answer never mixes pre- and post-batch data.
     approx: Option<Arc<dyn DegradeTier<V>>>,
-    /// Keeps the epoch marked live (for the snapshot gauges) until the
-    /// last pin of this set drops.
-    _guard: EpochGuard,
+    /// The set's epoch, live until the last pin of this set drops.
+    guard: EpochGuard,
+}
+
+impl<V> EngineSet<V> {
+    /// Wraps `engines` and `approx` for installation under the guard the
+    /// snapshot slot mints.
+    fn stamped(
+        engines: Vec<Arc<dyn RangeEngine<V>>>,
+        approx: Option<Arc<dyn DegradeTier<V>>>,
+    ) -> impl FnOnce(EpochGuard) -> Self {
+        move |guard| EngineSet {
+            engines,
+            approx,
+            guard,
+        }
+    }
 }
 
 /// The router's mutable bookkeeping, guarded by one mutex held only for
@@ -465,22 +473,12 @@ impl<V> Routed<V> {
 /// model. Shareable across threads: see the module docs for
 /// the snapshot-isolation and locking discipline.
 pub struct AdaptiveRouter<V> {
-    /// The current engine-set snapshot. Readers hold the read side only
-    /// long enough to clone the `Arc`; the single writer holds the write
-    /// side only for the install swap.
-    engines: RwLock<Arc<EngineSet<V>>>,
-    /// Serialises derive+install cycles (updates, pushes) so successors
-    /// derive from the latest snapshot. Acquired before `engines`.
-    writer: Mutex<()>,
-    /// Routing bookkeeping; acquired after `engines`, never held across
-    /// a dispatched query.
+    /// The current engine-set snapshot; updates and pushes install
+    /// successors through it.
+    snapshots: SnapshotCell<EngineSet<V>>,
+    /// Routing bookkeeping; acquired after the snapshot slot, never held
+    /// across a dispatched query.
     state: Mutex<RouterState>,
-    /// Liveness of engine-set snapshots, for the snapshot gauges.
-    tracker: Arc<EpochTracker>,
-    /// Twice the current set's epoch, odd while `install` swaps the next
-    /// set in: [`AdaptiveRouter::epoch`] reads it like a seqlock, so
-    /// reading the epoch writes no shared memory.
-    seq: AtomicU64,
 }
 
 impl<V> AdaptiveRouter<V> {
@@ -493,21 +491,8 @@ impl<V> AdaptiveRouter<V> {
     /// (`olap_snapshot_live{cell="…"}` — e.g. `shard-3` in a sharded
     /// server).
     pub fn labeled(label: &str) -> Self {
-        let tracker = Arc::new(EpochTracker::new(label.to_string()));
-        tracker.register(0);
         AdaptiveRouter {
-            engines: RwLock::new(Arc::new(EngineSet {
-                epoch: 0,
-                engines: Vec::new(),
-                approx: None,
-                _guard: EpochGuard {
-                    epoch: 0,
-                    tracker: Arc::clone(&tracker),
-                },
-            })),
-            writer: Mutex::new(()),
-            tracker,
-            seq: AtomicU64::new(0),
+            snapshots: SnapshotCell::new(label, EngineSet::stamped(Vec::new(), None)),
             state: Mutex::new(RouterState {
                 healths: Vec::new(),
                 ticks: 0,
@@ -518,62 +503,20 @@ impl<V> AdaptiveRouter<V> {
         }
     }
 
-    /// Pins the current engine-set snapshot.
-    fn load(&self) -> Arc<EngineSet<V>> {
-        Arc::clone(&self.engines.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
     fn lock_state(&self) -> std::sync::MutexGuard<'_, RouterState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Publishes `engines` as the next snapshot epoch. Caller holds the
-    /// `writer` mutex.
-    fn install(
-        &self,
-        engines: Vec<Arc<dyn RangeEngine<V>>>,
-        approx: Option<Arc<dyn DegradeTier<V>>>,
-    ) {
-        // ordering: Relaxed — only the writer, under `writer`, stores it.
-        let seq = self.seq.load(Ordering::Relaxed);
-        let epoch = seq / 2 + 1;
-        self.tracker.register(epoch);
-        let next = Arc::new(EngineSet {
-            epoch,
-            engines,
-            approx,
-            _guard: EpochGuard {
-                epoch,
-                tracker: Arc::clone(&self.tracker),
-            },
-        });
-        // ordering: Relaxed — the odd mark is ordered before the swap by
-        // the `engines` write lock: a reader that pins the new set takes
-        // the read lock after that release, so its next `epoch()` sees at
-        // least the odd mark and waits for the new epoch.
-        self.seq.store(seq + 1, Ordering::Relaxed);
-        let old = std::mem::replace(
-            &mut *self.engines.write().unwrap_or_else(|e| e.into_inner()),
-            next,
-        );
-        // ordering: Release — pairs with the Acquire load in `epoch()`: a
-        // reader that sees the new epoch pins this set or a later one.
-        self.seq.store(seq + 2, Ordering::Release);
-        // The superseded set may be the last reference to its engines;
-        // free them outside the window `epoch()` waits on.
-        drop(old);
     }
 
     /// Adds an engine to the candidate set. Installs a new snapshot, so
     /// concurrent queries finish on the set they pinned.
     pub fn push(&self, engine: Box<dyn RangeEngine<V>>) {
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.load();
-        let mut engines: Vec<Arc<dyn RangeEngine<V>>> =
-            cur.engines.iter().map(Arc::clone).collect();
-        engines.push(Arc::from(engine));
-        self.install(engines, cur.approx.clone());
-        self.lock_state().healths.push(Health::default());
+        self.snapshots.update(|cur| {
+            let mut engines = cur.engines.clone();
+            engines.push(Arc::from(engine));
+            // The slot exists before any set can name the engine.
+            self.lock_state().healths.push(Health::default());
+            (Some(EngineSet::stamped(engines, cur.approx.clone())), ())
+        });
     }
 
     /// Registers the degradation tier — the cheapest serving tier, e.g.
@@ -589,10 +532,12 @@ impl<V> AdaptiveRouter<V> {
     /// Installs a new snapshot; subsequent update batches derive the tier
     /// together with the exact engines.
     pub fn set_degrade_tier(&self, tier: Arc<dyn DegradeTier<V>>) {
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.load();
-        let engines: Vec<Arc<dyn RangeEngine<V>>> = cur.engines.iter().map(Arc::clone).collect();
-        self.install(engines, Some(tier));
+        self.snapshots.update(|cur| {
+            (
+                Some(EngineSet::stamped(cur.engines.clone(), Some(tier))),
+                (),
+            )
+        });
     }
 
     /// Builder-style [`AdaptiveRouter::set_degrade_tier`].
@@ -602,9 +547,14 @@ impl<V> AdaptiveRouter<V> {
         self
     }
 
+    /// The current snapshot's degradation tier, when one is registered.
+    pub fn degrade_tier(&self) -> Option<Arc<dyn DegradeTier<V>>> {
+        self.snapshots.load().approx.clone()
+    }
+
     /// The degradation tier's label, when one is registered.
     pub fn degrade_tier_label(&self) -> Option<String> {
-        self.load().approx.as_ref().map(|t| t.label())
+        self.degrade_tier().map(|t| t.label())
     }
 
     /// Sets the per-query [`QueryBudget`] every routed query runs under.
@@ -640,7 +590,7 @@ impl<V> AdaptiveRouter<V> {
 
     /// Per-engine circuit-breaker state, in routing order.
     pub fn health(&self) -> Vec<EngineHealth> {
-        let set = self.load();
+        let set = self.snapshots.load();
         let st = self.lock_state();
         set.engines
             .iter()
@@ -662,46 +612,37 @@ impl<V> AdaptiveRouter<V> {
 
     /// Number of candidate engines.
     pub fn len(&self) -> usize {
-        self.load().engines.len()
+        self.snapshots.load().engines.len()
     }
 
     /// Whether the router has no engines.
     pub fn is_empty(&self) -> bool {
-        self.load().engines.is_empty()
+        self.snapshots.load().engines.is_empty()
     }
 
     /// The candidate engines' labels, in routing order.
     pub fn labels(&self) -> Vec<String> {
-        self.load().engines.iter().map(|e| e.label()).collect()
+        self.snapshots
+            .load()
+            .engines
+            .iter()
+            .map(|e| e.label())
+            .collect()
     }
 
     /// The current engine-set snapshot epoch: 0 at construction, +1 per
-    /// engine push and per installed update batch.
-    ///
-    /// A query that pins a set after reading epoch `e` pins set `e` or a
-    /// later one, and once it has pinned a later one this returns more
-    /// than `e`. So `epoch()` unchanged across a piece of work proves all
-    /// of it ran on set `e` — the guard the semantic cache's inserts rely
-    /// on. A caller arriving mid-swap waits it out; the swap is one
-    /// pointer store.
+    /// engine push, tier registration and installed update batch. A
+    /// query that pins after reading `e` runs on set `e` or later, and
+    /// then this returns more than `e` — the semantic cache's guard.
     pub fn epoch(&self) -> u64 {
-        loop {
-            // ordering: Acquire — pairs with the Release store that ends
-            // `install`, so the set this epoch names is the one a later
-            // pin sees (or a newer one).
-            let seq = self.seq.load(Ordering::Acquire);
-            if seq.is_multiple_of(2) {
-                return seq / 2;
-            }
-            std::thread::yield_now();
-        }
+        self.snapshots.epoch()
     }
 
     /// Snapshot-liveness bookkeeping: current epoch, engine sets still
     /// pinned by in-flight queries, and the reclamation lag (how many
     /// installs behind the slowest pinned snapshot is).
     pub fn epoch_stats(&self) -> EpochStats {
-        self.tracker.stats()
+        self.snapshots.epoch_stats()
     }
 
     /// A pinned handle to engine `i` in the current snapshot.
@@ -714,37 +655,7 @@ impl<V> AdaptiveRouter<V> {
         reason = "i < the engine count is the caller's contract, like slice indexing"
     )]
     pub fn engine(&self, i: usize) -> Arc<dyn RangeEngine<V>> {
-        Arc::clone(&self.load().engines[i])
-    }
-
-    /// Dispatches one attempt to engine `i` of the pinned set with the
-    /// panic boundary: a panicking engine surfaces as
-    /// [`EngineError::EnginePanicked`] instead of unwinding through the
-    /// router.
-    ///
-    /// `AssertUnwindSafe` is sound here because the closure only touches
-    /// the pinned snapshot's engine and the meter: the caller poisons the
-    /// engine on panic, so any state it tore mid-unwind is never
-    /// observed again.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "i is an engine position, and the router keeps one health slot per engine of its set"
-    )]
-    fn dispatch(
-        set: &EngineSet<V>,
-        i: usize,
-        region: &Region,
-        op: EngineOp,
-        meter: &BudgetMeter,
-    ) -> Result<QueryOutcome<V>, EngineError> {
-        let engine = &set.engines[i];
-        let result = catch_unwind(AssertUnwindSafe(|| engine.read(region, op, meter)));
-        result.unwrap_or_else(|payload| {
-            Err(EngineError::EnginePanicked {
-                engine: engine.label(),
-                message: panic_message(payload.as_ref()),
-            })
-        })
+        Arc::clone(&self.snapshots.load().engines[i])
     }
 
     /// Pins the current set, resolves `query` against it once, and routes
@@ -755,7 +666,7 @@ impl<V> AdaptiveRouter<V> {
         op: EngineOp,
         table: Option<&mut Vec<Candidate>>,
     ) -> Result<(usize, QueryOutcome<V>), EngineError> {
-        let set = self.load();
+        let set = self.snapshots.load();
         let region = resolve(&set, query, op);
         self.execute(&set, region.as_ref(), op, table)
     }
@@ -832,7 +743,8 @@ impl<V> AdaptiveRouter<V> {
             // other threads proceed while this engine works.
             let dispatched = {
                 let _kernel_span = olap_telemetry::TraceSpan::start("kernel_exec");
-                Self::dispatch(set, i, region, op, &meter)
+                let engine = &set.engines[i];
+                guarded(|| engine.label(), || engine.read(region, op, &meter))
             };
             match dispatched {
                 Ok(outcome) => {
@@ -902,7 +814,7 @@ impl<V> AdaptiveRouter<V> {
     /// # Errors
     /// [`EngineError::NoCandidate`] or the chosen engine's error.
     pub fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(&self.load(), Ok(region), op, None)
+        self.execute(&self.snapshots.load(), Ok(region), op, None)
             .map(|(_, o)| o)
     }
 
@@ -924,7 +836,7 @@ impl<V> AdaptiveRouter<V> {
     /// Whatever exact routing reported, when the policy forbids
     /// degradation, the reason is ineligible, or no tier is registered.
     pub fn answer(&self, query: &RangeQuery, op: EngineOp) -> Result<Routed<V>, EngineError> {
-        let set = self.load();
+        let set = self.snapshots.load();
         let region = resolve(&set, query, op);
         let exact_err = match self.execute(&set, region.as_ref(), op, None) {
             Ok((_, outcome)) => return Ok(Routed::Exact(outcome)),
@@ -962,7 +874,7 @@ impl<V> AdaptiveRouter<V> {
         op: EngineOp,
         reason: DegradeReason,
     ) -> Result<(Estimate<V>, AccessStats), EngineError> {
-        let set = self.load();
+        let set = self.snapshots.load();
         let tier = set
             .approx
             .as_ref()
@@ -984,132 +896,107 @@ impl<V> AdaptiveRouter<V> {
         Ok((estimate, stats))
     }
 
-    /// Applies absolute-value updates to **every** engine by deriving a
-    /// successor of each and installing the whole set as one new
-    /// snapshot. The batch is worked out once — a [`BatchImage`] from the
-    /// first healthy engine's [`RangeEngine::base`] — and every engine
-    /// derives onto it ([`RangeEngine::derive_onto`]), so engines built
-    /// over one shared base copy the cube once between them. Concurrent
-    /// queries are never blocked and never see a half-updated candidate
-    /// set: they finish on the snapshot they pinned, or start on the
-    /// fully-installed successor.
+    /// Applies absolute-value updates to **every** engine and to the
+    /// degradation tier, installing the derived set as one new snapshot:
+    /// concurrent queries finish on the set they pinned or start on the
+    /// successor, never a mix. The batch is worked out once — a
+    /// [`BatchImage`] from the first healthy engine's
+    /// [`RangeEngine::base`], else the tier's [`DegradeTier::base`] — and
+    /// everything derives onto it, so a stack over one shared base copies
+    /// the cube once between them.
     ///
-    /// A poisoned engine is never re-derived — its last good snapshot,
-    /// old base included, is carried forward untouched. An engine whose
-    /// derive fails or panics also keeps its pre-batch snapshot (and a
-    /// panic poisons it); the first such failure is reported after the
-    /// rest of the set has been derived, so healthy engines stay mutually
-    /// consistent.
+    /// A poisoned engine is never re-derived: its last good snapshot, old
+    /// base included, is carried forward. A member whose derive fails or
+    /// panics keeps its pre-batch snapshot (a panic poisons an exact
+    /// engine); the first failure is reported once the rest of the set
+    /// has been derived, so healthy engines stay mutually consistent.
     ///
     /// # Errors
     /// [`EngineError::Unsupported`] naming the first engine that cannot
     /// take updates, or an index the image rejects (either way nothing is
     /// derived or installed), or the first derive failure.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "i is an engine position, and the router keeps one health slot per engine of its set; poisoned has one flag per engine too"
-    )]
     pub fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError>
     where
         V: NumericValue,
     {
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.load();
-        if let Some(e) = cur
-            .engines
-            .iter()
-            .find(|e| !e.capabilities().supports(EngineOp::Update))
-        {
-            return Err(EngineError::unsupported(e.label(), "apply_updates"));
-        }
-        let poisoned: Vec<bool> = {
-            let st = self.lock_state();
-            (0..cur.engines.len())
-                .map(|i| {
-                    st.healths
-                        .get(i)
-                        .is_some_and(|h| h.status == Status::Poisoned)
-                })
-                .collect()
-        };
-        let image = cur
-            .engines
-            .iter()
-            .zip(&poisoned)
-            .find_map(|(e, &dead)| if dead { None } else { e.base() })
-            .map(|base| BatchImage::derive(base, updates))
-            .transpose()?;
-        let mut stats = AccessStats::new();
-        let mut first_err: Option<EngineError> = None;
-        let mut next: Vec<Arc<dyn RangeEngine<V>>> = Vec::with_capacity(cur.engines.len());
-        let mut newly_poisoned: Vec<usize> = Vec::new();
-        for (i, engine) in cur.engines.iter().enumerate() {
-            // A poisoned engine is never re-entered, not even to derive.
-            if poisoned[i] {
-                next.push(Arc::clone(engine));
-                continue;
+        self.snapshots.update(|cur| {
+            if let Some(e) = cur
+                .engines
+                .iter()
+                .find(|e| !e.capabilities().supports(EngineOp::Update))
+            {
+                return (
+                    None,
+                    Err(EngineError::unsupported(e.label(), "apply_updates")),
+                );
             }
-            let derive = || match &image {
-                Some(image) => engine.derive_onto(image),
-                None => engine.apply_updates(updates),
+            let poisoned: Vec<bool> = {
+                let st = self.lock_state();
+                (0..cur.engines.len())
+                    .map(|i| {
+                        st.healths
+                            .get(i)
+                            .is_some_and(|h| h.status == Status::Poisoned)
+                    })
+                    .collect()
             };
-            match catch_unwind(AssertUnwindSafe(derive)) {
-                Ok(Ok(derived)) => {
-                    stats += derived.stats;
-                    next.push(Arc::from(derived.engine));
-                }
-                // Keep deriving the remaining engines so the healthy
-                // candidate set stays mutually consistent; the first
-                // failure is still reported to the caller.
-                Ok(Err(e)) => {
-                    first_err.get_or_insert(e);
-                    next.push(Arc::clone(engine));
-                }
-                Err(payload) => {
-                    newly_poisoned.push(i);
-                    first_err.get_or_insert(EngineError::EnginePanicked {
-                        engine: engine.label(),
-                        message: panic_message(payload.as_ref()),
-                    });
-                    next.push(Arc::clone(engine));
-                }
+            let image = match cur
+                .engines
+                .iter()
+                .zip(&poisoned)
+                .find_map(|(e, &dead)| if dead { None } else { e.base() })
+                .or_else(|| cur.approx.as_ref().map(|tier| tier.base()))
+                .map(|base| BatchImage::derive(base, updates))
+                .transpose()
+            {
+                Ok(image) => image,
+                Err(e) => return (None, Err(e)),
+            };
+            let mut stats = AccessStats::new();
+            let mut first_err: Option<EngineError> = None;
+            let mut engines = Vec::with_capacity(cur.engines.len());
+            for ((i, engine), &dead) in cur.engines.iter().enumerate().zip(&poisoned) {
+                // A poisoned engine is never re-entered, not even to derive.
+                let derived = (!dead).then(|| {
+                    guarded(
+                        || engine.label(),
+                        || match &image {
+                            Some(image) => engine.derive_onto(image),
+                            None => engine.apply_updates(updates),
+                        },
+                    )
+                });
+                engines.push(match derived {
+                    None => Arc::clone(engine),
+                    Some(Ok(derived)) => {
+                        stats += derived.stats;
+                        Arc::from(derived.engine)
+                    }
+                    Some(Err(e)) => {
+                        if matches!(e, EngineError::EnginePanicked { .. }) {
+                            let mut st = self.lock_state();
+                            let tick = st.ticks;
+                            st.note_fault(i, tick, true);
+                        }
+                        first_err.get_or_insert(e);
+                        Arc::clone(engine)
+                    }
+                });
             }
-        }
-        // The degradation tier derives with the same batch, so degraded
-        // answers stay snapshot-consistent with the exact engines; on a
-        // derive failure or panic it keeps its pre-batch snapshot like
-        // any exact engine.
-        let next_approx = cur.approx.as_ref().map(|tier| {
-            match catch_unwind(AssertUnwindSafe(|| tier.derive_updated(updates))) {
-                Ok(Ok(derived)) => derived,
-                Ok(Err(e)) => {
+            // The tier derives onto the same image (there always is one
+            // with a tier), so degraded answers match the exact engines.
+            let approx = cur.approx.as_ref().map(|tier| {
+                let derived = image.as_ref().map_or(Ok(Arc::clone(tier)), |image| {
+                    guarded(|| tier.label(), || tier.derive_onto(image))
+                });
+                derived.unwrap_or_else(|e| {
                     first_err.get_or_insert(e);
                     Arc::clone(tier)
-                }
-                Err(payload) => {
-                    first_err.get_or_insert(EngineError::EnginePanicked {
-                        engine: tier.label(),
-                        message: panic_message(payload.as_ref()),
-                    });
-                    Arc::clone(tier)
-                }
-            }
-        });
-        // One atomic install: queries pinned before it finish on the
-        // pre-batch set, later ones estimate against the derived engines.
-        self.install(next, next_approx);
-        let mut st = self.lock_state();
-        for i in newly_poisoned {
-            st.faults.panics_contained += 1;
-            if st.healths[i].status != Status::Poisoned {
-                st.healths[i].status = Status::Poisoned;
-                st.faults.quarantines += 1;
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(stats),
-        }
+                })
+            });
+            let result = first_err.map_or(Ok(stats), Err);
+            (Some(EngineSet::stamped(engines, approx)), result)
+        })
     }
 
     /// Routes, executes, and reports the whole decision for a range-sum
@@ -1209,6 +1096,26 @@ fn record_route<V>(
     });
 }
 
+/// Runs `work` for the engine `label` names behind the panic boundary: a
+/// panic surfaces as [`EngineError::EnginePanicked`] instead of unwinding
+/// through the router. Every dispatch and every derive goes through it.
+///
+/// `AssertUnwindSafe` is sound here because `work` only touches one
+/// pinned engine (or tier) and the meter: the router poisons an engine
+/// that panicked and keeps a tier's pre-batch snapshot, so any state torn
+/// mid-unwind is never observed again.
+fn guarded<T>(
+    label: impl FnOnce() -> String,
+    work: impl FnOnce() -> Result<T, EngineError>,
+) -> Result<T, EngineError> {
+    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+        Err(EngineError::EnginePanicked {
+            engine: label(),
+            message: panic_message(payload.as_ref()),
+        })
+    })
+}
+
 /// Renders a contained panic payload as a human-readable message for
 /// [`EngineError::EnginePanicked`]. `panic!` with a literal yields `&str`,
 /// `panic!` with a format string yields `String`; anything else (a custom
@@ -1231,9 +1138,9 @@ impl<V> Default for AdaptiveRouter<V> {
 
 impl<V> fmt::Debug for AdaptiveRouter<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let set = self.load();
+        let set = self.snapshots.load();
         f.debug_struct("AdaptiveRouter")
-            .field("epoch", &set.epoch)
+            .field("epoch", &set.guard.epoch())
             .field(
                 "engines",
                 &set.engines.iter().map(|e| e.label()).collect::<Vec<_>>(),
@@ -1248,7 +1155,7 @@ mod tests {
     use crate::backends::{NaiveEngine, SumTreeEngine};
     use crate::range_engine::Derived;
     use crate::{CubeIndex, IndexConfig};
-    use olap_array::{DenseArray, Region, Shape};
+    use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 
     fn cube() -> DenseArray<i64> {
         DenseArray::from_fn(Shape::new(&[64, 64]).unwrap(), |i| {

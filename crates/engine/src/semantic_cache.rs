@@ -16,9 +16,12 @@
 //! # Consistency under snapshot installs
 //!
 //! Entries are keyed on the backend's snapshot epoch
-//! ([`CacheBackend::epoch`], the [`crate::VersionCell`] /
-//! [`crate::AdaptiveRouter`] install counter), and a lookup only consults
-//! entries stamped with the epoch it pinned. Updates applied *through*
+//! ([`CacheBackend::epoch`], the install counter of the snapshot slot
+//! that [`crate::VersionCell`] and [`crate::AdaptiveRouter`] share), and
+//! a lookup only consults entries stamped with the epoch it pinned. The
+//! slot's `epoch()` is a seqlock read: an epoch unchanged across a backend
+//! read proves the read ran on that epoch's snapshot, so an insert is
+//! refused whenever an install raced the computation. Updates applied *through*
 //! the cache ([`SemanticCache::apply_updates`]) invalidate region-wise:
 //! an install drops exactly the entries whose region contains an updated
 //! cell; everything else is re-stamped to the new epoch and survives — no
@@ -35,8 +38,7 @@
 //! update/invalidation cycles, `inner` guards the entry table. The
 //! backend is **never** called with `inner` held — a lookup probes under
 //! the lock, releases it, then executes on a miss — so cached reads never
-//! wait on engine work, matching the reader/writer discipline of
-//! [`crate::VersionCell`].
+//! wait on engine work, like readers of the snapshot slot beneath.
 
 use crate::{AdaptiveRouter, EngineError, EngineOp, VersionCell};
 use olap_aggregate::NumericValue;

@@ -1,5 +1,6 @@
 //! Versioned immutable engine snapshots: [`EngineVersion`] and the
-//! atomically-swapped [`VersionCell`].
+//! atomically-swapped [`VersionCell`], both built on the crate's one
+//! snapshot slot, `SnapshotCell`.
 //!
 //! The paper's Theorem-2 batch update rebuilds prefix-sum regions in
 //! place, which makes every engine single-caller: updates block readers.
@@ -8,27 +9,22 @@
 //! ([`RangeEngine::apply_updates`] is copy-on-write) and a [`VersionCell`]
 //! installs it atomically. In-flight queries finish on the snapshot they
 //! pinned with [`VersionCell::load`] — never a torn read, never blocked
-//! by a writer:
+//! by a writer. `AdaptiveRouter` keeps its engine set in the same slot.
 //!
 //! - **readers** take one brief `RwLock` read to clone the current
-//!   `Arc<EngineVersion>`; the derive and install happen entirely outside
-//!   that lock, so a reader can only ever contend with the pointer swap
-//!   itself,
-//! - **writers** serialise on a dedicated writer mutex, derive the
-//!   successor against the pinned current snapshot (no locks held on the
-//!   read path), then swap the `Arc` under a short write lock.
+//!   `Arc`, so a reader can only ever contend with the pointer swap,
+//! - **writers** serialise on a writer mutex, derive the successor
+//!   against the pinned current snapshot, then swap the `Arc` under a
+//!   short write lock,
+//! - **`epoch()`** reads an install sequence like a seqlock, writing no
+//!   shared memory.
 //!
-//! # Epoch lifecycle
-//!
-//! Every version carries an epoch (0 for the seed snapshot, +1 per
-//! install). A shared tracker records which epochs still have live
-//! pinned references; when the last `Arc<EngineVersion>` for an epoch
-//! drops, the epoch is reclaimed. [`VersionCell::epoch_stats`] exposes
-//! the live-snapshot count and the reclamation lag (newest installed
-//! epoch minus oldest still-live epoch), and — with the `telemetry`
-//! feature — the same numbers reach the metric registry as the
-//! `olap_snapshot_live` and `olap_snapshot_epoch_lag` gauges, labelled by
-//! the cell's name.
+//! Every snapshot carries an epoch (0 for the seed, +1 per install),
+//! live until the last `Arc` of it drops. [`VersionCell::epoch_stats`]
+//! reports the live-snapshot count and the reclamation lag (newest epoch
+//! minus oldest live one); under an active telemetry context the same
+//! numbers reach the `olap_snapshot_live` and `olap_snapshot_epoch_lag`
+//! gauges, labelled by the cell's name.
 
 use crate::range_engine::RangeEngine;
 use crate::EngineError;
@@ -50,90 +46,181 @@ pub struct EpochStats {
     pub reclamation_lag: u64,
 }
 
-/// Tracks which epochs still have live [`EngineVersion`]s, for the
-/// snapshot gauges. Shared between a [`VersionCell`] and every version it
-/// ever installed. Also used by `AdaptiveRouter` to track the liveness of
-/// its engine-set snapshots under the same gauges.
-pub(crate) struct EpochTracker {
+/// The epochs of one [`SnapshotCell`] that still have live snapshots,
+/// for the snapshot gauges; shared by the cell and every snapshot it
+/// stamped.
+struct EpochTracker {
     /// Cell name, the `cell` label on the exported gauges.
     label: String,
-    /// Epochs with at least one live [`EngineVersion`].
-    live: Mutex<BTreeSet<u64>>,
-    /// Newest epoch ever registered.
-    latest: AtomicU64,
+    /// The newest epoch ever stamped, and the epochs still live.
+    epochs: Mutex<(u64, BTreeSet<u64>)>,
 }
 
 impl EpochTracker {
-    pub(crate) fn new(label: String) -> Self {
-        EpochTracker {
-            label,
-            live: Mutex::new(BTreeSet::new()),
-            latest: AtomicU64::new(0),
+    /// Marks `epoch` live (at install, before the swap) or reclaimed (its
+    /// last snapshot dropped), and pushes the gauges to the telemetry
+    /// registry (no-op without an active context).
+    fn mark(&self, epoch: u64, live: bool) {
+        let mut epochs = self.epochs.lock().unwrap_or_else(|e| e.into_inner());
+        if live {
+            epochs.0 = epochs.0.max(epoch);
+            epochs.1.insert(epoch);
+        } else {
+            epochs.1.remove(&epoch);
         }
-    }
-
-    /// A new epoch becomes live (called at install time, before the swap).
-    pub(crate) fn register(&self, epoch: u64) {
-        // ordering: Relaxed — `latest` is a monotone watermark read only
-        // for reporting; the install itself synchronises via the cell's
-        // RwLock.
-        self.latest.fetch_max(epoch, Ordering::Relaxed);
-        let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-        live.insert(epoch);
-        self.publish(&live);
-    }
-
-    /// The last reference to an epoch's snapshot dropped.
-    fn release(&self, epoch: u64) {
-        let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-        live.remove(&epoch);
-        self.publish(&live);
-    }
-
-    pub(crate) fn stats(&self) -> EpochStats {
-        // ordering: Relaxed — reporting read of the watermark.
-        let latest = self.latest.load(Ordering::Relaxed);
-        let live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-        EpochStats {
-            epoch: latest,
-            live_snapshots: live.len(),
-            reclamation_lag: live
-                .first()
-                .map(|&oldest| latest.saturating_sub(oldest))
-                .unwrap_or(0),
-        }
-    }
-
-    /// Pushes the live-snapshot gauges to the telemetry registry (no-op
-    /// without an active context).
-    fn publish(&self, live: &BTreeSet<u64>) {
         if let Some(ctx) = olap_telemetry::current() {
-            let reg = ctx.registry();
+            let stats = stats_of(&epochs);
             let labels = [("cell", self.label.as_str())];
+            let reg = ctx.registry();
             reg.gauge("olap_snapshot_live", &labels)
-                .set(live.len() as f64);
-            // ordering: Relaxed — reporting read of the watermark.
-            let latest = self.latest.load(Ordering::Relaxed);
-            let lag = live
-                .first()
-                .map(|&oldest| latest.saturating_sub(oldest))
-                .unwrap_or(0);
+                .set(stats.live_snapshots as f64);
             reg.gauge("olap_snapshot_epoch_lag", &labels)
-                .set(lag as f64);
+                .set(stats.reclamation_lag as f64);
         }
+    }
+
+    fn stats(&self) -> EpochStats {
+        stats_of(&self.epochs.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
-/// Releases the epoch when the owning snapshot (an [`EngineVersion`], or
-/// the router's engine set) drops.
+fn stats_of((latest, live): &(u64, BTreeSet<u64>)) -> EpochStats {
+    EpochStats {
+        epoch: *latest,
+        live_snapshots: live.len(),
+        reclamation_lag: live.first().map_or(0, |&oldest| latest - oldest),
+    }
+}
+
+/// A snapshot's stamp: its install epoch, kept marked live until the
+/// snapshot that owns the guard drops. Only [`SnapshotCell`] mints one.
 pub(crate) struct EpochGuard {
-    pub(crate) epoch: u64,
-    pub(crate) tracker: Arc<EpochTracker>,
+    epoch: u64,
+    tracker: Arc<EpochTracker>,
+}
+
+impl EpochGuard {
+    /// The epoch the owning snapshot was installed at.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
 }
 
 impl Drop for EpochGuard {
     fn drop(&mut self) {
-        self.tracker.release(self.epoch);
+        self.tracker.mark(self.epoch, false);
+    }
+}
+
+/// The crate's one snapshot slot: the current `Arc<S>`, swapped whole on
+/// each install. [`VersionCell`] holds an [`EngineVersion`] in one, and
+/// `AdaptiveRouter` its engine set. Every `S` owns the [`EpochGuard`] the
+/// cell minted for it. See the module docs for the discipline.
+pub(crate) struct SnapshotCell<S> {
+    /// The current snapshot. Readers hold the read side only long enough
+    /// to clone the `Arc`; the single writer holds the write side only
+    /// for the swap itself.
+    current: RwLock<Arc<S>>,
+    /// Serialises derive+install cycles so successors are derived against
+    /// the latest snapshot. Held *while* acquiring `current` for the swap
+    /// (writer → current is the only cross-lock edge of the cell).
+    writer: Mutex<()>,
+    tracker: Arc<EpochTracker>,
+    /// Twice the current epoch, odd while `install` swaps the next
+    /// snapshot in: [`SnapshotCell::epoch`] reads it like a seqlock.
+    seq: AtomicU64,
+}
+
+impl<S> SnapshotCell<S> {
+    /// A cell named `label` in the snapshot gauges, holding `seed(guard)`
+    /// as epoch 0.
+    pub(crate) fn new(label: &str, seed: impl FnOnce(EpochGuard) -> S) -> Self {
+        let tracker = Arc::new(EpochTracker {
+            label: label.to_string(),
+            epochs: Mutex::default(),
+        });
+        let seed = seed(Self::stamp(&tracker, 0));
+        SnapshotCell {
+            current: RwLock::new(Arc::new(seed)),
+            writer: Mutex::new(()),
+            tracker,
+            seq: AtomicU64::new(0),
+        }
+    }
+
+    /// Registers `epoch` as live and mints its guard.
+    fn stamp(tracker: &Arc<EpochTracker>, epoch: u64) -> EpochGuard {
+        tracker.mark(epoch, true);
+        EpochGuard {
+            epoch,
+            tracker: Arc::clone(tracker),
+        }
+    }
+
+    /// Pins and returns the current snapshot.
+    pub(crate) fn load(&self) -> Arc<S> {
+        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// The current snapshot's epoch: 0 at construction, +1 per install.
+    ///
+    /// A reader that pins after reading epoch `e` pins snapshot `e` or a
+    /// later one, and once it has pinned a later one this returns more
+    /// than `e`. So `epoch()` unchanged across a piece of work proves all
+    /// of it ran on snapshot `e` — the guard the semantic cache's inserts
+    /// rely on. A caller arriving mid-swap waits the one pointer store out.
+    pub(crate) fn epoch(&self) -> u64 {
+        loop {
+            // ordering: Acquire — pairs with the Release store that ends
+            // `install`, so the snapshot this epoch names is the one a
+            // later pin sees (or a newer one).
+            let seq = self.seq.load(Ordering::Acquire);
+            if seq.is_multiple_of(2) {
+                return seq / 2;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Live-snapshot bookkeeping: current epoch, live count, and
+    /// reclamation lag.
+    pub(crate) fn epoch_stats(&self) -> EpochStats {
+        self.tracker.stats()
+    }
+
+    /// One derive+install cycle, serialised against every other writer.
+    /// `derive` runs against the pinned current snapshot with no lock
+    /// held on the read path, and returns the successor — a builder that
+    /// wraps it around the guard of the next epoch — or `None` to install
+    /// nothing, together with the caller's result.
+    pub(crate) fn update<F, R>(&self, derive: impl FnOnce(&S) -> (Option<F>, R)) -> R
+    where
+        F: FnOnce(EpochGuard) -> S,
+    {
+        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let (next, out) = derive(&self.load());
+        let Some(next) = next else {
+            return out;
+        };
+        // ordering: Relaxed — only the writer, under `writer`, stores it.
+        let seq = self.seq.load(Ordering::Relaxed);
+        let next = Arc::new(next(Self::stamp(&self.tracker, seq / 2 + 1)));
+        // ordering: Relaxed — the odd mark is ordered before the swap by
+        // the `current` write lock: a reader that pins the new snapshot
+        // takes the read lock after that release, so its next `epoch()`
+        // sees at least the odd mark and waits for the new epoch.
+        self.seq.store(seq + 1, Ordering::Relaxed);
+        let old = std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(|e| e.into_inner()),
+            next,
+        );
+        // ordering: Release — pairs with the Acquire load in `epoch()`: a
+        // reader that sees the new epoch pins this snapshot or a later one.
+        self.seq.store(seq + 2, Ordering::Release);
+        // The superseded snapshot may be the last reference to its
+        // engines; free them outside the window `epoch()` waits on.
+        drop(old);
+        out
     }
 }
 
@@ -144,16 +231,15 @@ impl Drop for EpochGuard {
 /// successors are installed meanwhile. Dropping the last reference
 /// reclaims the epoch.
 pub struct EngineVersion<V> {
-    epoch: u64,
     engine: Arc<dyn RangeEngine<V>>,
     /// Keeps the epoch marked live until this version drops.
-    _guard: EpochGuard,
+    guard: EpochGuard,
 }
 
 impl<V> EngineVersion<V> {
     /// The epoch this snapshot was installed at (0 for the seed).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.guard.epoch()
     }
 
     /// The snapshot's engine: query it with plain `&self` calls.
@@ -161,16 +247,16 @@ impl<V> EngineVersion<V> {
         self.engine.as_ref()
     }
 
-    /// A shareable handle to the snapshot's engine.
-    pub fn engine_arc(&self) -> Arc<dyn RangeEngine<V>> {
-        Arc::clone(&self.engine)
+    /// Wraps `engine` for installation under the guard the cell mints.
+    fn stamped(engine: Arc<dyn RangeEngine<V>>) -> impl FnOnce(EpochGuard) -> Self {
+        move |guard| EngineVersion { engine, guard }
     }
 }
 
 impl<V> std::fmt::Debug for EngineVersion<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineVersion")
-            .field("epoch", &self.epoch)
+            .field("epoch", &self.epoch())
             .field("engine", &self.engine.label())
             .finish()
     }
@@ -184,15 +270,7 @@ impl<V> std::fmt::Debug for EngineVersion<V> {
 /// install it with one pointer swap. See the module docs for the locking
 /// discipline.
 pub struct VersionCell<V> {
-    /// The current version. Readers hold the read side only long enough
-    /// to clone the `Arc`; the single writer holds the write side only
-    /// for the swap itself.
-    current: RwLock<Arc<EngineVersion<V>>>,
-    /// Serialises derive+install cycles so successors are derived against
-    /// the latest snapshot. Held *while* acquiring `current` for the swap
-    /// (writer → current is the only cross-lock edge in this module).
-    writer: Mutex<()>,
-    tracker: Arc<EpochTracker>,
+    snapshots: SnapshotCell<EngineVersion<V>>,
 }
 
 impl<V: 'static> VersionCell<V> {
@@ -204,38 +282,27 @@ impl<V: 'static> VersionCell<V> {
     /// Wraps a seed engine as epoch 0; `label` names the cell in the
     /// exported snapshot gauges (e.g. `shard-3`).
     pub fn with_label(engine: Box<dyn RangeEngine<V>>, label: &str) -> Self {
-        let tracker = Arc::new(EpochTracker::new(label.to_string()));
-        tracker.register(0);
-        let seed = Arc::new(EngineVersion {
-            epoch: 0,
-            engine: Arc::from(engine),
-            _guard: EpochGuard {
-                epoch: 0,
-                tracker: Arc::clone(&tracker),
-            },
-        });
         VersionCell {
-            current: RwLock::new(seed),
-            writer: Mutex::new(()),
-            tracker,
+            snapshots: SnapshotCell::new(label, EngineVersion::stamped(Arc::from(engine))),
         }
     }
 
     /// Pins and returns the current snapshot. In-flight queries against
     /// the returned version are isolated from any concurrent install.
     pub fn load(&self) -> Arc<EngineVersion<V>> {
-        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
+        self.snapshots.load()
     }
 
-    /// The current snapshot's epoch.
+    /// The current snapshot's epoch, read without pinning it: a query
+    /// that pins after reading epoch `e` runs on epoch `e` or later.
     pub fn epoch(&self) -> u64 {
-        self.load().epoch
+        self.snapshots.epoch()
     }
 
     /// Live-snapshot bookkeeping: current epoch, live count, and
     /// reclamation lag.
     pub fn epoch_stats(&self) -> EpochStats {
-        self.tracker.stats()
+        self.snapshots.epoch_stats()
     }
 
     /// Derives a successor snapshot with `updates` applied (copy-on-write,
@@ -249,42 +316,29 @@ impl<V: 'static> VersionCell<V> {
     /// Whatever the engine's derive reports; on error nothing is
     /// installed.
     pub fn update(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError> {
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.load();
-        let derived = cur.engine.apply_updates(updates)?;
-        self.swap_in(cur.epoch + 1, Arc::from(derived.engine));
-        Ok(derived.stats)
+        self.snapshots
+            .update(|cur| match cur.engine.apply_updates(updates) {
+                Ok(derived) => (
+                    Some(EngineVersion::stamped(Arc::from(derived.engine))),
+                    Ok(derived.stats),
+                ),
+                Err(e) => (None, Err(e)),
+            })
     }
 
     /// Replaces the current engine wholesale (e.g. after an offline
     /// rebuild) and returns the new epoch.
     pub fn install(&self, engine: Box<dyn RangeEngine<V>>) -> u64 {
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let epoch = self.load().epoch + 1;
-        self.swap_in(epoch, Arc::from(engine));
-        epoch
-    }
-
-    /// Publishes `engine` as `epoch`. Caller holds the writer mutex.
-    fn swap_in(&self, epoch: u64, engine: Arc<dyn RangeEngine<V>>) {
-        self.tracker.register(epoch);
-        let next = Arc::new(EngineVersion {
-            epoch,
-            engine,
-            _guard: EpochGuard {
-                epoch,
-                tracker: Arc::clone(&self.tracker),
-            },
-        });
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = next;
+        let next = EngineVersion::stamped(Arc::from(engine));
+        self.snapshots.update(|cur| (Some(next), cur.epoch() + 1))
     }
 }
 
 impl<V> std::fmt::Debug for VersionCell<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let cur = self.current.read().unwrap_or_else(|e| e.into_inner());
+        let cur = self.snapshots.load();
         f.debug_struct("VersionCell")
-            .field("epoch", &cur.epoch)
+            .field("epoch", &cur.epoch())
             .field("engine", &cur.engine.label())
             .finish()
     }
@@ -367,6 +421,68 @@ mod tests {
         ));
         assert_eq!(epoch, 1);
         assert!(cell.load().engine().label().contains("cube-index"));
+    }
+
+    #[test]
+    fn concurrent_pins_answer_for_their_own_epoch_while_the_writer_installs() {
+        // Install k writes 1000·k into cell [0, 0] (which starts at 0), so
+        // every snapshot's whole-cube sum names its own epoch.
+        const INSTALLS: u64 = 60;
+        let cell = Arc::new(VersionCell::new(Box::new(
+            CubeIndex::build(cube(), IndexConfig::default()).unwrap(),
+        )));
+        let probe = q(&[(0, 7), (0, 7)]);
+        let base: i64 = (0..64).sum();
+        let sum_at = move |epoch: u64| base + 1000 * epoch as i64;
+        // The newest epoch any reader has checked: the writer waits for it
+        // before each install, so every install lands among live pins.
+        let seen = Arc::new(AtomicU64::new(0));
+        let mut readers = Vec::new();
+        for _ in 0..3 {
+            let cell = Arc::clone(&cell);
+            let probe = probe.clone();
+            let seen = Arc::clone(&seen);
+            readers.push(std::thread::spawn(move || {
+                let mut last = 0;
+                let mut held: Vec<Arc<EngineVersion<i64>>> = Vec::new();
+                while last < INSTALLS {
+                    let before = cell.epoch();
+                    assert!(before >= last, "epoch went back: {last} → {before}");
+                    let pinned = cell.load();
+                    // A pin taken after reading `before` is that epoch or
+                    // later, and `epoch()` never trails a pinned snapshot
+                    // (it is never seen mid-install).
+                    assert!(pinned.epoch() >= before);
+                    last = cell.epoch();
+                    assert!(last >= pinned.epoch(), "{last} < {}", pinned.epoch());
+                    if held.len() < 8 {
+                        held.push(pinned);
+                    }
+                    // Every pin still answers for its own epoch, however
+                    // many installs ran since it was taken.
+                    for v in &held {
+                        let got = *v.engine().range_sum(&probe).unwrap().value().unwrap();
+                        assert_eq!(got, sum_at(v.epoch()), "epoch {}", v.epoch());
+                    }
+                    // ordering: Relaxed — a progress hint; the pins carry
+                    // their own synchronisation.
+                    seen.fetch_max(last, Ordering::Relaxed);
+                }
+            }));
+        }
+        for k in 1..=INSTALLS {
+            // ordering: Relaxed — see the readers' `fetch_max`. (A reader
+            // that failed stops advancing it; the join below reports it.)
+            while seen.load(Ordering::Relaxed) < k - 1 && !readers.iter().any(|r| r.is_finished()) {
+                std::thread::yield_now();
+            }
+            cell.update(&[(vec![0, 0], 1000 * k as i64)]).unwrap();
+            assert_eq!(cell.epoch(), k);
+        }
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert_eq!(cell.epoch_stats().live_snapshots, 1, "every pin released");
     }
 
     #[test]

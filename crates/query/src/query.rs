@@ -178,7 +178,6 @@ impl RangeQuery {
     /// ⟨d1, d2⟩").
     pub fn cuboid(&self, shape: &Shape) -> CuboidId {
         let mut id = CuboidId::empty();
-        // analyzer: allow(budget-coverage, reason = "cuboid assignment: trip count = ndim, not data volume")
         for (axis, (sel, &n)) in self.sels.iter().zip(shape.dims()).enumerate() {
             let covers_all = match *sel {
                 DimSelection::All => true,

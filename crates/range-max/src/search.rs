@@ -268,7 +268,6 @@ fn advance(
     strides: &[usize],
     flat: &mut usize,
 ) -> bool {
-    // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per child")
     for (((c, &l), &h), &s) in cur.iter_mut().zip(lo).zip(hi).zip(strides).rev() {
         if *c < h {
             *c += 1;
@@ -337,7 +336,6 @@ impl<O: TotalOrder> Search<'_, '_, '_, O> {
                     ctx.stats.read_a(cells.len() as u64);
                     ctx.stats.step(cells.len() as u64);
                     let mut best_val = a.get_flat(*best);
-                    // analyzer: allow(budget-coverage, reason = "one innermost run of one leaf node's box, at most b cells; the next node expanded, or the end of the read, charges them")
                     for (at, v) in cells.iter().enumerate() {
                         if order.gt(v, best_val) {
                             *best = base + at;
@@ -354,7 +352,6 @@ impl<O: TotalOrder> Search<'_, '_, '_, O> {
         let pending = self.bout.len();
         self.cur.copy_from_slice(&self.lo);
         let mut flat = children.shape.flatten(&self.lo);
-        // analyzer: allow(budget-coverage, reason = "walks one node's overlap box, at most b^d children; the next node expanded, or the end of the read, charges them")
         while let Some(&stored) = children.max_index.get(flat) {
             self.ctx.stats.visit_nodes(1);
             let internal = self.cur.iter().zip(&self.axes).all(|(&k, x)| x.covered(k));

@@ -718,23 +718,25 @@ impl CubeServer {
         let (acc, shards) =
             self.fan_out(query, EngineOp::Sum, |acc: &mut SumFold, _, volume, out| {
                 acc.cost += out.cost();
-                match out {
+                // The value wraps like every engine's sum, so the total is
+                // exact whenever it fits in `i64`, however the partials
+                // overflow on the way; the bounds saturate instead.
+                let (value, lower, upper) = match out {
                     ShardOutcome::Exact(o) => {
                         let v = o.value().copied().unwrap_or(0);
-                        acc.value += v;
-                        acc.lower += v;
-                        acc.upper += v;
                         acc.merge.note_exact(volume);
+                        (v, v, v)
                     }
                     ShardOutcome::Degraded {
                         estimate, reason, ..
                     } => {
-                        acc.value += estimate.value;
-                        acc.lower += estimate.lower;
-                        acc.upper += estimate.upper;
                         acc.merge.note_degraded(volume, &estimate, reason);
+                        (estimate.value, estimate.lower, estimate.upper)
                     }
-                }
+                };
+                acc.value = acc.value.wrapping_add(value);
+                acc.lower = acc.lower.saturating_add(lower);
+                acc.upper = acc.upper.saturating_add(upper);
             })?;
         let _merge = olap_telemetry::TraceSpan::start("merge");
         let estimate = acc.merge.finish(acc.value, acc.lower, acc.upper);
@@ -1036,14 +1038,16 @@ fn build_shard(
         Some(plan) => router.push(Box::new(FaultyEngine::new(index, *plan))),
         None => router.push(index),
     }
-    // The degradation tier is built from the same slab snapshot as the
-    // exact engines; router updates derive it in lockstep, so estimates
+    // The degradation tier holds the same base as the exact engines, and
+    // router updates derive it from the same batch image, so estimates
     // always bracket the snapshot the query pinned. Block size 8 keeps
     // the anchor grid ~2^-3d of the slab while bounding every partial
     // block's interpolation to 8^d cells.
     if config.degrade_enabled() {
-        let private = DenseArray::clone(&sub);
-        router.set_degrade_tier(Arc::new(ApproxEngine::build(private, DEGRADE_BLOCK)?));
+        router.set_degrade_tier(Arc::new(ApproxEngine::build(
+            Arc::clone(&sub),
+            DEGRADE_BLOCK,
+        )?));
     }
     // The naive scan is never fault-wrapped: it is the shard's last-resort
     // failover target, so chaos drills stay answerable.
@@ -1057,4 +1061,47 @@ fn build_shard(
         depth: InFlightCount::default(),
         label,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_degrade_tier_shares_the_exact_engines_base_across_batches() {
+        let cube = DenseArray::from_fn(Shape::new(&[16, 16]).unwrap(), |i| {
+            (i[0] * 16 + i[1]) as i64
+        });
+        let config = ServeConfig {
+            shards: 2,
+            budget: QueryBudget::unlimited().degrade(),
+            ..ServeConfig::default()
+        };
+        let server = CubeServer::build(&cube, config).unwrap();
+        let shares_one_base = |server: &CubeServer| {
+            server.shards.iter().all(|s| {
+                let router = s.router();
+                let tier = router.degrade_tier().expect("degrade is on");
+                (0..router.len()).all(|i| {
+                    router
+                        .engine(i)
+                        .base()
+                        .is_some_and(|base| Arc::ptr_eq(base, tier.base()))
+                })
+            })
+        };
+        assert!(shares_one_base(&server), "at build");
+        server
+            .apply_updates(&[(vec![3, 4], 5000), (vec![12, 9], -7)])
+            .unwrap();
+        assert!(shares_one_base(&server), "after a batch");
+        // The tier estimates the post-batch cube.
+        let region = Region::from_bounds(&[(0, 7), (0, 7)]).unwrap();
+        let (estimate, _) = server.shards[0]
+            .router()
+            .degrade(&region, EngineOp::Sum, DegradeReason::QueueDepth)
+            .unwrap();
+        let truth = cube.fold_region(&region, 0i64, |s, &x| s + x) - cube.get(&[3, 4]) + 5000;
+        assert!(estimate.contains(truth), "{truth} outside {estimate}");
+    }
 }

@@ -19,12 +19,10 @@ impl<T: Clone> SparseCube<T> {
     /// Out-of-shape indices; duplicate indices are rejected as
     /// [`ArrayError::StorageMismatch`]-style errors.
     pub fn new(shape: Shape, mut points: Vec<(Vec<usize>, T)>) -> Result<Self, ArrayError> {
-        // analyzer: allow(budget-coverage, reason = "construction-time validation, not a query path; no meter exists yet")
         for (idx, _) in &points {
             shape.check_index(idx)?;
         }
         points.sort_by_key(|(idx, _)| shape.flatten(idx));
-        // analyzer: allow(budget-coverage, reason = "construction-time duplicate check, not a query path; no meter exists yet")
         for w in points.windows(2) {
             if w.first().map(|p| &p.0) == w.last().map(|p| &p.0) {
                 return Err(ArrayError::StorageMismatch {

@@ -1,5 +1,5 @@
-//! Global and scoped telemetry contexts, and the one-atomic-load fast
-//! path instrumented code relies on.
+//! Scoped telemetry contexts, and the one-atomic-load fast path
+//! instrumented code relies on.
 //!
 //! A [`Telemetry`] context bundles a [`Registry`] and a
 //! [`FlightRecorder`]. Instrumented call sites ask [`current`] for the
@@ -8,19 +8,17 @@
 //! - if **no** context is active anywhere in the process, [`current`] is a
 //!   single relaxed atomic load returning `None` — the disabled cost,
 //!   the denominator of the perf ledger's `telemetry.active_tax` rung,
-//! - a context entered with [`with_scope`] (thread-local, innermost wins)
-//!   takes precedence,
-//! - otherwise the process-wide context installed by [`enable_global`]
-//!   answers.
+//! - otherwise the innermost context entered with [`with_scope`] on the
+//!   calling thread answers.
 //!
-//! Scoped contexts are how tests and the CLI isolate a workload's metrics
-//! from everything else running in the process.
+//! Scopes are how tests and the CLI isolate a workload's metrics from
+//! everything else running in the process.
 
 use crate::flight::FlightRecorder;
 use crate::registry::Registry;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A bundle of telemetry sinks: metric registry and flight recorder.
 #[derive(Default)]
@@ -65,14 +63,9 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-/// Number of active contexts (global counts as one). Zero ⇒ the fast
-/// path: instrumentation is a single load of this atomic.
+/// Number of scopes entered on any thread. Zero ⇒ the fast path:
+/// instrumentation is a single load of this atomic.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether the global context is currently enabled.
-static GLOBAL_ON: AtomicBool = AtomicBool::new(false);
-
-static GLOBAL: OnceLock<Arc<Telemetry>> = OnceLock::new();
 
 thread_local! {
     static SCOPES: RefCell<Vec<Arc<Telemetry>>> = const { RefCell::new(Vec::new()) };
@@ -83,44 +76,10 @@ thread_local! {
 #[inline]
 pub fn enabled() -> bool {
     // ordering: Relaxed — ACTIVE is a hint, not a publication channel.
-    // The context data itself is published by OnceLock (global) or a
-    // thread-local (scoped); a stale zero here only delays the first
-    // recording by one query, which the protocol tolerates.
+    // The context itself lives in a thread-local; a stale zero here only
+    // delays the first recording by one query, which the protocol
+    // tolerates.
     ACTIVE.load(Ordering::Relaxed) != 0
-}
-
-/// The process-wide telemetry context (created lazily; recording to it is
-/// a no-op for instrumented code until [`enable_global`]).
-pub fn global() -> Arc<Telemetry> {
-    GLOBAL.get_or_init(|| Arc::new(Telemetry::new())).clone()
-}
-
-/// Turns on the process-wide context: every instrumented call site starts
-/// recording into [`global`]'s registry and flight recorder.
-pub fn enable_global() {
-    // ordering: AcqRel — the swap is the sole arbiter of the off→on
-    // transition (exactly one caller wins and bumps ACTIVE); AcqRel
-    // pairs it with the mirror swap in `disable_global`. The Telemetry
-    // value itself is published by the OnceLock inside `global()`, so
-    // no SeqCst fence is needed — there is no second independent atomic
-    // whose order relative to this one matters.
-    if !GLOBAL_ON.swap(true, Ordering::AcqRel) {
-        let _ = global(); // materialize before the first hot-path lookup
-                          // ordering: Relaxed — pure counter feeding the `enabled()` hint;
-                          // see the justification there.
-        ACTIVE.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Turns the process-wide context back off (scoped contexts are
-/// unaffected). The registry contents are kept.
-pub fn disable_global() {
-    // ordering: AcqRel — mirror of the swap in `enable_global`; exactly
-    // one caller observes on→off and decrements ACTIVE.
-    if GLOBAL_ON.swap(false, Ordering::AcqRel) {
-        // ordering: Relaxed — counter hint only; see `enabled()`.
-        ACTIVE.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 struct ScopeGuard;
@@ -155,8 +114,8 @@ pub fn with_scope<R>(ctx: &Arc<Telemetry>, f: impl FnOnce() -> R) -> R {
 }
 
 /// The active telemetry context for this thread: the innermost
-/// [`with_scope`] context, else the global context when enabled, else
-/// `None`. When nothing is active anywhere this is one atomic load.
+/// [`with_scope`] context, else `None`. When no scope is entered
+/// anywhere this is one atomic load.
 #[inline]
 pub fn current() -> Option<Arc<Telemetry>> {
     if !enabled() {
@@ -167,24 +126,12 @@ pub fn current() -> Option<Arc<Telemetry>> {
 
 #[inline(never)]
 fn current_slow() -> Option<Arc<Telemetry>> {
-    let local = SCOPES.with(|s| s.borrow().last().cloned());
-    if local.is_some() {
-        return local;
-    }
-    // ordering: Relaxed — `global()` synchronizes through its OnceLock,
-    // so this load only decides *whether* to consult it; a stale answer
-    // is a missed (or spurious but harmless) lookup, not a data race.
-    if GLOBAL_ON.load(Ordering::Relaxed) {
-        Some(global())
-    } else {
-        None
-    }
+    SCOPES.with(|s| s.borrow().last().cloned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     // These tests share the process-global ACTIVE counter with every
     // other test in this binary, so they only assert on *scoped* state
@@ -240,30 +187,11 @@ mod tests {
         let a = Arc::new(Telemetry::new());
         with_scope(&a, || {
             let handle = std::thread::spawn(|| {
-                // The spawned thread has no scoped context; with the
-                // global context off it may still see `None` even though
+                // The spawned thread has no scoped context, even though
                 // ACTIVE is nonzero because of our scope.
                 SCOPES.with(|s| s.borrow().len())
             });
             assert_eq!(handle.join().unwrap(), 0);
         });
-    }
-
-    #[test]
-    fn global_roundtrip() {
-        // Serialise with a local lock so parallel tests in this module
-        // don't interleave global enable/disable.
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap();
-        enable_global();
-        assert!(enabled());
-        let ctx = current().expect("global active");
-        ctx.registry().counter("global_hits", &[]).inc(1);
-        assert!(global().registry().counter("global_hits", &[]).get() >= 1);
-        disable_global();
-        // Double disable is harmless.
-        disable_global();
-        enable_global();
-        disable_global();
     }
 }

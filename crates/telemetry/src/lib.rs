@@ -11,13 +11,12 @@
 //! - [`FlightRecorder`]: a fixed-capacity ring buffer of the last N query
 //!   outcomes + route decisions ([`FlightRecord`]), dumpable as JSON,
 //! - [`TraceSpan`] / [`TraceSink`]: end-to-end per-query tracing — span
-//!   trees propagated by value across queues and threads, exportable as
-//!   Chrome trace-event JSON (see the `trace` module docs),
-//! - [`Telemetry`] + the dispatch layer ([`current`], [`with_scope`],
-//!   [`enable_global`]): instrumented call sites ask for the current
-//!   telemetry context; when none is installed anywhere the check is a
-//!   single relaxed atomic load, so instrumentation in hot paths is free
-//!   by default.
+//!   trees on the serving thread, exportable as Chrome trace-event JSON
+//!   (see the `trace` module docs),
+//! - [`Telemetry`] + the dispatch layer ([`current`], [`with_scope`]):
+//!   instrumented call sites ask for the current telemetry context; when
+//!   none is entered anywhere the check is a single relaxed atomic load,
+//!   so instrumentation in hot paths is free by default.
 //!
 //! # Cost model of the instrumentation itself
 //!
@@ -31,9 +30,8 @@
 //!
 //! [`current`] first loads one global atomic; with telemetry disabled
 //! (the default) it returns `None` immediately — no allocation, no lock,
-//! no thread-local touch. Only when a context is active (globally via
-//! [`enable_global`], or scoped via [`with_scope`]) does the full lookup
-//! run.
+//! no thread-local touch. Only when a context is active (entered with
+//! [`with_scope`] on some thread) does the full lookup run.
 //!
 //! # Scoping and determinism
 //!
@@ -68,9 +66,7 @@ mod flight;
 mod registry;
 mod trace;
 
-pub use dispatch::{
-    current, disable_global, enable_global, enabled, global, with_scope, Telemetry,
-};
+pub use dispatch::{current, enabled, with_scope, Telemetry};
 pub use flight::{
     cache_outcome, CacheOutcomeScope, FlightRecord, FlightRecorder, DEFAULT_FLIGHT_CAPACITY,
 };
@@ -78,9 +74,8 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
 };
 pub use trace::{
-    current_trace, tracing_active, EnteredTrace, SlowTrace, SpanId, SpanRecord, SpanTree,
-    TraceContext, TraceHandle, TraceId, TraceSink, TraceSpan, DEFAULT_SLOW_RING_CAPACITY,
-    DEFAULT_TRACE_CAPACITY,
+    tracing_active, SlowTrace, SpanId, SpanRecord, SpanTree, TraceContext, TraceId, TraceSink,
+    TraceSpan, DEFAULT_SLOW_RING_CAPACITY, DEFAULT_TRACE_CAPACITY,
 };
 
 /// Escapes a string for inclusion in a JSON string literal.

@@ -14,7 +14,8 @@
 //! ```
 //!
 //! `CubeServer` answers a query on its caller's thread, so every span of
-//! a served query carries the root's `tid`.
+//! a served query carries the root's `tid`. Scopes are strictly
+//! thread-local: a trace never continues on another thread.
 //!
 //! The design mirrors the dispatch layer's cost model: when no trace
 //! scope is entered on the current thread, [`TraceSpan::start`] is a
@@ -24,12 +25,9 @@
 //! [`TraceSink`]; the root installs a thread-local scope frame (trace
 //! id, current span id, and sink), and nested [`TraceSpan::start`] calls
 //! parent themselves under it automatically *without* touching any
-//! cross-thread state: a child span borrows the sink from the enclosing
+//! cross-thread state: a child span borrows the sink from the root's
 //! frame, so the recording fast path performs no reference-count or
-//! shared-counter writes. One explicit propagation primitive crosses
-//! threads: [`TraceHandle::enter`] re-enters a captured context
-//! ([`current_trace`]) on another thread, so spans started there join the
-//! same tree.
+//! shared-counter writes.
 //!
 //! Completed spans land in the sink — a bounded store (drop-counted at
 //! capacity, never reallocating past it) with a slow-query ring keeping
@@ -63,7 +61,7 @@ pub struct TraceId(pub u64);
 pub struct SpanId(pub u64);
 
 /// The propagated trace position: which trace, and which span new child
-/// spans should parent under. Copied by value across queues and threads.
+/// spans should parent under. Copied by value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceContext {
     /// The owning trace.
@@ -105,16 +103,15 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 /// One entry of the thread-local trace scope stack.
 ///
-/// Only *owning* entries — a trace root or a cross-thread re-entry —
-/// carry the sink. A child span's entry is just its [`TraceContext`]:
-/// the span is scoped strictly inside the frame that spawned it, so it
-/// borrows the sink (and its liveness) from the nearest `Frame` beneath
-/// it instead of bumping the `Arc` refcount. That keeps starting and
-/// dropping a child span free of shared-memory writes other than the
-/// record itself.
+/// Only a trace root owns the sink. A child span's entry is just its
+/// [`TraceContext`]: the span is scoped strictly inside the root that
+/// spawned it, so it borrows the sink (and its liveness) from the nearest
+/// `Root` beneath it instead of bumping the `Arc` refcount. That keeps
+/// starting and dropping a child span free of shared-memory writes other
+/// than the record itself.
 enum ScopeEntry {
-    /// An owning frame: [`TraceSpan::root`] or [`TraceHandle::enter`].
-    Frame(TraceHandle),
+    /// A trace root started by [`TraceSpan::root`], owning its sink.
+    Root(TraceContext, Arc<TraceSink>),
     /// A child span started by [`TraceSpan::start`].
     Child(TraceContext),
 }
@@ -122,16 +119,15 @@ enum ScopeEntry {
 impl ScopeEntry {
     fn ctx(&self) -> TraceContext {
         match self {
-            ScopeEntry::Frame(h) => h.ctx,
-            ScopeEntry::Child(c) => *c,
+            ScopeEntry::Root(c, _) | ScopeEntry::Child(c) => *c,
         }
     }
 }
 
-/// The nearest owning frame's sink at or below the top of `stack`.
+/// The nearest root's sink at or below the top of `stack`.
 fn innermost_sink(stack: &[ScopeEntry]) -> Option<&Arc<TraceSink>> {
     stack.iter().rev().find_map(|e| match e {
-        ScopeEntry::Frame(h) => Some(&h.sink),
+        ScopeEntry::Root(_, sink) => Some(sink),
         ScopeEntry::Child(_) => None,
     })
 }
@@ -167,40 +163,9 @@ pub fn tracing_active() -> bool {
     SCOPE_DEPTH.with(|d| d.get() != 0)
 }
 
-/// The innermost trace scope entered on this thread, if any. One
-/// thread-local read when no scope is entered.
-#[inline]
-pub fn current_trace() -> Option<TraceHandle> {
-    if !tracing_active() {
-        return None;
-    }
-    current_trace_slow()
-}
-
-#[inline(never)]
-fn current_trace_slow() -> Option<TraceHandle> {
-    TRACE_SCOPES.with(|s| {
-        let stack = s.borrow();
-        let ctx = stack.last()?.ctx();
-        let sink = innermost_sink(&stack)?;
-        Some(TraceHandle {
-            ctx,
-            sink: Arc::clone(sink),
-        })
-    })
-}
-
 fn push_scope(entry: ScopeEntry) {
     TRACE_SCOPES.with(|s| s.borrow_mut().push(entry));
     SCOPE_DEPTH.with(|d| d.set(d.get() + 1));
-}
-
-fn pop_scope() -> Option<ScopeEntry> {
-    let popped = TRACE_SCOPES.with(|s| s.borrow_mut().pop());
-    if popped.is_some() {
-        SCOPE_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-    }
-    popped
 }
 
 /// Feeds a completed span into the `olap_span_nanos{span=NAME}`
@@ -213,62 +178,13 @@ fn forward_to_telemetry(name: &'static str, nanos: u64) {
     }
 }
 
-/// A cloneable capability to record into one trace: the [`TraceContext`]
-/// plus the owning sink. `Send`, so it can be captured and re-entered by
-/// fan-out workers ([`TraceHandle::enter`]).
-#[derive(Clone)]
-pub struct TraceHandle {
-    ctx: TraceContext,
-    sink: Arc<TraceSink>,
-}
-
-impl TraceHandle {
-    /// The propagated trace position.
-    pub fn context(&self) -> TraceContext {
-        self.ctx
-    }
-
-    /// The sink completed spans are recorded into.
-    pub fn sink(&self) -> &Arc<TraceSink> {
-        &self.sink
-    }
-
-    /// Re-enters this context on the current thread: until the returned
-    /// guard drops, [`TraceSpan::start`] parents under `context().span`.
-    /// Nestable (innermost wins); unwound correctly on panic.
-    pub fn enter(&self) -> EnteredTrace {
-        push_scope(ScopeEntry::Frame(self.clone()));
-        EnteredTrace(())
-    }
-}
-
-impl fmt::Debug for TraceHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceHandle")
-            .field("ctx", &self.ctx)
-            .finish()
-    }
-}
-
-/// Guard for a re-entered trace scope; pops it on drop.
-#[derive(Debug)]
-pub struct EnteredTrace(());
-
-impl Drop for EnteredTrace {
-    fn drop(&mut self) {
-        let _ = pop_scope();
-    }
-}
-
 /// An active span; records into the sink on drop. The root span of a
 /// query comes from [`TraceSpan::root`]; everything below it from
 /// [`TraceSpan::start`], which is inert (one thread-local read) when no
 /// trace scope is entered on the current thread.
 ///
 /// A span is pinned to the thread that started it (`!Send`): its scope
-/// entry lives on that thread's stack, and the drop pops it there. Cross-
-/// thread propagation goes through [`TraceHandle::enter`], which owns its
-/// sink reference.
+/// entry lives on that thread's stack, and the drop pops it there.
 pub struct TraceSpan {
     state: Option<SpanState>,
     /// Spans manipulate the thread-local scope stack on drop, so moving
@@ -299,10 +215,7 @@ impl TraceSpan {
             span: SpanId(sink.alloc_span()),
         };
         let start_ns = sink.now_ns();
-        push_scope(ScopeEntry::Frame(TraceHandle {
-            ctx,
-            sink: Arc::clone(sink),
-        }));
+        push_scope(ScopeEntry::Root(ctx, Arc::clone(sink)));
         TraceSpan {
             state: Some(SpanState {
                 ctx,
@@ -316,7 +229,7 @@ impl TraceSpan {
     }
 
     /// Starts a child span under the current thread's trace scope; inert
-    /// when no scope is entered. While alive, it is itself the current
+    /// (one thread-local read) when no scope is entered. While alive, it is itself the current
     /// scope, so further spans nest under it.
     ///
     /// The recording path touches no cross-thread state beyond the id
@@ -371,7 +284,7 @@ impl Drop for TraceSpan {
             return;
         };
         // Pop our own scope entry and resolve the sink: a root carries it
-        // in the popped frame; a child borrows it from the nearest frame
+        // in the popped entry; a child borrows it from the nearest root
         // still on the stack (which outlives the child by RAII).
         let finished = TRACE_SCOPES.with(|s| {
             let mut stack = s.borrow_mut();
@@ -396,7 +309,7 @@ impl Drop for TraceSpan {
                 dur_ns
             };
             match popped {
-                Some(ScopeEntry::Frame(h)) => Some(dur_of(&h.sink)),
+                Some(ScopeEntry::Root(_, sink)) => Some(dur_of(&sink)),
                 Some(ScopeEntry::Child(_)) => innermost_sink(&stack).map(|sink| dur_of(sink)),
                 None => None,
             }
@@ -756,23 +669,6 @@ mod tests {
             }
         }
         contained(&tree);
-    }
-
-    #[test]
-    fn handle_reenters_in_workers() {
-        let sink = Arc::new(TraceSink::new());
-        let root = TraceSpan::root(&sink, "serve_query");
-        let trace = root.context().expect("root records").trace;
-        let handle = current_trace().expect("scope entered");
-        let worker = std::thread::spawn(move || {
-            assert!(current_trace_slow().is_none(), "scopes are thread-local");
-            let _entered = handle.enter();
-            drop(TraceSpan::start("exec_worker"));
-        });
-        worker.join().expect("worker");
-        drop(root);
-        let tree = sink.trace_tree(trace).expect("tree assembles");
-        assert_eq!(tree.edge_set(), vec![("exec_worker", "serve_query")]);
     }
 
     #[test]

@@ -3,12 +3,14 @@
 
 use olap_cube::aggregate::NaturalOrder;
 use olap_cube::array::{ArrayError, DenseArray, Region, Shape};
-use olap_cube::engine::{CubeIndex, IndexConfig, PrefixChoice};
+use olap_cube::engine::{AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice};
 use olap_cube::prefix_sum::{batch, BlockedPrefixCube, PrefixSumCube};
-use olap_cube::query::QueryCtx;
+use olap_cube::query::{QueryCtx, RangeQuery};
 use olap_cube::range_max::{MaxTree, NaturalMaxTree};
+use olap_cube::server::{CubeServer, ServeConfig};
 use olap_cube::sparse::{SparseCube, SparseRangeSum};
 use olap_cube::tree_sum::SumTreeCube;
+use std::sync::Arc;
 
 #[test]
 fn single_cell_cube_everywhere() {
@@ -92,6 +94,88 @@ fn prefix_sums_past_i64_max_still_answer_exactly() {
     let a = DenseArray::from_vec(Shape::new(&[2]).unwrap(), vec![5i64, i64::MAX]).unwrap();
     let q = Region::from_bounds(&[(1, 1)]).unwrap();
     assert_eq!(PrefixSumCube::build(&a).range_sum(&q).unwrap(), i64::MAX);
+}
+
+/// The exact-sum contract against an `i128` oracle: the true sum when it
+/// fits in `i64`, the true sum mod 2^64 otherwise.
+fn oracle_sum(a: &DenseArray<i64>, region: &Region) -> i64 {
+    a.fold_region(region, 0i128, |s, &x| s + x as i128) as i64
+}
+
+/// Every region of `a` whose extent on each axis is either the full axis
+/// or one cell, paired with its query.
+fn probe_regions(a: &DenseArray<i64>) -> Vec<(Region, RangeQuery)> {
+    let dims = a.shape().dims().to_vec();
+    let mut out = Vec::new();
+    for lo in 0..dims[0] {
+        for hi in lo..dims[0] {
+            for cols in [(0, dims[1] - 1), (2, 2), (0, 2)] {
+                let r = Region::from_bounds(&[(lo, hi), cols]).unwrap();
+                out.push((r.clone(), RangeQuery::from_region(&r)));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn served_sums_wrap_across_shards_to_the_true_total() {
+    // One row per shard: the slabs sum to i64::MAX, 10 and -20, so the
+    // total fits in i64 while the running fold over the partials does not.
+    let a = DenseArray::from_vec(
+        Shape::new(&[3, 4]).unwrap(),
+        vec![i64::MAX, 0, 0, 0, 4, 0, 6, 0, -20, 0, 0, 0],
+    )
+    .unwrap();
+    let config = ServeConfig {
+        shards: 3,
+        ..ServeConfig::default()
+    };
+    let server = CubeServer::build(&a, config).unwrap();
+    let all = Region::from_bounds(&[(0, 2), (0, 3)]).unwrap();
+    assert_eq!(oracle_sum(&a, &all), i64::MAX - 10);
+    for (region, query) in probe_regions(&a) {
+        let got = server.range_sum(&query).unwrap().value;
+        assert_eq!(got, oracle_sum(&a, &region), "{region:?}");
+    }
+}
+
+#[test]
+fn a_batch_from_i64_min_to_i64_max_answers_through_router_and_server() {
+    let a = DenseArray::from_fn(Shape::new(&[4, 4]).unwrap(), |i| {
+        if i == [1, 2] {
+            i64::MIN
+        } else {
+            (i[0] * 4 + i[1]) as i64
+        }
+    });
+    let batch = [(vec![1, 2], i64::MAX)];
+    let mut after = a.clone();
+    *after.get_mut(&[1, 2]) = i64::MAX;
+
+    let base = Arc::new(a.clone());
+    let router = AdaptiveRouter::new()
+        .with_engine(Box::new(
+            CubeIndex::build(Arc::clone(&base), IndexConfig::default()).unwrap(),
+        ))
+        .with_engine(Box::new(NaiveEngine::new(base)));
+    router.apply_updates(&batch).unwrap();
+    let server = CubeServer::build(&a, ServeConfig::default()).unwrap();
+    server.apply_updates(&batch).unwrap();
+
+    for (region, query) in probe_regions(&after) {
+        let truth = oracle_sum(&after, &region);
+        let routed = router.range_sum(&query).unwrap();
+        assert_eq!(routed.value(), Some(&truth), "router {region:?}");
+        assert_eq!(
+            server.range_sum(&query).unwrap().value,
+            truth,
+            "server {region:?}"
+        );
+    }
+    let whole = RangeQuery::from_region(&Region::from_bounds(&[(0, 3), (0, 3)]).unwrap());
+    assert_eq!(router.range_max(&whole).unwrap().value(), Some(&i64::MAX));
+    assert_eq!(server.range_max(&whole).unwrap().value, i64::MAX);
 }
 
 #[test]
