@@ -15,7 +15,7 @@
 //! | `budget-coverage` | every loop reachable from the `read`/`range_sum*` entry points charges the `BudgetMeter` (PR 4's deadlines stay cooperative) |
 //! | `pin-across-blocking` | no `VersionCell` read-pin or lock guard live across `send`/`recv`/`join`/`sleep` (PR 6's installs can't stall) |
 //! | `span-discipline` | `TraceSpan` never lives in a field (PR 8's thread-local frame stacks) |
-//! | `estimate-isolation` | no call path from `Estimate`-producing fns into `SemanticCache::insert` or `Routed::Exact`/`ShardOutcome::Exact` (PR 9's tier separation) |
+//! | `estimate-isolation` | no call path from `Estimate`-producing fns into `SemanticCache::insert` or `Routed::Exact` (PR 9's tier separation) |
 //!
 //! The implementation is a hand-written lexer ([`lexer`]), a structural
 //! outline pass ([`outline`]), a resolved cross-file call graph

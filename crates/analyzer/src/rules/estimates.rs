@@ -16,8 +16,8 @@
 //! * a type-narrowed call to `SemanticCache::insert` (narrowed only —
 //!   the conservative name fallback would flag every `insert` on a
 //!   `Vec`);
-//! * construction of an exact response variant: `Routed::Exact(…)` or
-//!   `ShardOutcome::Exact(…)`.
+//! * construction of the exact response variant `Routed::Exact(…)`, which
+//!   the router and every server shard part return.
 //!
 //! Diagnostics include the shortest producer → sink call path so the
 //! leak is auditable from the finding alone. A sink that is genuinely
@@ -31,7 +31,7 @@ use crate::lexer::TokKind;
 use crate::model::Model;
 
 /// Exact-response enums whose `Exact` variant is a sink.
-const EXACT_ENUMS: &[&str] = &["Routed", "ShardOutcome"];
+const EXACT_ENUMS: &[&str] = &["Routed"];
 
 /// Whether node `n`'s return type mentions an estimate type.
 fn is_producer(model: &Model, g: &CallGraph, n: NodeId) -> bool {

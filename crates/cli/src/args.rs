@@ -209,6 +209,16 @@ pub(crate) fn split_args(args: &[String]) -> Result<ParsedArgs, CliError> {
     })
 }
 
+/// `flag`'s value as a count, or `default` when the flag is absent.
+pub(crate) fn parse_usize(p: &ParsedArgs, flag: &str, default: usize) -> Result<usize, CliError> {
+    match p.get(flag) {
+        Some(s) => s
+            .parse()
+            .map_err(|_| usage(format!("{flag} must be a non-negative integer"))),
+        None => Ok(default),
+    }
+}
+
 impl ParsedArgs {
     pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.flags

@@ -11,7 +11,7 @@
 //! with a typed error, it proves every zero-deadline query still gets a
 //! bounded-error estimate whose interval contains the fault-free oracle.
 
-use crate::args::{split_args, usage, CliError, ParsedArgs};
+use crate::args::{parse_usize, split_args, usage, CliError, ParsedArgs};
 use crate::commands::{open_reader, prefix_engine};
 use olap_array::{DenseArray, Shape};
 use olap_engine::{
@@ -20,17 +20,9 @@ use olap_engine::{
 };
 use olap_query::RangeQuery;
 use olap_storage as storage;
+use olap_workload::mix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
-
-/// splitmix64 — a tiny deterministic mixer, so the workload and the fault
-/// schedules need no RNG state.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// A mixed query stream: round-robin over large uniform boxes, small
 /// fixed-side boxes, and point lookups, all seeded.
@@ -70,15 +62,6 @@ fn parse_u16(p: &ParsedArgs, flag: &str, default: u16) -> Result<u16, CliError> 
         Some(s) => s
             .parse()
             .map_err(|_| usage(format!("{flag} must be a per-mille rate (0..=1000)"))),
-        None => Ok(default),
-    }
-}
-
-fn parse_usize(p: &ParsedArgs, flag: &str, default: usize) -> Result<usize, CliError> {
-    match p.get(flag) {
-        Some(s) => s
-            .parse()
-            .map_err(|_| usage(format!("{flag} must be a non-negative integer"))),
         None => Ok(default),
     }
 }

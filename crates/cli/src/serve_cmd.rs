@@ -26,29 +26,16 @@
 //! with per-shard p50/p95/p99 latency gauges, `/metrics.json`) during
 //! the drill and for `--metrics-hold-ms` afterwards — long enough for a
 //! scraper to observe a finished run. `--slo-p99-ms MS` declares a
-//! per-shard tail latency objective ([`olap_server::SloSpec`], carried
-//! through [`ServeConfig::slo`]); any shard whose p99 exceeds it fails
-//! the command with the violation report.
+//! per-shard tail latency objective ([`olap_server::SloSpec`]), checked
+//! against the live registry by `slo_report` after the drill; any shard
+//! whose p99 exceeds it fails the command with the violation report.
 
-use crate::args::{split_args, usage, CliError};
-use crate::chaos_cmd::mix;
+use crate::args::{parse_usize, split_args, usage, CliError};
 use olap_array::{DenseArray, QueryBudget};
 use olap_engine::FaultPlan;
 use olap_server::{drive_load, CubeServer, LoadSpec, ServeConfig, SloSpec};
 use olap_storage as storage;
-
-fn parse_usize(
-    args: &crate::args::ParsedArgs,
-    flag: &str,
-    default: usize,
-) -> Result<usize, CliError> {
-    match args.get(flag) {
-        Some(s) => s
-            .parse()
-            .map_err(|_| usage(format!("{flag} must be a non-negative integer"))),
-        None => Ok(default),
-    }
-}
+use olap_workload::mix;
 
 /// Everything the serving drill needs, parsed once so the plain and the
 /// telemetry-scoped paths share one entry point.
@@ -177,9 +164,9 @@ fn drill(a: &DenseArray<i64>, params: &ServeParams) -> Result<String, CliError> 
         zipf_pool,
         seed,
         error_pm,
-        slo,
         degrade,
         max_accesses,
+        ..
     } = *params;
     let faults = (error_pm > 0).then(|| FaultPlan::seeded(mix(seed)).errors(error_pm));
     let mut budget = QueryBudget::unlimited();
@@ -195,7 +182,6 @@ fn drill(a: &DenseArray<i64>, params: &ServeParams) -> Result<String, CliError> 
             shards,
             faults,
             cache_size,
-            slo,
             budget,
             ..ServeConfig::default()
         },

@@ -16,13 +16,14 @@
 //! `flight-record` dumps the recorder's last-N per-query decisions as
 //! JSON.
 
-use crate::args::{split_args, usage, CliError, ParsedArgs};
-use crate::chaos_cmd::{mix, mixed_queries};
+use crate::args::{parse_usize, split_args, usage, CliError, ParsedArgs};
+use crate::chaos_cmd::mixed_queries;
 use crate::commands::{open_reader, prefix_engine};
 use olap_array::{DenseArray, Shape};
 use olap_engine::{AdaptiveRouter, NaiveEngine, PrefixChoice, SemanticCache, SumTreeEngine};
 use olap_storage as storage;
 use olap_telemetry::Telemetry;
+use olap_workload::mix;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -35,15 +36,6 @@ struct Workload {
     tree: usize,
     /// Semantic-cache capacity in front of the router; 0 = passthrough.
     cache_size: usize,
-}
-
-fn parse_usize(p: &ParsedArgs, flag: &str, default: usize) -> Result<usize, CliError> {
-    match p.get(flag) {
-        Some(s) => s
-            .parse()
-            .map_err(|_| usage(format!("{flag} must be a non-negative integer"))),
-        None => Ok(default),
-    }
 }
 
 fn parse_workload(p: &ParsedArgs, default_cache: usize) -> Result<Workload, CliError> {

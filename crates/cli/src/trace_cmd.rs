@@ -13,7 +13,7 @@
 //! `--slow-ms MS` additionally retains the full trees of queries slower
 //! than the threshold in a bounded slow-query ring and reports them.
 
-use crate::args::{parse_dims, split_args, usage, CliError, ParsedArgs};
+use crate::args::{parse_dims, parse_usize, split_args, usage, CliError};
 use crate::commands::open_reader;
 use olap_query::RangeQuery;
 use olap_server::{CubeServer, ServeConfig};
@@ -25,15 +25,6 @@ use std::time::Duration;
 
 /// How many slow traces the `--slow-ms` ring retains.
 const SLOW_RING: usize = 16;
-
-fn parse_usize(p: &ParsedArgs, flag: &str, default: usize) -> Result<usize, CliError> {
-    match p.get(flag) {
-        Some(s) => s
-            .parse()
-            .map_err(|_| usage(format!("{flag} must be a non-negative integer"))),
-        None => Ok(default),
-    }
-}
 
 /// `trace`: traced serving drill + Chrome trace-event export. See the
 /// module docs.

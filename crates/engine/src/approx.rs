@@ -26,6 +26,12 @@
 //! point exactly when the part is aligned (`v = V`). Bounds add across
 //! parts, and across shards in the serving layer.
 //!
+//! Sums wrap mod 2^64 like every exact sum, so the anchors hold `T` mod
+//! 2^64; [`ApproxValue::partial_block`] recovers the true `T` from the
+//! extrema when it can. The contract: an interval contains the true sum
+//! whenever that sum fits the value type; an estimate whose interval
+//! would leave the type is declined rather than given.
+//!
 //! The engine exists for one reason: it can **always** answer, in
 //! microseconds, regardless of budgets, deadlines, open circuit
 //! breakers, or queue depth — so [`crate::AdaptiveRouter`] registers it
@@ -57,18 +63,20 @@ pub trait ApproxValue: NumericValue + Copy + Ord + Send + Sync {
     fn to_f64(self) -> f64;
 
     /// Point estimate and guaranteed bounds for a partially covered
-    /// block: `covered` of `volume` cells, exact block total `total`,
+    /// block: `covered` of `volume` cells, block total `total` (the
+    /// anchors' sum, which for integers is the true total mod 2^w), and
     /// per-cell extrema `mn ≤ mx` attained within the block. Returns
-    /// `(estimate, lower, upper)` with `lower ≤ estimate ≤ upper`;
-    /// implementations use widened intermediates and saturate instead of
-    /// overflowing.
+    /// `(estimate, below, above)` with `below, above ≥ 0`: the true part
+    /// sum, mod 2^w, lies in `estimate − below ..= estimate + above`.
+    /// `None` when those widths do not fit the type. Implementations use
+    /// widened, checked intermediates.
     fn partial_block(
         total: Self,
         covered: u64,
         volume: u64,
         mn: Self,
         mx: Self,
-    ) -> (Self, Self, Self);
+    ) -> Option<(Self, Self, Self)>;
 }
 
 impl ApproxValue for i64 {
@@ -79,17 +87,34 @@ impl ApproxValue for i64 {
         self as f64
     }
 
-    fn partial_block(total: i64, covered: u64, volume: u64, mn: i64, mx: i64) -> (i64, i64, i64) {
-        let sat = |x: i128| x.clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-        let (t, v) = (total as i128, covered as i128);
-        let volume = volume.max(covered).max(1);
-        let rem = volume as i128 - v;
-        let lower = (mn as i128 * v).max(t - mx as i128 * rem);
-        let upper = (mx as i128 * v).min(t - mn as i128 * rem);
-        // Uniform interpolation T·v/V, rounded toward zero, clamped into
-        // the guaranteed interval.
-        let est = (t * v / volume as i128).clamp(lower, upper);
-        (sat(est), sat(lower), sat(upper))
+    fn partial_block(
+        total: i64,
+        covered: u64,
+        volume: u64,
+        mn: i64,
+        mx: i64,
+    ) -> Option<(i64, i64, i64)> {
+        let (v, vol) = (i128::from(covered), i128::from(volume.max(covered).max(1)));
+        let (mn, mx) = (i128::from(mn), i128::from(mx));
+        let (mut lower, mut upper) = (mn.checked_mul(v)?, mx.checked_mul(v)?);
+        let mut est = lower.checked_add(upper)? / 2;
+        // The block's true total lies in [vol·mn, vol·mx]. When that is
+        // narrower than 2^64 it is the one value there congruent to the
+        // wrapped `total`; otherwise only the extrema bound the part.
+        let (least, most) = (mn.checked_mul(vol)?, mx.checked_mul(vol)?);
+        if most.checked_sub(least)? < 1 << 64 {
+            let t = least.checked_add(i128::from((total as u64).wrapping_sub(least as u64)))?;
+            let rem = vol - v;
+            lower = lower.max(t.checked_sub(mx.checked_mul(rem)?)?);
+            upper = upper.min(t.checked_sub(mn.checked_mul(rem)?)?);
+            // Uniform interpolation T·v/V, rounded toward zero.
+            est = t.checked_mul(v)? / vol;
+        }
+        let est = est.max(lower).min(upper);
+        let below = i64::try_from(est.checked_sub(lower)?).ok()?;
+        let above = i64::try_from(upper.checked_sub(est)?).ok()?;
+        // The estimate itself is reported mod 2^64, like every sum.
+        (below >= 0 && above >= 0).then_some((est as i64, below, above))
     }
 }
 
@@ -179,16 +204,23 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
 
     /// Anchor-only range-sum estimate with a guaranteed interval: exact
     /// (zero-width) on block-aligned queries, interpolated with
-    /// min/max-tightened bounds on boundary superblocks.
+    /// min/max-tightened bounds on boundary superblocks. The value wraps
+    /// like every exact sum; the interval contains the true sum whenever
+    /// that sum fits the type.
     ///
     /// # Errors
-    /// Region validation against the engine's shape.
+    /// Region validation against the engine's shape;
+    /// [`EngineError::Unsupported`] when the interval does not fit the
+    /// type, so no sound estimate can be given.
     pub fn estimate_sum(&self, region: &Region) -> Result<(Estimate<V>, AccessStats), EngineError> {
         self.a.shape().check_region(region)?;
+        let unbounded = || EngineError::unsupported(self.label_text(), "sum past the value range");
+        // Adds two non-negative widths, `None` past the type's range.
+        let widen = |acc: V, w: V| (acc <= V::MAX_VALUE - w).then(|| acc + w);
         let mut stats = AccessStats::new();
         let mut value = V::zero();
-        let mut lower = V::zero();
-        let mut upper = V::zero();
+        let mut below = V::zero();
+        let mut above = V::zero();
         let mut exact_cells: u64 = 0;
         for part in self.anchors.decompose(region)? {
             let vol = part.region.volume() as u64;
@@ -196,9 +228,7 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
                 // Aligned: Theorem 1 over the blocked P, exact from 2^d
                 // anchor reads.
                 let t = self.anchors.block_aligned_sum(&part.region, &mut stats)?;
-                value = value + t;
-                lower = lower + t;
-                upper = upper + t;
+                value = value.wrapping_add(t);
                 exact_cells = exact_cells.saturating_add(vol);
             } else {
                 let t = self
@@ -206,14 +236,23 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
                     .block_aligned_sum(&part.superblock, &mut stats)?;
                 let (mn, mx) = self.superblock_extrema(&part.superblock, &mut stats)?;
                 let (est, low, high) =
-                    V::partial_block(t, vol, part.superblock.volume() as u64, mn, mx);
-                value = value + est;
-                lower = lower + low;
-                upper = upper + high;
+                    V::partial_block(t, vol, part.superblock.volume() as u64, mn, mx)
+                        .ok_or_else(unbounded)?;
+                value = value.wrapping_add(est);
+                below = widen(below, low).ok_or_else(unbounded)?;
+                above = widen(above, high).ok_or_else(unbounded)?;
             }
         }
+        // The true sum mod 2^w lies within the widths around `value`; when
+        // that interval fits the type, a true sum that fits lies inside it.
+        if value < V::MIN_VALUE + below || value > V::MAX_VALUE - above {
+            return Err(unbounded());
+        }
         let fraction = exact_cells as f64 / region.volume().max(1) as f64;
-        Ok((Estimate::new(value, lower, upper, fraction), stats))
+        Ok((
+            Estimate::new(value, value - below, value + above, fraction),
+            stats,
+        ))
     }
 
     /// Anchor-only extremum estimate: the cached per-block extrema bound

@@ -35,6 +35,11 @@
 //! Lock order is the slot's writer → the slot → `state`; no path
 //! acquires them in any other order.
 //!
+//! # Degradation
+//!
+//! [`AdaptiveRouter::fall_back`] is the one "exact, else estimate" path,
+//! for [`AdaptiveRouter::answer`] and every server shard part alike.
+//!
 //! # Fault tolerance
 //!
 //! The router guarantees **a correct answer or one typed error — never a
@@ -467,6 +472,14 @@ impl<V> Routed<V> {
     pub fn is_degraded(&self) -> bool {
         matches!(self, Routed::Degraded { .. })
     }
+
+    /// Elements accessed, exactly or by the degraded path.
+    pub fn cost(&self) -> u64 {
+        match self {
+            Routed::Exact(outcome) => outcome.cost(),
+            Routed::Degraded { stats, .. } => stats.total_accesses(),
+        }
+    }
 }
 
 /// Routes each query to the cheapest capable engine under the §8/§9 cost
@@ -519,18 +532,12 @@ impl<V> AdaptiveRouter<V> {
         });
     }
 
-    /// Registers the degradation tier — the cheapest serving tier, e.g.
-    /// an [`crate::ApproxEngine`] answering from anchors and cached
-    /// extrema alone ([`DegradeTier::estimate_cost`] is its honest cost
-    /// model). It is **not** a routing candidate: exact answering always
-    /// wins when any exact engine can deliver within budget. It answers
-    /// only through [`AdaptiveRouter::answer`] under
-    /// [`DegradePolicy::Degrade`], or an explicit
-    /// [`AdaptiveRouter::degrade`] call — and its answers are
-    /// [`Estimate`]s, statically distinct from exact outcomes.
-    ///
-    /// Installs a new snapshot; subsequent update batches derive the tier
-    /// together with the exact engines.
+    /// Registers the degradation tier, e.g. an [`crate::ApproxEngine`]
+    /// answering from anchors and cached extrema alone. It is **not** a
+    /// routing candidate: it answers only through
+    /// [`AdaptiveRouter::fall_back`] or [`AdaptiveRouter::degrade`], with
+    /// [`Estimate`]s, statically distinct from exact outcomes. Installs a
+    /// new snapshot; update batches derive the tier with the engines.
     pub fn set_degrade_tier(&self, tier: Arc<dyn DegradeTier<V>>) {
         self.snapshots.update(|cur| {
             (
@@ -735,8 +742,6 @@ impl<V> AdaptiveRouter<V> {
                     record_fault_event(set, "failover", i, op);
                 }
             }
-            // A validation error would fail identically on every engine:
-            // return it without failover and without breaker counting.
             let region = region.map_err(Clone::clone)?;
             let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
             // Dispatch with no router lock held: concurrent queries on
@@ -774,8 +779,8 @@ impl<V> AdaptiveRouter<V> {
                     record_fault_event(set, if panicked { "panic" } else { "fault" }, i, op);
                     last_fault = Some(e);
                 }
-                // Validation errors fail identically everywhere: return
-                // without failover and without breaker counting.
+                // Validation fails identically everywhere (an unresolved
+                // region too): no failover, no breaker counting.
                 Err(e) => return Err(e),
             }
         }
@@ -791,18 +796,14 @@ impl<V> AdaptiveRouter<V> {
         self.route(query, EngineOp::Sum, None).map(|(_, o)| o)
     }
 
-    /// Routes and answers a range-max query. See [`AdaptiveRouter::range_sum`].
-    ///
-    /// # Errors
-    /// [`EngineError::NoCandidate`] or the chosen engine's error.
+    /// Routes and answers a range-max query; errors as
+    /// [`AdaptiveRouter::range_sum`].
     pub fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
         self.route(query, EngineOp::Max, None).map(|(_, o)| o)
     }
 
-    /// Routes and answers a range-min query. See [`AdaptiveRouter::range_sum`].
-    ///
-    /// # Errors
-    /// [`EngineError::NoCandidate`] or the chosen engine's error.
+    /// Routes and answers a range-min query; errors as
+    /// [`AdaptiveRouter::range_sum`].
     pub fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
         self.route(query, EngineOp::Min, None).map(|(_, o)| o)
     }
@@ -818,56 +819,56 @@ impl<V> AdaptiveRouter<V> {
             .map(|(_, o)| o)
     }
 
-    /// Routes `query` exactly like [`AdaptiveRouter::range_sum`] /
-    /// [`AdaptiveRouter::range_max`] / [`AdaptiveRouter::range_min`] —
-    /// but when the budget's policy is [`DegradePolicy::Degrade`] and
-    /// exact answering is exhausted (deadline, access budget, every
-    /// engine faulted or quarantined), the registered degradation tier
-    /// answers instead with a bounded-error [`Routed::Degraded`]
-    /// estimate.
-    ///
-    /// Cancellation ([`EngineError::Cancelled`]) never degrades — the
-    /// caller asked the query to stop, not to get a cheaper answer — and
-    /// neither do validation errors, which would fail identically on the
-    /// degraded path. Under [`DegradePolicy::Fail`] (the default) this
-    /// is exactly the plain routed call.
+    /// Routes `query` like [`AdaptiveRouter::range_sum`], then hands an
+    /// exact failure to [`AdaptiveRouter::fall_back`].
     ///
     /// # Errors
-    /// Whatever exact routing reported, when the policy forbids
-    /// degradation, the reason is ineligible, or no tier is registered.
+    /// Whatever exact routing reported, unless the fallback answers.
     pub fn answer(&self, query: &RangeQuery, op: EngineOp) -> Result<Routed<V>, EngineError> {
         let set = self.snapshots.load();
         let region = resolve(&set, query, op);
-        let exact_err = match self.execute(&set, region.as_ref(), op, None) {
-            Ok((_, outcome)) => return Ok(Routed::Exact(outcome)),
-            Err(e) => e,
-        };
-        if self.lock_state().budget.on_exhaustion != DegradePolicy::Degrade {
-            return Err(exact_err);
-        }
-        let (Some(reason), Ok(region)) = (DegradeReason::for_failure(&exact_err), region) else {
-            return Err(exact_err);
-        };
-        match self.degrade(&region, op, reason) {
-            Ok((estimate, stats)) => Ok(Routed::Degraded {
-                estimate,
-                stats,
-                reason,
-            }),
-            // No tier registered, or the tier cannot answer this op: the
-            // exact failure is the story to tell.
-            Err(_) => Err(exact_err),
+        match (self.execute(&set, region.as_ref(), op, None), region) {
+            (Ok((_, outcome)), _) => Ok(Routed::Exact(outcome)),
+            (Err(e), Ok(region)) => self.fall_back(&region, op, e),
+            (Err(e), Err(_)) => Err(e),
         }
     }
 
-    /// Forces a degraded answer from the registered tier, bypassing
-    /// exact routing entirely. Serving layers call this when shedding
-    /// load *before* dispatch — a shard queue over its depth threshold,
-    /// every breaker open — with the `reason` they observed.
+    /// Exact, else estimate: under [`DegradePolicy::Degrade`], an exact
+    /// failure that [`DegradeReason::for_failure`] admits is answered by
+    /// the degradation tier instead. Cancellation and validation errors
+    /// never degrade.
     ///
     /// # Errors
-    /// [`EngineError::NoCandidate`] when no tier is registered;
-    /// otherwise the tier's validation error.
+    /// `exact_err`, when the policy or the reason forbids degrading or
+    /// the tier cannot answer.
+    pub fn fall_back(
+        &self,
+        region: &Region,
+        op: EngineOp,
+        exact_err: EngineError,
+    ) -> Result<Routed<V>, EngineError> {
+        let reason = match DegradeReason::for_failure(&exact_err) {
+            Some(reason) if self.budget().on_exhaustion == DegradePolicy::Degrade => reason,
+            _ => return Err(exact_err),
+        };
+        let Ok((estimate, stats)) = self.degrade(region, op, reason) else {
+            return Err(exact_err);
+        };
+        Ok(Routed::Degraded {
+            estimate,
+            stats,
+            reason,
+        })
+    }
+
+    /// Forces a degraded answer from the registered tier, bypassing exact
+    /// routing: serving layers shed load *before* dispatch through it (a
+    /// shard over its in-flight threshold) with the `reason` they saw.
+    ///
+    /// # Errors
+    /// [`EngineError::NoCandidate`] without a tier; otherwise the tier's
+    /// error, a tier panic as [`EngineError::EnginePanicked`].
     pub fn degrade(
         &self,
         region: &Region,
@@ -880,7 +881,7 @@ impl<V> AdaptiveRouter<V> {
             .as_ref()
             .ok_or(EngineError::NoCandidate { op: op.name() })?;
         let _degrade_span = olap_telemetry::TraceSpan::start("degrade");
-        let (estimate, stats) = tier.degraded(region, op)?;
+        let (estimate, stats) = guarded(|| tier.label(), || tier.degraded(region, op))?;
         if let Some(ctx) = olap_telemetry::current() {
             ctx.registry()
                 .counter(
@@ -1098,12 +1099,12 @@ fn record_route<V>(
 
 /// Runs `work` for the engine `label` names behind the panic boundary: a
 /// panic surfaces as [`EngineError::EnginePanicked`] instead of unwinding
-/// through the router. Every dispatch and every derive goes through it.
+/// through the router. Every dispatch, derive and tier estimate uses it.
 ///
 /// `AssertUnwindSafe` is sound here because `work` only touches one
 /// pinned engine (or tier) and the meter: the router poisons an engine
-/// that panicked and keeps a tier's pre-batch snapshot, so any state torn
-/// mid-unwind is never observed again.
+/// that panicked, keeps a tier's pre-batch snapshot when its derive
+/// panics, and a tier estimate only reads, so no torn state is observed.
 fn guarded<T>(
     label: impl FnOnce() -> String,
     work: impl FnOnce() -> Result<T, EngineError>,
@@ -1116,10 +1117,8 @@ fn guarded<T>(
     })
 }
 
-/// Renders a contained panic payload as a human-readable message for
-/// [`EngineError::EnginePanicked`]. `panic!` with a literal yields `&str`,
-/// `panic!` with a format string yields `String`; anything else (a custom
-/// payload from `panic_any`) is summarised opaquely.
+/// Renders a contained panic payload for [`EngineError::EnginePanicked`]:
+/// a `&str` or `String` verbatim, a `panic_any` payload opaquely.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()

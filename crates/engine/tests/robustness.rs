@@ -8,14 +8,16 @@
 //! any panic as a failure, so a green run *is* the never-panics proof.
 
 use olap_aggregate::SumOp;
-use olap_array::{ArrayError, DenseArray, Shape};
+use olap_array::{ArrayError, DenseArray, QueryBudget, Region, Shape};
 use olap_engine::{
-    AdaptiveRouter, CubeIndex, EngineError, EngineOp, ExtendedCube, IndexConfig, NaiveEngine,
-    RangeEngine, SparseMaxEngine, SparseSumEngine, SumTreeEngine,
+    AdaptiveRouter, BatchImage, CubeIndex, DegradeReason, DegradeTier, EngineError, EngineOp,
+    ExtendedCube, IndexConfig, NaiveEngine, RangeEngine, SparseMaxEngine, SparseSumEngine,
+    SumTreeEngine,
 };
-use olap_query::{DimSelection, RangeQuery};
+use olap_query::{AccessStats, DimSelection, Estimate, RangeQuery};
 use proptest::prelude::*;
 use std::error::Error as _;
+use std::sync::Arc;
 
 fn cube() -> DenseArray<i64> {
     DenseArray::from_fn(Shape::new(&[8, 8]).unwrap(), |i| (i[0] * 8 + i[1]) as i64)
@@ -229,4 +231,60 @@ proptest! {
             let _ = e.apply_updates(&[(idx.clone(), v)]);
         }
     }
+}
+
+/// A degradation tier whose estimate panics, standing in for a tier bug.
+struct PanickingTier(Arc<DenseArray<i64>>);
+
+impl DegradeTier<i64> for PanickingTier {
+    fn label(&self) -> String {
+        "panicking-tier".into()
+    }
+    fn supports(&self, _op: EngineOp) -> bool {
+        true
+    }
+    fn estimate_cost(&self, _region: &Region) -> f64 {
+        1.0
+    }
+    fn relative_bound(&self, _est: &Estimate<i64>) -> f64 {
+        0.0
+    }
+    fn degraded(
+        &self,
+        _region: &Region,
+        _op: EngineOp,
+    ) -> Result<(Estimate<i64>, AccessStats), EngineError> {
+        panic!("tier bug")
+    }
+    fn base(&self) -> &Arc<DenseArray<i64>> {
+        &self.0
+    }
+    fn derive_onto(
+        &self,
+        _image: &BatchImage<'_, i64>,
+    ) -> Result<Arc<dyn DegradeTier<i64>>, EngineError> {
+        Ok(Arc::new(PanickingTier(Arc::clone(&self.0))))
+    }
+}
+
+#[test]
+fn a_panicking_degrade_tier_is_contained_and_the_exact_error_stands() {
+    let a = Arc::new(cube());
+    let router = AdaptiveRouter::new()
+        .with_engine(Box::new(NaiveEngine::new(Arc::clone(&a))))
+        .with_degrade_tier(Arc::new(PanickingTier(a)))
+        .with_budget(QueryBudget::with_max_accesses(2).degrade());
+    let region = Region::from_bounds(&[(1, 6), (1, 6)]).unwrap();
+    let err = router
+        .degrade(&region, EngineOp::Sum, DegradeReason::QueueDepth)
+        .unwrap_err();
+    assert!(
+        matches!(err, EngineError::EnginePanicked { ref engine, .. } if engine == "panicking-tier"),
+        "{err:?}"
+    );
+    // The fallback cannot answer, so the budget's interrupt is the error.
+    let err = router
+        .answer(&RangeQuery::from_region(&region), EngineOp::Sum)
+        .unwrap_err();
+    assert!(err.is_interrupt(), "{err:?}");
 }

@@ -28,7 +28,7 @@ use crate::{CubeServer, ServerAnswer, ServerError};
 use olap_array::{DenseArray, Region};
 use olap_engine::CacheStats;
 use olap_query::RangeQuery;
-use olap_workload::{uniform_regions, zipf_regions};
+use olap_workload::{mix, uniform_regions, zipf_regions};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Workload parameters for [`drive_load`].
@@ -92,20 +92,12 @@ impl LoadReport {
     }
 }
 
-/// SplitMix64: the workspace's seeded-stream idiom.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 /// The sequential oracle for one query on one cube state.
 fn oracle(cube: &DenseArray<i64>, region: &Region, op: u64) -> i64 {
     match op {
         0 => cube.fold_region(region, i64::MIN, |m, &x| m.max(x)),
         1 => cube.fold_region(region, i64::MAX, |m, &x| m.min(x)),
-        _ => cube.fold_region(region, 0i64, |s, &x| s + x),
+        _ => cube.fold_region(region, 0i64, |s, &x| s.wrapping_add(x)),
     }
 }
 

@@ -14,13 +14,14 @@
 //! The server starts none. A query runs start to finish on the thread
 //! that called [`CubeServer::range_sum`] / [`CubeServer::range_max`] /
 //! [`CubeServer::range_min`]: for each overlapping shard, in shard order,
-//! shed check → [`SemanticCache`] → [`AdaptiveRouter`] → kernel →
-//! degradation fallback, each partial folded into the answer as it is
-//! produced. Nothing on that path needs serialising — every engine is
-//! `Send + Sync` with `&self` queries, and every update installs an
-//! immutable snapshot, so a reader pins the version it started on and is
-//! never blocked by a writer. Cost-ranked routing, failover, circuit
-//! breakers and budget admission all apply per shard.
+//! shed check → [`SemanticCache`] → [`AdaptiveRouter`] → kernel → the
+//! router's [`AdaptiveRouter::fall_back`], each part a [`Routed`] folded
+//! into one per-op partial as it is produced. Nothing on that path needs
+//! serialising — every engine is `Send + Sync` with `&self` queries, and
+//! every update installs an immutable snapshot, so a reader pins the
+//! version it started on and is never blocked by a writer. Cost-ranked
+//! routing, failover, circuit breakers and budget admission all apply per
+//! shard.
 //!
 //! The accepted trade-off: a query that spans several shards runs its
 //! parts one after another, not in parallel. Concurrency comes from the
@@ -71,9 +72,10 @@ use crate::ServerError;
 use olap_array::{DegradePolicy, DenseArray, QueryBudget, Range, Region, Shape};
 use olap_engine::{
     AdaptiveRouter, ApproxEngine, CacheStats, CubeIndex, DegradeReason, EngineError, EngineOp,
-    EpochStats, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine, RangeEngine, SemanticCache,
+    EpochStats, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine, RangeEngine, Routed,
+    SemanticCache,
 };
-use olap_query::{AccessStats, Answer, Estimate, QueryOutcome, RangeQuery};
+use olap_query::{AccessStats, Answer, RangeQuery};
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -92,10 +94,6 @@ pub struct ServeConfig {
     /// Per-shard semantic-cache capacity in entries; 0 disables caching
     /// (every lookup is a pure passthrough to the shard router).
     pub cache_size: usize,
-    /// Declarative latency objective the operator holds this server to.
-    /// The server only carries it ([`CubeServer::slo`]); evaluation
-    /// against live quantiles is the scrape layer's job (`slo_report`).
-    pub slo: Option<SloSpec>,
     /// In-flight threshold: a part arriving at a shard that already has
     /// more than this many parts executing is shed to the shard's
     /// degradation tier instead of joining them (the
@@ -120,7 +118,6 @@ impl Default for ServeConfig {
             budget: QueryBudget::unlimited(),
             faults: None,
             cache_size: 256,
-            slo: None,
             queue_depth_limit: None,
         }
     }
@@ -128,7 +125,7 @@ impl Default for ServeConfig {
 
 /// A declarative per-shard latency SLO: bounds on the serve-latency
 /// quantiles (the `olap_serve_latency_ns` histogram family), each
-/// optional. Plain data, carried by [`ServeConfig`].
+/// optional. Plain data, evaluated by the scrape layer (`slo_report`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SloSpec {
     /// Median bound, nanoseconds.
@@ -258,26 +255,6 @@ impl ServedEstimate {
     }
 }
 
-/// One shard's reply: exact through the semantic cache, or a degraded
-/// estimate from the shard router's approximate tier.
-enum ShardOutcome {
-    Exact(QueryOutcome<i64>),
-    Degraded {
-        estimate: Estimate<i64>,
-        stats: AccessStats,
-        reason: DegradeReason,
-    },
-}
-
-impl ShardOutcome {
-    fn cost(&self) -> u64 {
-        match self {
-            ShardOutcome::Exact(o) => o.cost(),
-            ShardOutcome::Degraded { stats, .. } => stats.total_accesses(),
-        }
-    }
-}
-
 /// One shard's serving statistics, for operators and tests.
 #[derive(Debug, Clone)]
 pub struct ShardStats {
@@ -399,19 +376,21 @@ impl Shard {
     /// router has a degradation tier, the part is shed: answered from the
     /// tier ([`DegradeReason::QueueDepth`]) without joining them. A shard
     /// without a tier runs the part normally — shedding never turns an
-    /// answerable query into an error.
+    /// answerable query into an error. Otherwise the part reads exactly
+    /// through the cache, and an exact failure goes to the router's
+    /// [`AdaptiveRouter::fall_back`].
     fn answer(
         &self,
         region: &Region,
         op: EngineOp,
         limit: Option<i64>,
-    ) -> Result<ShardOutcome, EngineError> {
+    ) -> Result<Routed<i64>, EngineError> {
         // An advisory load-shedding read: a racing exit only shifts which
         // path answers, and both paths are sound.
         if limit.is_some_and(|limit| self.depth.get() > limit) {
             let reason = DegradeReason::QueueDepth;
             if let Ok((estimate, stats)) = self.router().degrade(region, op, reason) {
-                return Ok(ShardOutcome::Degraded {
+                return Ok(Routed::Degraded {
                     estimate,
                     stats,
                     reason,
@@ -421,8 +400,8 @@ impl Shard {
         let _in_flight = self.enter();
         let _exec_span = olap_telemetry::TraceSpan::start("shard_exec");
         match self.cache.read(region, op) {
-            Ok(o) => Ok(ShardOutcome::Exact(o)),
-            Err(e) => degrade_fallback(self.router(), region, op, e),
+            Ok(o) => Ok(Routed::Exact(o)),
+            Err(e) => self.router().fall_back(region, op, e),
         }
     }
 }
@@ -434,95 +413,128 @@ const CONSISTENT_TRIES: usize = 3;
 /// Anchor-grid block size of every shard's degradation tier.
 const DEGRADE_BLOCK: usize = 8;
 
-/// The post-failure degradation gate: when the shard's budget policy is
-/// [`DegradePolicy::Degrade`] and the exact failure is an eligible
-/// exhaustion (deadline, access budget, every engine faulted), the shard
-/// router's approximate tier answers instead. Cancellation and
-/// validation errors pass through — [`DegradeReason::for_failure`] is
-/// the eligibility matrix, shared with [`AdaptiveRouter::answer`]. A
-/// tier failure (none registered, unsupported op) reports the original
-/// exact error.
-fn degrade_fallback(
-    router: &AdaptiveRouter<i64>,
-    region: &Region,
+/// A query's answer while its shard parts fold in, one shape for every
+/// op. `folded` is `(value, lower, upper)`: an exact part is a point, a
+/// degraded part its guaranteed interval. A sum adds the values with
+/// wrapping, like every engine's sum, and the bounds exactly in `i128`;
+/// a max or min folds each component by max or min, which keeps the
+/// global extremum inside `[lower, upper]`. The argmax is kept only while
+/// every part is exact: an interpolated extremum has no attained cell.
+struct Partial {
     op: EngineOp,
-    exact_err: EngineError,
-) -> Result<ShardOutcome, EngineError> {
-    if router.budget().on_exhaustion != DegradePolicy::Degrade {
-        return Err(exact_err);
-    }
-    let Some(reason) = DegradeReason::for_failure(&exact_err) else {
-        return Err(exact_err);
-    };
-    match router.degrade(region, op, reason) {
-        Ok((estimate, stats)) => Ok(ShardOutcome::Degraded {
-            estimate,
-            stats,
-            reason,
-        }),
-        Err(_) => Err(exact_err),
-    }
-}
-
-/// Accumulates cross-shard degradation metadata while a query folds its
-/// partial answers; [`DegradeMerge::finish`] yields the
-/// [`ServedEstimate`] (or `None` for a fully exact merge).
-#[derive(Default)]
-struct DegradeMerge {
-    degraded_shards: usize,
+    folded: Option<(i64, i128, i128)>,
+    at: Option<Vec<usize>>,
+    cost: u64,
+    parts: usize,
+    degraded: usize,
     reason: Option<DegradeReason>,
     exact_cells: u64,
     total_cells: u64,
 }
 
-impl DegradeMerge {
-    fn note_exact(&mut self, volume: u64) {
-        self.exact_cells += volume;
-        self.total_cells += volume;
+impl Partial {
+    fn new(op: EngineOp) -> Self {
+        Partial {
+            op,
+            // A sum starts at zero; an extremum at its first part.
+            folded: (op == EngineOp::Sum).then_some((0, 0, 0)),
+            at: None,
+            cost: 0,
+            parts: 0,
+            degraded: 0,
+            reason: None,
+            exact_cells: 0,
+            total_cells: 0,
+        }
     }
 
-    fn note_degraded(&mut self, volume: u64, estimate: &Estimate<i64>, reason: DegradeReason) {
-        self.degraded_shards += 1;
-        self.reason.get_or_insert(reason);
-        self.exact_cells += (estimate.fraction_exact * volume as f64).round() as u64;
+    /// Folds in one part of `volume` cells from the shard whose slab
+    /// starts at global row `shard_lo`.
+    fn add(&mut self, routed: Routed<i64>, shard_lo: usize, volume: u64) {
+        self.cost += routed.cost();
+        self.parts += 1;
+        let (value, lower, upper, at) = match routed {
+            Routed::Exact(o) => {
+                let (value, at) = match (self.op, o.answer) {
+                    (EngineOp::Sum, answer) => (answer.value().copied().unwrap_or(0), None),
+                    (_, Answer::Extremum { mut at, value }) => {
+                        if let Some(first) = at.first_mut() {
+                            *first += shard_lo;
+                        }
+                        (value, Some(at))
+                    }
+                    // An empty slab intersection contributes nothing.
+                    _ => return,
+                };
+                self.exact_cells += volume;
+                (value, value, value, at)
+            }
+            Routed::Degraded {
+                estimate, reason, ..
+            } => {
+                self.degraded += 1;
+                self.reason.get_or_insert(reason);
+                self.exact_cells += (estimate.fraction_exact * volume as f64).round() as u64;
+                (estimate.value, estimate.lower, estimate.upper, None)
+            }
+        };
         self.total_cells += volume;
+        let (lower, upper) = (i128::from(lower), i128::from(upper));
+        self.folded = Some(match (self.folded, self.op) {
+            (Some((v, l, h)), EngineOp::Sum) => (v.wrapping_add(value), l + lower, h + upper),
+            (None, _) => {
+                self.at = at;
+                (value, lower, upper)
+            }
+            (Some((v, l, h)), op) => {
+                let max = op == EngineOp::Max;
+                if at.is_some() && (if max { value > v } else { value < v }) {
+                    self.at = at;
+                }
+                if max {
+                    (v.max(value), l.max(lower), h.max(upper))
+                } else {
+                    (v.min(value), l.min(lower), h.min(upper))
+                }
+            }
+        });
     }
 
-    fn finish(self, value: i64, lower: i64, upper: i64) -> Option<ServedEstimate> {
-        let reason = self.reason?;
-        Some(ServedEstimate {
-            lower,
-            upper,
-            error_bound: value.saturating_sub(lower).max(upper.saturating_sub(value)),
-            degraded_shards: self.degraded_shards,
-            reason,
-            exact_cells: self.exact_cells.min(self.total_cells),
-            total_cells: self.total_cells,
+    /// The answer once every part is in.
+    fn finish(self) -> Result<ServerAnswer, ServerError> {
+        let _merge = olap_telemetry::TraceSpan::start("merge");
+        let (value, lower, upper) = self
+            .folded
+            .ok_or_else(|| ServerError::Config("no shard produced an extremum".into()))?;
+        let estimate = self.reason.map(|reason| {
+            // The value wrapped as exact sums do, so the true sum is inside
+            // the bounds whenever both fit `i64`; past them it may have
+            // wrapped anywhere, and only the whole range is guaranteed.
+            let (lower, upper) = match (i64::try_from(lower), i64::try_from(upper)) {
+                (Ok(lower), Ok(upper)) => (lower, upper),
+                _ => (i64::MIN, i64::MAX),
+            };
+            ServedEstimate {
+                lower,
+                upper,
+                error_bound: value.saturating_sub(lower).max(upper.saturating_sub(value)),
+                degraded_shards: self.degraded,
+                reason,
+                exact_cells: self.exact_cells.min(self.total_cells),
+                total_cells: self.total_cells,
+            }
+        });
+        record_served(estimate.is_some());
+        // The argmax survives only a fully exact merge.
+        let at = if estimate.is_none() { self.at } else { None };
+        Ok(ServerAnswer {
+            value,
+            at,
+            cost: self.cost,
+            shards: self.parts,
+            estimate,
         })
     }
-}
-
-/// What a range sum folds across its parts.
-#[derive(Default)]
-struct SumFold {
-    value: i64,
-    lower: i64,
-    upper: i64,
-    cost: u64,
-    merge: DegradeMerge,
-}
-
-/// What a range max or min folds across its parts: the best exact part
-/// with its global argmax, and the folded `(value, lower, upper)` — exact
-/// parts are point intervals, degraded parts contribute their guaranteed
-/// interval, and folding each component by max (resp. min) keeps the
-/// global extremum inside `[lower, upper]`.
-#[derive(Default)]
-struct ExtremumFold {
-    best: Option<(i64, Vec<usize>)>,
-    cost: u64,
-    folded: Option<(i64, i64, i64)>,
-    merge: DegradeMerge,
 }
 
 /// Bumps the serve-level answer counters behind the degraded-fraction
@@ -556,8 +568,6 @@ pub struct CubeServer {
     /// a multi-shard batch is installing, moved by every batch. Written
     /// only under `writer`.
     installs: AtomicU64,
-    /// Latency objective carried from [`ServeConfig::slo`].
-    slo: Option<SloSpec>,
     /// In-flight shed threshold from [`ServeConfig::queue_depth_limit`].
     queue_limit: Option<i64>,
     /// Destination for end-to-end query traces. `None` (the default)
@@ -600,7 +610,6 @@ impl CubeServer {
             shards,
             writer: Mutex::new(()),
             installs: AtomicU64::new(0),
-            slo: config.slo,
             queue_limit: config.queue_depth_limit,
             tracer: None,
             trace_sample: 1,
@@ -611,11 +620,6 @@ impl CubeServer {
     /// The served cube's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
-    }
-
-    /// The latency objective this server was configured with, if any.
-    pub fn slo(&self) -> Option<SloSpec> {
-        self.slo
     }
 
     /// Routes every subsequent query's span tree into `sink`: each
@@ -707,47 +711,15 @@ impl CubeServer {
     }
 
     /// Range sum over the global cube: answers every overlapping shard's
-    /// part in shard order and adds the partial sums. Degraded shard
-    /// answers merge by adding their guaranteed bounds — the result
-    /// interval still contains the true global sum.
+    /// part in shard order and adds the partial sums, wrapping like every
+    /// engine's sum. Degraded shard answers merge by adding their
+    /// guaranteed bounds — the result interval contains the true global
+    /// sum whenever that sum fits `i64`.
     ///
     /// # Errors
     /// Validation failures, shard router errors.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<ServerAnswer, ServerError> {
-        let _root = self.root_span();
-        let (acc, shards) =
-            self.fan_out(query, EngineOp::Sum, |acc: &mut SumFold, _, volume, out| {
-                acc.cost += out.cost();
-                // The value wraps like every engine's sum, so the total is
-                // exact whenever it fits in `i64`, however the partials
-                // overflow on the way; the bounds saturate instead.
-                let (value, lower, upper) = match out {
-                    ShardOutcome::Exact(o) => {
-                        let v = o.value().copied().unwrap_or(0);
-                        acc.merge.note_exact(volume);
-                        (v, v, v)
-                    }
-                    ShardOutcome::Degraded {
-                        estimate, reason, ..
-                    } => {
-                        acc.merge.note_degraded(volume, &estimate, reason);
-                        (estimate.value, estimate.lower, estimate.upper)
-                    }
-                };
-                acc.value = acc.value.wrapping_add(value);
-                acc.lower = acc.lower.saturating_add(lower);
-                acc.upper = acc.upper.saturating_add(upper);
-            })?;
-        let _merge = olap_telemetry::TraceSpan::start("merge");
-        let estimate = acc.merge.finish(acc.value, acc.lower, acc.upper);
-        record_served(estimate.is_some());
-        Ok(ServerAnswer {
-            value: acc.value,
-            at: None,
-            cost: acc.cost,
-            shards,
-            estimate,
-        })
+        self.serve(query, EngineOp::Sum)
     }
 
     /// Range max with global argmax.
@@ -755,7 +727,7 @@ impl CubeServer {
     /// # Errors
     /// Validation failures, shard router errors.
     pub fn range_max(&self, query: &RangeQuery) -> Result<ServerAnswer, ServerError> {
-        self.extremum(query, EngineOp::Max)
+        self.serve(query, EngineOp::Max)
     }
 
     /// Range min with global argmin.
@@ -763,74 +735,12 @@ impl CubeServer {
     /// # Errors
     /// Validation failures, shard router errors.
     pub fn range_min(&self, query: &RangeQuery) -> Result<ServerAnswer, ServerError> {
-        self.extremum(query, EngineOp::Min)
+        self.serve(query, EngineOp::Min)
     }
 
-    fn extremum(&self, query: &RangeQuery, op: EngineOp) -> Result<ServerAnswer, ServerError> {
+    fn serve(&self, query: &RangeQuery, op: EngineOp) -> Result<ServerAnswer, ServerError> {
         let _root = self.root_span();
-        let (acc, shards) =
-            self.fan_out(query, op, |acc: &mut ExtremumFold, shard, volume, out| {
-                let ExtremumFold {
-                    best,
-                    cost,
-                    folded,
-                    merge,
-                } = acc;
-                *cost += out.cost();
-                let (v, lo, hi) = match out {
-                    ShardOutcome::Exact(o) => {
-                        let Answer::Extremum { mut at, value } = o.answer else {
-                            return; // empty slab intersection contributes nothing
-                        };
-                        if let Some(first) = at.first_mut() {
-                            *first += shard.lo;
-                        }
-                        let better = match (&*best, op) {
-                            (None, _) => true,
-                            (Some((b, _)), EngineOp::Max) => value > *b,
-                            (Some((b, _)), _) => value < *b,
-                        };
-                        if better {
-                            *best = Some((value, at));
-                        }
-                        merge.note_exact(volume);
-                        (value, value, value)
-                    }
-                    ShardOutcome::Degraded {
-                        estimate, reason, ..
-                    } => {
-                        merge.note_degraded(volume, &estimate, reason);
-                        (estimate.value, estimate.lower, estimate.upper)
-                    }
-                };
-                *folded = Some(match *folded {
-                    None => (v, lo, hi),
-                    Some((fv, fl, fh)) => match op {
-                        EngineOp::Max => (fv.max(v), fl.max(lo), fh.max(hi)),
-                        _ => (fv.min(v), fl.min(lo), fh.min(hi)),
-                    },
-                });
-            })?;
-        let _merge = olap_telemetry::TraceSpan::start("merge");
-        let (value, lower, upper) = acc
-            .folded
-            .ok_or_else(|| ServerError::Config("no shard produced an extremum".into()))?;
-        let estimate = acc.merge.finish(value, lower, upper);
-        // An interpolated extremum has no attained cell: `at` only
-        // survives a fully exact merge.
-        let at = if estimate.is_none() {
-            acc.best.map(|(_, at)| at)
-        } else {
-            None
-        };
-        record_served(estimate.is_some());
-        Ok(ServerAnswer {
-            value,
-            at,
-            cost: acc.cost,
-            shards,
-            estimate,
-        })
+        self.fan_out(query, op)?.finish()
     }
 
     /// Applies one batch of absolute-value cell updates. Validates the
@@ -905,20 +815,14 @@ impl CubeServer {
     }
 
     /// Answers `query`'s part on every shard whose slab the region
-    /// overlaps and folds the outcomes into a fresh `A`, validated against
-    /// the install sequence when there is more than one part (module docs
-    /// on consistency). Returns the fold and how many shards took part.
-    /// The first failing part fails the query.
-    fn fan_out<A: Default>(
-        &self,
-        query: &RangeQuery,
-        op: EngineOp,
-        mut fold: impl FnMut(&mut A, &Shard, u64, ShardOutcome),
-    ) -> Result<(A, usize), ServerError> {
+    /// overlaps and folds them into one [`Partial`], validated against the
+    /// install sequence when there is more than one part (module docs on
+    /// consistency). The first failing part fails the query.
+    fn fan_out(&self, query: &RangeQuery, op: EngineOp) -> Result<Partial, ServerError> {
         let region = query.to_region(&self.shape)?;
         let r0 = region.range(0);
         if self.owning_shard(r0.lo())? == self.owning_shard(r0.hi())? {
-            return self.parts(op, &region, &mut fold);
+            return self.parts(op, &region);
         }
         for _ in 0..CONSISTENT_TRIES {
             // ordering: Acquire — pairs with the writer's closing Release
@@ -930,7 +834,7 @@ impl CubeServer {
                 std::hint::spin_loop();
                 continue;
             }
-            let answer = self.parts(op, &region, &mut fold)?;
+            let answer = self.parts(op, &region)?;
             // ordering: Acquire fence — pairs with the writer's Release
             // fence: if a part observed a snapshot stored after it, the
             // add before that fence is visible to the load below.
@@ -942,25 +846,18 @@ impl CubeServer {
         }
         // Installs kept landing mid-read: run once more with none able to.
         let _writer = self.lock_writer();
-        self.parts(op, &region, &mut fold)
+        self.parts(op, &region)
     }
 
     /// One pass of [`CubeServer::fan_out`]: the parts in shard order, on
-    /// the calling thread, each outcome folded as soon as it is produced
-    /// with the shard and the part's cell count.
-    fn parts<A: Default>(
-        &self,
-        op: EngineOp,
-        region: &Region,
-        fold: &mut impl FnMut(&mut A, &Shard, u64, ShardOutcome),
-    ) -> Result<(A, usize), ServerError> {
+    /// the calling thread, each folded as soon as it is produced.
+    fn parts(&self, op: EngineOp, region: &Region) -> Result<Partial, ServerError> {
         let r0 = region.range(0);
         // Cells per leading row of the region: a part's volume is its row
         // count times this.
         let row_cells = (region.volume() / r0.len()) as u64;
         let telemetry = olap_telemetry::current();
-        let mut acc = A::default();
-        let mut parts = 0usize;
+        let mut partial = Partial::new(op);
         for shard in &self.shards {
             let (slab_lo, slab_hi) = (shard.lo, shard.lo + shard.len - 1);
             if r0.lo() > slab_hi || r0.hi() < slab_lo {
@@ -983,10 +880,9 @@ impl CubeServer {
                     .histogram("olap_serve_latency_ns", &[("shard", shard.label.as_str())])
                     .observe(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
             }
-            fold(&mut acc, shard, (hi - lo + 1) as u64 * row_cells, out);
-            parts += 1;
+            partial.add(out, shard.lo, (hi - lo + 1) as u64 * row_cells);
         }
-        Ok((acc, parts))
+        Ok(partial)
     }
 }
 

@@ -3,13 +3,17 @@
 
 use olap_cube::aggregate::NaturalOrder;
 use olap_cube::array::{ArrayError, DenseArray, Region, Shape};
-use olap_cube::engine::{AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice};
+use olap_cube::engine::{
+    AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, QueryBudget, RangeEngine,
+    SemanticCache, SumTreeEngine,
+};
 use olap_cube::prefix_sum::{batch, BlockedPrefixCube, PrefixSumCube};
 use olap_cube::query::{QueryCtx, RangeQuery};
 use olap_cube::range_max::{MaxTree, NaturalMaxTree};
 use olap_cube::server::{CubeServer, ServeConfig};
 use olap_cube::sparse::{SparseCube, SparseRangeSum};
 use olap_cube::tree_sum::SumTreeCube;
+use olap_cube::workload::{mix, uniform_regions};
 use std::sync::Arc;
 
 #[test]
@@ -176,6 +180,133 @@ fn a_batch_from_i64_min_to_i64_max_answers_through_router_and_server() {
     let whole = RangeQuery::from_region(&Region::from_bounds(&[(0, 3), (0, 3)]).unwrap());
     assert_eq!(router.range_max(&whole).unwrap().value(), Some(&i64::MAX));
     assert_eq!(server.range_max(&whole).unwrap().value, i64::MAX);
+}
+
+/// Cells within 1000 of `±2^62`, seeded; `mixed` picks each sign at
+/// random, otherwise every cell is positive and most sums wrap.
+fn cube_near_2_62(dims: &[usize], seed: u64, mixed: bool) -> DenseArray<i64> {
+    let mut i = 0u64;
+    DenseArray::from_fn(Shape::new(dims).unwrap(), |_| {
+        i += 1;
+        let r = mix(seed ^ i);
+        let v = (1i64 << 62) - (r % 1000) as i64;
+        if mixed && r >> 63 == 1 {
+            -v
+        } else {
+            v
+        }
+    })
+}
+
+#[test]
+fn exact_sums_near_2_62_match_the_wrapped_oracle_through_every_stack() {
+    for (d, dims) in [vec![40], vec![12, 9], vec![6, 5, 4], vec![4, 3, 3, 4]]
+        .into_iter()
+        .enumerate()
+    {
+        for mixed in [false, true] {
+            let a = cube_near_2_62(&dims, d as u64, mixed);
+            let base = Arc::new(a.clone());
+            let basic = CubeIndex::build(Arc::clone(&base), IndexConfig::default()).unwrap();
+            let blocked = CubeIndex::build(
+                Arc::clone(&base),
+                IndexConfig {
+                    prefix: PrefixChoice::Blocked(2),
+                    ..IndexConfig::default()
+                },
+            )
+            .unwrap();
+            let naive = NaiveEngine::new(Arc::clone(&base));
+            let tree = SumTreeEngine::build(Arc::clone(&base), 2).unwrap();
+            let router = AdaptiveRouter::new()
+                .with_engine(Box::new(
+                    CubeIndex::build(Arc::clone(&base), IndexConfig::default()).unwrap(),
+                ))
+                .with_engine(Box::new(NaiveEngine::new(Arc::clone(&base))));
+            let cache = SemanticCache::new(router, 64);
+            let config = ServeConfig {
+                shards: 2,
+                ..ServeConfig::default()
+            };
+            let server = CubeServer::build(&a, config).unwrap();
+            let engines: [(&str, &dyn RangeEngine<i64>); 4] = [
+                ("basic", &basic),
+                ("blocked", &blocked),
+                ("naive", &naive),
+                ("tree", &tree),
+            ];
+            let whole =
+                Region::from_bounds(&dims.iter().map(|&n| (0, n - 1)).collect::<Vec<_>>()).unwrap();
+            let mut regions = uniform_regions(a.shape(), 24, d as u64);
+            regions.push(whole);
+            for region in regions {
+                let truth = oracle_sum(&a, &region);
+                let query = RangeQuery::from_region(&region);
+                for (label, engine) in engines {
+                    let got = engine.range_sum(&query).unwrap();
+                    assert_eq!(got.value(), Some(&truth), "{label} d={} {region:?}", d + 1);
+                }
+                // Twice through the cache: a miss, then a hit.
+                for _ in 0..2 {
+                    let got = cache.range_sum(&query).unwrap();
+                    assert_eq!(got.value(), Some(&truth), "cache d={} {region:?}", d + 1);
+                }
+                let served = server.range_sum(&query).unwrap();
+                assert_eq!(served.value, truth, "server d={} {region:?}", d + 1);
+            }
+        }
+    }
+}
+
+#[test]
+fn degraded_sums_over_wrapped_block_totals_bracket_the_true_sum() {
+    // About 2^61 in the left half and -2^61 in the right: every 8×8 block
+    // of the degrade tier totals about ±2^67, which wraps in its anchors.
+    let a = DenseArray::from_fn(Shape::new(&[16, 16]).unwrap(), |i| {
+        let v = (1i64 << 61) + (i[0] * 16 + i[1]) as i64;
+        if i[1] < 8 {
+            v
+        } else {
+            -v
+        }
+    });
+    let config = ServeConfig {
+        shards: 2,
+        // A 2-d sum reads up to 4 cells of P; 2 makes most sums degrade.
+        budget: QueryBudget::with_max_accesses(2).degrade(),
+        ..ServeConfig::default()
+    };
+    let server = CubeServer::build(&a, config).unwrap();
+    // Three cells inside one block: every true sum fits in i64
+    // while every block total wraps. The naive scan would read as many
+    // cells as the region has, `P` four, so each read exhausts the budget.
+    for (rows, cols) in [
+        ((1, 1), (3, 5)),
+        ((5, 5), (1, 3)),
+        ((5, 7), (7, 7)),
+        ((10, 10), (9, 11)),
+        ((9, 11), (14, 14)),
+        ((12, 14), (9, 9)),
+        ((2, 4), (6, 6)),
+    ] {
+        let region = Region::from_bounds(&[rows, cols]).unwrap();
+        let answer = server.range_sum(&RangeQuery::from_region(&region)).unwrap();
+        let truth = a.fold_region(&region, 0i128, |s, &x| s + i128::from(x));
+        let truth = i64::try_from(truth).unwrap();
+        assert!(answer.is_degraded(), "{region:?}");
+        assert!(
+            answer.contains(truth),
+            "{region:?}: {truth} outside {answer:?}"
+        );
+    }
+    // A part whose blocks hold both signs cannot tell a wrapped total from
+    // an unwrapped one, and its interval would leave i64: the tier
+    // declines and the exact error stands — typed, not a panic.
+    let row = Region::from_bounds(&[(5, 5), (1, 15)]).unwrap();
+    let err = server
+        .range_sum(&RangeQuery::from_region(&row))
+        .unwrap_err();
+    assert!(err.to_string().contains("budget"), "{err}");
 }
 
 #[test]
