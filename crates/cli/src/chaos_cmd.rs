@@ -13,14 +13,13 @@
 
 use crate::args::{parse_usize, split_args, usage, CliError, ParsedArgs};
 use crate::commands::{open_reader, prefix_engine};
-use olap_array::{DenseArray, Shape};
+use olap_array::{mix, DenseArray, Shape};
 use olap_engine::{
     AdaptiveRouter, ApproxEngine, CubeIndex, EngineError, EngineOp, FaultPlan, FaultyEngine,
     IndexConfig, NaiveEngine, PrefixChoice, QueryBudget, RangeEngine, Routed, SumTreeEngine,
 };
 use olap_query::RangeQuery;
 use olap_storage as storage;
-use olap_workload::mix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 

@@ -31,11 +31,10 @@
 //! whose p99 exceeds it fails the command with the violation report.
 
 use crate::args::{parse_usize, split_args, usage, CliError};
-use olap_array::{DenseArray, QueryBudget};
+use olap_array::{mix, DenseArray, QueryBudget};
 use olap_engine::FaultPlan;
 use olap_server::{drive_load, CubeServer, LoadSpec, ServeConfig, SloSpec};
 use olap_storage as storage;
-use olap_workload::mix;
 
 /// Everything the serving drill needs, parsed once so the plain and the
 /// telemetry-scoped paths share one entry point.

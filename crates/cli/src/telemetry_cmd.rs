@@ -19,11 +19,10 @@
 use crate::args::{parse_usize, split_args, usage, CliError, ParsedArgs};
 use crate::chaos_cmd::mixed_queries;
 use crate::commands::{open_reader, prefix_engine};
-use olap_array::{DenseArray, Shape};
+use olap_array::{mix, DenseArray, Shape};
 use olap_engine::{AdaptiveRouter, NaiveEngine, PrefixChoice, SemanticCache, SumTreeEngine};
 use olap_storage as storage;
 use olap_telemetry::Telemetry;
-use olap_workload::mix;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

@@ -125,14 +125,6 @@ pub trait DegradeTier<V>: Send + Sync {
     /// Human-readable label for reports and telemetry.
     fn label(&self) -> String;
 
-    /// Whether the tier can estimate answers for `op`.
-    fn supports(&self, op: EngineOp) -> bool;
-
-    /// Honest predicted cost of estimating over `region`, in the paper's
-    /// element-access unit — anchors and cached extrema only, so this is
-    /// the cheapest tier's model, not a lie.
-    fn estimate_cost(&self, region: &Region) -> f64;
-
     /// The interval half-width of `est` relative to its point value —
     /// the quantity the `olap_approx_relative_bound` histogram observes
     /// (in per-mille).
@@ -142,9 +134,10 @@ pub trait DegradeTier<V>: Send + Sync {
     /// enclosing interval.
     ///
     /// # Errors
-    /// Region validation, or [`EngineError::Unsupported`] for an
-    /// unsupported `op`. Never a budget interrupt: the whole point of
-    /// this tier is that it answers when budgets cannot.
+    /// Region validation, or [`EngineError::Unsupported`] when the tier
+    /// has no sound interval for `op` over `region`. Never a budget
+    /// interrupt: the whole point of this tier is that it answers when
+    /// budgets cannot.
     fn degraded(
         &self,
         region: &Region,
@@ -380,34 +373,8 @@ impl<V: ApproxValue + 'static> DegradeTier<V> for ApproxEngine<V> {
         self.label_text()
     }
 
-    fn supports(&self, op: EngineOp) -> bool {
-        matches!(op, EngineOp::Sum | EngineOp::Max | EngineOp::Min)
-    }
-
     fn relative_bound(&self, est: &Estimate<V>) -> f64 {
         est.error_bound.to_f64() / est.value.to_f64().abs().max(1.0)
-    }
-
-    fn estimate_cost(&self, region: &Region) -> f64 {
-        let corner = (1u64 << region.ndim().min(63)) as f64;
-        match self.anchors.decompose(region) {
-            Ok(parts) => parts
-                .iter()
-                .map(|p| {
-                    if p.internal || p.region == p.superblock {
-                        corner
-                    } else {
-                        // Anchor corners + two extrema reads per block of
-                        // the superblock.
-                        let blocks = (p.superblock.volume()
-                            / self.b.pow(region.ndim() as u32).max(1))
-                        .max(1) as f64;
-                        corner + 2.0 * blocks
-                    }
-                })
-                .sum(),
-            Err(_) => f64::INFINITY,
-        }
     }
 
     fn degraded(
@@ -418,7 +385,6 @@ impl<V: ApproxValue + 'static> DegradeTier<V> for ApproxEngine<V> {
         match op {
             EngineOp::Sum => self.estimate_sum(region),
             EngineOp::Max | EngineOp::Min => self.estimate_extremum(region, op),
-            EngineOp::Update => Err(EngineError::unsupported(self.label_text(), op.name())),
         }
     }
 
@@ -571,15 +537,14 @@ mod tests {
     fn degrade_tier_contract() {
         let e = ApproxEngine::build(cube(), 4).unwrap();
         let tier: &dyn DegradeTier<i64> = &e;
-        assert!(tier.supports(EngineOp::Sum) && tier.supports(EngineOp::Max));
-        assert!(!tier.supports(EngineOp::Update));
         assert!(tier.label().contains("approx"));
         let query = q(&[(1, 11), (1, 7)]);
-        let cost = tier.estimate_cost(&query);
-        assert!(cost.is_finite() && cost > 0.0);
         let (est, stats) = tier.degraded(&query, EngineOp::Sum).unwrap();
         assert!(est.lower <= est.value && est.value <= est.upper);
         assert!(stats.total_accesses() > 0);
-        assert!(tier.degraded(&query, EngineOp::Update).is_err());
+        for op in [EngineOp::Max, EngineOp::Min] {
+            let (est, _) = tier.degraded(&query, op).unwrap();
+            assert!(est.lower <= est.value && est.value <= est.upper);
+        }
     }
 }

@@ -6,14 +6,12 @@
 //! whole stack can share; the sparse engines are self-contained) so the
 //! whole backend travels as one `Box<dyn RangeEngine<V>>`.
 
-use crate::range_engine::{
-    derive_shared, BatchImage, Capabilities, Derived, EngineOp, RangeEngine,
-};
+use crate::range_engine::{derive_shared, BatchImage, Derived, EngineOp, RangeEngine};
 use crate::EngineError;
 use olap_aggregate::{NaturalOrder, NumericValue, ReverseOrder, SumOp, TotalOrder};
 use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_planner::cost;
-use olap_query::{AccessStats, EngineKind, QueryCtx, QueryOutcome, QueryStats};
+use olap_query::{AccessStats, EngineKind, QueryCtx, QueryOutcome};
 use olap_sparse::{SparseCube, SparseRangeMax, SparseRangeSum};
 use olap_tree_sum::SumTreeCube;
 use std::sync::Arc;
@@ -59,12 +57,8 @@ where
         self.a.shape()
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::full()
-    }
-
-    fn cost(&self, region: &Region) -> f64 {
-        region.volume() as f64
+    fn cost(&self, region: &Region, _op: EngineOp) -> Option<f64> {
+        Some(region.volume() as f64)
     }
 
     fn read(
@@ -94,7 +88,6 @@ where
                     let (at, v) = crate::naive::range_max(&self.a, &order, region, ctx)?;
                     Ok(QueryOutcome::extremum(at, v, ctx.stats, naive))
                 }
-                EngineOp::Update => Err(EngineError::unsupported(self.label(), op.name())),
             },
         )
     }
@@ -166,22 +159,15 @@ where
         self.a.shape()
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            range_sum: true,
-            updates: true,
-            ..Capabilities::default()
-        }
-    }
-
-    fn cost(&self, region: &Region) -> f64 {
-        let qs = QueryStats::of_region(region);
-        cost::tree_cost(
-            region.ndim(),
-            qs.surface,
-            self.tree.fanout(),
-            self.tree.height(),
-        )
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
+        (op == EngineOp::Sum).then(|| {
+            cost::tree_cost(
+                region.ndim(),
+                region.surface_area() as f64,
+                self.tree.fanout(),
+                self.tree.height(),
+            )
+        })
     }
 
     fn read(
@@ -284,23 +270,17 @@ impl<T: NumericValue + Send + Sync + 'static> RangeEngine<T> for SparseSumEngine
         self.inner.shape()
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            range_sum: true,
-            updates: true,
-            ..Capabilities::default()
-        }
-    }
-
-    fn cost(&self, region: &Region) -> f64 {
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
         // §10.2 proxy: each intersecting dense region answers with a
         // 2^d-corner prefix lookup; outliers contribute individually in
         // proportion to the queried share of the cube. Crude: the router
         // compares it as is, and reports its drift from observed accesses.
-        let shape = self.inner.shape();
-        let frac = region.volume() as f64 / shape.len().max(1) as f64;
-        self.inner.region_count() as f64 * cost::pow2(shape.ndim())
-            + self.inner.outlier_count() as f64 * frac
+        (op == EngineOp::Sum).then(|| {
+            let shape = self.inner.shape();
+            let frac = region.volume() as f64 / shape.len().max(1) as f64;
+            self.inner.region_count() as f64 * cost::pow2(shape.ndim())
+                + self.inner.outlier_count() as f64 * frac
+        })
     }
 
     fn read(
@@ -341,7 +321,10 @@ where
     T: Clone,
 {
     inner: SparseRangeMax<NaturalOrder<T>>,
-    points: usize,
+    /// Depth of the fanout-8 R-tree over the points, for the price.
+    depth: usize,
+    /// Points per cell of the cube, for the price.
+    density: f64,
 }
 
 impl<T> SparseMaxEngine<T>
@@ -351,9 +334,19 @@ where
 {
     /// Builds the engine over a sparse cube.
     pub fn build(cube: &SparseCube<T>) -> Self {
+        let points = cube.len();
+        let mut depth = 1usize;
+        let mut cover = 8usize;
+        while cover < points.max(1) {
+            cover = cover.saturating_mul(8);
+            depth += 1;
+        }
+        let inner = SparseRangeMax::build(cube);
+        let density = points as f64 / inner.shape().len().max(1) as f64;
         SparseMaxEngine {
-            inner: SparseRangeMax::build(cube),
-            points: cube.len(),
+            inner,
+            depth,
+            density,
         }
     }
 
@@ -381,25 +374,12 @@ where
         self.inner.shape()
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            range_max: true,
-            ..Capabilities::default()
-        }
-    }
-
-    fn cost(&self, region: &Region) -> f64 {
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
         // R-tree proxy: a root-to-leaf descent of the fanout-8 tree plus
         // the expected points inside the query. Crude: the router
         // compares it as is, and reports its drift from observed accesses.
-        let mut depth = 1usize;
-        let mut cover = 8usize;
-        while cover < self.points.max(1) {
-            cover = cover.saturating_mul(8);
-            depth += 1;
-        }
-        let density = self.points as f64 / self.inner.shape().len().max(1) as f64;
-        8.0 * depth as f64 + region.volume() as f64 * density
+        (op == EngineOp::Max)
+            .then(|| 8.0 * self.depth as f64 + region.volume() as f64 * self.density)
     }
 
     fn read(
@@ -515,6 +495,11 @@ mod tests {
             e.range_sum(&q(&[(0, 1), (0, 1)])),
             Err(EngineError::Unsupported { .. })
         ));
-        assert!(e.estimate(&q(&[(0, 29), (0, 29)])).is_finite());
+        let everything = q(&[(0, 29), (0, 29)]);
+        let region = everything.to_region(e.shape()).unwrap();
+        assert!(e.cost(&region, EngineOp::Max).is_some_and(f64::is_finite));
+        assert_eq!(e.cost(&region, EngineOp::Sum), None);
+        // `estimate` prices a sum, which it does not serve.
+        assert_eq!(e.estimate(&everything), f64::INFINITY);
     }
 }

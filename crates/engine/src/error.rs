@@ -34,8 +34,9 @@ pub enum EngineError {
     MaxTree(MaxTreeError),
     /// Cost-model failures (degenerate fanouts, …).
     Cost(CostError),
-    /// The engine does not support the requested operation (see
-    /// [`crate::Capabilities`]).
+    /// The engine does not serve the requested operation: a read op with
+    /// no [`crate::RangeEngine::cost`], or updates on an engine that
+    /// takes none.
     Unsupported {
         /// The engine's label.
         engine: String,

@@ -11,7 +11,7 @@
 //! exactly the gap Theorem 1's `2^d` closes.
 
 use crate::naive::CHECK_EVERY;
-use crate::range_engine::{Capabilities, EngineOp, RangeEngine};
+use crate::range_engine::{EngineOp, RangeEngine};
 use crate::EngineError;
 use olap_aggregate::AbelianGroup;
 use olap_array::{BudgetMeter, DenseArray, Region, Shape};
@@ -179,20 +179,18 @@ where
         &self.base_shape
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::sum_only()
-    }
-
-    fn cost(&self, region: &Region) -> f64 {
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
         // [GBLP96] cost: one margin access per axis spanning its domain,
         // one access per value of every other axis (the §1 `16·9·1·1`
         // example).
-        region
-            .ranges()
-            .iter()
-            .zip(self.base_shape.dims())
-            .map(|(r, &n)| if r.len() == n { 1.0 } else { r.len() as f64 })
-            .product()
+        (op == EngineOp::Sum).then(|| {
+            region
+                .ranges()
+                .iter()
+                .zip(self.base_shape.dims())
+                .map(|(r, &n)| if r.len() == n { 1.0 } else { r.len() as f64 })
+                .product()
+        })
     }
 
     fn read(

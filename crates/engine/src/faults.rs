@@ -18,8 +18,8 @@
 //! cubes rather than different failure handling.
 
 use crate::range_engine::{BatchImage, Derived};
-use crate::{Capabilities, EngineError, EngineOp, RangeEngine};
-use olap_array::{BudgetMeter, DenseArray, Region, Shape};
+use crate::{EngineError, EngineOp, RangeEngine};
+use olap_array::{mix, BudgetMeter, DenseArray, Region, Shape};
 use olap_query::QueryOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,16 +111,6 @@ impl FaultPlan {
         self.lie_cheapest = true;
         self
     }
-}
-
-/// splitmix64: a strong 64-bit mixer, used as a stateless per-call PRNG
-/// (`mix(seed ^ n)`) so the fault schedule is a pure function of the
-/// plan's seed and the call number.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A [`RangeEngine`] wrapper that injects deterministic faults into query
@@ -219,16 +209,9 @@ impl<V: 'static> RangeEngine<V> for FaultyEngine<V> {
         self.inner.shape()
     }
 
-    fn capabilities(&self) -> Capabilities {
-        self.inner.capabilities()
-    }
-
-    fn cost(&self, region: &Region) -> f64 {
-        if self.plan.lie_cheapest {
-            0.0
-        } else {
-            self.inner.cost(region)
-        }
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
+        let cost = self.inner.cost(region, op)?;
+        Some(if self.plan.lie_cheapest { 0.0 } else { cost })
     }
 
     /// Every sum, max and min reaches the engine as this one read, so

@@ -2,9 +2,7 @@
 //! one query interface.
 
 use crate::error::EngineError;
-use crate::range_engine::{
-    derive_shared, BatchImage, Capabilities, Derived, EngineOp, RangeEngine,
-};
+use crate::range_engine::{derive_shared, BatchImage, Derived, EngineOp, RangeEngine};
 use olap_aggregate::ReverseOrder;
 use olap_aggregate::{NaturalOrder, NumericValue, TotalOrder};
 use olap_array::{BudgetMeter, DenseArray, Region, Shape};
@@ -224,27 +222,40 @@ where
     /// # Errors
     /// Validates the region.
     pub fn explain_sum(&self, region: &Region) -> Result<String, EngineError> {
-        use olap_query::QueryStats;
-        let (engine, model): (&str, f64) = match &self.prefix {
-            Prefix::Basic(_) => ("basic prefix sums (§3)", olap_planner::pow2(region.ndim())),
-            Prefix::Blocked(bp) => {
-                let stats = QueryStats::of_region(region);
-                (
-                    "blocked prefix sums (§4)",
-                    olap_planner::cost::prefix_sum_cost(
-                        region.ndim(),
-                        stats.surface,
-                        bp.block_size(),
-                    ),
-                )
-            }
+        let engine = match &self.prefix {
+            Prefix::Basic(_) => "basic prefix sums (§3)",
+            Prefix::Blocked(_) => "blocked prefix sums (§4)",
         };
         let (_, stats) = self.range_sum(region)?;
         Ok(format!(
-            "query {region} (volume {}): engine = {engine}; modelled cost ≈ {model:.0}; measured accesses = {}",
+            "query {region} (volume {}): engine = {engine}; modelled cost ≈ {:.0}; measured accesses = {}",
             region.volume(),
+            self.price(region, EngineOp::Sum),
             stats.total_accesses()
         ))
+    }
+
+    /// [`RangeEngine::cost`] of `op` over `region`, which the index
+    /// serves for every op: Equation 3 for a sum from the configured
+    /// prefix structure; for a max or min, the §8 tree cost of the §6
+    /// walk capped at the region's volume, or the volume when no tree
+    /// is kept and the read scans.
+    fn price(&self, region: &Region, op: EngineOp) -> f64 {
+        use olap_planner::cost;
+        let d = region.ndim();
+        let tree = match (op, &self.prefix) {
+            (EngineOp::Sum, Prefix::Basic(_)) => return cost::pow2(d),
+            (EngineOp::Sum, Prefix::Blocked(bp)) => {
+                let surface = region.surface_area() as f64;
+                return cost::prefix_sum_cost(d, surface, bp.block_size());
+            }
+            (EngineOp::Max, _) => self.max_tree.as_ref().map(|t| (t.fanout(), t.height())),
+            (EngineOp::Min, _) => self.min_tree.as_ref().map(|t| (t.fanout(), t.height())),
+        };
+        let volume = region.volume() as f64;
+        tree.map_or(volume, |(b, height)| {
+            cost::tree_cost(d, region.surface_area() as f64, b, height).min(volume)
+        })
     }
 
     /// Applies a batch of absolute-value updates `(index, new value)` to
@@ -324,20 +335,8 @@ where
         self.a.shape()
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::full()
-    }
-
-    fn cost(&self, region: &Region) -> f64 {
-        use olap_planner::cost;
-        let d = region.ndim();
-        match &self.prefix {
-            Prefix::Basic(_) => cost::pow2(d),
-            Prefix::Blocked(bp) => {
-                let qs = olap_query::QueryStats::of_region(region);
-                cost::prefix_sum_cost(d, qs.surface, bp.block_size())
-            }
-        }
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
+        Some(self.price(region, op))
     }
 
     fn read(
@@ -370,7 +369,6 @@ where
                 };
                 Ok(QueryOutcome::extremum(at, v, ctx.stats, kind))
             }),
-            EngineOp::Update => Err(EngineError::unsupported(self.label(), op.name())),
         }
     }
 
@@ -585,6 +583,39 @@ mod tests {
         .unwrap();
         let text = blocked_idx.explain_sum(&q).unwrap();
         assert!(text.contains("blocked prefix sums"), "{text}");
+    }
+
+    #[test]
+    fn each_op_has_its_own_price() {
+        use olap_planner::cost::{prefix_sum_cost, tree_cost};
+        let a = cube(); // 12 × 10: each tree has height 2 at b = 4
+        let q = Region::from_bounds(&[(1, 10), (2, 7)]).unwrap(); // V = 60, S = 32
+        let price = |idx: &CubeIndex<i64>, region: &Region, op| idx.cost(region, op).unwrap();
+        let basic = CubeIndex::build(a.clone(), IndexConfig::default()).unwrap();
+        assert_eq!(price(&basic, &q, EngineOp::Sum), 4.0);
+        assert_eq!(price(&basic, &q, EngineOp::Max), tree_cost(2, 32.0, 4, 2));
+        // No min tree: the read scans, so the price is the volume.
+        assert_eq!(price(&basic, &q, EngineOp::Min), 60.0);
+        // A tree walk is never priced above the scan it replaces.
+        let cell = Region::from_bounds(&[(3, 3), (4, 4)]).unwrap();
+        assert_eq!(price(&basic, &cell, EngineOp::Max), 1.0);
+        let blocked = CubeIndex::build(
+            a,
+            IndexConfig {
+                prefix: PrefixChoice::Blocked(4),
+                max_tree_fanout: None,
+                min_tree_fanout: Some(4),
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            price(&blocked, &q, EngineOp::Sum),
+            prefix_sum_cost(2, 32.0, 4)
+        );
+        assert_eq!(price(&blocked, &q, EngineOp::Max), 60.0);
+        assert_eq!(price(&blocked, &q, EngineOp::Min), tree_cost(2, 32.0, 4, 2));
+        let text = blocked.explain_sum(&q).unwrap();
+        assert!(text.contains("modelled cost ≈ 36;"), "{text}");
     }
 
     #[test]

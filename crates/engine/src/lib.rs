@@ -77,7 +77,7 @@ pub use faults::{FaultPlan, FaultyEngine};
 pub use index::{CubeIndex, IndexConfig, PrefixChoice};
 pub use olap_array::{BudgetMeter, CancellationToken, DegradePolicy, Interrupt, QueryBudget};
 pub use planned::PlannedIndex;
-pub use range_engine::{BatchImage, Capabilities, Derived, EngineOp, RangeEngine};
+pub use range_engine::{BatchImage, Derived, EngineOp, RangeEngine};
 pub use router::{
     AdaptiveRouter, Candidate, DegradeReason, EngineHealth, EngineStatus, Explain, FaultStats,
     Routed, QUARANTINE_COOLDOWN_TICKS, QUARANTINE_THRESHOLD,

@@ -3,15 +3,13 @@
 //! structure — the end-to-end version of the paper's physical design.
 
 use crate::cuboid::materialize_cuboid;
-use crate::range_engine::{Capabilities, EngineOp, RangeEngine};
+use crate::range_engine::{EngineOp, RangeEngine};
 use crate::EngineError;
 use olap_aggregate::{NumericValue, SumOp};
 use olap_array::{BudgetMeter, DenseArray, Range, Region, Shape};
 use olap_planner::PrefixSumChoice;
 use olap_prefix_sum::{BlockedPrefixCube, BoundaryPolicy};
-use olap_query::{
-    AccessStats, CuboidId, EngineKind, QueryCtx, QueryOutcome, QueryStats, RangeQuery,
-};
+use olap_query::{AccessStats, CuboidId, EngineKind, QueryCtx, QueryOutcome, RangeQuery};
 
 /// One materialized structure: a cuboid slice plus its blocked prefix sum
 /// (block size 1 degenerates to the basic algorithm).
@@ -119,15 +117,18 @@ impl<T: NumericValue + PartialOrd> PlannedIndex<T> {
     /// The Equation-3 cost of answering a validated region from structure
     /// `s`.
     fn structure_cost(s: &Structure<T>, region: &Region) -> f64 {
-        let sides: Vec<f64> = s
-            .choice
-            .cuboid
-            .dims()
-            .iter()
-            .map(|&j| region.range(j).len() as f64)
-            .collect();
-        let stats = QueryStats::from_sides(&sides);
-        olap_planner::cost::prefix_sum_cost(s.choice.cuboid.ndim(), stats.surface, s.choice.block)
+        let cuboid = s.choice.cuboid;
+        let sides = || {
+            region
+                .ranges()
+                .iter()
+                .enumerate()
+                .filter(move |(j, _)| cuboid.contains_dim(*j))
+                .map(|(_, r)| r.len() as f64)
+        };
+        let volume: f64 = sides().product();
+        let surface: f64 = sides().map(|x| 2.0 * volume / x).sum();
+        olap_planner::cost::prefix_sum_cost(cuboid.ndim(), surface, s.choice.block)
     }
 
     /// Chooses the cheapest structure applicable to a validated region by
@@ -203,18 +204,17 @@ impl<T: NumericValue + PartialOrd + Send + Sync + 'static> RangeEngine<T> for Pl
         self.a.shape()
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::sum_only()
-    }
-
-    fn cost(&self, region: &Region) -> f64 {
-        if self.a.shape().check_region(region).is_err() {
-            return f64::INFINITY;
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
+        if op != EngineOp::Sum {
+            return None;
         }
-        match self.pick(region) {
+        if self.a.shape().check_region(region).is_err() {
+            return Some(f64::INFINITY);
+        }
+        Some(match self.pick(region) {
             None => region.volume() as f64,
             Some(s) => Self::structure_cost(s, region),
-        }
+        })
     }
 
     fn read(

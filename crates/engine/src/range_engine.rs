@@ -3,13 +3,14 @@
 //! The paper's §8/§9 argument is a *cost model choosing among structures*;
 //! for the model to arbitrate at query time, every structure must answer
 //! the same [`RangeQuery`] with the same [`QueryOutcome`] and advertise an
-//! analytic [`RangeEngine::cost`] in the paper's element-access unit.
+//! analytic [`RangeEngine::cost`] per op in the paper's element-access
+//! unit.
 //!
 //! A query is resolved into a [`Region`] once, at whichever entry point it
 //! arrives through. Below that point every layer passes the `&Region`:
 //! an engine answers it with one [`RangeEngine::read`] per op, under the
 //! [`BudgetMeter`] of the query, and prices it with one
-//! [`RangeEngine::cost`].
+//! [`RangeEngine::cost`] per op.
 //! `CubeIndex`, `PlannedIndex`, `ExtendedCube`, the naive baselines, the
 //! tree-sum baseline, and the sparse engines all implement this trait, so
 //! [`crate::AdaptiveRouter`] can hold them as trait objects and pick the
@@ -24,7 +25,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// The operations an engine may support.
+/// The read operations an engine may serve. Updates are not an op: an
+/// engine takes them through [`RangeEngine::apply_updates`], whose
+/// default refuses them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineOp {
     /// Range sum (and the aggregates derived from it).
@@ -33,8 +36,6 @@ pub enum EngineOp {
     Max,
     /// Range min with argmin.
     Min,
-    /// Batched absolute-value updates.
-    Update,
 }
 
 impl EngineOp {
@@ -44,7 +45,6 @@ impl EngineOp {
             EngineOp::Sum => "range_sum",
             EngineOp::Max => "range_max",
             EngineOp::Min => "range_min",
-            EngineOp::Update => "apply_updates",
         }
     }
 }
@@ -52,50 +52,6 @@ impl EngineOp {
 impl fmt::Display for EngineOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// What an engine can do. Routers filter candidates by these flags before
-/// comparing costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Capabilities {
-    /// Answers [`RangeEngine::range_sum`].
-    pub range_sum: bool,
-    /// Answers [`RangeEngine::range_max`].
-    pub range_max: bool,
-    /// Answers [`RangeEngine::range_min`].
-    pub range_min: bool,
-    /// Accepts [`RangeEngine::apply_updates`].
-    pub updates: bool,
-}
-
-impl Capabilities {
-    /// Sum queries only (no extrema, no updates).
-    pub fn sum_only() -> Self {
-        Capabilities {
-            range_sum: true,
-            ..Capabilities::default()
-        }
-    }
-
-    /// Everything: sum, max, min, and updates.
-    pub fn full() -> Self {
-        Capabilities {
-            range_sum: true,
-            range_max: true,
-            range_min: true,
-            updates: true,
-        }
-    }
-
-    /// Whether the given operation is supported.
-    pub fn supports(&self, op: EngineOp) -> bool {
-        match op {
-            EngineOp::Sum => self.range_sum,
-            EngineOp::Max => self.range_max,
-            EngineOp::Min => self.range_min,
-            EngineOp::Update => self.updates,
-        }
     }
 }
 
@@ -238,32 +194,43 @@ where
     Ok(Derived::new(Box::new(next), result?))
 }
 
-/// What every provided `&RangeQuery` method does: refuse an op outside
-/// the engine's [`Capabilities`], resolve the query against the engine's
-/// shape, and answer it with one unmetered [`RangeEngine::read`].
+/// Whether `engine` serves `op` at all: its price of the whole cube.
+/// Only a query that failed to resolve asks, to tell an op the engine
+/// never serves from a bad query; a resolved query learns it from
+/// [`RangeEngine::cost`] or [`RangeEngine::read`] directly.
+pub(crate) fn serves<V, E: RangeEngine<V> + ?Sized>(engine: &E, op: EngineOp) -> bool {
+    engine.cost(&engine.shape().full_region(), op).is_some()
+}
+
+/// What every provided `&RangeQuery` method does: resolve the query
+/// against the engine's shape and answer it with one unmetered
+/// [`RangeEngine::read`]. A query that does not resolve reports
+/// [`EngineError::Unsupported`] for an op the engine never serves, and
+/// its validation error otherwise.
 fn read_query<V, E: RangeEngine<V> + ?Sized>(
     engine: &E,
     query: &RangeQuery,
     op: EngineOp,
 ) -> Result<QueryOutcome<V>, EngineError> {
-    if !engine.capabilities().supports(op) {
-        return Err(EngineError::unsupported(engine.label(), op.name()));
+    match query.to_region(engine.shape()) {
+        Ok(region) => engine.read(&region, op, &BudgetMeter::unlimited()),
+        Err(e) if serves(engine, op) => Err(e.into()),
+        Err(_) => Err(EngineError::unsupported(engine.label(), op.name())),
     }
-    let region = query.to_region(engine.shape())?;
-    engine.read(&region, op, &BudgetMeter::unlimited())
 }
 
 /// A queryable cube backend: the lingua franca between structures, the
 /// adaptive router, benches, and the CLI.
 ///
 /// The trait is object safe; routers hold `Box<dyn RangeEngine<V>>`. An
-/// engine implements two query methods over a resolved [`Region`]: one
-/// [`RangeEngine::cost`] and one [`RangeEngine::read`] for every op. The
+/// engine implements two query methods over a resolved [`Region`] and an
+/// [`EngineOp`]: one price, [`RangeEngine::cost`], and one
+/// [`RangeEngine::read`]. An op the engine does not serve has no price
+/// (`None`) and its read fails with [`EngineError::Unsupported`]. The
 /// `&RangeQuery` methods ([`RangeEngine::estimate`],
 /// [`RangeEngine::range_sum`], [`RangeEngine::range_max`],
 /// [`RangeEngine::range_min`]) are provided: they resolve the query once
-/// and forward it. Operations outside an engine's [`Capabilities`] fail
-/// with [`EngineError::Unsupported`].
+/// and forward it.
 ///
 /// # Snapshot semantics
 ///
@@ -284,17 +251,18 @@ pub trait RangeEngine<V>: Send + Sync {
     /// The shape of the base cube the engine answers queries over.
     fn shape(&self) -> &Shape;
 
-    /// Which operations the engine supports.
-    fn capabilities(&self) -> Capabilities;
-
-    /// Predicted cost of a read over `region`, in the paper's unit
-    /// (elements accessed), from the §8/§9 analytic model
-    /// (`olap_planner::cost`).
+    /// Predicted cost of reading `op` over `region`, in the paper's unit
+    /// (elements accessed), from the analytic model of the structure
+    /// that answers `op` (`olap_planner::cost`): Equation 3 for a
+    /// (blocked) prefix-sum read, the §8 tree cost for a §6 tree walk
+    /// (capped at the region's volume), and the volume for a scan.
+    /// `None` when the engine does not serve `op` on any region. Pricing
+    /// allocates nothing.
     ///
     /// The router compares these values as they are — nothing rescales
     /// them — so a cost is only as good as the model it computes; the
     /// router reports the drift of observed accesses from it.
-    fn cost(&self, region: &Region) -> f64;
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64>;
 
     /// The engine's one read: answers `op` over `region` with its
     /// kernel's metered read, under one [`olap_query::QueryCtx`] over
@@ -304,8 +272,8 @@ pub trait RangeEngine<V>: Send + Sync {
     /// the outcome's [`QueryOutcome::cost`].
     ///
     /// # Errors
-    /// Region validation, [`EngineError::Unsupported`] for an op outside
-    /// [`RangeEngine::capabilities`], or a budget interrupt
+    /// Region validation, [`EngineError::Unsupported`] for an op without
+    /// a [`RangeEngine::cost`], or a budget interrupt
     /// ([`EngineError::DeadlineExceeded`], [`EngineError::BudgetExhausted`],
     /// [`EngineError::Cancelled`]).
     fn read(
@@ -315,12 +283,15 @@ pub trait RangeEngine<V>: Send + Sync {
         meter: &BudgetMeter,
     ) -> Result<QueryOutcome<V>, EngineError>;
 
-    /// [`RangeEngine::cost`] of the query's region, or `+∞` (ranked last)
-    /// when the query does not resolve against [`RangeEngine::shape`].
+    /// [`RangeEngine::cost`] of a sum over the query's region, or `+∞`
+    /// (ranked last) when the query does not resolve against
+    /// [`RangeEngine::shape`] or the engine serves no sums.
     fn estimate(&self, query: &RangeQuery) -> f64 {
         query
             .to_region(self.shape())
-            .map_or(f64::INFINITY, |region| self.cost(&region))
+            .ok()
+            .and_then(|region| self.cost(&region, EngineOp::Sum))
+            .unwrap_or(f64::INFINITY)
     }
 
     /// Answers a range-sum query.
@@ -358,7 +329,8 @@ pub trait RangeEngine<V>: Send + Sync {
     /// protocol and the sum tree's paths); nothing is rebuilt.
     ///
     /// # Errors
-    /// Index validation, or [`EngineError::Unsupported`].
+    /// Index validation, or [`EngineError::Unsupported`] from this
+    /// default: it is how an engine says it takes no updates.
     fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<Derived<V>, EngineError> {
         let _ = updates;
         Err(EngineError::unsupported(self.label(), "apply_updates"))
@@ -386,21 +358,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn capability_filters() {
-        let c = Capabilities::sum_only();
-        assert!(c.supports(EngineOp::Sum));
-        assert!(!c.supports(EngineOp::Max));
-        assert!(!c.supports(EngineOp::Update));
-        let f = Capabilities::full();
-        for op in [
-            EngineOp::Sum,
-            EngineOp::Max,
-            EngineOp::Min,
-            EngineOp::Update,
-        ] {
-            assert!(f.supports(op));
-        }
-        assert_eq!(EngineOp::Min.name(), "range_min");
-        assert_eq!(EngineOp::Update.to_string(), "apply_updates");
+    fn op_names() {
+        assert_eq!(EngineOp::Sum.name(), "range_sum");
+        assert_eq!(EngineOp::Min.to_string(), "range_min");
     }
 }

@@ -2,14 +2,26 @@
 //! cost" made operational.
 //!
 //! [`AdaptiveRouter`] holds several [`RangeEngine`]s, resolves an incoming
-//! [`RangeQuery`] once against them, predicts each one's cost of the
-//! resolved region from the paper's analytic model
-//! ([`RangeEngine::cost`]), and reads the first strict argmin.
+//! [`RangeQuery`] once against them, asks each for its one price of the
+//! query's op over the resolved region ([`RangeEngine::cost`]), and
+//! reads the first strict argmin among the engines that have a price.
+//! The price is the paper's model of the structure that answers the op:
+//! Equation 3 for a (blocked) prefix-sum read, the §8 tree cost of a §6
+//! walk capped at the region's volume, the volume for a scan, and `None`
+//! for an op the engine does not serve. The cap and the lower-index
+//! tie-break keep every max on an index-first stack on the index.
+//!
+//! A query that fails to resolve has no region to price. Only then does
+//! the router price the whole cube (`Shape::full_region`) to learn
+//! whether any engine serves the op, so the query fails with its
+//! validation error, or `NoCandidate` when nothing serves the op; a query
+//! that resolves never pays for this probe.
+//!
 //! The prediction is used as written: nothing learned from past queries
 //! moves it, so a decision depends only on the query, the op and the
 //! pinned engine set. How far observed accesses drift from the model is
-//! reported (the `olap_router_drift_permille` histogram and the flight
-//! recorder), not fed back.
+//! reported per engine and op (the `olap_router_drift_permille`
+//! histogram and the flight recorder), not fed back.
 //!
 //! [`AdaptiveRouter::explain`] exposes the whole decision: every
 //! candidate's predicted cost, the chosen route, and the observed cost
@@ -72,7 +84,7 @@
 //! flight recorder.
 
 use crate::approx::DegradeTier;
-use crate::range_engine::{BatchImage, EngineOp, RangeEngine};
+use crate::range_engine::{serves, BatchImage, EngineOp, RangeEngine};
 use crate::version::{EpochGuard, SnapshotCell};
 use crate::{EngineError, EpochStats};
 use olap_aggregate::NumericValue;
@@ -193,12 +205,12 @@ pub struct Candidate {
     pub index: usize,
     /// The engine's [`RangeEngine::label`].
     pub label: String,
-    /// [`RangeEngine::cost`] of the query's region (paper units, elements
-    /// accessed) — what the router compares, and what
-    /// [`RangeEngine::estimate`] reports for the query; `+∞` when the
-    /// engine is not eligible.
+    /// [`RangeEngine::cost`] of the op over the query's region (paper
+    /// units, elements accessed) — what the router compares, and for a
+    /// sum what [`RangeEngine::estimate`] reports for the query; `+∞`
+    /// when the engine is not eligible.
     pub predicted: f64,
-    /// Whether the engine's [`crate::Capabilities`] admit the operation.
+    /// Whether the engine serves the operation: it has a price for it.
     pub eligible: bool,
     /// The engine's circuit-breaker standing at decision time.
     pub status: EngineStatus,
@@ -332,15 +344,16 @@ impl RouterState {
 }
 
 /// The estimate sweep against one engine-set snapshot: each engine's
-/// [`RangeEngine::cost`] of `region`, or `None` when its capabilities
-/// exclude `op` (an update is never a read). A query that did not
-/// resolve prices every eligible engine at `+∞`.
+/// [`RangeEngine::cost`] of `op` over `region`, `None` where it does not
+/// serve `op`. A query that did not resolve prices each engine that
+/// serves `op` at `+∞`; only then is the whole cube priced, to learn
+/// which engines those are.
 fn sweep<V>(set: &EngineSet<V>, region: Option<&Region>, op: EngineOp) -> Vec<Option<f64>> {
     set.engines
         .iter()
-        .map(|e| {
-            let eligible = op != EngineOp::Update && e.capabilities().supports(op);
-            eligible.then(|| region.map_or(f64::INFINITY, |r| e.cost(r)))
+        .map(|e| match region {
+            Some(region) => e.cost(region, op),
+            None => serves(&**e, op).then_some(f64::INFINITY),
         })
         .collect()
 }
@@ -913,24 +926,15 @@ impl<V> AdaptiveRouter<V> {
     /// has been derived, so healthy engines stay mutually consistent.
     ///
     /// # Errors
-    /// [`EngineError::Unsupported`] naming the first engine that cannot
-    /// take updates, or an index the image rejects (either way nothing is
-    /// derived or installed), or the first derive failure.
+    /// An index the image rejects (nothing is derived or installed), or
+    /// [`EngineError::Unsupported`] from the first engine whose derive
+    /// refuses updates (nothing is installed), or the first other derive
+    /// failure.
     pub fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError>
     where
         V: NumericValue,
     {
         self.snapshots.update(|cur| {
-            if let Some(e) = cur
-                .engines
-                .iter()
-                .find(|e| !e.capabilities().supports(EngineOp::Update))
-            {
-                return (
-                    None,
-                    Err(EngineError::unsupported(e.label(), "apply_updates")),
-                );
-            }
             let poisoned: Vec<bool> = {
                 let st = self.lock_state();
                 (0..cur.engines.len())
@@ -973,6 +977,9 @@ impl<V> AdaptiveRouter<V> {
                         stats += derived.stats;
                         Arc::from(derived.engine)
                     }
+                    // An engine that takes no updates: installing the rest
+                    // would leave it answering for a stale cube.
+                    Some(Err(e @ EngineError::Unsupported { .. })) => return (None, Err(e)),
                     Some(Err(e)) => {
                         if matches!(e, EngineError::EnginePanicked { .. }) {
                             let mut st = self.lock_state();
@@ -1014,14 +1021,8 @@ impl<V> AdaptiveRouter<V> {
     /// [`AdaptiveRouter::explain`] for an arbitrary read operation.
     ///
     /// # Errors
-    /// [`EngineError::NoCandidate`], or `op == Update` (not a query), or
-    /// the chosen engine's error.
+    /// [`EngineError::NoCandidate`] or the chosen engine's error.
     pub fn explain_op(&self, query: &RangeQuery, op: EngineOp) -> Result<Explain<V>, EngineError> {
-        if op == EngineOp::Update {
-            return Err(EngineError::NoCandidate {
-                op: "explain(update)",
-            });
-        }
         let mut candidates = Vec::new();
         let (chosen, outcome) = self.route(query, op, Some(&mut candidates))?;
         Ok(Explain {
@@ -1077,8 +1078,11 @@ fn record_route<V>(
     .inc(1);
     if predicted.is_finite() && predicted > 0.0 {
         let drift = ((observed as f64 / predicted) - 1.0).abs() * 1000.0;
-        reg.histogram("olap_router_drift_permille", &[("engine", &label)])
-            .observe(drift.min(u64::MAX as f64) as u64);
+        reg.histogram(
+            "olap_router_drift_permille",
+            &[("engine", &label), ("op", op.name())],
+        )
+        .observe(drift.min(u64::MAX as f64) as u64);
     }
     ctx.recorder().record(olap_telemetry::FlightRecord {
         seq: 0,
@@ -1307,6 +1311,15 @@ mod tests {
                 .any(|m| m.name == "olap_engine_accesses" && m.label("op") == Some("range_sum")),
             "missing engine access histogram in {snap:?}"
         );
+        // The model's drift is reported per engine and per op.
+        for op in ["range_sum", "range_max"] {
+            assert!(
+                snap.iter().any(|m| m.name == "olap_router_drift_permille"
+                    && m.label("op") == Some(op)
+                    && m.label("engine").is_some()),
+                "missing {op} drift in {snap:?}"
+            );
+        }
         let flights = ctx.recorder().snapshot();
         assert_eq!(flights.len(), 3);
         assert!(flights.iter().all(|f| f.observed > 0));
@@ -1315,6 +1328,23 @@ mod tests {
         let big = &flights[0];
         assert!(big.engine.contains("prefix"), "{big:?}");
         assert_eq!(big.predicted, 4.0);
+    }
+
+    #[test]
+    fn a_member_that_takes_no_updates_makes_the_router_install_nothing() {
+        let a = cube();
+        let r = router().with_engine(Box::new(crate::SparseMaxEngine::from_dense(&a)));
+        let epoch = r.epoch();
+        let before: Vec<_> = (0..r.len()).map(|i| r.engine(i)).collect();
+        let err = r.apply_updates(&[(vec![1, 1], 500)]).unwrap_err();
+        assert!(matches!(err, EngineError::Unsupported { .. }), "{err:?}");
+        assert_eq!(r.epoch(), epoch);
+        for (i, engine) in before.iter().enumerate() {
+            assert!(Arc::ptr_eq(engine, &r.engine(i)));
+        }
+        let everything = q(&[(0, 63), (0, 63)]);
+        let total: i64 = a.as_slice().iter().sum();
+        assert_eq!(r.range_sum(&everything).unwrap().value(), Some(&total));
     }
 
     #[test]
@@ -1381,11 +1411,8 @@ mod tests {
         fn shape(&self) -> &Shape {
             self.inner.shape()
         }
-        fn capabilities(&self) -> crate::Capabilities {
-            self.inner.capabilities()
-        }
-        fn cost(&self, _region: &Region) -> f64 {
-            0.0
+        fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
+            self.inner.cost(region, op).map(|_| 0.0)
         }
         fn read(
             &self,
@@ -1706,12 +1733,13 @@ mod tests {
         let a = cube();
         let truth = a.fold_region(&region, 0i64, |s, &x| s + x);
         assert!(estimate.contains(truth));
-        // The tier's honest model: a handful of anchor/extrema reads,
-        // orders of magnitude under naive's volume estimate.
-        let cost = ApproxEngine::build(cube(), 8)
+        // The tier reads a handful of anchors and extrema, orders of
+        // magnitude under the region's volume.
+        let (_, stats) = ApproxEngine::build(cube(), 8)
             .unwrap()
-            .estimate_cost(&region);
-        assert!(cost.is_finite() && cost < region.volume() as f64 / 10.0);
+            .estimate_sum(&region)
+            .unwrap();
+        assert!(stats.total_accesses() * 10 < region.volume() as u64);
         assert!(r.degrade_tier_label().unwrap().contains("approx"));
     }
 

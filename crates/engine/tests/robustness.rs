@@ -40,22 +40,35 @@ fn span(lo: usize, hi: usize) -> DimSelection {
     DimSelection::span(lo, hi).unwrap()
 }
 
+/// Whether `e` serves `op`: whether it prices the whole cube for it.
+fn serves(e: &dyn RangeEngine<i64>, op: EngineOp) -> bool {
+    e.cost(&e.shape().full_region(), op).is_some()
+}
+
+/// Whether `e` takes updates: a valid one-cell batch is not refused.
+fn takes_updates(e: &dyn RangeEngine<i64>) -> bool {
+    !matches!(
+        e.apply_updates(&[(vec![0, 0], 1)]),
+        Err(EngineError::Unsupported { .. })
+    )
+}
+
 #[test]
 fn out_of_bounds_queries_error_on_every_backend() {
     let q = RangeQuery::new(vec![span(0, 3), span(5, 12)]).unwrap();
     for e in all_engines() {
         let label = e.label();
-        if e.capabilities().supports(EngineOp::Sum) {
+        if serves(&*e, EngineOp::Sum) {
             let err = e.range_sum(&q).unwrap_err();
             assert!(
                 matches!(err, EngineError::Array(ArrayError::OutOfBounds { .. })),
                 "{label}: {err:?}"
             );
         }
-        if e.capabilities().supports(EngineOp::Max) {
+        if serves(&*e, EngineOp::Max) {
             assert!(e.range_max(&q).is_err(), "{label}");
         }
-        if e.capabilities().supports(EngineOp::Min) {
+        if serves(&*e, EngineOp::Min) {
             assert!(e.range_min(&q).is_err(), "{label}");
         }
     }
@@ -66,7 +79,7 @@ fn dimension_mismatch_errors_on_every_backend() {
     // A 3-d query against 2-d engines.
     let q = RangeQuery::all(3).unwrap();
     for e in all_engines() {
-        if !e.capabilities().supports(EngineOp::Sum) {
+        if !serves(&*e, EngineOp::Sum) {
             continue;
         }
         let err = e.range_sum(&q).unwrap_err();
@@ -82,7 +95,7 @@ fn dimension_mismatch_errors_on_every_backend() {
 fn out_of_domain_singletons_error() {
     let q = RangeQuery::new(vec![DimSelection::Single(99), DimSelection::All]).unwrap();
     for e in all_engines() {
-        if e.capabilities().supports(EngineOp::Sum) {
+        if serves(&*e, EngineOp::Sum) {
             assert!(e.range_sum(&q).is_err(), "{}", e.label());
         }
     }
@@ -91,30 +104,27 @@ fn out_of_domain_singletons_error() {
 #[test]
 fn unsupported_operations_are_typed_not_panics() {
     for e in all_engines() {
-        let caps = e.capabilities();
         let q = RangeQuery::all(2).unwrap();
-        if !caps.supports(EngineOp::Max) {
+        if !serves(&*e, EngineOp::Max) {
             assert!(
                 matches!(e.range_max(&q), Err(EngineError::Unsupported { .. })),
                 "{}",
                 e.label()
             );
         }
-        if !caps.supports(EngineOp::Min) {
+        if !serves(&*e, EngineOp::Min) {
             assert!(
                 matches!(e.range_min(&q), Err(EngineError::Unsupported { .. })),
                 "{}",
                 e.label()
             );
         }
-        if !caps.supports(EngineOp::Update) {
-            // Updates on a read-only engine: typed refusal.
+        // Updates on a read-only engine: a typed refusal, never a panic;
+        // every other engine takes the batch.
+        if let Err(err) = e.apply_updates(&[(vec![0, 0], 1)]) {
             assert!(
-                matches!(
-                    e.apply_updates(&[(vec![0, 0], 1)]),
-                    Err(EngineError::Unsupported { .. })
-                ),
-                "{}",
+                matches!(err, EngineError::Unsupported { .. }),
+                "{}: {err:?}",
                 e.label()
             );
         }
@@ -124,7 +134,7 @@ fn unsupported_operations_are_typed_not_panics() {
 #[test]
 fn out_of_bounds_updates_error_without_corrupting_state() {
     for e in all_engines() {
-        if !e.capabilities().supports(EngineOp::Update) {
+        if !takes_updates(&*e) {
             continue;
         }
         let label = e.label();
@@ -239,12 +249,6 @@ struct PanickingTier(Arc<DenseArray<i64>>);
 impl DegradeTier<i64> for PanickingTier {
     fn label(&self) -> String {
         "panicking-tier".into()
-    }
-    fn supports(&self, _op: EngineOp) -> bool {
-        true
-    }
-    fn estimate_cost(&self, _region: &Region) -> f64 {
-        1.0
     }
     fn relative_bound(&self, _est: &Estimate<i64>) -> f64 {
         0.0

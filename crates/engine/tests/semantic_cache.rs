@@ -6,8 +6,8 @@
 
 use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_engine::{
-    AdaptiveRouter, Capabilities, CubeIndex, Derived, EngineError, EngineOp, IndexConfig,
-    NaiveEngine, RangeEngine, SemanticCache, SumTreeEngine, VersionCell,
+    AdaptiveRouter, CubeIndex, Derived, EngineError, EngineOp, IndexConfig, NaiveEngine,
+    RangeEngine, SemanticCache, SumTreeEngine, VersionCell,
 };
 use olap_query::{EngineKind, QueryOutcome, RangeQuery};
 use proptest::prelude::*;
@@ -200,11 +200,8 @@ impl RangeEngine<i64> for RefusesUpdates {
     fn shape(&self) -> &Shape {
         self.0.shape()
     }
-    fn capabilities(&self) -> Capabilities {
-        self.0.capabilities()
-    }
-    fn cost(&self, region: &Region) -> f64 {
-        self.0.cost(region)
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
+        self.0.cost(region, op)
     }
     fn read(
         &self,

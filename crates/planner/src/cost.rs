@@ -91,9 +91,15 @@ pub fn tree_depth(n: usize, b: usize) -> Result<usize, CostError> {
 /// every level contributes the full surface term.
 pub fn tree_cost(d: usize, surface: f64, b: usize, depth: usize) -> f64 {
     let f = f_of_b(b);
-    let mut total = 0.0;
-    for k in 0..depth {
-        total += surface / powu(b as f64, k.saturating_mul(d.saturating_sub(1)));
+    // `b^{k(d−1)}` one multiply per level: exact wherever `powi` is (the
+    // powers of an integer below 2^53), and routers price every routed
+    // max with this, so it stays off `powi`.
+    let step = powu(b as f64, d.saturating_sub(1));
+    let (mut total, mut scale) = (0.0, 1.0);
+    // analyzer: allow(budget-coverage, reason = "one term per tree level: trip count = the tree's height, not data volume")
+    for _ in 0..depth {
+        total += surface / scale;
+        scale *= step;
     }
     f * total
 }

@@ -25,10 +25,10 @@
 //! exploit; the final [`LoadReport::cache`] counters record what it did.
 
 use crate::{CubeServer, ServerAnswer, ServerError};
-use olap_array::{DenseArray, Region};
+use olap_array::{mix, DenseArray, Region};
 use olap_engine::CacheStats;
 use olap_query::RangeQuery;
-use olap_workload::{mix, uniform_regions, zipf_regions};
+use olap_workload::{uniform_regions, zipf_regions};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Workload parameters for [`drive_load`].

@@ -20,13 +20,3 @@ pub use cubes::{
     INSURANCE_TYPES, STATES,
 };
 pub use queries::{sided_regions, synthetic_log, uniform_regions, zipf_regions, CuboidMix};
-
-/// SplitMix64: a stateless 64-bit mixer, the workspace's seeded-stream
-/// idiom — `mix(seed ^ i)` gives the `i`-th value of a reproducible
-/// stream without carrying RNG state.
-pub fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}

@@ -3,10 +3,11 @@
 //! agree — on sums, extrema, and after updates applied through the trait.
 
 use olap_cube::aggregate::SumOp;
+use olap_cube::array::BudgetMeter;
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::engine::{
-    CubeIndex, EngineError, ExtendedCube, IndexConfig, NaiveEngine, PlannedIndex, PrefixChoice,
-    RangeEngine, SparseMaxEngine, SparseSumEngine, SumTreeEngine,
+    CubeIndex, EngineError, EngineOp, ExtendedCube, IndexConfig, NaiveEngine, PlannedIndex,
+    PrefixChoice, RangeEngine, SparseMaxEngine, SparseSumEngine, SumTreeEngine,
 };
 use olap_cube::planner::PrefixSumChoice;
 use olap_cube::query::{CuboidId, RangeQuery};
@@ -114,7 +115,7 @@ fn all_extremum_engines_agree() {
         for e in &max_engines {
             let out = e.range_max(&q).unwrap();
             assert_eq!(out.value(), Some(&emax), "max {} {region}", e.label());
-            if e.capabilities().range_min {
+            if e.cost(&region, EngineOp::Min).is_some() {
                 let out = e.range_min(&q).unwrap();
                 assert_eq!(out.value(), Some(&emin), "min {} {region}", e.label());
             }
@@ -122,26 +123,47 @@ fn all_extremum_engines_agree() {
     }
 }
 
+/// Every engine of both families, with and without min trees.
+fn every_engine(a: &DenseArray<i64>) -> Engines {
+    let mut engines = sum_engines(a);
+    engines.push(Box::new(SparseMaxEngine::from_dense(a)));
+    for min_tree_fanout in [None, Some(3)] {
+        let cfg = IndexConfig {
+            min_tree_fanout,
+            ..IndexConfig::default()
+        };
+        engines.push(Box::new(CubeIndex::build(a.clone(), cfg).unwrap()));
+    }
+    engines
+}
+
+/// The price is the one statement of what an engine serves: for every
+/// engine and op, `cost` is `Some` exactly when `read` does not refuse
+/// the op as `Unsupported`, on every region alike, and a served op is
+/// priced finite and positive.
 #[test]
-fn capabilities_are_honest() {
+fn prices_are_honest() {
     let a = uniform_cube(Shape::new(&[12, 12]).unwrap(), 100, 7);
-    let engines = sum_engines(&a);
-    let q = RangeQuery::from_region(&Region::from_bounds(&[(1, 8), (2, 9)]).unwrap());
-    for e in &engines {
-        let caps = e.capabilities();
-        assert!(caps.range_sum, "{}", e.label());
-        if !caps.range_max {
-            assert!(
-                matches!(e.range_max(&q), Err(EngineError::Unsupported { .. })),
-                "{} advertises no range_max but answered",
-                e.label()
-            );
-        }
-        if !caps.range_min {
-            assert!(matches!(
-                e.range_min(&q),
-                Err(EngineError::Unsupported { .. })
-            ));
+    let regions = [
+        a.shape().full_region(),
+        Region::from_bounds(&[(1, 8), (2, 9)]).unwrap(),
+        Region::from_bounds(&[(5, 5), (0, 11)]).unwrap(),
+        Region::from_bounds(&[(3, 3), (4, 4)]).unwrap(),
+    ];
+    for e in &every_engine(&a) {
+        for op in [EngineOp::Sum, EngineOp::Max, EngineOp::Min] {
+            let served = e.cost(&regions[0], op).is_some();
+            for region in &regions {
+                let at = format!("{} {op} {region}", e.label());
+                let price = e.cost(region, op);
+                assert_eq!(price.is_some(), served, "{at}: priced on some regions only");
+                let read = e.read(region, op, &BudgetMeter::unlimited());
+                let refused = matches!(read, Err(EngineError::Unsupported { .. }));
+                assert_eq!(price.is_some(), !refused, "{at}: price vs read");
+                if let Some(p) = price {
+                    assert!(p.is_finite() && p > 0.0, "{at}: {p}");
+                }
+            }
         }
     }
 }
@@ -152,7 +174,7 @@ fn updates_flow_through_the_trait() {
     let a = uniform_cube(shape.clone(), 100, 8);
     let mut engines: Engines = sum_engines(&a)
         .into_iter()
-        .filter(|e| e.capabilities().updates)
+        .filter(|e| e.apply_updates(&[]).is_ok())
         .collect();
     assert!(engines.len() >= 4, "naive, cube-index, tree-sum, sparse");
     let updates: Vec<(Vec<usize>, i64)> = vec![

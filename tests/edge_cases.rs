@@ -2,7 +2,7 @@
 //! sizes, float pathologies, and hostile inputs.
 
 use olap_cube::aggregate::NaturalOrder;
-use olap_cube::array::{ArrayError, DenseArray, Region, Shape};
+use olap_cube::array::{mix, ArrayError, DenseArray, Region, Shape};
 use olap_cube::engine::{
     AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, QueryBudget, RangeEngine,
     SemanticCache, SumTreeEngine,
@@ -13,7 +13,7 @@ use olap_cube::range_max::{MaxTree, NaturalMaxTree};
 use olap_cube::server::{CubeServer, ServeConfig};
 use olap_cube::sparse::{SparseCube, SparseRangeSum};
 use olap_cube::tree_sum::SumTreeCube;
-use olap_cube::workload::{mix, uniform_regions};
+use olap_cube::workload::uniform_regions;
 use std::sync::Arc;
 
 #[test]

@@ -94,7 +94,7 @@ fn engines(a: &DenseArray<i64>) -> Vec<(Box<dyn RangeEngine<i64>>, Expected)> {
             )),
             validated,
         ),
-        // Sums are outside its capabilities, whatever the query.
+        // It prices no sums, so it refuses them whatever the query.
         (
             Box::new(SparseMaxEngine::from_dense(a)),
             ["unsupported", "unsupported"],
@@ -109,7 +109,7 @@ fn every_engine_refuses_a_bad_query_with_the_same_variant() {
         let got = [wrong_rank(), out_of_domain()].map(|q| kind(&engine.range_sum(&q).unwrap_err()));
         assert_eq!(got, *expected, "{}", engine.label());
     }
-    // An op outside the capabilities is refused before the query is read.
+    // An op the engine has no price for is refused whatever the query.
     let tree = SumTreeEngine::build(a, 2).unwrap();
     assert_eq!(
         kind(&tree.range_max(&wrong_rank()).unwrap_err()),
@@ -206,7 +206,7 @@ fn a_capped_read_stops_within_one_checkpoint_and_an_ok_read_charges_what_it_coun
     for (engine, _) in &engines(&a) {
         let label = engine.label();
         for op in [EngineOp::Sum, EngineOp::Max, EngineOp::Min] {
-            if !engine.capabilities().supports(op) {
+            if engine.cost(&full, op).is_none() {
                 continue;
             }
             for region in &regions {

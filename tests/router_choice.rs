@@ -13,8 +13,8 @@
 
 use olap_cube::array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_cube::engine::{
-    AdaptiveRouter, Capabilities, CubeIndex, EngineError, EngineOp, IndexConfig, NaiveEngine,
-    PrefixChoice, RangeEngine, SemanticCache, SumTreeEngine,
+    AdaptiveRouter, CubeIndex, EngineError, EngineOp, IndexConfig, NaiveEngine, PrefixChoice,
+    RangeEngine, SemanticCache, SumTreeEngine,
 };
 use olap_cube::query::{QueryOutcome, RangeQuery};
 use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions};
@@ -158,12 +158,9 @@ impl RangeEngine<i64> for Recording {
     fn shape(&self) -> &Shape {
         self.inner.shape()
     }
-    fn capabilities(&self) -> Capabilities {
-        self.inner.capabilities()
-    }
-    fn cost(&self, region: &Region) -> f64 {
+    fn cost(&self, region: &Region, op: EngineOp) -> Option<f64> {
         self.calls.lock().unwrap().costs.push(region.clone());
-        self.inner.cost(region)
+        self.inner.cost(region, op)
     }
     fn read(
         &self,

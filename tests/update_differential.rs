@@ -18,10 +18,11 @@
 
 use olap_cube::array::{DenseArray, Shape};
 use olap_cube::engine::{
-    AdaptiveRouter, CubeIndex, EngineStatus, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine,
-    RangeEngine, SemanticCache, SumTreeEngine,
+    AdaptiveRouter, CubeIndex, EngineOp, EngineStatus, FaultPlan, FaultyEngine, IndexConfig,
+    NaiveEngine, RangeEngine, SemanticCache, SumTreeEngine,
 };
 use olap_cube::query::RangeQuery;
+use olap_cube::server::{CubeServer, ServeConfig, ServerAnswer, ServerError};
 use olap_cube::workload::{uniform_cube, uniform_regions};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -53,19 +54,22 @@ fn engines(router: &AdaptiveRouter<i64>) -> Vec<Engine> {
     (0..router.len()).map(|i| router.engine(i)).collect()
 }
 
-/// `(sum, max)` per query, `None` where the engine lacks the operation.
-fn answers(engine: &Engine, queries: &[RangeQuery]) -> Vec<(Option<i64>, Option<i64>)> {
-    let caps = engine.capabilities();
+/// `[sum, max, min]` per query, `None` where the engine does not serve
+/// the op (it has no price for it).
+fn answers(engine: &Engine, queries: &[RangeQuery]) -> Vec<[Option<i64>; 3]> {
+    let everything = engine.shape().full_region();
     queries
         .iter()
         .map(|q| {
-            let sum = caps
-                .range_sum
-                .then(|| *engine.range_sum(q).unwrap().value().unwrap());
-            let max = caps
-                .range_max
-                .then(|| *engine.range_max(q).unwrap().value().unwrap());
-            (sum, max)
+            [EngineOp::Sum, EngineOp::Max, EngineOp::Min].map(|op| {
+                engine.cost(&everything, op)?;
+                let out = match op {
+                    EngineOp::Sum => engine.range_sum(q),
+                    EngineOp::Max => engine.range_max(q),
+                    EngineOp::Min => engine.range_min(q),
+                };
+                Some(*out.unwrap().value().unwrap())
+            })
         })
         .collect()
 }
@@ -180,6 +184,59 @@ fn shard_stack_updates_equal_a_fresh_build_and_share_one_cube() {
         let cube = cube_of(dims, 40 + d as u64);
         let router = shard_stack(&Arc::new(cube.clone()), [None, None]);
         drive(&router, &cube, 4, 7 + d as u64);
+    }
+}
+
+/// The served path under installs, min included: a 2-shard and a
+/// 4-shard `CubeServer` take the same hostile batches, and after each one
+/// every sum, max and min equals a fresh server's over the post-batch
+/// cube, and each argmax and argmin lies in its region and holds the
+/// value returned.
+#[test]
+fn served_sums_maxes_and_mins_equal_a_fresh_build_across_installs() {
+    type Read = fn(&CubeServer, &RangeQuery) -> Result<ServerAnswer, ServerError>;
+    let reads: [(&str, Read); 3] = [
+        ("sum", CubeServer::range_sum),
+        ("max", CubeServer::range_max),
+        ("min", CubeServer::range_min),
+    ];
+    let config = |shards| ServeConfig {
+        shards,
+        ..ServeConfig::default()
+    };
+    for (d, dims) in SHAPES.iter().enumerate() {
+        let cube = cube_of(dims, 80 + d as u64);
+        let shape = cube.shape().clone();
+        let servers = [2, 4].map(|k| CubeServer::build(&cube, config(k)).unwrap());
+        let mut shadow = cube.clone();
+        let mut rng = StdRng::seed_from_u64(81 + d as u64);
+        for round in 0..4 {
+            let batch = hostile_batch(&shadow, &mut rng);
+            for server in &servers {
+                server.apply_updates(&batch).unwrap();
+            }
+            apply_to(&mut shadow, &batch);
+            let regions = uniform_regions(&shape, 12, 820 + 10 * d as u64 + round);
+            for server in &servers {
+                let fresh = CubeServer::build(&shadow, config(server.shards())).unwrap();
+                for region in &regions {
+                    let q = RangeQuery::from_region(region);
+                    for (op, read) in reads {
+                        let at =
+                            format!("{op} {region} on {} shards, round {round}", server.shards());
+                        let got = read(server, &q).unwrap();
+                        assert!(!got.is_degraded(), "{at}");
+                        assert_eq!(got.value, read(&fresh, &q).unwrap().value, "{at}");
+                        if op == "sum" {
+                            continue;
+                        }
+                        let arg = got.at.as_ref().expect("an extremum has its cell");
+                        assert!(region.contains(arg), "{at}: {arg:?}");
+                        assert_eq!(*shadow.get(arg), got.value, "{at}: {arg:?}");
+                    }
+                }
+            }
+        }
     }
 }
 
