@@ -23,7 +23,8 @@
 // Library code reports failures as typed errors, so clippy denies every
 // panicking escape hatch outside test builds. A site whose bound is an
 // invariant carries `#[expect(clippy::…, reason = "…")]` on the narrowest
-// item that holds it.
+// item that holds it. Nor may it discard an error: `let _ =` on a
+// `#[must_use]` value (a `Result` included) is denied too.
 #![cfg_attr(
     not(test),
     deny(
@@ -33,7 +34,8 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::let_underscore_must_use
     )
 )]
 

@@ -114,7 +114,6 @@ impl Region {
             return None;
         }
         let mut out = Vec::with_capacity(self.ndim());
-        // analyzer: allow(budget-coverage, reason = "per-axis intersection: trip count = ndim")
         for (a, b) in self.ranges.iter().zip(other.ranges.iter()) {
             out.push(a.intersect(b)?);
         }

@@ -24,7 +24,6 @@ impl Shape {
         if dims.is_empty() {
             return Err(ArrayError::EmptyShape);
         }
-        // analyzer: allow(budget-coverage, reason = "per-axis validation: trip count = ndim, not data volume")
         for (axis, &n) in dims.iter().enumerate() {
             if n == 0 {
                 return Err(ArrayError::ZeroDim { axis });
@@ -32,7 +31,6 @@ impl Shape {
         }
         let mut strides = vec![0usize; dims.len()];
         let mut acc: usize = 1;
-        // analyzer: allow(budget-coverage, reason = "stride construction: trip count = ndim, not data volume")
         for (stride, &n) in strides.iter_mut().zip(dims).rev() {
             *stride = acc;
             acc = acc.checked_mul(n).ok_or(ArrayError::TooLarge)?;
@@ -125,7 +123,6 @@ impl Shape {
     pub fn unflatten_into(&self, mut flat: usize, out: &mut [usize]) {
         debug_assert!(flat < self.len);
         debug_assert_eq!(out.len(), self.dims.len());
-        // analyzer: allow(budget-coverage, reason = "index arithmetic over ndim strides: trip count = ndim, not data volume")
         for (o, &s) in out.iter_mut().zip(self.strides.iter()) {
             *o = flat / s;
             flat %= s;
@@ -180,7 +177,6 @@ impl Shape {
                 actual: region.ndim(),
             });
         }
-        // analyzer: allow(budget-coverage, reason = "per-axis region validation: trip count = ndim, not data volume")
         for (axis, (r, &extent)) in region.ranges().iter().zip(self.dims.iter()).enumerate() {
             if r.hi() >= extent {
                 return Err(ArrayError::OutOfBounds {
@@ -229,7 +225,8 @@ impl Shape {
         let run = inner_hi - inner_lo + 1;
         cur.copy_from_slice(lo);
         let mut base = self.flatten(lo);
-        // analyzer: allow(budget-coverage, reason = "one run per call of f; callers charge the runs at their own checkpoint (a blocked part, a max-tree node)")
+        // One run per call of f; callers charge the runs at their own checkpoint (a blocked part, a
+        // max-tree node).
         loop {
             f(base..base + run);
             // Odometer over the outer axes; the innermost one is the run.
@@ -238,7 +235,8 @@ impl Shape {
                 .zip(lo.iter().zip(hi))
                 .zip(self.strides.iter());
             let mut advanced = false;
-            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per run; each caller charges the runs at its own checkpoint (a blocked part, a max-tree node)")
+            // Odometer advance: at most ndim steps per run; each caller charges the runs at its own
+            // checkpoint (a blocked part, a max-tree node).
             for ((c, (&l, &h)), &s) in outer.rev().skip(1) {
                 if *c < h {
                     *c += 1;

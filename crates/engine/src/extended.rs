@@ -122,7 +122,6 @@ impl<G: AbelianGroup> ExtendedCube<G> {
         self.base_shape.check_region(region)?;
         let mut iter_dims: Vec<(usize, usize, usize)> = Vec::new(); // (axis, lo, hi)
         let mut idx: Vec<usize> = Vec::with_capacity(region.ndim());
-        // analyzer: allow(budget-coverage, reason = "per-axis setup: trip count = ndim")
         for (axis, (r, &n)) in region
             .ranges()
             .iter()

@@ -136,7 +136,6 @@ impl<T: NumericValue + PartialOrd> PlannedIndex<T> {
     fn pick(&self, region: &Region) -> Option<&Structure<T>> {
         let q_cuboid = self.cuboid_of(region);
         let mut best: Option<(&Structure<T>, f64)> = None;
-        // analyzer: allow(budget-coverage, reason = "one cost estimate per materialized structure: trip count = the plan's structure count, not data volume")
         for s in &self.structures {
             if !s.choice.cuboid.is_ancestor_of(&q_cuboid) {
                 continue;

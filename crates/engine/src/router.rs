@@ -463,7 +463,16 @@ impl fmt::Display for DegradeReason {
 /// A routed answer that is allowed to degrade: either a normal exact
 /// [`QueryOutcome`], or a bounded-error [`Estimate`] from the
 /// degradation tier. The two are different types all the way down — a
-/// degraded value cannot be mistaken for, or cached as, an exact one.
+/// degraded value cannot be mistaken for, or cached as, an exact one:
+///
+/// ```compile_fail
+/// use olap_engine::Routed;
+/// use olap_query::Estimate;
+///
+/// fn masquerade(estimate: Estimate<i64>) -> Routed<i64> {
+///     Routed::Exact(estimate)
+/// }
+/// ```
 #[derive(Debug, Clone)]
 pub enum Routed<V> {
     /// An exact answer from an exact engine.
@@ -711,93 +720,93 @@ impl<V> AdaptiveRouter<V> {
         op: EngineOp,
         table: Option<&mut Vec<Candidate>>,
     ) -> Result<(usize, QueryOutcome<V>), EngineError> {
-        // Covers decision, dispatch, and failover; inert (one relaxed
-        // atomic load) unless a trace scope is entered on this thread.
-        // The whole query runs against the one set the caller pinned,
-        // even if an update installs a successor mid-flight.
-        let _route_span = olap_telemetry::TraceSpan::start("router_dispatch");
-        let (tick, meter) = {
-            let mut st = self.lock_state();
-            st.ticks += 1;
-            // One meter for the whole query: the deadline spans failover
-            // attempts, so retries never extend the time allowance. An
-            // already-expired budget (a zero deadline, a fired
-            // cancellation token) kills the query with its interrupt
-            // *before* any routing work — even when no candidate would
-            // have been admissible.
-            let meter = st.budget.start(st.token.clone());
-            if let Err(interrupt) = meter.check() {
-                st.faults.budget_kills += 1;
-                return Err(interrupt.into());
-            }
-            (st.ticks, meter)
-        };
-        // The one estimate sweep of this query, with no router lock held.
-        let predictions = sweep(set, region.ok(), op);
-        if let Some(table) = table {
-            *table = label_predictions(set, &predictions, &self.lock_state().healths);
-        }
-        let mut next = next_ranked(&predictions, None);
-        let mut last_fault: Option<EngineError> = None;
-        while let Some(i) = next {
-            next = next_ranked(&predictions, Some(i));
-            {
+        // The span covers decision, dispatch and failover.
+        olap_telemetry::in_span("router_dispatch", || {
+            // The whole query runs against the one set the caller pinned,
+            // even if an update installs a successor mid-flight.
+            let (tick, meter) = {
                 let mut st = self.lock_state();
-                if !st.healths[i].admissible(tick) {
-                    continue;
-                }
-                if st.healths[i].is_probe() {
-                    st.faults.probes += 1;
-                    record_fault_event(set, "probe", i, op);
-                }
-                if last_fault.is_some() {
-                    st.faults.failovers += 1;
-                    record_fault_event(set, "failover", i, op);
-                }
-            }
-            let region = region.map_err(Clone::clone)?;
-            let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
-            // Dispatch with no router lock held: concurrent queries on
-            // other threads proceed while this engine works.
-            let dispatched = {
-                let _kernel_span = olap_telemetry::TraceSpan::start("kernel_exec");
-                let engine = &set.engines[i];
-                guarded(|| engine.label(), || engine.read(region, op, &meter))
-            };
-            match dispatched {
-                Ok(outcome) => {
-                    self.lock_state().note_success(i);
-                    if let Some((ctx, start)) = observing {
-                        let predicted = predictions
-                            .get(i)
-                            .copied()
-                            .flatten()
-                            .unwrap_or(f64::INFINITY);
-                        record_route(&ctx, start, set, i, op, predicted, &outcome);
-                    }
-                    return Ok((i, outcome));
-                }
-                Err(e) if e.is_interrupt() => {
-                    // The engine obeyed its budget: healthy, no failover
-                    // (a retry would re-run the same doomed query).
-                    let mut st = self.lock_state();
-                    st.note_success(i);
+                st.ticks += 1;
+                // One meter for the whole query: the deadline spans failover
+                // attempts, so retries never extend the time allowance. An
+                // already-expired budget (a zero deadline, a fired
+                // cancellation token) kills the query with its interrupt
+                // *before* any routing work — even when no candidate would
+                // have been admissible.
+                let meter = st.budget.start(st.token.clone());
+                if let Err(interrupt) = meter.check() {
                     st.faults.budget_kills += 1;
-                    record_fault_event(set, "budget_kill", i, op);
-                    return Err(e);
+                    return Err(interrupt.into());
                 }
-                Err(e) if e.is_engine_fault() => {
-                    let panicked = matches!(e, EngineError::EnginePanicked { .. });
-                    self.lock_state().note_fault(i, tick, panicked);
-                    record_fault_event(set, if panicked { "panic" } else { "fault" }, i, op);
-                    last_fault = Some(e);
-                }
-                // Validation fails identically everywhere (an unresolved
-                // region too): no failover, no breaker counting.
-                Err(e) => return Err(e),
+                (st.ticks, meter)
+            };
+            // The one estimate sweep of this query, with no router lock held.
+            let predictions = sweep(set, region.ok(), op);
+            if let Some(table) = table {
+                *table = label_predictions(set, &predictions, &self.lock_state().healths);
             }
-        }
-        Err(last_fault.unwrap_or(EngineError::NoCandidate { op: op.name() }))
+            let mut next = next_ranked(&predictions, None);
+            let mut last_fault: Option<EngineError> = None;
+            while let Some(i) = next {
+                next = next_ranked(&predictions, Some(i));
+                {
+                    let mut st = self.lock_state();
+                    if !st.healths[i].admissible(tick) {
+                        continue;
+                    }
+                    if st.healths[i].is_probe() {
+                        st.faults.probes += 1;
+                        record_fault_event(set, "probe", i, op);
+                    }
+                    if last_fault.is_some() {
+                        st.faults.failovers += 1;
+                        record_fault_event(set, "failover", i, op);
+                    }
+                }
+                let region = region.map_err(Clone::clone)?;
+                let observing =
+                    olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
+                // Dispatch with no router lock held: concurrent queries on
+                // other threads proceed while this engine works.
+                let dispatched = olap_telemetry::in_span("kernel_exec", || {
+                    let engine = &set.engines[i];
+                    guarded(|| engine.label(), || engine.read(region, op, &meter))
+                });
+                match dispatched {
+                    Ok(outcome) => {
+                        self.lock_state().note_success(i);
+                        if let Some((ctx, start)) = observing {
+                            let predicted = predictions
+                                .get(i)
+                                .copied()
+                                .flatten()
+                                .unwrap_or(f64::INFINITY);
+                            record_route(&ctx, start, set, i, op, predicted, &outcome);
+                        }
+                        return Ok((i, outcome));
+                    }
+                    Err(e) if e.is_interrupt() => {
+                        // The engine obeyed its budget: healthy, no failover
+                        // (a retry would re-run the same doomed query).
+                        let mut st = self.lock_state();
+                        st.note_success(i);
+                        st.faults.budget_kills += 1;
+                        record_fault_event(set, "budget_kill", i, op);
+                        return Err(e);
+                    }
+                    Err(e) if e.is_engine_fault() => {
+                        let panicked = matches!(e, EngineError::EnginePanicked { .. });
+                        self.lock_state().note_fault(i, tick, panicked);
+                        record_fault_event(set, if panicked { "panic" } else { "fault" }, i, op);
+                        last_fault = Some(e);
+                    }
+                    // Validation fails identically everywhere (an unresolved
+                    // region too): no failover, no breaker counting.
+                    Err(e) => return Err(e),
+                }
+            }
+            Err(last_fault.unwrap_or(EngineError::NoCandidate { op: op.name() }))
+        })
     }
 
     /// Routes and answers a range-sum query.
@@ -893,8 +902,9 @@ impl<V> AdaptiveRouter<V> {
             .approx
             .as_ref()
             .ok_or(EngineError::NoCandidate { op: op.name() })?;
-        let _degrade_span = olap_telemetry::TraceSpan::start("degrade");
-        let (estimate, stats) = guarded(|| tier.label(), || tier.degraded(region, op))?;
+        let (estimate, stats) = olap_telemetry::in_span("degrade", || {
+            guarded(|| tier.label(), || tier.degraded(region, op))
+        })?;
         if let Some(ctx) = olap_telemetry::current() {
             ctx.registry()
                 .counter(

@@ -400,10 +400,7 @@ where
         let epoch0 = self.backend.epoch();
         // Hashed once: a miss inserts under the same fingerprint.
         let fp = fingerprint(&region);
-        let hit = {
-            let _lookup_span = olap_telemetry::TraceSpan::start("cache_lookup");
-            self.lookup(&region, fp, epoch0)
-        };
+        let hit = olap_telemetry::in_span("cache_lookup", || self.lookup(&region, fp, epoch0));
         let Some(sum) = hit else {
             // Direct execution with insert-on-miss. The backend dispatch
             // records the flight record; annotate it as a consulted-but-

@@ -96,7 +96,6 @@ pub fn tree_cost(d: usize, surface: f64, b: usize, depth: usize) -> f64 {
     // max with this, so it stays off `powi`.
     let step = powu(b as f64, d.saturating_sub(1));
     let (mut total, mut scale) = (0.0, 1.0);
-    // analyzer: allow(budget-coverage, reason = "one term per tree level: trip count = the tree's height, not data volume")
     for _ in 0..depth {
         total += surface / scale;
         scale *= step;

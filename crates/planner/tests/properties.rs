@@ -143,3 +143,14 @@ proptest! {
         let _ = PrefixSumChoice { cuboid: CuboidId::empty(), block: 1 };
     }
 }
+
+/// The case a real proptest run once shrank `optimal_block_size_is_the_argmax`
+/// to. The vendored shim neither shrinks nor reads regression files, so
+/// the case runs here by name.
+#[test]
+fn optimal_block_size_is_the_argmax_at_a_recorded_case() {
+    let (v, s, d) = (1296.5952998957578, 3696.8309947017347, 1);
+    // b* = (V − 2^d)/(S/4) · d/(d+1) ≈ 0.70: the maximiser is below 2, so
+    // blocking never beats the basic algorithm and there is no `b − 1`.
+    assert_eq!(optimal_block_size(v, s, d), None);
+}

@@ -106,10 +106,9 @@ impl<G: AbelianGroup> PrefixSumArray<G> {
         let d = region.ndim();
         let mut corner = vec![0usize; d];
         let mut acc = self.op.identity();
-        // analyzer: allow(budget-coverage, reason = "Theorem 1 corner gather: at most 2^d probes, charged after the gather")
+        // Theorem 1 corner gather: at most 2^d probes, charged after the gather.
         'corners: for mask in 0u64..(1u64 << d) {
             // Bit j set ⇒ pick x_j = ℓ_j − 1 (sign −1); clear ⇒ x_j = h_j.
-            // analyzer: allow(budget-coverage, reason = "corner coordinate selection: trip count = ndim per corner")
             for (j, c) in corner.iter_mut().enumerate() {
                 let r = region.range(j);
                 if (mask >> j) & 1 == 1 {

@@ -185,12 +185,11 @@ impl Split {
         let d = self.axes.len();
         let mut buf = vec![0usize; Cursor::SLICES * d];
         let part = &mut Cursor::carve(&mut buf, d);
-        // analyzer: allow(budget-coverage, reason = "the 3^d part odometer: f charges each part at the caller's checkpoint")
+        // The 3^d part odometer: f charges each part at the caller's checkpoint.
         loop {
             let mut internal = true;
             let slots = (part.lo.iter_mut().zip(part.hi.iter_mut()))
                 .zip(part.sb_lo.iter_mut().zip(part.sb_hi.iter_mut()));
-            // analyzer: allow(budget-coverage, reason = "per-axis piece lookup: trip count = ndim")
             for ((((lo, hi), (sb_lo, sb_hi)), axis), &c) in
                 slots.zip(&self.axes).zip(part.choice.iter())
             {
@@ -201,7 +200,6 @@ impl Split {
             f(part, internal)?;
             // Odometer over the choices, the last axis fastest.
             let mut advanced = false;
-            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per part")
             for (c, axis) in part.choice.iter_mut().zip(&self.axes).rev() {
                 *c += 1;
                 if *c < axis.len {
@@ -405,11 +403,10 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         let b = self.b;
         let strides = self.p.shape().strides();
         let mut acc = self.op.identity();
-        // analyzer: allow(budget-coverage, reason = "Theorem 1 corner gather over superblock P: at most 2^d probes, charged per part by read")
+        // Theorem 1 corner gather over superblock P: at most 2^d probes, charged per part by read.
         'corners: for mask in 0u64..(1u64 << lo.len()) {
             let mut flat = 0;
             let axes = lo.iter().zip(hi).zip(self.shape.dims()).zip(strides);
-            // analyzer: allow(budget-coverage, reason = "corner coordinate selection: trip count = ndim per corner")
             for (j, (((&l, &h), &n), &s)) in axes.enumerate() {
                 let c = if (mask >> j) & 1 == 1 {
                     if l == 0 {
@@ -573,7 +570,8 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
                     // clamp the rest to the part on this axis.
                     let axes = lo.iter().zip(hi.iter());
                     let axes = axes.zip(sb_lo.iter().zip(sb_hi.iter()));
-                    // analyzer: allow(budget-coverage, reason = "complement holes of one part: at most 2d, each a bounded box fold counted in stats")
+                    // Complement holes of one part: at most 2d, each a bounded box fold counted in
+                    // stats.
                     for (axis, ((&l, &h), (&sb_l, &sb_h))) in axes.enumerate() {
                         if sb_l < l {
                             set_bound(hole_hi, axis, l - 1);
@@ -613,7 +611,8 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         stats.step(vol);
         let mut acc = self.op.identity();
         self.shape.for_each_run(lo, hi, run, |cells| {
-            // analyzer: allow(budget-coverage, reason = "one run of a boundary box; read charges the whole part's accesses when the part completes")
+            // One run of a boundary box; read charges the whole part's accesses when the part
+            // completes.
             for x in a.get(cells).unwrap_or_default() {
                 acc = self.op.combine(&acc, x);
             }

@@ -123,13 +123,12 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
         'outer: loop {
             // Inclusion–exclusion over the chosen dims with the passive
             // coordinates pinned.
-            // analyzer: allow(budget-coverage, reason = "Theorem 1 corners over the chosen dims: 2^|X'| gathers, charged once per passive cell below")
+            // Theorem 1 corners over the chosen dims: 2^|X'| gathers, charged once per passive cell
+            // below.
             'corners: for mask in 0u64..(1u64 << k) {
-                // analyzer: allow(budget-coverage, reason = "pins passive coordinates: trip count = ndim")
                 for (pi, &j) in passive.iter().enumerate() {
                     corner[j] = passive_coord[pi];
                 }
-                // analyzer: allow(budget-coverage, reason = "corner selection over chosen dims: trip count = ndim")
                 for (ci, &j) in self.dims.iter().enumerate() {
                     let r = region.range(j);
                     if (mask >> ci) & 1 == 1 {
@@ -154,7 +153,7 @@ impl<G: AbelianGroup> PartialPrefixSum<G> {
             ctx.check()?;
             // Advance the passive odometer.
             let mut axis = passive.len();
-            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per passive cell")
+            // Odometer advance: at most ndim steps per passive cell.
             loop {
                 if axis == 0 {
                     break 'outer;

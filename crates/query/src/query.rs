@@ -148,7 +148,6 @@ impl RangeQuery {
             });
         }
         let mut ranges = Vec::with_capacity(self.sels.len());
-        // analyzer: allow(budget-coverage, reason = "per-axis selection resolution: trip count = ndim")
         for (axis, (sel, &n)) in self.sels.iter().zip(shape.dims()).enumerate() {
             let r = sel.resolve(n).map_err(|e| match e {
                 ArrayError::OutOfBounds { index, extent, .. } => ArrayError::OutOfBounds {

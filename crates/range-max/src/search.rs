@@ -171,7 +171,7 @@ impl<O: TotalOrder> MaxTree<O> {
     /// prefix of the base-`b` representations).
     pub(crate) fn lowest_covering_level(&self, region: &Region) -> usize {
         let mut level = 1;
-        // analyzer: allow(budget-coverage, reason = "climbs at most the tree height")
+        // Climbs at most the tree height.
         loop {
             let side = self.side_at(level);
             let covered = region

@@ -280,9 +280,6 @@ struct Shard {
     len: usize,
     /// Exact-result cache over the shard's router; all reads and all
     /// installs go through it so invalidation stays region-wise.
-    /// The type is spelled out (not aliased) so the analyzer's nominal
-    /// lock-field pass sees `SemanticCache` and keeps this field in the
-    /// lock-order acquisition graph.
     cache: SemanticCache<i64, Arc<AdaptiveRouter<i64>>>,
     /// Parts in flight: see [`InFlight`].
     depth: InFlightCount,
@@ -398,11 +395,10 @@ impl Shard {
             }
         }
         let _in_flight = self.enter();
-        let _exec_span = olap_telemetry::TraceSpan::start("shard_exec");
-        match self.cache.read(region, op) {
+        olap_telemetry::in_span("shard_exec", || match self.cache.read(region, op) {
             Ok(o) => Ok(Routed::Exact(o)),
             Err(e) => self.router().fall_back(region, op, e),
-        }
+        })
     }
 }
 
@@ -502,7 +498,6 @@ impl Partial {
 
     /// The answer once every part is in.
     fn finish(self) -> Result<ServerAnswer, ServerError> {
-        let _merge = olap_telemetry::TraceSpan::start("merge");
         let (value, lower, upper) = self
             .folded
             .ok_or_else(|| ServerError::Config("no shard produced an extremum".into()))?;
@@ -656,10 +651,9 @@ impl CubeServer {
         self.tracer.as_ref()
     }
 
-    /// Opens the per-query root span when tracing is enabled. Held by
-    /// the query entry points across fan-out and merge; inert (`None`)
-    /// without an installed sink.
-    fn root_span(&self) -> Option<olap_telemetry::TraceSpan> {
+    /// The sink this query's root span records into: the installed one
+    /// when this query is sampled, `None` otherwise.
+    fn sampled_tracer(&self) -> Option<&Arc<olap_telemetry::TraceSink>> {
         use std::sync::atomic::Ordering;
         let sink = self.tracer.as_ref()?;
         if self.trace_sample > 1 {
@@ -671,7 +665,7 @@ impl CubeServer {
                 return None;
             }
         }
-        Some(olap_telemetry::TraceSpan::root(sink, "serve_query"))
+        Some(sink)
     }
 
     /// Number of shards.
@@ -739,8 +733,15 @@ impl CubeServer {
     }
 
     fn serve(&self, query: &RangeQuery, op: EngineOp) -> Result<ServerAnswer, ServerError> {
-        let _root = self.root_span();
-        self.fan_out(query, op)?.finish()
+        // The root span covers fan-out and merge.
+        let run = || {
+            let partial = self.fan_out(query, op)?;
+            olap_telemetry::in_span("merge", || partial.finish())
+        };
+        match self.sampled_tracer() {
+            Some(sink) => olap_telemetry::in_root_span(sink, "serve_query", run),
+            None => run(),
+        }
     }
 
     /// Applies one batch of absolute-value cell updates. Validates the

@@ -125,7 +125,8 @@ impl<V> BPlusTree<V> {
             }
             Node::Internal { seps, children } => {
                 let mut i = seps.partition_point(|s| *s <= key);
-                // analyzer: allow(budget-coverage, reason = "descent within one node: bounded by B-tree fan-out; callers charge per key probed")
+                // Descent within one node: bounded by B-tree fan-out; callers charge per key
+                // probed.
                 loop {
                     if let Some(found) = Self::floor_in(children.get(i)?, key) {
                         return Some(found);
@@ -189,7 +190,7 @@ impl<V> BPlusTree<V> {
     pub fn depth(&self) -> usize {
         let mut d = 1;
         let mut node = &self.root;
-        // analyzer: allow(budget-coverage, reason = "walks one root-to-leaf spine: trip count = O(log N) tree height")
+        // Walks one root-to-leaf spine: trip count = O(log N) tree height.
         while let Some(first) = match node {
             Node::Internal { children, .. } => children.first(),
             Node::Leaf { .. } => None,

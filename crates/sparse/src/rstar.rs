@@ -164,7 +164,8 @@ impl<T> RStarTree<T> {
         ctx.check()?;
         match node {
             Node::Leaf(entries) => {
-                // analyzer: allow(budget-coverage, reason = "one leaf's entries, at most max_entries; only the leaf's visit is an access, charged above")
+                // One leaf's entries, at most max_entries; only the leaf's visit is an access,
+                // charged above.
                 for (r, v) in entries {
                     ctx.stats.step(1);
                     if r.overlaps(query) {

@@ -295,7 +295,8 @@ impl<G: AbelianGroup> Sparse1dBlocked<G> {
     fn scan_points(&self, l: usize, h: usize, ctx: &mut QueryCtx<'_>) -> G::Value {
         let start = self.points.partition_point(|(i, _)| *i < l);
         let mut acc = self.op.identity();
-        // analyzer: allow(budget-coverage, reason = "points of a span that holds no full block, so fewer than 2b of them; read charges them after the scan")
+        // Points of a span that holds no full block, so fewer than 2b of them; read charges them
+        // after the scan.
         for (i, v) in self.points.iter().skip(start) {
             if *i > h {
                 break;

@@ -218,7 +218,8 @@ impl<O: TotalOrder> SparseRangeMax<O> {
         ctx.check()?;
         match &child.node {
             MNode::Leaf(points) => {
-                // analyzer: allow(budget-coverage, reason = "one leaf's points, at most FANOUT; only the leaf's visit is an access, charged on entry")
+                // One leaf's points, at most FANOUT; only the leaf's visit is an access, charged on
+                // entry.
                 for (p, v) in points {
                     ctx.stats.step(1);
                     if region.contains(p) {

@@ -92,3 +92,29 @@ proptest! {
         }
     }
 }
+
+/// The case a real proptest run once shrank `blocked_roundtrip_lossless`
+/// to: a 4-d cube with unit axes and `b = 1`. The vendored shim neither
+/// shrinks nor reads regression files, so the case runs here by name.
+#[test]
+fn blocked_roundtrip_lossless_at_a_recorded_case() {
+    let data = vec![
+        0,
+        0,
+        0,
+        0,
+        0,
+        1_830_572_576_006_476_111,
+        3_166_731_986_898_762_335,
+        -7_237_668_554_843_861_133,
+        8_568_077_558_380_247_551,
+        2_895_658_470_413_150_944,
+    ];
+    let a = DenseArray::from_vec(Shape::new(&[1, 2, 5, 1]).unwrap(), data).unwrap();
+    let bp = BlockedPrefixCube::build(&a, 1).unwrap();
+    let mut buf = Vec::new();
+    storage::write_blocked_prefix(&mut buf, &bp).unwrap();
+    let back = storage::read_blocked_prefix(&mut buf.as_slice()).unwrap();
+    assert_eq!(back.block_size(), 1);
+    assert_eq!(back.packed_array().as_slice(), bp.packed_array().as_slice());
+}

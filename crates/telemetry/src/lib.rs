@@ -10,9 +10,9 @@
 //!   Prometheus-style text or JSON,
 //! - [`FlightRecorder`]: a fixed-capacity ring buffer of the last N query
 //!   outcomes + route decisions ([`FlightRecord`]), dumpable as JSON,
-//! - [`TraceSpan`] / [`TraceSink`]: end-to-end per-query tracing — span
-//!   trees on the serving thread, exportable as Chrome trace-event JSON
-//!   (see the `trace` module docs),
+//! - [`in_root_span`] / [`in_span`] / [`TraceSink`]: end-to-end
+//!   per-query tracing — closure-scoped span trees on the serving thread,
+//!   exportable as Chrome trace-event JSON (see the `trace` module docs),
 //! - [`Telemetry`] + the dispatch layer ([`current`], [`with_scope`]):
 //!   instrumented call sites ask for the current telemetry context; when
 //!   none is entered anywhere the check is a single relaxed atomic load,
@@ -74,8 +74,8 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
 };
 pub use trace::{
-    tracing_active, SlowTrace, SpanId, SpanRecord, SpanTree, TraceContext, TraceId, TraceSink,
-    TraceSpan, DEFAULT_SLOW_RING_CAPACITY, DEFAULT_TRACE_CAPACITY,
+    in_root_span, in_span, tracing_active, SlowTrace, SpanId, SpanRecord, SpanTree, TraceId,
+    TraceSink, DEFAULT_SLOW_RING_CAPACITY, DEFAULT_TRACE_CAPACITY,
 };
 
 /// Escapes a string for inclusion in a JSON string literal.

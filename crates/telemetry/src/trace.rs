@@ -17,17 +17,19 @@
 //! a served query carries the root's `tid`. Scopes are strictly
 //! thread-local: a trace never continues on another thread.
 //!
-//! The design mirrors the dispatch layer's cost model: when no trace
-//! scope is entered on the current thread, [`TraceSpan::start`] is a
-//! single thread-local read returning an inert guard — cheaper than the
+//! A span is a closure's extent: [`in_root_span`] runs a closure as the
+//! root of a new trace against a [`TraceSink`], and [`in_span`] runs one
+//! as a child of whatever span is open on the current thread. The span
+//! itself is private to this crate and lives on those functions' stack
+//! frames, so no field, static or other thread can hold one. When no
+//! trace scope is entered on the current thread, [`in_span`] is a single
+//! thread-local read before it calls its closure — cheaper than the
 //! dispatch layer's relaxed atomic load, and free of shared-cache-line
-//! traffic. A trace is started with [`TraceSpan::root`] against a
-//! [`TraceSink`]; the root installs a thread-local scope frame (trace
-//! id, current span id, and sink), and nested [`TraceSpan::start`] calls
-//! parent themselves under it automatically *without* touching any
-//! cross-thread state: a child span borrows the sink from the root's
-//! frame, so the recording fast path performs no reference-count or
-//! shared-counter writes.
+//! traffic. The root installs a thread-local scope frame (trace id,
+//! current span id, and sink), and nested spans parent themselves under
+//! it *without* touching any cross-thread state: a child borrows the
+//! sink from the root's frame, so the recording fast path performs no
+//! reference-count or shared-counter writes.
 //!
 //! Completed spans land in the sink — a bounded store (drop-counted at
 //! capacity, never reallocating past it) with a slow-query ring keeping
@@ -63,11 +65,9 @@ pub struct SpanId(pub u64);
 /// The propagated trace position: which trace, and which span new child
 /// spans should parent under. Copied by value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TraceContext {
-    /// The owning trace.
-    pub trace: TraceId,
-    /// The span new children parent under.
-    pub span: SpanId,
+struct TraceContext {
+    trace: TraceId,
+    span: SpanId,
 }
 
 /// One completed span as stored by the sink.
@@ -107,12 +107,12 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 /// [`TraceContext`]: the span is scoped strictly inside the root that
 /// spawned it, so it borrows the sink (and its liveness) from the nearest
 /// `Root` beneath it instead of bumping the `Arc` refcount. That keeps
-/// starting and dropping a child span free of shared-memory writes other
+/// starting and ending a child span free of shared-memory writes other
 /// than the record itself.
 enum ScopeEntry {
-    /// A trace root started by [`TraceSpan::root`], owning its sink.
+    /// A trace root opened by [`in_root_span`], owning its sink.
     Root(TraceContext, Arc<TraceSink>),
-    /// A child span started by [`TraceSpan::start`].
+    /// A child span opened by [`in_span`].
     Child(TraceContext),
 }
 
@@ -157,7 +157,7 @@ fn thread_tid() -> u64 {
 /// Whether a trace scope is entered on the *current thread*. One
 /// thread-local read; the instrumentation fast path. Scopes are strictly
 /// thread-local, so this is exactly the condition under which
-/// [`TraceSpan::start`] would record.
+/// [`in_span`] records.
 #[inline]
 pub fn tracing_active() -> bool {
     SCOPE_DEPTH.with(|d| d.get() != 0)
@@ -178,38 +178,46 @@ fn forward_to_telemetry(name: &'static str, nanos: u64) {
     }
 }
 
-/// An active span; records into the sink on drop. The root span of a
-/// query comes from [`TraceSpan::root`]; everything below it from
-/// [`TraceSpan::start`], which is inert (one thread-local read) when no
-/// trace scope is entered on the current thread.
+/// Runs `f` inside a child span named `name`, parented under the span
+/// open on the current thread; while `f` runs, further spans nest under
+/// this one. Without an entered trace scope it records nothing and costs
+/// one thread-local read before it calls `f`.
 ///
-/// A span is pinned to the thread that started it (`!Send`): its scope
-/// entry lives on that thread's stack, and the drop pops it there.
-pub struct TraceSpan {
-    state: Option<SpanState>,
-    /// Spans manipulate the thread-local scope stack on drop, so moving
-    /// one across threads would corrupt both threads' scoping.
-    _not_send: std::marker::PhantomData<*const ()>,
+/// The span is closure-scoped: it is private to this crate, so it cannot
+/// be stored in a field or a static, or sent to another thread.
+///
+/// ```compile_fail
+/// struct Parked(olap_telemetry::TraceSpan);
+/// ```
+#[inline]
+pub fn in_span<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
+    if !tracing_active() {
+        return f();
+    }
+    let _span = TraceSpan::child(name);
+    f()
 }
 
-struct SpanState {
+/// Runs `f` as the root span `name` of a new trace recorded into `sink`;
+/// spans opened by [`in_span`] while `f` runs form the trace's tree.
+pub fn in_root_span<R>(sink: &Arc<TraceSink>, name: &'static str, f: impl FnOnce() -> R) -> R {
+    let _span = TraceSpan::root(sink, name);
+    f()
+}
+
+/// An open span; records into the sink on drop, on return and on unwind
+/// alike. Only [`in_span`] and [`in_root_span`] make one, and each keeps
+/// it on its own stack frame until its closure returns: the span's scope
+/// entry lives on that thread's stack, and the drop pops it there.
+struct TraceSpan {
     ctx: TraceContext,
     parent: Option<SpanId>,
     name: &'static str,
     start_ns: u64,
-    root: bool,
 }
 
 impl TraceSpan {
-    // analyzer: allow(span-discipline, reason = "INERT has state: None by construction — it records nothing and is the documented no-op placeholder")
-    const INERT: TraceSpan = TraceSpan {
-        state: None,
-        _not_send: std::marker::PhantomData,
-    };
-
-    /// Starts a new trace rooted at `name` against `sink`, entering it as
-    /// the current thread's trace scope until the span drops.
-    pub fn root(sink: &Arc<TraceSink>, name: &'static str) -> TraceSpan {
+    fn root(sink: &Arc<TraceSink>, name: &'static str) -> TraceSpan {
         let ctx = TraceContext {
             trace: TraceId(sink.alloc_trace()),
             span: SpanId(sink.alloc_span()),
@@ -217,72 +225,40 @@ impl TraceSpan {
         let start_ns = sink.now_ns();
         push_scope(ScopeEntry::Root(ctx, Arc::clone(sink)));
         TraceSpan {
-            state: Some(SpanState {
-                ctx,
-                parent: None,
-                name,
-                start_ns,
-                root: true,
-            }),
-            _not_send: std::marker::PhantomData,
+            ctx,
+            parent: None,
+            name,
+            start_ns,
         }
     }
 
-    /// Starts a child span under the current thread's trace scope; inert
-    /// (one thread-local read) when no scope is entered. While alive, it is itself the current
-    /// scope, so further spans nest under it.
-    ///
-    /// The recording path touches no cross-thread state beyond the id
-    /// allocation and the eventual record: the sink is borrowed from the
-    /// enclosing scope frame, not cloned.
-    pub fn start(name: &'static str) -> TraceSpan {
-        if !tracing_active() {
-            return TraceSpan::INERT;
-        }
+    /// A child of the span on top of the current thread's scope stack;
+    /// `None` when the stack holds no root. The sink is borrowed from the
+    /// enclosing root's frame, not cloned.
+    fn child(name: &'static str) -> Option<TraceSpan> {
         TRACE_SCOPES.with(|s| {
             let mut stack = s.borrow_mut();
-            let Some(parent_ctx) = stack.last().map(ScopeEntry::ctx) else {
-                return TraceSpan::INERT;
-            };
-            let Some(sink) = innermost_sink(&stack) else {
-                return TraceSpan::INERT;
-            };
+            let parent = stack.last()?.ctx();
+            let sink = innermost_sink(&stack)?;
             let ctx = TraceContext {
-                trace: parent_ctx.trace,
+                trace: parent.trace,
                 span: SpanId(sink.alloc_span()),
             };
             let start_ns = sink.now_ns();
             stack.push(ScopeEntry::Child(ctx));
             SCOPE_DEPTH.with(|d| d.set(d.get() + 1));
-            TraceSpan {
-                state: Some(SpanState {
-                    ctx,
-                    parent: Some(parent_ctx.span),
-                    name,
-                    start_ns,
-                    root: false,
-                }),
-                _not_send: std::marker::PhantomData,
-            }
+            Some(TraceSpan {
+                ctx,
+                parent: Some(parent.span),
+                name,
+                start_ns,
+            })
         })
-    }
-
-    /// Whether this span is actually recording.
-    pub fn is_recording(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// The recording span's position, `None` when inert.
-    pub fn context(&self) -> Option<TraceContext> {
-        self.state.as_ref().map(|s| s.ctx)
     }
 }
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
-        let Some(state) = self.state.take() else {
-            return;
-        };
         // Pop our own scope entry and resolve the sink: a root carries it
         // in the popped entry; a child borrows it from the nearest root
         // still on the stack (which outlives the child by RAII).
@@ -293,18 +269,18 @@ impl Drop for TraceSpan {
                 SCOPE_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
             }
             let dur_of = |sink: &TraceSink| {
-                let dur_ns = sink.now_ns().saturating_sub(state.start_ns);
+                let dur_ns = sink.now_ns().saturating_sub(self.start_ns);
                 sink.record(SpanRecord {
-                    trace: state.ctx.trace,
-                    span: state.ctx.span,
-                    parent: state.parent,
-                    name: state.name,
-                    start_ns: state.start_ns,
+                    trace: self.ctx.trace,
+                    span: self.ctx.span,
+                    parent: self.parent,
+                    name: self.name,
+                    start_ns: self.start_ns,
                     dur_ns,
                     tid: thread_tid(),
                 });
-                if state.root {
-                    sink.finish_root(state.ctx.trace, dur_ns);
+                if self.parent.is_none() {
+                    sink.finish_root(self.ctx.trace, dur_ns);
                 }
                 dur_ns
             };
@@ -315,7 +291,7 @@ impl Drop for TraceSpan {
             }
         });
         if let Some(dur_ns) = finished {
-            forward_to_telemetry(state.name, dur_ns);
+            forward_to_telemetry(self.name, dur_ns);
         }
     }
 }
@@ -624,27 +600,20 @@ mod tests {
 
     #[test]
     fn inert_without_scope() {
-        // No root entered on this thread ⇒ starting a child records
-        // nothing, even if other tests have traces active concurrently.
-        let span = TraceSpan::start("orphan");
-        assert!(!span.is_recording());
-        assert!(span.context().is_none());
+        // No root entered on this thread ⇒ a child records nothing, even
+        // if other tests have traces active concurrently.
+        assert!(!in_span("orphan", tracing_active));
     }
 
     #[test]
     fn nested_spans_build_a_tree() {
         let sink = Arc::new(TraceSink::new());
-        let trace = {
-            let root = TraceSpan::root(&sink, "serve_query");
-            let trace = root.context().expect("root records").trace;
-            {
-                let _lookup = TraceSpan::start("cache_lookup");
-                drop(TraceSpan::start("kernel_exec")); // nests under lookup
-            }
-            drop(TraceSpan::start("merge"));
-            trace
-        };
+        in_root_span(&sink, "serve_query", || {
+            in_span("cache_lookup", || in_span("kernel_exec", || ()));
+            in_span("merge", || ());
+        });
         assert_eq!(sink.span_count(), 4);
+        let trace = sink.trace_ids()[0];
         let tree = sink.trace_tree(trace).expect("tree assembles");
         assert_eq!(tree.record.name, "serve_query");
         assert_eq!(tree.record.parent, None);
@@ -674,11 +643,11 @@ mod tests {
     #[test]
     fn capacity_drops_are_counted() {
         let sink = Arc::new(TraceSink::with_capacity(2));
-        let root = TraceSpan::root(&sink, "serve_query");
-        drop(TraceSpan::start("a"));
-        drop(TraceSpan::start("b"));
-        drop(TraceSpan::start("c"));
-        drop(root);
+        in_root_span(&sink, "serve_query", || {
+            for name in ["a", "b", "c"] {
+                in_span(name, || ());
+            }
+        });
         assert_eq!(sink.span_count(), 2);
         assert_eq!(sink.dropped(), 2, "c and the root were dropped");
     }
@@ -687,9 +656,7 @@ mod tests {
     fn slow_ring_retains_full_trees() {
         let sink = Arc::new(TraceSink::with_slow_ring(1024, Duration::ZERO, 1));
         for _ in 0..2 {
-            let root = TraceSpan::root(&sink, "serve_query");
-            drop(TraceSpan::start("kernel_exec"));
-            drop(root);
+            in_root_span(&sink, "serve_query", || in_span("kernel_exec", || ()));
         }
         let slow = sink.slow_traces();
         assert_eq!(slow.len(), 1, "ring bounded at 1");
@@ -702,16 +669,14 @@ mod tests {
         );
         // A sink without a ring never retains slow traces.
         let plain = Arc::new(TraceSink::new());
-        drop(TraceSpan::root(&plain, "q"));
+        in_root_span(&plain, "q", || ());
         assert!(plain.slow_traces().is_empty());
     }
 
     #[test]
     fn chrome_export_shape() {
         let sink = Arc::new(TraceSink::new());
-        let root = TraceSpan::root(&sink, "serve_query");
-        drop(TraceSpan::start("kernel_exec"));
-        drop(root);
+        in_root_span(&sink, "serve_query", || in_span("kernel_exec", || ()));
         let json = sink.to_chrome_json();
         assert!(json.contains("\"traceEvents\""), "{json}");
         assert!(json.contains("\"displayTimeUnit\": \"ns\""), "{json}");
@@ -731,9 +696,7 @@ mod tests {
         let ctx = Arc::new(Telemetry::new());
         let sink = Arc::new(TraceSink::new());
         with_scope(&ctx, || {
-            let root = TraceSpan::root(&sink, "serve_query");
-            drop(TraceSpan::start("kernel_exec"));
-            drop(root);
+            in_root_span(&sink, "serve_query", || in_span("kernel_exec", || ()));
         });
         for name in ["kernel_exec", "serve_query"] {
             assert_eq!(
@@ -751,10 +714,12 @@ mod tests {
         let sink = Arc::new(TraceSink::new());
         assert!(!tracing_active());
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _root = TraceSpan::root(&sink, "serve_query");
-            let _child = TraceSpan::start("kernel_exec");
-            assert!(tracing_active());
-            panic!("boom");
+            in_root_span(&sink, "serve_query", || {
+                in_span("kernel_exec", || {
+                    assert!(tracing_active());
+                    panic!("boom");
+                })
+            })
         }));
         assert!(r.is_err());
         assert!(!tracing_active(), "scopes popped during unwind");

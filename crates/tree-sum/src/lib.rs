@@ -237,7 +237,6 @@ impl<G: AbelianGroup> SumTree<G> {
         // Start at the lowest node covering the query (same addressing as
         // the max tree).
         let mut level = 1;
-        // analyzer: allow(budget-coverage, reason = "climbs at most the tree height")
         while level < self.height() {
             let side = self.b.pow(level as u32);
             if region
@@ -347,7 +346,7 @@ impl<G: AbelianGroup> SumTree<G> {
                 ctx.stats.step(1);
             }
             let mut axis = cur.len();
-            // analyzer: allow(budget-coverage, reason = "odometer advance: at most ndim steps per child; sum_in charges the meter per node")
+            // Odometer advance: at most ndim steps per child; sum_in charges the meter per node.
             loop {
                 if axis == 0 {
                     return Ok(acc);

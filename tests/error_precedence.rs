@@ -4,16 +4,21 @@
 //! semantic cache (enabled or not) or the server. Each entry resolves
 //! the query once; resolving it there must not reorder the errors.
 
-use olap_cube::aggregate::SumOp;
-use olap_cube::array::{ArrayError, BudgetMeter, DenseArray, QueryBudget, Region, Shape};
+use olap_cube::aggregate::{AbelianGroup, Monoid, SumOp};
+use olap_cube::array::{
+    ArrayError, BudgetMeter, CancellationToken, DenseArray, Interrupt, QueryBudget, Region, Shape,
+};
 use olap_cube::engine::{
     AdaptiveRouter, CubeIndex, EngineError, EngineOp, ExtendedCube, FaultPlan, FaultyEngine,
-    IndexConfig, NaiveEngine, PlannedIndex, RangeEngine, SemanticCache, SparseMaxEngine,
-    SparseSumEngine, SumTreeEngine,
+    IndexConfig, NaiveEngine, PlannedIndex, PrefixChoice, RangeEngine, SemanticCache,
+    SparseMaxEngine, SparseSumEngine, SumTreeEngine,
 };
 use olap_cube::planner::PrefixSumChoice;
-use olap_cube::query::{CuboidId, DimSelection, RangeQuery};
+use olap_cube::prefix_sum::{BlockedPrefixSum, BoundaryPolicy};
+use olap_cube::query::{CuboidId, DimSelection, QueryCtx, RangeQuery};
 use olap_cube::server::{CubeServer, ServeConfig, ServerError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn cube() -> DenseArray<i64> {
@@ -59,45 +64,100 @@ fn router(a: &DenseArray<i64>) -> AdaptiveRouter<i64> {
         .with_engine(Box::new(NaiveEngine::new(a.clone())))
 }
 
+/// How far a read of each op may overshoot an access cap: the accesses
+/// between two of its kernel's checkpoints.
+type Overshoot = fn(EngineOp) -> u64;
+
+/// The naive scans, the extended cube's walk and a min over an index
+/// with no min tree charge every 4096 cells.
+const SCAN: u64 = 4096;
+/// The §6 walk charges per expanded node: at most one node's `b^d`
+/// children (`b = 4` for the index's trees).
+const NODE: u64 = 4 * 4;
+/// The corner gathers, the sum tree and the sparse trees charge per
+/// `2^d`-corner read or per node visited.
+const STEP: u64 = 4;
+/// The §4 blocked kernel charges per part: a boundary part is under `b`
+/// cells thick, so it (or its superblock complement) holds at most `b`
+/// lines of a 256-cell axis (`b ≤ 4`).
+const PART: u64 = 4 * 256;
+
 /// One engine of every kind over `a`, each with the variants a
-/// wrong-rank and an out-of-domain query get.
-fn engines(a: &DenseArray<i64>) -> Vec<(Box<dyn RangeEngine<i64>>, Expected)> {
+/// wrong-rank and an out-of-domain query get and its [`Overshoot`].
+fn engines(a: &DenseArray<i64>) -> Vec<(Box<dyn RangeEngine<i64>>, Expected, Overshoot)> {
+    // Every region has a structure, so no read falls back to a scan.
     let planned = PlannedIndex::build(
         a.clone(),
-        &[PrefixSumChoice {
-            cuboid: CuboidId::from_dims(&[0]),
-            block: 2,
-        }],
+        &[
+            PrefixSumChoice {
+                cuboid: CuboidId::from_dims(&[0]),
+                block: 2,
+            },
+            PrefixSumChoice {
+                cuboid: CuboidId::from_dims(&[0, 1]),
+                block: 2,
+            },
+        ],
     )
     .unwrap();
+    let index = |config| Box::new(CubeIndex::build(a.clone(), config).unwrap());
     let validated: Expected = ["dim-mismatch", "out-of-bounds"];
     vec![
+        (index(IndexConfig::default()), validated, |op| match op {
+            EngineOp::Sum => STEP,
+            EngineOp::Max => NODE,
+            EngineOp::Min => SCAN,
+        }),
         (
-            Box::new(CubeIndex::build(a.clone(), IndexConfig::default()).unwrap()),
+            index(IndexConfig {
+                prefix: PrefixChoice::Blocked(4),
+                ..IndexConfig::default()
+            }),
             validated,
+            |op| match op {
+                EngineOp::Sum => PART,
+                EngineOp::Max => NODE,
+                EngineOp::Min => SCAN,
+            },
         ),
-        (Box::new(NaiveEngine::new(a.clone())), validated),
+        (
+            index(IndexConfig {
+                min_tree_fanout: Some(4),
+                ..IndexConfig::default()
+            }),
+            validated,
+            |op| if op == EngineOp::Sum { STEP } else { NODE },
+        ),
+        (Box::new(NaiveEngine::new(a.clone())), validated, |_| SCAN),
         (
             Box::new(SumTreeEngine::build(a.clone(), 2).unwrap()),
             validated,
+            |_| STEP,
         ),
-        (Box::new(SparseSumEngine::from_dense(a).unwrap()), validated),
+        (
+            Box::new(SparseSumEngine::from_dense(a).unwrap()),
+            validated,
+            |_| STEP,
+        ),
         (
             Box::new(ExtendedCube::build(a, SumOp::<i64>::new()).unwrap()),
             validated,
+            |_| SCAN,
         ),
-        (Box::new(planned), validated),
+        (Box::new(planned), validated, |_| PART),
         (
             Box::new(FaultyEngine::new(
                 Box::new(NaiveEngine::new(a.clone())),
                 FaultPlan::benign(),
             )),
             validated,
+            |_| SCAN,
         ),
         // It prices no sums, so it refuses them whatever the query.
         (
             Box::new(SparseMaxEngine::from_dense(a)),
             ["unsupported", "unsupported"],
+            |op| if op == EngineOp::Min { SCAN } else { STEP },
         ),
     ]
 }
@@ -105,7 +165,7 @@ fn engines(a: &DenseArray<i64>) -> Vec<(Box<dyn RangeEngine<i64>>, Expected)> {
 #[test]
 fn every_engine_refuses_a_bad_query_with_the_same_variant() {
     let a = cube();
-    for (engine, expected) in &engines(&a) {
+    for (engine, expected, _) in &engines(&a) {
         let got = [wrong_rank(), out_of_domain()].map(|q| kind(&engine.range_sum(&q).unwrap_err()));
         assert_eq!(got, *expected, "{}", engine.label());
     }
@@ -171,76 +231,118 @@ fn an_expired_router_budget_wins_over_validation_and_no_candidate() {
     }
 }
 
-/// The most a read may overshoot an access cap: the accesses between two
-/// of its kernel's checkpoints. The naive scans (and the extended cube's
-/// walk) charge every 4096 cells; the §6 walk per expanded node, so at
-/// most one node's `b^d` children (`b = 4` for the index's max tree); the
-/// sum tree and the sparse trees per node visited; the sparse sum also
-/// per dense region's `2^d`-corner read; the blocked kernel per part.
-fn checkpoint(label: &str, op: EngineOp) -> u64 {
-    if label.contains("naive") || label.contains("extended") || op == EngineOp::Min {
-        4096
-    } else if label.starts_with("cube-index") && op == EngineOp::Max {
-        4 * 4
-    } else {
-        4
-    }
-}
-
 /// A read under an access cap stops within one kernel checkpoint of the
 /// cap, and an `Ok` read charges its meter exactly the accesses its
-/// outcome reports: every kernel charges the meter from the counter it
-/// fills, as it walks, not once it has finished.
+/// outcome reports and answers what an unmetered read answers: every
+/// kernel charges the meter from the counter it fills, as it walks, not
+/// once it has finished. The caps sweep from none at all to the read's
+/// whole cost, on every engine, op and region.
 #[test]
 fn a_capped_read_stops_within_one_checkpoint_and_an_ok_read_charges_what_it_counts() {
-    const CAP: u64 = 10;
     let a = DenseArray::from_fn(Shape::new(&[256, 256]).unwrap(), |i| {
         (i[0] * 7 + i[1] * 3) as i64 % 11
     });
-    let full = a.shape().full_region();
     let regions = [
-        full.clone(),
+        a.shape().full_region(),
         Region::from_bounds(&[(3, 200), (17, 90)]).unwrap(),
         Region::from_bounds(&[(100, 100), (0, 255)]).unwrap(),
+        Region::from_bounds(&[(5, 5), (9, 9)]).unwrap(),
     ];
-    for (engine, _) in &engines(&a) {
+    for (engine, _, overshoot) in &engines(&a) {
         let label = engine.label();
         for op in [EngineOp::Sum, EngineOp::Max, EngineOp::Min] {
-            if engine.cost(&full, op).is_none() {
+            if engine.cost(&regions[0], op).is_none() {
                 continue;
             }
             for region in &regions {
+                let unmetered = engine.read(region, op, &BudgetMeter::unlimited()).unwrap();
+                let cost = unmetered.cost();
                 let armed = QueryBudget::with_deadline(Duration::from_secs(3600)).start(None);
                 let out = engine.read(region, op, &armed).unwrap();
-                assert_eq!(armed.spent(), out.cost(), "{label} {op} {region}");
-            }
-            let cost = engine
-                .read(&full, op, &BudgetMeter::unlimited())
-                .unwrap()
-                .cost();
-            let capped = QueryBudget::with_max_accesses(CAP).start(None);
-            match engine.read(&full, op, &capped) {
-                Ok(out) => {
-                    assert!(
-                        cost <= CAP,
-                        "{label} {op}: answered at {cost} accesses under a cap of {CAP}"
-                    );
-                    assert_eq!(capped.spent(), out.cost(), "{label} {op}");
-                }
-                Err(err) => {
-                    assert!(cost > CAP, "{label} {op}: {err}");
-                    assert!(
-                        matches!(err, EngineError::BudgetExhausted { .. }),
-                        "{label} {op}: {err}"
-                    );
-                    let bound = CAP + checkpoint(&label, op);
-                    let spent = capped.spent();
-                    assert!(
-                        spent <= bound,
-                        "{label} {op}: charged {spent} of a {CAP} cap"
-                    );
+                let at = format!("{label} {op} {region}");
+                assert_eq!((armed.spent(), out.cost()), (cost, cost), "{at}");
+                assert_eq!(out.answer, unmetered.answer, "{at}");
+                let caps = [0, 1, 2, 10, 100, cost.saturating_sub(1), cost];
+                for cap in caps {
+                    let capped = QueryBudget::with_max_accesses(cap).start(None);
+                    let at = format!("{label} {op} {region} under a cap of {cap}");
+                    match engine.read(region, op, &capped) {
+                        Ok(out) => {
+                            assert!(cost <= cap, "{at}: answered at {cost} accesses");
+                            assert_eq!((capped.spent(), out.cost()), (cost, cost), "{at}");
+                            assert_eq!(out.answer, unmetered.answer, "{at}");
+                        }
+                        Err(err) => {
+                            assert!(cost > cap, "{at}: {err}");
+                            assert!(
+                                matches!(err, EngineError::BudgetExhausted { .. }),
+                                "{at}: {err}"
+                            );
+                            let spent = capped.spent();
+                            assert!(spent <= cap + overshoot(op), "{at}: charged {spent}");
+                        }
+                    }
                 }
             }
         }
     }
+}
+
+/// SUM over `i64` that cancels `token` on its first combine once `armed`
+/// is set: a cancellation that arrives while a part is being evaluated.
+#[derive(Clone)]
+struct CancelMidWalk {
+    armed: Arc<AtomicBool>,
+    token: CancellationToken,
+}
+
+impl Monoid for CancelMidWalk {
+    type Value = i64;
+    fn identity(&self) -> i64 {
+        0
+    }
+    fn combine(&self, a: &i64, b: &i64) -> i64 {
+        if self.armed.load(Ordering::Relaxed) {
+            self.token.cancel();
+        }
+        a.wrapping_add(*b)
+    }
+}
+
+impl AbelianGroup for CancelMidWalk {
+    fn uncombine(&self, a: &i64, b: &i64) -> i64 {
+        a.wrapping_sub(*b)
+    }
+}
+
+/// Deadlines and cancellation are cooperative: the §4 blocked kernel
+/// looks at its meter before every part, so a read cancelled while one
+/// part is evaluated stops before the next, and reads nothing past it.
+#[test]
+fn a_blocked_read_cancelled_mid_walk_stops_before_the_next_part() {
+    let a = DenseArray::from_fn(Shape::new(&[64, 64]).unwrap(), |i| {
+        (i[0] * 7 + i[1] * 3) as i64 % 11
+    });
+    let op = CancelMidWalk {
+        armed: Arc::new(AtomicBool::new(false)),
+        token: CancellationToken::new(),
+    };
+    let blocked = BlockedPrefixSum::with_op(&a, op.clone(), 4).unwrap();
+    let region = Region::from_bounds(&[(3, 50), (17, 40)]).unwrap();
+    let (sum, whole) =
+        QueryCtx::measure(|ctx| blocked.read(&a, &region, BoundaryPolicy::Auto, ctx)).unwrap();
+    assert_eq!(sum, a.fold_region(&region, 0, |s, &x| s + x));
+    op.armed.store(true, Ordering::Relaxed);
+    let meter = QueryBudget::unlimited().start(Some(op.token.clone()));
+    let mut ctx = QueryCtx::new(&meter);
+    let err = blocked
+        .read(&a, &region, BoundaryPolicy::Auto, &mut ctx)
+        .unwrap_err();
+    assert_eq!(err, ArrayError::Interrupted(Interrupt::Cancelled));
+    assert!(
+        ctx.stats.total_accesses() < whole.total_accesses(),
+        "the walk went on after the cancel: {} of {} accesses",
+        ctx.stats.total_accesses(),
+        whole.total_accesses()
+    );
 }

@@ -6,6 +6,7 @@ use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::prefix_sum::batch::{self, CellUpdate};
 use olap_cube::prefix_sum::{BlockedPrefixCube, PrefixSumCube};
 use olap_cube::range_max::{NaturalMaxTree, NaturalMinTree, PointUpdate};
+use olap_cube::sparse::SparseCube;
 use olap_cube::storage;
 use olap_cube::workload::{uniform_cube, uniform_regions};
 
@@ -125,5 +126,121 @@ fn reloaded_structures_keep_accepting_updates() {
     assert_eq!(
         ps2.range_sum(&q).unwrap(),
         a.fold_region(&q, 0i64, |s, &x| s + x)
+    );
+}
+
+/// Reads `bytes` with every truncation and every single-bit flip: each
+/// truncation must fail, and each flip must fail or read an artifact
+/// that `valid` accepts. A panic on any of them fails the test with the
+/// offending case.
+fn corruption_sweep<T>(
+    what: &str,
+    bytes: &[u8],
+    read: impl Fn(&mut &[u8]) -> Result<T, storage::StorageError>,
+    valid: impl Fn(&T) -> bool,
+) {
+    let run = |case: &str, input: &[u8]| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            read(&mut &input[..]).map(|t| valid(&t))
+        }))
+        .unwrap_or_else(|_| panic!("{what}: {case} panicked"))
+    };
+    assert_eq!(run("the fixture", bytes).ok(), Some(true), "{what}");
+    for cut in 0..bytes.len() {
+        assert!(
+            run(&format!("a cut at {cut}"), &bytes[..cut]).is_err(),
+            "{what}: cut at {cut}"
+        );
+    }
+    let mut flipped = bytes.to_vec();
+    for pos in 0..bytes.len() {
+        for bit in 0..8 {
+            flipped[pos] ^= 1 << bit;
+            let case = format!("bit {bit} of byte {pos} flipped");
+            let read = run(&case, &flipped);
+            assert!(!matches!(read, Ok(false)), "{what}: {case} read as invalid");
+            flipped[pos] ^= 1 << bit;
+        }
+    }
+}
+
+#[test]
+fn persisted_bytes_fail_cleanly_under_every_truncation_and_bit_flip() {
+    let a = DenseArray::from_vec(
+        Shape::new(&[3, 4]).unwrap(),
+        vec![5, -3, 8, 0, 2, 9, -7, 4, 1, 6, 3, -2],
+    )
+    .unwrap();
+    let full = a.shape().full_region();
+    let bytes = |write: &dyn Fn(&mut Vec<u8>) -> Result<(), storage::StorageError>| {
+        let mut buf = Vec::new();
+        write(&mut buf).unwrap();
+        buf
+    };
+    let dense = bytes(&|w| storage::write_dense_i64(w, &a));
+    corruption_sweep(
+        "dense i64",
+        &dense,
+        |r| storage::read_dense_i64(r),
+        |d| d.as_slice().len() == d.shape().len(),
+    );
+    let f = DenseArray::from_vec(
+        Shape::new(&[2, 3]).unwrap(),
+        vec![0.5, -1.0, 2.25, 3.0, 0.0, 9.5],
+    )
+    .unwrap();
+    let dense_f64 = bytes(&|w| storage::write_dense_f64(w, &f));
+    corruption_sweep(
+        "dense f64",
+        &dense_f64,
+        |r| storage::read_dense_f64(r),
+        |d| d.as_slice().len() == d.shape().len(),
+    );
+    let sparse = SparseCube::new(
+        Shape::new(&[4, 4]).unwrap(),
+        vec![(vec![0, 1], 7), (vec![2, 3], -4), (vec![3, 0], 11)],
+    )
+    .unwrap();
+    let sparse = bytes(&|w| storage::write_sparse_cube(w, &sparse));
+    corruption_sweep(
+        "sparse cube",
+        &sparse,
+        |r| storage::read_sparse_cube(r),
+        |s| {
+            s.points()
+                .iter()
+                .all(|(i, _)| s.shape().check_index(i).is_ok())
+        },
+    );
+    let prefix = bytes(&|w| storage::write_prefix_sum(w, &PrefixSumCube::build(&a)));
+    corruption_sweep(
+        "prefix sum",
+        &prefix,
+        |r| storage::read_prefix_sum(r),
+        |ps| ps.range_sum(&ps.shape().full_region()).is_ok(),
+    );
+    let blocked = BlockedPrefixCube::build(&a, 2).unwrap();
+    let blocked = bytes(&|w| storage::write_blocked_prefix(w, &blocked));
+    corruption_sweep(
+        "blocked prefix",
+        &blocked,
+        |r| storage::read_blocked_prefix(r),
+        |bp| bp.shape() != a.shape() || bp.range_sum(&a, &full).is_ok(),
+    );
+    let max_tree = NaturalMaxTree::for_values(&a, 2).unwrap();
+    let max_tree = bytes(&|w| storage::write_max_tree(w, &max_tree));
+    corruption_sweep(
+        "max tree",
+        &max_tree,
+        |r| storage::read_max_tree(r),
+        |t| t.shape() != a.shape() || t.range_max(&a, &full).is_ok(),
+    );
+    let min_tree = NaturalMinTree::for_min_values(&a, 2).unwrap();
+    let min_tree = bytes(&|w| storage::write_min_tree(w, &min_tree));
+    corruption_sweep(
+        "min tree",
+        &min_tree,
+        |r| storage::read_min_tree(r),
+        |t| t.shape() != a.shape() || t.range_max(&a, &full).is_ok(),
     );
 }
