@@ -30,7 +30,9 @@
 //!   degrades to (policy-gated) when budgets, breakers, or queues make
 //!   exact answering impossible,
 //! - [`rolling`]: ROLLING SUM / ROLLING AVERAGE, which §1 notes are
-//!   special cases of range-sum and range-average.
+//!   special cases of range-sum and range-average,
+//! - [`stripe`]: the per-thread stripes that keep concurrent reads off
+//!   each other's cache lines.
 //!
 //! All fallible operations report one [`EngineError`].
 
@@ -68,6 +70,7 @@ mod range_engine;
 pub mod rolling;
 mod router;
 mod semantic_cache;
+pub mod stripe;
 mod telemetry;
 mod version;
 

@@ -30,22 +30,32 @@
 //! # Shareability and snapshot isolation
 //!
 //! The router is `Send + Sync`: every method takes `&self`, so one
-//! router can serve queries from many threads at once. The engine set
-//! and the degradation tier live in one epoch-stamped immutable snapshot
-//! (`EngineSet`), in the snapshot slot [`crate::VersionCell`] uses too:
+//! router can serve queries from many threads at once. The engine set,
+//! the degradation tier, the budget and the cancellation token live in
+//! one epoch-stamped immutable snapshot (`EngineSet`), in the snapshot
+//! slot [`crate::VersionCell`] uses too:
 //!
-//! - **readers** pin the current set with one brief read-lock clone; an
-//!   install mid-query never tears or blocks them,
+//! - **readers** pin the current set through their own stripe of the
+//!   slot, which writes only that stripe's cache lines; an install
+//!   mid-query never tears or blocks them,
 //! - **updates** ([`AdaptiveRouter::apply_updates`]) serialise on the
 //!   slot's writer, derive *every* engine and the tier from one
-//!   [`BatchImage`], then install the whole set in one pointer swap — a
-//!   query sees an all-pre-batch or all-post-batch set, never a mix,
-//! - mutable routing state (breaker state, fault counters, the budget)
-//!   sits in one internal mutex held only for bookkeeping, never across
-//!   the estimate sweep or a dispatched query.
+//!   [`BatchImage`], then install the whole set with one swap per stripe
+//!   inside one install window — a query sees an all-pre-batch or
+//!   all-post-batch set, never a mix,
+//! - mutable routing state (breaker state, fault counters, the decision
+//!   clock) sits in one internal mutex held only for bookkeeping, never
+//!   across the estimate sweep or a dispatched query.
 //!
-//! Lock order is the slot's writer → the slot → `state`; no path
-//! acquires them in any other order.
+//! A read on a router whose breakers are all closed, with no fault
+//! streak, takes no lock beyond its stripe's: one flag, maintained under
+//! the mutex and read without a write, says so. Such a read enters the
+//! mutex only if it faults or is interrupted. Every other read takes the
+//! mutex to count its decision and check each candidate's breaker.
+//!
+//! Lock order is the slot's writer → a stripe of the slot, and the slot's
+//! writer → `state`; a stripe lock is held only to clone or swap one
+//! handle, with nothing else taken under it.
 //!
 //! # Degradation
 //!
@@ -92,7 +102,8 @@ use olap_array::{CancellationToken, DegradePolicy, QueryBudget, Region};
 use olap_query::{AccessStats, Estimate, QueryOutcome, RangeQuery};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Consecutive engine faults that open the circuit breaker.
 pub const QUARANTINE_THRESHOLD: u32 = 3;
@@ -264,27 +275,49 @@ impl<V: fmt::Display> fmt::Display for Explain<V> {
     }
 }
 
-/// An immutable, epoch-stamped snapshot of the candidate engine set.
-/// Queries pin one and run against it; updates install a successor.
+/// An immutable, epoch-stamped snapshot of the candidate engine set and
+/// what every query over it runs under. Queries pin one and run against
+/// it; updates and settings install a successor.
 struct EngineSet<V> {
     engines: Vec<Arc<dyn RangeEngine<V>>>,
     /// The degradation tier, derived with the exact engines from each
     /// batch, so a degraded answer never mixes pre- and post-batch data.
     approx: Option<Arc<dyn DegradeTier<V>>>,
+    /// Per-query budget applied to every routed query.
+    budget: QueryBudget,
+    /// Cooperative cancellation shared with callers.
+    token: Option<CancellationToken>,
     /// The set's epoch, live until the last pin of this set drops.
     guard: EpochGuard,
 }
 
-impl<V> EngineSet<V> {
-    /// Wraps `engines` and `approx` for installation under the guard the
-    /// snapshot slot mints.
-    fn stamped(
-        engines: Vec<Arc<dyn RangeEngine<V>>>,
-        approx: Option<Arc<dyn DegradeTier<V>>>,
-    ) -> impl FnOnce(EpochGuard) -> Self {
+/// An [`EngineSet`]'s contents before the snapshot slot stamps them.
+struct Draft<V> {
+    engines: Vec<Arc<dyn RangeEngine<V>>>,
+    approx: Option<Arc<dyn DegradeTier<V>>>,
+    budget: QueryBudget,
+    token: Option<CancellationToken>,
+}
+
+impl<V> Draft<V> {
+    /// A copy of `set`'s contents, to edit into its successor.
+    fn of(set: &EngineSet<V>) -> Self {
+        Draft {
+            engines: set.engines.clone(),
+            approx: set.approx.clone(),
+            budget: set.budget,
+            token: set.token.clone(),
+        }
+    }
+
+    /// Wraps the contents for installation under the guard the snapshot
+    /// slot mints.
+    fn stamped(self) -> impl FnOnce(EpochGuard) -> EngineSet<V> {
         move |guard| EngineSet {
-            engines,
-            approx,
+            engines: self.engines,
+            approx: self.approx,
+            budget: self.budget,
+            token: self.token,
             guard,
         }
     }
@@ -292,21 +325,29 @@ impl<V> EngineSet<V> {
 
 /// The router's mutable bookkeeping, guarded by one mutex held only for
 /// short bookkeeping sections — never across the estimate sweep or a
-/// dispatched query.
+/// dispatched query. A read enters it only when some breaker is not
+/// closed and quiet (see [`RouterState::all_closed`]), or when it faults
+/// or is interrupted.
 struct RouterState {
     /// Per-engine circuit breakers, parallel to the engine set. They
     /// filter candidates at dispatch time, never the predictions.
     healths: Vec<Health>,
-    /// Routing decisions taken; the breaker cooldown clock.
+    /// Routing decisions taken while some breaker was not closed and
+    /// quiet; the breaker cooldown clock. Decisions on an all-closed
+    /// router need no clock and do not count.
     ticks: u64,
-    /// Per-query budget applied to every routed query.
-    budget: QueryBudget,
-    /// Cooperative cancellation shared with callers.
-    token: Option<CancellationToken>,
     faults: FaultStats,
 }
 
 impl RouterState {
+    /// Whether every breaker is closed with no fault streak: a read may
+    /// then skip the breaker checks, and nothing it does moves the clock.
+    fn all_closed(&self) -> bool {
+        self.healths
+            .iter()
+            .all(|h| h.status == Status::Closed && h.consecutive_faults == 0)
+    }
+
     /// Success closes the breaker and clears the fault streak.
     #[expect(
         clippy::indexing_slicing,
@@ -511,9 +552,45 @@ pub struct AdaptiveRouter<V> {
     /// The current engine-set snapshot; updates and pushes install
     /// successors through it.
     snapshots: SnapshotCell<EngineSet<V>>,
-    /// Routing bookkeeping; acquired after the snapshot slot, never held
+    /// Routing bookkeeping; acquired after the slot's writer, never held
     /// across a dispatched query.
     state: Mutex<RouterState>,
+    /// [`RouterState::all_closed`], republished each time `state` is
+    /// unlocked, so a read can learn it without entering `state`.
+    all_closed: AtomicBool,
+}
+
+/// `state`, locked. Dropping it republishes `all_closed` while the lock
+/// is still held, so the flag always follows the last writer.
+struct StateGuard<'a> {
+    state: MutexGuard<'a, RouterState>,
+    all_closed: &'a AtomicBool,
+}
+
+impl std::ops::Deref for StateGuard<'_> {
+    type Target = RouterState;
+
+    fn deref(&self) -> &RouterState {
+        &self.state
+    }
+}
+
+impl std::ops::DerefMut for StateGuard<'_> {
+    fn deref_mut(&mut self) -> &mut RouterState {
+        &mut self.state
+    }
+}
+
+impl Drop for StateGuard<'_> {
+    fn drop(&mut self) {
+        let closed = self.state.all_closed();
+        // ordering: Relaxed — a routing hint that publishes no other
+        // memory: a read that acts on a stale value either takes the slow
+        // path needlessly or dispatches once to an engine whose breaker
+        // another thread has just opened, as it could by racing that
+        // thread under the lock.
+        self.all_closed.store(closed, Ordering::Relaxed);
+    }
 }
 
 impl<V> AdaptiveRouter<V> {
@@ -526,31 +603,39 @@ impl<V> AdaptiveRouter<V> {
     /// (`olap_snapshot_live{cell="…"}` — e.g. `shard-3` in a sharded
     /// server).
     pub fn labeled(label: &str) -> Self {
+        let empty = Draft {
+            engines: Vec::new(),
+            approx: None,
+            budget: QueryBudget::unlimited(),
+            token: None,
+        };
         AdaptiveRouter {
-            snapshots: SnapshotCell::new(label, EngineSet::stamped(Vec::new(), None)),
+            snapshots: SnapshotCell::new(label, empty.stamped()),
             state: Mutex::new(RouterState {
                 healths: Vec::new(),
                 ticks: 0,
-                budget: QueryBudget::unlimited(),
-                token: None,
                 faults: FaultStats::default(),
             }),
+            all_closed: AtomicBool::new(true),
         }
     }
 
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, RouterState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_state(&self) -> StateGuard<'_> {
+        StateGuard {
+            state: self.state.lock().unwrap_or_else(|e| e.into_inner()),
+            all_closed: &self.all_closed,
+        }
     }
 
     /// Adds an engine to the candidate set. Installs a new snapshot, so
     /// concurrent queries finish on the set they pinned.
     pub fn push(&self, engine: Box<dyn RangeEngine<V>>) {
         self.snapshots.update(|cur| {
-            let mut engines = cur.engines.clone();
-            engines.push(Arc::from(engine));
+            let mut next = Draft::of(cur);
+            next.engines.push(Arc::from(engine));
             // The slot exists before any set can name the engine.
             self.lock_state().healths.push(Health::default());
-            (Some(EngineSet::stamped(engines, cur.approx.clone())), ())
+            (Some(next.stamped()), ())
         });
     }
 
@@ -562,10 +647,11 @@ impl<V> AdaptiveRouter<V> {
     /// new snapshot; update batches derive the tier with the engines.
     pub fn set_degrade_tier(&self, tier: Arc<dyn DegradeTier<V>>) {
         self.snapshots.update(|cur| {
-            (
-                Some(EngineSet::stamped(cur.engines.clone(), Some(tier))),
-                (),
-            )
+            let next = Draft {
+                approx: Some(tier),
+                ..Draft::of(cur)
+            };
+            (Some(next.stamped()), ())
         });
     }
 
@@ -578,7 +664,7 @@ impl<V> AdaptiveRouter<V> {
 
     /// The current snapshot's degradation tier, when one is registered.
     pub fn degrade_tier(&self) -> Option<Arc<dyn DegradeTier<V>>> {
-        self.snapshots.load().approx.clone()
+        self.snapshots.pin().approx.clone()
     }
 
     /// The degradation tier's label, when one is registered.
@@ -589,8 +675,24 @@ impl<V> AdaptiveRouter<V> {
     /// Sets the per-query [`QueryBudget`] every routed query runs under.
     /// The deadline spans failover attempts: retries never extend a
     /// query's time allowance.
+    ///
+    /// The budget lives in the engine-set snapshot, so a budget that
+    /// differs from the current one installs a new set and bumps
+    /// [`AdaptiveRouter::epoch`]; queries already running keep the budget
+    /// of the set they pinned. A cache over the router then serves no
+    /// entry from before the change and inserts nothing until its next
+    /// update, as after any install that bypasses it.
     pub fn set_budget(&self, budget: QueryBudget) {
-        self.lock_state().budget = budget;
+        self.snapshots.update(|cur| {
+            let next = (cur.budget != budget).then(|| {
+                Draft {
+                    budget,
+                    ..Draft::of(cur)
+                }
+                .stamped()
+            });
+            (next, ())
+        });
     }
 
     /// Builder-style [`AdaptiveRouter::set_budget`].
@@ -602,14 +704,22 @@ impl<V> AdaptiveRouter<V> {
 
     /// The budget applied to routed queries.
     pub fn budget(&self) -> QueryBudget {
-        self.lock_state().budget
+        self.snapshots.pin().budget
     }
 
     /// Installs (or clears) a [`CancellationToken`] checked by every
     /// subsequent routed query; cancel it from any thread to interrupt
-    /// in-flight work at the next kernel checkpoint.
+    /// in-flight work at the next kernel checkpoint. Like
+    /// [`AdaptiveRouter::set_budget`], it installs a new engine set and
+    /// bumps [`AdaptiveRouter::epoch`].
     pub fn set_cancellation_token(&self, token: Option<CancellationToken>) {
-        self.lock_state().token = token;
+        self.snapshots.update(|cur| {
+            let next = Draft {
+                token,
+                ..Draft::of(cur)
+            };
+            (Some(next.stamped()), ())
+        });
     }
 
     /// Resilience counters accumulated since construction.
@@ -619,7 +729,7 @@ impl<V> AdaptiveRouter<V> {
 
     /// Per-engine circuit-breaker state, in routing order.
     pub fn health(&self) -> Vec<EngineHealth> {
-        let set = self.snapshots.load();
+        let set = self.snapshots.pin();
         let st = self.lock_state();
         set.engines
             .iter()
@@ -641,18 +751,18 @@ impl<V> AdaptiveRouter<V> {
 
     /// Number of candidate engines.
     pub fn len(&self) -> usize {
-        self.snapshots.load().engines.len()
+        self.snapshots.pin().engines.len()
     }
 
     /// Whether the router has no engines.
     pub fn is_empty(&self) -> bool {
-        self.snapshots.load().engines.is_empty()
+        self.snapshots.pin().engines.is_empty()
     }
 
     /// The candidate engines' labels, in routing order.
     pub fn labels(&self) -> Vec<String> {
         self.snapshots
-            .load()
+            .pin()
             .engines
             .iter()
             .map(|e| e.label())
@@ -660,7 +770,8 @@ impl<V> AdaptiveRouter<V> {
     }
 
     /// The current engine-set snapshot epoch: 0 at construction, +1 per
-    /// engine push, tier registration and installed update batch. A
+    /// engine push, tier registration, budget or token change and
+    /// installed update batch. A
     /// query that pins after reading `e` runs on set `e` or later, and
     /// then this returns more than `e` — the semantic cache's guard.
     pub fn epoch(&self) -> u64 {
@@ -684,7 +795,7 @@ impl<V> AdaptiveRouter<V> {
         reason = "i < the engine count is the caller's contract, like slice indexing"
     )]
     pub fn engine(&self, i: usize) -> Arc<dyn RangeEngine<V>> {
-        Arc::clone(&self.snapshots.load().engines[i])
+        Arc::clone(&self.snapshots.pin().engines[i])
     }
 
     /// Pins the current set, resolves `query` against it once, and routes
@@ -695,7 +806,7 @@ impl<V> AdaptiveRouter<V> {
         op: EngineOp,
         table: Option<&mut Vec<Candidate>>,
     ) -> Result<(usize, QueryOutcome<V>), EngineError> {
-        let set = self.snapshots.load();
+        let set = self.snapshots.pin();
         let region = resolve(&set, query, op);
         self.execute(&set, region.as_ref(), op, table)
     }
@@ -709,6 +820,11 @@ impl<V> AdaptiveRouter<V> {
     /// reports. A `region` that did not resolve fails where the first
     /// admissible engine would have run: after an expired budget, and
     /// only if some engine serves `op`.
+    ///
+    /// On an all-closed router (see [`RouterState::all_closed`]) every
+    /// engine is admissible and none is a probe, so the read skips
+    /// `state` until an engine faults or the budget interrupts it; the
+    /// breaker clock then reads the current tick without counting one.
     #[expect(
         clippy::indexing_slicing,
         reason = "i is an engine position, and the router keeps one health slot per engine of its set"
@@ -724,22 +840,26 @@ impl<V> AdaptiveRouter<V> {
         olap_telemetry::in_span("router_dispatch", || {
             // The whole query runs against the one set the caller pinned,
             // even if an update installs a successor mid-flight.
-            let (tick, meter) = {
+            // ordering: Relaxed — see the store in `StateGuard::drop`.
+            let quiet = self.all_closed.load(Ordering::Relaxed);
+            // The decision's breaker clock: counted up front when some
+            // breaker needs it, else read only if the read enters `state`.
+            let mut tick = (!quiet).then(|| {
                 let mut st = self.lock_state();
                 st.ticks += 1;
-                // One meter for the whole query: the deadline spans failover
-                // attempts, so retries never extend the time allowance. An
-                // already-expired budget (a zero deadline, a fired
-                // cancellation token) kills the query with its interrupt
-                // *before* any routing work — even when no candidate would
-                // have been admissible.
-                let meter = st.budget.start(st.token.clone());
-                if let Err(interrupt) = meter.check() {
-                    st.faults.budget_kills += 1;
-                    return Err(interrupt.into());
-                }
-                (st.ticks, meter)
-            };
+                st.ticks
+            });
+            // One meter for the whole query: the deadline spans failover
+            // attempts, so retries never extend the time allowance. An
+            // already-expired budget (a zero deadline, a fired
+            // cancellation token) kills the query with its interrupt
+            // *before* any routing work — even when no candidate would
+            // have been admissible.
+            let meter = set.budget.start(set.token.clone());
+            if let Err(interrupt) = meter.check() {
+                self.lock_state().faults.budget_kills += 1;
+                return Err(interrupt.into());
+            }
             // The one estimate sweep of this query, with no router lock held.
             let predictions = sweep(set, region.ok(), op);
             if let Some(table) = table {
@@ -749,8 +869,12 @@ impl<V> AdaptiveRouter<V> {
             let mut last_fault: Option<EngineError> = None;
             while let Some(i) = next {
                 next = next_ranked(&predictions, Some(i));
-                {
+                // After a fault the read is on the slow path too: the
+                // breakers it saw as closed may have moved.
+                let checked = !quiet || last_fault.is_some();
+                if checked {
                     let mut st = self.lock_state();
+                    let tick = *tick.get_or_insert(st.ticks);
                     if !st.healths[i].admissible(tick) {
                         continue;
                     }
@@ -774,7 +898,9 @@ impl<V> AdaptiveRouter<V> {
                 });
                 match dispatched {
                     Ok(outcome) => {
-                        self.lock_state().note_success(i);
+                        if checked {
+                            self.lock_state().note_success(i);
+                        }
                         if let Some((ctx, start)) = observing {
                             let predicted = predictions
                                 .get(i)
@@ -796,7 +922,11 @@ impl<V> AdaptiveRouter<V> {
                     }
                     Err(e) if e.is_engine_fault() => {
                         let panicked = matches!(e, EngineError::EnginePanicked { .. });
-                        self.lock_state().note_fault(i, tick, panicked);
+                        {
+                            let mut st = self.lock_state();
+                            let tick = *tick.get_or_insert(st.ticks);
+                            st.note_fault(i, tick, panicked);
+                        }
                         record_fault_event(set, if panicked { "panic" } else { "fault" }, i, op);
                         last_fault = Some(e);
                     }
@@ -837,7 +967,7 @@ impl<V> AdaptiveRouter<V> {
     /// # Errors
     /// [`EngineError::NoCandidate`] or the chosen engine's error.
     pub fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
-        self.execute(&self.snapshots.load(), Ok(region), op, None)
+        self.execute(&self.snapshots.pin(), Ok(region), op, None)
             .map(|(_, o)| o)
     }
 
@@ -847,7 +977,7 @@ impl<V> AdaptiveRouter<V> {
     /// # Errors
     /// Whatever exact routing reported, unless the fallback answers.
     pub fn answer(&self, query: &RangeQuery, op: EngineOp) -> Result<Routed<V>, EngineError> {
-        let set = self.snapshots.load();
+        let set = self.snapshots.pin();
         let region = resolve(&set, query, op);
         match (self.execute(&set, region.as_ref(), op, None), region) {
             (Ok((_, outcome)), _) => Ok(Routed::Exact(outcome)),
@@ -897,7 +1027,7 @@ impl<V> AdaptiveRouter<V> {
         op: EngineOp,
         reason: DegradeReason,
     ) -> Result<(Estimate<V>, AccessStats), EngineError> {
-        let set = self.snapshots.load();
+        let set = self.snapshots.pin();
         let tier = set
             .approx
             .as_ref()
@@ -1013,7 +1143,13 @@ impl<V> AdaptiveRouter<V> {
                 })
             });
             let result = first_err.map_or(Ok(stats), Err);
-            (Some(EngineSet::stamped(engines, approx)), result)
+            let next = Draft {
+                engines,
+                approx,
+                budget: cur.budget,
+                token: cur.token.clone(),
+            };
+            (Some(next.stamped()), result)
         })
     }
 
@@ -1151,7 +1287,7 @@ impl<V> Default for AdaptiveRouter<V> {
 
 impl<V> fmt::Debug for AdaptiveRouter<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let set = self.snapshots.load();
+        let set = self.snapshots.pin();
         f.debug_struct("AdaptiveRouter")
             .field("epoch", &set.guard.epoch())
             .field(

@@ -1,7 +1,7 @@
 //! An exact-result cache: [`SemanticCache`].
 //!
-//! The cache stores `(region, epoch, sum)` entries in a bounded LRU. A
-//! lookup answers from an entry only when the query's region equals the
+//! The cache stores `(region, epoch, sum)` entries in bounded LRU tables.
+//! A lookup answers from an entry only when the query's region equals the
 //! entry's and the entry is stamped with the snapshot epoch the lookup
 //! pinned; every other lookup falls through to the wrapped backend and
 //! inserts the fresh answer.
@@ -32,23 +32,51 @@
 //! matches again) and age out via LRU — but region-wise survival is only
 //! provided for updates routed through [`SemanticCache::apply_updates`].
 //!
+//! # Tables and capacity
+//!
+//! Each stripe ([`crate::stripe`]) has its own entry table, created on
+//! the stripe's first lookup, so a hit locks and writes only its own
+//! thread's table: its LRU clock and stamp and its counters are fields
+//! of that table. A lookup that misses its own table asks the other
+//! stripes' tables, one lock at a time; an entry one of them holds at the
+//! lookup's epoch is copied into the lookup's own table and answers as a
+//! hit. Only then does the lookup read from the backend, inserting the
+//! answer into its own table. So one client's entries stay usable by
+//! another.
+//!
+//! An update sweeps the calling stripe's table at once. Every other table
+//! records the batch and is swept by its own stripe on its next lookup,
+//! on that stripe's own cache lines; an update sweeps it instead once it
+//! is more than 4 batches behind (its thread may be gone), and
+//! [`SemanticCache::stats`] and [`SemanticCache::len`] sweep the tables
+//! they visit. Until a table is swept its epoch trails the backend's, so
+//! none of its entries answers at the new epoch and nothing goes into it.
+//!
+//! The capacity bounds each table, not the cache: a cache read from `k`
+//! stripes holds up to `k × capacity` entries. [`SemanticCache::stats`]
+//! sums the tables. A copy counts as the hit it answered, never as an
+//! insertion, and dropping it later counts as no eviction or
+//! invalidation; `entries` counts every stored entry, copies included.
+//!
 //! # Locking
 //!
-//! Two locks, ordered `update_lock → inner`: `update_lock` serialises
-//! update/invalidation cycles, `inner` guards the entry table. The
-//! backend is **never** called with `inner` held — a lookup probes under
+//! Locks are ordered `update_lock → table i`: `update_lock` serialises
+//! update/invalidation cycles and the creation of a table, each table's
+//! own mutex guards that table, and no path holds two tables at once. An
+//! update visits every table, one at a time, under `update_lock`. The
+//! backend is **never** called with a table held — a lookup probes under
 //! the lock, releases it, then executes on a miss — so cached reads never
 //! wait on engine work, like readers of the snapshot slot beneath.
 
+use crate::stripe::{self, Striped};
 use crate::{AdaptiveRouter, EngineError, EngineOp, VersionCell};
 use olap_aggregate::NumericValue;
 use olap_array::{BudgetMeter, Region, Shape};
 use olap_query::{AccessStats, Answer, EngineKind, QueryOutcome, RangeQuery};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The backend a [`SemanticCache`] fronts: anything that answers reads
 /// over a resolved region against an epoch-stamped snapshot. Implemented
@@ -101,11 +129,11 @@ impl<V: NumericValue> CacheBackend<V> for AdaptiveRouter<V> {
 
 impl<V: 'static> CacheBackend<V> for VersionCell<V> {
     fn shape(&self) -> Option<Shape> {
-        Some(self.load().engine().shape().clone())
+        Some(self.pin().engine().shape().clone())
     }
 
     fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
-        self.load()
+        self.pin()
             .engine()
             .read(region, op, &BudgetMeter::unlimited())
     }
@@ -176,12 +204,41 @@ impl CacheStats {
 
 /// One stored result.
 struct Entry<V> {
+    /// The region's fingerprint: its key in the table's `exact` index.
+    fp: u64,
     region: Region,
     epoch: u64,
     sum: V,
+    /// Copied from another stripe's table: its taking counted as a hit,
+    /// so dropping it counts as no eviction or invalidation.
+    copy: bool,
 }
 
-/// The entry table: a slot arena plus the exact-region index.
+/// One stripe's counters, summed by [`SemanticCache::stats`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    hits: u64,
+    misses: u64,
+    invalidations: u64,
+    insertions: u64,
+    evictions: u64,
+}
+
+/// An installed batch a table has yet to sweep: its entries stamped
+/// `from` are checked against `cells` and re-stamped `to`.
+#[derive(Clone)]
+struct Behind {
+    from: u64,
+    to: u64,
+    /// The batch's cells, or `None` to drop every entry: the backend epoch
+    /// moved by other than this one install (one raced past the cache).
+    cells: Option<Arc<[Vec<usize>]>>,
+}
+
+/// One stripe's entry table: a slot arena, the exact-region index, and
+/// the stripe's counters. Aligned to a cache line, so its hot fields
+/// share no line with another allocation.
+#[repr(align(64))]
 struct CacheInner<V> {
     slots: Vec<Option<Entry<V>>>,
     /// LRU stamps, parallel to `slots` (valid where the slot is
@@ -205,6 +262,172 @@ struct CacheInner<V> {
     /// meanwhile, so every entry the sweep re-stamps was checked against
     /// the batch.
     pending_install: bool,
+    /// Installed batches this table has not swept yet, oldest first. Its
+    /// own stripe sweeps them on its next lookup, on its own cache lines;
+    /// until then `synced_epoch` trails the backend, so no entry of the
+    /// table answers at the new epoch and nothing is inserted at it.
+    behind: Vec<Behind>,
+    counts: Counts,
+}
+
+impl<V> CacheInner<V> {
+    /// An empty table reconciled with `epoch`.
+    fn new(epoch: u64) -> Self {
+        CacheInner {
+            slots: Vec::new(),
+            used: Vec::new(),
+            free: Vec::new(),
+            exact: HashMap::default(),
+            len: 0,
+            tick: 0,
+            synced_epoch: epoch,
+            pending_install: false,
+            behind: Vec::new(),
+            counts: Counts::default(),
+        }
+    }
+
+    /// Sweeps every batch in `behind`, in install order: drops the entries
+    /// whose region holds an updated cell and re-stamps the rest. Returns
+    /// the invalidations counted (a dropped copy counts none).
+    fn catch_up(&mut self) -> u64 {
+        if self.behind.is_empty() {
+            return 0;
+        }
+        let mut counted = 0u64;
+        for b in std::mem::take(&mut self.behind) {
+            for id in 0..self.slots.len() {
+                let keep = match self.slots.get(id).and_then(Option::as_ref) {
+                    None => continue,
+                    Some(e) if e.epoch != b.from => false,
+                    Some(e) => b
+                        .cells
+                        .as_ref()
+                        .is_some_and(|cells| !holds_an_update(&e.region, cells)),
+                };
+                if keep {
+                    if let Some(e) = self.slots.get_mut(id).and_then(Option::as_mut) {
+                        e.epoch = b.to;
+                    }
+                } else if self.detach(id).is_some_and(|copy| !copy) {
+                    counted += 1;
+                }
+            }
+            self.synced_epoch = b.to;
+        }
+        self.counts.invalidations += counted;
+        counted
+    }
+
+    /// The slot holding `region` (fingerprint `fp`) stamped `epoch`, and
+    /// its sum, when there is one.
+    fn stored(&self, region: &Region, fp: u64, epoch: u64) -> Option<(usize, V)>
+    where
+        V: Clone,
+    {
+        let &id = self.exact.get(&fp)?;
+        let e = self.slots.get(id).and_then(Option::as_ref)?;
+        (e.epoch == epoch && e.region == *region).then(|| (id, e.sum.clone()))
+    }
+
+    /// [`CacheInner::stored`]'s sum, with the slot stamped most recently
+    /// used.
+    fn touch(&mut self, region: &Region, fp: u64, epoch: u64) -> Option<V>
+    where
+        V: Clone,
+    {
+        let (id, sum) = self.stored(region, fp, epoch)?;
+        if let Some(u) = self.used.get_mut(id) {
+            *u = self.tick;
+        }
+        Some(sum)
+    }
+
+    /// Whether an entry computed at `epoch` may go in now: the table is
+    /// reconciled with that epoch and no install is mid-sweep. (A table
+    /// with batches `behind` trails every epoch they installed.)
+    fn accepts(&self, epoch: u64) -> bool {
+        self.synced_epoch == epoch && !self.pending_install
+    }
+
+    /// Stores `entry`, evicting the least recently used entry when the
+    /// table holds `capacity`. Returns how many counted evictions that
+    /// made (a dropped copy counts none).
+    fn place(&mut self, entry: Entry<V>, capacity: usize) -> u64 {
+        let mut evicted = 0u64;
+        if self.len >= capacity {
+            if let Some(victim) = oldest(&self.used) {
+                if self.detach(victim).is_some_and(|copy| !copy) {
+                    evicted = 1;
+                }
+            }
+        }
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None => {
+                self.slots.push(None);
+                self.used.push(VACANT);
+                self.slots.len().saturating_sub(1)
+            }
+        };
+        let tick = self.tick;
+        let fp = entry.fp;
+        match (self.slots.get_mut(id), self.used.get_mut(id)) {
+            (Some(slot), Some(u)) => {
+                *slot = Some(entry);
+                *u = tick;
+            }
+            // A free-list id outside the arena cannot happen; drop the
+            // entry rather than corrupt the table.
+            _ => return evicted,
+        }
+        self.exact.insert(fp, id);
+        self.len = self.len.saturating_add(1);
+        evicted
+    }
+
+    /// Removes slot `id` from the table and the index, returning whether
+    /// the removed entry was a copy (`None` when the slot was empty).
+    fn detach(&mut self, id: usize) -> Option<bool> {
+        let e = self.slots.get_mut(id).and_then(Option::take)?;
+        if let Some(u) = self.used.get_mut(id) {
+            *u = VACANT;
+        }
+        // The index may name a newer entry for the same fingerprint: put
+        // it back.
+        if let Some(newer) = self.exact.remove(&e.fp).filter(|&other| other != id) {
+            self.exact.insert(e.fp, newer);
+        }
+        self.free.push(id);
+        self.len = self.len.saturating_sub(1);
+        Some(e.copy)
+    }
+
+    /// Drops every entry, returning how many counted as invalidations.
+    fn drop_all(&mut self) -> u64 {
+        let dropped = self.slots.iter().flatten().filter(|e| !e.copy).count() as u64;
+        for slot in &mut self.slots {
+            *slot = None;
+        }
+        for used in &mut self.used {
+            *used = VACANT;
+        }
+        self.free = (0..self.slots.len()).collect();
+        self.exact.clear();
+        self.len = 0;
+        dropped
+    }
+}
+
+/// One stripe's slot: its table, once the stripe has looked something up.
+type Table<V> = Mutex<Option<Box<CacheInner<V>>>>;
+
+/// What a lookup's probe of its own table found.
+enum Probe<V> {
+    Hit(V),
+    Miss,
+    /// Not here; another stripe's table may hold it.
+    AskPeers,
 }
 
 /// A bounded, snapshot-consistent exact-result cache in front of a
@@ -219,15 +442,15 @@ pub struct SemanticCache<V, B> {
     shape: Option<Shape>,
     capacity: usize,
     label: String,
-    /// Serialises update/invalidation cycles. Ordered before `inner`.
+    /// Serialises update/invalidation cycles and table creation. Ordered
+    /// before every table.
     update_lock: Mutex<()>,
-    /// The entry table. Never held across a backend call.
-    inner: Mutex<CacheInner<V>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
+    /// One entry table per stripe, created on the stripe's first lookup.
+    /// None is ever held across a backend call.
+    tables: Striped<Table<V>>,
+    /// Bit `i` is set once stripe `i`'s table exists, so a lookup that
+    /// misses its own table asks only peers that have one.
+    created: AtomicUsize,
 }
 
 impl<V, B> SemanticCache<V, B>
@@ -235,38 +458,25 @@ where
     V: NumericValue,
     B: CacheBackend<V>,
 {
-    /// Wraps `backend` with an LRU of at most `capacity` entries under
-    /// the default label.
+    /// Wraps `backend` with an LRU of at most `capacity` entries per
+    /// stripe table (see the module docs) under the default label.
     pub fn new(backend: B, capacity: usize) -> Self {
         SemanticCache::with_label(backend, capacity, "cache")
     }
 
     /// Wraps `backend`; `label` names the cache in the exported
-    /// `olap_cache_*` series (e.g. `shard-3`).
+    /// `olap_cache_*` series (e.g. `shard-3`). No table is allocated
+    /// until a stripe first looks something up.
     pub fn with_label(backend: B, capacity: usize, label: &str) -> Self {
         let shape = backend.shape();
-        let epoch = backend.epoch();
         SemanticCache {
             backend,
             shape,
             capacity,
             label: label.to_string(),
             update_lock: Mutex::new(()),
-            inner: Mutex::new(CacheInner {
-                slots: Vec::new(),
-                used: Vec::new(),
-                free: Vec::new(),
-                exact: HashMap::default(),
-                len: 0,
-                tick: 0,
-                synced_epoch: epoch,
-                pending_install: false,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            tables: Striped::default(),
+            created: AtomicUsize::new(0),
         }
     }
 
@@ -280,14 +490,14 @@ where
         &self.label
     }
 
-    /// Maximum stored entries (0 = disabled).
+    /// Maximum entries per stripe table (0 = disabled).
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Entries currently stored.
+    /// Entries currently stored, across every stripe's table.
     pub fn len(&self) -> usize {
-        self.lock_inner().len
+        self.fold_tables(0, |n, t| n + t.len)
     }
 
     /// Whether the cache holds no entries.
@@ -300,48 +510,31 @@ where
         self.backend.epoch()
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot, summed over every stripe's table.
     pub fn stats(&self) -> CacheStats {
-        fn stat(counter: &AtomicU64) -> u64 {
-            // ordering: Relaxed — statistics counter, no synchronisation.
-            counter.load(Ordering::Relaxed)
-        }
-        CacheStats {
-            hits: stat(&self.hits),
+        self.fold_tables(CacheStats::default(), |s, t| CacheStats {
+            hits: s.hits + t.counts.hits,
             assemblies: 0,
-            misses: stat(&self.misses),
-            invalidations: stat(&self.invalidations),
-            insertions: stat(&self.insertions),
-            evictions: stat(&self.evictions),
-            entries: self.len(),
-        }
+            misses: s.misses + t.counts.misses,
+            invalidations: s.invalidations + t.counts.invalidations,
+            insertions: s.insertions + t.counts.insertions,
+            evictions: s.evictions + t.counts.evictions,
+            entries: s.entries + t.len,
+        })
     }
 
     /// Drops every entry (counted as invalidations).
     pub fn clear(&self) {
         let _update = self.update_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let dropped = {
-            let mut inner = self.lock_inner();
-            let dropped = inner.len as u64;
-            for slot in &mut inner.slots {
-                *slot = None;
-            }
-            for used in &mut inner.used {
-                *used = VACANT;
-            }
-            inner.free = (0..inner.slots.len()).collect();
-            inner.exact.clear();
-            inner.len = 0;
-            dropped
-        };
-        if dropped > 0 {
-            self.bump(
-                "olap_cache_invalidations_total",
-                &self.invalidations,
-                dropped,
-            );
-        }
-        self.publish_entries(0);
+        let mut dropped = 0u64;
+        self.sweep_tables(|t| {
+            let swept = t.catch_up();
+            let n = t.drop_all();
+            t.counts.invalidations += n;
+            dropped += swept + n;
+        });
+        self.count("olap_cache_invalidations_total", dropped);
+        self.publish_entries();
     }
 
     /// Answers a range-sum query through the cache: from the stored entry
@@ -355,7 +548,7 @@ where
     /// itself never fails a query.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
         let region = self.resolve(query, EngineOp::Sum)?;
-        self.sum(Cow::Owned(region))
+        self.sum(&region)
     }
 
     /// Passes a range-max query straight to the backend.
@@ -384,36 +577,38 @@ where
     /// Whatever the backend reports.
     pub fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
         match op {
-            EngineOp::Sum => self.sum(Cow::Borrowed(region)),
+            EngineOp::Sum => self.sum(region),
             _ => self.backend.read(region, op),
         }
     }
 
     /// The sum over `region`: a table hit, or a backend read inserted on
     /// the way back. A disabled cache passes straight through.
-    fn sum(&self, region: Cow<'_, Region>) -> Result<QueryOutcome<V>, EngineError> {
+    fn sum(&self, region: &Region) -> Result<QueryOutcome<V>, EngineError> {
         if self.capacity == 0 || self.shape.is_none() {
-            return self.backend.read(&region, EngineOp::Sum);
+            return self.backend.read(region, EngineOp::Sum);
         }
         // Context and clock together: an idle site is one atomic load.
         let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
         let epoch0 = self.backend.epoch();
         // Hashed once: a miss inserts under the same fingerprint.
-        let fp = fingerprint(&region);
-        let hit = olap_telemetry::in_span("cache_lookup", || self.lookup(&region, fp, epoch0));
+        let fp = fingerprint(region);
+        let hit = olap_telemetry::in_span("cache_lookup", || self.lookup(region, fp, epoch0));
         let Some(sum) = hit else {
+            // The lookup counted the miss, so a backend read that fails
+            // below is still one.
+            self.count("olap_cache_misses_total", 1);
             // Direct execution with insert-on-miss. The backend dispatch
             // records the flight record; annotate it as a consulted-but-
             // missed cache path.
             let _outcome = olap_telemetry::CacheOutcomeScope::set("miss");
-            let out = self.backend.read(&region, EngineOp::Sum)?;
-            self.bump("olap_cache_misses_total", &self.misses, 1);
+            let out = self.backend.read(region, EngineOp::Sum)?;
             if let Answer::Aggregate(v) = &out.answer {
                 self.insert(region, fp, epoch0, v.clone());
             }
             return Ok(out);
         };
-        self.bump("olap_cache_hits_total", &self.hits, 1);
+        self.count("olap_cache_hits_total", 1);
         let mut stats = AccessStats::new();
         stats.step(1);
         // A hit never reaches the router, so it writes its own flight
@@ -429,9 +624,12 @@ where
     }
 
     /// Applies an update batch through the backend and invalidates
-    /// region-wise: entries whose region contains an updated cell are
-    /// dropped, every other current entry is re-stamped to the new epoch
-    /// and stays answerable — no global flush.
+    /// region-wise: in every stripe's table, entries whose region
+    /// contains an updated cell are dropped, every other current entry is
+    /// re-stamped to the new epoch and stays answerable — no global flush.
+    /// The caller's own table is swept before this returns; every other
+    /// table is swept by its own stripe on that stripe's next lookup (see
+    /// the module docs).
     ///
     /// # Errors
     /// Whatever the backend reports; on error nothing is installed and
@@ -442,45 +640,33 @@ where
         }
         let _update = self.update_lock.lock().unwrap_or_else(|e| e.into_inner());
         let epoch_before = self.backend.epoch();
-        self.lock_inner().pending_install = true;
+        self.sweep_tables(|t| t.pending_install = true);
         let result = self.backend.apply_updates(updates);
         let epoch_after = self.backend.epoch();
         let installed = result.is_ok() && epoch_after == epoch_before + 1;
         let unchanged = result.is_err() && epoch_after == epoch_before;
-        let (dropped, remaining) = {
-            let mut inner = self.lock_inner();
-            inner.pending_install = false;
-            let mut dropped = 0u64;
-            for id in 0..inner.slots.len() {
-                let keep = match inner.slots.get(id).and_then(Option::as_ref) {
-                    None => continue,
-                    Some(e) if e.epoch != epoch_before => false,
-                    Some(_) if unchanged => true,
-                    Some(e) if installed => !holds_an_update(&e.region, updates),
-                    // Backend epoch moved unexpectedly (an install raced
-                    // past the cache): conservative flush.
-                    Some(_) => false,
-                };
-                if keep {
-                    if let Some(e) = inner.slots.get_mut(id).and_then(Option::as_mut) {
-                        e.epoch = epoch_after;
-                    }
-                } else {
-                    Self::detach(&mut inner, id);
-                    dropped = dropped.saturating_add(1);
+        // A refused batch leaves every entry valid: nothing to sweep.
+        let behind = (!unchanged).then(|| Behind {
+            from: epoch_before,
+            to: epoch_after,
+            cells: installed.then(|| updates.iter().map(|(idx, _)| idx.clone()).collect()),
+        });
+        // The caller's own table is swept now; every other one records
+        // the batch for its stripe to sweep on its next lookup, unless it
+        // is more than `MAX_BEHIND` batches behind (its thread may be gone).
+        let own = stripe::index();
+        let mut dropped = 0u64;
+        for (i, table) in self.tables.iter() {
+            if let Some(t) = lock_table(table).as_deref_mut() {
+                t.pending_install = false;
+                t.behind.extend(behind.clone());
+                if i == own || t.behind.len() > MAX_BEHIND {
+                    dropped += t.catch_up();
                 }
             }
-            inner.synced_epoch = epoch_after;
-            (dropped, inner.len)
-        };
-        if dropped > 0 {
-            self.bump(
-                "olap_cache_invalidations_total",
-                &self.invalidations,
-                dropped,
-            );
         }
-        self.publish_entries(remaining);
+        self.count("olap_cache_invalidations_total", dropped);
+        self.publish_entries();
         result
     }
 
@@ -496,120 +682,165 @@ where
         }
     }
 
-    /// The stored sum for `region` (fingerprint `fp`) at `epoch`, found by
-    /// one index probe under the `inner` lock and stamped most recently
-    /// used. The backend is never called here.
+    /// The stored sum for `region` (fingerprint `fp`) at `epoch`: one
+    /// index probe of the calling stripe's table, stamped most recently
+    /// used, else a copy of a peer table's entry. Counts the hit or the
+    /// miss in the caller's table. The backend is never called here.
     fn lookup(&self, region: &Region, fp: u64, epoch: u64) -> Option<V> {
-        let mut inner = self.lock_inner();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let id = Self::current_exact(&inner, region, fp, epoch)?;
-        if let Some(u) = inner.used.get_mut(id) {
-            *u = tick;
+        let own = stripe::index();
+        // ordering: Relaxed — a hint of which peers to ask; a table is
+        // published by its own mutex, and a lookup that misses a fresh
+        // table's bit only reads from the backend instead of copying.
+        let peers = self.created.load(Ordering::Relaxed) & !(1 << own);
+        let probe = self.with_table(own, |t| {
+            t.tick += 1;
+            if let Some(sum) = t.touch(region, fp, epoch) {
+                t.counts.hits += 1;
+                Probe::Hit(sum)
+            } else if peers == 0 {
+                t.counts.misses += 1;
+                Probe::Miss
+            } else {
+                Probe::AskPeers
+            }
+        });
+        match probe {
+            Probe::Hit(sum) => return Some(sum),
+            Probe::Miss => return None,
+            Probe::AskPeers => {}
         }
-        inner
-            .slots
-            .get(id)
-            .and_then(Option::as_ref)
-            .map(|e| e.sum.clone())
+        let copied = self.peer_entry(peers, region, fp, epoch);
+        self.with_table(own, |t| match copied {
+            Some(sum) => {
+                t.counts.hits += 1;
+                if t.accepts(epoch) && t.stored(region, fp, epoch).is_none() {
+                    let entry = Entry {
+                        fp,
+                        region: region.clone(),
+                        epoch,
+                        sum: sum.clone(),
+                        copy: true,
+                    };
+                    t.counts.evictions += t.place(entry, self.capacity);
+                }
+                Some(sum)
+            }
+            None => {
+                t.counts.misses += 1;
+                None
+            }
+        })
     }
 
-    /// Inserts `(region, epoch, sum)` under the region's fingerprint `fp`
-    /// unless an install raced the computation (the sum would describe a
-    /// superseded snapshot), the table already holds the region, or the
-    /// cache is reconciling. A borrowed region is copied only once the
-    /// entry is going in.
-    fn insert(&self, region: Cow<'_, Region>, fp: u64, epoch: u64, sum: V) {
-        // Epoch check *before* taking `inner` — the backend is never
-        // called under the table lock.
+    /// The sum a peer table (a stripe whose bit is set in `peers`) holds
+    /// for `region` at `epoch`, asking one table at a time and stamping
+    /// none of them.
+    fn peer_entry(&self, peers: usize, region: &Region, fp: u64, epoch: u64) -> Option<V> {
+        self.tables
+            .iter()
+            .filter(|&(i, _)| peers & (1 << i) != 0)
+            .find_map(|(_, table)| {
+                let guard = lock_table(table);
+                guard
+                    .as_deref()?
+                    .stored(region, fp, epoch)
+                    .map(|(_, sum)| sum)
+            })
+    }
+
+    /// Inserts `region`'s `sum` at `epoch` into the calling stripe's table
+    /// under the region's fingerprint `fp` unless an install raced the
+    /// computation (the sum would describe a superseded snapshot), the
+    /// table already holds the region, or the table is reconciling.
+    fn insert(&self, region: &Region, fp: u64, epoch: u64, sum: V) {
+        // Epoch check *before* taking the table — the backend is never
+        // called under a table lock.
         if self.backend.epoch() != epoch {
             return;
         }
-        let (evicted, len) = {
-            let mut guard = self.lock_inner();
-            let inner = &mut *guard;
-            if inner.synced_epoch != epoch || inner.pending_install {
-                return;
+        let inserted = self.with_table(stripe::index(), |t| {
+            if !t.accepts(epoch) || t.stored(region, fp, epoch).is_some() {
+                return None;
             }
-            if Self::current_exact(inner, &region, fp, epoch).is_some() {
-                return; // already stored
-            }
-            let mut evicted = 0u64;
-            if inner.len >= self.capacity {
-                if let Some(victim) = oldest(&inner.used) {
-                    Self::detach(inner, victim);
-                    evicted = 1;
-                }
-            }
-            let tick = inner.tick;
             let entry = Entry {
-                region: region.into_owned(),
+                fp,
+                region: region.clone(),
                 epoch,
                 sum,
+                copy: false,
             };
-            let id = match inner.free.pop() {
-                Some(id) => id,
-                None => {
-                    inner.slots.push(None);
-                    inner.used.push(VACANT);
-                    inner.slots.len().saturating_sub(1)
+            t.counts.evictions += t.place(entry, self.capacity);
+            t.counts.insertions += 1;
+            Some(())
+        });
+        if inserted.is_some() {
+            self.count("olap_cache_insertions_total", 1);
+            self.publish_entries();
+        }
+    }
+
+    /// Runs `f` on stripe `own`'s table, after sweeping the batches it is
+    /// behind, and creates the table first on the stripe's first use.
+    /// Creation takes `update_lock`, so a new table starts reconciled with
+    /// the epoch no install through the cache is moving, and joins the
+    /// install protocol from there.
+    fn with_table<R>(&self, own: usize, f: impl FnOnce(&mut CacheInner<V>) -> R) -> R {
+        let table = self.tables.slot(own);
+        let f = {
+            let mut guard = lock_table(table);
+            match guard.as_deref_mut() {
+                Some(t) => {
+                    let swept = t.catch_up();
+                    let out = f(t);
+                    drop(guard);
+                    self.count("olap_cache_invalidations_total", swept);
+                    return out;
                 }
-            };
-            match (inner.slots.get_mut(id), inner.used.get_mut(id)) {
-                (Some(slot), Some(u)) => {
-                    *slot = Some(entry);
-                    *u = tick;
-                }
-                // A free-list id outside the arena cannot happen; drop
-                // the insert rather than corrupt the table.
-                _ => return,
+                None => f,
             }
-            inner.exact.insert(fp, id);
-            inner.len = inner.len.saturating_add(1);
-            (evicted, inner.len)
         };
-        self.bump("olap_cache_insertions_total", &self.insertions, 1);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed); // ordering: Relaxed — statistics counter
+        let _update = self.update_lock.lock().unwrap_or_else(|e| e.into_inner());
+        // Read before the table is taken: the backend is never called
+        // under a table lock.
+        let epoch = self.backend.epoch();
+        let mut guard = lock_table(table);
+        let t = guard.get_or_insert_with(|| Box::new(CacheInner::new(epoch)));
+        // ordering: Relaxed — see `lookup`: the bit is a hint, the table
+        // itself is published by its mutex.
+        self.created.fetch_or(1 << own, Ordering::Relaxed);
+        f(t)
+    }
+
+    /// Runs `f` on every stripe's table that exists, one lock at a time.
+    fn sweep_tables(&self, mut f: impl FnMut(&mut CacheInner<V>)) {
+        for (_, table) in self.tables.iter() {
+            if let Some(t) = lock_table(table).as_deref_mut() {
+                f(t);
+            }
         }
-        self.publish_entries(len);
     }
 
-    /// The slot holding `region` (fingerprint `fp`) stamped `epoch`, when
-    /// there is one.
-    fn current_exact(inner: &CacheInner<V>, region: &Region, fp: u64, epoch: u64) -> Option<usize> {
-        let &id = inner.exact.get(&fp)?;
-        let e = inner.slots.get(id).and_then(Option::as_ref)?;
-        (e.epoch == epoch && e.region == *region).then_some(id)
+    /// Folds `f` over every stripe's table that exists, one lock at a
+    /// time, each swept of the batches it is behind first so that its
+    /// entries and counters are current.
+    fn fold_tables<A>(&self, init: A, mut f: impl FnMut(A, &CacheInner<V>) -> A) -> A {
+        let (mut acc, mut swept) = (init, 0u64);
+        for (_, table) in self.tables.iter() {
+            if let Some(t) = lock_table(table).as_deref_mut() {
+                swept += t.catch_up();
+                acc = f(acc, t);
+            }
+        }
+        self.count("olap_cache_invalidations_total", swept);
+        acc
     }
 
-    /// Removes slot `id` from the table and the index.
-    fn detach(inner: &mut CacheInner<V>, id: usize) {
-        let Some(e) = inner.slots.get_mut(id).and_then(Option::take) else {
+    /// Mirrors `n` events of the counter `name` to the telemetry registry
+    /// when a context is active (the tables keep their own counts).
+    fn count(&self, name: &'static str, n: u64) {
+        if n == 0 {
             return;
-        };
-        if let Some(u) = inner.used.get_mut(id) {
-            *u = VACANT;
         }
-        // The index may name a newer entry for the same fingerprint: put
-        // it back.
-        let fp = fingerprint(&e.region);
-        if let Some(newer) = inner.exact.remove(&fp).filter(|&other| other != id) {
-            inner.exact.insert(fp, newer);
-        }
-        inner.free.push(id);
-        inner.len = inner.len.saturating_sub(1);
-    }
-
-    fn lock_inner(&self) -> std::sync::MutexGuard<'_, CacheInner<V>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Bumps a local counter and mirrors it to the telemetry registry
-    /// when a context is active.
-    fn bump(&self, name: &'static str, local: &AtomicU64, n: u64) {
-        // ordering: Relaxed — statistics counter, no synchronisation.
-        local.fetch_add(n, Ordering::Relaxed);
         if let Some(ctx) = olap_telemetry::current() {
             ctx.registry()
                 .counter(name, &[("cache", &self.label)])
@@ -635,36 +866,54 @@ where
         });
     }
 
-    fn publish_entries(&self, len: usize) {
+    /// Sets the `olap_cache_entries` gauge to the entries across every
+    /// table; only under an active context does it visit the tables.
+    fn publish_entries(&self) {
         if let Some(ctx) = olap_telemetry::current() {
             ctx.registry()
                 .gauge("olap_cache_entries", &[("cache", &self.label)])
-                .set(len as f64);
+                .set(self.len() as f64);
         }
     }
 }
 
+/// Locks one stripe's table slot.
+fn lock_table<V>(table: &Table<V>) -> MutexGuard<'_, Option<Box<CacheInner<V>>>> {
+    table.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl<V, B> std::fmt::Debug for SemanticCache<V, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let (mut tables, mut entries) = (0, 0);
+        for (_, table) in self.tables.iter() {
+            if let Some(t) = lock_table(table).as_deref() {
+                tables += 1;
+                entries += t.len;
+            }
+        }
         f.debug_struct("SemanticCache")
             .field("label", &self.label)
             .field("capacity", &self.capacity)
-            .field("entries", &inner.len)
-            .field("synced_epoch", &inner.synced_epoch)
+            .field("tables", &tables)
+            .field("entries", &entries)
             .finish()
     }
 }
 
 /// Whether an installed batch can have changed the sum over `region`:
-/// the region contains one of its cells. A point of the wrong rank (the
+/// the region contains one of its `cells`. A point of the wrong rank (the
 /// backend refuses those) counts as inside every region, so invalidation
 /// stays conservative.
-fn holds_an_update<V>(region: &Region, updates: &[(Vec<usize>, V)]) -> bool {
-    updates
+fn holds_an_update(region: &Region, cells: &[Vec<usize>]) -> bool {
+    cells
         .iter()
-        .any(|(idx, _)| idx.len() != region.ndim() || region.contains(idx))
+        .any(|idx| idx.len() != region.ndim() || region.contains(idx))
 }
+
+/// Batches a table may stay behind; an update sweeps a table that is
+/// further behind for its stripe, which bounds the batches kept for a
+/// stripe whose thread has gone.
+const MAX_BEHIND: usize = 4;
 
 /// A region's key in the exact index: its bounds folded by
 /// [`BoundsHasher`].

@@ -11,11 +11,15 @@
 //! pinned with [`VersionCell::load`] — never a torn read, never blocked
 //! by a writer. `AdaptiveRouter` keeps its engine set in the same slot.
 //!
-//! - **readers** take one brief `RwLock` read to clone the current
-//!   `Arc`, so a reader can only ever contend with the pointer swap,
+//! - **readers** pin through their own stripe ([`crate::stripe`]): each
+//!   stripe keeps, under its own lock, its own `Arc` of the current
+//!   snapshot's `Arc`, and a pin clones that outer `Arc`. A pin writes
+//!   only its stripe's cache lines, so readers on different stripes never
+//!   contend, and a reader can only ever wait on the writer's swap of its
+//!   own stripe,
 //! - **writers** serialise on a writer mutex, derive the successor
-//!   against the pinned current snapshot, then swap the `Arc` under a
-//!   short write lock,
+//!   against the pinned current snapshot, then repoint every stripe's
+//!   handle, one stripe lock at a time,
 //! - **`epoch()`** reads an install sequence like a seqlock, writing no
 //!   shared memory.
 //!
@@ -27,11 +31,12 @@
 //! gauges, labelled by the cell's name.
 
 use crate::range_engine::RangeEngine;
+use crate::stripe::{Padded, Striped, STRIPES};
 use crate::EngineError;
 use olap_query::AccessStats;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A point-in-time view of a [`VersionCell`]'s epoch bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,18 +117,36 @@ impl Drop for EpochGuard {
     }
 }
 
+/// One stripe's handle on a snapshot: its own allocation, padded to a
+/// cache line, so cloning and dropping it writes only that line.
+type Handle<S> = Arc<Padded<Arc<S>>>;
+
+/// A snapshot pinned through the calling thread's stripe: it derefs to
+/// the snapshot and keeps it alive until dropped, like the `Arc` that
+/// [`SnapshotCell::load`] returns, but taking and dropping it writes
+/// only the stripe's own cache lines.
+pub(crate) struct Pinned<S>(Handle<S>);
+
+impl<S> std::ops::Deref for Pinned<S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        &self.0 .0
+    }
+}
+
 /// The crate's one snapshot slot: the current `Arc<S>`, swapped whole on
 /// each install. [`VersionCell`] holds an [`EngineVersion`] in one, and
 /// `AdaptiveRouter` its engine set. Every `S` owns the [`EpochGuard`] the
 /// cell minted for it. See the module docs for the discipline.
 pub(crate) struct SnapshotCell<S> {
-    /// The current snapshot. Readers hold the read side only long enough
-    /// to clone the `Arc`; the single writer holds the write side only
-    /// for the swap itself.
-    current: RwLock<Arc<S>>,
+    /// Each stripe's handle on the current snapshot. A reader holds its
+    /// stripe's lock only long enough to clone the handle; the single
+    /// writer holds each stripe's lock only to repoint that handle.
+    stripes: Striped<Mutex<Handle<S>>>,
     /// Serialises derive+install cycles so successors are derived against
-    /// the latest snapshot. Held *while* acquiring `current` for the swap
-    /// (writer → current is the only cross-lock edge of the cell).
+    /// the latest snapshot. Held *while* acquiring each stripe lock for
+    /// the swap (writer → stripe is the only cross-lock edge of the cell).
     writer: Mutex<()>,
     tracker: Arc<EpochTracker>,
     /// Twice the current epoch, odd while `install` swaps the next
@@ -139,9 +162,9 @@ impl<S> SnapshotCell<S> {
             label: label.to_string(),
             epochs: Mutex::default(),
         });
-        let seed = seed(Self::stamp(&tracker, 0));
+        let seed = Arc::new(seed(Self::stamp(&tracker, 0)));
         SnapshotCell {
-            current: RwLock::new(Arc::new(seed)),
+            stripes: Striped::new(|| Mutex::new(Arc::new(Padded(Arc::clone(&seed))))),
             writer: Mutex::new(()),
             tracker,
             seq: AtomicU64::new(0),
@@ -157,9 +180,24 @@ impl<S> SnapshotCell<S> {
         }
     }
 
-    /// Pins and returns the current snapshot.
+    /// The calling thread's stripe handle, locked.
+    fn handle(&self) -> MutexGuard<'_, Handle<S>> {
+        self.stripes
+            .mine()
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Pins the current snapshot through the calling thread's stripe.
+    pub(crate) fn pin(&self) -> Pinned<S> {
+        Pinned(Arc::clone(&self.handle()))
+    }
+
+    /// Pins and returns the current snapshot as a plain `Arc`. Cloning it
+    /// writes the count every stripe shares; [`SnapshotCell::pin`] is the
+    /// read path's pin.
     pub(crate) fn load(&self) -> Arc<S> {
-        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
+        Arc::clone(&self.handle().0)
     }
 
     /// The current snapshot's epoch: 0 at construction, +1 per install.
@@ -168,7 +206,7 @@ impl<S> SnapshotCell<S> {
     /// later one, and once it has pinned a later one this returns more
     /// than `e`. So `epoch()` unchanged across a piece of work proves all
     /// of it ran on snapshot `e` — the guard the semantic cache's inserts
-    /// rely on. A caller arriving mid-swap waits the one pointer store out.
+    /// rely on. A caller arriving mid-swap waits the stripe swaps out.
     pub(crate) fn epoch(&self) -> u64 {
         loop {
             // ordering: Acquire — pairs with the Release store that ends
@@ -198,28 +236,44 @@ impl<S> SnapshotCell<S> {
         F: FnOnce(EpochGuard) -> S,
     {
         let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let (next, out) = derive(&self.load());
+        let (next, out) = derive(&self.pin());
         let Some(next) = next else {
             return out;
         };
         // ordering: Relaxed — only the writer, under `writer`, stores it.
         let seq = self.seq.load(Ordering::Relaxed);
         let next = Arc::new(next(Self::stamp(&self.tracker, seq / 2 + 1)));
-        // ordering: Relaxed — the odd mark is ordered before the swap by
-        // the `current` write lock: a reader that pins the new snapshot
-        // takes the read lock after that release, so its next `epoch()`
-        // sees at least the odd mark and waits for the new epoch.
+        // What the swaps replace, kept until the window closes.
+        let mut superseded: Vec<Arc<S>> = Vec::with_capacity(STRIPES);
+        let mut pinned: Vec<Handle<S>> = Vec::new();
+        // ordering: Relaxed — the odd mark is ordered before every swap by
+        // that stripe's lock: a reader that pins the new snapshot takes its
+        // stripe lock after the writer's release of it, so its next
+        // `epoch()` sees at least the odd mark and waits for the new epoch.
         self.seq.store(seq + 1, Ordering::Relaxed);
-        let old = std::mem::replace(
-            &mut *self.current.write().unwrap_or_else(|e| e.into_inner()),
-            next,
-        );
+        for (_, stripe) in self.stripes.iter() {
+            let mut handle = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            match Arc::get_mut(&mut handle) {
+                // No pin holds the stripe's handle (pins are cloned only
+                // under this lock): repoint it in place.
+                Some(Padded(current)) => {
+                    superseded.push(std::mem::replace(current, Arc::clone(&next)));
+                }
+                // A pin still holds it: the stripe gets a fresh handle.
+                None => pinned.push(std::mem::replace(
+                    &mut handle,
+                    Arc::new(Padded(Arc::clone(&next))),
+                )),
+            }
+        }
         // ordering: Release — pairs with the Acquire load in `epoch()`: a
-        // reader that sees the new epoch pins this snapshot or a later one.
+        // reader that sees the new epoch pins this snapshot or a later one
+        // on every stripe.
         self.seq.store(seq + 2, Ordering::Release);
-        // The superseded snapshot may be the last reference to its
-        // engines; free them outside the window `epoch()` waits on.
-        drop(old);
+        // The superseded references may be the last to the old snapshot's
+        // engines; free them outside the window `epoch()` waits on. The
+        // old snapshot drops with them, or with its last pin.
+        drop((superseded, pinned));
         out
     }
 }
@@ -289,8 +343,17 @@ impl<V: 'static> VersionCell<V> {
 
     /// Pins and returns the current snapshot. In-flight queries against
     /// the returned version are isolated from any concurrent install.
+    ///
+    /// The returned `Arc` shares one count among every caller; a cache
+    /// over the cell reads through a pin that writes only the calling
+    /// thread's stripe.
     pub fn load(&self) -> Arc<EngineVersion<V>> {
         self.snapshots.load()
+    }
+
+    /// Pins the current snapshot through the calling thread's stripe.
+    pub(crate) fn pin(&self) -> Pinned<EngineVersion<V>> {
+        self.snapshots.pin()
     }
 
     /// The current snapshot's epoch, read without pinning it: a query
@@ -336,7 +399,7 @@ impl<V: 'static> VersionCell<V> {
 
 impl<V> std::fmt::Debug for VersionCell<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let cur = self.snapshots.load();
+        let cur = self.snapshots.pin();
         f.debug_struct("VersionCell")
             .field("epoch", &cur.epoch())
             .field("engine", &cur.engine.label())

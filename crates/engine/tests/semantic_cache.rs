@@ -7,11 +7,13 @@
 use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_engine::{
     AdaptiveRouter, CubeIndex, Derived, EngineError, EngineOp, IndexConfig, NaiveEngine,
-    RangeEngine, SemanticCache, SumTreeEngine, VersionCell,
+    QueryBudget, RangeEngine, SemanticCache, SumTreeEngine, VersionCell,
 };
 use olap_query::{EngineKind, QueryOutcome, RangeQuery};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn cube(shape: &[usize]) -> DenseArray<i64> {
     DenseArray::from_fn(Shape::new(shape).unwrap(), |i| {
@@ -350,6 +352,107 @@ fn concurrent_installs_never_tear_cached_answers() {
         }
         cache.apply_updates(&[(vec![3, 3], 7777)]).unwrap();
     });
+}
+
+#[test]
+fn a_failed_backend_read_counts_as_a_miss() {
+    // A zero deadline fails every routed read before any kernel work.
+    let a = cube(&[16, 8]);
+    let backend = router(&a).with_budget(QueryBudget::with_deadline(Duration::ZERO));
+    let cache = SemanticCache::new(backend, 16);
+    let err = cache.range_sum(&q(&[(0, 7), (0, 7)])).unwrap_err();
+    assert!(matches!(err, EngineError::DeadlineExceeded { .. }), "{err}");
+    let stats = cache.stats();
+    assert_eq!(stats.misses, 1, "{stats:?}");
+    assert_eq!(stats.lookups(), 1, "{stats:?}");
+    assert_eq!((stats.hits, stats.insertions, stats.entries), (0, 0, 0));
+}
+
+#[test]
+fn concurrent_readers_share_entries_across_stripes_while_batches_install() {
+    // Batch k sets cell [0, 0] to 1000·k, so the hot regions, which all
+    // hold it, have one sum per installed batch.
+    const BATCHES: i64 = 12;
+    let a = cube(&[16, 16]);
+    let cache = SemanticCache::new(router(&a), 64);
+    let hot: Vec<Region> = [[(0, 15), (0, 15)], [(0, 3), (0, 9)], [(0, 0), (0, 11)]]
+        .iter()
+        .map(|b| Region::from_bounds(b).unwrap())
+        .collect();
+    // `oracles[k][j]`: region j's sum after k batches.
+    let oracles: Vec<Vec<i64>> = (0..=BATCHES)
+        .map(|k| {
+            let mut shadow = a.clone();
+            if k > 0 {
+                *shadow.get_mut(&[0, 0]) = 1000 * k;
+            }
+            hot.iter().map(|r| oracle(&shadow, r)).collect()
+        })
+        .collect();
+    let epoch0 = cache.epoch();
+    let lookups = AtomicU64::new(0);
+    // Every atomic here is Relaxed: a tally and a stop flag, read after
+    // or ordered by the scopes' joins.
+    let read = |j: usize| {
+        lookups.fetch_add(1, Ordering::Relaxed);
+        cache.read(&hot[j], EngineOp::Sum).unwrap()
+    };
+
+    // A region only one live thread has read is a hit on another
+    // thread's first read: a copy from the first thread's table.
+    let only = Region::from_bounds(&[(5, 9), (2, 7)]).unwrap();
+    let (read_it, checked) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            lookups.fetch_add(1, Ordering::Relaxed);
+            let first = cache.read(&only, EngineOp::Sum).unwrap();
+            assert_ne!(first.answered_by, EngineKind::SemanticCache);
+            read_it.wait();
+            // Stay alive, so this thread's stripe is not handed on.
+            checked.wait();
+        });
+        read_it.wait();
+        lookups.fetch_add(1, Ordering::Relaxed);
+        let second = cache.read(&only, EngineOp::Sum).unwrap();
+        assert_eq!(second.answered_by, EngineKind::SemanticCache);
+        assert_eq!(second.value(), Some(&oracle(&a, &only)));
+        checked.wait();
+    });
+
+    // Two readers repeat the hot set while batches install through the
+    // cache. Each answer is the oracle of a state between the epochs read
+    // before and after it: the pre- or the post-batch sum.
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for t in 0..2 {
+            let (read, oracles, done, cache) = (&read, &oracles, &done, &cache);
+            scope.spawn(move || {
+                let mut rounds = 0;
+                while rounds < 50 || !done.load(Ordering::Relaxed) {
+                    for j in 0..3 {
+                        let j = (j + t) % 3;
+                        let before = cache.epoch() - epoch0;
+                        let got = *read(j).value().unwrap();
+                        let after = cache.epoch() - epoch0;
+                        assert!(
+                            (before..=after).any(|k| oracles[k as usize][j] == got),
+                            "region {j}: {got} is no state's sum in {before}..={after}"
+                        );
+                    }
+                    rounds += 1;
+                }
+            });
+        }
+        for k in 1..=BATCHES {
+            cache.apply_updates(&[(vec![0, 0], 1000 * k)]).unwrap();
+            std::thread::yield_now();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    let stats = cache.stats();
+    let issued = lookups.load(Ordering::Relaxed);
+    assert_eq!(stats.hits + stats.misses, issued, "{stats:?}");
+    assert!(stats.hits > 0, "{stats:?}");
 }
 
 /// One step of the randomised interleaving.

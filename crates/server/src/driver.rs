@@ -206,44 +206,46 @@ pub fn drive_load(
         // the caller's registry, not nowhere.
         let telemetry = olap_telemetry::current();
         std::thread::scope(|scope| {
-            for r in 0..readers {
-                let cases = &cases;
-                let answers = &answers;
-                let mismatches = &mismatches;
-                let degraded = &degraded;
-                let first_error = &first_error;
-                let telemetry = telemetry.clone();
-                scope.spawn(move || {
-                    enter_scope(telemetry, move || {
-                        for (q, op, pre, after) in cases.iter().skip(r).step_by(readers) {
-                            match served(server, q, *op) {
-                                Ok(got) => {
-                                    // ordering: Relaxed — monotonic tallies read
-                                    // only after the scope joins every reader.
-                                    answers.fetch_add(1, Ordering::Relaxed);
-                                    if got.is_degraded() {
-                                        // ordering: Relaxed — same tally contract.
-                                        degraded.fetch_add(1, Ordering::Relaxed);
+            let handles: Vec<_> = (0..readers)
+                .map(|r| {
+                    let cases = &cases;
+                    let answers = &answers;
+                    let mismatches = &mismatches;
+                    let degraded = &degraded;
+                    let first_error = &first_error;
+                    let telemetry = telemetry.clone();
+                    scope.spawn(move || {
+                        enter_scope(telemetry, move || {
+                            for (q, op, pre, after) in cases.iter().skip(r).step_by(readers) {
+                                match served(server, q, *op) {
+                                    Ok(got) => {
+                                        // ordering: Relaxed — monotonic tallies read
+                                        // only after the scope joins every reader.
+                                        answers.fetch_add(1, Ordering::Relaxed);
+                                        if got.is_degraded() {
+                                            // ordering: Relaxed — same tally contract.
+                                            degraded.fetch_add(1, Ordering::Relaxed);
+                                        }
+                                        // Exact answers must be bit-identical
+                                        // to an oracle state; degraded answers
+                                        // must bracket one with their
+                                        // guaranteed interval.
+                                        if !got.contains(*pre) && !got.contains(*after) {
+                                            // ordering: Relaxed — same tally contract.
+                                            mismatches.fetch_add(1, Ordering::Relaxed);
+                                        }
                                     }
-                                    // Exact answers must be bit-identical
-                                    // to an oracle state; degraded answers
-                                    // must bracket one with their
-                                    // guaranteed interval.
-                                    if !got.contains(*pre) && !got.contains(*after) {
-                                        // ordering: Relaxed — same tally contract.
-                                        mismatches.fetch_add(1, Ordering::Relaxed);
+                                    Err(e) => {
+                                        let mut slot =
+                                            first_error.lock().unwrap_or_else(|p| p.into_inner());
+                                        slot.get_or_insert(e);
                                     }
-                                }
-                                Err(e) => {
-                                    let mut slot =
-                                        first_error.lock().unwrap_or_else(|p| p.into_inner());
-                                    slot.get_or_insert(e);
                                 }
                             }
-                        }
+                        })
                     })
-                });
-            }
+                })
+                .collect();
             // Install the batch while the readers are mid-flight: the
             // whole point is that nothing blocks and nothing tears.
             if !batch.is_empty() {
@@ -253,6 +255,15 @@ pub fn drive_load(
                         let mut slot = first_error.lock().unwrap_or_else(|p| p.into_inner());
                         slot.get_or_insert(e);
                     }
+                }
+            }
+            // Joined here, not at the scope's end: a join waits for the
+            // reader's thread-locals too, so each reader has given back its
+            // stripe (`olap_engine::stripe`) before the next phase's readers
+            // take theirs, and every phase reads through the same tables.
+            for reader in handles {
+                if let Err(panic) = reader.join() {
+                    std::panic::resume_unwind(panic);
                 }
             }
         });

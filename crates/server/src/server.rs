@@ -32,7 +32,11 @@
 //!
 //! Each shard counts the parts currently executing on it — incremented on
 //! entry to a part, decremented on every exit path, unwinding included.
-//! That in-flight count is what [`ShardStats::queue_depth`] reports, what
+//! The count is striped by calling thread with the engine's stripe
+//! primitive ([`olap_engine::stripe`]), the one the snapshot pins and the
+//! cache tables use: each thread writes only its own stripe's slot, and a
+//! read of the count sums the slots. That count is what
+//! [`ShardStats::queue_depth`] reports, what
 //! [`ServeConfig::queue_depth_limit`] sheds on, and what the
 //! `olap_shard_queue_depth` gauge exports under a telemetry context.
 //! Telemetry records into the *calling* thread's context
@@ -43,7 +47,9 @@
 //!
 //! Each shard answers sums through a per-shard [`SemanticCache`] wrapping
 //! its router: a repeated region hits exactly, everything else falls
-//! through. Updates route through the same cache, which invalidates
+//! through. The cache keeps one table per calling thread's stripe, so
+//! concurrent hits write no shared line. Updates route through the same
+//! cache, which invalidates
 //! region-wise — only entries whose region holds an updated cell are
 //! dropped. `ServeConfig::cache_size == 0` disables all of it.
 //!
@@ -70,13 +76,14 @@
 
 use crate::ServerError;
 use olap_array::{DegradePolicy, DenseArray, QueryBudget, Range, Region, Shape};
+use olap_engine::stripe::Striped;
 use olap_engine::{
     AdaptiveRouter, ApproxEngine, CacheStats, CubeIndex, DegradeReason, EngineError, EngineOp,
     EpochStats, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine, RangeEngine, Routed,
     SemanticCache,
 };
 use olap_query::{AccessStats, Answer, RangeQuery};
-use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -91,8 +98,10 @@ pub struct ServeConfig {
     /// the naive fallback) so chaos drills can prove failover and
     /// snapshot installs keep answers exact.
     pub faults: Option<FaultPlan>,
-    /// Per-shard semantic-cache capacity in entries; 0 disables caching
-    /// (every lookup is a pure passthrough to the shard router).
+    /// Per-shard semantic-cache capacity in entries per stripe table
+    /// (each calling thread's stripe has its own table, so a shard read
+    /// from `k` stripes holds up to `k × cache_size` entries); 0 disables
+    /// caching (every lookup is a pure passthrough to the shard router).
     pub cache_size: usize,
     /// In-flight threshold: a part arriving at a shard that already has
     /// more than this many parts executing is shed to the shard's
@@ -286,50 +295,26 @@ struct Shard {
     label: String,
 }
 
-/// Slots of an [`InFlightCount`]: callers beyond this many threads share.
-const IN_FLIGHT_SLOTS: usize = 8;
-
-/// One cache line of an [`InFlightCount`].
-#[repr(align(64))]
-#[derive(Default)]
-struct Slot(AtomicI64);
-
 /// A shard's count of parts in flight, striped so concurrent callers do
-/// not write one cache line: each thread counts into its own slot, and a
-/// read sums the slots. Every slot is ≥ 0 — a part's +1 and −1 land in
-/// the slot of the thread that runs it — so the sum is never negative.
+/// not write one cache line: each thread counts into its own stripe's
+/// slot ([`olap_engine::stripe`]), and a read sums the slots. Every slot
+/// is ≥ 0 — a part's +1 and −1 land in the slot of the thread that runs
+/// it, whose stripe is fixed for its life — so the sum is never negative.
 #[derive(Default)]
-struct InFlightCount {
-    slots: [Slot; IN_FLIGHT_SLOTS],
-}
+struct InFlightCount(Striped<AtomicI64>);
 
 impl InFlightCount {
-    /// The calling thread's slot, assigned round-robin on first use.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "MINE is reduced modulo IN_FLIGHT_SLOTS, the length of slots"
-    )]
-    fn slot(&self) -> &AtomicI64 {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            // ordering: Relaxed — hands out distinct slot numbers; no
-            // other memory hangs off the value.
-            static MINE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % IN_FLIGHT_SLOTS;
-        }
-        &self.slots[MINE.with(|i| *i)].0
-    }
-
     fn add(&self, delta: i64) {
         // ordering: Relaxed — an advisory count that publishes no other
         // memory.
-        self.slot().fetch_add(delta, Ordering::Relaxed);
+        self.0.mine().fetch_add(delta, Ordering::Relaxed);
     }
 
     fn get(&self) -> i64 {
-        self.slots
+        self.0
             .iter()
             // ordering: Relaxed — an advisory read, see `add`.
-            .map(|s| s.0.load(Ordering::Relaxed))
+            .map(|(_, n)| n.load(Ordering::Relaxed))
             .sum()
     }
 }
