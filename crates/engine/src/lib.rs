@@ -85,7 +85,7 @@ pub use planned::PlannedIndex;
 pub use range_engine::{BatchImage, Derived, EngineOp, RangeEngine};
 pub use router::{
     AdaptiveRouter, Candidate, DegradeReason, EngineHealth, EngineStatus, Explain, FaultStats,
-    Routed, QUARANTINE_COOLDOWN_TICKS, QUARANTINE_THRESHOLD,
+    Routed, LOGGED, QUARANTINE_COOLDOWN_TICKS, QUARANTINE_THRESHOLD,
 };
-pub use semantic_cache::{CacheBackend, CacheStats, SemanticCache};
+pub use semantic_cache::{CacheStats, SemanticCache};
 pub use version::{EngineVersion, EpochStats, VersionCell};

@@ -43,6 +43,9 @@
 //!   [`BatchImage`], then install the whole set with one swap per stripe
 //!   inside one install window — a query sees an all-pre-batch or
 //!   all-post-batch set, never a mix,
+//! - every set logs its last [`LOGGED`] installs with the cells each one
+//!   updated, written inside the same derive, so a semantic cache over
+//!   the router catches up from the pinned set alone,
 //! - mutable routing state (breaker state, fault counters, the decision
 //!   clock) sits in one internal mutex held only for bookkeeping, never
 //!   across the estimate sweep or a dispatched query.
@@ -275,6 +278,14 @@ impl<V: fmt::Display> fmt::Display for Explain<V> {
     }
 }
 
+/// Installs an engine set's log keeps: its own and the ones before it.
+pub const LOGGED: usize = 8;
+
+/// What one install changed: `Some(cells)` for a batch every engine
+/// derived (a budget, token or tier install has no cells), `None` when it
+/// may have changed any answer (a push, a batch some member failed).
+pub(crate) type Changed = Option<Arc<[Vec<usize>]>>;
+
 /// An immutable, epoch-stamped snapshot of the candidate engine set and
 /// what every query over it runs under. Queries pin one and run against
 /// it; updates and settings install a successor.
@@ -287,6 +298,10 @@ struct EngineSet<V> {
     budget: QueryBudget,
     /// Cooperative cancellation shared with callers.
     token: Option<CancellationToken>,
+    /// The last [`LOGGED`] installs, oldest first, this set's own last:
+    /// each one's epoch and what it changed. A semantic cache catches its
+    /// tables up from it ([`AdaptiveRouter::changes`]).
+    log: Arc<[(u64, Changed)]>,
     /// The set's epoch, live until the last pin of this set drops.
     guard: EpochGuard,
 }
@@ -297,6 +312,8 @@ struct Draft<V> {
     approx: Option<Arc<dyn DegradeTier<V>>>,
     budget: QueryBudget,
     token: Option<CancellationToken>,
+    /// The predecessor's log.
+    log: Arc<[(u64, Changed)]>,
 }
 
 impl<V> Draft<V> {
@@ -307,18 +324,25 @@ impl<V> Draft<V> {
             approx: set.approx.clone(),
             budget: set.budget,
             token: set.token.clone(),
+            log: Arc::clone(&set.log),
         }
     }
 
     /// Wraps the contents for installation under the guard the snapshot
-    /// slot mints.
-    fn stamped(self) -> impl FnOnce(EpochGuard) -> EngineSet<V> {
-        move |guard| EngineSet {
-            engines: self.engines,
-            approx: self.approx,
-            budget: self.budget,
-            token: self.token,
-            guard,
+    /// slot mints, logging the install as `changed` behind the newest of
+    /// the predecessor's entries.
+    fn stamped(self, changed: Changed) -> impl FnOnce(EpochGuard) -> EngineSet<V> {
+        move |guard| {
+            let older = self.log.get(self.log.len().saturating_sub(LOGGED - 1)..);
+            let older = older.unwrap_or_default().iter().cloned();
+            EngineSet {
+                engines: self.engines,
+                approx: self.approx,
+                budget: self.budget,
+                token: self.token,
+                log: older.chain([(guard.epoch(), changed)]).collect(),
+                guard,
+            }
         }
     }
 }
@@ -603,14 +627,16 @@ impl<V> AdaptiveRouter<V> {
     /// (`olap_snapshot_live{cell="…"}` — e.g. `shard-3` in a sharded
     /// server).
     pub fn labeled(label: &str) -> Self {
-        let empty = Draft {
+        let empty = |guard| EngineSet {
             engines: Vec::new(),
             approx: None,
             budget: QueryBudget::unlimited(),
             token: None,
+            log: Arc::new([]),
+            guard,
         };
         AdaptiveRouter {
-            snapshots: SnapshotCell::new(label, empty.stamped()),
+            snapshots: SnapshotCell::new(label, empty),
             state: Mutex::new(RouterState {
                 healths: Vec::new(),
                 ticks: 0,
@@ -635,7 +661,7 @@ impl<V> AdaptiveRouter<V> {
             next.engines.push(Arc::from(engine));
             // The slot exists before any set can name the engine.
             self.lock_state().healths.push(Health::default());
-            (Some(next.stamped()), ())
+            (Some(next.stamped(None)), ())
         });
     }
 
@@ -651,7 +677,7 @@ impl<V> AdaptiveRouter<V> {
                 approx: Some(tier),
                 ..Draft::of(cur)
             };
-            (Some(next.stamped()), ())
+            (Some(next.stamped(unchanged())), ())
         });
     }
 
@@ -679,9 +705,8 @@ impl<V> AdaptiveRouter<V> {
     /// The budget lives in the engine-set snapshot, so a budget that
     /// differs from the current one installs a new set and bumps
     /// [`AdaptiveRouter::epoch`]; queries already running keep the budget
-    /// of the set they pinned. A cache over the router then serves no
-    /// entry from before the change and inserts nothing until its next
-    /// update, as after any install that bypasses it.
+    /// of the set they pinned. The install is logged as changing no cell,
+    /// so a cache over the router keeps every entry across it.
     pub fn set_budget(&self, budget: QueryBudget) {
         self.snapshots.update(|cur| {
             let next = (cur.budget != budget).then(|| {
@@ -689,7 +714,7 @@ impl<V> AdaptiveRouter<V> {
                     budget,
                     ..Draft::of(cur)
                 }
-                .stamped()
+                .stamped(unchanged())
             });
             (next, ())
         });
@@ -710,15 +735,15 @@ impl<V> AdaptiveRouter<V> {
     /// Installs (or clears) a [`CancellationToken`] checked by every
     /// subsequent routed query; cancel it from any thread to interrupt
     /// in-flight work at the next kernel checkpoint. Like
-    /// [`AdaptiveRouter::set_budget`], it installs a new engine set and
-    /// bumps [`AdaptiveRouter::epoch`].
+    /// [`AdaptiveRouter::set_budget`], it installs a new engine set that
+    /// changes no cell, and bumps [`AdaptiveRouter::epoch`].
     pub fn set_cancellation_token(&self, token: Option<CancellationToken>) {
         self.snapshots.update(|cur| {
             let next = Draft {
                 token,
                 ..Draft::of(cur)
             };
-            (Some(next.stamped()), ())
+            (Some(next.stamped(unchanged())), ())
         });
     }
 
@@ -776,6 +801,17 @@ impl<V> AdaptiveRouter<V> {
     /// then this returns more than `e` — the semantic cache's guard.
     pub fn epoch(&self) -> u64 {
         self.snapshots.epoch()
+    }
+
+    /// What each install in `(from, to]` changed, oldest first, read from
+    /// the log of the set pinned now (epoch `to` or later); `None` once
+    /// that log no longer reaches back to the install after `from`.
+    pub(crate) fn changes(&self, from: u64, to: u64) -> Option<Vec<Changed>> {
+        let set = self.snapshots.pin();
+        let first = set.log.iter().position(|&(epoch, _)| epoch == from + 1)?;
+        let installs = set.log.get(first..)?.iter();
+        let installs = installs.take_while(|&&(epoch, _)| epoch <= to);
+        Some(installs.map(|(_, changed)| changed.clone()).collect())
     }
 
     /// Snapshot-liveness bookkeeping: current epoch, engine sets still
@@ -1142,14 +1178,20 @@ impl<V> AdaptiveRouter<V> {
                     Arc::clone(tier)
                 })
             });
+            // Every member derived: only a region holding an updated cell
+            // can have a new answer.
+            let changed = first_err
+                .is_none()
+                .then(|| updates.iter().map(|(idx, _)| idx.clone()).collect());
             let result = first_err.map_or(Ok(stats), Err);
             let next = Draft {
                 engines,
                 approx,
                 budget: cur.budget,
                 token: cur.token.clone(),
+                log: Arc::clone(&cur.log),
             };
-            (Some(next.stamped()), result)
+            (Some(next.stamped(changed)), result)
         })
     }
 
@@ -1178,6 +1220,11 @@ impl<V> AdaptiveRouter<V> {
             outcome,
         })
     }
+}
+
+/// What a budget, token or tier install changed: no exact answer.
+fn unchanged() -> Changed {
+    Some(Arc::from([]))
 }
 
 /// Counts one fault-tolerance event in the telemetry registry (the

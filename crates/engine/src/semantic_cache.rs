@@ -1,10 +1,10 @@
 //! An exact-result cache: [`SemanticCache`].
 //!
-//! The cache stores `(region, epoch, sum)` entries in bounded LRU tables.
-//! A lookup answers from an entry only when the query's region equals the
-//! entry's and the entry is stamped with the snapshot epoch the lookup
-//! pinned; every other lookup falls through to the wrapped backend and
-//! inserts the fresh answer.
+//! The cache stores `(region, sum)` entries in bounded LRU tables in front
+//! of an [`AdaptiveRouter`]. A lookup answers from an entry only when the
+//! query's region equals the entry's and the entry's table is stamped with
+//! the router epoch the lookup read; every other lookup falls through to
+//! the router and inserts the fresh answer.
 //!
 //! Why nothing more: with the basic prefix-sum array a range sum costs
 //! `2^d` accesses (Theorem 1), and §8 shows no plan that combines other
@@ -15,42 +15,41 @@
 //!
 //! # Consistency under snapshot installs
 //!
-//! Entries are keyed on the backend's snapshot epoch
-//! ([`CacheBackend::epoch`], the install counter of the snapshot slot
-//! that [`crate::VersionCell`] and [`crate::AdaptiveRouter`] share), and
-//! a lookup only consults entries stamped with the epoch it pinned. The
-//! slot's `epoch()` is a seqlock read: an epoch unchanged across a backend
-//! read proves the read ran on that epoch's snapshot, so an insert is
-//! refused whenever an install raced the computation. Updates applied *through*
-//! the cache ([`SemanticCache::apply_updates`]) invalidate region-wise:
-//! an install drops exactly the entries whose region contains an updated
-//! cell; everything else is re-stamped to the new epoch and survives — no
-//! global flush.
+//! The cache is a memo over the router's engine-set snapshot and runs no
+//! install protocol of its own. Each table is stamped with one router
+//! epoch ([`AdaptiveRouter::epoch`]), and every entry it holds is the sum
+//! at that epoch. The router's engine set logs its last
+//! [`LOGGED`](crate::LOGGED) installs with the cells each one updated. A
+//! lookup that reads epoch `e` and finds its table behind replays the
+//! installs in between before it probes: it drops exactly the entries
+//! whose region contains an updated cell and keeps the rest (a budget,
+//! token or tier install updates none), and drops every entry for an
+//! install that may have changed anything (an engine push, a batch some
+//! engine failed to derive) or once the log no longer reaches back. So
+//! installs through [`SemanticCache::apply_updates`] and installs made on
+//! the router directly invalidate alike, region-wise, and the writer never
+//! visits a table.
 //!
-//! Installs that bypass the cache (callers talking to the backend
-//! directly) are tolerated — stale entries are skipped (their epoch never
-//! matches again) and age out via LRU — but region-wise survival is only
-//! provided for updates routed through [`SemanticCache::apply_updates`].
+//! The router's `epoch()` is a seqlock read: an epoch unchanged across a
+//! router read proves the read ran on that epoch's snapshot, so an insert
+//! is refused whenever an install raced the computation, and goes only
+//! into a table stamped with that epoch. An install that lands after that
+//! check is replayed onto the new entry like onto any other.
 //!
 //! # Tables and capacity
 //!
 //! Each stripe ([`crate::stripe`]) has its own entry table, created on
 //! the stripe's first lookup, so a hit locks and writes only its own
 //! thread's table: its LRU clock and stamp and its counters are fields
-//! of that table. A lookup that misses its own table asks the other
-//! stripes' tables, one lock at a time; an entry one of them holds at the
+//! of that table, and its catch-up runs on that stripe's cache lines. A
+//! lookup that misses its own table asks the other stripes' tables, one
+//! lock at a time; an entry one of them holds in a table stamped with the
 //! lookup's epoch is copied into the lookup's own table and answers as a
-//! hit. Only then does the lookup read from the backend, inserting the
+//! hit. Only then does the lookup read from the router, inserting the
 //! answer into its own table. So one client's entries stay usable by
-//! another.
-//!
-//! An update sweeps the calling stripe's table at once. Every other table
-//! records the batch and is swept by its own stripe on its next lookup,
-//! on that stripe's own cache lines; an update sweeps it instead once it
-//! is more than 4 batches behind (its thread may be gone), and
-//! [`SemanticCache::stats`] and [`SemanticCache::len`] sweep the tables
-//! they visit. Until a table is swept its epoch trails the backend's, so
-//! none of its entries answers at the new epoch and nothing goes into it.
+//! another. [`SemanticCache::stats`], [`SemanticCache::len`] and
+//! [`SemanticCache::clear`] first bring every table up to the router's
+//! epoch, so a table whose thread has gone is caught up there.
 //!
 //! The capacity bounds each table, not the cache: a cache read from `k`
 //! stripes holds up to `k × capacity` entries. [`SemanticCache::stats`]
@@ -60,110 +59,25 @@
 //!
 //! # Locking
 //!
-//! Locks are ordered `update_lock → table i`: `update_lock` serialises
-//! update/invalidation cycles and the creation of a table, each table's
-//! own mutex guards that table, and no path holds two tables at once. An
-//! update visits every table, one at a time, under `update_lock`. The
-//! backend is **never** called with a table held — a lookup probes under
-//! the lock, releases it, then executes on a miss — so cached reads never
-//! wait on engine work, like readers of the snapshot slot beneath.
+//! Each table's own mutex guards that table, and no path holds two tables
+//! at once. A table catches up under its own lock, which pins the router's
+//! snapshot through the caller's stripe of the snapshot slot: that is the
+//! one edge out of a table, table → slot stripe, and no writer takes a
+//! table, so it closes no cycle. The router never reads with a table held
+//! — a lookup probes under the lock, releases it, then reads on a miss —
+//! so cached reads never wait on engine work, like readers of the snapshot
+//! slot beneath.
 
 use crate::stripe::{self, Striped};
-use crate::{AdaptiveRouter, EngineError, EngineOp, VersionCell};
+use crate::{AdaptiveRouter, EngineError, EngineOp};
 use olap_aggregate::NumericValue;
-use olap_array::{BudgetMeter, Region, Shape};
+use olap_array::{Region, Shape};
 use olap_query::{AccessStats, Answer, EngineKind, QueryOutcome, RangeQuery};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// The backend a [`SemanticCache`] fronts: anything that answers reads
-/// over a resolved region against an epoch-stamped snapshot. Implemented
-/// for [`AdaptiveRouter`] and [`VersionCell`] (and `Arc`s of either),
-/// which covers any [`crate::RangeEngine`] by wrapping it in a cell.
-pub trait CacheBackend<V>: Send + Sync {
-    /// The shape of the cube served, when one is known. `None` (e.g. an
-    /// empty router) puts the cache in pure passthrough mode.
-    fn shape(&self) -> Option<Shape>;
-
-    /// Answers `op` over a region resolved against
-    /// [`CacheBackend::shape`].
-    ///
-    /// # Errors
-    /// Whatever the backend reports.
-    fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError>;
-
-    /// Applies a batch of absolute-value updates, installing a successor
-    /// snapshot (bumping [`CacheBackend::epoch`] by one on success).
-    ///
-    /// # Errors
-    /// Whatever the backend reports; nothing is installed on error.
-    fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError>;
-
-    /// The current snapshot epoch (monotone, +1 per install).
-    fn epoch(&self) -> u64;
-}
-
-impl<V: NumericValue> CacheBackend<V> for AdaptiveRouter<V> {
-    fn shape(&self) -> Option<Shape> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.engine(0).shape().clone())
-        }
-    }
-
-    fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
-        AdaptiveRouter::read(self, region, op)
-    }
-
-    fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError> {
-        AdaptiveRouter::apply_updates(self, updates)
-    }
-
-    fn epoch(&self) -> u64 {
-        AdaptiveRouter::epoch(self)
-    }
-}
-
-impl<V: 'static> CacheBackend<V> for VersionCell<V> {
-    fn shape(&self) -> Option<Shape> {
-        Some(self.pin().engine().shape().clone())
-    }
-
-    fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
-        self.pin()
-            .engine()
-            .read(region, op, &BudgetMeter::unlimited())
-    }
-
-    fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError> {
-        self.update(updates)
-    }
-
-    fn epoch(&self) -> u64 {
-        VersionCell::epoch(self)
-    }
-}
-
-impl<V, B: CacheBackend<V> + ?Sized> CacheBackend<V> for Arc<B> {
-    fn shape(&self) -> Option<Shape> {
-        (**self).shape()
-    }
-
-    fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
-        (**self).read(region, op)
-    }
-
-    fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError> {
-        (**self).apply_updates(updates)
-    }
-
-    fn epoch(&self) -> u64 {
-        (**self).epoch()
-    }
-}
+use std::sync::{Mutex, MutexGuard};
 
 /// A point-in-time view of a cache's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -202,12 +116,11 @@ impl CacheStats {
     }
 }
 
-/// One stored result.
+/// One stored result: the sum over `region` at its table's epoch.
 struct Entry<V> {
     /// The region's fingerprint: its key in the table's `exact` index.
     fp: u64,
     region: Region,
-    epoch: u64,
     sum: V,
     /// Copied from another stripe's table: its taking counted as a hit,
     /// so dropping it counts as no eviction or invalidation.
@@ -224,20 +137,10 @@ struct Counts {
     evictions: u64,
 }
 
-/// An installed batch a table has yet to sweep: its entries stamped
-/// `from` are checked against `cells` and re-stamped `to`.
-#[derive(Clone)]
-struct Behind {
-    from: u64,
-    to: u64,
-    /// The batch's cells, or `None` to drop every entry: the backend epoch
-    /// moved by other than this one install (one raced past the cache).
-    cells: Option<Arc<[Vec<usize>]>>,
-}
-
-/// One stripe's entry table: a slot arena, the exact-region index, and
-/// the stripe's counters. Aligned to a cache line, so its hot fields
-/// share no line with another allocation.
+/// One stripe's entry table: a slot arena, the exact-region index, the
+/// router epoch its entries hold at, and the stripe's counters. Aligned
+/// to a cache line, so its hot fields share no line with another
+/// allocation.
 #[repr(align(64))]
 struct CacheInner<V> {
     slots: Vec<Option<Entry<V>>>,
@@ -254,24 +157,14 @@ struct CacheInner<V> {
     len: usize,
     /// LRU clock, bumped per lookup.
     tick: u64,
-    /// The epoch the table was last reconciled with. Diverges from the
-    /// backend epoch only across installs that bypassed the cache.
-    synced_epoch: u64,
-    /// True while [`SemanticCache::apply_updates`] is between the backend
-    /// install and the region-wise invalidation sweep; inserts are refused
-    /// meanwhile, so every entry the sweep re-stamps was checked against
-    /// the batch.
-    pending_install: bool,
-    /// Installed batches this table has not swept yet, oldest first. Its
-    /// own stripe sweeps them on its next lookup, on its own cache lines;
-    /// until then `synced_epoch` trails the backend, so no entry of the
-    /// table answers at the new epoch and nothing is inserted at it.
-    behind: Vec<Behind>,
+    /// The router epoch every entry's sum is taken at; only ever moves
+    /// forward, by [`CacheInner::catch_up`].
+    epoch: u64,
     counts: Counts,
 }
 
 impl<V> CacheInner<V> {
-    /// An empty table reconciled with `epoch`.
+    /// An empty table stamped `epoch`.
     fn new(epoch: u64) -> Self {
         CacheInner {
             slots: Vec::new(),
@@ -280,54 +173,60 @@ impl<V> CacheInner<V> {
             exact: HashMap::default(),
             len: 0,
             tick: 0,
-            synced_epoch: epoch,
-            pending_install: false,
-            behind: Vec::new(),
+            epoch,
             counts: Counts::default(),
         }
     }
 
-    /// Sweeps every batch in `behind`, in install order: drops the entries
-    /// whose region holds an updated cell and re-stamps the rest. Returns
-    /// the invalidations counted (a dropped copy counts none).
-    fn catch_up(&mut self) -> u64 {
-        if self.behind.is_empty() {
+    /// Brings the table up to epoch `to` by replaying `router`'s log of
+    /// the installs in between: drops the entries whose region holds a
+    /// cell one of them updated, or every entry when one of them may have
+    /// changed anything or the log no longer reaches back. An empty table
+    /// skips the log. Returns the invalidations counted (a dropped copy
+    /// counts none).
+    fn catch_up(&mut self, router: &AdaptiveRouter<V>, to: u64) -> u64 {
+        if self.epoch >= to {
             return 0;
         }
+        let from = std::mem::replace(&mut self.epoch, to);
+        if self.len == 0 {
+            return 0;
+        }
+        // `None`: an install may have changed anything, or the log no
+        // longer reaches back.
+        let batches: Option<Vec<_>> = router
+            .changes(from, to)
+            .and_then(|changes| changes.into_iter().collect());
+        let stale = |e: &Entry<V>| {
+            batches.as_ref().is_none_or(|batches| {
+                batches
+                    .iter()
+                    .any(|cells| holds_an_update(&e.region, cells))
+            })
+        };
         let mut counted = 0u64;
-        for b in std::mem::take(&mut self.behind) {
-            for id in 0..self.slots.len() {
-                let keep = match self.slots.get(id).and_then(Option::as_ref) {
-                    None => continue,
-                    Some(e) if e.epoch != b.from => false,
-                    Some(e) => b
-                        .cells
-                        .as_ref()
-                        .is_some_and(|cells| !holds_an_update(&e.region, cells)),
-                };
-                if keep {
-                    if let Some(e) = self.slots.get_mut(id).and_then(Option::as_mut) {
-                        e.epoch = b.to;
-                    }
-                } else if self.detach(id).is_some_and(|copy| !copy) {
-                    counted += 1;
-                }
+        for id in 0..self.slots.len() {
+            let slot = self.slots.get(id).and_then(Option::as_ref);
+            if slot.is_some_and(&stale) && self.detach(id).is_some_and(|copy| !copy) {
+                counted += 1;
             }
-            self.synced_epoch = b.to;
         }
         self.counts.invalidations += counted;
         counted
     }
 
-    /// The slot holding `region` (fingerprint `fp`) stamped `epoch`, and
-    /// its sum, when there is one.
+    /// The slot holding `region` (fingerprint `fp`), and its sum, when
+    /// there is one and the table is stamped `epoch`.
     fn stored(&self, region: &Region, fp: u64, epoch: u64) -> Option<(usize, V)>
     where
         V: Clone,
     {
+        if self.epoch != epoch {
+            return None;
+        }
         let &id = self.exact.get(&fp)?;
         let e = self.slots.get(id).and_then(Option::as_ref)?;
-        (e.epoch == epoch && e.region == *region).then(|| (id, e.sum.clone()))
+        (e.region == *region).then(|| (id, e.sum.clone()))
     }
 
     /// [`CacheInner::stored`]'s sum, with the slot stamped most recently
@@ -343,22 +242,21 @@ impl<V> CacheInner<V> {
         Some(sum)
     }
 
-    /// Whether an entry computed at `epoch` may go in now: the table is
-    /// reconciled with that epoch and no install is mid-sweep. (A table
-    /// with batches `behind` trails every epoch they installed.)
-    fn accepts(&self, epoch: u64) -> bool {
-        self.synced_epoch == epoch && !self.pending_install
-    }
-
-    /// Stores `entry`, evicting the least recently used entry when the
-    /// table holds `capacity`. Returns how many counted evictions that
-    /// made (a dropped copy counts none).
-    fn place(&mut self, entry: Entry<V>, capacity: usize) -> u64 {
-        let mut evicted = 0u64;
+    /// Stores `entry`, computed at `epoch`, unless the table is stamped
+    /// another epoch or already holds its region. Evicts the least
+    /// recently used entry when the table holds `capacity`, and returns
+    /// whether `entry` went in.
+    fn place(&mut self, entry: Entry<V>, epoch: u64, capacity: usize) -> bool
+    where
+        V: Clone,
+    {
+        if self.epoch != epoch || self.stored(&entry.region, entry.fp, epoch).is_some() {
+            return false;
+        }
         if self.len >= capacity {
             if let Some(victim) = oldest(&self.used) {
                 if self.detach(victim).is_some_and(|copy| !copy) {
-                    evicted = 1;
+                    self.counts.evictions += 1;
                 }
             }
         }
@@ -379,11 +277,11 @@ impl<V> CacheInner<V> {
             }
             // A free-list id outside the arena cannot happen; drop the
             // entry rather than corrupt the table.
-            _ => return evicted,
+            _ => return false,
         }
         self.exact.insert(fp, id);
         self.len = self.len.saturating_add(1);
-        evicted
+        true
     }
 
     /// Removes slot `id` from the table and the index, returning whether
@@ -430,9 +328,9 @@ enum Probe<V> {
     AskPeers,
 }
 
-/// A bounded, snapshot-consistent exact-result cache in front of a
-/// [`CacheBackend`]. See the module docs for the answering and
-/// invalidation protocol.
+/// A bounded, snapshot-consistent exact-result cache in front of an
+/// [`AdaptiveRouter`], owned or shared (`B` is the router or an `Arc` of
+/// it). See the module docs for the answering and invalidation protocol.
 ///
 /// `capacity == 0` disables the cache entirely: every call is a pure
 /// passthrough and no counter moves, so a disabled cache costs one
@@ -442,11 +340,8 @@ pub struct SemanticCache<V, B> {
     shape: Option<Shape>,
     capacity: usize,
     label: String,
-    /// Serialises update/invalidation cycles and table creation. Ordered
-    /// before every table.
-    update_lock: Mutex<()>,
     /// One entry table per stripe, created on the stripe's first lookup.
-    /// None is ever held across a backend call.
+    /// None is ever held across a router read.
     tables: Striped<Table<V>>,
     /// Bit `i` is set once stripe `i`'s table exists, so a lookup that
     /// misses its own table asks only peers that have one.
@@ -456,7 +351,7 @@ pub struct SemanticCache<V, B> {
 impl<V, B> SemanticCache<V, B>
 where
     V: NumericValue,
-    B: CacheBackend<V>,
+    B: Borrow<AdaptiveRouter<V>>,
 {
     /// Wraps `backend` with an LRU of at most `capacity` entries per
     /// stripe table (see the module docs) under the default label.
@@ -468,13 +363,12 @@ where
     /// `olap_cache_*` series (e.g. `shard-3`). No table is allocated
     /// until a stripe first looks something up.
     pub fn with_label(backend: B, capacity: usize, label: &str) -> Self {
-        let shape = backend.shape();
+        let shape = shape_of(backend.borrow());
         SemanticCache {
             backend,
             shape,
             capacity,
             label: label.to_string(),
-            update_lock: Mutex::new(()),
             tables: Striped::default(),
             created: AtomicUsize::new(0),
         }
@@ -483,6 +377,10 @@ where
     /// The wrapped backend.
     pub fn backend(&self) -> &B {
         &self.backend
+    }
+
+    fn router(&self) -> &AdaptiveRouter<V> {
+        self.backend.borrow()
     }
 
     /// The cache's label in exported metrics.
@@ -505,9 +403,9 @@ where
         self.len() == 0
     }
 
-    /// The backend's current snapshot epoch.
+    /// The router's current snapshot epoch.
     pub fn epoch(&self) -> u64 {
-        self.backend.epoch()
+        self.router().epoch()
     }
 
     /// Counter snapshot, summed over every stripe's table.
@@ -525,84 +423,81 @@ where
 
     /// Drops every entry (counted as invalidations).
     pub fn clear(&self) {
-        let _update = self.update_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let mut dropped = 0u64;
-        self.sweep_tables(|t| {
-            let swept = t.catch_up();
-            let n = t.drop_all();
-            t.counts.invalidations += n;
-            dropped += swept + n;
+        let dropped = self.fold_tables(0, |n, t| {
+            let dropped = t.drop_all();
+            t.counts.invalidations += dropped;
+            n + dropped
         });
         self.count("olap_cache_invalidations_total", dropped);
         self.publish_entries();
     }
 
     /// Answers a range-sum query through the cache: from the stored entry
-    /// when the region repeats at the current epoch, by the backend
+    /// when the region repeats at the current epoch, by the router
     /// otherwise (inserting the fresh answer). Cached answers report
-    /// [`EngineKind::SemanticCache`]; fall-throughs keep the backend's
+    /// [`EngineKind::SemanticCache`]; fall-throughs keep the router's
     /// attribution.
     ///
     /// # Errors
-    /// Query validation, or whatever the backend reports; the cache
+    /// Query validation, or whatever the router reports; the cache
     /// itself never fails a query.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
         let region = self.resolve(query, EngineOp::Sum)?;
         self.sum(&region)
     }
 
-    /// Passes a range-max query straight to the backend.
+    /// Passes a range-max query straight to the router.
     ///
     /// # Errors
-    /// Query validation, or whatever the backend reports.
+    /// Query validation, or whatever the router reports.
     pub fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.backend
+        self.router()
             .read(&self.resolve(query, EngineOp::Max)?, EngineOp::Max)
     }
 
-    /// Passes a range-min query straight to the backend.
+    /// Passes a range-min query straight to the router.
     ///
     /// # Errors
-    /// Query validation, or whatever the backend reports.
+    /// Query validation, or whatever the router reports.
     pub fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.backend
+        self.router()
             .read(&self.resolve(query, EngineOp::Min)?, EngineOp::Min)
     }
 
     /// Answers `op` over an already resolved region: a sum through the
     /// cache as [`SemanticCache::range_sum`] does, an extremum straight
-    /// from the backend.
+    /// from the router.
     ///
     /// # Errors
-    /// Whatever the backend reports.
+    /// Whatever the router reports.
     pub fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
         match op {
             EngineOp::Sum => self.sum(region),
-            _ => self.backend.read(region, op),
+            _ => self.router().read(region, op),
         }
     }
 
-    /// The sum over `region`: a table hit, or a backend read inserted on
+    /// The sum over `region`: a table hit, or a router read inserted on
     /// the way back. A disabled cache passes straight through.
     fn sum(&self, region: &Region) -> Result<QueryOutcome<V>, EngineError> {
         if self.capacity == 0 || self.shape.is_none() {
-            return self.backend.read(region, EngineOp::Sum);
+            return self.router().read(region, EngineOp::Sum);
         }
         // Context and clock together: an idle site is one atomic load.
         let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
-        let epoch0 = self.backend.epoch();
+        let epoch0 = self.router().epoch();
         // Hashed once: a miss inserts under the same fingerprint.
         let fp = fingerprint(region);
         let hit = olap_telemetry::in_span("cache_lookup", || self.lookup(region, fp, epoch0));
         let Some(sum) = hit else {
-            // The lookup counted the miss, so a backend read that fails
+            // The lookup counted the miss, so a router read that fails
             // below is still one.
             self.count("olap_cache_misses_total", 1);
-            // Direct execution with insert-on-miss. The backend dispatch
+            // Direct execution with insert-on-miss. The router's dispatch
             // records the flight record; annotate it as a consulted-but-
             // missed cache path.
             let _outcome = olap_telemetry::CacheOutcomeScope::set("miss");
-            let out = self.backend.read(region, EngineOp::Sum)?;
+            let out = self.router().read(region, EngineOp::Sum)?;
             if let Answer::Aggregate(v) = &out.answer {
                 self.insert(region, fp, epoch0, v.clone());
             }
@@ -623,59 +518,28 @@ where
         ))
     }
 
-    /// Applies an update batch through the backend and invalidates
-    /// region-wise: in every stripe's table, entries whose region
-    /// contains an updated cell are dropped, every other current entry is
-    /// re-stamped to the new epoch and stays answerable — no global flush.
-    /// The caller's own table is swept before this returns; every other
-    /// table is swept by its own stripe on that stripe's next lookup (see
-    /// the module docs).
+    /// Applies an update batch through the router. No table is visited:
+    /// each catches up from the router's install log on its next lookup
+    /// (see the module docs), dropping only the entries whose region
+    /// contains an updated cell.
     ///
     /// # Errors
-    /// Whatever the backend reports; on error nothing is installed and
-    /// current entries stay valid.
+    /// Whatever the router reports; a batch it refuses installs nothing
+    /// and current entries stay valid.
     pub fn apply_updates(&self, updates: &[(Vec<usize>, V)]) -> Result<AccessStats, EngineError> {
-        if self.capacity == 0 || self.shape.is_none() {
-            return self.backend.apply_updates(updates);
+        let result = self.router().apply_updates(updates);
+        if self.capacity > 0 && self.shape.is_some() {
+            self.publish_entries();
         }
-        let _update = self.update_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let epoch_before = self.backend.epoch();
-        self.sweep_tables(|t| t.pending_install = true);
-        let result = self.backend.apply_updates(updates);
-        let epoch_after = self.backend.epoch();
-        let installed = result.is_ok() && epoch_after == epoch_before + 1;
-        let unchanged = result.is_err() && epoch_after == epoch_before;
-        // A refused batch leaves every entry valid: nothing to sweep.
-        let behind = (!unchanged).then(|| Behind {
-            from: epoch_before,
-            to: epoch_after,
-            cells: installed.then(|| updates.iter().map(|(idx, _)| idx.clone()).collect()),
-        });
-        // The caller's own table is swept now; every other one records
-        // the batch for its stripe to sweep on its next lookup, unless it
-        // is more than `MAX_BEHIND` batches behind (its thread may be gone).
-        let own = stripe::index();
-        let mut dropped = 0u64;
-        for (i, table) in self.tables.iter() {
-            if let Some(t) = lock_table(table).as_deref_mut() {
-                t.pending_install = false;
-                t.behind.extend(behind.clone());
-                if i == own || t.behind.len() > MAX_BEHIND {
-                    dropped += t.catch_up();
-                }
-            }
-        }
-        self.count("olap_cache_invalidations_total", dropped);
-        self.publish_entries();
         result
     }
 
-    /// Resolves `query` once, against the backend's shape — asked again
-    /// if the backend served no cube when the cache was built.
+    /// Resolves `query` once, against the router's shape — asked again
+    /// if the router served no cube when the cache was built.
     fn resolve(&self, query: &RangeQuery, op: EngineOp) -> Result<Region, EngineError> {
         match &self.shape {
             Some(shape) => Ok(query.to_region(shape)?),
-            None => match self.backend.shape() {
+            None => match shape_of(self.router()) {
                 Some(shape) => Ok(query.to_region(&shape)?),
                 None => Err(EngineError::NoCandidate { op: op.name() }),
             },
@@ -685,14 +549,14 @@ where
     /// The stored sum for `region` (fingerprint `fp`) at `epoch`: one
     /// index probe of the calling stripe's table, stamped most recently
     /// used, else a copy of a peer table's entry. Counts the hit or the
-    /// miss in the caller's table. The backend is never called here.
+    /// miss in the caller's table. The router never reads here.
     fn lookup(&self, region: &Region, fp: u64, epoch: u64) -> Option<V> {
         let own = stripe::index();
         // ordering: Relaxed — a hint of which peers to ask; a table is
         // published by its own mutex, and a lookup that misses a fresh
-        // table's bit only reads from the backend instead of copying.
+        // table's bit only reads from the router instead of copying.
         let peers = self.created.load(Ordering::Relaxed) & !(1 << own);
-        let probe = self.with_table(own, |t| {
+        let probe = self.with_table(own, epoch, |t| {
             t.tick += 1;
             if let Some(sum) = t.touch(region, fp, epoch) {
                 t.counts.hits += 1;
@@ -710,19 +574,16 @@ where
             Probe::AskPeers => {}
         }
         let copied = self.peer_entry(peers, region, fp, epoch);
-        self.with_table(own, |t| match copied {
+        self.with_table(own, epoch, |t| match copied {
             Some(sum) => {
                 t.counts.hits += 1;
-                if t.accepts(epoch) && t.stored(region, fp, epoch).is_none() {
-                    let entry = Entry {
-                        fp,
-                        region: region.clone(),
-                        epoch,
-                        sum: sum.clone(),
-                        copy: true,
-                    };
-                    t.counts.evictions += t.place(entry, self.capacity);
-                }
+                let entry = Entry {
+                    fp,
+                    region: region.clone(),
+                    sum: sum.clone(),
+                    copy: true,
+                };
+                t.place(entry, epoch, self.capacity);
                 Some(sum)
             }
             None => {
@@ -733,8 +594,8 @@ where
     }
 
     /// The sum a peer table (a stripe whose bit is set in `peers`) holds
-    /// for `region` at `epoch`, asking one table at a time and stamping
-    /// none of them.
+    /// for `region`, when that table is stamped `epoch`, asking one table
+    /// at a time and stamping none of them.
     fn peer_entry(&self, peers: usize, region: &Region, fp: u64, epoch: u64) -> Option<V> {
         self.tables
             .iter()
@@ -749,85 +610,57 @@ where
     }
 
     /// Inserts `region`'s `sum` at `epoch` into the calling stripe's table
-    /// under the region's fingerprint `fp` unless an install raced the
+    /// under the region's fingerprint `fp`, unless an install raced the
     /// computation (the sum would describe a superseded snapshot), the
-    /// table already holds the region, or the table is reconciling.
+    /// table is stamped another epoch, or it already holds the region.
     fn insert(&self, region: &Region, fp: u64, epoch: u64, sum: V) {
-        // Epoch check *before* taking the table — the backend is never
-        // called under a table lock.
-        if self.backend.epoch() != epoch {
+        // Checked before the table is taken, like every router call.
+        if self.router().epoch() != epoch {
             return;
         }
-        let inserted = self.with_table(stripe::index(), |t| {
-            if !t.accepts(epoch) || t.stored(region, fp, epoch).is_some() {
-                return None;
-            }
-            let entry = Entry {
-                fp,
-                region: region.clone(),
-                epoch,
-                sum,
-                copy: false,
-            };
-            t.counts.evictions += t.place(entry, self.capacity);
-            t.counts.insertions += 1;
-            Some(())
+        let entry = Entry {
+            fp,
+            region: region.clone(),
+            sum,
+            copy: false,
+        };
+        let inserted = self.with_table(stripe::index(), epoch, |t| {
+            let inserted = t.place(entry, epoch, self.capacity);
+            t.counts.insertions += u64::from(inserted);
+            inserted
         });
-        if inserted.is_some() {
+        if inserted {
             self.count("olap_cache_insertions_total", 1);
             self.publish_entries();
         }
     }
 
-    /// Runs `f` on stripe `own`'s table, after sweeping the batches it is
-    /// behind, and creates the table first on the stripe's first use.
-    /// Creation takes `update_lock`, so a new table starts reconciled with
-    /// the epoch no install through the cache is moving, and joins the
-    /// install protocol from there.
-    fn with_table<R>(&self, own: usize, f: impl FnOnce(&mut CacheInner<V>) -> R) -> R {
-        let table = self.tables.slot(own);
-        let f = {
-            let mut guard = lock_table(table);
-            match guard.as_deref_mut() {
-                Some(t) => {
-                    let swept = t.catch_up();
-                    let out = f(t);
-                    drop(guard);
-                    self.count("olap_cache_invalidations_total", swept);
-                    return out;
-                }
-                None => f,
-            }
-        };
-        let _update = self.update_lock.lock().unwrap_or_else(|e| e.into_inner());
-        // Read before the table is taken: the backend is never called
-        // under a table lock.
-        let epoch = self.backend.epoch();
-        let mut guard = lock_table(table);
-        let t = guard.get_or_insert_with(|| Box::new(CacheInner::new(epoch)));
-        // ordering: Relaxed — see `lookup`: the bit is a hint, the table
-        // itself is published by its mutex.
-        self.created.fetch_or(1 << own, Ordering::Relaxed);
-        f(t)
-    }
-
-    /// Runs `f` on every stripe's table that exists, one lock at a time.
-    fn sweep_tables(&self, mut f: impl FnMut(&mut CacheInner<V>)) {
-        for (_, table) in self.tables.iter() {
-            if let Some(t) = lock_table(table).as_deref_mut() {
-                f(t);
-            }
-        }
+    /// Runs `f` on stripe `own`'s table, caught up to `epoch` first, and
+    /// creates the table, stamped `epoch`, on the stripe's first use.
+    fn with_table<R>(&self, own: usize, epoch: u64, f: impl FnOnce(&mut CacheInner<V>) -> R) -> R {
+        let mut guard = lock_table(self.tables.slot(own));
+        let t = guard.get_or_insert_with(|| {
+            // ordering: Relaxed — see `lookup`: the bit is a hint, the
+            // table itself is published by its mutex.
+            self.created.fetch_or(1 << own, Ordering::Relaxed);
+            Box::new(CacheInner::new(epoch))
+        });
+        let swept = t.catch_up(self.router(), epoch);
+        let out = f(t);
+        drop(guard);
+        self.count("olap_cache_invalidations_total", swept);
+        out
     }
 
     /// Folds `f` over every stripe's table that exists, one lock at a
-    /// time, each swept of the batches it is behind first so that its
-    /// entries and counters are current.
-    fn fold_tables<A>(&self, init: A, mut f: impl FnMut(A, &CacheInner<V>) -> A) -> A {
+    /// time, each caught up to the router's current epoch first so that
+    /// its entries and counters are current.
+    fn fold_tables<A>(&self, init: A, mut f: impl FnMut(A, &mut CacheInner<V>) -> A) -> A {
+        let epoch = self.router().epoch();
         let (mut acc, mut swept) = (init, 0u64);
         for (_, table) in self.tables.iter() {
             if let Some(t) = lock_table(table).as_deref_mut() {
-                swept += t.catch_up();
+                swept += t.catch_up(self.router(), epoch);
                 acc = f(acc, t);
             }
         }
@@ -877,6 +710,12 @@ where
     }
 }
 
+/// The shape of the cube `router` serves: `None` for an empty router,
+/// which puts a cache over it in pure passthrough mode.
+fn shape_of<V>(router: &AdaptiveRouter<V>) -> Option<Shape> {
+    (!router.is_empty()).then(|| router.engine(0).shape().clone())
+}
+
 /// Locks one stripe's table slot.
 fn lock_table<V>(table: &Table<V>) -> MutexGuard<'_, Option<Box<CacheInner<V>>>> {
     table.lock().unwrap_or_else(|e| e.into_inner())
@@ -902,18 +741,13 @@ impl<V, B> std::fmt::Debug for SemanticCache<V, B> {
 
 /// Whether an installed batch can have changed the sum over `region`:
 /// the region contains one of its `cells`. A point of the wrong rank (the
-/// backend refuses those) counts as inside every region, so invalidation
+/// router refuses those) counts as inside every region, so invalidation
 /// stays conservative.
 fn holds_an_update(region: &Region, cells: &[Vec<usize>]) -> bool {
     cells
         .iter()
         .any(|idx| idx.len() != region.ndim() || region.contains(idx))
 }
-
-/// Batches a table may stay behind; an update sweeps a table that is
-/// further behind for its stripe, which bounds the batches kept for a
-/// stripe whose thread has gone.
-const MAX_BEHIND: usize = 4;
 
 /// A region's key in the exact index: its bounds folded by
 /// [`BoundsHasher`].

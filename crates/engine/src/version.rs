@@ -344,16 +344,9 @@ impl<V: 'static> VersionCell<V> {
     /// Pins and returns the current snapshot. In-flight queries against
     /// the returned version are isolated from any concurrent install.
     ///
-    /// The returned `Arc` shares one count among every caller; a cache
-    /// over the cell reads through a pin that writes only the calling
-    /// thread's stripe.
+    /// The returned `Arc` shares one count among every caller.
     pub fn load(&self) -> Arc<EngineVersion<V>> {
         self.snapshots.load()
-    }
-
-    /// Pins the current snapshot through the calling thread's stripe.
-    pub(crate) fn pin(&self) -> Pinned<EngineVersion<V>> {
-        self.snapshots.pin()
     }
 
     /// The current snapshot's epoch, read without pinning it: a query

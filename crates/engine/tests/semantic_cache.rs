@@ -6,8 +6,8 @@
 
 use olap_array::{BudgetMeter, DenseArray, Region, Shape};
 use olap_engine::{
-    AdaptiveRouter, CubeIndex, Derived, EngineError, EngineOp, IndexConfig, NaiveEngine,
-    QueryBudget, RangeEngine, SemanticCache, SumTreeEngine, VersionCell,
+    AdaptiveRouter, CancellationToken, CubeIndex, Derived, EngineError, EngineOp, IndexConfig,
+    NaiveEngine, QueryBudget, RangeEngine, SemanticCache, SumTreeEngine, LOGGED,
 };
 use olap_query::{EngineKind, QueryOutcome, RangeQuery};
 use proptest::prelude::*;
@@ -174,24 +174,6 @@ fn updates_invalidate_region_wise_not_globally() {
     }
 }
 
-#[test]
-fn failed_cell_updates_install_nothing_and_keep_entries() {
-    // A VersionCell installs nothing on a failed derive, so current
-    // entries stay valid and keep answering.
-    let a = cube(&[16, 8]);
-    let cell = VersionCell::new(Box::new(NaiveEngine::new(a.clone())) as Box<dyn RangeEngine<i64>>);
-    let cache = SemanticCache::new(cell, 16);
-    let region = Region::from_bounds(&[(0, 7), (0, 7)]).unwrap();
-    cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
-    let epoch = cache.epoch();
-    assert!(cache.apply_updates(&[(vec![99, 99], 1)]).is_err());
-    assert_eq!(cache.epoch(), epoch);
-    assert_eq!(cache.stats().entries, 1);
-    let out = cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
-    assert_eq!(out.answered_by, EngineKind::SemanticCache);
-    assert_eq!(out.value(), Some(&oracle(&a, &region)));
-}
-
 /// Answers like the naive scan; every derive fails.
 struct RefusesUpdates(NaiveEngine<i64>);
 
@@ -273,15 +255,13 @@ fn lru_eviction_bounds_the_table() {
 #[test]
 fn installs_bypassing_the_cache_never_serve_stale_sums() {
     let a = cube(&[16, 8]);
-    let cell = Arc::new(VersionCell::new(
-        Box::new(NaiveEngine::new(a.clone())) as Box<dyn RangeEngine<i64>>
-    ));
-    let cache = SemanticCache::new(Arc::clone(&cell), 16);
+    let router = Arc::new(naive_router(&a));
+    let cache = SemanticCache::new(Arc::clone(&router), 16);
     let region = Region::from_bounds(&[(0, 7), (0, 7)]).unwrap();
     cache.range_sum(&RangeQuery::from_region(&region)).unwrap();
 
     // Out-of-band install, not routed through the cache.
-    cell.update(&[(vec![0, 0], 12345)]).unwrap();
+    router.apply_updates(&[(vec![0, 0], 12345)]).unwrap();
     let mut shadow = a.clone();
     *shadow.get_mut(&[0, 0]) = 12345;
 
@@ -291,21 +271,149 @@ fn installs_bypassing_the_cache_never_serve_stale_sums() {
 }
 
 #[test]
-fn version_cell_backend_supports_the_full_protocol() {
-    let a = cube(&[24, 10]);
-    let cell = VersionCell::new(Box::new(NaiveEngine::new(a.clone())) as Box<dyn RangeEngine<i64>>);
-    let cache = SemanticCache::with_label(cell, 32, "cell-cache");
-    let target = Region::from_bounds(&[(1, 22), (1, 8)]).unwrap();
-    cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
-    let out = cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
-    assert_eq!(out.value(), Some(&oracle(&a, &target)));
-    assert_eq!(out.answered_by, EngineKind::SemanticCache);
-    cache.apply_updates(&[(vec![2, 2], -7)]).unwrap();
+fn budget_and_token_installs_on_the_router_keep_entries_and_inserts() {
+    // Neither install changes a cell: every entry stored before one keeps
+    // answering after it, and new regions still go in.
+    let a = cube(&[16, 8]);
+    let router = Arc::new(router(&a));
+    let cache = SemanticCache::new(Arc::clone(&router), 16);
+    let regions: Vec<Region> = [[(0, 7), (0, 7)], [(8, 15), (0, 7)], [(2, 5), (1, 6)]]
+        .iter()
+        .map(|b| Region::from_bounds(b).unwrap())
+        .collect();
+    let read = |r: &Region| {
+        let out = cache.range_sum(&RangeQuery::from_region(r)).unwrap();
+        assert_eq!(out.value(), Some(&oracle(&a, r)), "{r}");
+        out.answered_by
+    };
+    assert_ne!(read(&regions[0]), EngineKind::SemanticCache);
+    let epoch = cache.epoch();
+
+    router.set_budget(QueryBudget::with_max_accesses(1 << 20));
+    assert_eq!(cache.epoch(), epoch + 1);
+    assert_eq!(read(&regions[0]), EngineKind::SemanticCache);
+    assert_ne!(read(&regions[1]), EngineKind::SemanticCache);
+    assert_eq!(read(&regions[1]), EngineKind::SemanticCache);
+
+    router.set_cancellation_token(Some(CancellationToken::new()));
+    assert_eq!(cache.epoch(), epoch + 2);
+    for r in &regions[..2] {
+        assert_eq!(read(r), EngineKind::SemanticCache, "{r}");
+    }
+    assert_ne!(read(&regions[2]), EngineKind::SemanticCache);
+    assert_eq!(read(&regions[2]), EngineKind::SemanticCache);
+
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (5, 3), "{stats:?}");
+    assert_eq!((stats.insertions, stats.invalidations), (3, 0), "{stats:?}");
+    assert_eq!(stats.entries, 3, "{stats:?}");
+}
+
+/// A cache over a router the test also writes to directly.
+type SharedCache = SemanticCache<i64, Arc<AdaptiveRouter<i64>>>;
+
+/// A router over `a`, a cache over it, and two regions read into the
+/// cache: `touched`, which holds row 0 of `a`, and `untouched`, which
+/// holds none of it.
+fn cached_pair(a: &DenseArray<i64>) -> (Arc<AdaptiveRouter<i64>>, SharedCache, Region, Region) {
+    let router = Arc::new(router(a));
+    let cache = SemanticCache::new(Arc::clone(&router), 16);
+    let touched = Region::from_bounds(&[(0, 3), (0, 7)]).unwrap();
+    let untouched = Region::from_bounds(&[(8, 15), (0, 7)]).unwrap();
+    for r in [&touched, &untouched] {
+        cache.range_sum(&RangeQuery::from_region(r)).unwrap();
+    }
+    (router, cache, touched, untouched)
+}
+
+#[test]
+fn a_table_at_most_logged_installs_behind_keeps_every_untouched_entry() {
+    // Every batch sets a cell of row 0, and every one but the first goes
+    // straight to the router, past the cache.
+    let a = cube(&[16, 8]);
+    let (router, cache, touched, untouched) = cached_pair(&a);
     let mut shadow = a.clone();
-    *shadow.get_mut(&[2, 2]) = -7;
-    let out = cache.range_sum(&RangeQuery::from_region(&target)).unwrap();
+    for k in 0..LOGGED {
+        let batch = [(vec![0, k % 8], 100 + k as i64)];
+        if k == 0 {
+            cache.apply_updates(&batch).unwrap();
+        } else {
+            router.apply_updates(&batch).unwrap();
+        }
+        *shadow.get_mut(&[0, k % 8]) = 100 + k as i64;
+    }
+    let out = cache
+        .range_sum(&RangeQuery::from_region(&untouched))
+        .unwrap();
+    assert_eq!(out.answered_by, EngineKind::SemanticCache);
+    assert_eq!(out.value(), Some(&oracle(&shadow, &untouched)));
+    let out = cache.range_sum(&RangeQuery::from_region(&touched)).unwrap();
     assert_ne!(out.answered_by, EngineKind::SemanticCache);
-    assert_eq!(out.value(), Some(&oracle(&shadow, &target)));
+    assert_eq!(out.value(), Some(&oracle(&shadow, &touched)));
+    let stats = cache.stats();
+    assert_eq!(stats.invalidations, 1, "{stats:?}");
+    assert_eq!(
+        (stats.hits, stats.misses, stats.entries),
+        (1, 3, 2),
+        "{stats:?}"
+    );
+}
+
+#[test]
+fn a_table_more_than_logged_installs_behind_drops_every_entry() {
+    let a = cube(&[16, 8]);
+    let (router, cache, touched, untouched) = cached_pair(&a);
+    let mut shadow = a.clone();
+    for k in 0..=LOGGED {
+        let batch = [(vec![0, k % 8], 100 + k as i64)];
+        router.apply_updates(&batch).unwrap();
+        *shadow.get_mut(&[0, k % 8]) = 100 + k as i64;
+    }
+    for r in [&untouched, &touched] {
+        let out = cache.range_sum(&RangeQuery::from_region(r)).unwrap();
+        assert_ne!(out.answered_by, EngineKind::SemanticCache, "{r}");
+        assert_eq!(out.value(), Some(&oracle(&shadow, r)), "{r}");
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.invalidations, 2, "{stats:?}");
+    assert_eq!(
+        (stats.hits, stats.misses, stats.entries),
+        (0, 4, 2),
+        "{stats:?}"
+    );
+}
+
+#[test]
+fn a_concurrent_reader_never_copies_a_peer_entry_from_before_a_batch() {
+    // Thread A caches `region` in its own stripe's table and stays alive,
+    // so thread B, started after a batch that touches the region, holds
+    // another stripe and finds A's pre-batch entry as a peer's.
+    let a = cube(&[16, 8]);
+    let cache = SemanticCache::new(router(&a), 16);
+    let region = Region::from_bounds(&[(2, 9), (1, 6)]).unwrap();
+    let mut shadow = a.clone();
+    *shadow.get_mut(&[3, 3]) = 4242;
+    let (read_it, done) = (Barrier::new(2), Barrier::new(2));
+    let (first, second) = std::thread::scope(|scope| {
+        let reader_a = scope.spawn(|| {
+            let first = cache.read(&region, EngineOp::Sum).unwrap();
+            read_it.wait();
+            done.wait();
+            first
+        });
+        read_it.wait();
+        cache.apply_updates(&[(vec![3, 3], 4242)]).unwrap();
+        let second = scope
+            .spawn(|| cache.read(&region, EngineOp::Sum).unwrap())
+            .join()
+            .unwrap();
+        done.wait();
+        (reader_a.join().unwrap(), second)
+    });
+    assert_ne!(first.answered_by, EngineKind::SemanticCache);
+    assert_eq!(first.value(), Some(&oracle(&a, &region)));
+    assert_ne!(second.answered_by, EngineKind::SemanticCache);
+    assert_eq!(second.value(), Some(&oracle(&shadow, &region)));
 }
 
 #[test]

@@ -48,10 +48,12 @@
 //! Each shard answers sums through a per-shard [`SemanticCache`] wrapping
 //! its router: a repeated region hits exactly, everything else falls
 //! through. The cache keeps one table per calling thread's stripe, so
-//! concurrent hits write no shared line. Updates route through the same
-//! cache, which invalidates
-//! region-wise — only entries whose region holds an updated cell are
-//! dropped. `ServeConfig::cache_size == 0` disables all of it.
+//! concurrent hits write no shared line. Updates go through the same
+//! cache straight to the router, which logs each batch's cells with the
+//! engine set it installs; each table catches up from that log on its
+//! next lookup and invalidates region-wise — only entries whose region
+//! holds an updated cell are dropped — so an install visits no table.
+//! `ServeConfig::cache_size == 0` disables all of it.
 //!
 //! # Updates
 //!
