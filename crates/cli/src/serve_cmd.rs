@@ -252,7 +252,7 @@ fn drill(a: &DenseArray<i64>, params: &ServeParams) -> Result<String, CliError> 
     } else {
         let c = report.cache;
         out.push(format!(
-            "cache: {} exact hits / {} sum lookups ({:.1}% hit rate), \
+            "cache: {} exact hits / {} lookups ({:.1}% hit rate), \
              {} invalidations, {} entries live",
             c.hits,
             c.lookups(),

@@ -1,10 +1,11 @@
 //! An exact-result cache: [`SemanticCache`].
 //!
-//! The cache stores `(region, sum)` entries in bounded LRU tables in front
-//! of an [`AdaptiveRouter`]. A lookup answers from an entry only when the
-//! query's region equals the entry's and the entry's table is stamped with
-//! the router epoch the lookup read; every other lookup falls through to
-//! the router and inserts the fresh answer.
+//! The cache keeps one entry per region in bounded LRU tables in front of
+//! an [`AdaptiveRouter`]: the region's sum, max and min (with the argmax
+//! or argmin), each once read. A lookup answers from an entry only when
+//! the query's region equals the entry's, the entry holds the op's answer
+//! and its table is stamped with the router epoch the lookup read; every
+//! other lookup falls through to the router.
 //!
 //! Why nothing more: with the basic prefix-sum array a range sum costs
 //! `2^d` accesses (Theorem 1), and §8 shows no plan that combines other
@@ -13,17 +14,29 @@
 //! workloads (0 assemblies per 1000 lookups on each), while pricing the
 //! residuals taxed every miss.
 //!
+//! # Admission
+//!
+//! A router answer fills its region's entry, or starts one while the
+//! table has room. A full table stores a new region only on its second
+//! miss, remembered in a direct-mapped array of the table's capacity
+//! (rounded up to a power of two) of recent-miss fingerprints. The lookup
+//! decides under the lock it holds, so a miss turned away builds, clones
+//! and evicts nothing and takes no second lock. A stripe whose lookups of
+//! an op find and store nothing [`COLD`] times running skips them,
+//! sampling one read in [`COLD`]; a skip is no lookup.
+//!
 //! # Consistency under snapshot installs
 //!
 //! The cache is a memo over the router's engine-set snapshot and runs no
 //! install protocol of its own. Each table is stamped with one router
-//! epoch ([`AdaptiveRouter::epoch`]), and every entry it holds is the sum
+//! epoch ([`AdaptiveRouter::epoch`]), and every answer it holds is taken
 //! at that epoch. The router's engine set logs its last
 //! [`LOGGED`](crate::LOGGED) installs with the cells each one updated. A
 //! lookup that reads epoch `e` and finds its table behind replays the
 //! installs in between before it probes: it drops exactly the entries
 //! whose region contains an updated cell and keeps the rest (a budget,
-//! token or tier install updates none), and drops every entry for an
+//! token or tier install updates none: an update outside a region can no
+//! more change its max or min than its sum), and drops every entry for an
 //! install that may have changed anything (an engine push, a batch some
 //! engine failed to derive) or once the log no longer reaches back. So
 //! installs through [`SemanticCache::apply_updates`] and installs made on
@@ -43,19 +56,19 @@
 //! thread's table: its LRU clock and stamp and its counters are fields
 //! of that table, and its catch-up runs on that stripe's cache lines. A
 //! lookup that misses its own table asks the other stripes' tables, one
-//! lock at a time; an entry one of them holds in a table stamped with the
-//! lookup's epoch is copied into the lookup's own table and answers as a
-//! hit. Only then does the lookup read from the router, inserting the
-//! answer into its own table. So one client's entries stay usable by
-//! another. [`SemanticCache::stats`], [`SemanticCache::len`] and
-//! [`SemanticCache::clear`] first bring every table up to the router's
-//! epoch, so a table whose thread has gone is caught up there.
+//! lock at a time; an answer one of them holds at the lookup's epoch is
+//! copied into the lookup's own table and answers as a hit, so one
+//! client's entries stay usable by another. [`SemanticCache::stats`],
+//! [`SemanticCache::len`] and [`SemanticCache::clear`] first bring every
+//! table up to the router's epoch, so a table whose thread has gone is
+//! caught up there.
 //!
 //! The capacity bounds each table, not the cache: a cache read from `k`
 //! stripes holds up to `k × capacity` entries. [`SemanticCache::stats`]
 //! sums the tables. A copy counts as the hit it answered, never as an
 //! insertion, and dropping it later counts as no eviction or
-//! invalidation; `entries` counts every stored entry, copies included.
+//! invalidation; `entries` counts every stored entry, copies included,
+//! and filling in a held entry counts as no insertion.
 //!
 //! # Locking
 //!
@@ -76,8 +89,9 @@ use olap_query::{AccessStats, Answer, EngineKind, QueryOutcome, RangeQuery};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 /// A point-in-time view of a cache's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,7 +115,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Total lookups that went through the cached sum path.
+    /// Total lookups that went through the cache, of every op.
     pub fn lookups(&self) -> u64 {
         self.hits.saturating_add(self.misses)
     }
@@ -116,37 +130,35 @@ impl CacheStats {
     }
 }
 
-/// One stored result: the sum over `region` at its table's epoch.
+/// One stored region: the answers read over it so far, at its table's
+/// epoch. The extrema sit in the table's `extrema`, so a sum hit reads no
+/// more than an entry of sums alone.
 struct Entry<V> {
     /// The region's fingerprint: its key in the table's `exact` index.
     fp: u64,
     region: Region,
     sum: V,
+    /// Bit `1 << op as u8` is set for each op whose answer it holds.
+    held: u8,
     /// Copied from another stripe's table: its taking counted as a hit,
     /// so dropping it counts as no eviction or invalidation.
     copy: bool,
 }
 
-/// One stripe's counters, summed by [`SemanticCache::stats`].
-#[derive(Debug, Clone, Copy, Default)]
-struct Counts {
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    insertions: u64,
-    evictions: u64,
-}
+/// An answer as an entry stores it, with no heap allocation: the value
+/// and an extremum's row-major offset inside the region (0 for a sum).
+type Stored<V> = (V, usize);
 
 /// One stripe's entry table: a slot arena, the exact-region index, the
-/// router epoch its entries hold at, and the stripe's counters. Aligned
-/// to a cache line, so its hot fields share no line with another
-/// allocation.
+/// router epoch its entries hold at, and the stripe's counters; aligned
+/// to a cache line, so its hot fields share no line with another value.
 #[repr(align(64))]
 struct CacheInner<V> {
     slots: Vec<Option<Entry<V>>>,
-    /// LRU stamps, parallel to `slots` (valid where the slot is
-    /// occupied). Kept dense and separate so the eviction scan reads 8
-    /// bytes per slot instead of dragging whole entries through cache.
+    /// The max and min of each slot's entry (where its `held` says so).
+    extrema: Vec<[Stored<V>; 2]>,
+    /// LRU stamps, parallel to `slots` (valid where occupied). Kept dense
+    /// and apart so the eviction scan reads 8 bytes per slot.
     used: Vec<u64>,
     free: Vec<usize>,
     /// Region fingerprint ([`fingerprint`]) → slot of the region's newest
@@ -155,26 +167,35 @@ struct CacheInner<V> {
     /// a wrong answer.
     exact: HashMap<u64, usize, BuildHasherDefault<BoundsHasher>>,
     len: usize,
+    capacity: usize,
+    /// Recent-miss fingerprints, direct-mapped, allocated when the table
+    /// first fills: a full table stores only a region found here.
+    seen: Option<Box<[u64]>>,
     /// LRU clock, bumped per lookup.
     tick: u64,
-    /// The router epoch every entry's sum is taken at; only ever moves
+    /// The router epoch every entry's answers are taken at; only ever moves
     /// forward, by [`CacheInner::catch_up`].
     epoch: u64,
-    counts: Counts,
+    /// The table's counters; [`SemanticCache::stats`] sums them and fills
+    /// in `entries`.
+    counts: CacheStats,
 }
 
-impl<V> CacheInner<V> {
-    /// An empty table stamped `epoch`.
-    fn new(epoch: u64) -> Self {
+impl<V: NumericValue> CacheInner<V> {
+    /// An empty table of `capacity` entries stamped `epoch`.
+    fn new(epoch: u64, capacity: usize) -> Self {
         CacheInner {
             slots: Vec::new(),
+            extrema: Vec::new(),
             used: Vec::new(),
             free: Vec::new(),
             exact: HashMap::default(),
             len: 0,
+            capacity,
+            seen: None,
             tick: 0,
             epoch,
-            counts: Counts::default(),
+            counts: CacheStats::default(),
         }
     }
 
@@ -215,73 +236,103 @@ impl<V> CacheInner<V> {
         counted
     }
 
-    /// The slot holding `region` (fingerprint `fp`), and its sum, when
-    /// there is one and the table is stamped `epoch`.
-    fn stored(&self, region: &Region, fp: u64, epoch: u64) -> Option<(usize, V)>
-    where
-        V: Clone,
-    {
+    /// The slot holding `region` (fingerprint `fp`), when there is one and
+    /// the table is stamped `epoch`.
+    fn find(&self, region: &Region, fp: u64, epoch: u64) -> Option<usize> {
         if self.epoch != epoch {
             return None;
         }
         let &id = self.exact.get(&fp)?;
         let e = self.slots.get(id).and_then(Option::as_ref)?;
-        (e.region == *region).then(|| (id, e.sum.clone()))
+        (e.region == *region).then_some(id)
     }
 
-    /// [`CacheInner::stored`]'s sum, with the slot stamped most recently
-    /// used.
-    fn touch(&mut self, region: &Region, fp: u64, epoch: u64) -> Option<V>
-    where
-        V: Clone,
-    {
-        let (id, sum) = self.stored(region, fp, epoch)?;
+    /// `op`'s answer in slot `id`, when its entry holds one.
+    fn get(&self, id: usize, op: EngineOp) -> Option<Stored<V>> {
+        let e = self.slots.get(id).and_then(Option::as_ref)?;
+        let [max, min] = self.extrema.get(id)?;
+        (e.held & (1 << op as u8) != 0).then(|| match op {
+            EngineOp::Sum => (e.sum.clone(), 0),
+            EngineOp::Max => max.clone(),
+            EngineOp::Min => min.clone(),
+        })
+    }
+
+    /// Counts a miss, and says whether its answer is to be stored: when the
+    /// table has room or `holds` the region, or else when `fp` is already
+    /// in its recent-miss slot (where it is written for next time).
+    fn admits(&mut self, holds: bool, fp: u64) -> bool {
+        self.counts.misses += 1;
+        if holds || self.len < self.capacity {
+            return true;
+        }
+        let size = self.capacity.next_power_of_two();
+        let seen = self
+            .seen
+            .get_or_insert_with(|| vec![0; size].into_boxed_slice());
+        let slot = seen.get_mut(fp as usize & (size - 1));
+        slot.is_some_and(|slot| std::mem::replace(slot, fp) == fp)
+    }
+
+    /// Stores `op`'s `answer` over `region` (fingerprint `fp`) computed at
+    /// `epoch`, unless the table is stamped another: into the region's
+    /// entry, or a new one. Returns whether a new entry went in.
+    fn place(
+        &mut self,
+        fp: u64,
+        region: &Region,
+        op: EngineOp,
+        answer: Stored<V>,
+        copy: bool,
+        epoch: u64,
+    ) -> bool {
+        if self.epoch != epoch {
+            return false;
+        }
+        let held = self.find(region, fp, epoch);
+        let Some(id) = held.or_else(|| self.add(fp, region, copy)) else {
+            return false;
+        };
         if let Some(u) = self.used.get_mut(id) {
             *u = self.tick;
         }
-        Some(sum)
+        if let (Some(Some(e)), Some([max, min])) =
+            (self.slots.get_mut(id), self.extrema.get_mut(id))
+        {
+            e.held |= 1 << op as u8;
+            match op {
+                EngineOp::Sum => e.sum = answer.0,
+                EngineOp::Max => *max = answer,
+                EngineOp::Min => *min = answer,
+            }
+        }
+        held.is_none()
     }
 
-    /// Stores `entry`, computed at `epoch`, unless the table is stamped
-    /// another epoch or already holds its region. Evicts the least
-    /// recently used entry when the table holds `capacity`, and returns
-    /// whether `entry` went in.
-    fn place(&mut self, entry: Entry<V>, epoch: u64, capacity: usize) -> bool
-    where
-        V: Clone,
-    {
-        if self.epoch != epoch || self.stored(&entry.region, entry.fp, epoch).is_some() {
-            return false;
+    /// Adds an empty entry over `region`, evicting the least recently used
+    /// one when the table is full, and returns its slot.
+    fn add(&mut self, fp: u64, region: &Region, copy: bool) -> Option<usize> {
+        if self.len >= self.capacity {
+            let evicted = oldest(&self.used).and_then(|id| self.detach(id));
+            self.counts.evictions += u64::from(evicted == Some(false));
         }
-        if self.len >= capacity {
-            if let Some(victim) = oldest(&self.used) {
-                if self.detach(victim).is_some_and(|copy| !copy) {
-                    self.counts.evictions += 1;
-                }
-            }
-        }
-        let id = match self.free.pop() {
-            Some(id) => id,
-            None => {
-                self.slots.push(None);
-                self.used.push(VACANT);
-                self.slots.len().saturating_sub(1)
-            }
-        };
-        let tick = self.tick;
-        let fp = entry.fp;
-        match (self.slots.get_mut(id), self.used.get_mut(id)) {
-            (Some(slot), Some(u)) => {
-                *slot = Some(entry);
-                *u = tick;
-            }
-            // A free-list id outside the arena cannot happen; drop the
-            // entry rather than corrupt the table.
-            _ => return false,
-        }
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.extrema.push([(V::zero(), 0), (V::zero(), 0)]);
+            self.used.push(VACANT);
+            self.slots.len().saturating_sub(1)
+        });
+        // A free-list id outside the arena cannot happen: store nothing.
+        *self.slots.get_mut(id)? = Some(Entry {
+            fp,
+            region: region.clone(),
+            sum: V::zero(),
+            held: 0,
+            copy,
+        });
         self.exact.insert(fp, id);
         self.len = self.len.saturating_add(1);
-        true
+        Some(id)
     }
 
     /// Removes slot `id` from the table and the index, returning whether
@@ -304,12 +355,8 @@ impl<V> CacheInner<V> {
     /// Drops every entry, returning how many counted as invalidations.
     fn drop_all(&mut self) -> u64 {
         let dropped = self.slots.iter().flatten().filter(|e| !e.copy).count() as u64;
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        for used in &mut self.used {
-            *used = VACANT;
-        }
+        self.slots.fill_with(|| None);
+        self.used.fill(VACANT);
         self.free = (0..self.slots.len()).collect();
         self.exact.clear();
         self.len = 0;
@@ -322,8 +369,9 @@ type Table<V> = Mutex<Option<Box<CacheInner<V>>>>;
 
 /// What a lookup's probe of its own table found.
 enum Probe<V> {
-    Hit(V),
-    Miss,
+    Hit(Stored<V>),
+    /// A miss, and whether the router's answer is to be stored.
+    Miss(bool),
     /// Not here; another stripe's table may hold it.
     AskPeers,
 }
@@ -346,6 +394,9 @@ pub struct SemanticCache<V, B> {
     /// Bit `i` is set once stripe `i`'s table exists, so a lookup that
     /// misses its own table asks only peers that have one.
     created: AtomicUsize,
+    /// Per stripe and op: lookups since the stripe last hit or stored an
+    /// answer of that op (see [`COLD`]).
+    streaks: Striped<[AtomicU32; 3]>,
 }
 
 impl<V, B> SemanticCache<V, B>
@@ -371,6 +422,7 @@ where
             label: label.to_string(),
             tables: Striped::default(),
             created: AtomicUsize::new(0),
+            streaks: Striped::default(),
         }
     }
 
@@ -432,74 +484,80 @@ where
         self.publish_entries();
     }
 
-    /// Answers a range-sum query through the cache: from the stored entry
-    /// when the region repeats at the current epoch, by the router
-    /// otherwise (inserting the fresh answer). Cached answers report
-    /// [`EngineKind::SemanticCache`]; fall-throughs keep the router's
-    /// attribution.
+    /// Answers a range-sum query through the cache (see
+    /// [`SemanticCache::read`]).
     ///
     /// # Errors
     /// Query validation, or whatever the router reports; the cache
     /// itself never fails a query.
     pub fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        let region = self.resolve(query, EngineOp::Sum)?;
-        self.sum(&region)
+        self.read(&self.resolve(query, EngineOp::Sum)?, EngineOp::Sum)
     }
 
-    /// Passes a range-max query straight to the router.
+    /// Answers a range-max query through the cache.
     ///
     /// # Errors
     /// Query validation, or whatever the router reports.
     pub fn range_max(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.router()
-            .read(&self.resolve(query, EngineOp::Max)?, EngineOp::Max)
+        self.read(&self.resolve(query, EngineOp::Max)?, EngineOp::Max)
     }
 
-    /// Passes a range-min query straight to the router.
+    /// Answers a range-min query through the cache.
     ///
     /// # Errors
     /// Query validation, or whatever the router reports.
     pub fn range_min(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {
-        self.router()
-            .read(&self.resolve(query, EngineOp::Min)?, EngineOp::Min)
+        self.read(&self.resolve(query, EngineOp::Min)?, EngineOp::Min)
     }
 
-    /// Answers `op` over an already resolved region: a sum through the
-    /// cache as [`SemanticCache::range_sum`] does, an extremum straight
-    /// from the router.
+    /// Answers `op` over an already resolved region: from the stored entry
+    /// when the region repeats at the current epoch, reporting
+    /// [`EngineKind::SemanticCache`] (an extremum rebuilds its cell), by
+    /// the router otherwise, storing it when admitted. A disabled cache,
+    /// and a stripe cold for `op` (see the module docs), pass straight through.
     ///
     /// # Errors
     /// Whatever the router reports.
     pub fn read(&self, region: &Region, op: EngineOp) -> Result<QueryOutcome<V>, EngineError> {
-        match op {
-            EngineOp::Sum => self.sum(region),
-            _ => self.router().read(region, op),
-        }
-    }
-
-    /// The sum over `region`: a table hit, or a router read inserted on
-    /// the way back. A disabled cache passes straight through.
-    fn sum(&self, region: &Region) -> Result<QueryOutcome<V>, EngineError> {
         if self.capacity == 0 || self.shape.is_none() {
-            return self.router().read(region, EngineOp::Sum);
+            return self.router().read(region, op);
+        }
+        let own = stripe::index();
+        let streak = self.streaks.slot(own).get(op as usize);
+        // ordering: Relaxed — the stripe's own tally; a thread sharing the
+        // stripe can only make one read skip or probe when it would not.
+        let n = streak.map_or(0, |s| s.load(Ordering::Relaxed));
+        let tally = |fresh: bool| {
+            let next = if fresh { 0 } else { n.wrapping_add(1) };
+            if let Some(s) = streak.filter(|_| next != n) {
+                // ordering: Relaxed — as the load above.
+                s.store(next, Ordering::Relaxed);
+            }
+        };
+        if n >= COLD && !n.is_multiple_of(COLD) {
+            tally(false);
+            return self.router().read(region, op);
         }
         // Context and clock together: an idle site is one atomic load.
-        let observing = olap_telemetry::current().map(|ctx| (ctx, std::time::Instant::now()));
+        let observing = olap_telemetry::current().map(|ctx| (ctx, Instant::now()));
         let epoch0 = self.router().epoch();
-        // Hashed once: a miss inserts under the same fingerprint.
+        // Hashed once: a miss stores under the same fingerprint.
         let fp = fingerprint(region);
-        let hit = olap_telemetry::in_span("cache_lookup", || self.lookup(region, fp, epoch0));
-        let Some(sum) = hit else {
+        let probe =
+            olap_telemetry::in_span("cache_lookup", || self.lookup(own, region, fp, op, epoch0));
+        tally(matches!(probe, Probe::Hit(_) | Probe::Miss(true)));
+        let Probe::Hit((value, off)) = probe else {
             // The lookup counted the miss, so a router read that fails
             // below is still one.
             self.count("olap_cache_misses_total", 1);
-            // Direct execution with insert-on-miss. The router's dispatch
-            // records the flight record; annotate it as a consulted-but-
-            // missed cache path.
+            // Direct execution. The router's dispatch records the flight
+            // record; annotate it as a consulted-but-missed cache path.
             let _outcome = olap_telemetry::CacheOutcomeScope::set("miss");
-            let out = self.router().read(region, EngineOp::Sum)?;
-            if let Answer::Aggregate(v) = &out.answer {
-                self.insert(region, fp, epoch0, v.clone());
+            let out = self.router().read(region, op)?;
+            if let Probe::Miss(true) = probe {
+                if let Some(answer) = stored_form(region, op, &out.answer) {
+                    self.insert(region, fp, op, epoch0, answer);
+                }
             }
             return Ok(out);
         };
@@ -509,13 +567,13 @@ where
         // A hit never reaches the router, so it writes its own flight
         // record (the only place that knows it happened).
         if let Some((ctx, started)) = observing {
-            self.record_exact_hit(&ctx, started);
+            self.record_exact_hit(&ctx, started, op);
         }
-        Ok(QueryOutcome::aggregate(
-            sum,
-            stats,
-            EngineKind::SemanticCache,
-        ))
+        let by = EngineKind::SemanticCache;
+        Ok(match op {
+            EngineOp::Sum => QueryOutcome::aggregate(value, stats, by),
+            _ => QueryOutcome::extremum(cell_at(region, off), value, stats, by),
+        })
     }
 
     /// Applies an update batch through the router. No table is visited:
@@ -546,86 +604,62 @@ where
         }
     }
 
-    /// The stored sum for `region` (fingerprint `fp`) at `epoch`: one
-    /// index probe of the calling stripe's table, stamped most recently
-    /// used, else a copy of a peer table's entry. Counts the hit or the
-    /// miss in the caller's table. The router never reads here.
-    fn lookup(&self, region: &Region, fp: u64, epoch: u64) -> Option<V> {
-        let own = stripe::index();
+    /// `op`'s stored answer over `region` (fingerprint `fp`) at `epoch`:
+    /// one index probe of stripe `own`'s table, else a copy of a peer's.
+    /// Counts the hit or the miss in `own`'s table, and on a miss decides
+    /// whether the answer is to be stored. The router never reads here.
+    fn lookup(&self, own: usize, region: &Region, fp: u64, op: EngineOp, epoch: u64) -> Probe<V> {
         // ordering: Relaxed — a hint of which peers to ask; a table is
         // published by its own mutex, and a lookup that misses a fresh
         // table's bit only reads from the router instead of copying.
         let peers = self.created.load(Ordering::Relaxed) & !(1 << own);
         let probe = self.with_table(own, epoch, |t| {
             t.tick += 1;
-            if let Some(sum) = t.touch(region, fp, epoch) {
-                t.counts.hits += 1;
-                Probe::Hit(sum)
-            } else if peers == 0 {
-                t.counts.misses += 1;
-                Probe::Miss
-            } else {
-                Probe::AskPeers
+            let id = t.find(region, fp, epoch);
+            match id.and_then(|id| Some((id, t.get(id, op)?))) {
+                Some((id, hit)) => {
+                    if let Some(u) = t.used.get_mut(id) {
+                        *u = t.tick;
+                    }
+                    t.counts.hits += 1;
+                    Probe::Hit(hit)
+                }
+                None if peers == 0 => Probe::Miss(t.admits(id.is_some(), fp)),
+                None => Probe::AskPeers,
             }
         });
-        match probe {
-            Probe::Hit(sum) => return Some(sum),
-            Probe::Miss => return None,
-            Probe::AskPeers => {}
-        }
-        let copied = self.peer_entry(peers, region, fp, epoch);
-        self.with_table(own, epoch, |t| match copied {
-            Some(sum) => {
-                t.counts.hits += 1;
-                let entry = Entry {
-                    fp,
-                    region: region.clone(),
-                    sum: sum.clone(),
-                    copy: true,
-                };
-                t.place(entry, epoch, self.capacity);
-                Some(sum)
-            }
-            None => {
-                t.counts.misses += 1;
-                None
-            }
-        })
-    }
-
-    /// The sum a peer table (a stripe whose bit is set in `peers`) holds
-    /// for `region`, when that table is stamped `epoch`, asking one table
-    /// at a time and stamping none of them.
-    fn peer_entry(&self, peers: usize, region: &Region, fp: u64, epoch: u64) -> Option<V> {
-        self.tables
-            .iter()
+        let Probe::AskPeers = probe else {
+            return probe;
+        };
+        // Ask the peers' tables one lock at a time, stamping none of them.
+        let copied = (self.tables.iter())
             .filter(|&(i, _)| peers & (1 << i) != 0)
             .find_map(|(_, table)| {
                 let guard = lock_table(table);
-                guard
-                    .as_deref()?
-                    .stored(region, fp, epoch)
-                    .map(|(_, sum)| sum)
-            })
+                let t = guard.as_deref()?;
+                t.get(t.find(region, fp, epoch)?, op)
+            });
+        self.with_table(own, epoch, |t| match copied {
+            Some(hit) => {
+                t.counts.hits += 1;
+                t.place(fp, region, op, hit.clone(), true, epoch);
+                Probe::Hit(hit)
+            }
+            None => Probe::Miss(t.admits(t.find(region, fp, epoch).is_some(), fp)),
+        })
     }
 
-    /// Inserts `region`'s `sum` at `epoch` into the calling stripe's table
-    /// under the region's fingerprint `fp`, unless an install raced the
-    /// computation (the sum would describe a superseded snapshot), the
-    /// table is stamped another epoch, or it already holds the region.
-    fn insert(&self, region: &Region, fp: u64, epoch: u64, sum: V) {
+    /// Stores `op`'s `answer` over `region` at `epoch` in the calling
+    /// stripe's table under the region's fingerprint `fp`, unless an
+    /// install raced the computation (the answer would describe a
+    /// superseded snapshot) or the table is stamped another epoch.
+    fn insert(&self, region: &Region, fp: u64, op: EngineOp, epoch: u64, answer: Stored<V>) {
         // Checked before the table is taken, like every router call.
         if self.router().epoch() != epoch {
             return;
         }
-        let entry = Entry {
-            fp,
-            region: region.clone(),
-            sum,
-            copy: false,
-        };
         let inserted = self.with_table(stripe::index(), epoch, |t| {
-            let inserted = t.place(entry, epoch, self.capacity);
+            let inserted = t.place(fp, region, op, answer, false, epoch);
             t.counts.insertions += u64::from(inserted);
             inserted
         });
@@ -643,7 +677,7 @@ where
             // ordering: Relaxed — see `lookup`: the bit is a hint, the
             // table itself is published by its mutex.
             self.created.fetch_or(1 << own, Ordering::Relaxed);
-            Box::new(CacheInner::new(epoch))
+            Box::new(CacheInner::new(epoch, self.capacity))
         });
         let swept = t.catch_up(self.router(), epoch);
         let out = f(t);
@@ -683,10 +717,10 @@ where
 
     /// Writes the flight record for a cache hit — the one serving outcome
     /// the router never sees.
-    fn record_exact_hit(&self, ctx: &olap_telemetry::Telemetry, started: std::time::Instant) {
+    fn record_exact_hit(&self, ctx: &olap_telemetry::Telemetry, started: Instant, op: EngineOp) {
         ctx.recorder().record(olap_telemetry::FlightRecord {
             seq: 0,
-            op: "range_sum",
+            op: op.name(),
             engine: self.label.clone(),
             kind: EngineKind::SemanticCache.to_string(),
             predicted: 1.0,
@@ -723,18 +757,14 @@ fn lock_table<V>(table: &Table<V>) -> MutexGuard<'_, Option<Box<CacheInner<V>>>>
 
 impl<V, B> std::fmt::Debug for SemanticCache<V, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (mut tables, mut entries) = (0, 0);
-        for (_, table) in self.tables.iter() {
-            if let Some(t) = lock_table(table).as_deref() {
-                tables += 1;
-                entries += t.len;
-            }
-        }
+        let lens: Vec<usize> = (self.tables.iter())
+            .filter_map(|(_, table)| lock_table(table).as_deref().map(|t| t.len))
+            .collect();
         f.debug_struct("SemanticCache")
             .field("label", &self.label)
             .field("capacity", &self.capacity)
-            .field("tables", &tables)
-            .field("entries", &entries)
+            .field("tables", &lens.len())
+            .field("entries", &lens.iter().sum::<usize>())
             .finish()
     }
 }
@@ -747,6 +777,31 @@ fn holds_an_update(region: &Region, cells: &[Vec<usize>]) -> bool {
     cells
         .iter()
         .any(|idx| idx.len() != region.ndim() || region.contains(idx))
+}
+
+/// `answer` to `op` over `region` as an entry stores it; `None` for any
+/// other shape (an empty region), which is not stored.
+fn stored_form<V: Clone>(region: &Region, op: EngineOp, answer: &Answer<V>) -> Option<Stored<V>> {
+    match (op, answer) {
+        (EngineOp::Sum, Answer::Aggregate(v)) => Some((v.clone(), 0)),
+        (EngineOp::Max | EngineOp::Min, Answer::Extremum { at, value }) if region.contains(at) => {
+            let cells = at.iter().zip(region.ranges());
+            let off = cells.fold(0, |off, (&x, r)| off * r.len() + (x - r.lo()));
+            Some((value.clone(), off))
+        }
+        _ => None,
+    }
+}
+
+/// The cell at row-major offset `off` inside `region`: the inverse of
+/// [`stored_form`]'s offset, and a hit's one allocation.
+fn cell_at(region: &Region, mut off: usize) -> Vec<usize> {
+    let mut at = vec![0; region.ndim()];
+    for (x, r) in at.iter_mut().zip(region.ranges()).rev() {
+        *x = r.lo() + off % r.len().max(1);
+        off /= r.len().max(1);
+    }
+    at
 }
 
 /// A region's key in the exact index: its bounds folded by
@@ -799,6 +854,11 @@ fn oldest(used: &[u64]) -> Option<usize> {
         .filter(|&(_, used)| *used != VACANT)
         .map(|(id, _)| id)
 }
+
+/// A stripe whose lookups of an op have neither hit nor stored an answer
+/// `COLD` times running (a stream that does not repeat within a full
+/// table's reach) skips that op's lookup, sampling one read in `COLD`.
+const COLD: u32 = 64;
 
 /// The `used` stamp of an unoccupied slot — [`u64::MAX`], so an LRU
 /// minimum scan only lands on it when every slot is free.

@@ -1,6 +1,7 @@
-//! Behavioural and equivalence tests for [`SemanticCache`]: exact hits,
-//! fall-through for every other region, per-cell invalidation across
-//! snapshot installs, and the headline guarantee — cached sums
+//! Behavioural and equivalence tests for [`SemanticCache`]: exact hits of
+//! sums, maxes and mins, fall-through for every other region, admission
+//! on a repeat once a table is full, per-cell invalidation across
+//! snapshot installs, and the headline guarantee — cached answers
 //! bit-identical to direct execution under random interleaved update
 //! installs.
 
@@ -9,7 +10,7 @@ use olap_engine::{
     AdaptiveRouter, CancellationToken, CubeIndex, Derived, EngineError, EngineOp, IndexConfig,
     NaiveEngine, QueryBudget, RangeEngine, SemanticCache, SumTreeEngine, LOGGED,
 };
-use olap_query::{EngineKind, QueryOutcome, RangeQuery};
+use olap_query::{Answer, EngineKind, QueryOutcome, RangeQuery};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -109,15 +110,41 @@ fn capacity_zero_is_a_pure_passthrough() {
 }
 
 #[test]
-fn extrema_pass_through_uncached() {
+fn max_and_min_hits_equal_the_router_and_drop_only_with_their_region() {
     let a = cube(&[16, 8]);
-    let cache = SemanticCache::new(router(&a), 16);
-    let query = q(&[(0, 15), (0, 7)]);
-    let max = cache.range_max(&query).unwrap();
-    let min = cache.range_min(&query).unwrap();
-    assert_ne!(max.answered_by, EngineKind::SemanticCache);
-    assert_ne!(min.answered_by, EngineKind::SemanticCache);
-    assert_eq!(cache.stats().lookups(), 0);
+    let router = Arc::new(router(&a));
+    let cache = SemanticCache::new(Arc::clone(&router), 16);
+    let region = Region::from_bounds(&[(2, 11), (1, 6)]).unwrap();
+    let query = RangeQuery::from_region(&region);
+    // Every cached answer, its argmax or argmin included, must be the
+    // router's own answer on the same snapshot, bit for bit.
+    let check = |cached: bool| {
+        for op in [EngineOp::Max, EngineOp::Min] {
+            let out = match op {
+                EngineOp::Max => cache.range_max(&query),
+                _ => cache.range_min(&query),
+            }
+            .unwrap();
+            assert_eq!(out.answered_by == EngineKind::SemanticCache, cached, "{op}");
+            assert_eq!(out.answer, router.read(&region, op).unwrap().answer, "{op}");
+        }
+    };
+    check(false);
+    check(true);
+    // The sum fills the same entry: one entry per region.
+    cache.range_sum(&query).unwrap();
+    assert_eq!(cache.stats().entries, 1);
+
+    // A batch that touches no cell of the region keeps every answer…
+    cache.apply_updates(&[(vec![15, 7], 9999)]).unwrap();
+    check(true);
+    // …and one that touches a cell drops them all.
+    cache.apply_updates(&[(vec![5, 3], 9999)]).unwrap();
+    check(false);
+    check(true);
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (6, 5), "{stats:?}");
+    assert_eq!((stats.insertions, stats.invalidations), (2, 1), "{stats:?}");
 }
 
 #[test]
@@ -241,15 +268,75 @@ fn batches_the_router_rejects_install_nothing_and_keep_entries() {
 
 #[test]
 fn lru_eviction_bounds_the_table() {
+    // Five regions, each read twice in a row, through a table of two.
+    // The first two go in on their first miss, while there is room, and
+    // their repeats hit. Each later region misses twice: its first miss
+    // only records its fingerprint, its second admits it and evicts the
+    // least recently used entry.
     let a = cube(&[32, 16]);
     let cache = SemanticCache::new(router(&a), 2);
     for k in 0..5usize {
-        cache.range_sum(&q(&[(k * 4, k * 4 + 3), (0, 15)])).unwrap();
+        for _ in 0..2 {
+            cache.range_sum(&q(&[(k * 4, k * 4 + 3), (0, 15)])).unwrap();
+        }
     }
     let stats = cache.stats();
-    assert!(stats.entries <= 2, "{stats:?}");
-    assert_eq!(stats.insertions, 5);
-    assert_eq!(stats.evictions, 3);
+    assert_eq!(stats.entries, 2, "{stats:?}");
+    assert_eq!((stats.hits, stats.misses), (2, 8), "{stats:?}");
+    assert_eq!((stats.insertions, stats.evictions), (5, 3), "{stats:?}");
+    // The last two admitted are the two held.
+    for k in 3..5usize {
+        let out = cache.range_sum(&q(&[(k * 4, k * 4 + 3), (0, 15)])).unwrap();
+        assert_eq!(out.answered_by, EngineKind::SemanticCache, "{k}");
+    }
+}
+
+#[test]
+fn a_full_table_stores_nothing_from_a_stream_that_never_repeats_in_reach() {
+    // Sixteen times the capacity in distinct regions, cycled three times
+    // (sums, then maxes, then mins) through a table filled beforehand.
+    // Between two misses of one region every other region of the cycle
+    // misses, so its recent-miss slot always names another region by the
+    // time it comes round again: nothing is admitted and nothing evicted.
+    // Fingerprints are deterministic, so the counts are exact.
+    const CAP: usize = 8;
+    let a = cube(&[64, 16]);
+    let cache = SemanticCache::new(router(&a), CAP);
+    for k in 0..CAP {
+        cache.range_sum(&q(&[(k, k), (0, 15)])).unwrap();
+    }
+    let cycle: Vec<Region> = (0..16 * CAP)
+        .map(|k| Region::from_bounds(&[(k % 64, 63), (k / 64, 15)]).unwrap())
+        .collect();
+    for op in [EngineOp::Sum, EngineOp::Max, EngineOp::Min] {
+        for r in &cycle {
+            let out = cache.read(r, op).unwrap();
+            assert_ne!(out.answered_by, EngineKind::SemanticCache, "{op} {r}");
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.insertions, CAP as u64, "{stats:?}");
+    assert_eq!(stats.evictions, 0, "{stats:?}");
+    assert_eq!(stats.entries, CAP, "{stats:?}");
+    // Each op's first 64 reads of the cycle are lookups, all missing; from
+    // then on the op is cold and one read in 64 looks up: the 65th of the
+    // 128 does, the other 63 go straight to the router, counted nowhere.
+    assert_eq!((stats.hits, stats.misses), (0, (CAP + 3 * 65) as u64));
+
+    // A region that then repeats is admitted on the second sampled miss,
+    // which ends the cold run: every later read of it hits.
+    let hot = Region::from_bounds(&[(3, 60), (2, 13)]).unwrap();
+    let answered: Vec<EngineKind> = (0..256)
+        .map(|_| cache.read(&hot, EngineOp::Max).unwrap().answered_by)
+        .collect();
+    let first_hit = answered
+        .iter()
+        .position(|&by| by == EngineKind::SemanticCache)
+        .unwrap();
+    assert!(first_hit <= 2 * 64, "first hit at read {first_hit}");
+    assert!(answered[first_hit..]
+        .iter()
+        .all(|&by| by == EngineKind::SemanticCache));
 }
 
 #[test]
@@ -414,6 +501,41 @@ fn a_concurrent_reader_never_copies_a_peer_entry_from_before_a_batch() {
     assert_eq!(first.value(), Some(&oracle(&a, &region)));
     assert_ne!(second.answered_by, EngineKind::SemanticCache);
     assert_eq!(second.value(), Some(&oracle(&shadow, &region)));
+}
+
+#[test]
+fn a_concurrent_reader_never_copies_a_peer_max_from_before_a_batch() {
+    // The max twin of the test above: thread A's table holds the
+    // region's pre-batch max, and thread B, started after a batch that
+    // raises one of its cells above every other, must not copy it.
+    let a = cube(&[16, 8]);
+    let cache = SemanticCache::new(router(&a), 16);
+    let region = Region::from_bounds(&[(2, 9), (1, 6)]).unwrap();
+    let mut shadow = a.clone();
+    *shadow.get_mut(&[3, 3]) = 4242;
+    let (read_it, done) = (Barrier::new(2), Barrier::new(2));
+    let (first, second) = std::thread::scope(|scope| {
+        let reader_a = scope.spawn(|| {
+            let first = cache.read(&region, EngineOp::Max).unwrap();
+            read_it.wait();
+            done.wait();
+            first
+        });
+        read_it.wait();
+        cache.apply_updates(&[(vec![3, 3], 4242)]).unwrap();
+        let second = scope
+            .spawn(|| cache.read(&region, EngineOp::Max).unwrap())
+            .join()
+            .unwrap();
+        done.wait();
+        (reader_a.join().unwrap(), second)
+    });
+    let direct = |cube: &DenseArray<i64>| router(cube).read(&region, EngineOp::Max).unwrap();
+    assert_ne!(first.answered_by, EngineKind::SemanticCache);
+    assert_eq!(first.answer, direct(&a).answer);
+    assert_ne!(second.answered_by, EngineKind::SemanticCache);
+    assert_eq!(second.answer, direct(&shadow).answer);
+    assert_eq!(second.answer.value(), Some(&4242));
 }
 
 #[test]
@@ -600,8 +722,8 @@ proptest! {
 
     /// The headline equivalence: across a random interleaving of queries
     /// and update installs, every answer the cache produces — exact hit or
-    /// fall-through — is bit-identical to the sequential point-wise oracle
-    /// on the current snapshot.
+    /// fall-through, sum, max or min — is bit-identical to the sequential
+    /// point-wise oracle on the current snapshot.
     #[test]
     fn cached_answers_match_the_oracle_under_interleaved_installs(
         ops in prop::collection::vec(arb_op(&[12, 10]), 1..40),
@@ -632,6 +754,19 @@ proptest! {
                         out.answered_by,
                         cap
                     );
+                    // An extremum, hit or not, is the oracle's value at a
+                    // cell of the region that holds it.
+                    for (op, pick) in [(EngineOp::Max, i64::max as fn(i64, i64) -> i64), (EngineOp::Min, i64::min)] {
+                        let out = cache.read(&region, op).unwrap();
+                        let want = shadow.fold_region(&region, None, |acc: Option<i64>, &v| {
+                            Some(acc.map_or(v, |acc| pick(acc, v)))
+                        });
+                        let Answer::Extremum { at, value } = &out.answer else {
+                            panic!("{op} over {region}: {:?}", out.answer);
+                        };
+                        prop_assert_eq!(Some(*value), want, "{} over {} via {}", op, region, out.answered_by);
+                        prop_assert!(region.contains(at) && shadow.get(at) == value, "{} at {:?}", op, at);
+                    }
                 }
                 Op::Update(batch) => {
                     cache.apply_updates(batch).unwrap();

@@ -45,10 +45,13 @@
 //!
 //! # Semantic caching
 //!
-//! Each shard answers sums through a per-shard [`SemanticCache`] wrapping
-//! its router: a repeated region hits exactly, everything else falls
-//! through. The cache keeps one table per calling thread's stripe, so
-//! concurrent hits write no shared line. Updates go through the same
+//! Each shard answers every part, sum, max or min, through a per-shard
+//! [`SemanticCache`] wrapping its router: a region repeated at the
+//! shard's epoch hits exactly (one entry per region holds its sum, max
+//! and min), everything else falls through, and once a table is full a
+//! new region goes in only on its second miss. A degraded answer is
+//! never stored. The cache keeps one table per calling thread's stripe,
+//! so concurrent hits write no shared line. Updates go through the same
 //! cache straight to the router, which logs each batch's cells with the
 //! engine set it installs; each table catches up from that log on its
 //! next lookup and invalidates region-wise — only entries whose region
