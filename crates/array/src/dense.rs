@@ -1,17 +1,22 @@
-use crate::{ArrayError, FlatRegionIter, Region, Shape};
+use crate::{ArrayError, CellRead, FlatRegionIter, Region, Shape};
+use std::sync::Arc;
 
 /// A dense d-dimensional array stored in row-major order — the cube `A` of
 /// §2 and the prefix-sum array `P` of §3.
+///
+/// The cells sit in one reference-counted buffer: a clone shares it, and
+/// the first write through a `&mut` accessor to a shared buffer copies it
+/// (copy-on-write). A builder handed a clone it only reads copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseArray<T> {
     shape: Shape,
-    data: Box<[T]>,
+    data: Arc<[T]>,
 }
 
 impl<T: Clone> DenseArray<T> {
     /// An array of the given shape with every cell set to `fill`.
     pub fn filled(shape: Shape, fill: T) -> Self {
-        let data = vec![fill; shape.len()].into_boxed_slice();
+        let data = (0..shape.len()).map(|_| fill.clone()).collect();
         DenseArray { shape, data }
     }
 
@@ -28,59 +33,28 @@ impl<T: Clone> DenseArray<T> {
         }
         Ok(DenseArray {
             shape,
-            data: data.into_boxed_slice(),
+            data: data.into(),
         })
     }
 
     /// Builds an array by evaluating `f` at every multi-index, in row-major
     /// order.
     pub fn from_fn(shape: Shape, mut f: impl FnMut(&[usize]) -> T) -> Self {
-        let mut data = Vec::with_capacity(shape.len());
         let mut idx = vec![0usize; shape.ndim()];
-        for flat in 0..shape.len() {
-            shape.unflatten_into(flat, &mut idx);
-            data.push(f(&idx));
-        }
-        DenseArray {
-            shape,
-            data: data.into_boxed_slice(),
-        }
-    }
-}
-
-impl<T> DenseArray<T> {
-    /// The array's shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
+        let data = (0..shape.len())
+            .map(|flat| {
+                shape.unflatten_into(flat, &mut idx);
+                f(&idx)
+            })
+            .collect();
+        DenseArray { shape, data }
     }
 
-    /// Total number of cells.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Always false (shapes have ≥ 1 cell).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Immutable view of the row-major backing storage.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable view of the row-major backing storage.
+    /// Mutable view of the row-major backing storage. Copies the buffer
+    /// first when a clone shares it; every `&mut` accessor goes through
+    /// here.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Cell at a multi-index.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a multi-index or flat offset inside the shape is inside the row-major storage; callers validate with check_index/check_region first, like slice indexing"
-    )]
-    pub fn get(&self, index: &[usize]) -> &T {
-        &self.data[self.shape.flatten(index)]
+        Arc::make_mut(&mut self.data)
     }
 
     /// Mutable cell at a multi-index.
@@ -90,22 +64,7 @@ impl<T> DenseArray<T> {
     )]
     pub fn get_mut(&mut self, index: &[usize]) -> &mut T {
         let flat = self.shape.flatten(index);
-        &mut self.data[flat]
-    }
-
-    /// Checked cell access.
-    pub fn try_get(&self, index: &[usize]) -> Result<&T, ArrayError> {
-        self.shape.check_index(index)?;
-        Ok(self.get(index))
-    }
-
-    /// Cell at a flat (row-major) offset.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a multi-index or flat offset inside the shape is inside the row-major storage; callers validate with check_index/check_region first, like slice indexing"
-    )]
-    pub fn get_flat(&self, flat: usize) -> &T {
-        &self.data[flat]
+        &mut self.as_mut_slice()[flat]
     }
 
     /// Mutable cell at a flat (row-major) offset.
@@ -114,7 +73,7 @@ impl<T> DenseArray<T> {
         reason = "a multi-index or flat offset inside the shape is inside the row-major storage; callers validate with check_index/check_region first, like slice indexing"
     )]
     pub fn get_flat_mut(&mut self, flat: usize) -> &mut T {
-        &mut self.data[flat]
+        &mut self.as_mut_slice()[flat]
     }
 
     /// Replaces the cell at `index`, returning the previous value.
@@ -122,43 +81,24 @@ impl<T> DenseArray<T> {
         std::mem::replace(self.get_mut(index), value)
     }
 
-    /// Iterates flat offsets of a region (row-major).
-    pub fn region_offsets(&self, region: &Region) -> FlatRegionIter {
-        FlatRegionIter::new(&self.shape, region)
-    }
-
-    /// Folds `f` over all cells of `region` in row-major order.
+    /// Hands `f` every contiguous innermost-axis run of the box `lo..=hi`
+    /// as a mutable slice, in row-major order: the cells
+    /// [`DenseArray::region_offsets`] yields, a line at a time. `cur` is
+    /// the odometer's scratch, one slot per axis.
     #[expect(
         clippy::indexing_slicing,
-        reason = "region offsets of a region inside the shape are inside the storage"
+        reason = "for_each_run yields offsets inside the shape for a box inside it (debug-asserted)"
     )]
-    pub fn fold_region<Acc>(
-        &self,
-        region: &Region,
-        init: Acc,
-        mut f: impl FnMut(Acc, &T) -> Acc,
-    ) -> Acc {
-        let mut acc = init;
-        for off in self.region_offsets(region) {
-            acc = f(acc, &self.data[off]);
-        }
-        acc
-    }
-
-    /// Hands `f` every contiguous innermost-axis run of `region` as a
-    /// mutable slice, in row-major order: the cells
-    /// [`DenseArray::region_offsets`] yields, a line at a time.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "for_each_run yields offsets inside the shape for a region inside it (debug-asserted)"
-    )]
-    pub fn for_each_run_mut(&mut self, region: &Region, mut f: impl FnMut(&mut [T])) {
-        debug_assert!(self.shape.check_region(region).is_ok());
-        let (lo, hi) = (region.lower_corner(), region.upper_corner());
-        let mut cur = lo.clone();
-        let data = &mut self.data;
+    pub fn for_each_run_mut(
+        &mut self,
+        lo: &[usize],
+        hi: &[usize],
+        cur: &mut [usize],
+        mut f: impl FnMut(&mut [T]),
+    ) {
+        let data = Arc::make_mut(&mut self.data);
         self.shape
-            .for_each_run(&lo, &hi, &mut cur, |run| f(&mut data[run]));
+            .for_each_run(lo, hi, cur, |run| f(&mut data[run]));
     }
 
     /// In-place inclusive scan along `axis`: every cell becomes
@@ -187,55 +127,82 @@ impl<T> DenseArray<T> {
     /// single slab covers the whole array.
     pub fn split_axis_lines(&mut self, axis: usize) -> impl Iterator<Item = &mut [T]> {
         let slab = self.shape.axis_slab_len(axis);
-        self.data.chunks_mut(slab)
+        self.as_mut_slice().chunks_mut(slab)
+    }
+}
+
+impl<T> DenseArray<T> {
+    /// An array over a buffer already laid out row-major for `shape`.
+    pub(crate) fn from_arc(shape: Shape, data: Arc<[T]>) -> Self {
+        debug_assert_eq!(shape.len(), data.len());
+        DenseArray { shape, data }
     }
 
-    /// Contracts the array by block size `b` on every dimension, combining
-    /// each `b × … × b` block (clipped at the edges) into one output cell
-    /// with `fold` starting from `init`.
-    ///
-    /// This is the first phase of both the blocked prefix-sum computation
-    /// (§4.3) and the level-by-level range-max tree construction (§6.2).
-    /// Every output cell folds its own block of `A` in row-major order;
-    /// `fold` receives the accumulator, the input cell and the input
-    /// cell's flat offset.
-    ///
-    /// # Errors
-    /// [`ArrayError::ZeroBlock`] when `b = 0`.
+    /// The array's shape.
+    pub fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    /// Total number of cells.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Always false (shapes have ≥ 1 cell).
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Immutable view of the row-major backing storage.
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
+    /// Cell at a multi-index.
     #[expect(
         clippy::indexing_slicing,
-        reason = "for_each_run yields offsets inside the shape: lo/hi are clipped to it"
+        reason = "a multi-index or flat offset inside the shape is inside the row-major storage; callers validate with check_index/check_region first, like slice indexing"
     )]
-    pub fn contract_blocks<U: Clone>(
+    pub fn get(&self, index: &[usize]) -> &T {
+        &self.data[self.shape.flatten(index)]
+    }
+
+    /// Checked cell access.
+    pub fn try_get(&self, index: &[usize]) -> Result<&T, ArrayError> {
+        self.shape.check_index(index)?;
+        Ok(self.get(index))
+    }
+
+    /// Cell at a flat (row-major) offset.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a multi-index or flat offset inside the shape is inside the row-major storage; callers validate with check_index/check_region first, like slice indexing"
+    )]
+    pub fn get_flat(&self, flat: usize) -> &T {
+        &self.data[flat]
+    }
+
+    /// Iterates flat offsets of a region (row-major).
+    pub fn region_offsets(&self, region: &Region) -> FlatRegionIter {
+        FlatRegionIter::new(&self.shape, region)
+    }
+
+    /// Folds `f` over all cells of `region` in row-major order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "region offsets of a region inside the shape are inside the storage"
+    )]
+    pub fn fold_region<Acc>(
         &self,
-        b: usize,
-        init: U,
-        mut fold: impl FnMut(&U, &T, usize) -> U,
-    ) -> Result<DenseArray<U>, ArrayError> {
-        let out_shape = self.shape.contract(b)?;
-        // One set of odometer buffers for the whole contraction: the block
-        // of every output cell is walked over the same scratch.
-        let mut out_idx = vec![0usize; self.shape.ndim()];
-        let (mut lo, mut hi, mut cur) = (out_idx.clone(), out_idx.clone(), out_idx.clone());
-        let mut data: Vec<U> = Vec::with_capacity(out_shape.len());
-        for out_flat in 0..out_shape.len() {
-            out_shape.unflatten_into(out_flat, &mut out_idx);
-            // The block of `self` under this output cell, clipped at the
-            // array boundary.
-            let corners = lo.iter_mut().zip(hi.iter_mut());
-            for ((l, h), (&bi, &n)) in corners.zip(out_idx.iter().zip(self.shape.dims())) {
-                *l = bi * b;
-                *h = ((bi + 1) * b - 1).min(n - 1);
-            }
-            let mut acc = init.clone();
-            self.shape.for_each_run(&lo, &hi, &mut cur, |run| {
-                for (x, off) in self.data[run.clone()].iter().zip(run) {
-                    acc = fold(&acc, x, off);
-                }
-            });
-            data.push(acc);
+        region: &Region,
+        init: Acc,
+        mut f: impl FnMut(Acc, &T) -> Acc,
+    ) -> Acc {
+        let mut acc = init;
+        for off in self.region_offsets(region) {
+            acc = f(acc, &self.data[off]);
         }
-        DenseArray::from_vec(out_shape, data)
+        acc
     }
 
     /// Applies `f` to every cell, producing a new array of the same shape.
@@ -244,6 +211,51 @@ impl<T> DenseArray<T> {
             shape: self.shape.clone(),
             data: self.data.iter().map(f).collect(),
         }
+    }
+}
+
+impl<T> CellRead<T> for DenseArray<T> {
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    fn get_flat(&self, flat: usize) -> &T {
+        DenseArray::get_flat(self, flat)
+    }
+
+    fn fold_slices<'a, B>(
+        &'a self,
+        cells: std::ops::Range<usize>,
+        init: B,
+        mut f: impl FnMut(B, usize, &'a [T]) -> B,
+    ) -> B
+    where
+        T: 'a,
+    {
+        f(init, cells.start, self.data.get(cells).unwrap_or_default())
+    }
+
+    fn to_dense(&self) -> DenseArray<T>
+    where
+        T: Clone,
+    {
+        self.clone()
+    }
+
+    fn fold_runs<'a, B>(
+        &'a self,
+        lo: &[usize],
+        hi: &[usize],
+        cur: &mut [usize],
+        init: B,
+        mut f: impl FnMut(B, usize, &'a [T]) -> B,
+    ) -> B
+    where
+        T: 'a,
+    {
+        self.shape.fold_runs(lo, hi, cur, init, |acc, r| {
+            f(acc, r.start, self.data.get(r).unwrap_or_default())
+        })
     }
 }
 

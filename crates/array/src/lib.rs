@@ -10,10 +10,15 @@
 //! - [`Range`] and [`Region`]: the inclusive `ℓ:h` per-dimension ranges and
 //!   the hyper-rectangles (`Region(ℓ_1:h_1, …, ℓ_d:h_d)`) that define range
 //!   queries,
-//! - [`DenseArray`]: the cube storage itself, with region iteration, axis
-//!   scans (the building block of the d-phase prefix-sum computation of
-//!   §3.3), and block contraction (the first phase of the blocked algorithms
-//!   of §4.3 and the tree construction of §6.2).
+//! - [`DenseArray`]: the cube storage itself, one contiguous buffer, with
+//!   region iteration and axis scans (the building block of the d-phase
+//!   prefix-sum computation of §3.3),
+//! - [`PagedArray`]: the same cube in copy-on-write pages that clones
+//!   share, the base cube a stack of engines versions batch by batch,
+//! - [`CellRead`]: the read interface both implement, over which every
+//!   kernel that reads the cube is written once, block contraction (the
+//!   first phase of the blocked algorithms of §4.3 and the tree
+//!   construction of §6.2) included.
 //!
 //! Everything is deliberately free of aggregation semantics: operators live
 //! in `olap-aggregate`, and algorithms in the crates layered above.
@@ -40,17 +45,21 @@
 )]
 
 pub mod budget;
+mod cells;
 mod dense;
 mod error;
 mod iter;
+mod paged;
 mod range;
 mod region;
 mod shape;
 
 pub use budget::{BudgetMeter, CancellationToken, DegradePolicy, Interrupt, QueryBudget};
+pub use cells::CellRead;
 pub use dense::DenseArray;
 pub use error::ArrayError;
 pub use iter::{FlatRegionIter, RegionIndexIter};
+pub use paged::{PagedArray, PAGE_LEN};
 pub use range::Range;
 pub use region::Region;
 pub use shape::Shape;

@@ -217,40 +217,79 @@ impl Shape {
         cur: &mut [usize],
         mut f: impl FnMut(std::ops::Range<usize>),
     ) {
-        debug_assert!(self.contains(hi) && lo.iter().zip(hi).all(|(l, h)| l <= h));
-        debug_assert_eq!(cur.len(), self.dims.len());
-        let (Some(&inner_lo), Some(&inner_hi)) = (lo.last(), hi.last()) else {
-            return;
+        self.fold_runs(lo, hi, cur, (), |(), run| f(run));
+    }
+
+    /// [`Shape::for_each_run`] with an accumulator threaded through the
+    /// runs: `f` takes the value so far and returns the next, so a
+    /// kernel's running sum or argmax stays a local of the loop (in a
+    /// register) instead of a captured variable stored back every run.
+    ///
+    /// # Panics
+    /// As [`Shape::for_each_run`].
+    pub fn fold_runs<B>(
+        &self,
+        lo: &[usize],
+        hi: &[usize],
+        cur: &mut [usize],
+        init: B,
+        mut f: impl FnMut(B, std::ops::Range<usize>) -> B,
+    ) -> B {
+        let Some(run) = self.first_run(lo, hi, cur) else {
+            return init;
         };
-        let run = inner_hi - inner_lo + 1;
-        cur.copy_from_slice(lo);
-        let mut base = self.flatten(lo);
+        let mut acc = f(init, run.clone());
+        let mut base = run.start;
         // One run per call of f; callers charge the runs at their own checkpoint (a blocked part, a
         // max-tree node).
-        loop {
-            f(base..base + run);
-            // Odometer over the outer axes; the innermost one is the run.
-            let outer = cur
-                .iter_mut()
-                .zip(lo.iter().zip(hi))
-                .zip(self.strides.iter());
-            let mut advanced = false;
-            // Odometer advance: at most ndim steps per run; each caller charges the runs at its own
-            // checkpoint (a blocked part, a max-tree node).
-            for ((c, (&l, &h)), &s) in outer.rev().skip(1) {
-                if *c < h {
-                    *c += 1;
-                    base += s;
-                    advanced = true;
-                    break;
-                }
-                base -= (*c - l) * s;
-                *c = l;
-            }
-            if !advanced {
-                return;
-            }
+        while self.next_run(lo, hi, cur, &mut base) {
+            acc = f(acc, base..base + run.len());
         }
+        acc
+    }
+
+    /// The first run of the box `lo..=hi` (see [`Shape::for_each_run`]),
+    /// with the odometer `cur` set to its start; `None` for a 0-d box.
+    pub(crate) fn first_run(
+        &self,
+        lo: &[usize],
+        hi: &[usize],
+        cur: &mut [usize],
+    ) -> Option<std::ops::Range<usize>> {
+        debug_assert!(self.contains(hi) && lo.iter().zip(hi).all(|(l, h)| l <= h));
+        debug_assert_eq!(cur.len(), self.dims.len());
+        let (&inner_lo, &inner_hi) = (lo.last()?, hi.last()?);
+        cur.copy_from_slice(lo);
+        let base = self.flatten(lo);
+        Some(base..base + (inner_hi - inner_lo + 1))
+    }
+
+    /// One odometer step of [`Shape::for_each_run`]: moves `cur` and its
+    /// flat offset `base` to the start of the box's next run, or returns
+    /// false after the last one.
+    #[inline]
+    pub(crate) fn next_run(
+        &self,
+        lo: &[usize],
+        hi: &[usize],
+        cur: &mut [usize],
+        base: &mut usize,
+    ) -> bool {
+        // Odometer over the outer axes; the innermost one is the run. At most ndim steps per run.
+        let outer = cur
+            .iter_mut()
+            .zip(lo.iter().zip(hi))
+            .zip(self.strides.iter());
+        for ((c, (&l, &h)), &s) in outer.rev().skip(1) {
+            if *c < h {
+                *c += 1;
+                *base += s;
+                return true;
+            }
+            *base -= (*c - l) * s;
+            *c = l;
+        }
+        false
     }
 
     /// Shape of the cube contracted by block size `b` on every dimension:

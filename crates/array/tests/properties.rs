@@ -1,7 +1,7 @@
 //! Property tests for the array substrate: index arithmetic, region
 //! algebra, and iteration order.
 
-use olap_array::{DenseArray, FlatRegionIter, Region, Shape};
+use olap_array::{CellRead, DenseArray, FlatRegionIter, Region, Shape};
 use proptest::prelude::*;
 
 fn arb_shape() -> impl Strategy<Value = Shape> {

@@ -44,9 +44,10 @@
 use crate::range_engine::{BatchImage, EngineOp};
 use crate::EngineError;
 use olap_aggregate::NumericValue;
-use olap_array::{DenseArray, Region};
-use olap_prefix_sum::BlockedPrefixCube;
+use olap_array::{CellRead, DenseArray, PagedArray, Region};
+use olap_prefix_sum::{batch, BlockedPrefixCube};
 use olap_query::{AccessStats, Estimate};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Values the anchor-only estimator can interpolate: group arithmetic
@@ -146,7 +147,7 @@ pub trait DegradeTier<V>: Send + Sync {
 
     /// The base cube the tier estimates over — in a stack, the same `Arc`
     /// its exact engines read ([`crate::RangeEngine::base`]).
-    fn base(&self) -> &Arc<DenseArray<V>>;
+    fn base(&self) -> &Arc<PagedArray<V>>;
 
     /// Derives the successor tier for one update batch, copy-on-write like
     /// [`crate::RangeEngine::derive_onto`]: a tier over the image's source
@@ -164,9 +165,12 @@ pub trait DegradeTier<V>: Send + Sync {
 /// The §4-anchor approximate engine: a blocked prefix-sum grid for exact
 /// aligned sums plus contracted per-block MIN/MAX grids for interval
 /// bounds. See the module docs for the estimator math.
+///
+/// A clone shares every grid (each is a copy-on-write [`DenseArray`]), so
+/// a derive copies only the grids a batch writes.
 #[derive(Debug, Clone)]
 pub struct ApproxEngine<V: NumericValue> {
-    a: Arc<DenseArray<V>>,
+    a: Arc<PagedArray<V>>,
     anchors: BlockedPrefixCube<V>,
     mins: DenseArray<V>,
     maxs: DenseArray<V>,
@@ -181,11 +185,12 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
     ///
     /// # Errors
     /// [`olap_array::ArrayError::ZeroBlock`] when `b = 0`.
-    pub fn build(cube: impl Into<Arc<DenseArray<V>>>, b: usize) -> Result<Self, EngineError> {
+    pub fn build(cube: impl Into<Arc<PagedArray<V>>>, b: usize) -> Result<Self, EngineError> {
         let cube = cube.into();
-        let anchors = BlockedPrefixCube::build(&cube, b)?;
-        let mins = cube.contract_blocks(b, V::MAX_VALUE, |acc, x, _| (*acc).min(*x))?;
-        let maxs = cube.contract_blocks(b, V::MIN_VALUE, |acc, x, _| (*acc).max(*x))?;
+        let cells = &*cube;
+        let anchors = BlockedPrefixCube::build(cells, b)?;
+        let mins = cells.contract_blocks(b, V::MAX_VALUE, |acc, x, _| (*acc).min(*x))?;
+        let maxs = cells.contract_blocks(b, V::MIN_VALUE, |acc, x, _| (*acc).max(*x))?;
         Ok(ApproxEngine {
             a: cube,
             anchors,
@@ -316,6 +321,45 @@ impl<V: ApproxValue + 'static> ApproxEngine<V> {
         format!("approx(anchors b={})", self.b)
     }
 
+    /// Brings the grids from `self.a` to the image's post-batch cube and
+    /// adopts it. Theorem 2 moves the anchors by the batch's deltas (§5.2);
+    /// only a block that holds an updated cell can have a new min or max,
+    /// so only those blocks are contracted again, from the post-batch
+    /// cube. Nothing else reads the cube.
+    fn adopt(&mut self, image: &BatchImage<'_, V>) -> Result<(), EngineError> {
+        batch::apply_batch_blocked(&mut self.anchors, image.deltas())?;
+        let cube = &**image.cube();
+        let grid = self.mins.shape().clone();
+        let blocks: BTreeSet<usize> = image
+            .deltas()
+            .iter()
+            .map(|u| {
+                let at = u.index.iter().zip(grid.strides());
+                at.map(|(&x, &stride)| x / self.b * stride).sum()
+            })
+            .collect();
+        let d = grid.ndim();
+        let (mut block, mut lo, mut hi, mut cur) = (vec![0; d], vec![0; d], vec![0; d], vec![0; d]);
+        for flat in blocks {
+            grid.unflatten_into(flat, &mut block);
+            let bounds = lo.iter_mut().zip(hi.iter_mut());
+            for ((l, h), (&k, &n)) in bounds.zip(block.iter().zip(cube.shape().dims())) {
+                *l = k * self.b;
+                *h = (*l + self.b - 1).min(n - 1);
+            }
+            let init = (V::MAX_VALUE, V::MIN_VALUE);
+            let (mn, mx) = cube.fold_runs(&lo, &hi, &mut cur, init, |acc, _, cells| {
+                cells
+                    .iter()
+                    .fold(acc, |(mn, mx), &x| (mn.min(x), mx.max(x)))
+            });
+            *self.mins.get_flat_mut(flat) = mn;
+            *self.maxs.get_flat_mut(flat) = mx;
+        }
+        self.a = Arc::clone(image.cube());
+        Ok(())
+    }
+
     /// Min and max over every block of an aligned superblock, from the
     /// cached contracted extrema grids.
     fn superblock_extrema(
@@ -388,22 +432,25 @@ impl<V: ApproxValue + 'static> DegradeTier<V> for ApproxEngine<V> {
         }
     }
 
-    fn base(&self) -> &Arc<DenseArray<V>> {
+    fn base(&self) -> &Arc<PagedArray<V>> {
         &self.a
     }
 
-    /// The anchor and extrema grids are rebuilt from the post-batch cube —
-    /// one pass over `A`, the same order as construction.
+    /// Clones the tier (reference bumps) and brings the clone's grids to
+    /// the post-batch cube in proportion to the batch: Theorem 2 on the
+    /// anchors, and a fresh min and max for each block holding an updated
+    /// cell. A tier over another cube than the image's source derives an
+    /// image of its own first.
     fn derive_onto(
         &self,
         image: &BatchImage<'_, V>,
     ) -> Result<Arc<dyn DegradeTier<V>>, EngineError> {
-        let cube = if image.is_over(&self.a) {
-            Arc::clone(image.cube())
-        } else {
-            Arc::clone(BatchImage::derive(&self.a, image.updates())?.cube())
-        };
-        Ok(Arc::new(ApproxEngine::build(cube, self.b)?))
+        if !image.is_over(&self.a) {
+            return self.derive_onto(&BatchImage::derive(&self.a, image.updates())?);
+        }
+        let mut next = self.clone();
+        next.adopt(image)?;
+        Ok(Arc::new(next))
     }
 }
 
@@ -502,7 +549,7 @@ mod tests {
 
     #[test]
     fn updates_rebuild_anchors_and_extrema() {
-        let a = Arc::new(cube());
+        let a: Arc<PagedArray<i64>> = cube().into();
         let e = ApproxEngine::build(Arc::clone(&a), 4).unwrap();
         let batch = [(vec![3, 4], 5000), (vec![12, 8], -5000)];
         let image = BatchImage::derive(&a, &batch).unwrap();
@@ -527,10 +574,77 @@ mod tests {
         let own = ApproxEngine::build(cube(), 4).unwrap();
         let e3 = own.derive_onto(&image).unwrap();
         assert!(!Arc::ptr_eq(e3.base(), image.cube()));
-        assert_eq!(e3.base().as_slice(), image.cube().as_slice());
+        assert_eq!(**e3.base(), **image.cube());
         // Bad indices are typed errors, not panics.
         assert!(BatchImage::derive(&a, &[(vec![99, 0], 1)]).is_err());
         assert!(BatchImage::derive(&a, &[(vec![0], 1)]).is_err());
+    }
+
+    /// Every grid of `derived` equals the one a fresh build over its
+    /// cube has.
+    fn assert_grids_fresh(derived: &ApproxEngine<i64>, at: &str) {
+        let fresh = ApproxEngine::build(Arc::clone(&derived.a), derived.b).unwrap();
+        let packed = |e: &ApproxEngine<i64>| e.anchors.packed_array().clone();
+        assert_eq!(packed(derived), packed(&fresh), "anchors {at}");
+        assert_eq!(derived.mins, fresh.mins, "mins {at}");
+        assert_eq!(derived.maxs, fresh.maxs, "maxs {at}");
+    }
+
+    #[test]
+    fn an_incremental_derive_equals_a_fresh_build() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // d = 1..4; extents that leave a ragged last block, and the
+        // insurance cube's innermost extent 3.
+        let cases: [(&[usize], usize); 5] = [
+            (&[23], 4),
+            (&[13, 9], 4),
+            (&[9, 7, 5], 2),
+            (&[6, 5, 4, 3], 2),
+            (&[10, 10, 3], 3),
+        ];
+        let mut rng = StdRng::seed_from_u64(48);
+        for (dims, b) in cases {
+            let shape = Shape::new(dims).unwrap();
+            let cube = DenseArray::from_fn(shape.clone(), |_| rng.random_range(-50i64..50));
+            let mut tier = ApproxEngine::build(cube, b).unwrap();
+            for round in 0..12 {
+                let mut batch: Vec<(Vec<usize>, i64)> = Vec::new();
+                for _ in 0..rng.random_range(1..5usize) {
+                    // Each coordinate on a block edge, a cube edge, or
+                    // anywhere.
+                    let idx = dims
+                        .iter()
+                        .map(|&n| match rng.random_range(0..4u32) {
+                            0 => 0,
+                            1 => n - 1,
+                            2 => (rng.random_range(0..n) / b * b).min(n - 1),
+                            _ => rng.random_range(0..n),
+                        })
+                        .collect();
+                    // Raise a block's extremum, lower it, or keep it.
+                    let v = match rng.random_range(0..3u32) {
+                        0 => 1000,
+                        1 => -1000,
+                        _ => rng.random_range(-50i64..50),
+                    };
+                    batch.push((idx, v));
+                }
+                if round % 3 == 0 {
+                    // A cell set twice keeps its last value.
+                    let (idx, _) = batch[0].clone();
+                    batch.push((idx, rng.random_range(-50i64..50)));
+                }
+                let image = BatchImage::derive(&tier.a, &batch).unwrap();
+                let mut next = tier.clone();
+                next.adopt(&image).unwrap();
+                assert!(Arc::ptr_eq(&next.a, image.cube()));
+                assert_grids_fresh(&next, &format!("{dims:?} b={b} round {round}"));
+                // The predecessor is untouched.
+                assert_grids_fresh(&tier, &format!("{dims:?} b={b} before round {round}"));
+                tier = next;
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::range_engine::{derive_shared, BatchImage, Derived, EngineOp, RangeEngine};
 use crate::EngineError;
 use olap_aggregate::{NaturalOrder, NumericValue, ReverseOrder, SumOp, TotalOrder};
-use olap_array::{BudgetMeter, DenseArray, Region, Shape};
+use olap_array::{BudgetMeter, DenseArray, PagedArray, Region, Shape};
 use olap_planner::cost;
 use olap_query::{AccessStats, EngineKind, QueryCtx, QueryOutcome};
 use olap_sparse::{SparseCube, SparseRangeMax, SparseRangeSum};
@@ -21,17 +21,17 @@ use std::sync::Arc;
 /// structure is measured against.
 #[derive(Clone)]
 pub struct NaiveEngine<T> {
-    a: Arc<DenseArray<T>>,
+    a: Arc<PagedArray<T>>,
 }
 
 impl<T> NaiveEngine<T> {
     /// Wraps a cube (owned, or an `Arc` shared with other engines).
-    pub fn new(a: impl Into<Arc<DenseArray<T>>>) -> Self {
+    pub fn new(a: impl Into<Arc<PagedArray<T>>>) -> Self {
         NaiveEngine { a: a.into() }
     }
 
     /// The underlying cube.
-    pub fn cube(&self) -> &DenseArray<T> {
+    pub fn cube(&self) -> &PagedArray<T> {
         &self.a
     }
 
@@ -75,17 +75,17 @@ where
             |ctx| match op {
                 EngineOp::Sum => {
                     let v =
-                        crate::naive::range_aggregate(&self.a, &SumOp::<T>::new(), region, ctx)?;
+                        crate::naive::range_aggregate(&*self.a, &SumOp::<T>::new(), region, ctx)?;
                     Ok(QueryOutcome::aggregate(v, ctx.stats, naive))
                 }
                 EngineOp::Max => {
                     let order = NaturalOrder::<T>::new();
-                    let (at, v) = crate::naive::range_max(&self.a, &order, region, ctx)?;
+                    let (at, v) = crate::naive::range_max(&*self.a, &order, region, ctx)?;
                     Ok(QueryOutcome::extremum(at, v, ctx.stats, naive))
                 }
                 EngineOp::Min => {
                     let order = ReverseOrder::new(NaturalOrder::<T>::new());
-                    let (at, v) = crate::naive::range_max(&self.a, &order, region, ctx)?;
+                    let (at, v) = crate::naive::range_max(&*self.a, &order, region, ctx)?;
                     Ok(QueryOutcome::extremum(at, v, ctx.stats, naive))
                 }
             },
@@ -96,7 +96,7 @@ where
         self.derive_onto(&BatchImage::derive(&self.a, updates)?)
     }
 
-    fn base(&self) -> Option<&Arc<DenseArray<T>>> {
+    fn base(&self) -> Option<&Arc<PagedArray<T>>> {
         Some(&self.a)
     }
 
@@ -111,7 +111,7 @@ where
 /// (`k · height` node writes; the tree is never rebuilt).
 #[derive(Clone)]
 pub struct SumTreeEngine<T: NumericValue + PartialOrd> {
-    a: Arc<DenseArray<T>>,
+    a: Arc<PagedArray<T>>,
     tree: SumTreeCube<T>,
 }
 
@@ -121,9 +121,9 @@ impl<T: NumericValue + PartialOrd> SumTreeEngine<T> {
     ///
     /// # Errors
     /// Rejects fanouts < 2.
-    pub fn build(a: impl Into<Arc<DenseArray<T>>>, b: usize) -> Result<Self, EngineError> {
+    pub fn build(a: impl Into<Arc<PagedArray<T>>>, b: usize) -> Result<Self, EngineError> {
         let a = a.into();
-        let tree = SumTreeCube::build(&a, b)?;
+        let tree = SumTreeCube::build(&*a, b)?;
         Ok(SumTreeEngine { a, tree })
     }
 
@@ -184,7 +184,7 @@ where
                 if op != EngineOp::Sum {
                     return Err(EngineError::unsupported(self.label(), op.name()));
                 }
-                let v = self.tree.read(&self.a, region, true, ctx)?;
+                let v = self.tree.read(&*self.a, region, true, ctx)?;
                 Ok(QueryOutcome::aggregate(v, ctx.stats, EngineKind::TreeSum))
             },
         )
@@ -194,7 +194,7 @@ where
         self.derive_onto(&BatchImage::derive(&self.a, updates)?)
     }
 
-    fn base(&self) -> Option<&Arc<DenseArray<T>>> {
+    fn base(&self) -> Option<&Arc<PagedArray<T>>> {
         Some(&self.a)
     }
 

@@ -19,7 +19,7 @@
 
 use crate::range_engine::{BatchImage, Derived};
 use crate::{EngineError, EngineOp, RangeEngine};
-use olap_array::{mix, BudgetMeter, DenseArray, Region, Shape};
+use olap_array::{mix, BudgetMeter, PagedArray, Region, Shape};
 use olap_query::QueryOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -231,7 +231,7 @@ impl<V: 'static> RangeEngine<V> for FaultyEngine<V> {
         Ok(self.rewrap(self.inner.apply_updates(updates)?))
     }
 
-    fn base(&self) -> Option<&Arc<DenseArray<V>>> {
+    fn base(&self) -> Option<&Arc<PagedArray<V>>> {
         self.inner.base()
     }
 

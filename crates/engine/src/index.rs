@@ -5,10 +5,10 @@ use crate::error::EngineError;
 use crate::range_engine::{derive_shared, BatchImage, Derived, EngineOp, RangeEngine};
 use olap_aggregate::ReverseOrder;
 use olap_aggregate::{NaturalOrder, NumericValue, TotalOrder};
-use olap_array::{BudgetMeter, DenseArray, Region, Shape};
+use olap_array::{BudgetMeter, PagedArray, Region, Shape};
 use olap_prefix_sum::{batch, BlockedPrefixCube, BoundaryPolicy, PrefixSumCube};
 use olap_query::{AccessStats, EngineKind, QueryCtx, QueryOutcome};
-use olap_range_max::{MaxTree, NaturalMaxTree, PointUpdate, SearchOptions};
+use olap_range_max::{MaxTree, NaturalMaxTree, SearchOptions};
 use std::sync::Arc;
 
 /// Which prefix-sum structure to maintain.
@@ -75,8 +75,9 @@ where
     // handful of reference bumps. Deriving a snapshot clones the index,
     // copies (via `Arc::make_mut`) each maintained array the batch writes
     // into, and swaps in the batch image's post-batch cube for `a` — the
-    // index itself never copies the cube.
-    a: Arc<DenseArray<T>>,
+    // index itself copies no cube page; the image copied the few it
+    // wrote.
+    a: Arc<PagedArray<T>>,
     config: IndexConfig,
     prefix: Prefix<T>,
     max_tree: Option<Arc<NaturalMaxTree<T>>>,
@@ -101,21 +102,24 @@ where
     /// # Errors
     /// Invalid block sizes / fanouts.
     pub fn build(
-        a: impl Into<Arc<DenseArray<T>>>,
+        a: impl Into<Arc<PagedArray<T>>>,
         config: IndexConfig,
     ) -> Result<Self, EngineError> {
         let a = a.into();
+        let cells = &*a;
         let prefix = match config.prefix {
-            PrefixChoice::Basic => Prefix::Basic(Arc::new(PrefixSumCube::build(&a))),
-            PrefixChoice::Blocked(b) => Prefix::Blocked(Arc::new(BlockedPrefixCube::build(&a, b)?)),
+            PrefixChoice::Basic => Prefix::Basic(Arc::new(PrefixSumCube::build(cells))),
+            PrefixChoice::Blocked(b) => {
+                Prefix::Blocked(Arc::new(BlockedPrefixCube::build(cells, b)?))
+            }
         };
         let max_tree = match config.max_tree_fanout {
-            Some(b) => Some(Arc::new(NaturalMaxTree::for_values(&a, b)?)),
+            Some(b) => Some(Arc::new(NaturalMaxTree::for_values(cells, b)?)),
             None => None,
         };
         let min_tree = match config.min_tree_fanout {
             Some(b) => Some(Arc::new(MaxTree::build(
-                &a,
+                cells,
                 b,
                 ReverseOrder::new(NaturalOrder::<T>::new()),
             )?)),
@@ -131,7 +135,7 @@ where
     }
 
     /// The underlying cube.
-    pub fn cube(&self) -> &DenseArray<T> {
+    pub fn cube(&self) -> &PagedArray<T> {
         &self.a
     }
 
@@ -161,7 +165,7 @@ where
     fn sum(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<T, EngineError> {
         Ok(match &self.prefix {
             Prefix::Basic(ps) => ps.read(region, ctx)?,
-            Prefix::Blocked(bp) => bp.read(&self.a, region, BoundaryPolicy::Auto, ctx)?,
+            Prefix::Blocked(bp) => bp.read(&*self.a, region, BoundaryPolicy::Auto, ctx)?,
         })
     }
 
@@ -200,8 +204,8 @@ where
     fn max(&self, region: &Region, ctx: &mut QueryCtx<'_>) -> Result<(Vec<usize>, T), EngineError> {
         let opts = SearchOptions::default();
         Ok(match &self.max_tree {
-            Some(t) => t.read(&self.a, region, opts, ctx)?,
-            None => crate::naive::range_max(&self.a, &NaturalOrder::<T>::new(), region, ctx)?,
+            Some(t) => t.read(&*self.a, region, opts, ctx)?,
+            None => crate::naive::range_max(&*self.a, &NaturalOrder::<T>::new(), region, ctx)?,
         })
     }
 
@@ -210,8 +214,8 @@ where
         let opts = SearchOptions::default();
         let order = ReverseOrder::new(NaturalOrder::<T>::new());
         Ok(match &self.min_tree {
-            Some(t) => t.read(&self.a, region, opts, ctx)?,
-            None => crate::naive::range_max(&self.a, &order, region, ctx)?,
+            Some(t) => t.read(&*self.a, region, opts, ctx)?,
+            None => crate::naive::range_max(&*self.a, &order, region, ctx)?,
         })
     }
 
@@ -291,20 +295,14 @@ where
                 batch::apply_batch_blocked(Arc::make_mut(bp), image.deltas())?;
             }
         }
-        if self.max_tree.is_some() || self.min_tree.is_some() {
-            // Both trees read old values from the pre-batch cube and
-            // rescan the one post-batch cube; neither writes a cube.
-            let pts: Vec<PointUpdate<T>> = image
-                .updates()
-                .iter()
-                .map(|(idx, v)| PointUpdate::new(idx, v.clone()))
-                .collect();
-            if let Some(t) = &mut self.min_tree {
-                stats += Arc::make_mut(t).batch_update_onto(&self.a, image.cube(), &pts)?;
-            }
-            if let Some(t) = &mut self.max_tree {
-                stats += Arc::make_mut(t).batch_update_onto(&self.a, image.cube(), &pts)?;
-            }
+        // Both trees read old values from the pre-batch cube and rescan
+        // the one post-batch cube; neither writes a cube.
+        let (pre, post) = (&*self.a, &**image.cube());
+        if let Some(t) = &mut self.min_tree {
+            stats += Arc::make_mut(t).batch_update_onto(pre, post, image.updates())?;
+        }
+        if let Some(t) = &mut self.max_tree {
+            stats += Arc::make_mut(t).batch_update_onto(pre, post, image.updates())?;
         }
         self.a = Arc::clone(image.cube());
         Ok(stats)
@@ -376,7 +374,7 @@ where
         self.derive_onto(&BatchImage::derive(&self.a, updates)?)
     }
 
-    fn base(&self) -> Option<&Arc<DenseArray<T>>> {
+    fn base(&self) -> Option<&Arc<PagedArray<T>>> {
         Some(&self.a)
     }
 
@@ -400,6 +398,7 @@ impl CubeIndex<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use olap_array::{CellRead, DenseArray};
 
     fn cube() -> DenseArray<i64> {
         DenseArray::from_fn(Shape::new(&[12, 10]).unwrap(), |i| {
@@ -478,7 +477,7 @@ mod tests {
         assert_eq!(*idx.cube().get(&[5, 5]), 9);
         let q = idx.shape().full_region();
         let (s, _) = idx.range_sum(&q).unwrap();
-        assert_eq!(s, naive_sum(idx.cube(), &q));
+        assert_eq!(s, naive_sum(&idx.cube().to_dense(), &q));
         let (_, m, _) = idx.range_max(&q).unwrap();
         assert_eq!(m, 100);
         // And a rebuilt index agrees everywhere.
@@ -505,7 +504,7 @@ mod tests {
             .unwrap();
         let q = Region::from_bounds(&[(0, 11), (0, 9)]).unwrap();
         let (s, _) = idx.range_sum(&q).unwrap();
-        assert_eq!(s, naive_sum(idx.cube(), &q));
+        assert_eq!(s, naive_sum(&idx.cube().to_dense(), &q));
     }
 
     #[test]

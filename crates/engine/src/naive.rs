@@ -4,7 +4,7 @@
 //! cost equal to the query volume `V`.
 
 use olap_aggregate::{Monoid, TotalOrder};
-use olap_array::{ArrayError, DenseArray, Region};
+use olap_array::{ArrayError, CellRead, FlatRegionIter, Region};
 use olap_query::QueryCtx;
 
 /// Cells scanned between budget checkpoints: the charge is an atomic add
@@ -17,14 +17,14 @@ pub(crate) const CHECK_EVERY: usize = 4096;
 /// recording one access and one step per cell and charging and checking
 /// `ctx` every `CHECK_EVERY` cells and once more at the end.
 fn scan<V>(
-    a: &DenseArray<V>,
+    a: &impl CellRead<V>,
     region: &Region,
     ctx: &mut QueryCtx<'_>,
     mut visit: impl FnMut(usize),
 ) -> Result<(), ArrayError> {
     ctx.check()?;
     a.shape().check_region(region)?;
-    for (n, off) in (1usize..).zip(a.region_offsets(region)) {
+    for (n, off) in (1usize..).zip(FlatRegionIter::new(a.shape(), region)) {
         ctx.stats.read_a(1);
         ctx.stats.step(1);
         visit(off);
@@ -44,7 +44,7 @@ fn scan<V>(
 /// # Errors
 /// Validates the region; propagates budget interrupts.
 pub fn range_aggregate<M: Monoid>(
-    a: &DenseArray<M::Value>,
+    a: &impl CellRead<M::Value>,
     op: &M,
     region: &Region,
     ctx: &mut QueryCtx<'_>,
@@ -62,28 +62,32 @@ pub fn range_aggregate<M: Monoid>(
 /// # Errors
 /// Validates the region; propagates budget interrupts.
 pub fn range_max<O: TotalOrder>(
-    a: &DenseArray<O::Value>,
+    a: &impl CellRead<O::Value>,
     order: &O,
     region: &Region,
     ctx: &mut QueryCtx<'_>,
 ) -> Result<(Vec<usize>, O::Value), ArrayError> {
-    let mut best: Option<usize> = None;
-    scan(a, region, ctx, |off| match best {
-        Some(b) if !order.gt(a.get_flat(off), a.get_flat(b)) => {}
-        _ => best = Some(off),
+    // The best cell so far with its value, so each cell is read once.
+    let mut best: Option<(usize, &O::Value)> = None;
+    scan(a, region, ctx, |off| {
+        let v = a.get_flat(off);
+        match best {
+            Some((_, b)) if !order.gt(v, b) => {}
+            _ => best = Some((off, v)),
+        }
     })?;
     // Regions are non-empty by construction (inclusive bounds), so a
     // validated scan always sees at least one cell; report the
     // impossible case as a typed error rather than panicking.
-    let flat = best.ok_or(ArrayError::EmptyShape)?;
-    Ok((a.shape().unflatten(flat), a.get_flat(flat).clone()))
+    let (flat, v) = best.ok_or(ArrayError::EmptyShape)?;
+    Ok((a.shape().unflatten(flat), v.clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use olap_aggregate::{NaturalOrder, SumOp};
-    use olap_array::Shape;
+    use olap_array::{DenseArray, Shape};
 
     #[test]
     fn naive_sum_cost_equals_volume() {

@@ -18,10 +18,9 @@
 
 use crate::EngineError;
 use olap_aggregate::NumericValue;
-use olap_array::{BudgetMeter, DenseArray, Region, Shape};
+use olap_array::{BudgetMeter, PagedArray, Region, Shape};
 use olap_prefix_sum::batch::CellUpdate;
 use olap_query::{AccessStats, QueryOutcome, RangeQuery};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -87,8 +86,13 @@ impl<V> fmt::Debug for Derived<V> {
 }
 
 /// One update batch, worked out once for a whole stack: the post-batch
-/// base cube — the batch's only whole-cube copy — and one `new ⊖ old`
-/// value-to-add per distinct cell (a cell set twice keeps its last value).
+/// base cube and one `new ⊖ old` value-to-add per distinct cell (a cell
+/// set twice keeps its last value).
+///
+/// The post-batch cube is a clone of the pre-batch one with the batch
+/// written in: it shares every page the batch leaves alone, so deriving
+/// it copies the page table and the pages that hold updated cells, never
+/// the whole cube ([`PagedArray`]).
 ///
 /// [`crate::AdaptiveRouter::apply_updates`] derives it from the first
 /// healthy engine's [`RangeEngine::base`] and hands it to every engine
@@ -99,43 +103,45 @@ impl<V> fmt::Debug for Derived<V> {
 /// other derives privately from [`BatchImage::updates`].
 pub struct BatchImage<'a, V> {
     updates: &'a [(Vec<usize>, V)],
-    pre: &'a Arc<DenseArray<V>>,
-    cube: Arc<DenseArray<V>>,
+    pre: &'a Arc<PagedArray<V>>,
+    cube: Arc<PagedArray<V>>,
     deltas: Vec<CellUpdate<V>>,
 }
 
 impl<'a, V: NumericValue> BatchImage<'a, V> {
-    /// Applies `updates` (absolute values, later ones winning) to a copy
-    /// of `base` and composes the per-cell deltas against `base`.
+    /// Applies `updates` (absolute values, later ones winning) to a
+    /// page-sharing clone of `base` and composes the per-cell deltas
+    /// against `base`.
     ///
     /// # Errors
     /// Index validation; nothing is copied for an invalid batch.
     pub fn derive(
-        base: &'a Arc<DenseArray<V>>,
+        base: &'a Arc<PagedArray<V>>,
         updates: &'a [(Vec<usize>, V)],
     ) -> Result<Self, EngineError> {
         for (idx, _) in updates {
             base.shape().check_index(idx)?;
         }
-        let mut cube = DenseArray::clone(base);
-        let mut touched: BTreeMap<usize, &[usize]> = BTreeMap::new();
+        let mut cube = PagedArray::clone(base);
         for (idx, v) in updates {
-            let flat = base.shape().flatten(idx);
-            *cube.get_flat_mut(flat) = v.clone();
-            touched.insert(flat, idx);
+            *cube.get_flat_mut(base.shape().flatten(idx)) = v.clone();
         }
-        let deltas = touched
-            .into_iter()
-            .map(|(flat, idx)| {
-                // Wrapping: Z/2^w is the paper's group, so a delta that
-                // overflows still moves every sum by the true difference.
-                let delta = cube
-                    .get_flat(flat)
-                    .clone()
-                    .wrapping_sub(base.get_flat(flat).clone());
-                CellUpdate::new(idx, delta)
-            })
+        let flat = |u: &CellUpdate<V>| base.shape().flatten(&u.index);
+        let mut deltas: Vec<CellUpdate<V>> = updates
+            .iter()
+            .map(|(idx, _)| CellUpdate::new(idx, V::zero()))
             .collect();
+        deltas.sort_unstable_by_key(flat);
+        deltas.dedup_by(|a, b| a.index == b.index);
+        for u in &mut deltas {
+            let at = flat(u);
+            // Wrapping: Z/2^w is the paper's group, so a delta that
+            // overflows still moves every sum by the true difference.
+            u.delta = cube
+                .get_flat(at)
+                .clone()
+                .wrapping_sub(base.get_flat(at).clone());
+        }
         Ok(BatchImage {
             updates,
             pre: base,
@@ -152,7 +158,7 @@ impl<V> BatchImage<'_, V> {
     }
 
     /// The post-batch base cube.
-    pub fn cube(&self) -> &Arc<DenseArray<V>> {
+    pub fn cube(&self) -> &Arc<PagedArray<V>> {
         &self.cube
     }
 
@@ -164,7 +170,7 @@ impl<V> BatchImage<'_, V> {
 
     /// Whether `base` is the very cube (same allocation) this image was
     /// derived from — the condition for adopting [`BatchImage::cube`].
-    pub fn is_over(&self, base: &Arc<DenseArray<V>>) -> bool {
+    pub fn is_over(&self, base: &Arc<PagedArray<V>>) -> bool {
         Arc::ptr_eq(self.pre, base)
     }
 }
@@ -176,7 +182,7 @@ impl<V> BatchImage<'_, V> {
 /// derives an image of its own, so it stays consistent with itself.
 pub(crate) fn derive_shared<V, E>(
     engine: &E,
-    base: &Arc<DenseArray<V>>,
+    base: &Arc<PagedArray<V>>,
     image: &BatchImage<'_, V>,
     adopt: impl FnOnce(&mut E, &BatchImage<'_, V>) -> Result<AccessStats, EngineError>,
 ) -> Result<Derived<V>, EngineError>
@@ -323,10 +329,11 @@ pub trait RangeEngine<V>: Send + Sync {
     /// untouched as a live snapshot for in-flight readers. Later updates
     /// to the same cell win.
     ///
-    /// Engines over an `Arc`ed base cube go through a [`BatchImage`]: one
-    /// copy of the cube, one of each array the paper's maintenance writes
-    /// into (`P` for Theorem 2's regions, the tree levels for §7's tag
-    /// protocol and the sum tree's paths); nothing is rebuilt.
+    /// Engines over an `Arc`ed base cube go through a [`BatchImage`]: a
+    /// copy of each cube page the batch writes, one of each array the
+    /// paper's maintenance writes into (`P` for Theorem 2's regions, the
+    /// tree levels for §7's tag protocol and the sum tree's paths);
+    /// nothing is rebuilt.
     ///
     /// # Errors
     /// Index validation, or [`EngineError::Unsupported`] from this
@@ -338,7 +345,7 @@ pub trait RangeEngine<V>: Send + Sync {
 
     /// The base cube the engine reads at query time, when it holds one
     /// behind an `Arc` that a whole stack can share.
-    fn base(&self) -> Option<&Arc<DenseArray<V>>> {
+    fn base(&self) -> Option<&Arc<PagedArray<V>>> {
         None
     }
 

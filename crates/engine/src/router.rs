@@ -281,10 +281,12 @@ impl<V: fmt::Display> fmt::Display for Explain<V> {
 /// Installs an engine set's log keeps: its own and the ones before it.
 pub const LOGGED: usize = 8;
 
-/// What one install changed: `Some(cells)` for a batch every engine
-/// derived (a budget, token or tier install has no cells), `None` when it
-/// may have changed any answer (a push, a batch some member failed).
-pub(crate) type Changed = Option<Arc<[Vec<usize>]>>;
+/// What one install changed: `Some((d, cells))` for a batch every engine
+/// derived, its updated cells laid end to end `d` coordinates apiece (a
+/// budget, token or tier install has no cells), `None` when it may have
+/// changed any answer (a push, a batch some member failed, a batch whose
+/// cells differ in rank).
+pub(crate) type Changed = Option<(usize, Arc<[usize]>)>;
 
 /// An immutable, epoch-stamped snapshot of the candidate engine set and
 /// what every query over it runs under. Queries pin one and run against
@@ -1093,7 +1095,7 @@ impl<V> AdaptiveRouter<V> {
     /// [`BatchImage`] from the first healthy engine's
     /// [`RangeEngine::base`], else the tier's [`DegradeTier::base`] — and
     /// everything derives onto it, so a stack over one shared base copies
-    /// the cube once between them.
+    /// the pages the batch writes once between them.
     ///
     /// A poisoned engine is never re-derived: its last good snapshot, old
     /// base included, is carried forward. A member whose derive fails or
@@ -1180,9 +1182,7 @@ impl<V> AdaptiveRouter<V> {
             });
             // Every member derived: only a region holding an updated cell
             // can have a new answer.
-            let changed = first_err
-                .is_none()
-                .then(|| updates.iter().map(|(idx, _)| idx.clone()).collect());
+            let changed = first_err.is_none().then(|| flat_cells(updates)).flatten();
             let result = first_err.map_or(Ok(stats), Err);
             let next = Draft {
                 engines,
@@ -1224,7 +1224,23 @@ impl<V> AdaptiveRouter<V> {
 
 /// What a budget, token or tier install changed: no exact answer.
 fn unchanged() -> Changed {
-    Some(Arc::from([]))
+    Some((0, Arc::from([])))
+}
+
+/// A batch's cells laid end to end, with their rank: one allocation for
+/// the whole batch. `None` when the cells differ in rank or have none.
+fn flat_cells<V>(updates: &[(Vec<usize>, V)]) -> Changed {
+    let d = updates.first().map_or(0, |(idx, _)| idx.len());
+    let ranked = updates.is_empty() || (d > 0 && updates.iter().all(|(idx, _)| idx.len() == d));
+    ranked.then(|| {
+        (
+            d,
+            updates
+                .iter()
+                .flat_map(|(idx, _)| idx.iter().copied())
+                .collect(),
+        )
+    })
 }
 
 /// Counts one fault-tolerance event in the telemetry registry (the

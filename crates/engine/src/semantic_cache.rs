@@ -222,7 +222,7 @@ impl<V: NumericValue> CacheInner<V> {
             batches.as_ref().is_none_or(|batches| {
                 batches
                     .iter()
-                    .any(|cells| holds_an_update(&e.region, cells))
+                    .any(|(d, cells)| holds_an_update(&e.region, *d, cells))
             })
         };
         let mut counted = 0u64;
@@ -769,14 +769,16 @@ impl<V, B> std::fmt::Debug for SemanticCache<V, B> {
     }
 }
 
-/// Whether an installed batch can have changed the sum over `region`:
-/// the region contains one of its `cells`. A point of the wrong rank (the
-/// router refuses those) counts as inside every region, so invalidation
-/// stays conservative.
-fn holds_an_update(region: &Region, cells: &[Vec<usize>]) -> bool {
-    cells
-        .iter()
-        .any(|idx| idx.len() != region.ndim() || region.contains(idx))
+/// Whether an installed batch can have changed an answer over `region`:
+/// the region contains one of its `cells`, laid end to end `d`
+/// coordinates apiece. Points of the wrong rank (the router refuses
+/// those) count as inside every region, so invalidation stays
+/// conservative.
+fn holds_an_update(region: &Region, d: usize, cells: &[usize]) -> bool {
+    if cells.is_empty() {
+        return false;
+    }
+    d != region.ndim() || cells.chunks_exact(d).any(|idx| region.contains(idx))
 }
 
 /// `answer` to `op` over `region` as an entry stores it; `None` for any

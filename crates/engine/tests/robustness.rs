@@ -8,7 +8,7 @@
 //! any panic as a failure, so a green run *is* the never-panics proof.
 
 use olap_aggregate::SumOp;
-use olap_array::{ArrayError, DenseArray, QueryBudget, Region, Shape};
+use olap_array::{ArrayError, DenseArray, PagedArray, QueryBudget, Region, Shape};
 use olap_engine::{
     AdaptiveRouter, BatchImage, CubeIndex, DegradeReason, DegradeTier, EngineError, EngineOp,
     ExtendedCube, IndexConfig, NaiveEngine, RangeEngine, SparseMaxEngine, SparseSumEngine,
@@ -244,7 +244,7 @@ proptest! {
 }
 
 /// A degradation tier whose estimate panics, standing in for a tier bug.
-struct PanickingTier(Arc<DenseArray<i64>>);
+struct PanickingTier(Arc<PagedArray<i64>>);
 
 impl DegradeTier<i64> for PanickingTier {
     fn label(&self) -> String {
@@ -260,7 +260,7 @@ impl DegradeTier<i64> for PanickingTier {
     ) -> Result<(Estimate<i64>, AccessStats), EngineError> {
         panic!("tier bug")
     }
-    fn base(&self) -> &Arc<DenseArray<i64>> {
+    fn base(&self) -> &Arc<PagedArray<i64>> {
         &self.0
     }
     fn derive_onto(
@@ -273,7 +273,7 @@ impl DegradeTier<i64> for PanickingTier {
 
 #[test]
 fn a_panicking_degrade_tier_is_contained_and_the_exact_error_stands() {
-    let a = Arc::new(cube());
+    let a: Arc<PagedArray<i64>> = cube().into();
     let router = AdaptiveRouter::new()
         .with_engine(Box::new(NaiveEngine::new(Arc::clone(&a))))
         .with_degrade_tier(Arc::new(PanickingTier(a)))

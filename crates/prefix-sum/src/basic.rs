@@ -1,7 +1,7 @@
 //! The basic range-sum algorithm (§3): full prefix-sum array + Theorem 1.
 
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
-use olap_array::{ArrayError, DenseArray, Region, Shape};
+use olap_array::{ArrayError, CellRead, DenseArray, Region, Shape};
 use olap_query::QueryCtx;
 
 /// The precomputed prefix-sum array `P` of a data cube (§3.1):
@@ -38,7 +38,7 @@ impl<T: NumericValue> PrefixSumCube<T> {
     /// let q = Region::from_bounds(&[(0, 1), (1, 2)]).unwrap();
     /// assert_eq!(ps.range_sum(&q).unwrap(), 2 + 3 + 5 + 6);
     /// ```
-    pub fn build(cube: &DenseArray<T>) -> Self {
+    pub fn build(cube: &impl CellRead<T>) -> Self {
         PrefixSumArray::with_op(cube, SumOp::new())
     }
 }
@@ -46,8 +46,8 @@ impl<T: NumericValue> PrefixSumCube<T> {
 impl<G: AbelianGroup> PrefixSumArray<G> {
     /// Builds `P` from the cube under any invertible operator, using the
     /// d-phase algorithm of §3.3 (`dN` combine steps).
-    pub fn with_op(cube: &DenseArray<G::Value>, op: G) -> Self {
-        let mut p = cube.clone();
+    pub fn with_op(cube: &impl CellRead<G::Value>, op: G) -> Self {
+        let mut p = cube.to_dense();
         for axis in 0..p.shape().ndim() {
             p.scan_axis(axis, |a, b| op.combine(a, b));
         }

@@ -62,23 +62,32 @@ pub fn plan_regions<G: AbelianGroup>(
     for u in updates {
         shape.check_index(&u.index)?;
     }
-    let entries: Vec<(&[usize], G::Value)> = updates
+    let entries = updates
         .iter()
-        .map(|u| (u.index.as_slice(), u.delta.clone()))
-        .collect();
+        .map(|u| (u.index.as_slice(), u.delta.clone()));
+    Ok(plan_entries(shape, op, entries.collect()))
+}
+
+/// [`plan_regions`] over validated `(index, value-to-add)` entries.
+fn plan_entries<G: AbelianGroup>(
+    shape: &Shape,
+    op: &G,
+    mut entries: Vec<(&[usize], G::Value)>,
+) -> Vec<(Region, G::Value)> {
+    let updates = entries.len();
     let mut out = Vec::new();
-    recurse(shape.dims(), op, entries, &mut Vec::new(), &mut out);
+    recurse(shape.dims(), op, &mut entries, &mut Vec::new(), &mut out);
     // Every batch path (basic and blocked) plans here, so this is the one
     // choke point for the regions-vs-Theorem-2 accounting.
     if let Some(ctx) = olap_telemetry::current() {
         let reg = ctx.registry();
         reg.counter("olap_batch_plans_total", &[]).inc(1);
         reg.counter("olap_batch_updates_total", &[])
-            .inc(updates.len() as u64);
+            .inc(updates as u64);
         reg.counter("olap_batch_regions_total", &[])
             .inc(out.len() as u64);
-        if !updates.is_empty() {
-            let bound = max_regions(updates.len(), shape.dims().len());
+        if updates > 0 {
+            let bound = max_regions(updates, shape.dims().len());
             if bound.is_finite() && bound > 0.0 {
                 // Planned regions as a share of the worst-case bound, in
                 // permille: 1000 = the bound was hit, lower = coalescing won.
@@ -88,7 +97,7 @@ pub fn plan_regions<G: AbelianGroup>(
             }
         }
     }
-    Ok(out)
+    out
 }
 
 /// Recursion of §5.1: `dims` are the extents of the remaining dimensions,
@@ -101,7 +110,7 @@ pub fn plan_regions<G: AbelianGroup>(
 fn recurse<G: AbelianGroup>(
     dims: &[usize],
     op: &G,
-    mut entries: Vec<(&[usize], G::Value)>,
+    entries: &mut [(&[usize], G::Value)],
     prefix: &mut Vec<Range>,
     out: &mut Vec<(Region, G::Value)>,
 ) {
@@ -140,6 +149,7 @@ fn recurse<G: AbelianGroup>(
     // distinct update coordinate; slab i is affected by the first i update
     // groups, so recurse on their (d−1)-dimensional projections.
     let mut group_starts: Vec<usize> = Vec::new();
+    let mut projected = Vec::with_capacity(entries.len());
     for (pos, (idx, _)) in entries.iter().enumerate() {
         if pos == 0 || idx[0] != entries[pos - 1].0[0] {
             group_starts.push(pos);
@@ -155,12 +165,10 @@ fn recurse<G: AbelianGroup>(
         // All updates with first coordinate ≤ u, projected one dimension
         // down. Duplicate projections are coalesced inside the recursion.
         let end = group_starts.get(g + 1).copied().unwrap_or(entries.len());
-        let projected: Vec<(&[usize], G::Value)> = entries[..end]
-            .iter()
-            .map(|(idx, v)| (&idx[1..], v.clone()))
-            .collect();
+        projected.clear();
+        projected.extend(entries[..end].iter().map(|(idx, v)| (&idx[1..], v.clone())));
         prefix.push(slab);
-        recurse(&dims[1..], op, projected, prefix, out);
+        recurse(&dims[1..], op, &mut projected, prefix, out);
         prefix.pop();
     }
 }
@@ -190,8 +198,14 @@ fn apply_plan_seq<G: AbelianGroup>(
     op: &G,
     plan: &[(Region, G::Value)],
 ) {
+    let d = p.shape().ndim();
+    let (mut lo, mut hi, mut cur) = (vec![0; d], vec![0; d], vec![0; d]);
     for (region, delta) in plan {
-        p.for_each_run_mut(region, |row| {
+        let bounds = lo.iter_mut().zip(hi.iter_mut()).zip(region.ranges());
+        for ((l, h), r) in bounds {
+            (*l, *h) = (r.lo(), r.hi());
+        }
+        p.for_each_run_mut(&lo, &hi, &mut cur, |row| {
             for cell in row {
                 *cell = op.combine(cell, delta);
             }
@@ -252,14 +266,15 @@ fn plan_blocked<G: AbelianGroup>(
         bp.shape().check_index(&u.index)?;
     }
     let b = bp.block_size();
-    let contracted: Vec<CellUpdate<G::Value>> = updates
+    // Every contracted index in one buffer, `d` coordinates apiece.
+    let d = bp.shape().ndim();
+    let contracted: Vec<usize> = updates
         .iter()
-        .map(|u| CellUpdate {
-            index: u.index.iter().map(|&x| x / b).collect(),
-            delta: u.delta.clone(),
-        })
+        .flat_map(|u| u.index.iter().map(|&x| x / b))
         .collect();
-    plan_regions(bp.packed_array().shape(), &bp.op().clone(), &contracted)
+    let entries = contracted.chunks_exact(d).zip(updates);
+    let entries = entries.map(|(idx, u)| (idx, u.delta.clone())).collect();
+    Ok(plan_entries(bp.packed_array().shape(), bp.op(), entries))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! anchors, trading query time for a `1/b^d` space footprint.
 
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
-use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
+use olap_array::{ArrayError, CellRead, DenseArray, Range, Region, Shape};
 use olap_query::{AccessStats, QueryCtx};
 
 /// How a single boundary region was (or must be) evaluated (§4.2).
@@ -281,7 +281,7 @@ impl<T: NumericValue> BlockedPrefixCube<T> {
     /// let naive = cube.fold_region(&q, 0i64, |s, &x| s + x);
     /// assert_eq!(bp.range_sum(&cube, &q).unwrap(), naive);
     /// ```
-    pub fn build(cube: &DenseArray<T>, b: usize) -> Result<Self, ArrayError> {
+    pub fn build(cube: &impl CellRead<T>, b: usize) -> Result<Self, ArrayError> {
         BlockedPrefixSum::with_op(cube, SumOp::new(), b)
     }
 }
@@ -291,7 +291,7 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
     /// two-phase algorithm of §4.3: contract `A` by `b` (one block → one
     /// cell), then prefix-scan the contracted array. Takes
     /// `N + d·N/b^d` combine steps and no extra buffer.
-    pub fn with_op(cube: &DenseArray<G::Value>, op: G, b: usize) -> Result<Self, ArrayError> {
+    pub fn with_op(cube: &impl CellRead<G::Value>, op: G, b: usize) -> Result<Self, ArrayError> {
         if b == 0 {
             return Err(ArrayError::ZeroBlock);
         }
@@ -487,7 +487,7 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
     /// built from.
     pub fn range_sum(
         &self,
-        a: &DenseArray<G::Value>,
+        a: &impl CellRead<G::Value>,
         region: &Region,
     ) -> Result<G::Value, ArrayError> {
         self.read(a, region, BoundaryPolicy::Auto, &mut QueryCtx::unlimited())
@@ -533,7 +533,7 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
     /// holes are [`Region::subtract`]'s slabs in its peel order.
     fn eval_part(
         &self,
-        a: &[G::Value],
+        a: &impl CellRead<G::Value>,
         part: &mut Cursor<'_>,
         internal: bool,
         policy: BoundaryPolicy,
@@ -596,11 +596,11 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
     }
 
     /// Folds the cells of `a` in the box `lo..=hi` in row-major order, a
-    /// contiguous innermost-axis run at a time, recording one access and
+    /// contiguous run at a time, recording one access and
     /// one step per cell.
     fn fold_box(
         &self,
-        a: &[G::Value],
+        a: &impl CellRead<G::Value>,
         lo: &[usize],
         hi: &[usize],
         run: &mut [usize],
@@ -609,15 +609,9 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         let vol = box_volume(lo, hi) as u64;
         stats.read_a(vol);
         stats.step(vol);
-        let mut acc = self.op.identity();
-        self.shape.for_each_run(lo, hi, run, |cells| {
-            // One run of a boundary box; read charges the whole part's accesses when the part
-            // completes.
-            for x in a.get(cells).unwrap_or_default() {
-                acc = self.op.combine(&acc, x);
-            }
-        });
-        acc
+        a.fold_runs(lo, hi, run, self.op.identity(), |acc, _, cells| {
+            cells.iter().fold(acc, |s, x| self.op.combine(&s, x))
+        })
     }
 
     /// The metered §4.2 read under a boundary policy: `ctx` is checked
@@ -631,7 +625,7 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
     /// interrupts as [`ArrayError::Interrupted`].
     pub fn read(
         &self,
-        a: &DenseArray<G::Value>,
+        a: &impl CellRead<G::Value>,
         region: &Region,
         policy: BoundaryPolicy,
         ctx: &mut QueryCtx<'_>,
@@ -643,7 +637,7 @@ impl<G: AbelianGroup> BlockedPrefixSum<G> {
         let mut acc = self.op.identity();
         split.for_each_part(|p, internal| {
             ctx.check()?;
-            let v = self.eval_part(a.as_slice(), p, internal, policy, &mut ctx.stats);
+            let v = self.eval_part(a, p, internal, policy, &mut ctx.stats);
             ctx.charge()?;
             acc = self.op.combine(&acc, &v);
             Ok::<_, ArrayError>(())

@@ -8,9 +8,9 @@
 //! per-axis bounds checks: an external child is never enumerated, and no
 //! child allocates.
 
-use crate::tree::{MaxTree, MaxTreeError};
+use crate::tree::{first_max, MaxTree, MaxTreeError};
 use olap_aggregate::TotalOrder;
-use olap_array::{DenseArray, Interrupt, Range, Region, Shape};
+use olap_array::{CellRead, Interrupt, Range, Region, Shape};
 use olap_query::QueryCtx;
 
 /// Knobs for the search — the defaults are the paper's algorithm; the
@@ -82,7 +82,7 @@ impl<O: TotalOrder> MaxTree<O> {
     /// Validates the region against the cube shape.
     pub fn range_max(
         &self,
-        a: &DenseArray<O::Value>,
+        a: &impl CellRead<O::Value>,
         region: &Region,
     ) -> Result<(Vec<usize>, O::Value), MaxTreeError> {
         self.read(
@@ -101,9 +101,9 @@ impl<O: TotalOrder> MaxTree<O> {
     /// # Errors
     /// Validates the region against the cube shape; propagates budget
     /// interrupts as [`ArrayError::Interrupted`](olap_array::ArrayError).
-    pub fn read(
+    pub fn read<A: CellRead<O::Value>>(
         &self,
-        a: &DenseArray<O::Value>,
+        a: &A,
         region: &Region,
         opts: SearchOptions,
         ctx: &mut QueryCtx<'_>,
@@ -285,9 +285,9 @@ fn advance(
 /// per-axis child classes, the overlap box and its odometer, and one stack
 /// of pending `B_out` children whose segments are the levels of the
 /// current path. A query allocates these once; no node or child does.
-struct Search<'t, 'c, 'm, O: TotalOrder> {
+struct Search<'t, 'c, 'm, O: TotalOrder, A> {
     tree: &'t MaxTree<O>,
-    a: &'t DenseArray<O::Value>,
+    a: &'t A,
     q: &'t [Range],
     opts: SearchOptions,
     /// `current_max_index` of the paper, a flat index into `A`.
@@ -301,7 +301,7 @@ struct Search<'t, 'c, 'm, O: TotalOrder> {
     bout: Vec<(usize, usize)>,
 }
 
-impl<O: TotalOrder> Search<'_, '_, '_, O> {
+impl<O: TotalOrder, A: CellRead<O::Value>> Search<'_, '_, '_, O, A> {
     /// `get_max_index` of §6.1.3 at node `node` (a flat index into
     /// `level`): charges and checks the ctx, then scans internal and
     /// `B_in` children directly and recurses into `B_out` children unless
@@ -328,21 +328,21 @@ impl<O: TotalOrder> Search<'_, '_, '_, O> {
             // Children are cells of A, and the box is C(x) ∩ R: scan it as
             // contiguous runs, first maximum in row-major order wins.
             let (a, order) = (self.a, &tree.order);
-            let (best, ctx) = (&mut self.best, &mut *self.ctx);
-            tree.shape
-                .for_each_run(&self.lo, &self.hi, &mut self.cur, |run| {
-                    let base = run.start;
-                    let cells = a.as_slice().get(run).unwrap_or_default();
-                    ctx.stats.read_a(cells.len() as u64);
-                    ctx.stats.step(cells.len() as u64);
-                    let mut best_val = a.get_flat(*best);
-                    for (at, v) in cells.iter().enumerate() {
-                        if order.gt(v, best_val) {
-                            *best = base + at;
-                            best_val = v;
-                        }
-                    }
-                });
+            // The best cell so far and its value, read once per leaf box.
+            let init = (self.best, a.get_flat(self.best));
+            let (lo, hi) = (&self.lo, &self.hi);
+            let (best, _) = a.fold_runs(lo, hi, &mut self.cur, init, |best, start, cells| {
+                first_max(order, best, start, cells)
+            });
+            self.best = best;
+            let cells = self
+                .lo
+                .iter()
+                .zip(&self.hi)
+                .map(|(l, h)| h - l + 1)
+                .product::<usize>();
+            self.ctx.stats.read_a(cells as u64);
+            self.ctx.stats.step(cells as u64);
             return Ok(());
         }
         let Some(children) = tree.levels.get(level - 2) else {
@@ -405,6 +405,7 @@ impl<O: TotalOrder> Search<'_, '_, '_, O> {
 mod tests {
     use super::*;
     use crate::NaturalMaxTree;
+    use olap_array::DenseArray;
     use olap_array::Shape;
     use olap_query::QueryCtx;
 

@@ -2,7 +2,7 @@
 //! §6.2).
 
 use olap_aggregate::{NaturalOrder, ReverseOrder, TotalOrder};
-use olap_array::{ArrayError, DenseArray, Interrupt, Range, Region, Shape};
+use olap_array::{ArrayError, CellRead, Interrupt, Range, Region, Shape};
 use std::fmt;
 
 /// Errors from building or querying a [`MaxTree`].
@@ -92,7 +92,7 @@ where
     ///
     /// # Errors
     /// [`MaxTreeError::FanoutTooSmall`] when `b < 2`.
-    pub fn for_values(a: &DenseArray<T>, b: usize) -> Result<Self, MaxTreeError> {
+    pub fn for_values(a: &impl CellRead<T>, b: usize) -> Result<Self, MaxTreeError> {
         MaxTree::build(a, b, NaturalOrder::new())
     }
 }
@@ -109,7 +109,7 @@ where
     ///
     /// # Errors
     /// [`MaxTreeError::FanoutTooSmall`] when `b < 2`.
-    pub fn for_min_values(a: &DenseArray<T>, b: usize) -> Result<Self, MaxTreeError> {
+    pub fn for_min_values(a: &impl CellRead<T>, b: usize) -> Result<Self, MaxTreeError> {
         MaxTree::build(a, b, ReverseOrder::new(NaturalOrder::new()))
     }
 }
@@ -122,7 +122,7 @@ impl<O: TotalOrder> MaxTree<O> {
     ///
     /// # Errors
     /// [`MaxTreeError::FanoutTooSmall`] when `b < 2`.
-    pub fn build(a: &DenseArray<O::Value>, b: usize, order: O) -> Result<Self, MaxTreeError> {
+    pub fn build(a: &impl CellRead<O::Value>, b: usize, order: O) -> Result<Self, MaxTreeError> {
         if b < 2 {
             return Err(MaxTreeError::FanoutTooSmall { b });
         }
@@ -319,7 +319,7 @@ impl<O: TotalOrder> MaxTree<O> {
     /// Validates every node invariant against the cube: the stored index
     /// lies in the node's region and carries its true maximum value.
     /// Intended for tests and for auditing after batch updates.
-    pub fn check_invariants(&self, a: &DenseArray<O::Value>) -> Result<(), String> {
+    pub fn check_invariants(&self, a: &impl CellRead<O::Value>) -> Result<(), String> {
         if a.shape() != &self.shape {
             return Err("cube shape mismatch".into());
         }
@@ -337,12 +337,17 @@ impl<O: TotalOrder> MaxTree<O> {
                     ));
                 }
                 let stored_val = a.get_flat(stored);
-                for off in a.region_offsets(&region) {
-                    if self.order.gt(a.get_flat(off), stored_val) {
-                        return Err(format!(
-                            "level {lvl} node {coords:?}: cell {off} beats stored max"
-                        ));
-                    }
+                let (lo, hi) = (region.lower_corner(), region.upper_corner());
+                let mut beaten = None;
+                a.for_each_run(&lo, &hi, &mut coords.clone(), |start, cells| {
+                    let mut above = cells.iter().zip(start..);
+                    let above = above.find(|(v, _)| self.order.gt(v, stored_val));
+                    beaten = beaten.or(above.map(|(_, off)| off));
+                });
+                if let Some(off) = beaten {
+                    return Err(format!(
+                        "level {lvl} node {coords:?}: cell {off} beats stored max"
+                    ));
                 }
             }
         }
@@ -359,7 +364,7 @@ impl<O: TotalOrder> MaxTree<O> {
 /// first-max-wins comparisons, exactly as [`ChildScan::argmax`] compares
 /// them, so build and §7 rescans agree on every tie.
 fn fill_level<O: TotalOrder>(
-    a: &DenseArray<O::Value>,
+    a: &impl CellRead<O::Value>,
     order: &O,
     b: usize,
     child_shape: &Shape,
@@ -433,24 +438,22 @@ fn child_max(child_of: Option<&[usize]>, child: usize) -> usize {
 /// `A`. The per-run body of both [`fill_level`] and
 /// [`ChildScan::argmax`].
 fn argmax_run<O: TotalOrder>(
-    a: &DenseArray<O::Value>,
+    a: &impl CellRead<O::Value>,
     order: &O,
     child_of: Option<&[usize]>,
     run: std::ops::Range<usize>,
     mut best: usize,
 ) -> usize {
-    let mut best_val = a.get_flat(best);
     match child_of {
+        // A run split at a page edge folds slice by slice, in order.
         None => {
-            let base = run.start;
-            for (at, v) in a.as_slice().get(run).unwrap_or_default().iter().enumerate() {
-                if order.gt(v, best_val) {
-                    best = base + at;
-                    best_val = v;
-                }
-            }
+            let init = (best, a.get_flat(best));
+            best = a
+                .fold_slices(run, init, |b, at, cells| first_max(order, b, at, cells))
+                .0;
         }
         Some(m) => {
+            let mut best_val = a.get_flat(best);
             for &cand in m.get(run).unwrap_or_default() {
                 let v = a.get_flat(cand);
                 if order.gt(v, best_val) {
@@ -461,6 +464,25 @@ fn argmax_run<O: TotalOrder>(
         }
     }
     best
+}
+
+/// Folds `cells`, the cells of `A` from flat offset `start` on, into the
+/// running argmax `best` (an offset and its value): a cell replaces it
+/// only when strictly greater, so the first of equal maxima in row-major
+/// order wins. The body of every scan of `A`'s cells, build and search.
+pub(crate) fn first_max<'a, O: TotalOrder>(
+    order: &O,
+    best: (usize, &'a O::Value),
+    start: usize,
+    cells: &'a [O::Value],
+) -> (usize, &'a O::Value) {
+    (start..).zip(cells).fold(best, |(at, val), (off, v)| {
+        if order.gt(v, val) {
+            (off, v)
+        } else {
+            (at, val)
+        }
+    })
 }
 
 /// The argmax over one parent node's children — the `tag = −1` rescan of
@@ -493,7 +515,7 @@ impl ChildScan {
     /// their stored arg-maxes, or is `None` when they are cells of `A`.
     pub(crate) fn argmax<O: TotalOrder>(
         &mut self,
-        a: &DenseArray<O::Value>,
+        a: &impl CellRead<O::Value>,
         order: &O,
         child_shape: &Shape,
         child_of: Option<&[usize]>,
@@ -519,6 +541,7 @@ impl ChildScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use olap_array::DenseArray;
 
     fn arr14() -> DenseArray<i64> {
         // n = 14, b = 3 — the running example of Figures 9–10.

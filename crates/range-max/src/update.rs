@@ -17,10 +17,9 @@
 
 use crate::tree::{ChildScan, MaxTree, MaxTreeError};
 use olap_aggregate::TotalOrder;
-use olap_array::DenseArray;
+use olap_array::{CellRead, DenseArray};
 use olap_query::AccessStats;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// One update point: `⟨index, value⟩` — the cell at `index` is assigned
 /// `value` (an absolute value, not a delta: MAX has no inverse).
@@ -70,7 +69,8 @@ impl<O: TotalOrder> MaxTree<O> {
         updates: &[PointUpdate<O::Value>],
     ) -> Result<AccessStats, MaxTreeError> {
         let mut stats = AccessStats::new();
-        let changes = self.record_changes(a, updates, &mut stats)?;
+        let cells = updates.iter().map(|u| (u.index.as_slice(), &u.value));
+        let changes = self.record_changes(a, cells, &mut stats)?;
         for ch in &changes {
             *a.get_flat_mut(ch.child_flat) = ch.new_val.clone();
         }
@@ -86,18 +86,22 @@ impl<O: TotalOrder> MaxTree<O> {
     /// Neither cube is written, so one post-batch cube can serve several
     /// trees (a max and a min tree, say) and every other structure built
     /// over it. The tree and the returned statistics are exactly those
-    /// of the in-place call.
+    /// of the in-place call. The batch comes as `(index, new value)`
+    /// pairs, the form an engine receives it in.
     ///
     /// # Errors
     /// Validates every index against the cube shape.
-    pub fn batch_update_onto(
+    pub fn batch_update_onto<A: CellRead<O::Value>>(
         &mut self,
-        pre: &DenseArray<O::Value>,
-        post: &DenseArray<O::Value>,
-        updates: &[PointUpdate<O::Value>],
+        pre: &A,
+        post: &A,
+        updates: &[(Vec<usize>, O::Value)],
     ) -> Result<AccessStats, MaxTreeError> {
         let mut stats = AccessStats::new();
-        let changes = self.record_changes(pre, updates, &mut stats)?;
+        let cells = updates
+            .iter()
+            .map(|(index, value)| (index.as_slice(), value));
+        let changes = self.record_changes(pre, cells, &mut stats)?;
         self.propagate_all(post, changes, &mut stats);
         Ok(stats)
     }
@@ -105,21 +109,29 @@ impl<O: TotalOrder> MaxTree<O> {
     /// Phase 0, read side: coalesces duplicate indices (last value wins)
     /// and records old → new for every cell of `pre` whose value the
     /// batch changes — the first tree level's update list.
-    fn record_changes(
+    fn record_changes<'u>(
         &self,
-        pre: &DenseArray<O::Value>,
-        updates: &[PointUpdate<O::Value>],
+        pre: &impl CellRead<O::Value>,
+        updates: impl ExactSizeIterator<Item = (&'u [usize], &'u O::Value)>,
         stats: &mut AccessStats,
-    ) -> Result<Vec<Change<O::Value>>, MaxTreeError> {
-        for u in updates {
-            self.shape.check_index(&u.index)?;
+    ) -> Result<Vec<Change<O::Value>>, MaxTreeError>
+    where
+        O::Value: 'u,
+    {
+        let mut cells: Vec<(usize, &O::Value)> = Vec::with_capacity(updates.len());
+        for (index, value) in updates {
+            self.shape.check_index(index)?;
+            cells.push((self.shape.flatten(index), value));
         }
-        let mut dedup: BTreeMap<usize, O::Value> = BTreeMap::new();
-        for u in updates {
-            dedup.insert(self.shape.flatten(&u.index), u.value.clone());
-        }
+        // A stable sort keeps each cell's updates in batch order, so the
+        // last of a run of one cell is its final value.
+        cells.sort_by_key(|&(flat, _)| flat);
         let mut changes: Vec<Change<O::Value>> = Vec::new();
-        for (flat, value) in dedup {
+        for run in cells.chunk_by(|x, y| x.0 == y.0) {
+            let Some(&(flat, value)) = run.last() else {
+                continue;
+            };
+            let value = value.clone();
             let old = pre.get_flat(flat).clone();
             stats.read_a(1);
             if self.order.cmp_values(&old, &value) == Ordering::Equal {
@@ -140,7 +152,7 @@ impl<O: TotalOrder> MaxTree<O> {
     /// level, terminating early when a level absorbs every change.
     fn propagate_all(
         &mut self,
-        a: &DenseArray<O::Value>,
+        a: &impl CellRead<O::Value>,
         mut changes: Vec<Change<O::Value>>,
         stats: &mut AccessStats,
     ) {
@@ -160,49 +172,49 @@ impl<O: TotalOrder> MaxTree<O> {
     )]
     fn propagate(
         &mut self,
-        a: &DenseArray<O::Value>,
+        a: &impl CellRead<O::Value>,
         parent_level: usize,
         changes: Vec<Change<O::Value>>,
         stats: &mut AccessStats,
     ) -> Vec<Change<O::Value>> {
         let b = self.b;
-        let child_shape = if parent_level == 1 {
-            self.shape.clone()
-        } else {
-            self.levels[parent_level - 2].shape.clone()
+        // The parents' argmaxes are written below while the shapes and the
+        // children's argmaxes are read: take them out for the phase.
+        let mut parent_max = std::mem::take(&mut self.levels[parent_level - 1].max_index);
+        let tree = &*self;
+        let child_shape = match parent_level {
+            1 => &tree.shape,
+            _ => &tree.levels[parent_level - 2].shape,
         };
-        let parent_shape = self.levels[parent_level - 1].shape.clone();
-        // Group the changes by parent node, preserving list order.
-        let mut groups: BTreeMap<usize, Vec<Change<O::Value>>> = BTreeMap::new();
-        let mut child_idx = vec![0usize; child_shape.ndim()];
-        let mut parent_idx = vec![0usize; parent_shape.ndim()];
-        for ch in changes {
-            child_shape.unflatten_into(ch.child_flat, &mut child_idx);
-            for (p, &c) in parent_idx.iter_mut().zip(child_idx.iter()) {
-                *p = c / b;
-            }
-            groups
-                .entry(parent_shape.flatten(&parent_idx))
-                .or_default()
-                .push(ch);
-        }
+        let parent_shape = &tree.levels[parent_level - 1].shape;
+        // Group the changes by parent node, preserving list order: a
+        // stable sort by parent.
+        let parent_of = |ch: &Change<O::Value>| -> usize {
+            let axes = child_shape.strides().iter().zip(child_shape.dims());
+            let axes = axes.zip(parent_shape.strides());
+            axes.map(|((&cs, &n), &ps)| ch.child_flat / cs % n / b * ps)
+                .sum()
+        };
+        let mut changes = changes;
+        changes.sort_by_key(parent_of);
         let mut out = Vec::new();
-        let mut scan = ChildScan::new(b, child_shape.ndim());
-        for (pflat, group) in groups {
-            let stored = self.levels[parent_level - 1].max_index[pflat];
+        let mut scan = None;
+        for run in changes.chunk_by(|x, y| parent_of(x) == parent_of(y)) {
+            let pflat = run.first().map_or(0, parent_of);
+            let group = || run.iter();
+            let stored = parent_max[pflat];
             stats.visit_nodes(1);
             // v0: the parent's pre-batch max value. If the cell holding it
             // was touched this batch, exactly one change records its old
             // value; otherwise A still holds it.
-            let orig_val = group
-                .iter()
+            let orig_val = group()
                 .find(|c| c.old_max == stored)
                 .map(|c| c.old_val.clone())
                 .unwrap_or_else(|| a.get_flat(stored).clone());
             let mut tag: i8 = 0;
             let mut nmi = stored;
             let mut max_val = orig_val.clone();
-            for ch in &group {
+            for ch in group() {
                 match self.order.cmp_values(&ch.new_val, &ch.old_val) {
                     Ordering::Greater => {
                         // Rules 1(b)/1(c): an active increase beats the
@@ -241,8 +253,9 @@ impl<O: TotalOrder> MaxTree<O> {
                     .checked_sub(2)
                     .and_then(|i| self.levels.get(i))
                     .map(|l| &*l.max_index);
+                let scan = scan.get_or_insert_with(|| ChildScan::new(b, child_shape.ndim()));
                 let (y, seen) =
-                    scan.argmax(a, &self.order, &child_shape, child_of, &parent_shape, pflat);
+                    scan.argmax(a, &self.order, child_shape, child_of, parent_shape, pflat);
                 match child_of {
                     None => stats.read_a(seen),
                     Some(_) => stats.visit_nodes(seen),
@@ -254,7 +267,7 @@ impl<O: TotalOrder> MaxTree<O> {
             let index_changed = new_y != stored;
             let value_changed = self.order.cmp_values(&new_val, &orig_val) != Ordering::Equal;
             if index_changed || value_changed {
-                self.levels[parent_level - 1].max_index[pflat] = new_y;
+                parent_max[pflat] = new_y;
                 // Even an equal-value index move must propagate: an
                 // ancestor may point at the abandoned index (see module
                 // docs on repointing).
@@ -267,6 +280,7 @@ impl<O: TotalOrder> MaxTree<O> {
                 });
             }
         }
+        self.levels[parent_level - 1].max_index = parent_max;
         out
     }
 }

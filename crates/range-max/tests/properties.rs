@@ -58,7 +58,9 @@ fn assert_split_equals_in_place<O: TotalOrder<Value = i64> + Clone>(
     assert_eq!(post, in_place_cube);
     let (pre_before, post_before) = (pre.clone(), post.clone());
     let mut split = MaxTree::build(pre, b, order).unwrap();
-    let split_stats = split.batch_update_onto(pre, &post, updates).unwrap();
+    let pairs: Vec<(Vec<usize>, i64)> =
+        updates.iter().map(|u| (u.index.clone(), u.value)).collect();
+    let split_stats = split.batch_update_onto(pre, &post, &pairs).unwrap();
     assert_eq!(split.export_levels(), in_place.export_levels());
     assert_eq!(split_stats, in_place_stats);
     assert_eq!((pre, &post), (&pre_before, &post_before));

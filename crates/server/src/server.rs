@@ -80,7 +80,7 @@
 //! So every batch, single- or multi-shard, is atomic to every reader.
 
 use crate::ServerError;
-use olap_array::{DegradePolicy, DenseArray, QueryBudget, Range, Region, Shape};
+use olap_array::{DegradePolicy, DenseArray, PagedArray, QueryBudget, Range, Region, Shape};
 use olap_engine::stripe::Striped;
 use olap_engine::{
     AdaptiveRouter, ApproxEngine, CacheStats, CubeIndex, DegradeReason, EngineError, EngineOp,
@@ -912,10 +912,11 @@ fn build_shard(
         .as_slice()
         .get(lo * stride..hi * stride)
         .ok_or_else(|| ServerError::Config(format!("slab {lo}..{hi} out of range")))?;
-    // One base cube for the whole stack: every exact engine holds this
-    // `Arc`, and each update batch replaces it with one post-batch copy
-    // they all adopt (`BatchImage`).
-    let sub = Arc::new(DenseArray::from_vec(local_shape, slab.to_vec())?);
+    // One base cube for the whole stack, copied from the slab into pages:
+    // every exact engine holds this `Arc`, and each update batch replaces
+    // it with one post-batch successor they all adopt (`BatchImage`), which
+    // shares every page the batch leaves alone.
+    let sub = Arc::new(PagedArray::from_slice(local_shape, slab)?);
 
     let index: Box<dyn RangeEngine<i64>> =
         Box::new(CubeIndex::build(Arc::clone(&sub), IndexConfig::default())?);

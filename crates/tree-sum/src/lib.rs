@@ -35,7 +35,7 @@
 )]
 
 use olap_aggregate::{AbelianGroup, NumericValue, SumOp};
-use olap_array::{ArrayError, DenseArray, Range, Region, Shape};
+use olap_array::{ArrayError, CellRead, DenseArray, Range, Region, Shape};
 use olap_query::QueryCtx;
 
 /// One level of the sum tree: a contracted array whose cells hold the sum
@@ -75,7 +75,7 @@ impl<T: NumericValue> SumTreeCube<T> {
     ///
     /// # Errors
     /// Rejects `b < 2` (the tree must shrink per level).
-    pub fn build(a: &DenseArray<T>, b: usize) -> Result<Self, ArrayError> {
+    pub fn build(a: &impl CellRead<T>, b: usize) -> Result<Self, ArrayError> {
         SumTree::with_op(a, SumOp::new(), b)
     }
 }
@@ -86,7 +86,7 @@ impl<G: AbelianGroup> SumTree<G> {
     ///
     /// # Errors
     /// Rejects `b < 2` via [`ArrayError::ZeroBlock`]-style validation.
-    pub fn with_op(a: &DenseArray<G::Value>, op: G, b: usize) -> Result<Self, ArrayError> {
+    pub fn with_op(a: &impl CellRead<G::Value>, op: G, b: usize) -> Result<Self, ArrayError> {
         if b < 2 {
             return Err(ArrayError::ZeroBlock);
         }
@@ -210,7 +210,7 @@ impl<G: AbelianGroup> SumTree<G> {
     /// Validates the region and cube shape.
     pub fn range_sum(
         &self,
-        a: &DenseArray<G::Value>,
+        a: &impl CellRead<G::Value>,
         region: &Region,
     ) -> Result<G::Value, ArrayError> {
         self.read(a, region, true, &mut QueryCtx::unlimited())
@@ -224,9 +224,9 @@ impl<G: AbelianGroup> SumTree<G> {
     /// # Errors
     /// Validates the region and cube shape; propagates budget interrupts
     /// as [`ArrayError::Interrupted`].
-    pub fn read(
+    pub fn read<A: CellRead<G::Value>>(
         &self,
-        a: &DenseArray<G::Value>,
+        a: &A,
         region: &Region,
         use_complement: bool,
         ctx: &mut QueryCtx<'_>,
@@ -264,9 +264,9 @@ impl<G: AbelianGroup> SumTree<G> {
         clippy::indexing_slicing,
         reason = "the §6 walk passes 1 <= level <= height and coordinates inside that level's shape"
     )]
-    fn sum_in(
+    fn sum_in<A: CellRead<G::Value>>(
         &self,
-        a: &DenseArray<G::Value>,
+        a: &A,
         level: usize,
         coords: &[usize],
         region: &Region,
@@ -311,9 +311,9 @@ impl<G: AbelianGroup> SumTree<G> {
         clippy::indexing_slicing,
         reason = "2 <= level <= height here, and the odometer's lo/hi/cur share the rank"
     )]
-    fn sum_children(
+    fn sum_children<A: CellRead<G::Value>>(
         &self,
-        a: &DenseArray<G::Value>,
+        a: &A,
         level: usize,
         coords: &[usize],
         box_region: &Region,

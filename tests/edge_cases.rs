@@ -2,7 +2,7 @@
 //! sizes, float pathologies, and hostile inputs.
 
 use olap_cube::aggregate::NaturalOrder;
-use olap_cube::array::{mix, ArrayError, DenseArray, Region, Shape};
+use olap_cube::array::{mix, ArrayError, DenseArray, PagedArray, Region, Shape};
 use olap_cube::engine::{
     AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, QueryBudget, RangeEngine,
     SemanticCache, SumTreeEngine,
@@ -157,7 +157,7 @@ fn a_batch_from_i64_min_to_i64_max_answers_through_router_and_server() {
     let mut after = a.clone();
     *after.get_mut(&[1, 2]) = i64::MAX;
 
-    let base = Arc::new(a.clone());
+    let base: Arc<PagedArray<i64>> = a.clone().into();
     let router = AdaptiveRouter::new()
         .with_engine(Box::new(
             CubeIndex::build(Arc::clone(&base), IndexConfig::default()).unwrap(),
@@ -206,7 +206,7 @@ fn exact_sums_near_2_62_match_the_wrapped_oracle_through_every_stack() {
     {
         for mixed in [false, true] {
             let a = cube_near_2_62(&dims, d as u64, mixed);
-            let base = Arc::new(a.clone());
+            let base: Arc<PagedArray<i64>> = a.clone().into();
             let basic = CubeIndex::build(Arc::clone(&base), IndexConfig::default()).unwrap();
             let blocked = CubeIndex::build(
                 Arc::clone(&base),

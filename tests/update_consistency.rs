@@ -5,7 +5,7 @@
 //! against the snapshot-isolation machinery (`VersionCell`, the sharded
 //! `CubeServer`) and belong to the ThreadSanitizer CI leg.
 
-use olap_cube::array::Shape;
+use olap_cube::array::{CellRead, Shape};
 use olap_cube::engine::{CubeIndex, IndexConfig, PrefixChoice, RangeEngine, SumTreeEngine};
 use olap_cube::query::RangeQuery;
 use olap_cube::workload::{uniform_cube, uniform_regions};
@@ -73,8 +73,11 @@ fn twenty_rounds_of_mixed_queries_and_updates() {
     }
 
     // Final deep check: both cubes equal the shadow exactly.
-    assert_eq!(index.cube().as_slice(), shadow.as_slice());
-    assert_eq!(tree.base().unwrap().as_slice(), shadow.as_slice());
+    assert_eq!(index.cube().to_dense().as_slice(), shadow.as_slice());
+    assert_eq!(
+        tree.base().unwrap().to_dense().as_slice(),
+        shadow.as_slice()
+    );
 }
 
 #[test]

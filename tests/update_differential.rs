@@ -16,7 +16,7 @@
 //! `SemanticCache` in front of the stack, over regions that repeat, and
 //! checks every answer — hits included — against a fresh build.
 
-use olap_cube::array::{DenseArray, Shape};
+use olap_cube::array::{CellRead, DenseArray, PagedArray, Shape};
 use olap_cube::engine::{
     AdaptiveRouter, CubeIndex, EngineOp, EngineStatus, FaultPlan, FaultyEngine, IndexConfig,
     NaiveEngine, RangeEngine, SemanticCache, SumTreeEngine,
@@ -34,7 +34,7 @@ type Batch = Vec<(Vec<usize>, i64)>;
 /// The ledger's library shard stack over one shared base. `plans[i]`
 /// fault-wraps precomputed engine `i`; the naive failover anchor is never
 /// wrapped.
-fn shard_stack(base: &Arc<DenseArray<i64>>, plans: [Option<FaultPlan>; 2]) -> AdaptiveRouter<i64> {
+fn shard_stack(base: &Arc<PagedArray<i64>>, plans: [Option<FaultPlan>; 2]) -> AdaptiveRouter<i64> {
     let precomputed: [Box<dyn RangeEngine<i64>>; 2] = [
         Box::new(CubeIndex::build(Arc::clone(base), IndexConfig::default()).unwrap()),
         Box::new(SumTreeEngine::build(Arc::clone(base), 4).unwrap()),
@@ -74,7 +74,7 @@ fn answers(engine: &Engine, queries: &[RangeQuery]) -> Vec<[Option<i64>; 3]> {
         .collect()
 }
 
-fn base_of(engine: &Engine) -> &Arc<DenseArray<i64>> {
+fn base_of(engine: &Engine) -> &Arc<PagedArray<i64>> {
     engine.base().expect("every shard engine exposes its base")
 }
 
@@ -146,7 +146,7 @@ fn drive(router: &AdaptiveRouter<i64>, start: &DenseArray<i64>, rounds: u64, see
         assert_eq!(router.epoch(), epoch + 1);
 
         // Every engine ≡ a fresh build over the post-batch cube.
-        let fresh = shard_stack(&Arc::new(shadow.clone()), [None, None]);
+        let fresh = shard_stack(&shadow.clone().into(), [None, None]);
         let current = engines(router);
         for (derived, rebuilt) in current.iter().zip(&engines(&fresh)) {
             assert_eq!(
@@ -159,7 +159,7 @@ fn drive(router: &AdaptiveRouter<i64>, start: &DenseArray<i64>, rounds: u64, see
         }
         // One post-batch cube, shared by all, and it is the right one.
         let post_base = base_of(&current[0]);
-        assert_eq!(post_base.as_slice(), shadow.as_slice());
+        assert_eq!(post_base.to_dense().as_slice(), shadow.as_slice());
         assert!(!Arc::ptr_eq(post_base, &pre_base));
         for e in &current {
             assert!(Arc::ptr_eq(base_of(e), post_base), "{}", e.label());
@@ -182,7 +182,7 @@ const SHAPES: [&[usize]; 4] = [&[97], &[23, 19], &[9, 8, 7], &[5, 6, 4, 5]];
 fn shard_stack_updates_equal_a_fresh_build_and_share_one_cube() {
     for (d, dims) in SHAPES.iter().enumerate() {
         let cube = cube_of(dims, 40 + d as u64);
-        let router = shard_stack(&Arc::new(cube.clone()), [None, None]);
+        let router = shard_stack(&cube.clone().into(), [None, None]);
         drive(&router, &cube, 4, 7 + d as u64);
     }
 }
@@ -245,7 +245,7 @@ fn cached_stack_answers_equal_a_fresh_build_and_hit() {
     for (d, dims) in SHAPES.iter().enumerate() {
         let cube = cube_of(dims, 40 + d as u64);
         let shape = cube.shape().clone();
-        let cache = SemanticCache::new(shard_stack(&Arc::new(cube.clone()), [None, None]), 64);
+        let cache = SemanticCache::new(shard_stack(&cube.clone().into(), [None, None]), 64);
         let queries: Vec<RangeQuery> = uniform_regions(&shape, 8, 90 + d as u64)
             .iter()
             .map(RangeQuery::from_region)
@@ -255,7 +255,7 @@ fn cached_stack_answers_equal_a_fresh_build_and_hit() {
         // so these are the same batches.
         let mut rng = StdRng::seed_from_u64(7 + d as u64);
         for round in 0..4 {
-            let fresh = shard_stack(&Arc::new(shadow.clone()), [None, None]);
+            let fresh = shard_stack(&shadow.clone().into(), [None, None]);
             // Twice over: the first pass re-inserts what the last install
             // dropped, the second hits every region.
             for q in queries.iter().chain(&queries) {
@@ -292,7 +292,7 @@ fn fault_wrapped_stack_forwards_the_shared_base() {
     let benign = Some(FaultPlan::benign());
     for (d, dims) in SHAPES.iter().enumerate() {
         let cube = cube_of(dims, 50 + d as u64);
-        let router = shard_stack(&Arc::new(cube.clone()), [benign, benign]);
+        let router = shard_stack(&cube.clone().into(), [benign, benign]);
         drive(&router, &cube, 2, 11 + d as u64);
     }
 }
@@ -300,7 +300,7 @@ fn fault_wrapped_stack_forwards_the_shared_base() {
 #[test]
 fn a_poisoned_engine_is_carried_forward_with_its_old_base() {
     let cube = cube_of(&[23, 19], 60);
-    let base = Arc::new(cube.clone());
+    let base: Arc<PagedArray<i64>> = cube.clone().into();
     // The index lies cheapest and panics on its first query.
     let bomb = FaultPlan {
         panic_call: Some(0),
@@ -326,7 +326,10 @@ fn a_poisoned_engine_is_carried_forward_with_its_old_base() {
         assert!(Arc::ptr_eq(base_of(&current[0]), &base));
         // The image came from the first *healthy* engine; both healthy
         // engines share it.
-        assert_eq!(base_of(&current[1]).as_slice(), shadow.as_slice());
+        assert_eq!(
+            base_of(&current[1]).to_dense().as_slice(),
+            shadow.as_slice()
+        );
         assert!(Arc::ptr_eq(base_of(&current[1]), base_of(&current[2])));
         // Routed answers are the post-batch oracle's.
         let total: i64 = shadow.as_slice().iter().sum();
@@ -357,10 +360,10 @@ fn engines_built_from_their_own_clones_stay_self_consistent() {
         let batch = hostile_batch(&shadow, &mut rng);
         router.apply_updates(&batch).unwrap();
         apply_to(&mut shadow, &batch);
-        let fresh = shard_stack(&Arc::new(shadow.clone()), [None, None]);
+        let fresh = shard_stack(&shadow.clone().into(), [None, None]);
         for (derived, rebuilt) in engines(&router).iter().zip(&engines(&fresh)) {
             assert_eq!(answers(derived, &queries), answers(rebuilt, &queries));
-            assert_eq!(base_of(derived).as_slice(), shadow.as_slice());
+            assert_eq!(base_of(derived).to_dense().as_slice(), shadow.as_slice());
         }
     }
 }
